@@ -145,10 +145,11 @@ void BM_QuantumInstrumented(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantumInstrumented)->Arg(64)->Arg(256);
 
-// The quantum plus the disarmed fail-point checks its journal path
-// actually crosses — pwritev, fdatasync, and the commit log's append
-// and sync (ISSUE 10). Each check must cost one relaxed load and a
-// never-taken branch; the 1% CI gate keeps it that way.
+// The quantum plus four disarmed fail-point checks — pwritev and
+// fdatasync, which its journal path crosses, and two more that keep the
+// gated figure comparable with its baseline (ISSUE 10). Each check must
+// cost one relaxed load and a never-taken branch; the 1% CI gate keeps
+// it that way.
 INCENTAG_FAIL_POINT_DEFINE(g_bench_fail_pwritev, "bench/quantum_pwritev");
 INCENTAG_FAIL_POINT_DEFINE(g_bench_fail_fdatasync,
                            "bench/quantum_fdatasync");

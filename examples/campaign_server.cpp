@@ -328,7 +328,11 @@ int main(int argc, char** argv) {
               std::make_unique<core::VectorPostStream>(ds.MakeStream());
           return config;
         });
-    INCENTAG_CHECK(recovered.ok());
+    if (!recovered.ok()) {
+      std::fprintf(stderr, "recover %s: %s\n", journal_dir.c_str(),
+                   recovered.status().ToString().c_str());
+      return 1;
+    }
     ids = recovered.value();
     std::printf("recovered %zu journaled campaigns from %s\n", ids.size(),
                 journal_dir.c_str());

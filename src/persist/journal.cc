@@ -1,6 +1,5 @@
 #include "src/persist/journal.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/obs/metrics.h"
@@ -284,9 +283,9 @@ util::Status JournalWriter::AppendCompletionBatch(
   AppendBytesCounter()->Add(static_cast<int64_t>(arena.size()));
   // At most one syscall per quantum, usually zero: a small quantum just
   // lands in the writer buffer (memcpy) and rides the next window
-  // commit — the sink's SyncData/CollectUnsynced flush the buffer as
-  // part of the fsync they already pay for, so steady-state appends
-  // cost the workers no kernel crossing at all. A quantum that pushes
+  // commit — the sink's SyncData flushes the buffer as part of the
+  // fsync it already pays for, so steady-state appends cost the workers
+  // no kernel crossing at all. A quantum that pushes
   // the dirty tail past kGatherFlushBytes (a sink stalled or absent)
   // flushes inline as one gathered pwritev — the buffer plus the arena
   // in a single syscall, never copying the arena into the buffer. The
@@ -318,11 +317,10 @@ util::Status JournalWriter::Sync() {
   return util::Status::OK();
 }
 
-util::Status JournalWriter::SyncData(int64_t* durable_size) {
+util::Status JournalWriter::SyncData() {
   util::MutexLock lock(&mu_);
   INCENTAG_RETURN_IF_ERROR(file_.SyncData());
   durable_size_ = file_.size();
-  if (durable_size != nullptr) *durable_size = file_.size();
   return util::Status::OK();
 }
 
@@ -334,38 +332,6 @@ util::Status JournalWriter::RecoverAfterSyncFailure() {
 int64_t JournalWriter::buffered_bytes() {
   util::MutexLock lock(&mu_);
   return file_.buffered_bytes();
-}
-
-util::Status JournalWriter::CollectUnsynced(int64_t from, std::string* data,
-                                            uint32_t* context_crc,
-                                            uint8_t* context_len) {
-  data->clear();
-  *context_crc = 0;
-  *context_len = 0;
-  util::MutexLock lock(&mu_);
-  INCENTAG_RETURN_IF_ERROR(file_.Flush());
-  const int64_t size = file_.size();
-  if (from < 0 || from > size) {
-    return util::Status::OutOfRange(
-        "stale durable offset " + std::to_string(from) + " for journal of " +
-        std::to_string(size) + " bytes");
-  }
-  const int64_t ctx = std::min<int64_t>(from, 16);
-  if (ctx > 0) {
-    std::string context;
-    INCENTAG_RETURN_IF_ERROR(file_.ReadAt(from - ctx, ctx, &context));
-    *context_crc = util::Crc32(context);
-    *context_len = static_cast<uint8_t>(ctx);
-  }
-  if (from < size) {
-    INCENTAG_RETURN_IF_ERROR(file_.ReadAt(from, size - from, data));
-  }
-  return util::Status::OK();
-}
-
-void JournalWriter::set_commit_observer(JournalCommitObserver* observer) {
-  util::MutexLock lock(&mu_);
-  observer_ = observer;
 }
 
 int64_t JournalWriter::size() {
@@ -460,14 +426,6 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
   // The rewrite is fully durable (tmp.Sync() above): the durable anchor
   // for any later failed-sync recovery is the whole new file.
   durable_size_ = file_.size();
-  // The rewrite replaced the file wholesale: externally-tracked durable
-  // offsets refer to the dead incarnation, and the new one is durable to
-  // its full size (tmp.Sync() above). Notified under mu_, before any
-  // append can land on the new fd, so the fsync domain never observes a
-  // half-switched state.
-  if (observer_ != nullptr) {
-    observer_->OnJournalRewritten(this, file_.size());
-  }
   compactions->Increment();
   const int64_t reclaimed =
       tail_offset - static_cast<int64_t>(prefix.size());

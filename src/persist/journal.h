@@ -142,22 +142,6 @@ void AppendFramedCompletionRecord(const CompletionRecord& record,
 // never matches ListDirFiles(dir, ".journal"), and recovery deletes it.
 inline constexpr char kCompactionTmpSuffix[] = ".compact.tmp";
 
-class JournalWriter;
-
-// Observer for events that invalidate externally-tracked durability
-// state. The fsync domain (persist::FsyncDomain) registers one per
-// writer: a compaction replaces the whole file, so any "bytes durable up
-// to offset X" bookkeeping for the old incarnation is void, and the new
-// incarnation is fully durable (the rewrite is fsynced before the
-// rename). Called with the writer's internal lock held — implementations
-// must not call back into the writer.
-class JournalCommitObserver {
- public:
-  virtual ~JournalCommitObserver() = default;
-  virtual void OnJournalRewritten(JournalWriter* writer,
-                                  int64_t durable_size) = 0;
-};
-
 // Appends framed records to one campaign's journal file. Thread-safe: the
 // stepper thread appends while the JournalSink's thread syncs. Appends
 // buffer in memory; Flush() makes them crash-of-process durable, Sync()
@@ -190,10 +174,9 @@ class JournalWriter {
   util::Status Flush() EXCLUDES(mu_);
   util::Status Sync() EXCLUDES(mu_);
 
-  // Flush + fdatasync — the cheap per-fd durability point the fsync
-  // domain uses for small commit windows. `*durable_size` (optional)
-  // reports the journal size this call made power-loss durable.
-  util::Status SyncData(int64_t* durable_size = nullptr) EXCLUDES(mu_);
+  // Flush + fdatasync — the cheap durability point the JournalSink
+  // issues once per dirty journal per batching window.
+  util::Status SyncData() EXCLUDES(mu_);
 
   // Fsyncgate recovery (ISSUE 10): after a failed Sync/SyncData the
   // page cache behind the fd is untrusted — the kernel may have marked
@@ -211,23 +194,6 @@ class JournalWriter {
   // retry ladder is still responsible for. The manager caps this while
   // a journal rides out transient append failures.
   int64_t buffered_bytes() EXCLUDES(mu_);
-
-  // Commit-log support (see persist::FsyncDomain): flushes, then reads
-  // back the journal bytes in [from, size()) through the writer's own
-  // descriptor, plus a CRC of up to the 16 bytes immediately before
-  // `from` (`*context_len` of them) that recovery uses to prove a
-  // logged patch still matches the file it is about to be applied to.
-  // Fails (OutOfRange) when `from` exceeds the current size — the
-  // caller's durability bookkeeping went stale (e.g. a compaction
-  // landed) and it should fall back to SyncData().
-  util::Status CollectUnsynced(int64_t from, std::string* data,
-                               uint32_t* context_crc, uint8_t* context_len)
-      EXCLUDES(mu_);
-
-  // Registers the observer notified after a successful Compact() swaps
-  // the file. Set before the writer is shared across threads; pass
-  // nullptr to clear.
-  void set_commit_observer(JournalCommitObserver* observer) EXCLUDES(mu_);
 
   // Logical journal size in bytes (appended, possibly still buffered).
   // A stepper reads this right after taking a snapshot: everything at or
@@ -261,14 +227,10 @@ class JournalWriter {
   // the sink thread fsyncs and the compactor swaps the descriptor, all
   // through this one handle — every touch holds mu_.
   util::AppendFile file_ GUARDED_BY(mu_);
-  // Offset the journal *file* is known power-loss durable to (last
-  // successful Sync/SyncData, or the full rewrite after a compaction).
-  // The anchor RecoverAfterSyncFailure truncates back to — deliberately
-  // the file-level offset, not the fsync domain's log-rung bookkeeping:
-  // bytes covered only by commit-log patches are not in this file, and
-  // re-appending them is idempotent while trusting them would not be.
+  // Offset the journal file is known power-loss durable to (last
+  // successful Sync/SyncData, or the full rewrite after a compaction):
+  // the anchor RecoverAfterSyncFailure truncates back to.
   int64_t durable_size_ GUARDED_BY(mu_) = 0;
-  JournalCommitObserver* observer_ GUARDED_BY(mu_) = nullptr;
 };
 
 // Parses a whole journal file. `tail_status` distinguishes a clean end

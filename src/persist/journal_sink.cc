@@ -1,43 +1,115 @@
 #include "src/persist/journal_sink.h"
 
+#include <algorithm>
 #include <chrono>
+#include <utility>
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 
 namespace incentag {
 namespace persist {
 
-JournalSink::JournalSink(JournalSinkOptions options) : options_(options) {
-  FsyncDomainOptions domain_options;
-  domain_options.commit_log_path = options_.commit_log_path;
-  domain_options.per_fd_threshold = options_.commit_log_threshold;
-  domain_options.checkpoint_bytes = options_.commit_log_checkpoint_bytes;
-  domain_options.retry = options_.retry;
-  domain_options.on_storage_error = options_.on_storage_error;
-  domain_options.on_storage_ok = options_.on_storage_ok;
-  domain_options.on_writer_sick = options_.on_writer_sick;
-  // An Init failure (log unopenable) degrades the domain to the per-fd
-  // ladder — correct, just not fleet-wide — so the sink starts anyway.
-  domain_.Init(domain_options);
+namespace {
+
+obs::Histogram* FsyncSeconds() {
+  static obs::Histogram* histogram = obs::Registry::Default().GetHistogram(
+      "incentag_persist_fsync_seconds", "Per-journal fsync latency",
+      obs::LatencyBoundsSeconds());
+  return histogram;
+}
+
+obs::Counter* RetryAttemptsCounter() {
+  static obs::Counter* counter = obs::Registry::Default().GetCounter(
+      "incentag_persist_retry_attempts_total",
+      "Journal sync retries after a transient storage failure");
+  return counter;
+}
+
+obs::Counter* RetrySuccessCounter() {
+  static obs::Counter* counter = obs::Registry::Default().GetCounter(
+      "incentag_persist_retry_success_total",
+      "Journal syncs that succeeded on a retry attempt");
+  return counter;
+}
+
+obs::Counter* RetryExhaustedCounter() {
+  static obs::Counter* counter = obs::Registry::Default().GetCounter(
+      "incentag_persist_retry_exhausted_total",
+      "Journal sync episodes that exhausted the retry ladder or hit a "
+      "permanent error");
+  return counter;
+}
+
+// The ladder itself: sync, classify, back off, rebuild the fd, retry.
+// Sleeps happen with no locks held (the sink thread is the only caller).
+util::Status SyncWithRetry(JournalWriter* writer,
+                           const JournalSinkOptions& options) {
+  const SyncRetryPolicy& retry = options.retry;
+  const int max_attempts = std::max(1, retry.max_attempts);
+  int64_t backoff_us = std::max<int64_t>(1, retry.initial_backoff_us);
+  util::Status status;
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    if (attempt > 0) {
+      RetryAttemptsCounter()->Increment();
+      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
+      backoff_us = std::min<int64_t>(
+          std::max<int64_t>(1, retry.max_backoff_us),
+          static_cast<int64_t>(static_cast<double>(backoff_us) *
+                               retry.multiplier));
+      // fsyncgate: the failed sync poisoned the page cache behind the
+      // fd. Rebuild the writer on a fresh descriptor and re-append from
+      // the last durable offset — never re-fsync the old fd blindly.
+      util::Status recovered = writer->RecoverAfterSyncFailure();
+      if (!recovered.ok()) {
+        if (options.on_storage_error) options.on_storage_error(recovered);
+        RetryExhaustedCounter()->Increment();
+        return recovered;
+      }
+    }
+    {
+      obs::TraceSpan span("fsync");
+      obs::ScopedTimer timer(FsyncSeconds());
+      status = writer->SyncData();
+    }
+    if (status.ok()) {
+      if (attempt > 0) RetrySuccessCounter()->Increment();
+      if (options.on_storage_ok) options.on_storage_ok();
+      return status;
+    }
+    if (options.on_storage_error) options.on_storage_error(status);
+    if (util::ClassifyIoError(status) != util::IoErrorClass::kTransient) {
+      break;  // retrying a permanent failure cannot help
+    }
+  }
+  RetryExhaustedCounter()->Increment();
+  return status;
+}
+
+}  // namespace
+
+obs::Counter* JournalSyncsCounter() {
+  static obs::Counter* counter = obs::Registry::Default().GetCounter(
+      "incentag_persist_journal_syncs_total",
+      "Journal syncs completed by the sink, one per dirty journal per "
+      "pass plus teardown stragglers");
+  return counter;
+}
+
+JournalSink::JournalSink(JournalSinkOptions options)
+    : options_(std::move(options)) {
   thread_ = std::thread([this] { Loop(); });
 }
 
 JournalSink::~JournalSink() { Stop(); }
 
-void JournalSink::Track(JournalWriter* writer) { domain_.Track(writer); }
-
 void JournalSink::Untrack(JournalWriter* writer) {
-  // Drop any pending dirty mark too (ISSUE 10): a quarantined writer's
-  // fd must never be synced again, not even by a pass already signalled.
   // A batch the loop has already popped may still reference the writer —
   // that sync fails like the one that caused the quarantine and the
   // repeat sick-callback is a no-op — but no *new* pass will touch it.
-  {
-    util::MutexLock lock(&mu_);
-    dirty_.erase(writer);
-  }
-  domain_.Untrack(writer);
+  util::MutexLock lock(&mu_);
+  dirty_.erase(writer);
 }
 
 void JournalSink::Schedule(JournalWriter* writer) {
@@ -89,13 +161,7 @@ void JournalSink::Loop() {
   for (;;) {
     while (!stop_ && dirty_.empty()) dirty_cv_.Wait(&mu_);
     if (dirty_.empty()) {
-      // stop_ set and nothing left to sync. Retire the commit log
-      // before exiting: a leftover log is legal (recovery skips patches
-      // for rewritten journals), but retiring it here means the clean
-      // path never replays patches at all.
-      mu_.Unlock();
-      domain_.Checkpoint();
-      mu_.Lock();
+      // stop_ set and nothing left to sync.
       stopped_ = true;
       synced_cv_.NotifyAll();
       mu_.Unlock();
@@ -110,10 +176,17 @@ void JournalSink::Loop() {
     ++epoch_started_;
     mu_.Unlock();
     commit_batch->Observe(static_cast<double>(batch.size()));
-    // The domain picks the ladder rung (per-fd fdatasync vs one commit
-    // log fdatasync for the window) and feeds the fsync metrics; an IO
-    // error on any journal is retried at its terminal Sync.
-    domain_.Commit(batch);
+    // One fdatasync per dirty journal. A writer the ladder cannot save is
+    // escalated, not fatal to the pass: the campaign layer quarantines it
+    // while the rest of the fleet keeps committing.
+    for (JournalWriter* writer : batch) {
+      util::Status status = SyncWithRetry(writer, options_);
+      if (status.ok()) {
+        JournalSyncsCounter()->Increment();
+      } else if (options_.on_writer_sick) {
+        options_.on_writer_sick(writer, status);
+      }
+    }
     mu_.Lock();
     // Release Drain()/Stop() waiters the moment durability is achieved —
     // the coalescing sleep below must not tax them.

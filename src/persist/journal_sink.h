@@ -3,55 +3,79 @@
 // fsync is the expensive step of journaling — milliseconds on real disks —
 // and the service layer appends completion records from every campaign
 // step. Synchronous per-append fsync would serialise the whole manager
-// behind the disk. Instead, writers push bytes to the kernel themselves
-// (JournalWriter::Flush, cheap) and hand the *durability* step to the
-// sink: Schedule(writer) marks the journal dirty, and the sink thread
-// coalesces all marks since its last pass into one FsyncDomain::Commit —
-// a per-fd fdatasync ladder when the dirty set is small, or one
-// fdatasync of a fleet commit log when it is large. N campaigns stepping
-// concurrently therefore cost at most one disk flush per batching
-// window, not one per journal (let alone per applied task).
+// behind the disk. Instead, writers buffer or flush bytes themselves
+// (cheap) and hand the *durability* step to the sink: Schedule(writer)
+// marks the journal dirty, and the sink thread gives every journal
+// marked since its last pass one fdatasync. However many steps a
+// campaign takes inside one batching window, its journal costs one
+// fdatasync for that window, not one per append (let alone per applied
+// task).
 //
 // Durability contract: a record is power-loss durable only after the sink
-// has committed it (or after an explicit JournalWriter::Sync, which the
-// manager issues at terminal states). A crash can lose the tail of a
-// journal back to the last commit — recovery handles exactly that by
-// applying the fleet commit log (persist::ApplyCommitLog), truncating to
-// the last intact record and re-running the lost steps, which Algorithm
-// 1's determinism makes byte-identical.
+// pass covering its Schedule() has synced it (or after an explicit
+// JournalWriter::Sync, which the manager issues at terminal states). A
+// crash can lose the tail of a journal back to the last sync — recovery
+// handles exactly that by truncating to the last intact record and
+// re-running the lost steps, which Algorithm 1's determinism makes
+// byte-identical.
+//
+// Storage faults: a failed sync runs the bounded retry ladder
+// (SyncRetryPolicy) — rebuild the writer's descriptor, back off, sync
+// again — and a writer the ladder cannot save is reported sick instead
+// of wedging the sink or passing silently.
 #ifndef INCENTAG_PERSIST_JOURNAL_SINK_H_
 #define INCENTAG_PERSIST_JOURNAL_SINK_H_
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <unordered_set>
 
-#include "src/persist/fsync_domain.h"
 #include "src/persist/journal.h"
 #include "src/util/mutex.h"
+#include "src/util/status.h"
 #include "src/util/thread_annotations.h"
 
 namespace incentag {
+
+namespace obs {
+class Counter;
+}  // namespace obs
+
 namespace persist {
+
+// Shared handle to the incentag_persist_journal_syncs_total counter, so
+// the sink's passes and its teardown-straggler inline sync feed the same
+// metric.
+obs::Counter* JournalSyncsCounter();
+
+// Bounded exponential backoff for transient journal-sync failures
+// (ISSUE 10). One ladder run is: sync fails transiently -> sleep the
+// backoff -> rebuild the writer's descriptor (fsyncgate: a failed sync
+// poisons the page cache, so the fd is reopened and the untrusted range
+// re-appended from the last durable offset — never re-fsynced blindly)
+// -> retry, up to max_attempts total sync attempts.
+struct SyncRetryPolicy {
+  int max_attempts = 4;
+  int64_t initial_backoff_us = 500;
+  double multiplier = 4.0;
+  int64_t max_backoff_us = 100'000;
+};
 
 struct JournalSinkOptions {
   // The sink sleeps this long after a pass before syncing again, widening
   // the coalescing window; 0 syncs as fast as the dirty set refills.
   int64_t batch_interval_us = 500;
-  // Fleet commit log for large dirty sets (see persist::FsyncDomain);
-  // empty keeps every pass on the per-fd ladder.
-  std::string commit_log_path;
-  // Dirty sets larger than this commit through the log.
-  size_t commit_log_threshold = 4;
-  // Log size that triggers a checkpoint (sync journals, truncate log).
-  int64_t commit_log_checkpoint_bytes = 4 << 20;
-  // Retry ladder for transient per-journal sync failures, and the
-  // health callbacks the domain invokes from the sink thread (see
-  // FsyncDomainOptions for the exact contract). The service layer wires
-  // these to fleet degraded mode and per-campaign quarantine.
+  // Retry ladder for transient per-journal sync failures.
   SyncRetryPolicy retry;
+  // Health callbacks, invoked from the sink thread with no sink locks
+  // held. The service layer uses them to drive fleet degraded mode:
+  // every failed sync attempt reports on_storage_error (with the
+  // classified status), every successful sync reports on_storage_ok,
+  // and a writer whose ladder is exhausted — or whose failure is
+  // permanent — reports on_writer_sick exactly once per episode so the
+  // campaign layer can quarantine it. All optional.
   std::function<void(const util::Status&)> on_storage_error;
   std::function<void()> on_storage_ok;
   std::function<void(JournalWriter*, const util::Status&)> on_writer_sick;
@@ -65,20 +89,13 @@ class JournalSink {
   JournalSink(const JournalSink&) = delete;
   JournalSink& operator=(const JournalSink&) = delete;
 
-  // Registers `writer` with the shared fsync domain. Precondition: the
-  // journal file is durable up to its current size (the manager tracks
-  // right after the Submit sync / recovery truncation). Untracked
-  // writers still commit correctly — they just always take the per-fd
-  // path. Call Untrack before destroying a tracked writer.
-  void Track(JournalWriter* writer);
-  void Untrack(JournalWriter* writer);
-
-  // The shared fsync domain, for tests and bench instrumentation.
-  FsyncDomain& domain() { return domain_; }
-
   // Marks `writer` as having unsynced appends. The writer must stay alive
   // until a Drain() (or Stop()) after its last Schedule.
   void Schedule(JournalWriter* writer) EXCLUDES(mu_);
+
+  // Drops `writer`'s pending dirty mark, so no pass that starts later
+  // syncs it (quarantine: a sick fd must never be synced again).
+  void Untrack(JournalWriter* writer) EXCLUDES(mu_);
 
   // Blocks until every journal scheduled before the call has been synced.
   void Drain() EXCLUDES(mu_);
@@ -87,19 +104,18 @@ class JournalSink {
   // syncs inline on the calling thread (teardown straggler safety).
   void Stop() EXCLUDES(mu_);
 
-  // Total fsync passes and journals synced, for tests and bench output.
+  // Journals synced across all passes, for tests and bench output.
   int64_t syncs() const EXCLUDES(mu_);
 
  private:
   void Loop() EXCLUDES(mu_);
 
-  JournalSinkOptions options_;
-  FsyncDomain domain_;
+  const JournalSinkOptions options_;
   mutable util::Mutex mu_;
   util::CondVar dirty_cv_;   // signals the sink thread
   util::CondVar synced_cv_;  // signals Drain waiters
   std::unordered_set<JournalWriter*> dirty_ GUARDED_BY(mu_);
-  // Monotonically counts sync passes begun / fully fsynced.
+  // Monotonically counts sync passes begun / fully synced.
   int64_t epoch_started_ GUARDED_BY(mu_) = 0;
   int64_t epoch_finished_ GUARDED_BY(mu_) = 0;
   int64_t journals_synced_ GUARDED_BY(mu_) = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <filesystem>
 #include <mutex>
 #include <queue>
 #include <unordered_map>
@@ -10,7 +11,6 @@
 
 #include "src/core/campaign_runtime.h"
 #include "src/obs/metrics.h"
-#include "src/persist/fsync_domain.h"
 #include "src/service/fleet_health.h"
 #include "src/obs/trace.h"
 #include "src/util/file_io.h"
@@ -69,6 +69,29 @@ CampaignId ParseJournalId(const std::string& path) {
     id = id * 10 + static_cast<CampaignId>(ch - '0');
   }
   return id;
+}
+
+// Older builds could leave a fleet commit log in the journal directory,
+// holding completions acknowledged as durable whose bytes only the log
+// carried. Nothing applies such a log any more, so a non-empty one
+// refuses the directory rather than silently losing them. The
+// zero-length log a clean shutdown of those builds leaves is removed.
+util::Status RejectLegacyCommitLog(const std::string& dir) {
+  const std::string path = dir + "/fleet-commit.log";
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return util::Status::OK();
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    return util::Status::IoError("stat " + path + ": " + ec.message());
+  }
+  if (size > 0) {
+    return util::Status::FailedPrecondition(
+        path + " is a non-empty fleet commit log from an older build; it "
+        "may hold acknowledged completions this build cannot apply, so "
+        "recover the directory with the build that wrote it first");
+  }
+  INCENTAG_RETURN_IF_ERROR(util::RemoveFile(path));
+  return util::SyncDir(dir);
 }
 
 constexpr char kSourceClosedError[] = "completion source closed";
@@ -321,13 +344,9 @@ CampaignManager::CampaignManager(ManagerOptions options)
   if (!options_.journal_dir.empty()) {
     // Best effort here; a failure resurfaces as an open error at Submit.
     util::CreateDirectories(options_.journal_dir);
-    // A pre-crash fleet commit log must be replayed into its journals
-    // before the sink's fsync domain opens (and truncates) a fresh one —
-    // this is the crash-recovery half of the group-commit contract, and
-    // it must run even when the caller never calls Recover(). On failure
-    // the old log is left in place and the domain runs without one.
-    commit_log_recovered_ =
-        persist::ApplyCommitLog(options_.journal_dir).ok();
+    // Checked even when the caller never calls Recover(): a Submit must
+    // not start journaling next to data this build cannot read.
+    journal_dir_status_ = RejectLegacyCommitLog(options_.journal_dir);
     EnsureJournalWorkers();
   }
   if (!options_.deterministic) {
@@ -350,10 +369,6 @@ void CampaignManager::EnsureJournalWorkers() {
   if (sink_ == nullptr) {
     persist::JournalSinkOptions sink_options;
     sink_options.batch_interval_us = options_.journal_batch_interval_us;
-    if (!options_.journal_dir.empty() && commit_log_recovered_) {
-      sink_options.commit_log_path =
-          options_.journal_dir + "/" + persist::kFleetCommitLogName;
-    }
     sink_options.retry = options_.journal_retry;
     if (options_.health != nullptr) {
       FleetHealth* health = options_.health;
@@ -413,6 +428,7 @@ util::Status CampaignManager::TryRegister(
 
 util::Result<CampaignId> CampaignManager::Submit(CampaignConfig config) {
   INCENTAG_RETURN_IF_ERROR(ValidateConfig(config));
+  INCENTAG_RETURN_IF_ERROR(journal_dir_status_);
   const CampaignId id = next_id_.fetch_add(1);
   auto campaign = std::make_unique<Campaign>(id, std::move(config));
   Campaign* raw = campaign.get();
@@ -452,11 +468,6 @@ util::Result<CampaignId> CampaignManager::Submit(CampaignConfig config) {
       util::RemoveFile(JournalPath(options_.journal_dir, id));
     }
     return registered;
-  }
-  // The Sync + SyncDir above established the domain's precondition: the
-  // journal is durable to its full current size.
-  if (sink_ != nullptr && raw->journal != nullptr) {
-    sink_->Track(raw->journal.get());
   }
   if (options_.deterministic) {
     RunDeterministic(raw);
@@ -641,10 +652,10 @@ void CampaignManager::FlushJournal(Campaign* c) {
   if (c->journal == nullptr) return;
   // With a sink, the quantum path costs no syscall: records sit in the
   // writer buffer until the sink's window commit flushes them as part
-  // of the fsync it already pays for (SyncData and CollectUnsynced both
-  // flush first). Durability is unchanged — buffered or flushed, a
-  // record is durable only once the commit covering its Schedule
-  // returns, and a crash in between loses a replayable tail either way.
+  // of the fdatasync it already pays for (SyncData flushes first).
+  // Durability is unchanged — buffered or flushed, a record is durable
+  // only once the sink pass covering its Schedule returns, and a crash
+  // in between loses a replayable tail either way.
   // Without a sink the buffer has no draining thread, so push to the
   // kernel here; errors are not fatal — the terminal Sync in Finalize
   // retries.
@@ -1262,16 +1273,7 @@ void CampaignManager::WaitAll() {
 
 util::Result<std::vector<CampaignId>> CampaignManager::Recover(
     const std::string& dir, const CampaignFactory& factory) {
-  // Fold any fleet commit log into its journal files before reading
-  // them. Skipped when this manager's own sink already consumed (and
-  // re-created) the log in `dir` — replaying a *live* log would patch
-  // files that are mid-write.
-  const bool own_log_live =
-      sink_ != nullptr && dir == options_.journal_dir &&
-      sink_->domain().commit_log_active();
-  if (!own_log_live) {
-    INCENTAG_RETURN_IF_ERROR(persist::ApplyCommitLog(dir));
-  }
+  INCENTAG_RETURN_IF_ERROR(RejectLegacyCommitLog(dir));
   auto files = util::ListDirFiles(dir, ".journal");
   if (!files.ok()) return files.status();
 
@@ -1367,10 +1369,6 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
   EnsureJournalWorkers();
 
   INCENTAG_RETURN_IF_ERROR(TryRegister(id, std::move(campaign)));
-  // The file survived the crash (and ApplyCommitLog already folded any
-  // logged patches into it), so it is durable to the truncated size —
-  // the fsync domain's tracking precondition.
-  sink_->Track(c->journal.get());
 
   // ---- replay: seek to the latest snapshot, replay only the tail ----
   c->scheduled.store(true);  // the recovering thread is the stepper

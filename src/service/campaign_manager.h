@@ -252,7 +252,7 @@ struct ManagerOptions {
   // only explicit Compact(id) rewrites journals.
   int64_t compact_every_n_completions = 0;
   // Retry ladder for transient journal-sync failures, forwarded to the
-  // sink's fsync domain (ISSUE 10; see persist::SyncRetryPolicy).
+  // sink (ISSUE 10; see persist::SyncRetryPolicy).
   persist::SyncRetryPolicy journal_retry;
   // Fleet storage-health tracker (ISSUE 10). When set: journal sync
   // outcomes feed it; while it reports degraded, background-class
@@ -289,7 +289,9 @@ class CampaignManager {
   // mode: runs it to completion before returning). Fails fast on null
   // config fields or mismatched sizes. With journaling enabled the
   // SubmitRecord is fsynced before the campaign is registered, so a
-  // crash at any later point can recover it.
+  // crash at any later point can recover it. Fails with
+  // FailedPrecondition, naming the file, when the constructor found a
+  // non-empty `fleet-commit.log` from an older build in journal_dir.
   util::Result<CampaignId> Submit(CampaignConfig config);
 
   // Scans `dir` for campaign journals and resurrects each one: reads its
@@ -314,6 +316,8 @@ class CampaignManager {
   // parsed and run through the factory before any campaign is resumed,
   // so an error return means no side effects (and a rare IO failure
   // mid-resume is retryable: already-resumed journals are skipped).
+  // A non-empty `fleet-commit.log` left in `dir` by an older build fails
+  // recovery with FailedPrecondition before any journal is read.
   // Call from one thread, before submitting new campaigns.
   util::Result<std::vector<CampaignId>> Recover(const std::string& dir,
                                                 const CampaignFactory& factory);
@@ -424,10 +428,9 @@ class CampaignManager {
   // Journal files already resumed by Recover (single-threaded access —
   // see Recover's contract); makes a retried Recover skip them.
   std::unordered_set<std::string> recovered_paths_;
-  // True once any fleet commit log in journal_dir has been replayed into
-  // its journals (constructor) — the precondition for the sink's fsync
-  // domain to open (and truncate) a fresh log there.
-  bool commit_log_recovered_ = false;
+  // Non-OK when journal_dir holds a fleet commit log from an older build
+  // (see Submit); every journaled Submit returns it.
+  util::Status journal_dir_status_;
   std::atomic<CampaignId> next_id_{1};
   std::atomic<bool> shutdown_{false};
   std::once_flag shutdown_once_;

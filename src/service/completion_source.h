@@ -22,7 +22,11 @@
 //   * sim::CrowdLoadGenerator (src/sim/load_generator.h): a pool of
 //     simulated tagger threads with configurable per-task latency and
 //     per-tagger completion buffers.
-//   * persist::ReplayCompletionSource: re-drives a recorded trace.
+//   * ExternalCompletionSource (src/service/external_source.h): the
+//     HTTP-edge crowd; clients pull tasks and POST completions back.
+//
+// Crash recovery needs no source of its own: CampaignManager::Recover
+// replays journaled completions straight through the runtime.
 #ifndef INCENTAG_SERVICE_COMPLETION_SOURCE_H_
 #define INCENTAG_SERVICE_COMPLETION_SOURCE_H_
 

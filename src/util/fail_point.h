@@ -45,8 +45,8 @@
 //   fp->Disarm();                 // or util::FailPoint::DisarmAll()
 //
 // Naming convention: "<layer>/<syscall-or-step>", e.g. "file_io/pwritev",
-// "fsync_domain/log_sync", "compactor/rename". See CONTRIBUTING.md for
-// the full site list.
+// "socket/read", "compactor/rename". See CONTRIBUTING.md for the full
+// site list.
 #ifndef INCENTAG_UTIL_FAIL_POINT_H_
 #define INCENTAG_UTIL_FAIL_POINT_H_
 
@@ -163,12 +163,6 @@ class FailPoint {
 #define INCENTAG_FAIL_POINT_FIRED(var, fault_ptr) \
   (__builtin_expect((var).armed(), 0) && (var).Fire(fault_ptr))
 
-// True when the point is armed at all — sites that must pre-commit to a
-// slow path (e.g. skipping the io_uring fast path so the POSIX ladder
-// sees the fault) check this without consuming a hit.
-#define INCENTAG_FAIL_POINT_ARMED(var) \
-  (__builtin_expect((var).armed(), 0))
-
 #else  // !INCENTAG_FAILPOINTS
 
 namespace incentag {
@@ -194,7 +188,6 @@ class FailPoint {
   [[maybe_unused]] ::incentag::util::FailPoint var {}
 #define INCENTAG_FAIL_POINT_FIRED(var, fault_ptr) \
   ((void)(var), (void)(fault_ptr), false)
-#define INCENTAG_FAIL_POINT_ARMED(var) ((void)(var), false)
 
 #endif  // INCENTAG_FAILPOINTS
 

@@ -14,7 +14,6 @@
 #include <sstream>
 
 #include "src/util/fail_point.h"
-#include "src/util/io_uring.h"
 
 namespace incentag {
 namespace util {
@@ -184,9 +183,9 @@ Status AppendFile::Open(const std::string& path, int64_t truncate_to) {
     errno = fault.err;
     return ErrnoStatus("open", path);
   }
-  // O_RDWR, not O_WRONLY: ReadAt() serves the commit-log rung's
-  // CollectUnsynced through this same descriptor (pread needs read
-  // permission on the fd).
+  // O_RDWR, not O_WRONLY: ReopenAndRestore() reads the unsynced range
+  // back through this same descriptor (pread needs read permission on
+  // the fd).
   fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd_ < 0) return ErrnoStatus("open", path);
   path_ = path;
@@ -338,36 +337,6 @@ Status AppendFile::Sync() {
 }
 
 Status AppendFile::SyncData() {
-  if (!is_open()) return Status::FailedPrecondition("AppendFile not open");
-  // Any armed write/sync fault forces the POSIX ladder: the ring's
-  // linked submission cannot model a short write or a torn sync, and
-  // the hardened paths above must see the same failure shapes either
-  // way.
-  if (IoUringEnabled() && !INCENTAG_FAIL_POINT_ARMED(g_fail_pwritev) &&
-      !INCENTAG_FAIL_POINT_ARMED(g_fail_fdatasync)) {
-    // One linked WRITEV -> FDATASYNC submission: the flush and the
-    // durability point cost a single kernel crossing. Anything the ring
-    // could not finish (short write, cancelled sync, kernel refusing the
-    // opcodes) falls through to the POSIX ladder below, which resumes
-    // from the exact byte the ring reached.
-    struct iovec iov;
-    int iovcnt = 0;
-    if (!buffer_.empty()) {
-      iov = {buffer_.data(), buffer_.size()};
-      iovcnt = 1;
-    }
-    size_t written = 0;
-    bool synced = false;
-    Status status = IoUringWriteAndSync(fd_, iovcnt > 0 ? &iov : nullptr,
-                                        iovcnt, write_offset(), &written,
-                                        &synced);
-    buffer_.erase(0, written);
-    // A mid-flight ring failure is the one case with unknowable write
-    // extent; surfacing it (instead of re-flushing bytes that may have
-    // landed) keeps the no-byte-written-twice invariant.
-    if (!status.ok()) return status;
-    if (synced && buffer_.empty()) return Status::OK();
-  }
   INCENTAG_RETURN_IF_ERROR(Flush());
   if (SyncFaultFired(g_fail_fdatasync, fd_, /*data_only=*/true)) {
     return ErrnoStatus("fdatasync", path_);

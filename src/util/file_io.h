@@ -11,12 +11,6 @@
 // and thread-compatible (callers serialise access, see
 // persist::JournalWriter for the locked wrapper).
 //
-// When the io_uring backend is compiled in (INCENTAG_IO_URING=ON) and
-// the kernel supports it, SyncData submits its flush + fdatasync as one
-// linked SQE chain — a single kernel crossing instead of two — and
-// falls back to the POSIX path transparently otherwise (src/util/
-// io_uring.h).
-//
 // All functions return util::Status instead of throwing; errno is folded
 // into the message.
 #ifndef INCENTAG_UTIL_FILE_IO_H_
@@ -110,8 +104,7 @@ class AppendFile {
   // Flush + fdatasync: data (and the metadata needed to read it back,
   // i.e. the file size) is durable when this returns OK — the cheap
   // durability point for append-only journals, which never care about
-  // timestamps. With io_uring enabled the flush and the fdatasync are
-  // one linked submission.
+  // timestamps.
   Status SyncData();
 
   // pread of `length` bytes at `offset` through this handle's

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/persist/fsync_domain.h"
 #include "src/persist/journal.h"
 #include "src/persist/journal_sink.h"
 #include "src/util/fail_point.h"
@@ -124,6 +123,13 @@ class FaultRecoveryTest : public ::testing::Test {
         writer->AppendCompletionBatch(records.data(), records.size()).ok());
   }
 
+  // One sink pass over `writer`, returning once it has landed (or the
+  // ladder gave up on it).
+  static void SyncThroughSink(JournalSink* sink, JournalWriter* writer) {
+    sink->Schedule(writer);
+    sink->Drain();
+  }
+
   // Every record appended before the fault must be readable afterwards.
   void ExpectIntact(const std::string& name, size_t expected_completions) {
     auto contents = ReadJournal(Path(name));
@@ -144,17 +150,16 @@ TEST_F(FaultRecoveryTest, TransientEnospcAtEverySyncPointIsRetried) {
   const char* kPoints[] = {"file_io/pwritev", "file_io/fdatasync"};
   for (const char* point : kPoints) {
     SCOPED_TRACE(point);
-    FsyncDomain domain;
-    FsyncDomainOptions options;
+    JournalSinkOptions options;
+    options.batch_interval_us = 0;
     options.retry = FastRetry();
     std::atomic<int> sick{0};
     options.on_writer_sick = [&](JournalWriter*, const util::Status&) {
       ++sick;
     };
-    ASSERT_TRUE(domain.Init(options).ok());
+    JournalSink sink(options);
     const std::string name = std::string("t_") + (point + 8) + ".journal";
     auto writer = MakeWriter(name);
-    domain.Track(writer.get());
     AppendBatch(writer.get(), 0, 16);
 
     const int64_t attempts_before =
@@ -165,7 +170,7 @@ TEST_F(FaultRecoveryTest, TransientEnospcAtEverySyncPointIsRetried) {
       // Two failures, then clean: inside the 4-attempt ladder.
       ScopedFailPoint fp(point, ScopedFailPoint::Fires(2),
                          ScopedFailPoint::Enospc());
-      ASSERT_TRUE(domain.Commit({writer.get()}).ok());
+      SyncThroughSink(&sink, writer.get());
       EXPECT_EQ(fp.point()->fires(), 2u);
     }
     EXPECT_EQ(sick.load(), 0);
@@ -173,7 +178,7 @@ TEST_F(FaultRecoveryTest, TransientEnospcAtEverySyncPointIsRetried) {
               attempts_before + 2);
     EXPECT_GE(CounterValue("incentag_persist_retry_success_total"),
               success_before + 1);
-    domain.Untrack(writer.get());
+    sink.Stop();
     writer.reset();
     ExpectIntact(name, 16);
   }
@@ -182,8 +187,8 @@ TEST_F(FaultRecoveryTest, TransientEnospcAtEverySyncPointIsRetried) {
 // Sustained ENOSPC: the ladder exhausts, the writer is reported sick
 // exactly once — and once space returns, nothing has been lost.
 TEST_F(FaultRecoveryTest, ExhaustedLadderEscalatesWithoutDataLoss) {
-  FsyncDomain domain;
-  FsyncDomainOptions options;
+  JournalSinkOptions options;
+  options.batch_interval_us = 0;
   options.retry = FastRetry();
   std::atomic<int> sick{0};
   util::Status sick_status;
@@ -191,9 +196,8 @@ TEST_F(FaultRecoveryTest, ExhaustedLadderEscalatesWithoutDataLoss) {
     ++sick;
     sick_status = status;
   };
-  ASSERT_TRUE(domain.Init(options).ok());
+  JournalSink sink(options);
   auto writer = MakeWriter("exhausted.journal");
-  domain.Track(writer.get());
   AppendBatch(writer.get(), 0, 32);
 
   const int64_t exhausted_before =
@@ -201,7 +205,7 @@ TEST_F(FaultRecoveryTest, ExhaustedLadderEscalatesWithoutDataLoss) {
   {
     ScopedFailPoint fp("file_io/fdatasync", ScopedFailPoint::Fires(0),
                        ScopedFailPoint::Enospc());
-    ASSERT_TRUE(domain.Commit({writer.get()}).ok());  // per-journal, not fatal
+    SyncThroughSink(&sink, writer.get());  // per-journal, not fatal
   }
   EXPECT_EQ(sick.load(), 1);
   EXPECT_EQ(util::ClassifyIoError(sick_status),
@@ -212,7 +216,7 @@ TEST_F(FaultRecoveryTest, ExhaustedLadderEscalatesWithoutDataLoss) {
   // Space returns (fault disarmed): the buffered bytes are still in the
   // writer and a plain sync lands them.
   ASSERT_TRUE(writer->Sync().ok());
-  domain.Untrack(writer.get());
+  sink.Stop();
   writer.reset();
   ExpectIntact("exhausted.journal", 32);
 }
@@ -221,56 +225,25 @@ TEST_F(FaultRecoveryTest, ExhaustedLadderEscalatesWithoutDataLoss) {
 // shape) must not double-apply on retry: the reopen-and-restore rebuild
 // re-appends from the durable offset and the journal decodes cleanly.
 TEST_F(FaultRecoveryTest, TornSyncRetriesWithoutDuplication) {
-  FsyncDomain domain;
-  FsyncDomainOptions options;
+  JournalSinkOptions options;
+  options.batch_interval_us = 0;
   options.retry = FastRetry();
   std::atomic<int> sick{0};
   options.on_writer_sick = [&](JournalWriter*, const util::Status&) {
     ++sick;
   };
-  ASSERT_TRUE(domain.Init(options).ok());
+  JournalSink sink(options);
   auto writer = MakeWriter("torn.journal");
-  domain.Track(writer.get());
   AppendBatch(writer.get(), 0, 24);
   {
     ScopedFailPoint fp("file_io/fdatasync", ScopedFailPoint::Fires(1),
                        ScopedFailPoint::TornSync());
-    ASSERT_TRUE(domain.Commit({writer.get()}).ok());
+    SyncThroughSink(&sink, writer.get());
   }
   EXPECT_EQ(sick.load(), 0);
-  domain.Untrack(writer.get());
+  sink.Stop();
   writer.reset();
   ExpectIntact("torn.journal", 24);
-}
-
-// ENOSPC on the commit-log rung (append or its single fdatasync): the
-// window falls back to per-fd syncs and stays durable.
-TEST_F(FaultRecoveryTest, CommitLogFaultsFallBackToPerFd) {
-  const char* kPoints[] = {"fsync_domain/log_append",
-                           "fsync_domain/log_sync"};
-  for (const char* point : kPoints) {
-    SCOPED_TRACE(point);
-    FsyncDomain domain;
-    FsyncDomainOptions options;
-    options.commit_log_path = Path(kFleetCommitLogName);
-    options.per_fd_threshold = 0;  // every window takes the log rung
-    options.retry = FastRetry();
-    ASSERT_TRUE(domain.Init(options).ok());
-    ASSERT_TRUE(domain.commit_log_active());
-    const std::string name = std::string("log_") + (point + 13) + ".journal";
-    auto writer = MakeWriter(name);
-    domain.Track(writer.get());
-    AppendBatch(writer.get(), 0, 8);
-    {
-      ScopedFailPoint fp(point, ScopedFailPoint::Fires(1),
-                         ScopedFailPoint::Enospc());
-      ASSERT_TRUE(domain.Commit({writer.get()}).ok());
-      EXPECT_EQ(fp.point()->fires(), 1u);
-    }
-    domain.Untrack(writer.get());
-    writer.reset();
-    ExpectIntact(name, 8);
-  }
 }
 
 // The sink forwards the ladder and the sick escalation (the service
@@ -287,17 +260,15 @@ TEST_F(FaultRecoveryTest, SinkForwardsRetryPolicyAndSickCallback) {
   options.on_storage_error = [&](const util::Status&) { ++storage_errors; };
   JournalSink sink(options);
   auto writer = MakeWriter("sink.journal");
-  sink.Track(writer.get());
   AppendBatch(writer.get(), 0, 12);
   {
     ScopedFailPoint fp("file_io/fdatasync", ScopedFailPoint::Fires(0),
                        ScopedFailPoint::Enospc());
-    sink.Schedule(writer.get());
-    sink.Drain();
+    SyncThroughSink(&sink, writer.get());
   }
   EXPECT_EQ(sick.load(), 1);
   EXPECT_GE(storage_errors.load(), 4);  // one per ladder attempt
-  // Quarantine wiring: untrack drops the writer from the sink entirely.
+  // Quarantine wiring: untrack drops any pending dirty mark.
   sink.Untrack(writer.get());
   // Fault cleared: the records are still buffered and a sync lands them.
   ASSERT_TRUE(writer->Sync().ok());

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "src/persist/journal_sink.h"
-#include "src/persist/replay_source.h"
 #include "src/util/file_io.h"
 #include "src/util/wire.h"
 
@@ -412,48 +411,6 @@ TEST_F(JournalTest, SinkBatchesSyncsAndDrains) {
   auto reread = ReadJournal(path);
   ASSERT_TRUE(reread.ok());
   EXPECT_EQ(reread.value().completions.size(), 65u);
-}
-
-TEST_F(JournalTest, ReplaySourceCompletesInRecordedOrder) {
-  std::vector<CompletionRecord> trace{{0, 5}, {1, 3}, {2, 5}};
-  ReplayCompletionSource source(trace);
-  std::vector<uint64_t> completed;
-  auto done = [&completed](std::span<const service::TaskHandle> tasks) {
-    for (const service::TaskHandle& task : tasks) completed.push_back(task.seq);
-  };
-  std::vector<service::TaskHandle> batch{{1, 5, 0}, {1, 3, 1}, {1, 5, 2}};
-  EXPECT_TRUE(source.SubmitTasks(batch, done));
-  EXPECT_EQ(completed, (std::vector<uint64_t>{0, 1, 2}));
-  EXPECT_EQ(source.remaining(), 0u);
-  // kCompleteTail: tasks beyond the trace complete inline.
-  std::vector<service::TaskHandle> tail{{1, 9, 3}};
-  EXPECT_TRUE(source.SubmitTasks(tail, done));
-  EXPECT_EQ(completed.back(), 3u);
-}
-
-TEST_F(JournalTest, ReplaySourceHaltsAtEndWhenAsked) {
-  std::vector<CompletionRecord> trace{{0, 5}};
-  ReplayCompletionSource source(trace,
-                                ReplayCompletionSource::TailPolicy::kHaltAtEnd);
-  std::vector<uint64_t> completed;
-  auto done = [&completed](std::span<const service::TaskHandle> tasks) {
-    for (const service::TaskHandle& task : tasks) completed.push_back(task.seq);
-  };
-  std::vector<service::TaskHandle> batch{{1, 5, 0}, {1, 6, 1}};
-  EXPECT_FALSE(source.SubmitTasks(batch, done));
-  // The in-trace prefix still completed.
-  EXPECT_EQ(completed, (std::vector<uint64_t>{0}));
-  EXPECT_TRUE(source.error().ok());
-}
-
-TEST_F(JournalTest, ReplaySourceRejectsForeignTrace) {
-  std::vector<CompletionRecord> trace{{0, 5}};
-  ReplayCompletionSource source(trace);
-  std::vector<service::TaskHandle> batch{{1, 6, 0}};  // wrong resource
-  EXPECT_FALSE(source.SubmitTasks(
-      batch, [](std::span<const service::TaskHandle>) {}));
-  EXPECT_FALSE(source.error().ok());
-  EXPECT_EQ(source.error().code(), util::StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 
 #include "src/persist/compactor.h"
 #include "src/persist/journal.h"
-#include "src/persist/replay_source.h"
 #include "src/util/file_io.h"
 
 namespace incentag {
@@ -172,22 +171,6 @@ TEST_F(SnapshotTest, UndecodableSnapshotBodyDegradesToStatus) {
   EXPECT_FALSE(contents.value().snapshot_status.ok());
   EXPECT_EQ(contents.value().completions.size(), 4u);
   EXPECT_EQ(contents.value().completions.front().seq, 0u);
-}
-
-// Replay-from-log re-drives a fresh campaign from seq 0; a compacted
-// journal lost that prefix, and Open must say so up front instead of
-// surfacing a baffling mid-replay "trace mismatch".
-TEST_F(SnapshotTest, ReplaySourceRejectsCompactedJournal) {
-  const std::string path = PathFor("compacted-replay.journal");
-  std::string bytes = FrameRecord(EncodeSubmitRecord(MakeSubmit()));
-  bytes += FrameRecord(EncodeSnapshotRecord(MakeSnapshot(40)));
-  bytes += FrameRecord(EncodeCompletionRecord(CompletionRecord{40, 2}));
-  AppendRaw(path, bytes);
-  auto replay = ReplayCompletionSource::Open(path);
-  ASSERT_FALSE(replay.ok());
-  EXPECT_NE(replay.status().ToString().find("compacted"),
-            std::string::npos)
-      << replay.status().ToString();
 }
 
 // Format v1 journals (format_version 1, no snapshot records) still read.

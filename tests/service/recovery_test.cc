@@ -1,10 +1,10 @@
 // Crash-recovery, replay and teardown-robustness tests for the service
 // layer (ISSUE 2): a journaled campaign killed mid-run and recovered by a
 // fresh CampaignManager must produce a RunReport byte-identical to the
-// uninterrupted deterministic run, a recorded trace must re-drive through
-// persist::ReplayCompletionSource to the same report, and no campaign may
-// ever wedge in kRunning — a closed completion source fails it fast and
-// WaitFor bounds every wait.
+// uninterrupted deterministic run, a journal directory from an older
+// build is refused rather than half-read, and no campaign may ever wedge
+// in kRunning — a closed completion source fails it fast and WaitFor
+// bounds every wait.
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -18,7 +18,6 @@
 #include "src/core/allocation.h"
 #include "src/core/post_stream.h"
 #include "src/persist/journal.h"
-#include "src/persist/replay_source.h"
 #include "src/service/campaign_manager.h"
 #include "src/sim/crowd.h"
 #include "src/sim/dataset_prep.h"
@@ -502,52 +501,82 @@ TEST_F(RecoveryTest, CancelledCampaignStaysCancelledAcrossRecovery) {
   EXPECT_GT(result.value().report.budget_spent, 0);
 }
 
-// ReplayCompletionSource re-drives a recorded crowd trace: a campaign
-// completed against the replayed journal reproduces the original report.
-TEST_F(RecoveryTest, ReplaySourceRedrivesRecordedTrace) {
-  const int kind = 2;
-  const int64_t budget = 350;
-  const uint64_t seed = 9;
-  // Record a full run (crowd-completed, out-of-order arrivals).
-  {
-    sim::LoadGeneratorOptions load_options;
-    load_options.num_taggers = 4;
-    load_options.mean_latency_us = 20.0;
-    load_options.seed = 11;
-    sim::CrowdLoadGenerator crowd(load_options);
-    ManagerOptions options;
-    options.num_threads = 2;
-    options.completions = &crowd;
-    options.journal_dir = dir_.string();
-    CampaignManager manager(options);
-    auto id = manager.Submit(MakeConfig(kind, budget, seed));
-    ASSERT_TRUE(id.ok());
-    auto report = manager.Wait(id.value());
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    crowd.Stop();
-    manager.Shutdown();
-  }
-
-  auto files = util::ListDirFiles(dir_.string(), ".journal");
-  ASSERT_TRUE(files.ok());
-  ASSERT_EQ(files.value().size(), 1u);
-  auto replay = persist::ReplayCompletionSource::Open(files.value()[0]);
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+// Older builds could leave a fleet commit log next to the journals whose
+// patches carried acknowledged completions. Nothing applies it any more,
+// so a non-empty one must refuse the directory — at construction (every
+// journaled Submit fails) and in Recover — rather than recover a prefix
+// silently short of what was acked.
+TEST_F(RecoveryTest, NonEmptyLegacyCommitLogRefusesTheDirectory) {
+  KillMidRun(/*kind=*/1, /*budget=*/300, /*seed=*/8, /*kill_after=*/100);
+  const fs::path log = dir_ / "fleet-commit.log";
+  { std::ofstream(log, std::ios::binary) << "acked patch bytes"; }
 
   ManagerOptions options;
   options.num_threads = 2;
-  options.tasks_per_step = 16;
-  options.completions = replay.value().get();
+  options.journal_dir = dir_.string();
   CampaignManager manager(options);
-  auto id = manager.Submit(MakeConfig(kind, budget, seed));
-  ASSERT_TRUE(id.ok());
-  auto report = manager.Wait(id.value());
+  auto submitted = manager.Submit(MakeConfig(0, 50, 1));
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_EQ(submitted.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(submitted.status().ToString().find(log.string()),
+            std::string::npos)
+      << submitted.status().ToString();
+  auto ids = manager.Recover(dir_.string(), Factory);
+  ASSERT_FALSE(ids.ok());
+  EXPECT_EQ(ids.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(ids.status().ToString().find(log.string()), std::string::npos)
+      << ids.status().ToString();
+  EXPECT_EQ(manager.num_campaigns(), 0u);
+  manager.Shutdown();
+
+  // Recover into a manager that journals elsewhere (or not at all) is
+  // refused the same way; the log and the journal stay untouched.
+  ManagerOptions det;
+  det.deterministic = true;
+  CampaignManager other(det);
+  auto again = other.Recover(dir_.string(), Factory);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fs::file_size(log), 17u);
+  auto files = util::ListDirFiles(dir_.string(), ".journal");
+  ASSERT_TRUE(files.ok());
+  EXPECT_EQ(files.value().size(), 1u);
+}
+
+// The zero-length log a clean shutdown of an older build leaves holds
+// nothing: it is removed, by the constructor and by Recover alike, and
+// the journals recover byte-identically.
+TEST_F(RecoveryTest, EmptyLegacyCommitLogIsRemoved) {
+  const int kind = 2;
+  const int64_t budget = 260;
+  const uint64_t seed = 5;
+  KillMidRun(kind, budget, seed, /*kill_after=*/90);
+  const fs::path log = dir_ / "fleet-commit.log";
+  { std::ofstream create(log, std::ios::binary); }
+  ASSERT_TRUE(fs::exists(log));
+
+  ManagerOptions det;
+  det.deterministic = true;
+  CampaignManager recovered(det);
+  auto ids = recovered.Recover(dir_.string(), Factory);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  EXPECT_FALSE(fs::exists(log));
+  ASSERT_EQ(ids.value().size(), 1u);
+  auto report = recovered.Wait(ids.value()[0]);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ExpectReportsEqual(RunSequential(kind, budget, seed), report.value(),
-                     "replayed trace");
-  EXPECT_TRUE(replay.value()->error().ok())
-      << replay.value()->error().ToString();
-  manager.Shutdown();
+                     "recovered past an empty legacy log");
+
+  const fs::path fresh = dir_ / "fresh";
+  ASSERT_TRUE(util::CreateDirectories(fresh.string()).ok());
+  { std::ofstream create(fresh / "fleet-commit.log", std::ios::binary); }
+  ManagerOptions journaled;
+  journaled.deterministic = true;
+  journaled.journal_dir = fresh.string();
+  CampaignManager manager(journaled);
+  EXPECT_FALSE(fs::exists(fresh / "fleet-commit.log"));
+  auto id = manager.Submit(MakeConfig(kind, budget, seed));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
 }
 
 // ISSUE 2 satellite: a completion source that closes mid-campaign must

@@ -1,8 +1,8 @@
 // AppendFile gathered-append coverage (ISSUE 9): byte-identity of
 // AppendGather vs sequential Append+Flush, empty spans, dirty-buffer
 // interleaving, short-write resume via the file_io/pwritev fail point
-// (ISSUE 10), and the SyncData/ReadAt additions the fsync domain builds
-// on.
+// (ISSUE 10), and the SyncData/ReadAt primitives the journal sink and
+// the failed-sync reopen path build on.
 #include "src/util/file_io.h"
 
 #include <gtest/gtest.h>

@@ -21,7 +21,14 @@ Metric names and labels must be string literals at the call site --
 a computed name defeats both this linter and Prometheus cardinality
 review, so it is rejected outright.
 
-Usage: lint_metrics.py <source-root> [...more roots]
+With --readme, the README's metrics table (rows starting
+"| `incentag_") must document exactly the registered series, in both
+directions: every registered name has a row and every row names a
+registered series, with the same type and label key. A row that lists
+label values -- `key` (`a`/`b`) -- must list exactly the values the
+call sites register.
+
+Usage: lint_metrics.py [--readme README.md] <source-root> [...more roots]
 Exit status: 0 clean, 1 violations (listed as file:line: message),
 2 usage/IO error. Run by ctest (`tools_lint_metrics`) and the
 `lint-metrics` CI job.
@@ -55,6 +62,11 @@ BOUNDED_LABELS = {
 }
 
 CALL_RE = re.compile(r"\bGet(Counter|Gauge|Histogram)\s*\(")
+
+# One README metrics-table row: name, type, labels cell.
+README_ROW_RE = re.compile(
+    r"^\|\s*`(incentag_[a-z0-9_]+)`\s*\|\s*([a-z]+)\s*\|([^|]*)\|")
+BACKTICKED_RE = re.compile(r"`([^`]*)`")
 
 # The registry's own declaration/definition files: GetCounter(...) there
 # is the API, not a registration site.
@@ -145,6 +157,8 @@ class Linter:
         # name -> (kind, file, line); (name, labels) -> (help, file, line)
         self.kind_of = {}
         self.help_of = {}
+        # name -> set of preformatted label strings ("" when unlabeled)
+        self.labels_of = {}
 
     def error(self, path, line, message):
         self.errors.append("%s:%d: %s" % (path, line, message))
@@ -208,6 +222,7 @@ class Linter:
                                % (key, value, name,
                                   sorted(BOUNDED_LABELS[key])))
 
+        self.labels_of.setdefault(name, set()).add(labels or "")
         previous = self.kind_of.setdefault(name, (kind, path, line))
         if previous[0] != kind:
             self.error(path, line,
@@ -261,11 +276,64 @@ class Linter:
             self.check_site(kind, name, help_text, labels, path, line)
 
 
+    def check_readme(self, path):
+        """Diff the README metrics table against the registered series."""
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        documented = set()
+        for number, text in enumerate(lines, 1):
+            match = README_ROW_RE.match(text)
+            if not match:
+                continue
+            name, kind, labels_cell = match.groups()
+            if name in documented:
+                self.error(path, number, "%r documented twice" % name)
+            documented.add(name)
+            if name not in self.kind_of:
+                self.error(path, number,
+                           "%r is documented but no call site registers "
+                           "it" % name)
+                continue
+            want_kind = self.kind_of[name][0].lower()
+            if kind != want_kind:
+                self.error(path, number,
+                           "%r documented as %s but registered as %s"
+                           % (name, kind, want_kind))
+            registered = [match.groups() for match in
+                          map(LABEL_RE.match, self.labels_of[name]) if match]
+            keys = {key for key, _ in registered}
+            cell = BACKTICKED_RE.findall(labels_cell)
+            doc_key = cell[0] if cell else None
+            if keys != ({doc_key} if doc_key else set()):
+                self.error(path, number,
+                           "%r documents label %s but call sites register "
+                           "%s" % (name, doc_key or "none",
+                                   ", ".join(sorted(keys)) or "none"))
+            elif len(cell) > 1:
+                doc_values = set(cell[1:])
+                values = {value for _, value in registered}
+                if doc_values != values:
+                    self.error(path, number,
+                               "%r documents %s values %s but call sites "
+                               "register %s"
+                               % (name, doc_key, sorted(doc_values),
+                                  sorted(values)))
+        for name in sorted(set(self.kind_of) - documented):
+            kind, site_path, site_line = self.kind_of[name]
+            self.error(site_path, site_line,
+                       "%r is registered but missing from the metrics "
+                       "table in %s" % (name, path))
+
+
 def main(argv):
-    roots = argv[1:]
+    args = argv[1:]
+    readme = None
+    if len(args) >= 2 and args[0] == "--readme":
+        readme, args = args[1], args[2:]
+    roots = args
     if not roots:
-        print("usage: lint_metrics.py <source-root> [...more roots]",
-              file=sys.stderr)
+        print("usage: lint_metrics.py [--readme README.md] <source-root> "
+              "[...more roots]", file=sys.stderr)
         return 2
     linter = Linter()
     files = []
@@ -283,12 +351,14 @@ def main(argv):
                 if rel in SKIP_FILES:
                     continue
                 files.append(path)
-    for path in sorted(files):
-        try:
+    try:
+        for path in sorted(files):
             linter.lint_file(path)
-        except OSError as err:
-            print("lint_metrics.py: %s" % err, file=sys.stderr)
-            return 2
+        if readme is not None:
+            linter.check_readme(readme)
+    except OSError as err:
+        print("lint_metrics.py: %s" % err, file=sys.stderr)
+        return 2
     for message in linter.errors:
         print(message, file=sys.stderr)
     if linter.errors:
