@@ -100,10 +100,10 @@ FleetResult RunFleet(const bench::BenchDataset& bench_ds,
   options.scheduler.num_shards = 1;
   service::CampaignManager manager(options);
 
-  // Build every config before submitting anything: stream copies are the
-  // expensive part, and interleaving them with Submit would drip-feed the
-  // fleet (each campaign finishing before the next arrives) instead of
-  // contending for the workers.
+  // Build every config before submitting anything: interleaving strategy
+  // construction with Submit would drip-feed the fleet (each campaign
+  // finishing before the next arrives) instead of contending for the
+  // workers.
   std::vector<service::CampaignConfig> configs;
   for (int64_t i = 0; i < background + critical; ++i) {
     const bool is_critical = i >= background;

@@ -15,6 +15,7 @@
 #define INCENTAG_CORE_POST_STREAM_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -77,26 +78,37 @@ class ReplayablePostStream : public PostStream {
 };
 
 // Replayable stream over per-resource post vectors (the materialised
-// "rest of the year" of a prepared dataset).
+// "rest of the year" of a prepared dataset). The posts are read-only; only
+// the cursors belong to the stream, so any number of streams may read one
+// vector at once, each from its own position.
 class VectorPostStream : public ReplayablePostStream {
  public:
+  // Owns `sequences`.
   explicit VectorPostStream(std::vector<PostSequence> sequences)
-      : sequences_(std::move(sequences)), cursors_(sequences_.size(), 0) {}
+      : owned_(std::make_unique<const std::vector<PostSequence>>(
+            std::move(sequences))),
+        sequences_(owned_.get()),
+        cursors_(sequences_->size(), 0) {}
 
-  size_t num_resources() const override { return sequences_.size(); }
+  // Reads `*sequences` in place. It must outlive the stream and must not
+  // change while the stream is alive.
+  explicit VectorPostStream(const std::vector<PostSequence>* sequences)
+      : sequences_(sequences), cursors_(sequences_->size(), 0) {}
+
+  size_t num_resources() const override { return sequences_->size(); }
 
   bool HasNext(ResourceId i) override {
-    return cursors_[i] < static_cast<int64_t>(sequences_[i].size());
+    return cursors_[i] < Available(i);
   }
 
   const Post& Next(ResourceId i) override {
-    return sequences_[i][static_cast<size_t>(cursors_[i]++)];
+    return (*sequences_)[i][static_cast<size_t>(cursors_[i]++)];
   }
 
   int64_t Consumed(ResourceId i) const override { return cursors_[i]; }
 
   util::Status Skip(ResourceId i, int64_t k) override {
-    if (cursors_[i] + k > static_cast<int64_t>(sequences_[i].size())) {
+    if (cursors_[i] + k > Available(i)) {
       return util::Status::OutOfRange(
           "stream ran dry fast-forwarding resource " + std::to_string(i));
     }
@@ -105,11 +117,11 @@ class VectorPostStream : public ReplayablePostStream {
   }
 
   const Post& Peek(ResourceId i, int64_t k) override {
-    return sequences_[i][static_cast<size_t>(k)];
+    return (*sequences_)[i][static_cast<size_t>(k)];
   }
 
   int64_t Available(ResourceId i) override {
-    return static_cast<int64_t>(sequences_[i].size());
+    return static_cast<int64_t>((*sequences_)[i].size());
   }
 
   void Reset() override {
@@ -117,7 +129,10 @@ class VectorPostStream : public ReplayablePostStream {
   }
 
  private:
-  std::vector<PostSequence> sequences_;
+  // Set by the owning constructor only. On the heap, so `sequences_`
+  // stays valid when the stream is moved.
+  std::unique_ptr<const std::vector<PostSequence>> owned_;
+  const std::vector<PostSequence>* sequences_;
   std::vector<int64_t> cursors_;
 };
 

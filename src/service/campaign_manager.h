@@ -91,9 +91,11 @@ namespace service {
 class FleetHealth;
 
 // Everything one campaign needs. `initial_posts` and `references` must
-// outlive the manager (they are shared, read-only dataset vectors);
+// outlive the manager (they are shared, read-only dataset vectors).
 // `strategy` and `stream` are owned by the campaign and must not be
-// shared across campaigns.
+// shared across campaigns. The posts a stream reads may still be shared,
+// read-only dataset vectors (sim::PreparedDataset::MakeStream() reads
+// the dataset in place); those must outlive the manager too.
 struct CampaignConfig {
   std::string name;
   core::EngineOptions options;

@@ -68,10 +68,12 @@ struct PreparedDataset {
 
   size_t size() const { return initial_posts.size(); }
 
-  // A fresh replayable stream over the future posts (copies them, so every
-  // run starts from the same state).
+  // A fresh replayable stream over the future posts. It reads
+  // `future_posts` in place and owns only its cursors, so every stream
+  // starts from the same state and any number of campaigns share one copy
+  // of the posts. The dataset must outlive the stream.
   core::VectorPostStream MakeStream() const {
-    return core::VectorPostStream(future_posts);
+    return core::VectorPostStream(&future_posts);
   }
 };
 
@@ -90,7 +92,8 @@ util::Result<PreparedDataset> PrepareFromSequences(
 // corpus: each resource's future grows to multiplier * year_length posts
 // (total, including the January prefix). Used by the Section V-B.1
 // "budget until everything is stable" experiment, which needs more posts
-// than one year supplies.
+// than one year supplies. Must not run while a stream from MakeStream() is
+// alive: the stream reads the vectors this replaces.
 util::Status ExtendFuture(const Corpus& corpus, double multiplier,
                           PreparedDataset* dataset);
 

@@ -1,5 +1,8 @@
 #include "src/core/post_stream.h"
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/core/types.h"
@@ -57,6 +60,46 @@ TEST(VectorPostStreamTest, EmptySequenceHasNoNext) {
   VectorPostStream stream(std::move(seqs));
   EXPECT_FALSE(stream.HasNext(0));
   EXPECT_EQ(stream.Available(0), 0);
+}
+
+TEST(VectorPostStreamTest, BorrowingStreamReadsInPlace) {
+  const std::vector<PostSequence> seqs = MakeSequences();
+  VectorPostStream stream(&seqs);
+  EXPECT_EQ(stream.num_resources(), 2u);
+  EXPECT_EQ(&stream.Peek(0, 0), &seqs[0][0]);
+  EXPECT_EQ(&stream.Peek(0, 1), &seqs[0][1]);
+  EXPECT_EQ(&stream.Next(1), &seqs[1][0]);
+  EXPECT_EQ(stream.Available(0), 2);
+}
+
+TEST(VectorPostStreamTest, BorrowingStreamsKeepIndependentCursors) {
+  const std::vector<PostSequence> seqs = MakeSequences();
+  VectorPostStream a(&seqs);
+  VectorPostStream b(&seqs);
+  EXPECT_EQ(a.Next(0).tags, (std::vector<TagId>{1}));
+  EXPECT_EQ(a.Consumed(0), 1);
+  EXPECT_EQ(b.Consumed(0), 0);
+  ASSERT_TRUE(b.Skip(0, 2).ok());
+  EXPECT_FALSE(b.HasNext(0));
+  EXPECT_TRUE(a.HasNext(0));
+  EXPECT_EQ(a.Next(0).tags, (std::vector<TagId>{2}));
+  EXPECT_FALSE(a.Skip(1, 2).ok());
+  EXPECT_EQ(b.Consumed(1), 0);
+  a.Reset();
+  EXPECT_EQ(a.Consumed(0), 0);
+  EXPECT_EQ(b.Consumed(0), 2);
+  EXPECT_EQ(b.Next(1).tags, (std::vector<TagId>{3}));
+  EXPECT_TRUE(a.HasNext(1));
+}
+
+TEST(VectorPostStreamTest, OwningStreamSurvivesMoveIntoUniquePtr) {
+  std::unique_ptr<PostStream> stream =
+      std::make_unique<VectorPostStream>(VectorPostStream(MakeSequences()));
+  ASSERT_TRUE(stream->HasNext(0));
+  EXPECT_EQ(stream->Next(0).tags, (std::vector<TagId>{1}));
+  EXPECT_EQ(stream->Next(0).tags, (std::vector<TagId>{2}));
+  EXPECT_EQ(stream->Next(1).tags, (std::vector<TagId>{3}));
+  EXPECT_FALSE(stream->HasNext(1));
 }
 
 }  // namespace

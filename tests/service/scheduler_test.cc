@@ -461,9 +461,11 @@ sim::Corpus* SchedulerServiceTest::corpus_ = nullptr;
 sim::PreparedDataset* SchedulerServiceTest::dataset_ = nullptr;
 constexpr SchedulerPolicy SchedulerServiceTest::kAllPolicies[];
 
-// Deterministic mode runs campaigns synchronously inside Submit and must
-// stay byte-identical to AllocationEngine::Run under EVERY policy — the
-// scheduler only governs the threaded ready queue.
+// Deterministic mode drives each campaign to the end inside Submit: the
+// calling thread pops the scheduler's ready queue and runs Step until the
+// campaign is terminal. With one campaign queued at a time the policy has
+// nothing to reorder, so reports must stay byte-identical to
+// AllocationEngine::Run under EVERY policy.
 TEST_F(SchedulerServiceTest, DeterministicModeMatchesEngineUnderEveryPolicy) {
   for (SchedulerPolicy policy : kAllPolicies) {
     ManagerOptions options;

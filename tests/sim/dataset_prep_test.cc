@@ -148,10 +148,15 @@ TEST_F(DatasetPrepTest, MakeStreamReplaysFuturePosts) {
   core::VectorPostStream stream = ds.MakeStream();
   ASSERT_EQ(stream.num_resources(), ds.size());
   ASSERT_TRUE(stream.HasNext(0));
+  // The stream reads the dataset's posts in place rather than copying.
+  EXPECT_EQ(&ds.MakeStream().Peek(0, 0), &ds.future_posts[0][0]);
   EXPECT_EQ(stream.Next(0), ds.future_posts[0][0]);
-  // A second stream starts fresh.
+  // A second stream starts fresh: advancing the first moved only its own
+  // cursor.
   core::VectorPostStream stream2 = ds.MakeStream();
+  EXPECT_EQ(stream.Consumed(0), 1);
   EXPECT_EQ(stream2.Consumed(0), 0);
+  EXPECT_EQ(&stream2.Next(0), &ds.future_posts[0][0]);
 }
 
 TEST_F(DatasetPrepTest, ExtendFutureGrowsSupply) {
