@@ -5,9 +5,10 @@
 namespace incentag {
 namespace core {
 
-MaTracker::MaTracker(int omega) : omega_(omega) {
+MaTracker::MaTracker(int omega)
+    : ring_(std::make_unique<double[]>(static_cast<size_t>(omega - 1))),
+      omega_(omega) {
   assert(omega >= 2);
-  ring_.resize(static_cast<size_t>(omega - 1), 0.0);
 }
 
 void MaTracker::AddAdjacentSimilarity(double sim) {
@@ -15,14 +16,14 @@ void MaTracker::AddAdjacentSimilarity(double sim) {
   last_sim_ = sim;
   // The window for m(k, w) covers adjacent similarities at posts
   // j = k-w+2 .. k: exactly the last w-1 values. Overwrite the oldest.
-  if (filled_ == ring_.size()) {
+  if (filled_ == ring_size()) {
     window_sum_ -= ring_[next_];
   } else {
     ++filled_;
   }
   ring_[next_] = sim;
   window_sum_ += sim;
-  next_ = (next_ + 1) % ring_.size();
+  next_ = (next_ + 1) % ring_size();
 }
 
 double MaTracker::Score() const {
@@ -35,9 +36,12 @@ void MaTracker::Serialize(std::string* out) const {
   util::wire::PutI64(out, posts_);
   util::wire::PutDouble(out, last_sim_);
   util::wire::PutDouble(out, window_sum_);
-  util::wire::PutU64(out, static_cast<uint64_t>(next_));
-  util::wire::PutU64(out, static_cast<uint64_t>(filled_));
-  for (double sim : ring_) util::wire::PutDouble(out, sim);
+  // next/filled keep their 64-bit wire fields.
+  util::wire::PutU64(out, next_);
+  util::wire::PutU64(out, filled_);
+  for (uint32_t i = 0; i < ring_size(); ++i) {
+    util::wire::PutDouble(out, ring_[i]);
+  }
 }
 
 bool MaTracker::Restore(util::wire::Reader* in) {
@@ -50,11 +54,11 @@ bool MaTracker::Restore(util::wire::Reader* in) {
       !in->GetU64(&filled)) {
     return false;
   }
-  if (next >= ring_.size() || filled > ring_.size()) return false;
-  next_ = static_cast<size_t>(next);
-  filled_ = static_cast<size_t>(filled);
-  for (double& sim : ring_) {
-    if (!in->GetDouble(&sim)) return false;
+  if (next >= ring_size() || filled > ring_size()) return false;
+  next_ = static_cast<uint32_t>(next);
+  filled_ = static_cast<uint32_t>(filled);
+  for (uint32_t i = 0; i < ring_size(); ++i) {
+    if (!in->GetDouble(&ring_[i])) return false;
   }
   return true;
 }

@@ -6,13 +6,18 @@
 // resource has received at least w posts. MaTracker keeps the last (w-1)
 // adjacent similarities in a ring buffer with a running sum — the queue
 // observation from Appendix C — so feeding one similarity costs O(1).
+//
+// Every campaign holds one tracker per resource, so the ring is a bare
+// unique_ptr<double[]> of omega - 1 slots (its length comes from omega_;
+// no size or capacity is stored) and the indices are 32-bit: 48 bytes a
+// tracker on x86-64. A tracker is move-only.
 #ifndef INCENTAG_CORE_MA_TRACKER_H_
 #define INCENTAG_CORE_MA_TRACKER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/util/wire.h"
 
@@ -49,14 +54,19 @@ class MaTracker {
   bool Restore(util::wire::Reader* in);
 
  private:
-  int omega_;
+  uint32_t ring_size() const { return static_cast<uint32_t>(omega_ - 1); }
+
   int64_t posts_ = 0;
   double last_sim_ = 0.0;
   double window_sum_ = 0.0;
-  std::vector<double> ring_;  // capacity omega - 1
-  size_t next_ = 0;           // ring slot to overwrite
-  size_t filled_ = 0;         // number of valid ring entries
+  std::unique_ptr<double[]> ring_;  // omega - 1 slots
+  int32_t omega_;
+  uint32_t next_ = 0;    // ring slot to overwrite
+  uint32_t filled_ = 0;  // number of valid ring entries
 };
+
+// One tracker per resource per campaign (see above); x86-64 layout.
+static_assert(sizeof(MaTracker) <= 48);
 
 }  // namespace core
 }  // namespace incentag

@@ -6,6 +6,13 @@
 // submitted by taggers". ResourceState is exactly that observable state:
 // post count, tag counts / rfd, and the MA score — and nothing that requires
 // ground truth (stable rfds stay private to the evaluation).
+//
+// Footprint: every campaign holds one ResourceState per resource, so once
+// the posts are shared (one read-only store per dataset) this state is
+// most of a fleet's memory. Inline it is 104 bytes on x86-64: TagCounts
+// (56: the flat map's header plus three int64 totals) and MaTracker (48).
+// Out of line it owns the map's 8-byte slots (a power of two >= 8, kept
+// under 0.7 load) and the tracker's omega - 1 doubles.
 #ifndef INCENTAG_CORE_RESOURCE_STATE_H_
 #define INCENTAG_CORE_RESOURCE_STATE_H_
 
@@ -56,6 +63,9 @@ class ResourceState {
   TagCounts counts_;
   MaTracker ma_;
 };
+
+// See "Footprint" above; x86-64 layout.
+static_assert(sizeof(ResourceState) <= 104);
 
 }  // namespace core
 }  // namespace incentag

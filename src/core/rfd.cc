@@ -40,12 +40,14 @@ void TagCounts::Serialize(std::string* out) const {
   util::wire::PutI64(out, posts_);
   util::wire::PutI64(out, total_tags_);
   util::wire::PutI64(out, norm_sq_);
-  std::vector<std::pair<TagId, int64_t>> sorted(counts_.begin(),
-                                                counts_.end());
+  std::vector<TagCountMap::value_type> sorted(counts_.begin(),
+                                              counts_.end());
   std::sort(sorted.begin(), sorted.end());
   util::wire::PutU32(out, static_cast<uint32_t>(sorted.size()));
   for (const auto& [tag, count] : sorted) {
     util::wire::PutU32(out, tag);
+    // A 64-bit wire field, wider than the map's slots: snapshot bytes do
+    // not depend on the slot width.
     util::wire::PutI64(out, count);
   }
 }
@@ -67,7 +69,12 @@ bool TagCounts::Restore(util::wire::Reader* in) {
   for (uint32_t i = 0; i < num_tags; ++i) {
     TagId tag = 0;
     int64_t count = 0;
-    if (!in->GetU32(&tag) || !in->GetI64(&count) || count <= 0) return false;
+    // A count past the map's 32-bit slots is corruption too (see
+    // TagCountMap): reject it rather than wrap it.
+    if (!in->GetU32(&tag) || !in->GetI64(&count) || count <= 0 ||
+        count > TagCountMap::kMaxCount) {
+      return false;
+    }
     counts_.Set(tag, count);
   }
   return true;
@@ -133,8 +140,8 @@ double Cosine(const TagCounts& a, const TagCounts& b) {
   }
   double dot = 0.0;
   for (const auto& [tag, count] : small->counts()) {
-    int64_t other = large->Count(tag);
-    if (other != 0) dot += static_cast<double>(count * other);
+    const int64_t other = large->Count(tag);
+    if (other != 0) dot += static_cast<double>(int64_t{count} * other);
   }
   if (dot == 0.0) return 0.0;
   return dot / (std::sqrt(a.norm_squared()) * std::sqrt(b.norm_squared()));

@@ -12,7 +12,17 @@
 // so count == 0 doubles as the empty-slot marker and no sentinel tag id
 // is stolen from the tag universe.
 //
-// Iteration yields std::pair<TagId, int64_t> in UNSPECIFIED order
+// Every campaign holds one map per resource, so slot width is the
+// fleet's memory: a slot is 8 bytes, a uint32 tag and a uint32 count.
+// 32 bits suffice because a tag's count never exceeds the number of
+// posts its resource received (a Post is a tag set), and no resource
+// comes near 2^32 posts. The bound is still enforced, never wrapped: a
+// count that wrapped to 0 would mark its slot empty. Increment CHECKs
+// before passing UINT32_MAX, and TagCounts::Restore rejects a larger
+// snapshot count. Count and Increment return int64_t, so callers do
+// their arithmetic in 64 bits.
+//
+// Iteration yields std::pair<TagId, uint32_t> in UNSPECIFIED order
 // (exactly like the unordered_map it replaces); deterministic consumers
 // (Serialize, Snapshot) sort, as they always have. Erase is deliberately
 // unsupported.
@@ -23,10 +33,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "src/core/types.h"
+#include "src/util/logging.h"
 
 namespace incentag {
 namespace core {
@@ -52,7 +64,8 @@ inline size_t FlatHashCapacityFor(size_t n) {
 
 class TagCountMap {
  public:
-  using value_type = std::pair<TagId, int64_t>;
+  using value_type = std::pair<TagId, uint32_t>;
+  static constexpr uint32_t kMaxCount = std::numeric_limits<uint32_t>::max();
 
   TagCountMap() = default;
 
@@ -81,25 +94,28 @@ class TagCountMap {
         ++size_;
         return 0;
       }
-      if (slot.first == tag) return slot.second++;
+      if (slot.first == tag) {
+        INCENTAG_CHECK(slot.second != kMaxCount);
+        return slot.second++;
+      }
     }
   }
 
-  // Sets `tag` to `count` (> 0); used by snapshot Restore. Overwrites an
-  // existing entry.
+  // Sets `tag` to `count` (in [1, kMaxCount]); used by snapshot Restore.
+  // Overwrites an existing entry.
   void Set(TagId tag, int64_t count) {
-    assert(count > 0);
+    assert(count > 0 && count <= kMaxCount);
     if (size_ + 1 > (slots_.size() * 7) / 10) Grow();
     for (size_t i = Bucket(tag);; i = (i + 1) & mask_) {
       value_type& slot = slots_[i];
       if (slot.second == 0) {
         slot.first = tag;
-        slot.second = count;
+        slot.second = static_cast<uint32_t>(count);
         ++size_;
         return;
       }
       if (slot.first == tag) {
-        slot.second = count;
+        slot.second = static_cast<uint32_t>(count);
         return;
       }
     }
@@ -165,9 +181,10 @@ class TagCountMap {
   void Grow() { Rehash(slots_.empty() ? 8 : slots_.size() * 2); }
 
   void Rehash(size_t new_capacity) {
+    INCENTAG_CHECK(new_capacity <= std::numeric_limits<uint32_t>::max());
     std::vector<value_type> old = std::move(slots_);
     slots_.assign(new_capacity, value_type{0, 0});
-    mask_ = new_capacity - 1;
+    mask_ = static_cast<uint32_t>(new_capacity - 1);
     for (const value_type& slot : old) {
       if (slot.second == 0) continue;
       for (size_t i = Bucket(slot.first);; i = (i + 1) & mask_) {
@@ -180,9 +197,12 @@ class TagCountMap {
   }
 
   std::vector<value_type> slots_;
-  size_t mask_ = 0;
-  size_t size_ = 0;
+  uint32_t mask_ = 0;
+  uint32_t size_ = 0;
 };
+
+// 8-byte slots are the point of this map (see the header comment).
+static_assert(sizeof(TagCountMap::value_type) == 8);
 
 }  // namespace core
 }  // namespace incentag

@@ -83,7 +83,8 @@ util::Result<SubmitCampaignRequest> DecodeSubmitCampaignRequest(
 
   int64_t omega = out.omega;
   INCENTAG_RETURN_IF_ERROR(OptionalInt(body, "omega", &omega));
-  if (omega <= 0 || omega > 1000000) {
+  // Definition 7 needs omega >= 2; MaTracker's ring holds omega - 1.
+  if (omega < 2 || omega > 1000000) {
     return util::Status::InvalidArgument("omega out of range");
   }
   out.omega = static_cast<int>(omega);

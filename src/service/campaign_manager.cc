@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -1120,7 +1121,7 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
   // Recover again without double-resuming anything.
   struct Pending {
     std::string path;
-    persist::JournalContents contents;
+    std::optional<persist::JournalContents> contents;  // reset in phase 2
     CampaignConfig config;
   };
   std::vector<Pending> pending;
@@ -1146,8 +1147,12 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
   // is safely retryable.
   std::vector<CampaignId> out;
   for (Pending& p : pending) {
-    auto recovered = RecoverOne(p.path, p.contents, std::move(p.config));
+    auto recovered = RecoverOne(p.path, *p.contents, std::move(p.config));
     if (!recovered.ok()) return recovered.status();
+    // The parsed journal (snapshot blob plus completion tail) is dead once
+    // its campaign has resumed. Free it now, so the fleet's parsed
+    // journals do not all stay alive while its runtimes are rebuilt.
+    p.contents.reset();
     recovered_paths_.insert(p.path);
     out.push_back(recovered.value());
     DrainReadyQueue();

@@ -1,12 +1,16 @@
 #include "src/core/rfd.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/core/types.h"
 #include "src/util/random.h"
+#include "src/util/wire.h"
 #include "tests/testing/test_util.h"
 
 namespace incentag {
@@ -50,6 +54,41 @@ TEST(TagCountsTest, CountsMatchDefinition3) {
   EXPECT_DOUBLE_EQ(counts.RelativeFrequency(0), 0.4);
   EXPECT_DOUBLE_EQ(counts.RelativeFrequency(1), 0.4);
   EXPECT_DOUBLE_EQ(counts.RelativeFrequency(2), 0.2);
+}
+
+// A TagCounts snapshot holding one tag with `count` (the wire layout of
+// TagCounts::Serialize). Restore does not cross-check the totals, so
+// they are plain placeholders; count^2 would overflow int64.
+std::string OneTagBlob(TagId tag, int64_t count) {
+  std::string blob;
+  util::wire::PutI64(&blob, count);  // posts
+  util::wire::PutI64(&blob, count);  // total tags
+  util::wire::PutI64(&blob, count);  // ||h||^2
+  util::wire::PutU32(&blob, 1);      // distinct tags
+  util::wire::PutU32(&blob, tag);
+  util::wire::PutI64(&blob, count);
+  return blob;
+}
+
+TEST(TagCountsTest, MaxCountRoundTrips) {
+  constexpr int64_t kMax = std::numeric_limits<uint32_t>::max();
+  const std::string blob = OneTagBlob(9, kMax);
+  TagCounts counts;
+  util::wire::Reader in(blob);
+  ASSERT_TRUE(counts.Restore(&in));
+  EXPECT_EQ(counts.Count(9), kMax);
+  std::string again;
+  counts.Serialize(&again);
+  EXPECT_EQ(again, blob);
+}
+
+TEST(TagCountsTest, RestoreRejectsCountPastUint32) {
+  // The map's slots hold 32-bit counts; a larger one is corruption and
+  // degrades the snapshot rather than wrapping.
+  const std::string blob = OneTagBlob(9, int64_t{1} << 32);
+  TagCounts counts;
+  util::wire::Reader in(blob);
+  EXPECT_FALSE(counts.Restore(&in));
 }
 
 TEST(TagCountsTest, FirstAdjacentSimilarityIsZero) {

@@ -5,6 +5,7 @@
 // to the uninterrupted run, for every strategy (heap orders, MA rings,
 // RNG-backed pickers and float accumulators all restored exactly).
 #include <cstdint>
+#include <cstdio>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -16,12 +17,15 @@
 #include "src/core/campaign_runtime.h"
 #include "src/core/cost_model.h"
 #include "src/core/dp_planner.h"
+#include "src/core/ma_tracker.h"
+#include "src/core/rfd.h"
 #include "src/core/strategy_fc.h"
 #include "src/core/strategy_fp.h"
 #include "src/core/strategy_fp_cost.h"
 #include "src/core/strategy_fpmu.h"
 #include "src/core/strategy_mu.h"
 #include "src/core/strategy_rr.h"
+#include "src/util/wire.h"
 #include "tests/testing/test_util.h"
 
 namespace incentag {
@@ -280,6 +284,113 @@ TEST_F(RuntimeSnapshotTest, RestoreRejectsDamagedState) {
                           &fixture_.references);
   std::string out;
   EXPECT_FALSE(unbegun.SerializeResumableState(&out).ok());
+}
+
+// --- Golden snapshot bytes ------------------------------------------------
+//
+// Journal snapshots carry these encodings, and recovery of a journal an
+// older build wrote depends on them staying put. The goldens below were
+// recorded before TagCountMap's slots narrowed to (uint32 tag, uint32
+// count) and MaTracker's ring moved to a unique_ptr<double[]>; both
+// changes must leave every byte unchanged. Never edit a golden to make a
+// test pass: a mismatch means the wire format moved.
+
+std::string Hex(const std::string& bytes) {
+  std::string out;
+  char buf[3];
+  for (unsigned char c : bytes) {
+    std::snprintf(buf, sizeof(buf), "%02x", c);
+    out += buf;
+  }
+  return out;
+}
+
+// 64-bit FNV-1a: a fixed, dependency-free fingerprint of a blob.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// A fixed 12-post sequence over tags that collide in small tables
+// (dense ids plus far-apart ones).
+PostSequence GoldenPosts() {
+  const std::vector<std::vector<TagId>> raw = {
+      {3, 7},       {7},       {1, 3, 9},  {7, 70000}, {3},
+      {9, 7, 1},    {4000000}, {7, 3},     {1},        {70000, 9},
+      {3, 7, 9, 1}, {7}};
+  PostSequence posts;
+  for (const auto& tags : raw) posts.push_back(Post::FromTags(tags));
+  return posts;
+}
+
+TEST(SnapshotGoldenTest, TagCountsAndMaTrackerBytes) {
+  TagCounts counts;
+  MaTracker ma(5);
+  for (const Post& post : GoldenPosts()) {
+    ma.AddAdjacentSimilarity(counts.AddPost(post));
+  }
+  std::string counts_bytes;
+  counts.Serialize(&counts_bytes);
+  std::string ma_bytes;
+  ma.Serialize(&ma_bytes);
+  EXPECT_EQ(Hex(counts_bytes),
+            "0c0000000000000017000000000000006f0000000000000006000000"
+            "01000000040000000000000003000000050000000000000007000000"
+            "07000000000000000900000004000000000000007011010002000000"
+            "0000000000093d000100000000000000");
+  EXPECT_EQ(Hex(ma_bytes),
+            "050000000c00000000000000bfdf22059fe8ef3f90daccf385c60f40"
+            "000000000000000004000000000000007b13467050bcef3fad42e976"
+            "6d89ef3f5c34e1e2baebef3fbfdf22059fe8ef3f");
+
+  // The pinned bytes restore into state that re-serializes identically.
+  TagCounts restored_counts;
+  util::wire::Reader counts_in(counts_bytes);
+  ASSERT_TRUE(restored_counts.Restore(&counts_in));
+  std::string again;
+  restored_counts.Serialize(&again);
+  EXPECT_EQ(again, counts_bytes);
+  MaTracker restored_ma(5);
+  util::wire::Reader ma_in(ma_bytes);
+  ASSERT_TRUE(restored_ma.Restore(&ma_in));
+  again.clear();
+  restored_ma.Serialize(&again);
+  EXPECT_EQ(again, ma_bytes);
+}
+
+// Fingerprint of SerializeResumableState halfway through a campaign.
+std::string MidRunStateFingerprint(const Fixture& f, Strategy* strategy) {
+  const EngineOptions options = MakeOptions(200, 1);
+  VectorPostStream stream(f.future);
+  CampaignRuntime rt(options, &f.initial, &f.references);
+  EXPECT_TRUE(rt.Begin(strategy, &stream).ok());
+  std::vector<ResourceId> batch;
+  while (!rt.done() && rt.spent() < options.budget / 2) {
+    EXPECT_TRUE(rt.DrawBatch(&batch).ok());
+    if (batch.empty()) break;
+    for (ResourceId r : batch) rt.ApplyCompletion(r);
+  }
+  std::string state;
+  EXPECT_TRUE(rt.SerializeResumableState(&state).ok());
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%zu:%016llx", state.size(),
+                static_cast<unsigned long long>(Fnv1a(state)));
+  return buf;
+}
+
+TEST_F(RuntimeSnapshotTest, MidRunStateMatchesGolden) {
+  RoundRobinStrategy rr;
+  FewestPostsStrategy fp;
+  MostUnstableStrategy mu;
+  HybridFpMuStrategy fpmu;
+  EXPECT_EQ(MidRunStateFingerprint(fixture_, &rr), "5365:b8a17a0f177545fe");
+  EXPECT_EQ(MidRunStateFingerprint(fixture_, &fp), "5513:b8777ee7ff859fb0");
+  EXPECT_EQ(MidRunStateFingerprint(fixture_, &mu), "5249:a23d8419140ce814");
+  EXPECT_EQ(MidRunStateFingerprint(fixture_, &fpmu), "5534:399d532bc73fd21f");
 }
 
 }  // namespace

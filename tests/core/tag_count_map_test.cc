@@ -5,6 +5,8 @@
 #include "src/core/tag_count_map.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -92,6 +94,22 @@ TEST(TagCountMapTest, ClearResets) {
   EXPECT_EQ(map.Count(1), 0);
   map.Increment(5);
   EXPECT_EQ(map.Count(5), 1);
+}
+
+TEST(TagCountMapTest, CountHoldsFullUint32Range) {
+  constexpr int64_t kMax = std::numeric_limits<uint32_t>::max();
+  TagCountMap map;
+  map.Set(4, kMax - 1);
+  EXPECT_EQ(map.Increment(4), kMax - 1);
+  EXPECT_EQ(map.Count(4), kMax);
+}
+
+TEST(TagCountMapDeathTest, IncrementPastUint32MaxChecks) {
+  // A wrapped count of 0 would mark the slot empty; the map aborts
+  // instead.
+  TagCountMap map;
+  map.Set(4, std::numeric_limits<uint32_t>::max());
+  EXPECT_DEATH(map.Increment(4), "CHECK failed");
 }
 
 }  // namespace

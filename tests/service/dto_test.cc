@@ -53,6 +53,7 @@ TEST(SubmitDecode, Rejections) {
       R"({"name":"n","strategy":"rr","budget":-5})",      // negative
       R"({"name":"n","strategy":"rr","budget":1.5})",     // fractional
       R"({"name":"n","strategy":"rr","budget":1,"omega":0})",
+      R"({"name":"n","strategy":"rr","budget":1,"omega":1})",  // Def. 7
       R"({"name":"n","strategy":"rr","budget":1,"batch_size":-1})",
       R"({"name":"n","strategy":"rr","budget":1,"priority":0})",
       R"({"name":"n","strategy":"rr","budget":1,"deadline_seconds":-1})",
