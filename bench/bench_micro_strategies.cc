@@ -27,6 +27,7 @@ using namespace incentag;
 
 struct World {
   std::vector<core::ResourceState> states;
+  std::vector<const core::ResourceState*> table;
   core::StrategyContext ctx;
   core::PostSequence posts;  // recycled post supply
   size_t next_post = 0;
@@ -42,7 +43,8 @@ struct World {
       }
     }
     posts = testing::RandomSequence(&rng, 512, 64);
-    ctx.states = &states;
+    for (const core::ResourceState& state : states) table.push_back(&state);
+    ctx.states = &table;
     ctx.omega = omega;
   }
 

@@ -48,8 +48,10 @@ int64_t BudgetToFullStability(const BenchDataset& bench_ds,
 
   sim::CorpusPostStream stream(bench_ds.corpus.get(), ds.source_ids,
                                initial_offsets);
+  std::vector<const core::ResourceState*> table;
+  for (const core::ResourceState& state : states) table.push_back(&state);
   core::StrategyContext ctx;
-  ctx.states = &states;
+  ctx.states = &table;
   ctx.omega = omega;
   strategy->Init(ctx);
 

@@ -8,6 +8,15 @@
 namespace incentag {
 namespace core {
 
+util::Status ValidateOmega(int64_t omega) {
+  if (omega < 2 || omega > kMaxOmega) {
+    return util::Status::InvalidArgument(
+        "omega must be in [2, " + std::to_string(kMaxOmega) + "], got " +
+        std::to_string(omega));
+  }
+  return util::Status::OK();
+}
+
 AllocationEngine::AllocationEngine(
     EngineOptions options, const std::vector<PostSequence>* initial_posts,
     const std::vector<ResourceReference>* references)

@@ -40,10 +40,20 @@ struct ResourceReference {
   int64_t stable_point = 0;
 };
 
+// Largest accepted MA window. Every resource holds omega - 1 doubles per
+// campaign, so the cap keeps one request from asking for gigabytes; the
+// paper's Fig. 6(f) sweeps omega over 2-16.
+inline constexpr int kMaxOmega = 1024;
+
+// The one omega check (Definition 7 needs omega >= 2): InvalidArgument
+// unless 2 <= omega <= kMaxOmega.
+util::Status ValidateOmega(int64_t omega);
+
 struct EngineOptions {
   // Total reward units B.
   int64_t budget = 0;
-  // MA window omega for the strategy-visible states (paper default 5).
+  // MA window omega for the strategy-visible states (paper default 5);
+  // see ValidateOmega.
   int omega = 5;
   // A resource with <= this many posts counts as under-tagged (Section
   // V-B.3 uses 10).

@@ -5,6 +5,7 @@
 
 #include "src/core/quality.h"
 #include "src/obs/metrics.h"
+#include "src/util/logging.h"
 #include "src/util/wire.h"
 
 namespace incentag {
@@ -16,45 +17,25 @@ namespace internal {
 // metrics of allocation.h, maintained in O(1) per applied task).
 class Evaluation {
  public:
-  Evaluation(const std::vector<ResourceState>& states,
-             const std::vector<ResourceReference>& references,
-             int64_t under_threshold)
-      : references_(references), under_threshold_(under_threshold) {
-    const size_t n = states.size();
-    trackers_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      trackers_.emplace_back(&references[i].stable_rfd);
-    }
-    qualities_.assign(n, 0.0);
-  }
-
-  // Replays an already-applied initial post (no metric deltas yet; call
-  // Finalize() after the replay).
-  void ReplayInitialPost(size_t i, const Post& post, double norm_sq) {
-    trackers_[i].AddPost(post, norm_sq);
-  }
-
-  // Computes the time-zero aggregates after the initial replay.
-  void Finalize(const std::vector<ResourceState>& states) {
-    quality_sum_ = 0.0;
-    over_tagged_ = 0;
-    under_tagged_ = 0;
-    for (size_t i = 0; i < states.size(); ++i) {
-      qualities_[i] = trackers_[i].Quality();
-      quality_sum_ += qualities_[i];
-      if (IsOverTagged(i, states[i].posts())) ++over_tagged_;
-      if (states[i].posts() <= under_threshold_) ++under_tagged_;
-    }
-  }
+  // The time-zero evaluation: a copy of the January accumulators, with
+  // the under-tagged count recounted for this campaign's threshold.
+  Evaluation(const InitialState& initial, int64_t under_threshold)
+      : references_(initial.references()),
+        under_threshold_(under_threshold),
+        trackers_(initial.trackers()),
+        qualities_(initial.qualities()),
+        quality_sum_(initial.quality_sum()),
+        over_tagged_(initial.over_tagged()),
+        under_tagged_(initial.CountUnderTagged(under_threshold)) {}
 
   // Accounts for one completed post task on resource i. `post` must
   // already be applied to states[i].
   void OnPostTask(size_t i, const Post& post, int64_t posts_after,
                   double norm_sq_after) {
     const int64_t posts_before = posts_after - 1;
-    if (IsOverTagged(i, posts_before)) {
+    if (IsOverTagged(references_[i], posts_before)) {
       ++wasted_posts_;
-    } else if (IsOverTagged(i, posts_after)) {
+    } else if (IsOverTagged(references_[i], posts_after)) {
       ++over_tagged_;  // crossed the stable point with this task
     }
     if (posts_before <= under_threshold_ && posts_after > under_threshold_) {
@@ -103,11 +84,6 @@ class Evaluation {
   }
 
  private:
-  bool IsOverTagged(size_t i, int64_t posts) const {
-    const int64_t stable_point = references_[i].stable_point;
-    return stable_point > 0 && posts >= stable_point;
-  }
-
   const std::vector<ResourceReference>& references_;
   int64_t under_threshold_;
   std::vector<QualityTracker> trackers_;
@@ -153,35 +129,52 @@ void CampaignRuntime::RecordCheckpointsThrough(int64_t budget_used) {
   }
 }
 
-util::Status CampaignRuntime::Begin(Strategy* strategy, PostStream* stream) {
+util::Status CampaignRuntime::AttachInitialState(
+    const PostStream& stream, std::shared_ptr<const InitialState> initial) {
   const size_t n = initial_posts_->size();
-  if (stream->num_resources() != n) {
+  if (stream.num_resources() != n) {
     return util::Status::InvalidArgument(
         "stream resource count does not match the engine's");
-  }
-  if (options_.budget < 0) {
-    return util::Status::InvalidArgument("budget must be non-negative");
   }
   if (options_.costs != nullptr && options_.costs->num_resources() != n) {
     return util::Status::InvalidArgument(
         "cost model resource count does not match the engine's");
   }
+  INCENTAG_RETURN_IF_ERROR(ValidateOmega(options_.omega));
+  if (initial == nullptr) {
+    initial = std::make_shared<const InitialState>(
+        initial_posts_, references_, options_.omega);
+  } else if (!initial->BuiltFor(initial_posts_, references_,
+                                options_.omega)) {
+    return util::Status::InvalidArgument(
+        "initial state was built for another dataset or omega");
+  }
+  initial_ = std::move(initial);
+  return util::Status::OK();
+}
+
+ResourceState& CampaignRuntime::MutableState(ResourceId i) {
+  if (allocation_[i] == 0) states_[i] = &owned_.emplace_back(*states_[i]);
+  // Past the first post the pointer targets owned_, which is not const.
+  return const_cast<ResourceState&>(*states_[i]);
+}
+
+util::Status CampaignRuntime::Begin(
+    Strategy* strategy, PostStream* stream,
+    std::shared_ptr<const InitialState> initial) {
+  if (options_.budget < 0) {
+    return util::Status::InvalidArgument("budget must be non-negative");
+  }
+  INCENTAG_RETURN_IF_ERROR(AttachInitialState(*stream, std::move(initial)));
   strategy_ = strategy;
   stream_ = stream;
 
-  // Build the observable states from the initial ("January") posts and
-  // mirror them into the evaluation.
+  // Every resource starts at its January state, read in place.
+  const size_t n = initial_posts_->size();
   states_.reserve(n);
-  for (size_t i = 0; i < n; ++i) states_.emplace_back(options_.omega);
+  for (size_t i = 0; i < n; ++i) states_.push_back(&initial_->state(i));
   eval_ = std::make_unique<internal::Evaluation>(
-      states_, *references_, options_.under_tagged_threshold);
-  for (size_t i = 0; i < n; ++i) {
-    for (const Post& post : (*initial_posts_)[i]) {
-      states_[i].AddPost(post);
-      eval_->ReplayInitialPost(i, post, states_[i].counts().norm_squared());
-    }
-  }
-  eval_->Finalize(states_);
+      *initial_, options_.under_tagged_threshold);
 
   ctx_.states = &states_;
   ctx_.omega = options_.omega;
@@ -195,6 +188,7 @@ util::Status CampaignRuntime::Begin(Strategy* strategy, PostStream* stream) {
 }
 
 util::Status CampaignRuntime::DrawBatch(std::vector<ResourceId>* batch) {
+  INCENTAG_CHECK(eval_ != nullptr);  // between Begin and Finish
   batch->clear();
   if (done()) return util::Status::OK();
   const size_t n = initial_posts_->size();
@@ -236,6 +230,7 @@ util::Status CampaignRuntime::DrawBatch(std::vector<ResourceId>* batch) {
 
 void CampaignRuntime::ApplyCompletionBatch(const ResourceId* chosen,
                                            size_t count) {
+  INCENTAG_CHECK(eval_ != nullptr);  // between Begin and Finish
   // Hoisted invariants: the cost model is fixed at Begin, and
   // next_checkpoint_ only advances — once every checkpoint is recorded
   // the whole RecordCheckpointsThrough call is dead weight per task.
@@ -256,9 +251,10 @@ void CampaignRuntime::ApplyCompletionBatch(const ResourceId* chosen,
       continue;
     }
     const Post& post = stream_->Next(resource);
-    states_[resource].AddPost(post);
-    eval_->OnPostTask(resource, post, states_[resource].posts(),
-                      states_[resource].counts().norm_squared());
+    ResourceState& state = MutableState(resource);
+    state.AddPost(post);
+    eval_->OnPostTask(resource, post, state.posts(),
+                      state.counts().norm_squared());
     strategy_->Update(resource);
     ++allocation_[resource];
     ++tasks_completed_;
@@ -278,7 +274,7 @@ void CampaignRuntime::ApplyCompletionBatch(const ResourceId* chosen,
 }
 
 AllocationMetrics CampaignRuntime::Metrics() const {
-  assert(eval_ != nullptr && "Begin() must succeed before Metrics()");
+  INCENTAG_CHECK(eval_ != nullptr);  // between Begin and Finish
   return eval_->Snapshot(spent_, initial_posts_->size());
 }
 
@@ -309,7 +305,7 @@ util::Status CampaignRuntime::SerializeResumableState(
     std::string* out) const {
   if (eval_ == nullptr || strategy_ == nullptr) {
     return util::Status::FailedPrecondition(
-        "runtime state can only be serialized after Begin");
+        "runtime state can only be serialized between Begin and Finish");
   }
   const size_t n = initial_posts_->size();
   util::wire::PutU32(out, kRuntimeStateVersion);
@@ -324,7 +320,7 @@ util::Status CampaignRuntime::SerializeResumableState(
   }
   util::wire::PutU32(out, static_cast<uint32_t>(checkpoints_.size()));
   for (const AllocationMetrics& m : checkpoints_) PutMetrics(out, m);
-  for (const ResourceState& state : states_) state.Serialize(out);
+  for (const ResourceState* state : states_) state->Serialize(out);
   eval_->Serialize(out);
   for (size_t i = 0; i < n; ++i) {
     util::wire::PutI64(out, stream_->Consumed(static_cast<ResourceId>(i)));
@@ -335,22 +331,15 @@ util::Status CampaignRuntime::SerializeResumableState(
   return util::Status::OK();
 }
 
-util::Status CampaignRuntime::RestoreResumableState(std::string_view state,
-                                                    Strategy* strategy,
-                                                    PostStream* stream) {
+util::Status CampaignRuntime::RestoreResumableState(
+    std::string_view state, Strategy* strategy, PostStream* stream,
+    std::shared_ptr<const InitialState> initial) {
   if (eval_ != nullptr) {
     return util::Status::FailedPrecondition(
         "RestoreResumableState replaces Begin on a fresh runtime");
   }
+  INCENTAG_RETURN_IF_ERROR(AttachInitialState(*stream, std::move(initial)));
   const size_t n = initial_posts_->size();
-  if (stream->num_resources() != n) {
-    return util::Status::InvalidArgument(
-        "stream resource count does not match the engine's");
-  }
-  if (options_.costs != nullptr && options_.costs->num_resources() != n) {
-    return util::Status::InvalidArgument(
-        "cost model resource count does not match the engine's");
-  }
   util::wire::Reader in(state);
   uint32_t version = 0;
   uint64_t encoded_n = 0;
@@ -403,16 +392,29 @@ util::Status CampaignRuntime::RestoreResumableState(std::string_view state,
     checkpoints_.push_back(m);
   }
 
-  states_.clear();
-  states_.reserve(n);
+  // A resource with no applied post is still at its January state, so it
+  // borrows the shared one; the blob must agree byte for byte.
+  states_.assign(n, nullptr);
+  std::string january;
   for (size_t i = 0; i < n; ++i) {
-    states_.emplace_back(options_.omega);
-    if (!states_[i].Restore(&in)) {
+    if (allocation_[i] == 0) {
+      states_[i] = &initial_->state(i);
+      january.clear();
+      states_[i]->Serialize(&january);
+      if (!in.SkipExpected(january)) {
+        return util::Status::Corruption(
+            "untouched resource state differs from the January state");
+      }
+      continue;
+    }
+    ResourceState& owned = owned_.emplace_back(options_.omega);
+    if (!owned.Restore(&in)) {
       return util::Status::Corruption("malformed runtime resource state");
     }
+    states_[i] = &owned;
   }
   eval_ = std::make_unique<internal::Evaluation>(
-      states_, *references_, options_.under_tagged_threshold);
+      *initial_, options_.under_tagged_threshold);
   if (!eval_->Restore(&in)) {
     eval_.reset();
     return util::Status::Corruption("malformed runtime evaluation state");
@@ -455,6 +457,7 @@ util::Status CampaignRuntime::RestoreResumableState(std::string_view state,
 }
 
 RunReport CampaignRuntime::Finish() {
+  INCENTAG_CHECK(eval_ != nullptr);  // after Begin, at most once
   RunReport report;
   report.strategy_name = std::string(strategy_->name());
   report.elapsed_seconds = timer_.ElapsedSeconds();
@@ -467,6 +470,13 @@ RunReport CampaignRuntime::Finish() {
       report.checkpoints.back().budget_used != spent_) {
     report.checkpoints.push_back(report.final_metrics);
   }
+  // The campaign is over: free its per-resource state (swapping with an
+  // empty container releases the storage; clear() would keep it).
+  std::vector<const ResourceState*>().swap(states_);
+  std::deque<ResourceState>().swap(owned_);
+  std::vector<bool>().swap(exhausted_);
+  eval_.reset();
+  initial_.reset();
   return report;
 }
 

@@ -11,14 +11,22 @@
 // CampaignRuntime is that decomposition. The step protocol is:
 //
 //   CampaignRuntime rt(options, &initial_posts, &references);
-//   rt.Begin(strategy, stream);             // build states, Init, t=0
+//   rt.Begin(strategy, stream);             // January state, Init, t=0
 //   while (!rt.done()) {
 //     rt.DrawBatch(&batch);                 // assignment phase
 //     if (batch.empty()) break;             // strategy stopped early
 //     for (ResourceId r : batch)
 //       rt.ApplyCompletion(r);              // completion phase
 //   }
-//   RunReport report = rt.Finish();
+//   RunReport report = rt.Finish();         // frees per-resource state
+//
+// Begin borrows the dataset's time-zero ("January") state when the
+// caller passes one (initial_state.h; CampaignManager keeps one per
+// dataset and omega), or builds a private one. The runtime holds one
+// pointer per resource into it and copies a resource's state into its
+// own storage on the resource's first applied post. Finish frees the
+// pointer table, the owned states, the evaluation and the January
+// reference; only the report survives.
 //
 // Driving the protocol straight through (as AllocationEngine::Run now
 // does, and as CampaignManager's deterministic mode does) reproduces the
@@ -29,10 +37,12 @@
 #define INCENTAG_CORE_CAMPAIGN_RUNTIME_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
 #include "src/core/allocation.h"
+#include "src/core/initial_state.h"
 #include "src/core/post_stream.h"
 #include "src/core/resource_state.h"
 #include "src/core/strategy.h"
@@ -60,11 +70,14 @@ class CampaignRuntime {
   CampaignRuntime(const CampaignRuntime&) = delete;
   CampaignRuntime& operator=(const CampaignRuntime&) = delete;
 
-  // Validates the configuration, builds the observable states from the
-  // initial posts, mirrors them into the evaluation, runs strategy->Init
-  // and records the t=0 checkpoint. `strategy` and `stream` must outlive
-  // the runtime; the stream's cursors are consumed.
-  util::Status Begin(Strategy* strategy, PostStream* stream);
+  // Validates the configuration, points every resource at `initial`'s
+  // January state (building a private one when `initial` is null), copies
+  // its evaluation accumulators, runs strategy->Init and records the t=0
+  // checkpoint. `initial` must have been built for this runtime's dataset
+  // pointers and omega (else InvalidArgument). `strategy` and `stream`
+  // must outlive the runtime; the stream's cursors are consumed.
+  util::Status Begin(Strategy* strategy, PostStream* stream,
+                     std::shared_ptr<const InitialState> initial = nullptr);
 
   // Assignment phase: fills `batch` with up to options.batch_size
   // resource ids whose budget is now committed (strategy->OnAssigned has
@@ -98,11 +111,13 @@ class CampaignRuntime {
   const EngineOptions& options() const { return options_; }
 
   // Current evaluation snapshot (O(1); safe between any two steps).
+  // CHECK-fails before Begin and after Finish, as do DrawBatch and
+  // ApplyCompletionBatch.
   AllocationMetrics Metrics() const;
   size_t checkpoints_recorded() const { return checkpoints_.size(); }
 
-  // Stops the clock and assembles the RunReport. Call at most once, after
-  // which the runtime is spent.
+  // Stops the clock, assembles the RunReport and frees every per-resource
+  // structure. Call at most once, after which the runtime is spent.
   RunReport Finish();
 
   // ---- resumable state (campaign snapshots, journal format v2) ----
@@ -113,8 +128,8 @@ class CampaignRuntime {
   // the stream's consumed positions and the strategy's opaque state —
   // with doubles stored bit-exactly, so a restored runtime produces a
   // RunReport byte-identical to one that replayed the whole journal.
-  // Valid between any two steps after a successful Begin and before
-  // Finish.
+  // Valid between any two steps after a successful Begin; before Begin
+  // or after Finish it returns FailedPrecondition.
   util::Status SerializeResumableState(std::string* out) const;
 
   // Restores a freshly constructed runtime (same options and dataset
@@ -122,13 +137,24 @@ class CampaignRuntime {
   // Called INSTEAD of Begin: re-attaches `strategy` and `stream` (both
   // freshly built by the recovery factory), fast-forwards the stream to
   // its serialized position via PostStream::Skip, and hands the strategy
-  // its serialized sub-blob through Strategy::RestoreState.
-  util::Status RestoreResumableState(std::string_view state,
-                                     Strategy* strategy, PostStream* stream);
+  // its serialized sub-blob through Strategy::RestoreState. `initial` is
+  // as for Begin: a resource with no applied post borrows its January
+  // state, and the blob's bytes for it must equal that state's (else
+  // Corruption).
+  util::Status RestoreResumableState(
+      std::string_view state, Strategy* strategy, PostStream* stream,
+      std::shared_ptr<const InitialState> initial = nullptr);
 
  private:
   int64_t CostOf(ResourceId i) const;
   void RecordCheckpointsThrough(int64_t budget_used);
+  // The checks Begin and RestoreResumableState share; on success
+  // initial_ holds the January state (`initial`, or a private build).
+  util::Status AttachInitialState(const PostStream& stream,
+                                  std::shared_ptr<const InitialState> initial);
+  // Resource i's state for writing: copies it out of the January state
+  // on the resource's first applied post.
+  ResourceState& MutableState(ResourceId i);
 
   EngineOptions options_;
   const std::vector<PostSequence>* initial_posts_;
@@ -137,7 +163,12 @@ class CampaignRuntime {
   Strategy* strategy_ = nullptr;
   PostStream* stream_ = nullptr;
   StrategyContext ctx_;
-  std::vector<ResourceState> states_;
+  std::shared_ptr<const InitialState> initial_;
+  // One pointer per resource: into initial_ while the resource has no
+  // applied post (allocation_[i] == 0), into owned_ afterwards.
+  std::vector<const ResourceState*> states_;
+  // Copies of the touched resources; a deque keeps their addresses stable.
+  std::deque<ResourceState> owned_;
   std::unique_ptr<internal::Evaluation> eval_;
   std::vector<bool> exhausted_;
 

@@ -1,5 +1,6 @@
 #include "src/core/ma_tracker.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace incentag {
@@ -9,6 +10,17 @@ MaTracker::MaTracker(int omega)
     : ring_(std::make_unique<double[]>(static_cast<size_t>(omega - 1))),
       omega_(omega) {
   assert(omega >= 2);
+}
+
+MaTracker::MaTracker(const MaTracker& other)
+    : posts_(other.posts_),
+      last_sim_(other.last_sim_),
+      window_sum_(other.window_sum_),
+      ring_(std::make_unique<double[]>(other.ring_size())),
+      omega_(other.omega_),
+      next_(other.next_),
+      filled_(other.filled_) {
+  std::copy(other.ring_.get(), other.ring_.get() + ring_size(), ring_.get());
 }
 
 void MaTracker::AddAdjacentSimilarity(double sim) {

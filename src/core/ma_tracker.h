@@ -10,7 +10,8 @@
 // Every campaign holds one tracker per resource, so the ring is a bare
 // unique_ptr<double[]> of omega - 1 slots (its length comes from omega_;
 // no size or capacity is stored) and the indices are 32-bit: 48 bytes a
-// tracker on x86-64. A tracker is move-only.
+// tracker on x86-64. Copying a tracker copies its ring; a campaign does
+// so once per resource it touches (copy-on-write, initial_state.h).
 #ifndef INCENTAG_CORE_MA_TRACKER_H_
 #define INCENTAG_CORE_MA_TRACKER_H_
 
@@ -28,6 +29,11 @@ class MaTracker {
  public:
   // omega must be >= 2 (Definition 7).
   explicit MaTracker(int omega);
+
+  MaTracker(const MaTracker& other);
+  MaTracker& operator=(const MaTracker&) = delete;
+  MaTracker(MaTracker&&) noexcept = default;
+  MaTracker& operator=(MaTracker&&) noexcept = default;
 
   int omega() const { return omega_; }
   // Number of posts observed so far (k).

@@ -7,12 +7,15 @@
 // post count, tag counts / rfd, and the MA score — and nothing that requires
 // ground truth (stable rfds stay private to the evaluation).
 //
-// Footprint: every campaign holds one ResourceState per resource, so once
-// the posts are shared (one read-only store per dataset) this state is
-// most of a fleet's memory. Inline it is 104 bytes on x86-64: TagCounts
-// (56: the flat map's header plus three int64 totals) and MaTracker (48).
-// Out of line it owns the map's 8-byte slots (a power of two >= 8, kept
-// under 0.7 load) and the tracker's omega - 1 doubles.
+// Footprint: a campaign holds one ResourceState per resource it has
+// touched; an untouched resource costs it an 8-byte pointer into the
+// dataset's shared January state (initial_state.h), and the first post
+// applied to it copies that one state. With the posts shared too (one
+// read-only store per dataset), touched states are most of a fleet's
+// memory. Inline a state is 104 bytes on x86-64: TagCounts (56: the flat
+// map's header plus three int64 totals) and MaTracker (48). Out of line
+// it owns the map's 8-byte slots (a power of two >= 8, kept under 0.7
+// load) and the tracker's omega - 1 doubles.
 #ifndef INCENTAG_CORE_RESOURCE_STATE_H_
 #define INCENTAG_CORE_RESOURCE_STATE_H_
 

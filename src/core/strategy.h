@@ -26,16 +26,21 @@
 namespace incentag {
 namespace core {
 
-// Read-only view of the observable world, owned by the engine. The states
-// vector lives for the whole run; states are updated in place between
-// Choose() and Update().
+// Read-only view of the observable world, owned by the engine: a table
+// of one pointer per resource, which lives for the whole run. Untouched
+// resources point into the dataset's shared January state
+// (initial_state.h); a resource's pointer changes when its first post is
+// applied, because the runtime then copies that state into its own
+// storage. So look a state up again after every Update() — never hold a
+// `const ResourceState&` across one (no strategy does). A state is
+// updated between Choose() and Update().
 struct StrategyContext {
-  const std::vector<ResourceState>* states = nullptr;
+  const std::vector<const ResourceState*>* states = nullptr;
   // MA window omega used by MU / FP-MU (paper default: 5).
   int omega = 5;
 
   size_t num_resources() const { return states->size(); }
-  const ResourceState& state(ResourceId i) const { return (*states)[i]; }
+  const ResourceState& state(ResourceId i) const { return *(*states)[i]; }
 };
 
 class Strategy {

@@ -9,6 +9,7 @@
 #include "src/core/allocation.h"
 #include "src/core/cost_model.h"
 #include "src/core/dp_planner.h"
+#include "src/core/initial_state.h"
 #include "src/core/ma_tracker.h"
 #include "src/core/post_stream.h"
 #include "src/core/quality.h"

@@ -83,10 +83,7 @@ util::Result<SubmitCampaignRequest> DecodeSubmitCampaignRequest(
 
   int64_t omega = out.omega;
   INCENTAG_RETURN_IF_ERROR(OptionalInt(body, "omega", &omega));
-  // Definition 7 needs omega >= 2; MaTracker's ring holds omega - 1.
-  if (omega < 2 || omega > 1000000) {
-    return util::Status::InvalidArgument("omega out of range");
-  }
+  INCENTAG_RETURN_IF_ERROR(core::ValidateOmega(omega));
   out.omega = static_cast<int>(omega);
 
   INCENTAG_RETURN_IF_ERROR(OptionalInt(body, "under_tagged_threshold",

@@ -38,7 +38,7 @@ util::Status ValidateConfig(const CampaignConfig& config) {
     return util::Status::InvalidArgument(
         "campaign needs a strategy and a post stream");
   }
-  return util::Status::OK();
+  return core::ValidateOmega(config.options.omega);
 }
 
 std::string JournalPath(const std::string& dir, CampaignId id) {
@@ -382,6 +382,29 @@ void CampaignManager::EnsureJournalWorkers() {
   if (compactor_ == nullptr && !options_.deterministic) {
     compactor_ = std::make_unique<persist::Compactor>();
   }
+}
+
+std::shared_ptr<const core::InitialState> CampaignManager::InitialStateFor(
+    const CampaignConfig& config) {
+  util::MutexLock lock(&initial_states_mu_);
+  std::shared_ptr<const core::InitialState> found;
+  std::erase_if(initial_states_,
+                [&](const std::weak_ptr<const core::InitialState>& entry) {
+                  std::shared_ptr<const core::InitialState> state =
+                      entry.lock();
+                  if (state != nullptr &&
+                      state->BuiltFor(config.initial_posts, config.references,
+                                      config.options.omega)) {
+                    found = std::move(state);
+                  }
+                  return entry.expired();
+                });
+  if (found == nullptr) {
+    found = std::make_shared<const core::InitialState>(
+        config.initial_posts, config.references, config.options.omega);
+    initial_states_.push_back(found);
+  }
+  return found;
 }
 
 CampaignManager::~CampaignManager() { Shutdown(); }
@@ -774,7 +797,8 @@ void CampaignManager::Step(Campaign* c) {
       c->queue_delay_s = c->submitted.ElapsedSeconds();
       c->started.Restart();
       util::Status status =
-          c->runtime.Begin(c->config.strategy.get(), c->config.stream.get());
+          c->runtime.Begin(c->config.strategy.get(), c->config.stream.get(),
+                           InitialStateFor(c->config));
       if (!status.ok()) {
         Finalize(c, CampaignState::kFailed, status.ToString());
         return;
@@ -993,8 +1017,8 @@ util::Status CampaignManager::Compact(CampaignId id) {
     return util::Status::FailedPrecondition("campaign is not journaled");
   }
   if (c->finalized.load()) {
-    // Finish() moved the runtime's state into the report; there is
-    // nothing left to snapshot (and nothing left to gain — a terminal
+    // Finish() moved the report out and freed the runtime's state; there
+    // is nothing left to snapshot (and nothing left to gain — a terminal
     // journal replays once, at recovery, into a terminal campaign).
     return util::Status::FailedPrecondition("campaign is terminal");
   }
@@ -1224,7 +1248,7 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
     // longer holds the summarized prefix anyway — so it fails loudly.
     util::Status restored = c->runtime.RestoreResumableState(
         contents.snapshot.runtime_state, c->config.strategy.get(),
-        c->config.stream.get());
+        c->config.stream.get(), InitialStateFor(c->config));
     if (!restored.ok()) {
       Finalize(c, CampaignState::kFailed,
                "journal snapshot failed to restore: " + restored.ToString());
@@ -1257,7 +1281,8 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
       return id;
     }
     util::Status status =
-        c->runtime.Begin(c->config.strategy.get(), c->config.stream.get());
+        c->runtime.Begin(c->config.strategy.get(), c->config.stream.get(),
+                         InitialStateFor(c->config));
     if (!status.ok()) {
       Finalize(c, CampaignState::kFailed, status.ToString());
       return id;

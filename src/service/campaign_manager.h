@@ -75,6 +75,7 @@
 #include <vector>
 
 #include "src/core/allocation.h"
+#include "src/core/initial_state.h"
 #include "src/core/post_stream.h"
 #include "src/core/strategy.h"
 #include "src/persist/compactor.h"
@@ -82,7 +83,9 @@
 #include "src/persist/journal_sink.h"
 #include "src/service/completion_source.h"
 #include "src/service/scheduler/scheduler.h"
+#include "src/util/mutex.h"
 #include "src/util/status.h"
+#include "src/util/thread_annotations.h"
 #include "src/util/thread_pool.h"
 
 namespace incentag {
@@ -407,6 +410,11 @@ class CampaignManager {
   void FlushJournal(Campaign* campaign);
   void MaybeCompact(Campaign* campaign);
   void EnsureJournalWorkers();
+  // The January state for `config`'s dataset and omega: the live one if
+  // any campaign still holds it, else built now (under the lock, so
+  // concurrent first steps build it once).
+  std::shared_ptr<const core::InitialState> InitialStateFor(
+      const CampaignConfig& config);
   // Sink-thread callback: the retry ladder gave up on `writer`. Flags
   // the owning campaign for quarantine at its next step boundary.
   void OnWriterSick(persist::JournalWriter* writer,
@@ -426,6 +434,12 @@ class CampaignManager {
   // then runs inline on the driving thread) and until journaling is on.
   std::unique_ptr<persist::Compactor> compactor_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // One January state per (initial posts, references, omega), shared by
+  // every campaign on it and freed with the last of them (weak_ptr);
+  // expired entries are pruned by InitialStateFor.
+  util::Mutex initial_states_mu_;
+  std::vector<std::weak_ptr<const core::InitialState>> initial_states_
+      GUARDED_BY(initial_states_mu_);
   // Journal files already resumed by Recover (single-threaded access —
   // see Recover's contract); makes a retried Recover skip them.
   std::unordered_set<std::string> recovered_paths_;

@@ -123,6 +123,17 @@ class Reader {
     return true;
   }
 
+  // Consumes `expected` when the unread bytes start with it; otherwise
+  // consumes nothing and returns false.
+  bool SkipExpected(std::string_view expected) {
+    if (data_.size() - pos_ < expected.size() ||
+        data_.compare(pos_, expected.size(), expected) != 0) {
+      return false;
+    }
+    pos_ += expected.size();
+    return true;
+  }
+
   bool exhausted() const { return pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }
 

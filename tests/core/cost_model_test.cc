@@ -147,8 +147,10 @@ TEST(CostAwareFpTest, TieBreaksTowardCheaperResource) {
   CostAwareFpStrategy strategy(&costs);
   std::vector<ResourceState> states;
   for (int i = 0; i < 3; ++i) states.emplace_back(2);  // all at 0 posts
+  std::vector<const ResourceState*> table;
+  for (const ResourceState& state : states) table.push_back(&state);
   StrategyContext ctx;
-  ctx.states = &states;
+  ctx.states = &table;
   strategy.Init(ctx);
   EXPECT_EQ(strategy.Choose(), 1u);  // cheapest among the tied level
   states[1].AddPost(Post::FromTags({1}));
@@ -163,8 +165,10 @@ TEST(CostAwareFpTest, PostCountStillDominatesCost) {
   states.emplace_back(2);
   states.emplace_back(2);
   states[0].AddPost(Post::FromTags({1}));  // 1 post, cheap
+  std::vector<const ResourceState*> table;
+  for (const ResourceState& state : states) table.push_back(&state);
   StrategyContext ctx;
-  ctx.states = &states;
+  ctx.states = &table;
   strategy.Init(ctx);
   // Resource 1 has fewer posts despite being expensive.
   EXPECT_EQ(strategy.Choose(), 1u);
@@ -180,8 +184,10 @@ TEST(CostAwareFpTest, MatchesFpUnderUniformCosts) {
       states.back().AddPost(Post::FromTags({1}));
     }
   }
+  std::vector<const ResourceState*> table;
+  for (const ResourceState& state : states) table.push_back(&state);
   StrategyContext ctx;
-  ctx.states = &states;
+  ctx.states = &table;
   strategy.Init(ctx);
   EXPECT_EQ(strategy.Choose(), 3u);  // fewest posts
   strategy.OnExhausted(3);

@@ -1,0 +1,376 @@
+// The shared January state (initial_state.h) and the runtime's
+// copy-on-write view of it: a campaign over a shared InitialState must
+// report exactly what one over a private build reports, runtimes sharing
+// one state must not see each other's posts, and the shared state must
+// come out of every run untouched. Also pins the runtime's omega bounds
+// and its behaviour once Finish has freed the per-resource state.
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "src/core/campaign_runtime.h"
+#include "src/core/cost_model.h"
+#include "src/core/dp_planner.h"
+#include "src/core/initial_state.h"
+#include "src/core/rfd.h"
+#include "src/core/strategy_fc.h"
+#include "src/core/strategy_fp.h"
+#include "src/core/strategy_fp_cost.h"
+#include "src/core/strategy_fpmu.h"
+#include "src/core/strategy_mu.h"
+#include "src/core/strategy_rr.h"
+#include "src/util/random.h"
+#include "tests/testing/test_util.h"
+
+namespace incentag {
+namespace core {
+namespace {
+
+struct Fixture {
+  std::vector<PostSequence> initial;
+  std::vector<PostSequence> future;
+  std::vector<ResourceReference> references;
+};
+
+Fixture MakeFixture(size_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  Fixture f;
+  for (size_t i = 0; i < n; ++i) {
+    PostSequence year = incentag::testing::ConvergingSequence(
+        &rng, 40 + static_cast<int>(i % 7) * 5, /*universe=*/20);
+    const size_t cut = 4 + i % 5;
+    f.initial.emplace_back(year.begin(), year.begin() + cut);
+    f.future.emplace_back(year.begin() + cut, year.end());
+    TagCounts full;
+    for (const Post& post : year) full.AddPost(post);
+    f.references.push_back(ResourceReference{
+        full.Snapshot(), 10 + static_cast<int64_t>(i % 9)});
+  }
+  return f;
+}
+
+EngineOptions MakeOptions(int64_t budget, int64_t batch_size, int omega = 5,
+                          const CostModel* costs = nullptr) {
+  EngineOptions options;
+  options.budget = budget;
+  options.omega = omega;
+  options.batch_size = batch_size;
+  options.checkpoints = {0, budget / 4, budget / 2, budget};
+  options.costs = costs;
+  return options;
+}
+
+void ExpectMetricsEqual(const AllocationMetrics& want,
+                        const AllocationMetrics& got,
+                        const std::string& label) {
+  EXPECT_EQ(want.budget_used, got.budget_used) << label;
+  EXPECT_EQ(want.avg_quality, got.avg_quality) << label;
+  EXPECT_EQ(want.over_tagged, got.over_tagged) << label;
+  EXPECT_EQ(want.wasted_posts, got.wasted_posts) << label;
+  EXPECT_EQ(want.under_tagged, got.under_tagged) << label;
+}
+
+void ExpectReportsEqual(const RunReport& want, const RunReport& got,
+                        const std::string& label) {
+  EXPECT_EQ(want.strategy_name, got.strategy_name) << label;
+  EXPECT_EQ(want.allocation, got.allocation) << label;
+  EXPECT_EQ(want.budget_spent, got.budget_spent) << label;
+  EXPECT_EQ(want.stopped_early, got.stopped_early) << label;
+  ASSERT_EQ(want.checkpoints.size(), got.checkpoints.size()) << label;
+  for (size_t i = 0; i < want.checkpoints.size(); ++i) {
+    ExpectMetricsEqual(want.checkpoints[i], got.checkpoints[i],
+                       label + " checkpoint " + std::to_string(i));
+  }
+  ExpectMetricsEqual(want.final_metrics, got.final_metrics, label + " final");
+}
+
+// One campaign under test: its options and a factory for a fresh
+// strategy (each run needs its own).
+struct Case {
+  std::string label;
+  EngineOptions options;
+  std::function<std::unique_ptr<Strategy>()> make;
+};
+
+// A runtime with its own strategy and stream, stepped one batch at a time.
+struct Campaign {
+  Campaign(const Fixture& f, const Case& c)
+      : strategy(c.make()),
+        stream(f.future),
+        runtime(c.options, &f.initial, &f.references) {}
+
+  // Draws one batch and applies it; false once the run is over.
+  bool Step() {
+    if (runtime.done()) return false;
+    std::vector<ResourceId> batch;
+    EXPECT_TRUE(runtime.DrawBatch(&batch).ok());
+    runtime.ApplyCompletionBatch(batch.data(), batch.size());
+    return !batch.empty();
+  }
+
+  std::unique_ptr<Strategy> strategy;
+  VectorPostStream stream;
+  CampaignRuntime runtime;
+};
+
+RunReport RunSolo(const Fixture& f, const Case& c,
+                  std::shared_ptr<const InitialState> initial) {
+  Campaign campaign(f, c);
+  EXPECT_TRUE(campaign.runtime
+                  .Begin(campaign.strategy.get(), &campaign.stream,
+                         std::move(initial))
+                  .ok())
+      << c.label;
+  while (campaign.Step()) {
+  }
+  return campaign.runtime.Finish();
+}
+
+// Every shared state's wire bytes, to prove no run wrote through.
+std::vector<std::string> SharedBytes(const InitialState& initial) {
+  std::vector<std::string> out(initial.num_resources());
+  for (size_t i = 0; i < out.size(); ++i) initial.state(i).Serialize(&out[i]);
+  return out;
+}
+
+class InitialStateTest : public ::testing::Test {
+ protected:
+  InitialStateTest()
+      : fixture_(MakeFixture(24, 20261017)), costs_(MakeCosts()) {
+    std::vector<int64_t> plan(fixture_.initial.size(), 0);
+    int64_t plan_budget = 0;
+    for (size_t i = 0; i < plan.size(); ++i) {
+      plan[i] = static_cast<int64_t>(i % 5);
+      plan_budget += plan[i];
+    }
+    const size_t n = fixture_.initial.size();
+    cases_ = {
+        {"RR", MakeOptions(200, 1),
+         [] { return std::make_unique<RoundRobinStrategy>(); }},
+        {"FP", MakeOptions(200, 8),
+         [] { return std::make_unique<FewestPostsStrategy>(); }},
+        {"MU", MakeOptions(200, 1),
+         [] { return std::make_unique<MostUnstableStrategy>(); }},
+        {"FP-MU", MakeOptions(300, 8),
+         [] { return std::make_unique<HybridFpMuStrategy>(); }},
+        {"FC", MakeOptions(200, 4),
+         [n] {
+           auto rng = std::make_shared<util::Rng>(4242);
+           return std::make_unique<FreeChoiceStrategy>([rng, n] {
+             return static_cast<ResourceId>(rng->NextBounded(n));
+           });
+         }},
+        {"FP-$", MakeOptions(200, 8, 5, &costs_),
+         [this] { return std::make_unique<CostAwareFpStrategy>(&costs_); }},
+        {"DP plan", MakeOptions(plan_budget, 4),
+         [plan] { return std::make_unique<PlanStrategy>(plan); }},
+    };
+  }
+
+  CostModel MakeCosts() const {
+    std::vector<int64_t> costs;
+    for (size_t i = 0; i < fixture_.initial.size(); ++i) {
+      costs.push_back(1 + static_cast<int64_t>(i % 4));
+    }
+    return CostModel(std::move(costs));
+  }
+
+  std::shared_ptr<const InitialState> Shared(int omega = 5) const {
+    return std::make_shared<const InitialState>(
+        &fixture_.initial, &fixture_.references, omega);
+  }
+
+  Fixture fixture_;
+  CostModel costs_;
+  std::vector<Case> cases_;
+};
+
+TEST_F(InitialStateTest, SharedRunMatchesPrivateBuildForEveryStrategy) {
+  std::shared_ptr<const InitialState> shared = Shared();
+  for (const Case& c : cases_) {
+    ExpectReportsEqual(RunSolo(fixture_, c, nullptr),
+                       RunSolo(fixture_, c, shared), c.label);
+  }
+}
+
+TEST_F(InitialStateTest, AlternatingRuntimesMatchSoloRunsAndLeaveItIntact) {
+  std::shared_ptr<const InitialState> shared = Shared();
+  const std::vector<std::string> before = SharedBytes(*shared);
+  for (size_t k = 0; k < cases_.size(); ++k) {
+    const Case& a = cases_[k];
+    const Case& b = cases_[(k + 1) % cases_.size()];
+    const std::string label = a.label + " beside " + b.label;
+    Campaign ca(fixture_, a);
+    Campaign cb(fixture_, b);
+    ASSERT_TRUE(
+        ca.runtime.Begin(ca.strategy.get(), &ca.stream, shared).ok());
+    ASSERT_TRUE(
+        cb.runtime.Begin(cb.strategy.get(), &cb.stream, shared).ok());
+    bool a_live = true;
+    bool b_live = true;
+    while (a_live || b_live) {
+      if (a_live) a_live = ca.Step();
+      if (b_live) b_live = cb.Step();
+    }
+    ExpectReportsEqual(RunSolo(fixture_, a, nullptr), ca.runtime.Finish(),
+                       label);
+    ExpectReportsEqual(RunSolo(fixture_, b, nullptr), cb.runtime.Finish(),
+                       b.label + " beside " + a.label);
+  }
+  EXPECT_EQ(before, SharedBytes(*shared));
+  EXPECT_EQ(shared.use_count(), 1);  // Finish dropped every borrow
+}
+
+TEST_F(InitialStateTest, UnderTaggedThresholdIsRecountedPerCampaign) {
+  std::shared_ptr<const InitialState> shared = Shared();
+  for (int64_t threshold : {int64_t{0}, int64_t{5}, int64_t{6}, int64_t{10}}) {
+    Case c = cases_[1];  // FP
+    c.options.under_tagged_threshold = threshold;
+    const std::string label = "threshold " + std::to_string(threshold);
+    Campaign own(fixture_, c);
+    Campaign borrowing(fixture_, c);
+    ASSERT_TRUE(own.runtime.Begin(own.strategy.get(), &own.stream).ok());
+    ASSERT_TRUE(borrowing.runtime
+                    .Begin(borrowing.strategy.get(), &borrowing.stream,
+                           shared)
+                    .ok());
+    ExpectMetricsEqual(own.runtime.Metrics(), borrowing.runtime.Metrics(),
+                       label + " t=0");
+    // Both sides above share the evaluation code; count independently.
+    int64_t under_tagged = 0;
+    int64_t over_tagged = 0;
+    for (size_t i = 0; i < fixture_.initial.size(); ++i) {
+      const int64_t posts = static_cast<int64_t>(fixture_.initial[i].size());
+      if (posts <= threshold) ++under_tagged;
+      if (posts >= fixture_.references[i].stable_point) ++over_tagged;
+    }
+    EXPECT_EQ(borrowing.runtime.Metrics().under_tagged, under_tagged) << label;
+    EXPECT_EQ(borrowing.runtime.Metrics().over_tagged, over_tagged) << label;
+    const RunReport own_report = own.runtime.Finish();
+    const RunReport borrowed_report = borrowing.runtime.Finish();
+    ASSERT_FALSE(borrowed_report.checkpoints.empty());
+    EXPECT_EQ(borrowed_report.checkpoints.front().budget_used, 0);
+    ExpectReportsEqual(own_report, borrowed_report, label);
+  }
+}
+
+TEST_F(InitialStateTest, BeginRejectsAStateBuiltForOtherInputs) {
+  const Fixture other = MakeFixture(24, 7);
+  const std::vector<std::shared_ptr<const InitialState>> wrong = {
+      Shared(/*omega=*/3),
+      std::make_shared<const InitialState>(&other.initial,
+                                           &fixture_.references, 5),
+      std::make_shared<const InitialState>(&fixture_.initial,
+                                           &other.references, 5),
+  };
+  for (const auto& initial : wrong) {
+    Campaign begun(fixture_, cases_[0]);
+    EXPECT_EQ(begun.runtime
+                  .Begin(begun.strategy.get(), &begun.stream, initial)
+                  .code(),
+              util::StatusCode::kInvalidArgument);
+    Campaign restored(fixture_, cases_[0]);
+    EXPECT_EQ(restored.runtime
+                  .RestoreResumableState("", restored.strategy.get(),
+                                         &restored.stream, initial)
+                  .code(),
+              util::StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(InitialStateTest, RestoreBorrowsUntouchedResourcesAndRejectsADrift) {
+  // A plan that never gives resource 0 a post keeps it on the shared
+  // state; the snapshot still carries its bytes.
+  std::vector<int64_t> plan(fixture_.initial.size(), 1);
+  plan[0] = 0;
+  const Case c{"DP plan", MakeOptions(10, 4),
+               [plan] { return std::make_unique<PlanStrategy>(plan); }};
+  std::shared_ptr<const InitialState> shared = Shared();
+  Campaign live(fixture_, c);
+  ASSERT_TRUE(live.runtime.Begin(live.strategy.get(), &live.stream, shared)
+                  .ok());
+  ASSERT_TRUE(live.Step());
+  std::string blob;
+  ASSERT_TRUE(live.runtime.SerializeResumableState(&blob).ok());
+
+  Campaign restored(fixture_, c);
+  ASSERT_TRUE(restored.runtime
+                  .RestoreResumableState(blob, restored.strategy.get(),
+                                         &restored.stream, shared)
+                  .ok());
+  while (live.Step()) {
+  }
+  while (restored.Step()) {
+  }
+  ExpectReportsEqual(live.runtime.Finish(), restored.runtime.Finish(),
+                     "restored");
+
+  // Resource 0's state opens with its post count, right after the
+  // header, the allocation, the exhausted flags and the checkpoints.
+  const size_t n = fixture_.initial.size();
+  const size_t checkpoints_at = 4 + 8 + 8 + 8 + 1 + 8 + 8 * n + n;
+  const uint32_t num_checkpoints =
+      static_cast<uint8_t>(blob[checkpoints_at]);  // < 256 here
+  const size_t state0_at = checkpoints_at + 4 + 40 * num_checkpoints;
+  ASSERT_EQ(static_cast<uint8_t>(blob[state0_at]),
+            fixture_.initial[0].size());
+  std::string drifted = blob;
+  ++drifted[state0_at];  // one more post than January gave it
+  Campaign rejected(fixture_, c);
+  EXPECT_EQ(rejected.runtime
+                .RestoreResumableState(drifted, rejected.strategy.get(),
+                                       &rejected.stream, shared)
+                .code(),
+            util::StatusCode::kCorruption);
+}
+
+TEST_F(InitialStateTest, OmegaOutsideItsRangeIsRejected) {
+  for (int omega : {-1, 0, 1, kMaxOmega + 1}) {
+    Case c = cases_[0];
+    c.options.omega = omega;
+    Campaign begun(fixture_, c);
+    EXPECT_EQ(begun.runtime.Begin(begun.strategy.get(), &begun.stream)
+                  .code(),
+              util::StatusCode::kInvalidArgument)
+        << omega;
+    Campaign restored(fixture_, c);
+    EXPECT_EQ(restored.runtime
+                  .RestoreResumableState("", restored.strategy.get(),
+                                         &restored.stream)
+                  .code(),
+              util::StatusCode::kInvalidArgument)
+        << omega;
+  }
+  for (int omega : {2, kMaxOmega}) {
+    Case c = cases_[0];
+    c.options.omega = omega;
+    EXPECT_EQ(RunSolo(fixture_, c, nullptr).budget_spent, c.options.budget)
+        << omega;
+  }
+}
+
+TEST_F(InitialStateTest, SpentRuntimeFailsLoudly) {
+  Campaign campaign(fixture_, cases_[0]);
+  ASSERT_TRUE(
+      campaign.runtime.Begin(campaign.strategy.get(), &campaign.stream).ok());
+  ASSERT_TRUE(campaign.Step());
+  campaign.runtime.Finish();
+
+  std::string blob;
+  EXPECT_EQ(campaign.runtime.SerializeResumableState(&blob).code(),
+            util::StatusCode::kFailedPrecondition);
+  CampaignRuntime& spent = campaign.runtime;
+  std::vector<ResourceId> batch;
+  EXPECT_DEATH(spent.Metrics(), "CHECK failed");
+  EXPECT_DEATH(spent.ApplyCompletion(0), "CHECK failed");
+  EXPECT_DEATH((void)spent.DrawBatch(&batch), "CHECK failed");
+  EXPECT_DEATH(spent.Finish(), "CHECK failed");
+}
+
+}  // namespace
+}  // namespace core
+}  // namespace incentag

@@ -1,3 +1,4 @@
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -22,16 +23,17 @@ class StrategyHarness {
  public:
   explicit StrategyHarness(int omega) : omega_(omega) {
     ctx_.omega = omega;
-    ctx_.states = &states_;
+    ctx_.states = &table_;
   }
 
   // Adds a resource that has already received `posts` copies of a
   // one-tag post {tag}.
   void AddResource(int64_t posts, TagId tag) {
-    states_.emplace_back(omega_);
+    ResourceState& state = states_.emplace_back(omega_);
     for (int64_t i = 0; i < posts; ++i) {
-      states_.back().AddPost(Post::FromTags({tag}));
+      state.AddPost(Post::FromTags({tag}));
     }
+    table_.push_back(&state);
   }
 
   // One engine step with batch size 1: Choose, assign, apply a post,
@@ -50,7 +52,8 @@ class StrategyHarness {
 
  private:
   int omega_;
-  std::vector<ResourceState> states_;
+  std::deque<ResourceState> states_;  // stable addresses for table_
+  std::vector<const ResourceState*> table_;
   StrategyContext ctx_;
 };
 

@@ -151,6 +151,15 @@ TEST_F(CampaignManagerTest, RejectsInvalidConfigs) {
   result = manager.Submit(std::move(ok));
   EXPECT_FALSE(result.ok());
 
+  // MaTracker needs omega >= 2, and core::kMaxOmega caps its ring.
+  for (int omega : {0, 1, core::kMaxOmega + 1}) {
+    auto bad = MakeConfig(0, 50, 1);
+    bad.options.omega = omega;
+    result = manager.Submit(std::move(bad));
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument)
+        << omega;
+  }
+
   EXPECT_FALSE(manager.Wait(999).ok());
   EXPECT_FALSE(manager.Status(999).ok());
   EXPECT_FALSE(manager.Cancel(999).ok());

@@ -42,6 +42,13 @@ TEST(SubmitDecode, FullAndDefaults) {
   EXPECT_EQ(req.value().priority, 1);
 }
 
+TEST(SubmitDecode, OmegaUpToTheCap) {
+  auto req = DecodeSubmitCampaignRequest(MustParse(
+      R"({"name":"n","strategy":"rr","budget":1,"omega":1024})"));
+  ASSERT_TRUE(req.ok()) << req.status().ToString();
+  EXPECT_EQ(req.value().omega, core::kMaxOmega);
+}
+
 TEST(SubmitDecode, Rejections) {
   const char* bad[] = {
       R"([1,2,3])",                                       // not an object
@@ -54,6 +61,8 @@ TEST(SubmitDecode, Rejections) {
       R"({"name":"n","strategy":"rr","budget":1.5})",     // fractional
       R"({"name":"n","strategy":"rr","budget":1,"omega":0})",
       R"({"name":"n","strategy":"rr","budget":1,"omega":1})",  // Def. 7
+      R"({"name":"n","strategy":"rr","budget":1,"omega":1025})",  // cap
+      R"({"name":"n","strategy":"rr","budget":1,"omega":1000000})",
       R"({"name":"n","strategy":"rr","budget":1,"batch_size":-1})",
       R"({"name":"n","strategy":"rr","budget":1,"priority":0})",
       R"({"name":"n","strategy":"rr","budget":1,"deadline_seconds":-1})",

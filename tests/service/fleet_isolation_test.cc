@@ -1,8 +1,13 @@
-// Fleet isolation over one shared post store: every campaign's stream
+// Fleet isolation over one dataset's shared state: every campaign's stream
 // comes from one dataset's MakeStream(), so the whole fleet reads a single
 // copy of the future posts at once, each campaign through its own
-// cursors. Every report must be byte-identical to a CampaignRuntime run
-// over the campaign's own owning copy of the posts, both on the threaded
+// cursors. The manager also hands every campaign the dataset's January
+// state for its omega (initial_state.h), which the campaign copies a
+// resource at a time on first write; the fleet mixes two omegas, so the
+// manager holds two January states for one dataset, and two under-tagged
+// thresholds, which each campaign recounts. Every report must be
+// byte-identical to a CampaignRuntime run over the campaign's own owning
+// copy of the posts and its own January build, both on the threaded
 // manager and after a journaled kill + Recover. The sanitizer builds run
 // this test too, which puts the shared reads under TSan and ASan.
 #include <bit>
@@ -34,12 +39,16 @@ using std::chrono::milliseconds;
 
 constexpr std::string_view kStrategies[] = {"RR", "FP", "MU", "FP-MU"};
 constexpr int64_t kBudgets[] = {150, 600};
-// Every strategy x budget pair twice, so identical campaigns also walk
-// the same posts side by side.
+// Every strategy x budget pair once per omega; the under-tagged threshold
+// alternates across neighbours, so each omega's campaigns use both. RR
+// and FP ignore omega, so campaigns i and i + 8 of theirs still walk the
+// same posts side by side.
 constexpr int kCampaigns = 16;
 
 std::string_view StrategyOf(int index) { return kStrategies[index % 4]; }
 int64_t BudgetOf(int index) { return kBudgets[(index / 4) % 2]; }
+int OmegaOf(int index) { return index < 8 ? 3 : 5; }
+int64_t UnderTaggedThresholdOf(int index) { return index % 2 == 0 ? 10 : 4; }
 
 // Completes only the tasks whose seq is below a per-campaign cutoff and
 // drops the rest, so each campaign wedges at its own point mid-run.
@@ -87,12 +96,14 @@ class FleetIsolationTest : public ::testing::Test {
 
   void TearDown() override { fs::remove_all(dir_); }
 
-  static core::EngineOptions MakeOptions(int64_t budget) {
+  static core::EngineOptions MakeOptions(int index) {
+    const int64_t budget = BudgetOf(index);
     core::EngineOptions options;
     options.budget = budget;
-    options.omega = 5;
+    options.omega = OmegaOf(index);
+    options.under_tagged_threshold = UnderTaggedThresholdOf(index);
     options.batch_size = 16;
-    options.checkpoints = {budget / 4, budget / 2, budget};
+    options.checkpoints = {0, budget / 4, budget / 2, budget};
     return options;
   }
 
@@ -119,8 +130,7 @@ class FleetIsolationTest : public ::testing::Test {
 
   static CampaignConfig MakeConfig(int index) {
     auto config = BuildConfig("fleet-" + std::to_string(index),
-                              StrategyOf(index),
-                              MakeOptions(BudgetOf(index)));
+                              StrategyOf(index), MakeOptions(index));
     EXPECT_TRUE(config.ok()) << config.status().ToString();
     return std::move(config).value();
   }
@@ -130,13 +140,14 @@ class FleetIsolationTest : public ::testing::Test {
     return BuildConfig(record.name, record.strategy_name, record.options);
   }
 
-  // The reference: one CampaignRuntime over its own copy of the posts.
+  // The reference: one CampaignRuntime over its own copy of the posts,
+  // building its own January state.
   static core::RunReport RunReference(int index) {
     std::shared_ptr<void> context;
     auto strategy = sim::MakeStrategyByName(
         StrategyOf(index), dataset_->popularity, 0, &context);
     core::VectorPostStream stream(dataset_->future_posts);
-    core::CampaignRuntime runtime(MakeOptions(BudgetOf(index)),
+    core::CampaignRuntime runtime(MakeOptions(index),
                                   &dataset_->initial_posts,
                                   &dataset_->references);
     EXPECT_TRUE(runtime.Begin(strategy.get(), &stream).ok());

@@ -318,6 +318,16 @@ TEST_F(RecoveryTest, RecoveredIdsAreStableAndNewSubmitsDoNotCollide) {
       });
   EXPECT_FALSE(failing.ok());
   EXPECT_EQ(manager.num_campaigns(), 0u);
+  // ...as does a config that fails validation (MaTracker needs omega >= 2).
+  auto bad_omega = manager.Recover(
+      dir_.string(),
+      [](const persist::SubmitRecord& submit) -> util::Result<CampaignConfig> {
+        auto config = Factory(submit);
+        if (config.ok()) config.value().options.omega = 1;
+        return config;
+      });
+  EXPECT_EQ(bad_omega.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager.num_campaigns(), 0u);
   // ...so retrying with a working factory recovers cleanly.
   auto ids = manager.Recover(dir_.string(), Factory);
   ASSERT_TRUE(ids.ok()) << ids.status().ToString();
