@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+
 #include "src/core/stability.h"
 #include "src/sim/generator.h"
 
@@ -177,6 +182,96 @@ TEST_F(DatasetPrepTest, ExtendFutureRejectsBadMultiplier) {
   ASSERT_TRUE(prep.ok());
   PreparedDataset ds = std::move(prep).value();
   EXPECT_FALSE(ExtendFuture(*corpus_, 0.5, &ds).ok());
+}
+
+// 64-bit FNV-1a over every field of a prepared dataset, in a fixed order.
+class DatasetDigest {
+ public:
+  explicit DatasetDigest(const PreparedDataset& ds) {
+    Add(ds.size());
+    for (size_t i = 0; i < ds.size(); ++i) {
+      Add(ds.initial_posts[i].size());  // the January cut
+      for (const core::Post& post : ds.initial_posts[i]) AddPost(post);
+      Add(ds.future_posts[i].size());
+      for (const core::Post& post : ds.future_posts[i]) AddPost(post);
+      Add(ds.references[i].stable_point);
+      Add(ds.references[i].stable_rfd.size());
+      for (const auto& [tag, weight] : ds.references[i].stable_rfd.entries()) {
+        Add(tag);
+        AddDouble(weight);
+      }
+      Add(ds.year_length[i]);
+      AddDouble(ds.popularity[i]);
+      Add(ds.urls[i].size());
+      for (char c : ds.urls[i]) Add(c);
+      Add(ds.source_ids[i]);
+    }
+    Add(ds.scanned);
+    Add(ds.dropped_unstable);
+  }
+
+  std::string Hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(hash_));
+    return buf;
+  }
+
+ private:
+  template <typename T>
+  void Add(T value) {
+    const uint64_t widened = static_cast<uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (widened >> (8 * byte)) & 0xff;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void AddDouble(double value) {
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    Add(bits);
+  }
+  void AddPost(const core::Post& post) {
+    Add(post.tags.size());
+    for (core::TagId tag : post.tags) Add(tag);
+  }
+
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+std::string PreparedDigest(const CorpusConfig& corpus_config,
+                           const PrepConfig& prep_config) {
+  auto corpus = Corpus::Generate(corpus_config);
+  EXPECT_TRUE(corpus.ok()) << corpus.status().ToString();
+  if (!corpus.ok()) return "";
+  auto prep = PrepareFromCorpus(corpus.value(), prep_config);
+  EXPECT_TRUE(prep.ok()) << prep.status().ToString();
+  if (!prep.ok()) return "";
+  return DatasetDigest(prep.value()).Hex();
+}
+
+// Pins the prepared datasets bit for bit, so a rewrite of the preparation
+// loop must reproduce every post, cut, stable point and stable rfd.
+TEST(DatasetPrepGoldenTest, PreparedDatasetIsPinned) {
+  // The shape of the end-to-end benchmark's fleet dataset.
+  CorpusConfig e2e;
+  e2e.num_resources = 2000;
+  e2e.seed = 11;
+  e2e.year_jitter_sigma = 0.0;
+  PrepConfig e2e_prep;
+  e2e_prep.seed = 11;
+  EXPECT_EQ(PreparedDigest(e2e, e2e_prep), "5cdf3e9af35e49f3");
+
+  // A jittered corpus with default preparation.
+  CorpusConfig jittered;
+  jittered.num_resources = 500;
+  jittered.seed = 1;
+  EXPECT_EQ(PreparedDigest(jittered, PrepConfig{}), "b9f961ded86aee4d");
+
+  // Stops keeping resources part-way through the corpus.
+  PrepConfig capped;
+  capped.max_keep = 37;
+  EXPECT_EQ(PreparedDigest(jittered, capped), "611c0d24bf5191af");
 }
 
 TEST(DatasetPrepSequencesTest, WorksOnMaterialisedSequences) {
