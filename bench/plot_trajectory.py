@@ -22,6 +22,14 @@ works on a bare pile of downloaded artifacts.
 The metrics tracked are exactly the gated ones (check_regression.GATES)
 plus their derived inputs, so the trajectory shows the same numbers the
 perf gate enforces.
+
+With --ledger it reads the repo's benchmark ledger instead: every
+BENCH_<pr>.json (raw `bench/e2e/compare.py --save` runs) in the given
+directory, ordered by PR number. It prints one row per PR, workload and
+end-to-end metric of the repo's BENCHMARK.json, with the parent's and the
+change's median and their ratio:
+
+  bench/plot_trajectory.py --ledger .
 """
 
 import argparse
@@ -30,6 +38,7 @@ import json
 import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 
@@ -37,6 +46,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from check_regression import GATES, derive_metrics  # noqa: E402
 
 ARTIFACT_RE = re.compile(r"bench-perf-json-([0-9a-f]{7,40})$")
+LEDGER_RE = re.compile(r"^BENCH_(\d+)\.json$")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 
@@ -119,17 +130,64 @@ def sparkline(values):
     return "".join(out)
 
 
+def ledger_rows(directory):
+    """Yields (pr, workload, metric, parent median, change median) for every
+    BENCH_<pr>.json in `directory` and every end-to-end metric that the
+    file's runs of a workload recorded on both sides."""
+    with open(os.path.join(REPO_ROOT, "BENCHMARK.json")) as f:
+        benchmark = json.load(f)
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    ledger = sorted((int(m.group(1)), name)
+                    for name in os.listdir(directory)
+                    for m in [LEDGER_RE.match(name)] if m)
+    for pr, name in ledger:
+        with open(os.path.join(directory, name)) as f:
+            runs = json.load(f)["runs"]
+        for workload in workloads:
+            for metric in metrics:
+                values = {"parent": [], "change": []}
+                for run in runs:
+                    if (run["workload"] == workload and
+                            metric in run["metrics"]):
+                        values[run["side"]].append(run["metrics"][metric])
+                if values["parent"] and values["change"]:
+                    yield (pr, workload, metric,
+                           statistics.median(values["parent"]),
+                           statistics.median(values["change"]))
+
+
+def print_ledger(directory, only_metric=None):
+    rows = [r for r in ledger_rows(directory)
+            if only_metric in (None, r[2])]
+    if not rows:
+        print(f"no BENCH_<pr>.json under {directory}", file=sys.stderr)
+        return 1
+    print(f"{'pr':>4} {'workload':<14} {'metric':<14} {'parent':>12} "
+          f"{'change':>12} {'ratio':>7}")
+    for pr, workload, metric, parent, change in rows:
+        ratio = f"{change / parent:7.3f}" if parent else f"{'-':>7}"
+        print(f"{pr:>4} {workload:<14} {metric:<14} {parent:>12.4g} "
+              f"{change:>12.4g} {ratio}")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("directory",
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("directory", nargs="?",
                         help="directory of downloaded per-sha artifacts")
+    source.add_argument("--ledger", metavar="DIR",
+                        help="read the BENCH_<pr>.json ledger in DIR")
     parser.add_argument("--csv", metavar="FILE",
                         help="also write the full series as CSV")
     parser.add_argument("--metric",
                         help="only this metric (dotted path)")
     args = parser.parse_args()
+    if args.ledger:
+        sys.exit(print_ledger(args.ledger, args.metric))
 
     samples = list(find_samples(args.directory))
     if not samples:

@@ -3,13 +3,14 @@
 // phi_hat_i(omega, tau) = F_i(k*) where k* is the smallest k >= omega with
 // m_i(k, omega) > tau. StabilityDetector consumes a post sequence
 // incrementally and reports k* and the snapshot F_i(k*) the moment the
-// condition first holds, which lets the dataset-preparation pipeline stop
-// reading a stream as soon as a resource proves stable.
+// condition first holds, so a caller can stop feeding it as soon as a
+// resource proves stable.
 #ifndef INCENTAG_CORE_STABILITY_H_
 #define INCENTAG_CORE_STABILITY_H_
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/core/ma_tracker.h"
@@ -53,8 +54,10 @@ class StabilityDetector {
   // IsStable().
   int64_t stable_point() const { return *stable_point_; }
 
-  // phi_hat = F(k*). Requires IsStable().
-  const RfdVector& stable_rfd() const { return stable_rfd_; }
+  // phi_hat = F(k*). Requires IsStable(). A detector that is done
+  // scanning hands its snapshot over by move: std::move(d).stable_rfd().
+  const RfdVector& stable_rfd() const& { return stable_rfd_; }
+  RfdVector stable_rfd() && { return std::move(stable_rfd_); }
 
   // Number of posts consumed so far.
   int64_t posts() const { return counts_.posts(); }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
+#include <utility>
 
 #include "src/util/random.h"
 
@@ -21,12 +23,6 @@ int64_t JanuaryCut(int64_t year_length, const PrepConfig& config,
   return std::clamp<int64_t>(cut, 1, year_length - 1);
 }
 
-struct ScanOutcome {
-  bool stable = false;
-  int64_t stable_point = 0;
-  core::RfdVector stable_rfd;
-};
-
 }  // namespace
 
 util::Result<PreparedDataset> PrepareFromCorpus(const Corpus& corpus,
@@ -41,10 +37,13 @@ util::Result<PreparedDataset> PrepareFromCorpus(const Corpus& corpus,
   for (core::ResourceId i = 0; i < corpus.num_resources(); ++i) {
     ++out.scanned;
     const ResourceInfo& info = corpus.resource(i);
-    // Scan for stability, materialising posts lazily.
+    // Sample the year once; the stability scan reads it as it grows.
+    core::PostSequence year;
+    year.reserve(static_cast<size_t>(info.year_length));
     core::StabilityDetector detector(config.stability);
-    for (int64_t k = 0; k < info.year_length && !detector.IsStable(); ++k) {
-      detector.AddPost(corpus.SamplePost(i, k));
+    for (int64_t k = 0; k < info.year_length; ++k) {
+      year.push_back(corpus.SamplePost(i, k));
+      if (!detector.IsStable()) detector.AddPost(year.back());
     }
     if (!detector.IsStable()) {
       ++out.dropped_unstable;
@@ -54,11 +53,14 @@ util::Result<PreparedDataset> PrepareFromCorpus(const Corpus& corpus,
         info.january_hint > 0
             ? std::clamp<int64_t>(info.january_hint, 1, info.year_length - 1)
             : JanuaryCut(info.year_length, config, &rng);
-    core::PostSequence year = corpus.MaterializeSequence(i, info.year_length);
-    out.initial_posts.emplace_back(year.begin(), year.begin() + cut);
-    out.future_posts.emplace_back(year.begin() + cut, year.end());
+    const auto january_end = year.begin() + cut;
+    out.initial_posts.emplace_back(std::make_move_iterator(year.begin()),
+                                   std::make_move_iterator(january_end));
+    out.future_posts.emplace_back(std::make_move_iterator(january_end),
+                                  std::make_move_iterator(year.end()));
+    const int64_t stable_point = detector.stable_point();
     out.references.push_back(core::ResourceReference{
-        detector.stable_rfd(), detector.stable_point()});
+        std::move(detector).stable_rfd(), stable_point});
     out.year_length.push_back(info.year_length);
     out.popularity.push_back(info.popularity);
     out.urls.push_back(info.url);

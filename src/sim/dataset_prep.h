@@ -77,8 +77,10 @@ struct PreparedDataset {
   }
 };
 
-// Prepares a dataset from a generated corpus (materialises each resource's
-// year sequence lazily, stopping at the stable point or year end).
+// Prepares a dataset from a generated corpus. Each resource's year is
+// sampled once in full; the stability scan reads those posts up to the
+// stable point, and a kept year is then moved, not copied, into its
+// January prefix and future.
 util::Result<PreparedDataset> PrepareFromCorpus(const Corpus& corpus,
                                                 const PrepConfig& config);
 

@@ -53,6 +53,42 @@ util::Result<Corpus> Corpus::Generate(const CorpusConfig& config) {
       config.early_bias_strength < 0.0 || config.early_bias_strength > 1.0) {
     return util::Status::InvalidArgument("bad probability parameter");
   }
+  // MixDistributions skips a part whose share is not positive, so no mix
+  // may leave an aspect such a share, and a resource made of own tags alone
+  // could have none to sample.
+  if (config.resource_own_tags < 0) {
+    return util::Status::InvalidArgument("resource_own_tags must be >= 0");
+  }
+  if (config.resource_own_weight < 0.0 || config.resource_own_weight >= 1.0) {
+    return util::Status::InvalidArgument(
+        "resource_own_weight must be in [0, 1)");
+  }
+  if (config.secondary_aspect_weight < 0.0 ||
+      config.secondary_aspect_weight >= 1.0 ||
+      config.resource_own_weight + config.secondary_aspect_weight >= 1.0) {
+    return util::Status::InvalidArgument(
+        "secondary_aspect_weight must be in [0, 1) and leave the primary "
+        "aspect a positive share");
+  }
+  if (config.early_bias_fraction < 0.0 || config.early_bias_fraction > 1.0) {
+    return util::Status::InvalidArgument(
+        "early_bias_fraction must be in [0, 1]");
+  }
+  // The early mix gives the secondary aspect 0.95 - resource_own_weight.
+  if ((config.two_aspect_prob > 0.0 || config.add_showcases) &&
+      config.resource_own_weight >= 0.95) {
+    return util::Status::InvalidArgument(
+        "resource_own_weight must be < 0.95 when resources have two aspects");
+  }
+  if (config.add_showcases) {
+    for (const ShowcaseSpec& spec : kShowcases) {
+      if (config.resource_own_weight + spec.secondary_weight >= 1.0) {
+        return util::Status::InvalidArgument(
+            "resource_own_weight leaves a showcase page's primary aspect no "
+            "share");
+      }
+    }
+  }
 
   Corpus corpus;
   corpus.config_ = config;

@@ -42,6 +42,57 @@ TEST(CorpusTest, RejectsBadConfigs) {
   config = SmallConfig();
   config.two_aspect_prob = 1.5;
   EXPECT_FALSE(Corpus::Generate(config).ok());
+
+  // Mixing weights that would empty or drop a distribution.
+  EXPECT_TRUE(Corpus::Generate(CorpusConfig{}).ok());
+  EXPECT_TRUE(Corpus::Generate(SmallConfig()).ok());
+  const auto rejected = [](const CorpusConfig& bad) {
+    auto corpus = Corpus::Generate(bad);
+    return !corpus.ok() &&
+           corpus.status().code() == util::StatusCode::kInvalidArgument;
+  };
+  config = SmallConfig();
+  config.resource_own_tags = -1;
+  EXPECT_TRUE(rejected(config));
+  // Only own tags, and none of them: every post would be empty.
+  config = SmallConfig();
+  config.resource_own_tags = 0;
+  config.resource_own_weight = 1.0;
+  EXPECT_TRUE(rejected(config));
+  config.resource_own_weight = -0.1;
+  EXPECT_TRUE(rejected(config));
+  // The early mix's secondary share, 0.95 - own, would vanish.
+  config = SmallConfig();
+  config.resource_own_weight = 0.95;
+  EXPECT_TRUE(rejected(config));
+  // With no two-aspect resource at all, only [0, 1) applies.
+  config.two_aspect_prob = 0.0;
+  config.add_showcases = false;
+  config.secondary_aspect_weight = 0.0;
+  EXPECT_FALSE(rejected(config));
+  // A showcase page's secondary share would swallow the primary aspect.
+  config = SmallConfig();
+  config.two_aspect_prob = 0.0;
+  config.secondary_aspect_weight = 0.0;
+  config.resource_own_weight = 0.9;
+  EXPECT_TRUE(rejected(config));
+  // 1 - 0.15 - 0.9 < 0 would drop the primary aspect.
+  config = SmallConfig();
+  config.secondary_aspect_weight = 0.9;
+  EXPECT_TRUE(rejected(config));
+  config.secondary_aspect_weight = 0.85;  // primary share exactly 0
+  EXPECT_TRUE(rejected(config));
+  config.secondary_aspect_weight = -0.1;
+  EXPECT_TRUE(rejected(config));
+  config.secondary_aspect_weight = 1.0;
+  EXPECT_TRUE(rejected(config));
+  config = SmallConfig();
+  config.early_bias_fraction = -0.1;
+  EXPECT_TRUE(rejected(config));
+  config.early_bias_fraction = 1.1;
+  EXPECT_TRUE(rejected(config));
+  config.early_bias_fraction = 1.0;
+  EXPECT_FALSE(rejected(config));
 }
 
 TEST(CorpusTest, PostsAreDeterministicInSeedResourceIndex) {
