@@ -393,6 +393,161 @@ TEST_F(RuntimeSnapshotTest, MidRunStateMatchesGolden) {
   EXPECT_EQ(MidRunStateFingerprint(fixture_, &fpmu), "5534:399d532bc73fd21f");
 }
 
+
+// --- Golden reports ---------------------------------------------------------
+//
+// A digest over whole RunReports plus a SerializeResumableState blob every
+// 97 applied tasks, for every strategy over both omegas, both batch sizes
+// and a budget that outlasts the streams. The digests were recorded before
+// the runtime stopped copying per-resource state; any change to how a
+// campaign evaluates, allocates or serializes must leave them unchanged.
+
+// A dataset with the edge cases a campaign meets: resources with no
+// initial post, resources with no future post, resources with no stable
+// point and resources already past it.
+Fixture MakeGoldenFixture() {
+  util::Rng rng(20261017);
+  Fixture f;
+  for (size_t i = 0; i < 40; ++i) {
+    PostSequence year = incentag::testing::ConvergingSequence(
+        &rng, 12 + static_cast<int>(i % 11) * 6, /*universe=*/24);
+    const size_t cut = i % 13 == 5 ? year.size() : i % 9;
+    f.initial.emplace_back(year.begin(), year.begin() + cut);
+    f.future.emplace_back(year.begin() + cut, year.end());
+    TagCounts full;
+    for (const Post& post : year) full.AddPost(post);
+    const int64_t stable_point =
+        i % 7 == 3 ? 0 : 3 + static_cast<int64_t>(i % 17);
+    f.references.push_back(ResourceReference{full.Snapshot(), stable_point});
+  }
+  return f;
+}
+
+class ReportDigest {
+ public:
+  void Bytes(const std::string& bytes) {
+    for (unsigned char c : bytes) {
+      hash_ ^= c;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void I64(int64_t x) {
+    std::string bytes;
+    util::wire::PutI64(&bytes, x);
+    Bytes(bytes);
+  }
+  void Double(double x) {
+    std::string bytes;
+    util::wire::PutDouble(&bytes, x);
+    Bytes(bytes);
+  }
+  void Metrics(const AllocationMetrics& m) {
+    I64(m.budget_used);
+    Double(m.avg_quality);
+    I64(m.over_tagged);
+    I64(m.wasted_posts);
+    I64(m.under_tagged);
+  }
+  void Report(const RunReport& report) {
+    Bytes(report.strategy_name);
+    I64(static_cast<int64_t>(report.allocation.size()));
+    for (int64_t x : report.allocation) I64(x);
+    I64(static_cast<int64_t>(report.checkpoints.size()));
+    for (const AllocationMetrics& m : report.checkpoints) Metrics(m);
+    Metrics(report.final_metrics);
+    I64(report.budget_spent);
+    I64(report.stopped_early ? 1 : 0);
+  }
+  std::string Hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(hash_));
+    return buf;
+  }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+// Runs `make_strategy` over omega {2, 5} x batch {1, 64} x budget {150,
+// 3000} and digests every report and the periodic snapshots.
+std::string GoldenDigest(
+    const Fixture& f, const CostModel* costs,
+    const std::function<std::unique_ptr<Strategy>()>& make_strategy) {
+  ReportDigest digest;
+  for (int omega : {2, 5}) {
+    for (int64_t batch_size : {int64_t{1}, int64_t{64}}) {
+      for (int64_t budget : {int64_t{150}, int64_t{3000}}) {
+        EngineOptions options = MakeOptions(budget, batch_size, costs);
+        options.omega = omega;
+        options.under_tagged_threshold = 6;
+        auto strategy = make_strategy();
+        VectorPostStream stream(f.future);
+        CampaignRuntime rt(options, &f.initial, &f.references);
+        EXPECT_TRUE(rt.Begin(strategy.get(), &stream).ok());
+        std::string state;
+        EXPECT_TRUE(rt.SerializeResumableState(&state).ok());
+        digest.Bytes(state);
+        std::vector<ResourceId> batch;
+        int64_t steps = 0;
+        while (!rt.done()) {
+          EXPECT_TRUE(rt.DrawBatch(&batch).ok());
+          if (batch.empty()) break;
+          for (ResourceId r : batch) {
+            rt.ApplyCompletion(r);
+            if (++steps % 97 == 0) {
+              state.clear();
+              EXPECT_TRUE(rt.SerializeResumableState(&state).ok());
+              digest.Bytes(state);
+            }
+          }
+        }
+        digest.Report(rt.Finish());
+      }
+    }
+  }
+  return digest.Hex();
+}
+
+TEST(RuntimeGoldenTest, ReportsArePinned) {
+  const Fixture f = MakeGoldenFixture();
+  const size_t n = f.initial.size();
+  EXPECT_EQ(GoldenDigest(f, nullptr,
+                         [] { return std::make_unique<RoundRobinStrategy>(); }),
+            "c89949781cd3014b");
+  EXPECT_EQ(GoldenDigest(
+                f, nullptr,
+                [] { return std::make_unique<FewestPostsStrategy>(); }),
+            "f352ad40931e846f");
+  EXPECT_EQ(GoldenDigest(
+                f, nullptr,
+                [] { return std::make_unique<MostUnstableStrategy>(); }),
+            "7dbf60f3144f9a81");
+  EXPECT_EQ(GoldenDigest(f, nullptr,
+                         [] { return std::make_unique<HybridFpMuStrategy>(); }),
+            "f1354f7f5bd9eb50");
+  EXPECT_EQ(GoldenDigest(f, nullptr,
+                         [n] {
+                           auto rng = std::make_shared<util::Rng>(977);
+                           return std::make_unique<FreeChoiceStrategy>(
+                               [rng, n] {
+                                 return static_cast<ResourceId>(
+                                     rng->NextBounded(n));
+                               });
+                         }),
+            "89c71f224dc36a28");
+  std::vector<int64_t> costs;
+  for (size_t i = 0; i < n; ++i) {
+    costs.push_back(1 + static_cast<int64_t>(i % 4));
+  }
+  const CostModel model(std::move(costs));
+  EXPECT_EQ(GoldenDigest(f, &model,
+                         [&model] {
+                           return std::make_unique<CostAwareFpStrategy>(&model);
+                         }),
+            "1aa4d7d39502165d");
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace incentag
