@@ -48,10 +48,12 @@ int64_t BudgetToFullStability(const BenchDataset& bench_ds,
 
   sim::CorpusPostStream stream(bench_ds.corpus.get(), ds.source_ids,
                                initial_offsets);
-  std::vector<const core::ResourceState*> table;
-  for (const core::ResourceState& state : states) table.push_back(&state);
+  std::vector<core::ResourceView> views;
+  for (const core::ResourceState& state : states) {
+    views.push_back(core::ResourceView::Of(state));
+  }
   core::StrategyContext ctx;
-  ctx.states = &table;
+  ctx.states = &views;
   ctx.omega = omega;
   strategy->Init(ctx);
 
@@ -62,6 +64,7 @@ int64_t BudgetToFullStability(const BenchDataset& bench_ds,
     strategy->OnAssigned(chosen);
     const core::Post& post = stream.Next(chosen);
     states[chosen].AddPost(post);
+    views[chosen] = core::ResourceView::Of(states[chosen]);
     strategy->Update(chosen);
     ++spent;
     if (states[chosen].posts() == ds.references[chosen].stable_point) {

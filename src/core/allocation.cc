@@ -34,7 +34,7 @@ AllocationEngine::AllocationEngine(
 // taggers of paper Algorithm 1 who finish instantly. The concurrent
 // driver of the same protocol lives in src/service/campaign_manager.h.
 util::Result<RunReport> AllocationEngine::Run(Strategy* strategy,
-                                              PostStream* future) {
+                                              VectorPostStream* future) {
   CampaignRuntime runtime(options_, initial_posts_, references_);
   util::Status status = runtime.Begin(strategy, future);
   if (!status.ok()) return status;

@@ -1,8 +1,9 @@
 // AllocationEngine: the budget loop of paper Algorithm 1 plus the
 // evaluation bookkeeping used throughout Section V.
 //
-// The engine owns the observable per-resource states (fed with the initial
-// posts, then with each completed post task) and, privately, the evaluation
+// The engine tracks the observable per-resource states (each resource's
+// row of the dataset's trajectory table after its initial posts and the
+// tasks completed so far, initial_state.h) and, privately, the evaluation
 // state derived from the dataset-preparation references:
 //
 //   * set tagging quality  q(R, c + x)            — Figure 6(a)/(e)/(f)
@@ -40,9 +41,10 @@ struct ResourceReference {
   int64_t stable_point = 0;
 };
 
-// Largest accepted MA window. Every resource holds omega - 1 doubles per
-// campaign, so the cap keeps one request from asking for gigabytes; the
-// paper's Fig. 6(f) sweeps omega over 2-16.
+// Largest accepted MA window. Every resource's January state holds
+// omega - 1 doubles per trajectory table, so the cap keeps one request
+// from asking for gigabytes; the paper's Fig. 6(f) sweeps omega over
+// 2-16.
 inline constexpr int kMaxOmega = 1024;
 
 // The one omega check (Definition 7 needs omega >= 2): InvalidArgument
@@ -129,7 +131,7 @@ class AllocationEngine {
 
   // Runs Algorithm 1 with `strategy` drawing posts from `future`.
   // The stream's cursors are consumed; pass a fresh or Reset() stream.
-  util::Result<RunReport> Run(Strategy* strategy, PostStream* future);
+  util::Result<RunReport> Run(Strategy* strategy, VectorPostStream* future);
 
  private:
   EngineOptions options_;

@@ -14,37 +14,34 @@ namespace core {
 namespace internal {
 
 // Incremental evaluation state for the whole resource set (the Section V
-// metrics of allocation.h, maintained in O(1) per applied task).
+// metrics of allocation.h, maintained in O(1) per applied task). The
+// per-resource qualities are the trajectory table's; only the four
+// scalars are the campaign's own.
 class Evaluation {
  public:
-  // The time-zero evaluation: a copy of the January accumulators, with
-  // the under-tagged count recounted for this campaign's threshold.
+  // The time-zero evaluation: the table's accumulators, with the
+  // under-tagged count recounted for this campaign's threshold.
   Evaluation(const InitialState& initial, int64_t under_threshold)
-      : references_(initial.references()),
+      : initial_(initial),
         under_threshold_(under_threshold),
-        trackers_(initial.trackers()),
-        qualities_(initial.qualities()),
         quality_sum_(initial.quality_sum()),
         over_tagged_(initial.over_tagged()),
         under_tagged_(initial.CountUnderTagged(under_threshold)) {}
 
-  // Accounts for one completed post task on resource i. `post` must
-  // already be applied to states[i].
-  void OnPostTask(size_t i, const Post& post, int64_t posts_after,
-                  double norm_sq_after) {
+  // Accounts for one completed post task on resource i, its j-th (j >= 1).
+  void OnPostTask(size_t i, int64_t j) {
+    const ResourceReference& reference = initial_.references()[i];
+    const int64_t posts_after = initial_.initial_posts(i) + j;
     const int64_t posts_before = posts_after - 1;
-    if (IsOverTagged(references_[i], posts_before)) {
+    if (IsOverTagged(reference, posts_before)) {
       ++wasted_posts_;
-    } else if (IsOverTagged(references_[i], posts_after)) {
+    } else if (IsOverTagged(reference, posts_after)) {
       ++over_tagged_;  // crossed the stable point with this task
     }
     if (posts_before <= under_threshold_ && posts_after > under_threshold_) {
       --under_tagged_;
     }
-    trackers_[i].AddPost(post, norm_sq_after);
-    const double q = trackers_[i].Quality();
-    quality_sum_ += q - qualities_[i];
-    qualities_[i] = q;
+    quality_sum_ += initial_.row(i, j).quality - initial_.row(i, j - 1).quality;
   }
 
   AllocationMetrics Snapshot(int64_t budget_used, size_t n) const {
@@ -58,36 +55,42 @@ class Evaluation {
   }
 
   // Resumable-state round trip (campaign snapshots, journal format v2).
-  // quality_sum_ is an order-dependent float accumulation, so it is
-  // serialized bit-exactly rather than recomputed from the trackers.
-  void Serialize(std::string* out) const {
-    util::wire::PutU64(out, static_cast<uint64_t>(trackers_.size()));
-    for (const QualityTracker& tracker : trackers_) tracker.Serialize(out);
-    for (double q : qualities_) util::wire::PutDouble(out, q);
+  // `trackers` holds every resource's QualityTracker bytes at
+  // `allocation` (InitialState::SerializeAt). quality_sum_ is an
+  // order-dependent float accumulation, so it is serialized bit-exactly
+  // rather than recomputed.
+  void Serialize(const std::vector<int64_t>& allocation,
+                 const std::string& trackers, std::string* out) const {
+    PutPerResource(allocation, trackers, out);
     util::wire::PutDouble(out, quality_sum_);
     util::wire::PutI64(out, over_tagged_);
     util::wire::PutI64(out, under_tagged_);
     util::wire::PutI64(out, wasted_posts_);
   }
 
-  bool Restore(util::wire::Reader* in) {
-    uint64_t n = 0;
-    if (!in->GetU64(&n) || n != trackers_.size()) return false;
-    for (QualityTracker& tracker : trackers_) {
-      if (!tracker.Restore(in)) return false;
-    }
-    for (double& q : qualities_) {
-      if (!in->GetDouble(&q)) return false;
-    }
-    return in->GetDouble(&quality_sum_) && in->GetI64(&over_tagged_) &&
-           in->GetI64(&under_tagged_) && in->GetI64(&wasted_posts_);
+  // False when the blob's per-resource part differs from the table's at
+  // `allocation` or the scalars are short.
+  bool Restore(const std::vector<int64_t>& allocation,
+               const std::string& trackers, util::wire::Reader* in) {
+    std::string expected;
+    PutPerResource(allocation, trackers, &expected);
+    return in->SkipExpected(expected) && in->GetDouble(&quality_sum_) &&
+           in->GetI64(&over_tagged_) && in->GetI64(&under_tagged_) &&
+           in->GetI64(&wasted_posts_);
   }
 
  private:
-  const std::vector<ResourceReference>& references_;
+  void PutPerResource(const std::vector<int64_t>& allocation,
+                      const std::string& trackers, std::string* out) const {
+    util::wire::PutU64(out, static_cast<uint64_t>(allocation.size()));
+    out->append(trackers);
+    for (size_t i = 0; i < allocation.size(); ++i) {
+      util::wire::PutDouble(out, initial_.row(i, allocation[i]).quality);
+    }
+  }
+
+  const InitialState& initial_;
   int64_t under_threshold_;
-  std::vector<QualityTracker> trackers_;
-  std::vector<double> qualities_;
   double quality_sum_ = 0.0;
   int64_t over_tagged_ = 0;
   int64_t under_tagged_ = 0;
@@ -130,7 +133,8 @@ void CampaignRuntime::RecordCheckpointsThrough(int64_t budget_used) {
 }
 
 util::Status CampaignRuntime::AttachInitialState(
-    const PostStream& stream, std::shared_ptr<const InitialState> initial) {
+    const VectorPostStream& stream,
+    std::shared_ptr<const InitialState> initial) {
   const size_t n = initial_posts_->size();
   if (stream.num_resources() != n) {
     return util::Status::InvalidArgument(
@@ -143,24 +147,29 @@ util::Status CampaignRuntime::AttachInitialState(
   INCENTAG_RETURN_IF_ERROR(ValidateOmega(options_.omega));
   if (initial == nullptr) {
     initial = std::make_shared<const InitialState>(
-        initial_posts_, references_, options_.omega);
-  } else if (!initial->BuiltFor(initial_posts_, references_,
+        initial_posts_, &stream.store(), references_, options_.omega);
+  } else if (!initial->BuiltFor(initial_posts_, &stream.store(), references_,
                                 options_.omega)) {
     return util::Status::InvalidArgument(
-        "initial state was built for another dataset or omega");
+        "initial state was built for another dataset, post store or omega");
   }
   initial_ = std::move(initial);
   return util::Status::OK();
 }
 
-ResourceState& CampaignRuntime::MutableState(ResourceId i) {
-  if (allocation_[i] == 0) states_[i] = &owned_.emplace_back(*states_[i]);
-  // Past the first post the pointer targets owned_, which is not const.
-  return const_cast<ResourceState&>(*states_[i]);
+ResourceView CampaignRuntime::ViewOf(size_t i) const {
+  return ResourceView(initial_->initial_posts(i) + allocation_[i],
+                      initial_->row(i, allocation_[i]).ma_score);
+}
+
+void CampaignRuntime::ResetViews() {
+  views_.clear();
+  views_.reserve(allocation_.size());
+  for (size_t i = 0; i < allocation_.size(); ++i) views_.push_back(ViewOf(i));
 }
 
 util::Status CampaignRuntime::Begin(
-    Strategy* strategy, PostStream* stream,
+    Strategy* strategy, VectorPostStream* stream,
     std::shared_ptr<const InitialState> initial) {
   if (options_.budget < 0) {
     return util::Status::InvalidArgument("budget must be non-negative");
@@ -169,17 +178,16 @@ util::Status CampaignRuntime::Begin(
   strategy_ = strategy;
   stream_ = stream;
 
-  // Every resource starts at its January state, read in place.
+  // Every resource starts at its January row.
   const size_t n = initial_posts_->size();
-  states_.reserve(n);
-  for (size_t i = 0; i < n; ++i) states_.push_back(&initial_->state(i));
+  allocation_.assign(n, 0);
+  exhausted_.assign(n, false);
+  ResetViews();
   eval_ = std::make_unique<internal::Evaluation>(
       *initial_, options_.under_tagged_threshold);
 
-  ctx_.states = &states_;
+  ctx_.states = &views_;
   ctx_.omega = options_.omega;
-  allocation_.assign(n, 0);
-  exhausted_.assign(n, false);
 
   timer_.Restart();
   strategy_->Init(ctx_);
@@ -250,13 +258,12 @@ void CampaignRuntime::ApplyCompletionBatch(const ResourceId* chosen,
       }
       continue;
     }
-    const Post& post = stream_->Next(resource);
-    ResourceState& state = MutableState(resource);
-    state.AddPost(post);
-    eval_->OnPostTask(resource, post, state.posts(),
-                      state.counts().norm_squared());
+    // The post itself is the table's: only the cursor moves.
+    stream_->Next(resource);
+    const int64_t j = ++allocation_[resource];
+    views_[resource] = ViewOf(resource);
+    eval_->OnPostTask(resource, j);
     strategy_->Update(resource);
-    ++allocation_[resource];
     ++tasks_completed_;
     spent_ += costs == nullptr ? 1 : costs->cost(resource);
     if (checkpoints_pending) RecordCheckpointsThrough(spent_);
@@ -320,8 +327,11 @@ util::Status CampaignRuntime::SerializeResumableState(
   }
   util::wire::PutU32(out, static_cast<uint32_t>(checkpoints_.size()));
   for (const AllocationMetrics& m : checkpoints_) PutMetrics(out, m);
-  for (const ResourceState* state : states_) state->Serialize(out);
-  eval_->Serialize(out);
+  std::string trackers;
+  for (size_t i = 0; i < n; ++i) {
+    initial_->SerializeAt(i, allocation_[i], out, &trackers);
+  }
+  eval_->Serialize(allocation_, trackers, out);
   for (size_t i = 0; i < n; ++i) {
     util::wire::PutI64(out, stream_->Consumed(static_cast<ResourceId>(i)));
   }
@@ -332,7 +342,7 @@ util::Status CampaignRuntime::SerializeResumableState(
 }
 
 util::Status CampaignRuntime::RestoreResumableState(
-    std::string_view state, Strategy* strategy, PostStream* stream,
+    std::string_view state, Strategy* strategy, VectorPostStream* stream,
     std::shared_ptr<const InitialState> initial) {
   if (eval_ != nullptr) {
     return util::Status::FailedPrecondition(
@@ -364,9 +374,13 @@ util::Status CampaignRuntime::RestoreResumableState(
   next_checkpoint_ = static_cast<size_t>(next_checkpoint);
 
   allocation_.assign(n, 0);
-  for (int64_t& x : allocation_) {
-    if (!in.GetI64(&x)) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!in.GetI64(&allocation_[i])) {
       return util::Status::Corruption("short runtime state allocation");
+    }
+    if (allocation_[i] < 0 || allocation_[i] > initial_->future_length(i)) {
+      return util::Status::Corruption(
+          "runtime state allocation exceeds the resource's future posts");
     }
   }
   exhausted_.assign(n, false);
@@ -392,30 +406,21 @@ util::Status CampaignRuntime::RestoreResumableState(
     checkpoints_.push_back(m);
   }
 
-  // A resource with no applied post is still at its January state, so it
-  // borrows the shared one; the blob must agree byte for byte.
-  states_.assign(n, nullptr);
-  std::string january;
+  // Each resource's state is the table's row at its allocation; the
+  // blob must agree byte for byte.
+  std::string expected;
+  std::string trackers;
   for (size_t i = 0; i < n; ++i) {
-    if (allocation_[i] == 0) {
-      states_[i] = &initial_->state(i);
-      january.clear();
-      states_[i]->Serialize(&january);
-      if (!in.SkipExpected(january)) {
-        return util::Status::Corruption(
-            "untouched resource state differs from the January state");
-      }
-      continue;
+    expected.clear();
+    initial_->SerializeAt(i, allocation_[i], &expected, &trackers);
+    if (!in.SkipExpected(expected)) {
+      return util::Status::Corruption(
+          "resource state differs from the dataset's trajectory");
     }
-    ResourceState& owned = owned_.emplace_back(options_.omega);
-    if (!owned.Restore(&in)) {
-      return util::Status::Corruption("malformed runtime resource state");
-    }
-    states_[i] = &owned;
   }
   eval_ = std::make_unique<internal::Evaluation>(
       *initial_, options_.under_tagged_threshold);
-  if (!eval_->Restore(&in)) {
+  if (!eval_->Restore(allocation_, trackers, &in)) {
     eval_.reset();
     return util::Status::Corruption("malformed runtime evaluation state");
   }
@@ -424,9 +429,10 @@ util::Status CampaignRuntime::RestoreResumableState(
   // deterministic stream then yields the same future posts.
   for (size_t i = 0; i < n; ++i) {
     int64_t consumed = 0;
-    if (!in.GetI64(&consumed) || consumed < 0) {
+    if (!in.GetI64(&consumed) || consumed != allocation_[i]) {
       eval_.reset();
-      return util::Status::Corruption("malformed runtime stream cursors");
+      return util::Status::Corruption(
+          "runtime stream cursor differs from the allocation");
     }
     util::Status skipped =
         stream->Skip(static_cast<ResourceId>(i), consumed);
@@ -443,7 +449,8 @@ util::Status CampaignRuntime::RestoreResumableState(
   }
   strategy_ = strategy;
   stream_ = stream;
-  ctx_.states = &states_;
+  ResetViews();
+  ctx_.states = &views_;
   ctx_.omega = options_.omega;
   timer_.Restart();
   util::Status restored = strategy_->RestoreState(ctx_, strategy_state);
@@ -472,8 +479,7 @@ RunReport CampaignRuntime::Finish() {
   }
   // The campaign is over: free its per-resource state (swapping with an
   // empty container releases the storage; clear() would keep it).
-  std::vector<const ResourceState*>().swap(states_);
-  std::deque<ResourceState>().swap(owned_);
+  std::vector<ResourceView>().swap(views_);
   std::vector<bool>().swap(exhausted_);
   eval_.reset();
   initial_.reset();

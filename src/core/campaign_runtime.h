@@ -11,7 +11,7 @@
 // CampaignRuntime is that decomposition. The step protocol is:
 //
 //   CampaignRuntime rt(options, &initial_posts, &references);
-//   rt.Begin(strategy, stream);             // January state, Init, t=0
+//   rt.Begin(strategy, stream);             // trajectory table, Init, t=0
 //   while (!rt.done()) {
 //     rt.DrawBatch(&batch);                 // assignment phase
 //     if (batch.empty()) break;             // strategy stopped early
@@ -20,13 +20,14 @@
 //   }
 //   RunReport report = rt.Finish();         // frees per-resource state
 //
-// Begin borrows the dataset's time-zero ("January") state when the
-// caller passes one (initial_state.h; CampaignManager keeps one per
-// dataset and omega), or builds a private one. The runtime holds one
-// pointer per resource into it and copies a resource's state into its
-// own storage on the resource's first applied post. Finish frees the
-// pointer table, the owned states, the evaluation and the January
-// reference; only the report survives.
+// Begin borrows the dataset's trajectory table (initial_state.h;
+// CampaignManager keeps one per dataset and omega), or builds a private
+// one when the caller passes none. A resource's state after j applied
+// posts is the table's row(i, j), the same in every campaign, so the
+// runtime keeps no per-resource state of its own beyond its allocation
+// x_i = j and a 16-byte ResourceView per resource for the strategy.
+// Finish frees those, the evaluation and the table reference; only the
+// report survives.
 //
 // Driving the protocol straight through (as AllocationEngine::Run now
 // does, and as CampaignManager's deterministic mode does) reproduces the
@@ -37,14 +38,12 @@
 #define INCENTAG_CORE_CAMPAIGN_RUNTIME_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "src/core/allocation.h"
 #include "src/core/initial_state.h"
 #include "src/core/post_stream.h"
-#include "src/core/resource_state.h"
 #include "src/core/strategy.h"
 #include "src/core/types.h"
 #include "src/util/status.h"
@@ -70,13 +69,14 @@ class CampaignRuntime {
   CampaignRuntime(const CampaignRuntime&) = delete;
   CampaignRuntime& operator=(const CampaignRuntime&) = delete;
 
-  // Validates the configuration, points every resource at `initial`'s
-  // January state (building a private one when `initial` is null), copies
-  // its evaluation accumulators, runs strategy->Init and records the t=0
-  // checkpoint. `initial` must have been built for this runtime's dataset
-  // pointers and omega (else InvalidArgument). `strategy` and `stream`
-  // must outlive the runtime; the stream's cursors are consumed.
-  util::Status Begin(Strategy* strategy, PostStream* stream,
+  // Validates the configuration, attaches `initial`'s trajectory table
+  // (building a private one over the stream's store when `initial` is
+  // null), copies its t=0 evaluation, runs strategy->Init and records
+  // the t=0 checkpoint. `initial` must have been built for this runtime's
+  // dataset pointers, `stream`'s store and omega (else InvalidArgument).
+  // `strategy` and `stream` must outlive the runtime; the stream's
+  // cursors are consumed.
+  util::Status Begin(Strategy* strategy, VectorPostStream* stream,
                      std::shared_ptr<const InitialState> initial = nullptr);
 
   // Assignment phase: fills `batch` with up to options.batch_size
@@ -86,10 +86,10 @@ class CampaignRuntime {
   util::Status DrawBatch(std::vector<ResourceId>* batch);
 
   // Completion phase for one task previously returned by DrawBatch:
-  // draws the resource's next post, applies it to the observable state
-  // and the evaluation, and notifies the strategy. Tasks of a batch may
-  // be applied at any later time but must be applied in assignment order
-  // and exactly once each.
+  // consumes the resource's next post, moves its view and the evaluation
+  // one row along its trajectory, and notifies the strategy. Tasks of a
+  // batch may be applied at any later time but must be applied in
+  // assignment order and exactly once each.
   void ApplyCompletion(ResourceId chosen) { ApplyCompletionBatch(&chosen, 1); }
 
   // Applies `count` completions in order — exactly equivalent to calling
@@ -128,8 +128,10 @@ class CampaignRuntime {
   // the stream's consumed positions and the strategy's opaque state —
   // with doubles stored bit-exactly, so a restored runtime produces a
   // RunReport byte-identical to one that replayed the whole journal.
-  // Valid between any two steps after a successful Begin; before Begin
-  // or after Finish it returns FailedPrecondition.
+  // The per-resource bytes are rebuilt from the trajectory table
+  // (InitialState::SerializeAt). Valid between any two steps after a
+  // successful Begin; before Begin or after Finish it returns
+  // FailedPrecondition.
   util::Status SerializeResumableState(std::string* out) const;
 
   // Restores a freshly constructed runtime (same options and dataset
@@ -138,37 +140,37 @@ class CampaignRuntime {
   // freshly built by the recovery factory), fast-forwards the stream to
   // its serialized position via PostStream::Skip, and hands the strategy
   // its serialized sub-blob through Strategy::RestoreState. `initial` is
-  // as for Begin: a resource with no applied post borrows its January
-  // state, and the blob's bytes for it must equal that state's (else
-  // Corruption).
+  // as for Begin. A resource's state is a function of its allocation, so
+  // the blob's per-resource bytes (state, quality tracker and quality)
+  // must equal the table's rebuild of them, every stream cursor must
+  // equal its allocation, and no allocation may pass the resource's
+  // future posts (else Corruption).
   util::Status RestoreResumableState(
-      std::string_view state, Strategy* strategy, PostStream* stream,
+      std::string_view state, Strategy* strategy, VectorPostStream* stream,
       std::shared_ptr<const InitialState> initial = nullptr);
 
  private:
   int64_t CostOf(ResourceId i) const;
   void RecordCheckpointsThrough(int64_t budget_used);
   // The checks Begin and RestoreResumableState share; on success
-  // initial_ holds the January state (`initial`, or a private build).
-  util::Status AttachInitialState(const PostStream& stream,
+  // initial_ holds the trajectory table (`initial`, or a private build).
+  util::Status AttachInitialState(const VectorPostStream& stream,
                                   std::shared_ptr<const InitialState> initial);
-  // Resource i's state for writing: copies it out of the January state
-  // on the resource's first applied post.
-  ResourceState& MutableState(ResourceId i);
+  // Resource i's view at its current allocation.
+  ResourceView ViewOf(size_t i) const;
+  // Sets every view from the allocation.
+  void ResetViews();
 
   EngineOptions options_;
   const std::vector<PostSequence>* initial_posts_;
   const std::vector<ResourceReference>* references_;
 
   Strategy* strategy_ = nullptr;
-  PostStream* stream_ = nullptr;
+  VectorPostStream* stream_ = nullptr;
   StrategyContext ctx_;
   std::shared_ptr<const InitialState> initial_;
-  // One pointer per resource: into initial_ while the resource has no
-  // applied post (allocation_[i] == 0), into owned_ afterwards.
-  std::vector<const ResourceState*> states_;
-  // Copies of the touched resources; a deque keeps their addresses stable.
-  std::deque<ResourceState> owned_;
+  // The strategy's view of every resource: initial_->row(i, allocation_[i]).
+  std::vector<ResourceView> views_;
   std::unique_ptr<internal::Evaluation> eval_;
   std::vector<bool> exhausted_;
 

@@ -1,32 +1,66 @@
 #include "src/core/initial_state.h"
 
 #include <cassert>
+#include <limits>
 
 namespace incentag {
 namespace core {
 
+namespace {
+
+// Applies `post` to a resource's observable state and its quality tracker.
+void Apply(const Post& post, ResourceState* state, QualityTracker* tracker) {
+  state->AddPost(post);
+  tracker->AddPost(post, state->counts().norm_squared());
+}
+
+InitialState::Row RowOf(const ResourceState& state,
+                        const QualityTracker& tracker) {
+  return {state.has_ma_score() ? state.ma_score()
+                               : std::numeric_limits<double>::quiet_NaN(),
+          tracker.Quality()};
+}
+
+}  // namespace
+
 InitialState::InitialState(const std::vector<PostSequence>* initial_posts,
+                           const std::vector<PostSequence>* future_posts,
                            const std::vector<ResourceReference>* references,
                            int omega)
-    : initial_posts_(initial_posts), references_(references), omega_(omega) {
+    : initial_posts_(initial_posts),
+      future_posts_(future_posts),
+      references_(references),
+      omega_(omega) {
   assert(ValidateOmega(omega).ok());
   assert(initial_posts->size() == references->size());
+  assert(future_posts->size() == references->size());
   const size_t n = initial_posts->size();
+  size_t num_rows = n;
+  for (const PostSequence& future : *future_posts) num_rows += future.size();
   states_.reserve(n);
   trackers_.reserve(n);
-  qualities_.reserve(n);
+  offsets_.reserve(n + 1);
+  rows_.reserve(num_rows);
   for (size_t i = 0; i < n; ++i) {
     ResourceState& state = states_.emplace_back(omega);
     QualityTracker& tracker =
         trackers_.emplace_back(&(*references)[i].stable_rfd);
     for (const Post& post : (*initial_posts)[i]) {
-      state.AddPost(post);
-      tracker.AddPost(post, state.counts().norm_squared());
+      Apply(post, &state, &tracker);
     }
-    qualities_.push_back(tracker.Quality());
-    quality_sum_ += qualities_.back();
+    offsets_.push_back(rows_.size());
+    rows_.push_back(RowOf(state, tracker));
+    quality_sum_ += rows_.back().quality;
     if (IsOverTagged((*references)[i], state.posts())) ++over_tagged_;
+
+    ResourceState walker = state;
+    QualityTracker walker_tracker = tracker;
+    for (const Post& post : (*future_posts)[i]) {
+      Apply(post, &walker, &walker_tracker);
+      rows_.push_back(RowOf(walker, walker_tracker));
+    }
   }
+  offsets_.push_back(rows_.size());
 }
 
 int64_t InitialState::CountUnderTagged(int64_t threshold) const {
@@ -35,6 +69,24 @@ int64_t InitialState::CountUnderTagged(int64_t threshold) const {
     if (state.posts() <= threshold) ++count;
   }
   return count;
+}
+
+void InitialState::SerializeAt(size_t i, int64_t j, std::string* state,
+                               std::string* tracker) const {
+  assert(j >= 0 && j <= future_length(i));
+  if (j == 0) {
+    states_[i].Serialize(state);
+    trackers_[i].Serialize(tracker);
+    return;
+  }
+  ResourceState walker = states_[i];
+  QualityTracker walker_tracker = trackers_[i];
+  const PostSequence& future = (*future_posts_)[i];
+  for (int64_t k = 0; k < j; ++k) {
+    Apply(future[static_cast<size_t>(k)], &walker, &walker_tracker);
+  }
+  walker.Serialize(state);
+  walker_tracker.Serialize(tracker);
 }
 
 }  // namespace core

@@ -1,19 +1,23 @@
-// InitialState: a dataset's time-zero ("January") state, built once and
-// read by every campaign on that dataset.
+// InitialState: a dataset's resource trajectories, built once and read by
+// every campaign on that dataset.
 //
 // Algorithm 1 starts each campaign from c_i, the posts every resource
-// received before the campaign began. For one dataset and one MA window
-// omega that start is the same data for every campaign, so it is built
-// once: InitialState replays the initial posts and keeps the result
-// immutably — every resource's observable ResourceState, plus the
-// evaluation's time-zero accumulators (quality trackers, per-resource
-// qualities, their sum in index order, and the over-tagged count).
+// received before the campaign began, and a campaign's j-th completed
+// task on resource i applies the dataset's post future_posts[i][j - 1]
+// (every campaign's VectorPostStream reads one shared store). A
+// resource's observable state — its post count, its MA score m_i(k, omega)
+// (Definition 7) and its quality q_i(k) (Definition 9) — depends only on
+// that post prefix, so resource i after j applied posts is the same in
+// every campaign. InitialState replays each resource's future once and
+// keeps one 16-byte Row per prefix: row(i, 0) is January, row(i, j) the
+// state after j future posts. A campaign keeps only its allocation
+// x_i = j and reads the rest from here; it never copies per-resource
+// state. The evaluation's time-zero accumulators (the quality sum in
+// index order and the over-tagged count) are kept too.
 //
-// A CampaignRuntime borrows it (campaign_runtime.h): untouched resources
-// read their state straight from here, a resource is copied into the
-// runtime on its first applied post, and the evaluation accumulators are
-// copied rather than replayed. The under-tagged count depends on each
-// campaign's threshold, so runtimes recount it (CountUnderTagged).
+// Snapshots (journal format v1) still carry every resource's full
+// ResourceState and QualityTracker bytes. SerializeAt rebuilds them for
+// any j from the January ones kept here, by replaying j posts.
 //
 // Nothing mutates an InitialState after construction, so any number of
 // runtimes on any threads may read one concurrently. The dataset
@@ -22,6 +26,7 @@
 #define INCENTAG_CORE_INITIAL_STATE_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/core/allocation.h"
@@ -40,8 +45,15 @@ inline bool IsOverTagged(const ResourceReference& reference, int64_t posts) {
 
 class InitialState {
  public:
-  // `omega` must pass ValidateOmega; the two vectors have equal size.
+  // One point of a resource's trajectory.
+  struct Row {
+    double ma_score;  // m_i(k, omega), NaN while k < omega
+    double quality;   // q_i(k)
+  };
+
+  // `omega` must pass ValidateOmega; the three vectors have equal size.
   InitialState(const std::vector<PostSequence>* initial_posts,
+               const std::vector<PostSequence>* future_posts,
                const std::vector<ResourceReference>* references, int omega);
 
   InitialState(const InitialState&) = delete;
@@ -50,10 +62,11 @@ class InitialState {
   // True when this state was built from exactly these inputs (the
   // dataset is identified by address, as the runtime's pointers are).
   bool BuiltFor(const std::vector<PostSequence>* initial_posts,
+                const std::vector<PostSequence>* future_posts,
                 const std::vector<ResourceReference>* references,
                 int omega) const {
-    return initial_posts == initial_posts_ && references == references_ &&
-           omega == omega_;
+    return initial_posts == initial_posts_ && future_posts == future_posts_ &&
+           references == references_ && omega == omega_;
   }
 
   size_t num_resources() const { return states_.size(); }
@@ -61,25 +74,43 @@ class InitialState {
     return *references_;
   }
 
-  // Resource i after its initial posts.
-  const ResourceState& state(size_t i) const { return states_[i]; }
+  // Resource i's post count before the campaign (c_i).
+  int64_t initial_posts(size_t i) const { return states_[i].posts(); }
+  // Future posts resource i can receive; row(i, j) exists for j in
+  // [0, future_length(i)].
+  int64_t future_length(size_t i) const {
+    return static_cast<int64_t>(offsets_[i + 1] - offsets_[i]) - 1;
+  }
+  // Resource i after its initial posts and its first j future posts.
+  const Row& row(size_t i, int64_t j) const {
+    return rows_[offsets_[i] + static_cast<size_t>(j)];
+  }
 
-  // The evaluation at t = 0.
-  const std::vector<QualityTracker>& trackers() const { return trackers_; }
-  const std::vector<double>& qualities() const { return qualities_; }
-  // Sum of qualities() in index order (bit-exact with a replay).
+  // The evaluation at t = 0: the sum of every row(i, 0).quality in index
+  // order (bit-exact with a replay) and the over-tagged count.
   double quality_sum() const { return quality_sum_; }
   int64_t over_tagged() const { return over_tagged_; }
   // Resources with <= `threshold` initial posts.
   int64_t CountUnderTagged(int64_t threshold) const;
 
+  // Appends resource i's ResourceState bytes to *state and its
+  // QualityTracker bytes to *tracker, as they stand after j future posts
+  // (0 <= j <= future_length(i)). Costs a copy of the January state and
+  // a replay of j posts.
+  void SerializeAt(size_t i, int64_t j, std::string* state,
+                   std::string* tracker) const;
+
  private:
   const std::vector<PostSequence>* initial_posts_;
+  const std::vector<PostSequence>* future_posts_;
   const std::vector<ResourceReference>* references_;
   int omega_;
+  // January, the base SerializeAt replays from.
   std::vector<ResourceState> states_;
   std::vector<QualityTracker> trackers_;
-  std::vector<double> qualities_;
+  // Resource i's rows are rows_[offsets_[i] .. offsets_[i + 1]).
+  std::vector<size_t> offsets_;
+  std::vector<Row> rows_;
   double quality_sum_ = 0.0;
   int64_t over_tagged_ = 0;
 };

@@ -7,11 +7,12 @@
 // adjacent similarities in a ring buffer with a running sum — the queue
 // observation from Appendix C — so feeding one similarity costs O(1).
 //
-// Every campaign holds one tracker per resource, so the ring is a bare
-// unique_ptr<double[]> of omega - 1 slots (its length comes from omega_;
-// no size or capacity is stored) and the indices are 32-bit: 48 bytes a
-// tracker on x86-64. Copying a tracker copies its ring; a campaign does
-// so once per resource it touches (copy-on-write, initial_state.h).
+// The ring is a bare unique_ptr<double[]> of omega - 1 slots (its length
+// comes from omega_; no size or capacity is stored) and the indices are
+// 32-bit: 48 bytes a tracker on x86-64. Copying a tracker copies its
+// ring. A dataset's trajectory table (initial_state.h) holds one tracker
+// per resource and copies it to replay a resource's posts; campaigns
+// hold none.
 #ifndef INCENTAG_CORE_MA_TRACKER_H_
 #define INCENTAG_CORE_MA_TRACKER_H_
 
@@ -71,7 +72,8 @@ class MaTracker {
   uint32_t filled_ = 0;  // number of valid ring entries
 };
 
-// One tracker per resource per campaign (see above); x86-64 layout.
+// One tracker per resource per trajectory table (see above); x86-64
+// layout.
 static_assert(sizeof(MaTracker) <= 48);
 
 }  // namespace core

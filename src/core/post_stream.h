@@ -47,9 +47,11 @@ class PostStream {
   // its serialized Consumed() position this way. The default draws and
   // discards, which is correct for any deterministic stream; streams
   // with cheap random access (VectorPostStream) override it with an O(1)
-  // seek. A failure (stream too short for the requested skip) leaves the
-  // cursor position unspecified; callers treat it as unrecoverable.
+  // seek. A negative `k` is InvalidArgument. A failure (stream too short
+  // for the requested skip) leaves the cursor position unspecified;
+  // callers treat it as unrecoverable.
   virtual util::Status Skip(ResourceId i, int64_t k) {
+    if (k < 0) return NegativeSkip();
     for (int64_t step = 0; step < k; ++step) {
       if (!HasNext(i)) {
         return util::Status::OutOfRange(
@@ -58,6 +60,11 @@ class PostStream {
       Next(i);
     }
     return util::Status::OK();
+  }
+
+ protected:
+  static util::Status NegativeSkip() {
+    return util::Status::InvalidArgument("cannot skip a negative count");
   }
 };
 
@@ -80,8 +87,10 @@ class ReplayablePostStream : public PostStream {
 // Replayable stream over per-resource post vectors (the materialised
 // "rest of the year" of a prepared dataset). The posts are read-only; only
 // the cursors belong to the stream, so any number of streams may read one
-// vector at once, each from its own position.
-class VectorPostStream : public ReplayablePostStream {
+// vector at once, each from its own position. A CampaignRuntime reads
+// resource state from a trajectory built over store() (initial_state.h),
+// so it takes this stream type only.
+class VectorPostStream final : public ReplayablePostStream {
  public:
   // Owns `sequences`.
   explicit VectorPostStream(std::vector<PostSequence> sequences)
@@ -108,6 +117,7 @@ class VectorPostStream : public ReplayablePostStream {
   int64_t Consumed(ResourceId i) const override { return cursors_[i]; }
 
   util::Status Skip(ResourceId i, int64_t k) override {
+    if (k < 0) return NegativeSkip();
     if (cursors_[i] + k > Available(i)) {
       return util::Status::OutOfRange(
           "stream ran dry fast-forwarding resource " + std::to_string(i));
@@ -127,6 +137,9 @@ class VectorPostStream : public ReplayablePostStream {
   void Reset() override {
     for (auto& c : cursors_) c = 0;
   }
+
+  // The posts this stream reads (its own or borrowed ones).
+  const std::vector<PostSequence>& store() const { return *sequences_; }
 
  private:
   // Set by the owning constructor only. On the heap, so `sequences_`

@@ -6,14 +6,16 @@
 // refresh its bookkeeping. INIT runs once before the loop.
 //
 // Strategies observe the world exclusively through StrategyContext: the
-// per-resource online states (post counts, rfds, MA scores). They never see
+// per-resource online states (post counts and MA scores). They never see
 // reference stable rfds or unconsumed future posts — only the DP planner
 // (dp_planner.h), which the paper calls "of theoretical interest only", is
 // allowed those.
 #ifndef INCENTAG_CORE_STRATEGY_H_
 #define INCENTAG_CORE_STRATEGY_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,21 +28,46 @@
 namespace incentag {
 namespace core {
 
-// Read-only view of the observable world, owned by the engine: a table
-// of one pointer per resource, which lives for the whole run. Untouched
-// resources point into the dataset's shared January state
-// (initial_state.h); a resource's pointer changes when its first post is
-// applied, because the runtime then copies that state into its own
-// storage. So look a state up again after every Update() — never hold a
-// `const ResourceState&` across one (no strategy does). A state is
-// updated between Choose() and Update().
+// What a strategy sees of one resource: its post count and its MA score.
+// 16 bytes; a runtime keeps one per resource and refreshes it when a post
+// is applied (a copy, so a view read before Update() goes stale).
+class ResourceView {
+ public:
+  // `ma_score` is NaN while the score is undefined (posts < omega).
+  ResourceView(int64_t posts, double ma_score)
+      : posts_(posts), ma_score_(ma_score) {}
+
+  // The view of a hand-driven ResourceState (tests and benches that
+  // feed states themselves; refresh it after every AddPost).
+  static ResourceView Of(const ResourceState& state) {
+    return ResourceView(state.posts(),
+                        state.has_ma_score()
+                            ? state.ma_score()
+                            : std::numeric_limits<double>::quiet_NaN());
+  }
+
+  // Number of posts received so far (c_i + x_i during a run).
+  int64_t posts() const { return posts_; }
+  // True once the MA score m(k, omega) is defined (k >= omega).
+  bool has_ma_score() const { return !std::isnan(ma_score_); }
+  // Requires has_ma_score().
+  double ma_score() const { return ma_score_; }
+
+ private:
+  int64_t posts_;
+  double ma_score_;
+};
+
+// Read-only view of the observable world, owned by the engine: one
+// ResourceView per resource, which lives for the whole run. A resource's
+// view is updated between Choose() and Update().
 struct StrategyContext {
-  const std::vector<const ResourceState*>* states = nullptr;
+  const std::vector<ResourceView>* states = nullptr;
   // MA window omega used by MU / FP-MU (paper default: 5).
   int omega = 5;
 
   size_t num_resources() const { return states->size(); }
-  const ResourceState& state(ResourceId i) const { return *(*states)[i]; }
+  const ResourceView& state(ResourceId i) const { return (*states)[i]; }
 };
 
 class Strategy {

@@ -117,6 +117,11 @@ util::Status DecodeSubmitRecord(std::string_view body, SubmitRecord* out) {
         std::to_string(out->format_version));
   }
   out->options.omega = static_cast<int>(omega);
+  // Each checkpoint takes 8 bytes: a count the body cannot hold is
+  // damage, and must not size an allocation.
+  if (in.remaining() / 8 < num_checkpoints) {
+    return util::Status::Corruption("short submit record checkpoints");
+  }
   out->options.checkpoints.clear();
   out->options.checkpoints.reserve(num_checkpoints);
   for (uint32_t i = 0; i < num_checkpoints; ++i) {
@@ -176,6 +181,10 @@ util::Status DecodeSnapshotRecord(std::string_view body, SnapshotRecord* out) {
   if (out->next_assign_seq != out->num_completions + num_pending) {
     return util::Status::Corruption(
         "snapshot record seq accounting is inconsistent");
+  }
+  // Each pending id takes 4 bytes (see the submit record's checkpoints).
+  if (in.remaining() / 4 < num_pending) {
+    return util::Status::Corruption("short snapshot record pending set");
   }
   out->pending.clear();
   out->pending.reserve(num_pending);

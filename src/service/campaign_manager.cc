@@ -393,7 +393,9 @@ std::shared_ptr<const core::InitialState> CampaignManager::InitialStateFor(
                   std::shared_ptr<const core::InitialState> state =
                       entry.lock();
                   if (state != nullptr &&
-                      state->BuiltFor(config.initial_posts, config.references,
+                      state->BuiltFor(config.initial_posts,
+                                      &config.stream->store(),
+                                      config.references,
                                       config.options.omega)) {
                     found = std::move(state);
                   }
@@ -401,10 +403,20 @@ std::shared_ptr<const core::InitialState> CampaignManager::InitialStateFor(
                 });
   if (found == nullptr) {
     found = std::make_shared<const core::InitialState>(
-        config.initial_posts, config.references, config.options.omega);
+        config.initial_posts, &config.stream->store(), config.references,
+        config.options.omega);
     initial_states_.push_back(found);
   }
   return found;
+}
+
+size_t CampaignManager::num_initial_states() const {
+  util::MutexLock lock(&initial_states_mu_);
+  return static_cast<size_t>(std::count_if(
+      initial_states_.begin(), initial_states_.end(),
+      [](const std::weak_ptr<const core::InitialState>& entry) {
+        return !entry.expired();
+      }));
 }
 
 CampaignManager::~CampaignManager() { Shutdown(); }

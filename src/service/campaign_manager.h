@@ -98,14 +98,16 @@ class FleetHealth;
 // `strategy` and `stream` are owned by the campaign and must not be
 // shared across campaigns. The posts a stream reads may still be shared,
 // read-only dataset vectors (sim::PreparedDataset::MakeStream() reads
-// the dataset in place); those must outlive the manager too.
+// the dataset in place); those must outlive the manager too. Campaigns
+// over one post store share one trajectory table (core::InitialState);
+// a stream that owns its own copy of the posts gets a table of its own.
 struct CampaignConfig {
   std::string name;
   core::EngineOptions options;
   const std::vector<core::PostSequence>* initial_posts = nullptr;
   const std::vector<core::ResourceReference>* references = nullptr;
   std::unique_ptr<core::Strategy> strategy;
-  std::unique_ptr<core::PostStream> stream;
+  std::unique_ptr<core::VectorPostStream> stream;
   // Journaled verbatim in the SubmitRecord and handed back to the
   // CampaignFactory at recovery — set it to whatever seed rebuilds this
   // exact strategy/stream pair (e.g. the FC crowd-model seed). Unused by
@@ -376,6 +378,9 @@ class CampaignManager {
 
   int num_threads() const;
   size_t num_campaigns() const;
+  // Trajectory tables (core::InitialState) that campaigns hold now: one
+  // per (initial posts, post store, references, omega) in use.
+  size_t num_initial_states() const;
 
   // The stepping policy in force (read-only; owned by the manager).
   // Exposes the fleet-wide CompactionBudget counters for tests and
@@ -410,9 +415,9 @@ class CampaignManager {
   void FlushJournal(Campaign* campaign);
   void MaybeCompact(Campaign* campaign);
   void EnsureJournalWorkers();
-  // The January state for `config`'s dataset and omega: the live one if
-  // any campaign still holds it, else built now (under the lock, so
-  // concurrent first steps build it once).
+  // The trajectory table for `config`'s dataset, post store and omega:
+  // the live one if any campaign still holds it, else built now (under
+  // the lock, so concurrent first steps build it once).
   std::shared_ptr<const core::InitialState> InitialStateFor(
       const CampaignConfig& config);
   // Sink-thread callback: the retry ladder gave up on `writer`. Flags
@@ -434,10 +439,10 @@ class CampaignManager {
   // then runs inline on the driving thread) and until journaling is on.
   std::unique_ptr<persist::Compactor> compactor_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // One January state per (initial posts, references, omega), shared by
-  // every campaign on it and freed with the last of them (weak_ptr);
-  // expired entries are pruned by InitialStateFor.
-  util::Mutex initial_states_mu_;
+  // One trajectory table per (initial posts, post store, references,
+  // omega), shared by every campaign on it and freed with the last of
+  // them (weak_ptr); expired entries are pruned by InitialStateFor.
+  mutable util::Mutex initial_states_mu_;
   std::vector<std::weak_ptr<const core::InitialState>> initial_states_
       GUARDED_BY(initial_states_mu_);
   // Journal files already resumed by Recover (single-threaded access —

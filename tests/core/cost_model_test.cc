@@ -147,13 +147,16 @@ TEST(CostAwareFpTest, TieBreaksTowardCheaperResource) {
   CostAwareFpStrategy strategy(&costs);
   std::vector<ResourceState> states;
   for (int i = 0; i < 3; ++i) states.emplace_back(2);  // all at 0 posts
-  std::vector<const ResourceState*> table;
-  for (const ResourceState& state : states) table.push_back(&state);
+  std::vector<ResourceView> views;
+  for (const ResourceState& state : states) {
+    views.push_back(ResourceView::Of(state));
+  }
   StrategyContext ctx;
-  ctx.states = &table;
+  ctx.states = &views;
   strategy.Init(ctx);
   EXPECT_EQ(strategy.Choose(), 1u);  // cheapest among the tied level
   states[1].AddPost(Post::FromTags({1}));
+  views[1] = ResourceView::Of(states[1]);
   strategy.Update(1);
   EXPECT_EQ(strategy.Choose(), 2u);  // next-cheapest at 0 posts
 }
@@ -165,10 +168,12 @@ TEST(CostAwareFpTest, PostCountStillDominatesCost) {
   states.emplace_back(2);
   states.emplace_back(2);
   states[0].AddPost(Post::FromTags({1}));  // 1 post, cheap
-  std::vector<const ResourceState*> table;
-  for (const ResourceState& state : states) table.push_back(&state);
+  std::vector<ResourceView> views;
+  for (const ResourceState& state : states) {
+    views.push_back(ResourceView::Of(state));
+  }
   StrategyContext ctx;
-  ctx.states = &table;
+  ctx.states = &views;
   strategy.Init(ctx);
   // Resource 1 has fewer posts despite being expensive.
   EXPECT_EQ(strategy.Choose(), 1u);
@@ -184,10 +189,12 @@ TEST(CostAwareFpTest, MatchesFpUnderUniformCosts) {
       states.back().AddPost(Post::FromTags({1}));
     }
   }
-  std::vector<const ResourceState*> table;
-  for (const ResourceState& state : states) table.push_back(&state);
+  std::vector<ResourceView> views;
+  for (const ResourceState& state : states) {
+    views.push_back(ResourceView::Of(state));
+  }
   StrategyContext ctx;
-  ctx.states = &table;
+  ctx.states = &views;
   strategy.Init(ctx);
   EXPECT_EQ(strategy.Choose(), 3u);  // fewest posts
   strategy.OnExhausted(3);

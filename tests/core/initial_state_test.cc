@@ -1,10 +1,13 @@
-// The shared January state (initial_state.h) and the runtime's
-// copy-on-write view of it: a campaign over a shared InitialState must
-// report exactly what one over a private build reports, runtimes sharing
-// one state must not see each other's posts, and the shared state must
-// come out of every run untouched. Also pins the runtime's omega bounds
-// and its behaviour once Finish has freed the per-resource state.
+// The shared trajectory table (initial_state.h) and the runtime's view of
+// it: every row must equal a fresh replay of its post prefix, a campaign
+// over a shared InitialState must report exactly what one over a private
+// build reports, runtimes sharing one state must not see each other's
+// posts, and the shared state must come out of every run untouched. Also
+// pins the runtime's omega bounds, its restore checks and its behaviour
+// once Finish has freed the per-resource state.
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -100,7 +103,7 @@ struct Case {
 struct Campaign {
   Campaign(const Fixture& f, const Case& c)
       : strategy(c.make()),
-        stream(f.future),
+        stream(&f.future),
         runtime(c.options, &f.initial, &f.references) {}
 
   // Draws one batch and applies it; false once the run is over.
@@ -133,7 +136,11 @@ RunReport RunSolo(const Fixture& f, const Case& c,
 // Every shared state's wire bytes, to prove no run wrote through.
 std::vector<std::string> SharedBytes(const InitialState& initial) {
   std::vector<std::string> out(initial.num_resources());
-  for (size_t i = 0; i < out.size(); ++i) initial.state(i).Serialize(&out[i]);
+  for (size_t i = 0; i < out.size(); ++i) {
+    for (int64_t j = 0; j <= initial.future_length(i); ++j) {
+      initial.SerializeAt(i, j, &out[i], &out[i]);
+    }
+  }
   return out;
 }
 
@@ -181,7 +188,7 @@ class InitialStateTest : public ::testing::Test {
 
   std::shared_ptr<const InitialState> Shared(int omega = 5) const {
     return std::make_shared<const InitialState>(
-        &fixture_.initial, &fixture_.references, omega);
+        &fixture_.initial, &fixture_.future, &fixture_.references, omega);
   }
 
   Fixture fixture_;
@@ -262,10 +269,12 @@ TEST_F(InitialStateTest, BeginRejectsAStateBuiltForOtherInputs) {
   const Fixture other = MakeFixture(24, 7);
   const std::vector<std::shared_ptr<const InitialState>> wrong = {
       Shared(/*omega=*/3),
-      std::make_shared<const InitialState>(&other.initial,
-                                           &fixture_.references, 5),
-      std::make_shared<const InitialState>(&fixture_.initial,
-                                           &other.references, 5),
+      std::make_shared<const InitialState>(
+          &other.initial, &fixture_.future, &fixture_.references, 5),
+      std::make_shared<const InitialState>(
+          &fixture_.initial, &other.future, &fixture_.references, 5),
+      std::make_shared<const InitialState>(
+          &fixture_.initial, &fixture_.future, &other.references, 5),
   };
   for (const auto& initial : wrong) {
     Campaign begun(fixture_, cases_[0]);
@@ -282,9 +291,9 @@ TEST_F(InitialStateTest, BeginRejectsAStateBuiltForOtherInputs) {
   }
 }
 
-TEST_F(InitialStateTest, RestoreBorrowsUntouchedResourcesAndRejectsADrift) {
-  // A plan that never gives resource 0 a post keeps it on the shared
-  // state; the snapshot still carries its bytes.
+TEST_F(InitialStateTest, RestoreMatchesTheLiveRunAndRejectsADrift) {
+  // A plan that never gives resource 0 a post keeps it at its January
+  // row; the snapshot still carries its bytes.
   std::vector<int64_t> plan(fixture_.initial.size(), 1);
   plan[0] = 0;
   const Case c{"DP plan", MakeOptions(10, 4),
@@ -326,6 +335,127 @@ TEST_F(InitialStateTest, RestoreBorrowsUntouchedResourcesAndRejectsADrift) {
                                        &rejected.stream, shared)
                 .code(),
             util::StatusCode::kCorruption);
+}
+
+TEST_F(InitialStateTest, EveryRowMatchesAFreshReplay) {
+  for (int omega : {2, 5}) {
+    const std::shared_ptr<const InitialState> table = Shared(omega);
+    const size_t n = fixture_.initial.size();
+    ASSERT_EQ(table->num_resources(), n);
+    for (size_t i = 0; i < n; ++i) {
+      const PostSequence& future = fixture_.future[i];
+      ASSERT_EQ(table->initial_posts(i),
+                static_cast<int64_t>(fixture_.initial[i].size()));
+      ASSERT_EQ(table->future_length(i), static_cast<int64_t>(future.size()));
+      for (int64_t j = 0; j <= table->future_length(i); ++j) {
+        const std::string label = "omega " + std::to_string(omega) +
+                                  " resource " + std::to_string(i) +
+                                  " row " + std::to_string(j);
+        ResourceState state(omega);
+        QualityTracker tracker(&fixture_.references[i].stable_rfd);
+        PostSequence prefix = fixture_.initial[i];
+        prefix.insert(prefix.end(), future.begin(), future.begin() + j);
+        for (const Post& post : prefix) {
+          state.AddPost(post);
+          tracker.AddPost(post, state.counts().norm_squared());
+        }
+        const InitialState::Row& row = table->row(i, j);
+        EXPECT_EQ(std::bit_cast<uint64_t>(row.quality),
+                  std::bit_cast<uint64_t>(tracker.Quality()))
+            << label;
+        EXPECT_EQ(state.has_ma_score(), state.posts() >= omega) << label;
+        const ResourceView view(state.posts(), row.ma_score);
+        ASSERT_EQ(view.has_ma_score(), state.has_ma_score()) << label;
+        if (state.has_ma_score()) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(row.ma_score),
+                    std::bit_cast<uint64_t>(state.ma_score()))
+              << label;
+        }
+        std::string want_state;
+        std::string want_tracker;
+        state.Serialize(&want_state);
+        tracker.Serialize(&want_tracker);
+        std::string got_state;
+        std::string got_tracker;
+        table->SerializeAt(i, j, &got_state, &got_tracker);
+        EXPECT_EQ(got_state, want_state) << label;
+        EXPECT_EQ(got_tracker, want_tracker) << label;
+      }
+    }
+  }
+}
+
+TEST_F(InitialStateTest, RestoreChecksEveryResourceAgainstTheTrajectory) {
+  const Case& c = cases_[1];  // FP, batch 8
+  std::shared_ptr<const InitialState> shared = Shared();
+  Campaign live(fixture_, c);
+  ASSERT_TRUE(live.runtime.Begin(live.strategy.get(), &live.stream, shared)
+                  .ok());
+  for (int step = 0; step < 5; ++step) ASSERT_TRUE(live.Step());
+  std::string blob;
+  ASSERT_TRUE(live.runtime.SerializeResumableState(&blob).ok());
+  std::string strategy_state;
+  live.strategy->SerializeState(&strategy_state);
+
+  // Layout: header, allocation, exhausted flags, checkpoints, states, the
+  // evaluation, then one cursor per resource and the strategy's string.
+  const size_t n = fixture_.initial.size();
+  const size_t allocation_at = 4 + 8 + 8 + 8 + 1 + 8;
+  auto allocation_of = [&](size_t i) {
+    int64_t x = 0;
+    std::memcpy(&x, blob.data() + allocation_at + 8 * i, 8);
+    return x;
+  };
+  const size_t checkpoints_at = allocation_at + 8 * n + n;
+  const uint32_t num_checkpoints =
+      static_cast<uint8_t>(blob[checkpoints_at]);  // < 256 here
+  size_t state_at = checkpoints_at + 4 + 40 * num_checkpoints;
+  size_t touched = n;
+  size_t untouched = n;
+  size_t touched_at = 0;
+  for (size_t i = 0; i < n; ++i) {
+    std::string state;
+    std::string tracker;
+    shared->SerializeAt(i, allocation_of(i), &state, &tracker);
+    ASSERT_EQ(blob.compare(state_at, state.size(), state), 0) << i;
+    if (allocation_of(i) > 0 && touched == n) {
+      touched = i;
+      touched_at = state_at;
+    }
+    if (allocation_of(i) == 0) untouched = i;
+    state_at += state.size();
+  }
+  ASSERT_LT(touched, n);
+  ASSERT_LT(untouched, n);
+  const size_t cursors_at = blob.size() - 4 - strategy_state.size() - 8 * n;
+
+  auto restore_code = [&](const std::string& damaged) {
+    Campaign restored(fixture_, c);
+    return restored.runtime
+        .RestoreResumableState(damaged, restored.strategy.get(),
+                               &restored.stream, shared)
+        .code();
+  };
+  ASSERT_EQ(restore_code(blob), util::StatusCode::kOk);
+
+  // A touched resource's state differs from its row.
+  std::string flipped = blob;
+  flipped[touched_at + 8 * 3 + 4 + 4] ^= 0x01;  // its first tag's count
+  EXPECT_EQ(restore_code(flipped), util::StatusCode::kCorruption);
+
+  // A cursor that is not the allocation.
+  std::string cursor = blob;
+  ++cursor[cursors_at + 8 * untouched];
+  EXPECT_EQ(restore_code(cursor), util::StatusCode::kCorruption);
+
+  // An allocation past the resource's future posts.
+  std::string past = blob;
+  const int64_t too_many = shared->future_length(touched) + 1;
+  std::memcpy(past.data() + allocation_at + 8 * touched, &too_many, 8);
+  EXPECT_EQ(restore_code(past), util::StatusCode::kCorruption);
+  const int64_t negative = -1;
+  std::memcpy(past.data() + allocation_at + 8 * touched, &negative, 8);
+  EXPECT_EQ(restore_code(past), util::StatusCode::kCorruption);
 }
 
 TEST_F(InitialStateTest, OmegaOutsideItsRangeIsRejected) {

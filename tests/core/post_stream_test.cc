@@ -102,6 +102,46 @@ TEST(VectorPostStreamTest, OwningStreamSurvivesMoveIntoUniquePtr) {
   EXPECT_FALSE(stream->HasNext(1));
 }
 
+TEST(VectorPostStreamTest, StoreIsTheReadPosts) {
+  const std::vector<PostSequence> seqs = MakeSequences();
+  VectorPostStream borrowing(&seqs);
+  EXPECT_EQ(&borrowing.store(), &seqs);
+  VectorPostStream owning(seqs);
+  EXPECT_NE(&owning.store(), &seqs);
+  EXPECT_EQ(owning.store().size(), seqs.size());
+}
+
+// A stream without random access, so Skip falls back to the default.
+class CountingStream : public PostStream {
+ public:
+  size_t num_resources() const override { return 1; }
+  bool HasNext(ResourceId /*i*/) override { return consumed_ < 3; }
+  const Post& Next(ResourceId /*i*/) override {
+    ++consumed_;
+    return post_;
+  }
+  int64_t Consumed(ResourceId /*i*/) const override { return consumed_; }
+
+ private:
+  Post post_ = Post::FromTags({1});
+  int64_t consumed_ = 0;
+};
+
+TEST(PostStreamTest, NegativeSkipIsRejectedAndMovesNoCursor) {
+  VectorPostStream vector_stream(MakeSequences());
+  ASSERT_TRUE(vector_stream.Skip(0, 1).ok());
+  EXPECT_EQ(vector_stream.Skip(0, -1).code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(vector_stream.Consumed(0), 1);
+  EXPECT_EQ(vector_stream.Next(0).tags, (std::vector<TagId>{2}));
+
+  CountingStream counting;
+  ASSERT_TRUE(counting.Skip(0, 2).ok());
+  EXPECT_EQ(counting.Skip(0, -1).code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(counting.Consumed(0), 2);
+  EXPECT_FALSE(counting.Skip(0, 2).ok());  // only one post left
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace incentag

@@ -1,4 +1,3 @@
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -23,7 +22,7 @@ class StrategyHarness {
  public:
   explicit StrategyHarness(int omega) : omega_(omega) {
     ctx_.omega = omega;
-    ctx_.states = &table_;
+    ctx_.states = &views_;
   }
 
   // Adds a resource that has already received `posts` copies of a
@@ -33,7 +32,13 @@ class StrategyHarness {
     for (int64_t i = 0; i < posts; ++i) {
       state.AddPost(Post::FromTags({tag}));
     }
-    table_.push_back(&state);
+    views_.push_back(ResourceView::Of(state));
+  }
+
+  // Applies `post` to resource i and refreshes the strategy's view.
+  void AddPost(ResourceId i, const Post& post) {
+    states_[i].AddPost(post);
+    views_[i] = ResourceView::Of(states_[i]);
   }
 
   // One engine step with batch size 1: Choose, assign, apply a post,
@@ -42,18 +47,18 @@ class StrategyHarness {
     ResourceId chosen = strategy->Choose();
     if (chosen == kInvalidResource) return chosen;
     strategy->OnAssigned(chosen);
-    states_[chosen].AddPost(post);
+    AddPost(chosen, post);
     strategy->Update(chosen);
     return chosen;
   }
 
   const StrategyContext& ctx() const { return ctx_; }
-  ResourceState& state(ResourceId i) { return states_[i]; }
+  const ResourceState& state(ResourceId i) const { return states_[i]; }
 
  private:
   int omega_;
-  std::deque<ResourceState> states_;  // stable addresses for table_
-  std::vector<const ResourceState*> table_;
+  std::vector<ResourceState> states_;
+  std::vector<ResourceView> views_;
   StrategyContext ctx_;
 };
 
@@ -192,7 +197,7 @@ TEST(MostUnstableTest, PicksSmallestMaScore) {
   // Resource 1: unstable (fresh orthogonal tags via direct state access).
   h.AddResource(0, 2);
   for (TagId t = 10; t < 16; ++t) {
-    h.state(1).AddPost(Post::FromTags({t}));
+    h.AddPost(1, Post::FromTags({t}));
   }
   ASSERT_TRUE(h.state(0).has_ma_score());
   ASSERT_TRUE(h.state(1).has_ma_score());
@@ -211,14 +216,14 @@ TEST(MostUnstableTest, UpdateReordersHeap) {
   // Both start perfectly stable (MA = 1); id 0 wins the tie.
   ASSERT_EQ(mu.Choose(), 0u);
   // Give 0 a destabilising post; its MA drops but stays eligible.
-  h.state(0).AddPost(Post::FromTags({7, 8}));
+  h.AddPost(0, Post::FromTags({7, 8}));
   mu.Update(0);
   EXPECT_EQ(mu.Choose(), 0u);  // now strictly the most unstable
   const double dipped = h.state(0).ma_score();
   // Stabilise 0 again with repeats of its own tag; MA recovers (though not
   // exactly to 1: the off-topic tags remain in the counts).
   for (int i = 0; i < 4; ++i) {
-    h.state(0).AddPost(Post::FromTags({1}));
+    h.AddPost(0, Post::FromTags({1}));
     mu.Update(0);
   }
   ASSERT_GT(h.state(0).ma_score(), dipped);

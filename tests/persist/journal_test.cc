@@ -125,6 +125,50 @@ TEST_F(JournalTest, V2SubmitBodyDecodesWithDefaultSchedulingClass) {
   EXPECT_EQ(EncodeSubmitRecord(got), body);
 }
 
+// A count field the body cannot hold is Corruption, not an allocation
+// of the count's size.
+TEST_F(JournalTest, HugeCountsAreCorruptionNotAllocations) {
+  const SubmitRecord submit = MakeSubmit();
+  std::string submit_body;
+  util::wire::PutU8(&submit_body, static_cast<uint8_t>(RecordType::kSubmit));
+  util::wire::PutU32(&submit_body, kJournalFormatVersion);
+  util::wire::PutString(&submit_body, submit.name);
+  util::wire::PutString(&submit_body, submit.strategy_name);
+  util::wire::PutU64(&submit_body, submit.seed);
+  util::wire::PutI64(&submit_body, submit.options.budget);
+  util::wire::PutU32(&submit_body, 5);  // omega
+  util::wire::PutI64(&submit_body, submit.options.under_tagged_threshold);
+  util::wire::PutI64(&submit_body, submit.options.batch_size);
+  util::wire::PutU32(&submit_body, 0xFFFFFFFFu);  // num_checkpoints
+  util::wire::PutI64(&submit_body, 100);
+  SubmitRecord got_submit;
+  EXPECT_EQ(DecodeSubmitRecord(submit_body, &got_submit).code(),
+            util::StatusCode::kCorruption);
+
+  std::string snapshot_body;
+  util::wire::PutU8(&snapshot_body,
+                    static_cast<uint8_t>(RecordType::kSnapshot));
+  util::wire::PutU32(&snapshot_body, kJournalFormatVersion);
+  util::wire::PutU64(&snapshot_body, 10);                 // num_completions
+  util::wire::PutU64(&snapshot_body, 10 + 0xFFFFFFFFull);  // next_assign_seq
+  util::wire::PutU32(&snapshot_body, 0xFFFFFFFFu);        // num_pending
+  util::wire::PutU32(&snapshot_body, 3);
+  util::wire::PutString(&snapshot_body, "state");
+  SnapshotRecord got_snapshot;
+  EXPECT_EQ(DecodeSnapshotRecord(snapshot_body, &got_snapshot).code(),
+            util::StatusCode::kCorruption);
+
+  // The same bodies with honest counts still decode.
+  SnapshotRecord honest;
+  honest.num_completions = 10;
+  honest.next_assign_seq = 12;
+  honest.pending = {3, 4};
+  honest.runtime_state = "state";
+  ASSERT_TRUE(
+      DecodeSnapshotRecord(EncodeSnapshotRecord(honest), &got_snapshot).ok());
+  EXPECT_EQ(got_snapshot.pending, honest.pending);
+}
+
 TEST_F(JournalTest, CompletionRecordRoundtrip) {
   const CompletionRecord want{42, 7};
   CompletionRecord got;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -336,6 +337,53 @@ TEST_F(CampaignManagerTest, ShutdownCancelsEverythingAndIsIdempotent) {
   EXPECT_FALSE(manager->Submit(MakeConfig(0, 10, 1)).ok());
   crowd.Stop();
   manager.reset();  // destructor after the source is quiesced
+}
+
+// Takes every task and completes none, so campaigns stay mid-run.
+class SilentCompletionSource : public CompletionSource {
+ public:
+  bool SubmitTasks(const std::vector<TaskHandle>& /*tasks*/,
+                   const CompletionFn& /*done*/) override {
+    return true;
+  }
+};
+
+TEST_F(CampaignManagerTest, CampaignsOverOneStoreShareOneTrajectoryTable) {
+  SilentCompletionSource silent;
+  ManagerOptions options;
+  options.num_threads = 2;
+  options.completions = &silent;
+  CampaignManager manager(options);
+  std::vector<CampaignId> ids;
+  auto submit = [&](CampaignConfig config) {
+    auto id = manager.Submit(std::move(config));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(id.value());
+  };
+  // Two campaigns over MakeStream() share the dataset's store.
+  submit(MakeConfig(0, 1000, 1));
+  submit(MakeConfig(1, 1000, 2));
+  // One over its own copy of the posts, and one with another omega.
+  CampaignConfig own = MakeConfig(2, 1000, 3);
+  own.stream = std::make_unique<core::VectorPostStream>(dataset_->future_posts);
+  submit(std::move(own));
+  CampaignConfig other_omega = MakeConfig(3, 1000, 4);
+  other_omega.options.omega = 3;
+  submit(std::move(other_omega));
+
+  // Every campaign has begun once it has tasks in flight.
+  for (CampaignId id : ids) {
+    for (;;) {
+      auto status = manager.Status(id);
+      ASSERT_TRUE(status.ok());
+      ASSERT_EQ(status.value().state, CampaignState::kRunning);
+      if (status.value().tasks_in_flight > 0) break;
+      std::this_thread::yield();
+    }
+  }
+  EXPECT_EQ(manager.num_initial_states(), 3u);
+  manager.Shutdown();
+  EXPECT_EQ(manager.num_initial_states(), 0u);
 }
 
 TEST_F(CampaignManagerTest, ManyMoreCampaignsThanThreads) {

@@ -1,13 +1,13 @@
 // Fleet isolation over one dataset's shared state: every campaign's stream
 // comes from one dataset's MakeStream(), so the whole fleet reads a single
 // copy of the future posts at once, each campaign through its own
-// cursors. The manager also hands every campaign the dataset's January
-// state for its omega (initial_state.h), which the campaign copies a
-// resource at a time on first write; the fleet mixes two omegas, so the
-// manager holds two January states for one dataset, and two under-tagged
-// thresholds, which each campaign recounts. Every report must be
-// byte-identical to a CampaignRuntime run over the campaign's own owning
-// copy of the posts and its own January build, both on the threaded
+// cursors. The manager also hands every campaign the dataset's trajectory
+// table for its omega (initial_state.h), from which the campaign reads
+// every resource's state; the fleet mixes two omegas, so the manager
+// holds two tables for one dataset, and two under-tagged thresholds,
+// which each campaign recounts. Every report must be byte-identical to a
+// CampaignRuntime run over the campaign's own owning copy of the posts
+// and its own table build, both on the threaded
 // manager and after a journaled kill + Recover. The sanitizer builds run
 // this test too, which puts the shared reads under TSan and ASan.
 #include <bit>
@@ -141,7 +141,7 @@ class FleetIsolationTest : public ::testing::Test {
   }
 
   // The reference: one CampaignRuntime over its own copy of the posts,
-  // building its own January state.
+  // building its own trajectory table.
   static core::RunReport RunReference(int index) {
     std::shared_ptr<void> context;
     auto strategy = sim::MakeStrategyByName(
@@ -268,6 +268,7 @@ TEST_F(FleetIsolationTest, SharedPostsGiveEachCampaignItsOwnReport) {
         std::this_thread::sleep_for(milliseconds(1));
       }
     }
+    EXPECT_EQ(manager.num_initial_states(), 2u);  // one per omega
     manager.Shutdown();
   }
 
