@@ -21,9 +21,9 @@
 //   RunReport report = rt.Finish();         // frees per-resource state
 //
 // Begin borrows the dataset's trajectory table (initial_state.h;
-// CampaignManager keeps one per dataset and omega), or builds a private
-// one when the caller passes none. A resource's state after j applied
-// posts is the table's row(i, j), the same in every campaign, so the
+// CampaignManager keeps one per dataset, post store and omega), or builds
+// a private one when the caller passes none. A resource's state after j
+// applied posts is the table's row(i, j), the same in every campaign, so the
 // runtime keeps no per-resource state of its own beyond its allocation
 // x_i = j and a 16-byte ResourceView per resource for the strategy.
 // Finish frees those, the evaluation and the table reference; only the
