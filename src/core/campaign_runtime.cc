@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/core/quality.h"
 #include "src/obs/metrics.h"
 #include "src/util/logging.h"
 #include "src/util/wire.h"
