@@ -41,8 +41,8 @@ struct ResourceReference {
   int64_t stable_point = 0;
 };
 
-// Largest accepted MA window. Every resource's January state holds
-// omega - 1 doubles per trajectory table, so the cap keeps one request
+// Largest accepted MA window. Every kept state of a trajectory table
+// holds omega - 1 doubles, so the cap keeps one request
 // from asking for gigabytes; the paper's Fig. 6(f) sweeps omega over
 // 2-16.
 inline constexpr int kMaxOmega = 1024;

@@ -1,7 +1,9 @@
 #include "src/core/campaign_runtime.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <string_view>
 
 #include "src/obs/metrics.h"
 #include "src/util/logging.h"
@@ -18,14 +20,20 @@ namespace internal {
 // scalars are the campaign's own.
 class Evaluation {
  public:
-  // The time-zero evaluation: the table's accumulators, with the
-  // under-tagged count recounted for this campaign's threshold.
   Evaluation(const InitialState& initial, int64_t under_threshold)
-      : initial_(initial),
-        under_threshold_(under_threshold),
-        quality_sum_(initial.quality_sum()),
-        over_tagged_(initial.over_tagged()),
-        under_tagged_(initial.CountUnderTagged(under_threshold)) {}
+      : initial_(initial), under_threshold_(under_threshold) {}
+
+  // The time-zero evaluation, from every resource's January row: the
+  // quality sum in index order (bit-exact with a replay), the over-tagged
+  // count and the under-tagged count for this campaign's threshold.
+  void StartAtJanuary() {
+    for (size_t i = 0; i < initial_.num_resources(); ++i) {
+      const int64_t posts = initial_.initial_posts(i);
+      quality_sum_ += initial_.row(i, 0).quality;
+      if (IsOverTagged(initial_.references()[i], posts)) ++over_tagged_;
+      if (posts <= under_threshold_) ++under_tagged_;
+    }
+  }
 
   // Accounts for one completed post task on resource i, its j-th (j >= 1).
   void OnPostTask(size_t i, int64_t j) {
@@ -53,41 +61,21 @@ class Evaluation {
     return m;
   }
 
-  // Resumable-state round trip (campaign snapshots, journal format v2).
-  // `trackers` holds every resource's QualityTracker bytes at
-  // `allocation` (InitialState::SerializeAt). quality_sum_ is an
-  // order-dependent float accumulation, so it is serialized bit-exactly
-  // rather than recomputed.
-  void Serialize(const std::vector<int64_t>& allocation,
-                 const std::string& trackers, std::string* out) const {
-    PutPerResource(allocation, trackers, out);
+  // Resumable-state round trip of the scalars (campaign snapshots).
+  // quality_sum_ is an order-dependent float accumulation, so it is
+  // serialized bit-exactly rather than recomputed.
+  void Serialize(std::string* out) const {
     util::wire::PutDouble(out, quality_sum_);
     util::wire::PutI64(out, over_tagged_);
     util::wire::PutI64(out, under_tagged_);
     util::wire::PutI64(out, wasted_posts_);
   }
-
-  // False when the blob's per-resource part differs from the table's at
-  // `allocation` or the scalars are short.
-  bool Restore(const std::vector<int64_t>& allocation,
-               const std::string& trackers, util::wire::Reader* in) {
-    std::string expected;
-    PutPerResource(allocation, trackers, &expected);
-    return in->SkipExpected(expected) && in->GetDouble(&quality_sum_) &&
-           in->GetI64(&over_tagged_) && in->GetI64(&under_tagged_) &&
-           in->GetI64(&wasted_posts_);
+  bool Restore(util::wire::Reader* in) {
+    return in->GetDouble(&quality_sum_) && in->GetI64(&over_tagged_) &&
+           in->GetI64(&under_tagged_) && in->GetI64(&wasted_posts_);
   }
 
  private:
-  void PutPerResource(const std::vector<int64_t>& allocation,
-                      const std::string& trackers, std::string* out) const {
-    util::wire::PutU64(out, static_cast<uint64_t>(allocation.size()));
-    out->append(trackers);
-    for (size_t i = 0; i < allocation.size(); ++i) {
-      util::wire::PutDouble(out, initial_.row(i, allocation[i]).quality);
-    }
-  }
-
   const InitialState& initial_;
   int64_t under_threshold_;
   double quality_sum_ = 0.0;
@@ -144,6 +132,14 @@ util::Status CampaignRuntime::AttachInitialState(
         "cost model resource count does not match the engine's");
   }
   INCENTAG_RETURN_IF_ERROR(ValidateOmega(options_.omega));
+  // A campaign's j-th post on resource i is row j of the table, so its
+  // stream must start at every resource's first future post.
+  for (size_t i = 0; i < n; ++i) {
+    if (stream.Consumed(static_cast<ResourceId>(i)) != 0) {
+      return util::Status::InvalidArgument(
+          "stream has already consumed posts; pass a fresh or Reset() one");
+    }
+  }
   if (initial == nullptr) {
     initial = std::make_shared<const InitialState>(
         initial_posts_, &stream.store(), references_, options_.omega);
@@ -174,6 +170,11 @@ util::Status CampaignRuntime::Begin(
     return util::Status::InvalidArgument("budget must be non-negative");
   }
   INCENTAG_RETURN_IF_ERROR(AttachInitialState(*stream, std::move(initial)));
+  util::Status built = initial_->BuildFromJanuary();
+  if (!built.ok()) {
+    initial_.reset();
+    return built;
+  }
   strategy_ = strategy;
   stream_ = stream;
 
@@ -184,6 +185,7 @@ util::Status CampaignRuntime::Begin(
   ResetViews();
   eval_ = std::make_unique<internal::Evaluation>(
       *initial_, options_.under_tagged_threshold);
+  eval_->StartAtJanuary();
 
   ctx_.states = &views_;
   ctx_.omega = options_.omega;
@@ -326,11 +328,18 @@ util::Status CampaignRuntime::SerializeResumableState(
   }
   util::wire::PutU32(out, static_cast<uint32_t>(checkpoints_.size()));
   for (const AllocationMetrics& m : checkpoints_) PutMetrics(out, m);
+  // Every resource's state and quality tracker at its allocation, then
+  // its quality, then the evaluation's scalars.
   std::string trackers;
   for (size_t i = 0; i < n; ++i) {
     initial_->SerializeAt(i, allocation_[i], out, &trackers);
   }
-  eval_->Serialize(allocation_, trackers, out);
+  util::wire::PutU64(out, static_cast<uint64_t>(n));
+  out->append(trackers);
+  for (size_t i = 0; i < n; ++i) {
+    util::wire::PutDouble(out, initial_->row(i, allocation_[i]).quality);
+  }
+  eval_->Serialize(out);
   for (size_t i = 0; i < n; ++i) {
     util::wire::PutI64(out, stream_->Consumed(static_cast<ResourceId>(i)));
   }
@@ -405,21 +414,69 @@ util::Status CampaignRuntime::RestoreResumableState(
     checkpoints_.push_back(m);
   }
 
-  // Each resource's state is the table's row at its allocation; the
-  // blob must agree byte for byte.
+  // Each resource's state at its allocation. Where the table is built
+  // there, the blob's bytes must equal its rebuild; elsewhere they are
+  // decoded and, once the whole blob has parsed, seed the table
+  // (InitialState::Attach).
+  std::vector<bool> covered(n);
+  std::vector<ResourceState> seed_states;
   std::string expected;
-  std::string trackers;
+  std::string expected_trackers;
+  std::vector<size_t> tracker_ends;  // covered resources', in order
   for (size_t i = 0; i < n; ++i) {
-    expected.clear();
-    initial_->SerializeAt(i, allocation_[i], &expected, &trackers);
-    if (!in.SkipExpected(expected)) {
+    covered[i] = initial_->Covers(i, allocation_[i]);
+    if (covered[i]) {
+      expected.clear();
+      initial_->SerializeAt(i, allocation_[i], &expected, &expected_trackers);
+      tracker_ends.push_back(expected_trackers.size());
+      if (!in.SkipExpected(expected)) {
+        return util::Status::Corruption(
+            "resource state differs from the dataset's trajectory");
+      }
+    } else if (!seed_states.emplace_back(options_.omega).Restore(&in)) {
+      return util::Status::Corruption("malformed resource state");
+    }
+  }
+  uint64_t encoded_trackers = 0;
+  if (!in.GetU64(&encoded_trackers) || encoded_trackers != n) {
+    return util::Status::Corruption("runtime state quality tracker count");
+  }
+  std::vector<QualityTracker> seed_trackers;
+  seed_trackers.reserve(seed_states.size());
+  const std::string_view all_expected = expected_trackers;
+  size_t tracker_begin = 0;
+  auto tracker_end = tracker_ends.begin();
+  for (size_t i = 0; i < n; ++i) {
+    if (covered[i]) {
+      const size_t end = *tracker_end++;
+      if (!in.SkipExpected(
+              all_expected.substr(tracker_begin, end - tracker_begin))) {
+        return util::Status::Corruption(
+            "quality tracker differs from the dataset's trajectory");
+      }
+      tracker_begin = end;
+    } else if (!seed_trackers
+                    .emplace_back(&(*references_)[i].stable_rfd)
+                    .Restore(&in)) {
+      return util::Status::Corruption("malformed quality tracker");
+    }
+  }
+  size_t seed = 0;
+  for (size_t i = 0; i < n; ++i) {
+    double quality = 0.0;
+    if (!in.GetDouble(&quality)) {
+      return util::Status::Corruption("short runtime state qualities");
+    }
+    const double want = covered[i] ? initial_->row(i, allocation_[i]).quality
+                                   : seed_trackers[seed++].Quality();
+    if (std::bit_cast<uint64_t>(quality) != std::bit_cast<uint64_t>(want)) {
       return util::Status::Corruption(
-          "resource state differs from the dataset's trajectory");
+          "resource quality differs from its state");
     }
   }
   eval_ = std::make_unique<internal::Evaluation>(
       *initial_, options_.under_tagged_threshold);
-  if (!eval_->Restore(allocation_, trackers, &in)) {
+  if (!eval_->Restore(&in)) {
     eval_.reset();
     return util::Status::Corruption("malformed runtime evaluation state");
   }
@@ -445,6 +502,18 @@ util::Status CampaignRuntime::RestoreResumableState(
   if (!in.GetStringView(&strategy_state) || !in.exhausted()) {
     eval_.reset();
     return util::Status::Corruption("malformed runtime strategy state");
+  }
+  seed = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (covered[i]) continue;
+    util::Status attached =
+        initial_->Attach(i, allocation_[i], std::move(seed_states[seed]),
+                         std::move(seed_trackers[seed]));
+    ++seed;
+    if (!attached.ok()) {
+      eval_.reset();
+      return attached;
+    }
   }
   strategy_ = strategy;
   stream_ = stream;

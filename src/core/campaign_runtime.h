@@ -26,8 +26,10 @@
 // applied posts is the table's row(i, j), the same in every campaign, so the
 // runtime keeps no per-resource state of its own beyond its allocation
 // x_i = j and a 16-byte ResourceView per resource for the strategy.
-// Finish frees those, the evaluation and the table reference; only the
-// report survives.
+// Begin has the table replay every trajectory from January; a restore
+// needs each resource only from its allocation on (InitialState::Attach).
+// Finish frees the views, the evaluation and the table reference; only
+// the report survives.
 //
 // Driving the protocol straight through (as AllocationEngine::Run now
 // does, and as CampaignManager's deterministic mode does) reproduces the
@@ -70,12 +72,13 @@ class CampaignRuntime {
   CampaignRuntime& operator=(const CampaignRuntime&) = delete;
 
   // Validates the configuration, attaches `initial`'s trajectory table
-  // (building a private one over the stream's store when `initial` is
-  // null), copies its t=0 evaluation, runs strategy->Init and records
-  // the t=0 checkpoint. `initial` must have been built for this runtime's
-  // dataset pointers, `stream`'s store and omega (else InvalidArgument).
-  // `strategy` and `stream` must outlive the runtime; the stream's
-  // cursors are consumed.
+  // (a private one over the stream's store when `initial` is null) and
+  // has it built from January, sums the t=0 evaluation from its January
+  // rows, runs strategy->Init and records the t=0 checkpoint. `initial`
+  // must have been built for this runtime's dataset pointers, `stream`'s
+  // store and omega, and `stream` must not have consumed any post (else
+  // InvalidArgument). `strategy` and `stream` must outlive the runtime;
+  // the stream's cursors are consumed.
   util::Status Begin(Strategy* strategy, VectorPostStream* stream,
                      std::shared_ptr<const InitialState> initial = nullptr);
 
@@ -129,7 +132,8 @@ class CampaignRuntime {
   // with doubles stored bit-exactly, so a restored runtime produces a
   // RunReport byte-identical to one that replayed the whole journal.
   // The per-resource bytes are rebuilt from the trajectory table
-  // (InitialState::SerializeAt). Valid between any two steps after a
+  // (InitialState::SerializeAt: fewer than InitialState::kKeepEvery
+  // replayed posts per resource). Valid between any two steps after a
   // successful Begin; before Begin or after Finish it returns
   // FailedPrecondition.
   util::Status SerializeResumableState(std::string* out) const;
@@ -141,10 +145,12 @@ class CampaignRuntime {
   // its serialized position via PostStream::Skip, and hands the strategy
   // its serialized sub-blob through Strategy::RestoreState. `initial` is
   // as for Begin. A resource's state is a function of its allocation, so
-  // the blob's per-resource bytes (state, quality tracker and quality)
-  // must equal the table's rebuild of them, every stream cursor must
-  // equal its allocation, and no allocation may pass the resource's
-  // future posts (else Corruption).
+  // where the table is built at a resource's allocation the blob's bytes
+  // (state, quality tracker and quality) must equal its rebuild; where it
+  // is not, the decoded state seeds it (InitialState::Attach) and the
+  // trajectory is replayed from there only. Every stream cursor must
+  // equal its allocation and no allocation may pass the resource's future
+  // posts (else Corruption).
   util::Status RestoreResumableState(
       std::string_view state, Strategy* strategy, VectorPostStream* stream,
       std::shared_ptr<const InitialState> initial = nullptr);

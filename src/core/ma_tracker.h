@@ -10,9 +10,9 @@
 // The ring is a bare unique_ptr<double[]> of omega - 1 slots (its length
 // comes from omega_; no size or capacity is stored) and the indices are
 // 32-bit: 48 bytes a tracker on x86-64. Copying a tracker copies its
-// ring. A dataset's trajectory table (initial_state.h) holds one tracker
-// per resource and copies it to replay a resource's posts; campaigns
-// hold none.
+// ring. A dataset's trajectory table (initial_state.h) keeps a tracker
+// per resource every InitialState::kKeepEvery rows and copies one to
+// replay a resource's posts; campaigns hold none.
 #ifndef INCENTAG_CORE_MA_TRACKER_H_
 #define INCENTAG_CORE_MA_TRACKER_H_
 
@@ -72,7 +72,7 @@ class MaTracker {
   uint32_t filled_ = 0;  // number of valid ring entries
 };
 
-// One tracker per resource per trajectory table (see above); x86-64
+// One tracker per kept state of a trajectory table (see above); x86-64
 // layout.
 static_assert(sizeof(MaTracker) <= 48);
 

@@ -45,6 +45,8 @@ class QualityTracker {
   }
 
   int64_t posts() const { return posts_; }
+  // ||h||^2 as mirrored from the TagCounts.
+  double norm_squared() const { return norm_sq_; }
   const RfdVector& reference() const { return *reference_; }
 
   // Resumable-state round trip (campaign snapshots, journal format v2).

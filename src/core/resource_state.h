@@ -8,12 +8,12 @@
 // ground truth (stable rfds stay private to the evaluation).
 //
 // Footprint: campaigns hold no ResourceState. The dataset's trajectory
-// table (initial_state.h) keeps one per resource, at January, to replay
-// from when a snapshot needs a resource's bytes; campaigns read 16-byte
-// rows of the table instead. Inline a state is 104 bytes on x86-64:
-// TagCounts (56: the flat map's header plus three int64 totals) and
-// MaTracker (48). Out of line it owns the map's 8-byte slots (a power of
-// two >= 8, kept under 0.7 load) and the tracker's omega - 1 doubles.
+// table (initial_state.h) keeps one per resource every kKeepEvery rows,
+// to replay from when a snapshot needs a resource's bytes; campaigns
+// read 16-byte rows of the table instead. Inline a state is 104 bytes on
+// x86-64: TagCounts (56: the flat map's header plus three int64 totals)
+// and MaTracker (48). Out of line it owns the map's 8-byte slots (a power
+// of two >= 8, kept under 0.7 load) and the tracker's omega - 1 doubles.
 #ifndef INCENTAG_CORE_RESOURCE_STATE_H_
 #define INCENTAG_CORE_RESOURCE_STATE_H_
 
@@ -51,10 +51,14 @@ class ResourceState {
   // Requires has_ma_score().
   double ma_score() const { return ma_.Score(); }
 
-  // Snapshot bytes (campaign snapshots, journal format v2).
+  // Snapshot bytes (campaign snapshots, journal format v2). Restore
+  // returns false on a malformed buffer or an omega mismatch.
   void Serialize(std::string* out) const {
     counts_.Serialize(out);
     ma_.Serialize(out);
+  }
+  bool Restore(util::wire::Reader* in) {
+    return counts_.Restore(in) && ma_.Restore(in);
   }
 
  private:

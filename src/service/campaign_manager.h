@@ -416,8 +416,10 @@ class CampaignManager {
   void MaybeCompact(Campaign* campaign);
   void EnsureJournalWorkers();
   // The trajectory table for `config`'s dataset, post store and omega:
-  // the live one if any campaign still holds it, else built now (under
-  // the lock, so concurrent first steps build it once).
+  // the live one if any campaign still holds it, else a new one (under
+  // the lock, so concurrent first steps share it). Construction replays
+  // nothing; Begin and restores build what they need under the table's
+  // own lock.
   std::shared_ptr<const core::InitialState> InitialStateFor(
       const CampaignConfig& config);
   // Sink-thread callback: the retry ladder gave up on `writer`. Flags

@@ -2,15 +2,19 @@
 // it: every row must equal a fresh replay of its post prefix, a campaign
 // over a shared InitialState must report exactly what one over a private
 // build reports, runtimes sharing one state must not see each other's
-// posts, and the shared state must come out of every run untouched. Also
-// pins the runtime's omega bounds, its restore checks and its behaviour
-// once Finish has freed the per-resource state.
+// posts, and the shared state must come out of every run untouched. A
+// restore into an unbuilt table seeds each trajectory at its allocation
+// and must agree with the January build, which later rejects a seed its
+// posts do not reach. Also pins the runtime's omega bounds, its restore
+// checks and its behaviour once Finish has freed the per-resource state.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,6 +148,25 @@ std::vector<std::string> SharedBytes(const InitialState& initial) {
   return out;
 }
 
+// Resource i's allocation in a SerializeResumableState blob: after the
+// version, the resource count, the budget counters, the stopped flag and
+// the checkpoint cursor.
+int64_t AllocationIn(const std::string& blob, size_t i) {
+  int64_t x = 0;
+  std::memcpy(&x, blob.data() + 4 + 8 + 8 + 8 + 1 + 8 + 8 * i, 8);
+  return x;
+}
+
+void ExpectRowsEqual(const InitialState& want, const InitialState& got,
+                     size_t i, int64_t j) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(want.row(i, j).ma_score),
+            std::bit_cast<uint64_t>(got.row(i, j).ma_score))
+      << i << " " << j;
+  EXPECT_EQ(std::bit_cast<uint64_t>(want.row(i, j).quality),
+            std::bit_cast<uint64_t>(got.row(i, j).quality))
+      << i << " " << j;
+}
+
 class InitialStateTest : public ::testing::Test {
  protected:
   InitialStateTest()
@@ -186,7 +209,15 @@ class InitialStateTest : public ::testing::Test {
     return CostModel(std::move(costs));
   }
 
+  // A table built from January, as a campaign's Begin leaves it.
   std::shared_ptr<const InitialState> Shared(int omega = 5) const {
+    std::shared_ptr<const InitialState> table = Unbuilt(omega);
+    EXPECT_TRUE(table->BuildFromJanuary().ok());
+    return table;
+  }
+
+  // A table nothing has built yet, as a recovering manager first sees it.
+  std::shared_ptr<const InitialState> Unbuilt(int omega = 5) const {
     return std::make_shared<const InitialState>(
         &fixture_.initial, &fixture_.future, &fixture_.references, omega);
   }
@@ -429,33 +460,228 @@ TEST_F(InitialStateTest, RestoreChecksEveryResourceAgainstTheTrajectory) {
   ASSERT_LT(untouched, n);
   const size_t cursors_at = blob.size() - 4 - strategy_state.size() - 8 * n;
 
-  auto restore_code = [&](const std::string& damaged) {
+  auto restore_code = [&](const std::string& damaged,
+                          std::shared_ptr<const InitialState> table) {
     Campaign restored(fixture_, c);
     return restored.runtime
         .RestoreResumableState(damaged, restored.strategy.get(),
-                               &restored.stream, shared)
+                               &restored.stream, std::move(table))
         .code();
   };
-  ASSERT_EQ(restore_code(blob), util::StatusCode::kOk);
+  ASSERT_EQ(restore_code(blob, shared), util::StatusCode::kOk);
 
-  // A touched resource's state differs from its row.
+  // A touched resource's state differs from its row, or, where nothing
+  // is built to compare with, does not add up.
   std::string flipped = blob;
   flipped[touched_at + 8 * 3 + 4 + 4] ^= 0x01;  // its first tag's count
-  EXPECT_EQ(restore_code(flipped), util::StatusCode::kCorruption);
+  EXPECT_EQ(restore_code(flipped, shared), util::StatusCode::kCorruption);
+  EXPECT_EQ(restore_code(flipped, Unbuilt()), util::StatusCode::kCorruption);
 
   // A cursor that is not the allocation.
   std::string cursor = blob;
   ++cursor[cursors_at + 8 * untouched];
-  EXPECT_EQ(restore_code(cursor), util::StatusCode::kCorruption);
+  EXPECT_EQ(restore_code(cursor, shared), util::StatusCode::kCorruption);
 
   // An allocation past the resource's future posts.
   std::string past = blob;
   const int64_t too_many = shared->future_length(touched) + 1;
   std::memcpy(past.data() + allocation_at + 8 * touched, &too_many, 8);
-  EXPECT_EQ(restore_code(past), util::StatusCode::kCorruption);
+  EXPECT_EQ(restore_code(past, shared), util::StatusCode::kCorruption);
   const int64_t negative = -1;
   std::memcpy(past.data() + allocation_at + 8 * touched, &negative, 8);
-  EXPECT_EQ(restore_code(past), util::StatusCode::kCorruption);
+  EXPECT_EQ(restore_code(past, shared), util::StatusCode::kCorruption);
+}
+
+TEST_F(InitialStateTest, RestoreIntoAnUnbuiltTableReplaysOnlyTheRest) {
+  const Case& c = cases_[1];  // FP, batch 8
+  Campaign live(fixture_, c);
+  ASSERT_TRUE(live.runtime.Begin(live.strategy.get(), &live.stream).ok());
+  for (int step = 0; step < 5; ++step) ASSERT_TRUE(live.Step());
+  std::string blob;
+  ASSERT_TRUE(live.runtime.SerializeResumableState(&blob).ok());
+
+  std::shared_ptr<const InitialState> seeded = Unbuilt();
+  Campaign restored(fixture_, c);
+  ASSERT_TRUE(restored.runtime
+                  .RestoreResumableState(blob, restored.strategy.get(),
+                                         &restored.stream, seeded)
+                  .ok());
+  // Each resource is built from its allocation on, from the snapshot's
+  // state, and agrees with the January build there.
+  const std::shared_ptr<const InitialState> built = Shared();
+  size_t seeded_past_january = 0;
+  for (size_t i = 0; i < fixture_.initial.size(); ++i) {
+    const int64_t a = AllocationIn(blob, i);
+    ASSERT_TRUE(seeded->Covers(i, a)) << i;
+    if (a > 0) {
+      EXPECT_FALSE(seeded->Covers(i, a - 1)) << i;
+      ++seeded_past_january;
+    }
+    for (int64_t j = a; j <= seeded->future_length(i); ++j) {
+      ExpectRowsEqual(*built, *seeded, i, j);
+      std::string want;
+      std::string got;
+      built->SerializeAt(i, j, &want, &want);
+      seeded->SerializeAt(i, j, &got, &got);
+      EXPECT_EQ(want, got) << i << " " << j;
+    }
+  }
+  EXPECT_GT(seeded_past_january, 0u);
+  while (live.Step()) {
+  }
+  while (restored.Step()) {
+  }
+  ExpectReportsEqual(live.runtime.Finish(), restored.runtime.Finish(),
+                     "restored");
+
+  // A campaign that begins later has every prefix replayed from January.
+  ExpectReportsEqual(RunSolo(fixture_, c, nullptr),
+                     RunSolo(fixture_, c, seeded), "begun after a restore");
+  EXPECT_EQ(SharedBytes(*built), SharedBytes(*seeded));
+  for (size_t i = 0; i < fixture_.initial.size(); ++i) {
+    for (int64_t j = 0; j <= seeded->future_length(i); ++j) {
+      ExpectRowsEqual(*built, *seeded, i, j);
+    }
+  }
+}
+
+TEST_F(InitialStateTest, RestoreBelowASeedReplaysThePrefixFirst) {
+  const Case& c = cases_[1];  // FP, batch 8
+  Campaign live(fixture_, c);
+  ASSERT_TRUE(live.runtime.Begin(live.strategy.get(), &live.stream).ok());
+  for (int step = 0; step < 2; ++step) ASSERT_TRUE(live.Step());
+  std::string early;
+  ASSERT_TRUE(live.runtime.SerializeResumableState(&early).ok());
+  for (int step = 0; step < 4; ++step) ASSERT_TRUE(live.Step());
+  std::string late;
+  ASSERT_TRUE(live.runtime.SerializeResumableState(&late).ok());
+
+  std::shared_ptr<const InitialState> table = Unbuilt();
+  Campaign from_late(fixture_, c);
+  ASSERT_TRUE(from_late.runtime
+                  .RestoreResumableState(late, from_late.strategy.get(),
+                                         &from_late.stream, table)
+                  .ok());
+  Campaign from_early(fixture_, c);
+  ASSERT_TRUE(from_early.runtime
+                  .RestoreResumableState(early, from_early.strategy.get(),
+                                         &from_early.stream, table)
+                  .ok());
+  size_t filled = 0;
+  for (size_t i = 0; i < fixture_.initial.size(); ++i) {
+    if (AllocationIn(early, i) < AllocationIn(late, i)) {
+      EXPECT_TRUE(table->Covers(i, 0)) << i;
+      ++filled;
+    }
+  }
+  EXPECT_GT(filled, 0u);
+  while (live.Step()) {
+  }
+  while (from_late.Step()) {
+  }
+  while (from_early.Step()) {
+  }
+  const RunReport want = live.runtime.Finish();
+  ExpectReportsEqual(want, from_late.runtime.Finish(), "from the late one");
+  ExpectReportsEqual(want, from_early.runtime.Finish(), "from the early one");
+}
+
+TEST_F(InitialStateTest, ConcurrentRestoresAndBeginsShareOneTable) {
+  // Threads restore snapshots from several points of one run into one
+  // unbuilt table, or begin afresh on it, and step and snapshot while
+  // the others seed and fill trajectories (run under TSan in CI).
+  const Case& c = cases_[1];  // FP, batch 8
+  Campaign live(fixture_, c);
+  ASSERT_TRUE(live.runtime.Begin(live.strategy.get(), &live.stream).ok());
+  std::vector<std::string> blobs;
+  for (int step = 0; step < 4; ++step) {
+    ASSERT_TRUE(live.Step());
+    ASSERT_TRUE(live.runtime.SerializeResumableState(&blobs.emplace_back())
+                    .ok());
+  }
+  std::reverse(blobs.begin(), blobs.end());  // latest seeds first
+  while (live.Step()) {
+  }
+  const RunReport want = live.runtime.Finish();
+  const RunReport want_begun = RunSolo(fixture_, c, nullptr);
+
+  std::shared_ptr<const InitialState> table = Unbuilt();
+  std::vector<RunReport> got(blobs.size() + 1);
+  std::vector<std::thread> threads;
+  for (size_t k = 0; k <= blobs.size(); ++k) {
+    threads.emplace_back([&, k] {
+      Campaign campaign(fixture_, c);
+      util::Status started =
+          k < blobs.size()
+              ? campaign.runtime.RestoreResumableState(
+                    blobs[k], campaign.strategy.get(), &campaign.stream,
+                    table)
+              : campaign.runtime.Begin(campaign.strategy.get(),
+                                       &campaign.stream, table);
+      ASSERT_TRUE(started.ok()) << k << ": " << started.ToString();
+      std::string blob;
+      while (campaign.Step()) {
+        blob.clear();
+        ASSERT_TRUE(campaign.runtime.SerializeResumableState(&blob).ok());
+      }
+      got[k] = campaign.runtime.Finish();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t k = 0; k < blobs.size(); ++k) {
+    ExpectReportsEqual(want, got[k], "restored " + std::to_string(k));
+  }
+  ExpectReportsEqual(want_begun, got.back(), "begun");
+  EXPECT_EQ(SharedBytes(*Shared()), SharedBytes(*table));
+}
+
+TEST_F(InitialStateTest, BuildFromJanuaryRejectsASeedItsPostsDoNotReach) {
+  const Case& c = cases_[1];  // FP, batch 8
+  Campaign live(fixture_, c);
+  ASSERT_TRUE(live.runtime.Begin(live.strategy.get(), &live.stream).ok());
+  for (int step = 0; step < 5; ++step) ASSERT_TRUE(live.Step());
+  std::string blob;
+  ASSERT_TRUE(live.runtime.SerializeResumableState(&blob).ok());
+
+  // Another store whose first post of a touched resource differs: the
+  // snapshot's state is consistent, so it seeds, but January's replay
+  // through this store does not reach it.
+  Fixture other = fixture_;
+  size_t touched = 0;
+  while (AllocationIn(blob, touched) == 0) ++touched;
+  other.future[touched][0] = Post::FromTags({1000});
+  auto table = std::make_shared<const InitialState>(
+      &other.initial, &other.future, &other.references, 5);
+  Campaign restored(other, c);
+  ASSERT_TRUE(restored.runtime
+                  .RestoreResumableState(blob, restored.strategy.get(),
+                                         &restored.stream, table)
+                  .ok());
+  EXPECT_EQ(table->BuildFromJanuary().code(), util::StatusCode::kCorruption);
+  Campaign begun(other, c);
+  EXPECT_EQ(
+      begun.runtime.Begin(begun.strategy.get(), &begun.stream, table).code(),
+      util::StatusCode::kCorruption);
+}
+
+TEST_F(InitialStateTest, AStreamThatAlreadyMovedIsRejected) {
+  Campaign live(fixture_, cases_[0]);
+  ASSERT_TRUE(live.runtime.Begin(live.strategy.get(), &live.stream).ok());
+  ASSERT_TRUE(live.Step());
+  std::string blob;
+  ASSERT_TRUE(live.runtime.SerializeResumableState(&blob).ok());
+
+  Campaign begun(fixture_, cases_[0]);
+  ASSERT_TRUE(begun.stream.Skip(3, 1).ok());
+  EXPECT_EQ(begun.runtime.Begin(begun.strategy.get(), &begun.stream).code(),
+            util::StatusCode::kInvalidArgument);
+  Campaign restored(fixture_, cases_[0]);
+  ASSERT_TRUE(restored.stream.Skip(3, 1).ok());
+  EXPECT_EQ(restored.runtime
+                .RestoreResumableState(blob, restored.strategy.get(),
+                                       &restored.stream)
+                .code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST_F(InitialStateTest, OmegaOutsideItsRangeIsRejected) {
