@@ -307,6 +307,82 @@ bool GetMetrics(util::wire::Reader* in, AllocationMetrics* m) {
          in->GetI64(&m->under_tagged);
 }
 
+// A resource whose snapshot state seeds the table (InitialState::Attach).
+struct Seed {
+  size_t i;
+  ResourceState state;
+  QualityTracker tracker;
+};
+
+// Reads a blob's per-resource section: every resource's state, the
+// resource count, every quality tracker, every quality. Where `initial`
+// is built at a resource's allocation the bytes must equal its rebuild;
+// the other resources are decoded into *seeds, in index order.
+util::Status ReadResources(const InitialState& initial,
+                           const std::vector<int64_t>& allocation, int omega,
+                           util::wire::Reader* in, std::vector<Seed>* seeds) {
+  const size_t n = allocation.size();
+  std::string expected;
+  std::string expected_trackers;
+  std::vector<size_t> tracker_ends;  // per built resource, in order
+  for (size_t i = 0; i < n; ++i) {
+    if (initial.Covers(i, allocation[i])) {
+      expected.clear();
+      initial.SerializeAt(i, allocation[i], &expected, &expected_trackers);
+      tracker_ends.push_back(expected_trackers.size());
+      if (!in->SkipExpected(expected)) {
+        return util::Status::Corruption(
+            "resource state differs from the dataset's trajectory");
+      }
+      continue;
+    }
+    Seed& seed = seeds->emplace_back(
+        Seed{i, ResourceState(omega),
+             QualityTracker(&initial.references()[i].stable_rfd)});
+    if (!seed.state.Restore(in)) {
+      return util::Status::Corruption("malformed resource state");
+    }
+  }
+  uint64_t encoded_n = 0;
+  if (!in->GetU64(&encoded_n) || encoded_n != n) {
+    return util::Status::Corruption("runtime state quality tracker count");
+  }
+  auto seed = seeds->begin();
+  auto tracker_end = tracker_ends.begin();
+  size_t tracker_begin = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (seed != seeds->end() && seed->i == i) {
+      if (!(seed++)->tracker.Restore(in)) {
+        return util::Status::Corruption("malformed quality tracker");
+      }
+      continue;
+    }
+    const std::string_view want = std::string_view(expected_trackers)
+                                      .substr(tracker_begin,
+                                              *tracker_end - tracker_begin);
+    tracker_begin = *tracker_end++;
+    if (!in->SkipExpected(want)) {
+      return util::Status::Corruption(
+          "quality tracker differs from the dataset's trajectory");
+    }
+  }
+  seed = seeds->begin();
+  for (size_t i = 0; i < n; ++i) {
+    double quality = 0.0;
+    if (!in->GetDouble(&quality)) {
+      return util::Status::Corruption("short runtime state qualities");
+    }
+    const double want = seed != seeds->end() && seed->i == i
+                            ? (seed++)->tracker.Quality()
+                            : initial.row(i, allocation[i]).quality;
+    if (std::bit_cast<uint64_t>(quality) != std::bit_cast<uint64_t>(want)) {
+      return util::Status::Corruption(
+          "resource quality differs from its state");
+    }
+  }
+  return util::Status::OK();
+}
+
 }  // namespace
 
 util::Status CampaignRuntime::SerializeResumableState(
@@ -414,66 +490,11 @@ util::Status CampaignRuntime::RestoreResumableState(
     checkpoints_.push_back(m);
   }
 
-  // Each resource's state at its allocation. Where the table is built
-  // there, the blob's bytes must equal its rebuild; elsewhere they are
-  // decoded and, once the whole blob has parsed, seed the table
-  // (InitialState::Attach).
-  std::vector<bool> covered(n);
-  std::vector<ResourceState> seed_states;
-  std::string expected;
-  std::string expected_trackers;
-  std::vector<size_t> tracker_ends;  // covered resources', in order
-  for (size_t i = 0; i < n; ++i) {
-    covered[i] = initial_->Covers(i, allocation_[i]);
-    if (covered[i]) {
-      expected.clear();
-      initial_->SerializeAt(i, allocation_[i], &expected, &expected_trackers);
-      tracker_ends.push_back(expected_trackers.size());
-      if (!in.SkipExpected(expected)) {
-        return util::Status::Corruption(
-            "resource state differs from the dataset's trajectory");
-      }
-    } else if (!seed_states.emplace_back(options_.omega).Restore(&in)) {
-      return util::Status::Corruption("malformed resource state");
-    }
-  }
-  uint64_t encoded_trackers = 0;
-  if (!in.GetU64(&encoded_trackers) || encoded_trackers != n) {
-    return util::Status::Corruption("runtime state quality tracker count");
-  }
-  std::vector<QualityTracker> seed_trackers;
-  seed_trackers.reserve(seed_states.size());
-  const std::string_view all_expected = expected_trackers;
-  size_t tracker_begin = 0;
-  auto tracker_end = tracker_ends.begin();
-  for (size_t i = 0; i < n; ++i) {
-    if (covered[i]) {
-      const size_t end = *tracker_end++;
-      if (!in.SkipExpected(
-              all_expected.substr(tracker_begin, end - tracker_begin))) {
-        return util::Status::Corruption(
-            "quality tracker differs from the dataset's trajectory");
-      }
-      tracker_begin = end;
-    } else if (!seed_trackers
-                    .emplace_back(&(*references_)[i].stable_rfd)
-                    .Restore(&in)) {
-      return util::Status::Corruption("malformed quality tracker");
-    }
-  }
-  size_t seed = 0;
-  for (size_t i = 0; i < n; ++i) {
-    double quality = 0.0;
-    if (!in.GetDouble(&quality)) {
-      return util::Status::Corruption("short runtime state qualities");
-    }
-    const double want = covered[i] ? initial_->row(i, allocation_[i]).quality
-                                   : seed_trackers[seed++].Quality();
-    if (std::bit_cast<uint64_t>(quality) != std::bit_cast<uint64_t>(want)) {
-      return util::Status::Corruption(
-          "resource quality differs from its state");
-    }
-  }
+  // The per-resource section; the seeds attach once the whole blob has
+  // parsed.
+  std::vector<Seed> seeds;
+  INCENTAG_RETURN_IF_ERROR(ReadResources(*initial_, allocation_,
+                                         options_.omega, &in, &seeds));
   eval_ = std::make_unique<internal::Evaluation>(
       *initial_, options_.under_tagged_threshold);
   if (!eval_->Restore(&in)) {
@@ -503,13 +524,10 @@ util::Status CampaignRuntime::RestoreResumableState(
     eval_.reset();
     return util::Status::Corruption("malformed runtime strategy state");
   }
-  seed = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (covered[i]) continue;
+  for (Seed& seed : seeds) {
     util::Status attached =
-        initial_->Attach(i, allocation_[i], std::move(seed_states[seed]),
-                         std::move(seed_trackers[seed]));
-    ++seed;
+        initial_->Attach(seed.i, allocation_[seed.i], std::move(seed.state),
+                         std::move(seed.tracker));
     if (!attached.ok()) {
       eval_.reset();
       return attached;

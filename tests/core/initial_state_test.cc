@@ -473,7 +473,7 @@ TEST_F(InitialStateTest, RestoreChecksEveryResourceAgainstTheTrajectory) {
   // A touched resource's state differs from its row, or, where nothing
   // is built to compare with, does not add up.
   std::string flipped = blob;
-  flipped[touched_at + 8 * 3 + 4 + 4] ^= 0x01;  // its first tag's count
+  ++flipped[touched_at + 8 * 3 + 4 + 4];  // its first tag's count
   EXPECT_EQ(restore_code(flipped, shared), util::StatusCode::kCorruption);
   EXPECT_EQ(restore_code(flipped, Unbuilt()), util::StatusCode::kCorruption);
 
