@@ -83,9 +83,7 @@ InitialState::InitialState(const std::vector<PostSequence>* initial_posts,
   }
   offsets_.push_back(num_rows);
   kept_offsets_.push_back(num_kept);
-  // Left uninitialised: a row is written when its trajectory is built,
-  // so a table read from a few seeds touches only their rows' pages.
-  rows_.reset(new Row[num_rows]);
+  rows_ = std::make_unique<Row[]>(num_rows);
   kept_.resize(num_kept);
 }
 
