@@ -201,20 +201,18 @@ util::Status DecodeSnapshotRecord(std::string_view body, SnapshotRecord* out) {
   return util::Status::OK();
 }
 
-std::string FrameRecord(std::string_view body) {
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + body.size());
-  PutU32(&frame, static_cast<uint32_t>(body.size()));
+namespace {
+
+// Appends the [len][crc] header that frames `body` to `out`.
+void AppendFrameHeader(std::string_view body, std::string* out) {
+  const size_t start = out->size();
+  PutU32(out, static_cast<uint32_t>(body.size()));
   // The CRC covers the length word too, so a bit-flip in the length is
   // detected like any payload damage instead of silently reframing.
-  uint32_t crc = util::Crc32(std::string_view(frame.data(), 4));
+  uint32_t crc = util::Crc32(out->data() + start, 4);
   crc = util::Crc32(body, crc);
-  PutU32(&frame, crc);
-  frame.append(body.data(), body.size());
-  return frame;
+  PutU32(out, crc);
 }
-
-namespace {
 
 // Patches a little-endian u32 over already-appended bytes.
 void PatchU32(std::string* out, size_t pos, uint32_t v) {
@@ -225,6 +223,14 @@ void PatchU32(std::string* out, size_t pos, uint32_t v) {
 }
 
 }  // namespace
+
+std::string FrameRecord(std::string_view body) {
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + body.size());
+  AppendFrameHeader(body, &frame);
+  frame.append(body.data(), body.size());
+  return frame;
+}
 
 void AppendFramedCompletionRecord(const CompletionRecord& record,
                                   std::string* out) {
@@ -366,12 +372,20 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
   obs::TraceSpan span("compact");
   obs::ScopedTimer timer(compact_seconds);
   const std::string tmp_path = path_ + kCompactionTmpSuffix;
-  std::string prefix = FrameRecord(EncodeSubmitRecord(submit));
-  prefix += FrameRecord(EncodeSnapshotRecord(snapshot));
+  // Every write below goes straight to the kernel (AppendGather), so the
+  // rewrite's buffer never grows and the writer that adopts it holds no
+  // copy of the snapshot or the tail. The snapshot body is written from
+  // where it was encoded, behind the framed submit and its own header.
+  const std::string snapshot_body = EncodeSnapshotRecord(snapshot);
+  std::string head = FrameRecord(EncodeSubmitRecord(submit));
+  AppendFrameHeader(snapshot_body, &head);
+  const std::string_view prefix[] = {head, snapshot_body};
+  const int64_t prefix_bytes =
+      static_cast<int64_t>(head.size() + snapshot_body.size());
 
   util::AppendFile tmp;
   INCENTAG_RETURN_IF_ERROR(tmp.Open(tmp_path, /*truncate_to=*/0));
-  INCENTAG_RETURN_IF_ERROR(tmp.Append(prefix));
+  INCENTAG_RETURN_IF_ERROR(tmp.AppendGather(prefix));
 
   // Phase 1, without the writer lock: push everything appended so far to
   // the kernel and copy the bulk of the tail. Appends racing with this
@@ -391,7 +405,8 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
     auto bulk =
         util::ReadFileRange(path_, tail_offset, flushed - tail_offset);
     if (!bulk.ok()) return bulk.status();
-    INCENTAG_RETURN_IF_ERROR(tmp.Append(bulk.value()));
+    const std::string_view piece = bulk.value();
+    INCENTAG_RETURN_IF_ERROR(tmp.AppendGather({&piece, 1}));
   }
 
   // Phase 2, under the writer lock: copy the delta appended during phase
@@ -403,7 +418,8 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
   if (final_size > flushed) {
     auto delta = util::ReadFileRange(path_, flushed, final_size - flushed);
     if (!delta.ok()) return delta.status();
-    INCENTAG_RETURN_IF_ERROR(tmp.Append(delta.value()));
+    const std::string_view piece = delta.value();
+    INCENTAG_RETURN_IF_ERROR(tmp.AppendGather({&piece, 1}));
   }
   util::FailPoint::Fault fault;
   if (INCENTAG_FAIL_POINT_FIRED(g_fail_compact_rewrite, &fault) &&
@@ -436,8 +452,7 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
   // for any later failed-sync recovery is the whole new file.
   durable_size_ = file_.size();
   compactions->Increment();
-  const int64_t reclaimed =
-      tail_offset - static_cast<int64_t>(prefix.size());
+  const int64_t reclaimed = tail_offset - prefix_bytes;
   if (reclaimed > 0) bytes_reclaimed->Add(reclaimed);
   span.set_arg(reclaimed);
   return util::Status::OK();

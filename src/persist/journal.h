@@ -209,7 +209,10 @@ class JournalWriter {
   // the rewrite goes to `path + kCompactionTmpSuffix` first, is fsynced,
   // renamed over the journal, and the directory fsynced — a crash leaves
   // either the old journal (plus a stale tmp) or the new one, never a
-  // mix.
+  // mix. Each of the three pieces (submit + snapshot, bulk tail, delta)
+  // reaches the rewrite in one gathered pwritev, never through its
+  // buffer, and the writer then adopts the rewrite's open descriptor: a
+  // compacted writer keeps no copy of the snapshot or the tail.
   util::Status Compact(const SubmitRecord& submit,
                        const SnapshotRecord& snapshot, int64_t tail_offset)
       EXCLUDES(mu_);

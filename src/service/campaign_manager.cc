@@ -4,7 +4,6 @@
 #include <chrono>
 #include <filesystem>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -125,6 +124,7 @@ struct ServiceMetrics {
   obs::Counter* reorder_heap;
   obs::Gauge* inbox_depth;
   obs::Counter* quarantines;
+  obs::Counter* trajectory_tables;
 
   static const ServiceMetrics& Get() {
     static const ServiceMetrics metrics = [] {
@@ -158,6 +158,9 @@ struct ServiceMetrics {
       m.quarantines = registry.GetCounter(
           "incentag_service_quarantines_total",
           "Campaigns frozen after their journal fd went permanently sick");
+      m.trajectory_tables = registry.GetCounter(
+          "incentag_service_trajectory_tables_total",
+          "Trajectory tables created for the datasets campaigns run on");
       return m;
     }();
     return metrics;
@@ -406,6 +409,7 @@ std::shared_ptr<const core::InitialState> CampaignManager::InitialStateFor(
         config.initial_posts, &config.stream->store(), config.references,
         config.options.omega);
     initial_states_.push_back(found);
+    ServiceMetrics::Get().trajectory_tables->Increment();
   }
   return found;
 }
@@ -1154,10 +1158,11 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
   // Phase 1: parse and validate every journal with no side effects, so a
   // factory or corruption error aborts recovery before any campaign has
   // been registered or resumed — the caller can fix the input and call
-  // Recover again without double-resuming anything.
+  // Recover again without double-resuming anything. Each parse is
+  // dropped once validated: only one journal's bytes are alive at a
+  // time, here and in phase 2.
   struct Pending {
     std::string path;
-    std::optional<persist::JournalContents> contents;  // reset in phase 2
     CampaignConfig config;
   };
   std::vector<Pending> pending;
@@ -1174,23 +1179,32 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
     auto config = factory(contents.value().submit);
     if (!config.ok()) return config.status();
     INCENTAG_RETURN_IF_ERROR(ValidateConfig(config.value()));
-    pending.push_back(Pending{path, std::move(contents).value(),
-                              std::move(config).value()});
+    pending.push_back(Pending{path, std::move(config).value()});
   }
 
-  // Phase 2: register and resume. Only IO-level failures can abort from
-  // here on, and resumed journals are remembered, so even such an abort
-  // is safely retryable.
+  // Phase 2: re-read, register and resume one journal at a time. Only
+  // IO-level failures can abort from here on, and resumed journals are
+  // remembered, so even such an abort is safely retryable. Every
+  // trajectory table used is pinned until Recover returns: a recovered
+  // campaign that finishes during its replay would otherwise free its
+  // table, and the next journal on that dataset would build it again.
+  std::vector<std::shared_ptr<const core::InitialState>> tables;
   std::vector<CampaignId> out;
   for (Pending& p : pending) {
-    auto recovered = RecoverOne(p.path, *p.contents, std::move(p.config));
-    if (!recovered.ok()) return recovered.status();
-    // The parsed journal (snapshot blob plus completion tail) is dead once
-    // its campaign has resumed. Free it now, so the fleet's parsed
-    // journals do not all stay alive while its runtimes are rebuilt.
-    p.contents.reset();
+    std::shared_ptr<const core::InitialState> table =
+        InitialStateFor(p.config);
+    if (std::find(tables.begin(), tables.end(), table) == tables.end()) {
+      tables.push_back(std::move(table));
+    }
+    {
+      auto contents = persist::ReadJournal(p.path);
+      if (!contents.ok()) return contents.status();
+      auto recovered =
+          RecoverOne(p.path, contents.value(), std::move(p.config));
+      if (!recovered.ok()) return recovered.status();
+      out.push_back(recovered.value());
+    }  // frees the parse before the campaign steps
     recovered_paths_.insert(p.path);
-    out.push_back(recovered.value());
     DrainReadyQueue();
   }
   return out;

@@ -326,6 +326,10 @@ class CampaignManager {
   // parsed and run through the factory before any campaign is resumed,
   // so an error return means no side effects (and a rare IO failure
   // mid-resume is retryable: already-resumed journals are skipped).
+  // Only one parsed journal is held at a time: each is parsed again
+  // right before its campaign resumes and freed right after. Every
+  // trajectory table a recovered campaign used stays alive until
+  // Recover returns, so one dataset's table is built once per call.
   // A non-empty `fleet-commit.log` left in `dir` by an older build fails
   // recovery with FailedPrecondition before any journal is read.
   // Call from one thread, before submitting new campaigns.

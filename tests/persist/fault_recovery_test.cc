@@ -17,6 +17,7 @@
 #include "src/persist/journal.h"
 #include "src/persist/journal_sink.h"
 #include "src/util/fail_point.h"
+#include "src/util/file_io.h"
 
 namespace incentag {
 namespace persist {
@@ -56,6 +57,12 @@ class ScopedFailPoint {
     FailPoint::Fault f;
     f.shape = FailPoint::Shape::kErrno;
     f.err = ENOSPC;
+    return f;
+  }
+  static FailPoint::Fault ShortWrite(int64_t max_bytes) {
+    FailPoint::Fault f;
+    f.shape = FailPoint::Shape::kShortWrite;
+    f.max_bytes = max_bytes;
     return f;
   }
   static FailPoint::Fault TornSync() {
@@ -275,6 +282,81 @@ TEST_F(FaultRecoveryTest, SinkForwardsRetryPolicyAndSickCallback) {
   sink.Stop();
   writer.reset();
   ExpectIntact("sink.journal", 12);
+}
+
+// Compaction writes its rewrite straight to the kernel, one gathered
+// pwritev per piece (submit + snapshot, bulk tail, delta). Capping every
+// pwritev at 4 KiB forces the resume arithmetic on each piece, across
+// the snapshot header/body seam too; the rewrite must still equal an
+// unfaulted compaction byte for byte, and the writer must keep
+// appending to it.
+TEST_F(FaultRecoveryTest, CompactionUnderShortWritesMatchesUnfaulted) {
+  SubmitRecord submit;
+  submit.name = "compact";
+  submit.strategy_name = "round_robin";
+  SnapshotRecord snapshot;
+  snapshot.num_completions = 40;
+  snapshot.next_assign_seq = 50;  // num_completions + pending
+  snapshot.pending = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3};
+  // Several caps' worth of bytes, so the snapshot alone takes many
+  // resumed writes.
+  for (int i = 0; snapshot.runtime_state.size() < 50000; ++i) {
+    snapshot.runtime_state += std::to_string(i * 7919) + ";";
+  }
+  constexpr int64_t kFrameBytes = 21;  // one framed completion record
+
+  // Submit + 400 completions, compacted at completion 40 (a tail of
+  // 7560 bytes, so the bulk copy is resumed too), then 400..409
+  // appended to the compacted writer.
+  auto build = [&](const std::string& name) {
+    auto opened = JournalWriter::Open(Path(name));
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    std::unique_ptr<JournalWriter> writer = std::move(opened).value();
+    EXPECT_TRUE(writer->AppendSubmit(submit).ok());
+    EXPECT_TRUE(writer->SyncData().ok());
+    const int64_t base = writer->size();
+    AppendBatch(writer.get(), 0, 400);
+    EXPECT_TRUE(writer->Compact(submit, snapshot, base + 40 * kFrameBytes)
+                    .ok());
+    AppendBatch(writer.get(), 400, 10);
+    EXPECT_TRUE(writer->Sync().ok());
+    return writer;
+  };
+
+  auto plain = build("plain.journal");
+  {
+    ScopedFailPoint fp("file_io/pwritev", ScopedFailPoint::Fires(0),
+                       ScopedFailPoint::ShortWrite(4096));
+    auto faulted = build("short.journal");
+    // The prefix alone needs over a dozen capped writes.
+    EXPECT_GT(fp.point()->fires(), 12u);
+  }
+
+  auto want = util::ReadFileToString(Path("plain.journal"));
+  auto got = util::ReadFileToString(Path("short.journal"));
+  ASSERT_TRUE(want.ok() && got.ok());
+  EXPECT_EQ(got.value(), want.value());
+
+  auto contents = ReadJournal(Path("short.journal"));
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  const JournalContents& read = contents.value();
+  EXPECT_TRUE(read.tail_status.ok());
+  EXPECT_EQ(read.submit.name, submit.name);
+  ASSERT_TRUE(read.has_snapshot);
+  EXPECT_EQ(read.snapshot.num_completions, snapshot.num_completions);
+  EXPECT_EQ(read.snapshot.next_assign_seq, snapshot.next_assign_seq);
+  EXPECT_EQ(read.snapshot.pending, snapshot.pending);
+  EXPECT_EQ(read.snapshot.runtime_state, snapshot.runtime_state);
+  // The tail: completions 40..399 copied by the rewrite, then 400..409
+  // appended through the adopted descriptor.
+  ASSERT_EQ(read.completions.size(), 370u);
+  for (size_t i = 0; i < read.completions.size(); ++i) {
+    const uint64_t seq = 40 + i;
+    EXPECT_EQ(read.completions[i].seq, seq);
+    const uint64_t batch_index = seq < 400 ? seq : seq - 400;
+    EXPECT_EQ(read.completions[i].resource,
+              static_cast<core::ResourceId>(batch_index % 7));
+  }
 }
 
 #endif  // INCENTAG_FAILPOINTS

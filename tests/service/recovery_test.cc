@@ -17,6 +17,7 @@
 
 #include "src/core/allocation.h"
 #include "src/core/post_stream.h"
+#include "src/obs/metrics.h"
 #include "src/persist/journal.h"
 #include "src/service/campaign_manager.h"
 #include "src/sim/crowd.h"
@@ -228,6 +229,30 @@ class RecoveryTest : public ::testing::Test {
     manager.Shutdown();  // the "kill": cancels and drops the campaign
   }
 
+  struct Run {
+    int kind;
+    int64_t budget;
+    uint64_t seed;
+  };
+
+  // Runs every campaign to completion in one deterministic journaled
+  // manager; `journals` receives their journal paths in `runs` order.
+  void JournalFinishedRuns(const std::vector<Run>& runs,
+                           std::vector<std::string>* journals) {
+    ManagerOptions options;
+    options.deterministic = true;
+    options.journal_dir = dir_.string();
+    CampaignManager manager(options);
+    for (const Run& run : runs) {
+      auto id = manager.Submit(MakeConfig(run.kind, run.budget, run.seed));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      journals->push_back(
+          (dir_ / ("campaign-" + std::to_string(id.value()) + ".journal"))
+              .string());
+    }
+    manager.Shutdown();
+  }
+
   static sim::Corpus* corpus_;
   static sim::PreparedDataset* dataset_;
   fs::path dir_;
@@ -361,6 +386,109 @@ TEST_F(RecoveryTest, RecoveredIdsAreStableAndNewSubmitsDoNotCollide) {
     EXPECT_TRUE(contents.value().tail_status.ok()) << path;
     EXPECT_TRUE(contents.value().has_submit) << path;
   }
+}
+
+// Recovery is all or nothing: mid-journal damage in one file aborts
+// Recover before any campaign is registered or any good journal is
+// reopened, and once the bad file is gone both good journals resume to
+// the reports of their uninterrupted runs.
+TEST_F(RecoveryTest, MidJournalCorruptionAbortsRecoveryOfEveryJournal) {
+  const std::vector<Run> runs = {{0, 240, 11}, {1, 260, 12}, {2, 280, 13}};
+  std::vector<std::string> journals;
+  JournalFinishedRuns(runs, &journals);
+  ASSERT_EQ(journals.size(), 3u);
+  // Tear the good journals mid-trace, so recovery resumes their spend
+  // rather than only replaying it.
+  std::vector<std::string> good_bytes;
+  for (size_t i : {size_t{0}, size_t{2}}) {
+    fs::resize_file(journals[i], fs::file_size(journals[i]) / 2);
+    auto bytes = util::ReadFileToString(journals[i]);
+    ASSERT_TRUE(bytes.ok());
+    good_bytes.push_back(std::move(bytes).value());
+  }
+  // Flip a CRC byte of the middle journal's first completion record.
+  // More records follow it, so this is corruption, not a torn tail.
+  {
+    auto bytes = util::ReadFileToString(journals[1]);
+    ASSERT_TRUE(bytes.ok());
+    std::string damaged = std::move(bytes).value();
+    uint32_t submit_length = 0;
+    for (int b = 0; b < 4; ++b) {
+      submit_length |= static_cast<uint32_t>(
+                           static_cast<unsigned char>(damaged[b]))
+                       << (8 * b);
+    }
+    const size_t crc_byte = 8 + submit_length + 4;
+    ASSERT_LT(crc_byte + 64, damaged.size());
+    damaged[crc_byte] = static_cast<char>(damaged[crc_byte] ^ 0x5a);
+    std::ofstream f(journals[1], std::ios::binary | std::ios::trunc);
+    f.write(damaged.data(), static_cast<std::streamsize>(damaged.size()));
+  }
+
+  ManagerOptions options;
+  options.deterministic = true;
+  CampaignManager manager(options);
+  auto failed = manager.Recover(dir_.string(), Factory);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), util::StatusCode::kCorruption)
+      << failed.status().ToString();
+  EXPECT_EQ(manager.num_campaigns(), 0u);
+  // The journal before the damaged one was parsed but never reopened:
+  // its torn tail is still there.
+  auto first = util::ReadFileToString(journals[0]);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value(), good_bytes[0]);
+
+  fs::remove(journals[1]);
+  auto ids = manager.Recover(dir_.string(), Factory);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  ASSERT_EQ(ids.value().size(), 2u);
+  const Run resumed[] = {runs[0], runs[2]};
+  for (size_t k = 0; k < 2; ++k) {
+    const Run& run = resumed[k];
+    const std::string label = "kind " + std::to_string(run.kind);
+    auto report = manager.Wait(ids.value()[k]);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ExpectReportsEqual(RunSequential(run.kind, run.budget, run.seed),
+                       report.value(), label);
+    auto status = manager.Status(ids.value()[k]);
+    ASSERT_TRUE(status.ok());
+    EXPECT_GT(status.value().records_replayed, 0) << label;
+    EXPECT_LT(status.value().records_replayed, run.budget) << label;
+  }
+}
+
+// Campaigns that finish during their own replay free their hold on the
+// dataset's trajectory table. Recover keeps every table it used until it
+// returns, so recovering several such journals on one dataset builds the
+// table once, not once per journal.
+TEST_F(RecoveryTest, RecoverBuildsEachTrajectoryTableOnce) {
+  const std::vector<Run> runs = {{0, 200, 21}, {1, 220, 22}, {3, 240, 23}};
+  std::vector<std::string> journals;
+  JournalFinishedRuns(runs, &journals);
+  ASSERT_EQ(journals.size(), 3u);
+
+  obs::Counter* tables = obs::Registry::Default().GetCounter(
+      "incentag_service_trajectory_tables_total", "");
+  const int64_t before = tables->Value();
+  ManagerOptions options;
+  options.deterministic = true;
+  CampaignManager recovered(options);
+  auto ids = recovered.Recover(dir_.string(), Factory);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  ASSERT_EQ(ids.value().size(), 3u);
+  EXPECT_EQ(tables->Value() - before, 1);
+  for (size_t k = 0; k < runs.size(); ++k) {
+    const Run& run = runs[k];
+    auto result = recovered.WaitFor(ids.value()[k], milliseconds(1));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().state, CampaignState::kDone);
+    ExpectReportsEqual(RunSequential(run.kind, run.budget, run.seed),
+                       result.value().report,
+                       "kind " + std::to_string(run.kind));
+  }
+  // Every campaign is done, so the table went with Recover's pin.
+  EXPECT_EQ(recovered.num_initial_states(), 0u);
 }
 
 // A crash tears bytes, not records: garbage appended past the last valid
