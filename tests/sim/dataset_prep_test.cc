@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/core/stability.h"
 #include "src/sim/generator.h"
@@ -239,28 +241,42 @@ class DatasetDigest {
   uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
-std::string PreparedDigest(const CorpusConfig& corpus_config,
-                           const PrepConfig& prep_config) {
-  auto corpus = Corpus::Generate(corpus_config);
-  EXPECT_TRUE(corpus.ok()) << corpus.status().ToString();
-  if (!corpus.ok()) return "";
-  auto prep = PrepareFromCorpus(corpus.value(), prep_config);
+std::string PreparedDigest(const Corpus& corpus, const PrepConfig& config) {
+  auto prep = PrepareFromCorpus(corpus, config);
   EXPECT_TRUE(prep.ok()) << prep.status().ToString();
   if (!prep.ok()) return "";
   return DatasetDigest(prep.value()).Hex();
 }
 
+std::string PreparedDigest(const CorpusConfig& corpus_config,
+                           const PrepConfig& prep_config) {
+  auto corpus = Corpus::Generate(corpus_config);
+  EXPECT_TRUE(corpus.ok()) << corpus.status().ToString();
+  if (!corpus.ok()) return "";
+  return PreparedDigest(corpus.value(), prep_config);
+}
+
+// The shape of the end-to-end benchmark's fleet dataset.
+CorpusConfig E2eCorpusConfig() {
+  CorpusConfig config;
+  config.num_resources = 2000;
+  config.seed = 11;
+  config.year_jitter_sigma = 0.0;
+  return config;
+}
+
+PrepConfig E2ePrepConfig() {
+  PrepConfig config;
+  config.seed = 11;
+  return config;
+}
+
+constexpr char kE2eDigest[] = "5cdf3e9af35e49f3";
+
 // Pins the prepared datasets bit for bit, so a rewrite of the preparation
 // loop must reproduce every post, cut, stable point and stable rfd.
 TEST(DatasetPrepGoldenTest, PreparedDatasetIsPinned) {
-  // The shape of the end-to-end benchmark's fleet dataset.
-  CorpusConfig e2e;
-  e2e.num_resources = 2000;
-  e2e.seed = 11;
-  e2e.year_jitter_sigma = 0.0;
-  PrepConfig e2e_prep;
-  e2e_prep.seed = 11;
-  EXPECT_EQ(PreparedDigest(e2e, e2e_prep), "5cdf3e9af35e49f3");
+  EXPECT_EQ(PreparedDigest(E2eCorpusConfig(), E2ePrepConfig()), kE2eDigest);
 
   // A jittered corpus with default preparation.
   CorpusConfig jittered;
@@ -272,6 +288,56 @@ TEST(DatasetPrepGoldenTest, PreparedDatasetIsPinned) {
   PrepConfig capped;
   capped.max_keep = 37;
   EXPECT_EQ(PreparedDigest(jittered, capped), "611c0d24bf5191af");
+}
+
+// A cap reached well past the first resources the scan hands out, so the
+// keep step must stop in the middle of the scanned corpus.
+TEST(DatasetPrepGoldenTest, LateCapIsPinned) {
+  PrepConfig capped = E2ePrepConfig();
+  capped.max_keep = 1000;
+  EXPECT_EQ(PreparedDigest(E2eCorpusConfig(), capped), "376accc526d94488");
+}
+
+TEST(DatasetPrepGoldenTest, ExtendedFutureIsPinned) {
+  auto corpus = Corpus::Generate(E2eCorpusConfig());
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  auto prep = PrepareFromCorpus(corpus.value(), E2ePrepConfig());
+  ASSERT_TRUE(prep.ok()) << prep.status().ToString();
+  PreparedDataset ds = std::move(prep).value();
+  ASSERT_TRUE(ExtendFuture(corpus.value(), 2.0, &ds).ok());
+  EXPECT_EQ(DatasetDigest(ds).Hex(), "60ba38a5c85b12eb");
+}
+
+TEST(DatasetPrepGoldenTest, PreparedSequencesArePinned) {
+  CorpusConfig corpus_config;
+  corpus_config.num_resources = 300;
+  corpus_config.seed = 5;
+  auto corpus = Corpus::Generate(corpus_config);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  std::vector<core::PostSequence> year;
+  for (core::ResourceId i = 0; i < corpus.value().num_resources(); ++i) {
+    year.push_back(corpus.value().MaterializeSequence(
+        i, corpus.value().resource(i).year_length));
+  }
+  PrepConfig config;
+  config.seed = 3;
+  auto prep = PrepareFromSequences(year, {}, config);
+  ASSERT_TRUE(prep.ok()) << prep.status().ToString();
+  EXPECT_EQ(DatasetDigest(prep.value()).Hex(), "39e56d6c9fd29a92");
+}
+
+// Preparation reads the corpus only through const calls, so concurrent
+// preparations of one shared corpus each get the pinned dataset.
+TEST(DatasetPrepGoldenTest, ConcurrentPreparationsShareOneCorpus) {
+  auto corpus = Corpus::Generate(E2eCorpusConfig());
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  std::string digests[2];
+  std::thread other(
+      [&] { digests[0] = PreparedDigest(corpus.value(), E2ePrepConfig()); });
+  digests[1] = PreparedDigest(corpus.value(), E2ePrepConfig());
+  other.join();
+  EXPECT_EQ(digests[0], kE2eDigest);
+  EXPECT_EQ(digests[1], kE2eDigest);
 }
 
 TEST(DatasetPrepSequencesTest, WorksOnMaterialisedSequences) {
