@@ -1,17 +1,137 @@
 #include "src/sim/dataset_prep.h"
 
 #include <algorithm>
-#include <cassert>
+#include <atomic>
 #include <cmath>
-#include <iterator>
+#include <optional>
+#include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/util/random.h"
+#include "src/util/thread_pool.h"
 
 namespace incentag {
 namespace sim {
 
 namespace {
+
+// Resources a scan worker takes at a time. Small, because resource volume
+// is Zipf-skewed and the heaviest resources come first: one chunk of the
+// head must not hold a large share of the corpus' posts.
+constexpr size_t kScanChunk = 8;
+
+// One resource's sampled posts, flattened: post p holds
+// tags[ends[p - 1], ends[p]), with ends[-1] = 0. Scan workers fill it; the
+// calling thread builds the `Post`s, so the kept posts are allocated by
+// one thread (and one malloc arena) whatever the thread count.
+struct SampledYear {
+  std::vector<core::TagId> tags;
+  std::vector<uint32_t> ends;
+  // Set when the sampling fed a stability detector that reached stability;
+  // 0 otherwise (a stable point is at least omega >= 2).
+  int64_t stable_point = 0;
+  core::RfdVector stable_rfd;
+
+  // Posts [begin, end) of the flattened sequence.
+  core::PostSequence Build(size_t begin, size_t end) const {
+    core::PostSequence posts;
+    posts.reserve(end - begin);
+    for (size_t p = begin; p < end; ++p) {
+      posts.push_back(core::Post{std::vector<core::TagId>(
+          tags.begin() + (p == 0 ? 0 : ends[p - 1]),
+          tags.begin() + ends[p])});
+    }
+    return posts;
+  }
+};
+
+// Samples posts [begin, end) of resource i and frees each `Post` once its
+// tags are copied out. With `stability`, a detector reads the posts until
+// it reports stable.
+SampledYear SampleFlat(const Corpus& corpus, core::ResourceId i,
+                       int64_t begin, int64_t end,
+                       const core::StabilityParams* stability) {
+  SampledYear year;
+  year.ends.reserve(static_cast<size_t>(end - begin));
+  std::optional<core::StabilityDetector> detector;
+  if (stability != nullptr) detector.emplace(*stability);
+  for (int64_t k = begin; k < end; ++k) {
+    const core::Post post = corpus.SamplePost(i, k);
+    year.tags.insert(year.tags.end(), post.tags.begin(), post.tags.end());
+    year.ends.push_back(static_cast<uint32_t>(year.tags.size()));
+    if (detector && !detector->IsStable()) detector->AddPost(post);
+  }
+  if (!detector) return year;
+  // An unstable year is dropped: keep none of its posts.
+  if (!detector->IsStable()) return {};
+  year.stable_point = detector->stable_point();
+  year.stable_rfd = std::move(*detector).stable_rfd();
+  return year;
+}
+
+// Runs scan(r) for every r in [0, count), kScanChunk resources at a time
+// taken in index order, on util::DefaultThreadCount() threads: the calling
+// thread and one fewer workers. The calling thread also runs keep(r) in
+// index order as each chunk completes, and scans a chunk itself while the
+// next one to keep is still in progress. keep returning false stops the
+// scan once the workers finish the chunks they hold. scan(r) must touch
+// only r's state; keep(r) may read it.
+template <typename Scan, typename Keep>
+void ScanThenKeep(size_t count, Scan scan, Keep keep) {
+  const size_t chunks = (count + kScanChunk - 1) / kScanChunk;
+  if (chunks == 0) return;
+  auto chunk_end = [&](size_t c) {
+    return std::min(count, (c + 1) * kScanChunk);
+  };
+  std::vector<std::atomic<bool>> scanned(chunks);
+  std::atomic<size_t> next_chunk{0};
+  std::atomic<bool> stop{false};
+  // Scans the next unclaimed chunk; false once none is left.
+  auto scan_next = [&] {
+    const size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+    if (c >= chunks) return false;
+    for (size_t r = c * kScanChunk; r < chunk_end(c); ++r) scan(r);
+    scanned[c].store(true, std::memory_order_release);
+    scanned[c].notify_one();
+    return true;
+  };
+  // Declared last, so an exception from keep joins the workers before the
+  // state they reference goes away.
+  std::vector<std::jthread> workers;
+  const size_t num_workers = std::min(
+      chunks, static_cast<size_t>(util::DefaultThreadCount())) - 1;
+  for (size_t w = 0; w < num_workers; ++w) {
+    workers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed) && scan_next()) {
+      }
+    });
+  }
+  for (size_t c = 0; c < chunks; ++c) {
+    while (!scanned[c].load(std::memory_order_acquire)) {
+      if (!scan_next()) scanned[c].wait(false, std::memory_order_acquire);
+    }
+    for (size_t r = c * kScanChunk; r < chunk_end(c); ++r) {
+      if (!keep(r)) {
+        stop.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+  }
+}
+
+// One scanned resource, as the keep step reads it.
+struct ScannedResource {
+  core::ResourceId id = 0;
+  int64_t year_length = 0;
+  // > 0: a fixed January size instead of the drawn one (see ResourceInfo).
+  int64_t january_hint = -1;
+  double popularity = 0.0;
+  std::string url;
+  int64_t stable_point = 0;  // 0: the scan never reached stability
+  core::RfdVector stable_rfd;
+};
 
 // Size of the "January" prefix for a resource with `year_length` posts.
 int64_t JanuaryCut(int64_t year_length, const PrepConfig& config,
@@ -23,136 +143,173 @@ int64_t JanuaryCut(int64_t year_length, const PrepConfig& config,
   return std::clamp<int64_t>(cut, 1, year_length - 1);
 }
 
+// The keep step of both entry points, called in resource order: counts the
+// resource as scanned and either drops it as unstable or keeps it, cut at
+// a January size drawn from the one sequential `rng`. split(cut, &initial,
+// &future) fills the kept posts. Returns false once config.max_keep
+// resources are kept.
+template <typename Split>
+bool KeepResource(ScannedResource resource, Split split,
+                  const PrepConfig& config, util::Rng* rng,
+                  PreparedDataset* out) {
+  ++out->scanned;
+  if (resource.stable_point == 0) {
+    ++out->dropped_unstable;
+    return true;
+  }
+  const int64_t cut =
+      resource.january_hint > 0
+          ? std::clamp<int64_t>(resource.january_hint, 1,
+                                resource.year_length - 1)
+          : JanuaryCut(resource.year_length, config, rng);
+  split(cut, &out->initial_posts.emplace_back(),
+        &out->future_posts.emplace_back());
+  out->references.push_back(core::ResourceReference{
+      std::move(resource.stable_rfd), resource.stable_point});
+  out->year_length.push_back(resource.year_length);
+  out->popularity.push_back(resource.popularity);
+  out->urls.push_back(std::move(resource.url));
+  out->source_ids.push_back(resource.id);
+  return config.max_keep <= 0 ||
+         static_cast<int64_t>(out->size()) < config.max_keep;
+}
+
+util::Status ValidatePrepConfig(const PrepConfig& config) {
+  if (util::Status s = core::ValidateOmega(config.stability.omega); !s.ok()) {
+    return util::Status::InvalidArgument("stability " + s.message());
+  }
+  // Written so that NaN fails too.
+  if (!(config.january_fraction > 0.0 && config.january_fraction < 1.0)) {
+    return util::Status::InvalidArgument(
+        "january_fraction must be in (0, 1)");
+  }
+  if (!std::isfinite(config.january_jitter_sigma)) {
+    return util::Status::InvalidArgument(
+        "january_jitter_sigma must be finite");
+  }
+  return util::Status::OK();
+}
+
+util::Rng CutRng(const PrepConfig& config) {
+  return util::Rng(util::MixSeeds(config.seed, 0x9A17ull));
+}
+
+util::Result<PreparedDataset> NonEmpty(PreparedDataset out,
+                                       const char* message) {
+  if (out.size() == 0) return util::Status::FailedPrecondition(message);
+  return out;
+}
+
 }  // namespace
 
 util::Result<PreparedDataset> PrepareFromCorpus(const Corpus& corpus,
                                                 const PrepConfig& config) {
-  if (config.january_fraction <= 0.0 || config.january_fraction >= 1.0) {
-    return util::Status::InvalidArgument(
-        "january_fraction must be in (0, 1)");
-  }
+  if (util::Status s = ValidatePrepConfig(config); !s.ok()) return s;
   PreparedDataset out;
-  util::Rng rng(util::MixSeeds(config.seed, 0x9A17ull));
-
-  for (core::ResourceId i = 0; i < corpus.num_resources(); ++i) {
-    ++out.scanned;
-    const ResourceInfo& info = corpus.resource(i);
-    // Sample the year once; the stability scan reads it as it grows.
-    core::PostSequence year;
-    year.reserve(static_cast<size_t>(info.year_length));
-    core::StabilityDetector detector(config.stability);
-    for (int64_t k = 0; k < info.year_length; ++k) {
-      year.push_back(corpus.SamplePost(i, k));
-      if (!detector.IsStable()) detector.AddPost(year.back());
-    }
-    if (!detector.IsStable()) {
-      ++out.dropped_unstable;
-      continue;
-    }
-    const int64_t cut =
-        info.january_hint > 0
-            ? std::clamp<int64_t>(info.january_hint, 1, info.year_length - 1)
-            : JanuaryCut(info.year_length, config, &rng);
-    const auto january_end = year.begin() + cut;
-    out.initial_posts.emplace_back(std::make_move_iterator(year.begin()),
-                                   std::make_move_iterator(january_end));
-    out.future_posts.emplace_back(std::make_move_iterator(january_end),
-                                  std::make_move_iterator(year.end()));
-    const int64_t stable_point = detector.stable_point();
-    out.references.push_back(core::ResourceReference{
-        std::move(detector).stable_rfd(), stable_point});
-    out.year_length.push_back(info.year_length);
-    out.popularity.push_back(info.popularity);
-    out.urls.push_back(info.url);
-    out.source_ids.push_back(i);
-    if (config.max_keep > 0 &&
-        static_cast<int64_t>(out.size()) >= config.max_keep) {
-      break;
-    }
-  }
-  if (out.size() == 0) {
-    return util::Status::FailedPrecondition(
-        "no resource reached stability; relax (omega_s, tau_s) or increase "
-        "year volumes");
-  }
-  return out;
+  util::Rng rng = CutRng(config);
+  std::vector<SampledYear> years(corpus.num_resources());
+  ScanThenKeep(
+      years.size(),
+      [&](size_t i) {
+        const core::ResourceId id = static_cast<core::ResourceId>(i);
+        years[i] = SampleFlat(corpus, id, 0, corpus.resource(id).year_length,
+                              &config.stability);
+      },
+      [&](size_t i) {
+        SampledYear year = std::exchange(years[i], {});
+        const ResourceInfo& info =
+            corpus.resource(static_cast<core::ResourceId>(i));
+        return KeepResource(
+            ScannedResource{.id = static_cast<core::ResourceId>(i),
+                            .year_length = info.year_length,
+                            .january_hint = info.january_hint,
+                            .popularity = info.popularity,
+                            .url = info.url,
+                            .stable_point = year.stable_point,
+                            .stable_rfd = std::move(year.stable_rfd)},
+            [&](int64_t cut, core::PostSequence* initial,
+                core::PostSequence* future) {
+              *initial = year.Build(0, static_cast<size_t>(cut));
+              *future =
+                  year.Build(static_cast<size_t>(cut), year.ends.size());
+            },
+            config, &rng, &out);
+      });
+  return NonEmpty(std::move(out),
+                  "no resource reached stability; relax (omega_s, tau_s) or "
+                  "increase year volumes");
 }
 
 util::Result<PreparedDataset> PrepareFromSequences(
     const std::vector<core::PostSequence>& year_posts,
     const std::vector<std::string>& urls, const PrepConfig& config) {
-  if (config.january_fraction <= 0.0 || config.january_fraction >= 1.0) {
-    return util::Status::InvalidArgument(
-        "january_fraction must be in (0, 1)");
-  }
+  if (util::Status s = ValidatePrepConfig(config); !s.ok()) return s;
   if (!urls.empty() && urls.size() != year_posts.size()) {
     return util::Status::InvalidArgument(
         "urls and year_posts sizes must match");
   }
   PreparedDataset out;
-  util::Rng rng(util::MixSeeds(config.seed, 0x9A17ull));
-
+  util::Rng rng = CutRng(config);
   for (size_t i = 0; i < year_posts.size(); ++i) {
-    ++out.scanned;
     const core::PostSequence& year = year_posts[i];
-    if (year.size() < 2) {
-      ++out.dropped_unstable;
-      continue;
+    ScannedResource resource;
+    resource.id = static_cast<core::ResourceId>(i);
+    resource.year_length = static_cast<int64_t>(year.size());
+    resource.popularity = static_cast<double>(year.size());
+    resource.url = urls.empty() ? "resource-" + std::to_string(i) : urls[i];
+    if (year.size() >= 2) {
+      core::StabilityDetector detector(config.stability);
+      for (const core::Post& post : year) {
+        if (detector.AddPost(post)) {
+          resource.stable_point = detector.stable_point();
+          resource.stable_rfd = std::move(detector).stable_rfd();
+          break;
+        }
+      }
     }
-    core::StabilityDetector detector(config.stability);
-    for (const core::Post& post : year) {
-      if (detector.AddPost(post)) break;
-    }
-    if (!detector.IsStable()) {
-      ++out.dropped_unstable;
-      continue;
-    }
-    const int64_t year_length = static_cast<int64_t>(year.size());
-    const int64_t cut = JanuaryCut(year_length, config, &rng);
-    out.initial_posts.emplace_back(year.begin(), year.begin() + cut);
-    out.future_posts.emplace_back(year.begin() + cut, year.end());
-    out.references.push_back(core::ResourceReference{
-        detector.stable_rfd(), detector.stable_point()});
-    out.year_length.push_back(year_length);
-    out.popularity.push_back(static_cast<double>(year_length));
-    out.urls.push_back(urls.empty() ? "resource-" + std::to_string(i)
-                                    : urls[i]);
-    out.source_ids.push_back(static_cast<core::ResourceId>(i));
-    if (config.max_keep > 0 &&
-        static_cast<int64_t>(out.size()) >= config.max_keep) {
-      break;
-    }
+    const bool more = KeepResource(
+        std::move(resource),
+        [&](int64_t cut, core::PostSequence* initial,
+            core::PostSequence* future) {
+          initial->assign(year.begin(), year.begin() + cut);
+          future->assign(year.begin() + cut, year.end());
+        },
+        config, &rng, &out);
+    if (!more) break;
   }
-  if (out.size() == 0) {
-    return util::Status::FailedPrecondition(
-        "no resource reached stability; relax (omega_s, tau_s)");
-  }
-  return out;
+  return NonEmpty(std::move(out),
+                  "no resource reached stability; relax (omega_s, tau_s)");
 }
 
 util::Status ExtendFuture(const Corpus& corpus, double multiplier,
                           PreparedDataset* dataset) {
-  if (multiplier < 1.0) {
-    return util::Status::InvalidArgument("multiplier must be >= 1");
+  if (!std::isfinite(multiplier) || multiplier < 1.0) {
+    return util::Status::InvalidArgument(
+        "multiplier must be finite and >= 1");
   }
-  for (size_t i = 0; i < dataset->size(); ++i) {
-    const core::ResourceId source = dataset->source_ids[i];
+  for (core::ResourceId source : dataset->source_ids) {
     if (source >= corpus.num_resources()) {
       return util::Status::InvalidArgument(
           "dataset was not prepared from this corpus");
     }
-    const int64_t initial =
-        static_cast<int64_t>(dataset->initial_posts[i].size());
-    const int64_t total = static_cast<int64_t>(
-        std::llround(static_cast<double>(dataset->year_length[i]) *
-                     multiplier));
-    core::PostSequence extended;
-    extended.reserve(static_cast<size_t>(total - initial));
-    for (int64_t k = initial; k < total; ++k) {
-      extended.push_back(corpus.SamplePost(source, k));
-    }
-    dataset->future_posts[i] = std::move(extended);
   }
+  std::vector<SampledYear> extended(dataset->size());
+  ScanThenKeep(
+      extended.size(),
+      [&](size_t i) {
+        const int64_t total = static_cast<int64_t>(
+            std::llround(static_cast<double>(dataset->year_length[i]) *
+                         multiplier));
+        extended[i] = SampleFlat(
+            corpus, dataset->source_ids[i],
+            static_cast<int64_t>(dataset->initial_posts[i].size()), total,
+            /*stability=*/nullptr);
+      },
+      [&](size_t i) {
+        const SampledYear future = std::exchange(extended[i], {});
+        dataset->future_posts[i] = future.Build(0, future.ends.size());
+        return true;
+      });
   return util::Status::OK();
 }
 

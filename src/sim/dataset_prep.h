@@ -77,15 +77,27 @@ struct PreparedDataset {
   }
 };
 
-// Prepares a dataset from a generated corpus. Each resource's year is
-// sampled once in full; the stability scan reads those posts up to the
-// stable point, and a kept year is then moved, not copied, into its
-// January prefix and future.
+// Prepares a dataset from a generated corpus in one pass of two steps.
+//  - Scan, in parallel: util::DefaultThreadCount() threads take resources
+//    by index a few at a time. Each samples a resource's year once in
+//    full into a flat tag buffer and runs the stability scan over it up to
+//    the stable point; an unstable year is dropped there.
+//  - Keep, on the calling thread, in resource order as the scan completes:
+//    draws each kept resource's January cut from the one sequential rng
+//    and builds its January prefix and future from the flat buffer. With
+//    max_keep the scan stops soon after the cap is reached.
+// The output is byte-identical whatever the thread count or the order the
+// threads finish in. The corpus is only read, so several preparations may
+// share one corpus concurrently. Returns InvalidArgument for a stability
+// omega outside core::ValidateOmega's range, a january_fraction outside
+// (0, 1) or NaN, or a non-finite january_jitter_sigma.
 util::Result<PreparedDataset> PrepareFromCorpus(const Corpus& corpus,
                                                 const PrepConfig& config);
 
 // Prepares a dataset from externally supplied sequences (e.g. a parsed
-// dump). `urls` may be empty; popularity defaults to the year volume.
+// dump) on the calling thread, with the same keep step and validation as
+// PrepareFromCorpus. `urls` may be empty; popularity defaults to the year
+// volume.
 util::Result<PreparedDataset> PrepareFromSequences(
     const std::vector<core::PostSequence>& year_posts,
     const std::vector<std::string>& urls, const PrepConfig& config);
@@ -94,8 +106,10 @@ util::Result<PreparedDataset> PrepareFromSequences(
 // corpus: each resource's future grows to multiplier * year_length posts
 // (total, including the January prefix). Used by the Section V-B.1
 // "budget until everything is stable" experiment, which needs more posts
-// than one year supplies. Must not run while a stream from MakeStream() is
-// alive: the stream reads the vectors this replaces.
+// than one year supplies. Samples in parallel like PrepareFromCorpus and
+// builds the posts on the calling thread. Returns InvalidArgument unless
+// the multiplier is finite and >= 1. Must not run while a stream from
+// MakeStream() is alive: the stream reads the vectors this replaces.
 util::Status ExtendFuture(const Corpus& corpus, double multiplier,
                           PreparedDataset* dataset);
 

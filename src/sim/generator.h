@@ -19,6 +19,12 @@
 // Determinism: post k of resource i is a pure function of
 // (corpus seed, i, k), so any prefix can be re-materialised cheaply and the
 // offline-optimal DP sees exactly the future the engine will replay.
+//
+// Concurrency: a generated Corpus is immutable. Every const member —
+// SamplePost, MaterializeSequence, resource(), num_resources() and the
+// rest — reads shared state only and is safe to call concurrently from
+// any number of threads; dataset preparation scans resources in parallel
+// on this contract.
 #ifndef INCENTAG_SIM_GENERATOR_H_
 #define INCENTAG_SIM_GENERATOR_H_
 

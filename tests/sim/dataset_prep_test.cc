@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -141,11 +142,30 @@ TEST_F(DatasetPrepTest, JanuaryCutTracksPopularity) {
 }
 
 TEST_F(DatasetPrepTest, RejectsBadJanuaryFraction) {
+  for (double fraction :
+       {0.0, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    PrepConfig config = TestPrepConfig();
+    config.january_fraction = fraction;
+    EXPECT_EQ(PrepareFromCorpus(*corpus_, config).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << fraction;
+  }
   PrepConfig config = TestPrepConfig();
-  config.january_fraction = 0.0;
-  EXPECT_FALSE(PrepareFromCorpus(*corpus_, config).ok());
-  config.january_fraction = 1.0;
-  EXPECT_FALSE(PrepareFromCorpus(*corpus_, config).ok());
+  config.january_jitter_sigma = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(PrepareFromCorpus(*corpus_, config).status().code(),
+            util::StatusCode::kInvalidArgument);
+}
+
+// An omega below Definition 7's minimum of 2 used to crash the stability
+// scan (a zero-size MA ring for 1, a bad array length for 0).
+TEST_F(DatasetPrepTest, RejectsBadStabilityOmega) {
+  for (int omega : {-1, 0, 1, core::kMaxOmega + 1}) {
+    PrepConfig config = TestPrepConfig();
+    config.stability.omega = omega;
+    auto prep = PrepareFromCorpus(*corpus_, config);
+    EXPECT_EQ(prep.status().code(), util::StatusCode::kInvalidArgument)
+        << "omega " << omega;
+  }
 }
 
 TEST_F(DatasetPrepTest, MakeStreamReplaysFuturePosts) {
@@ -183,7 +203,20 @@ TEST_F(DatasetPrepTest, ExtendFutureRejectsBadMultiplier) {
   auto prep = PrepareFromCorpus(*corpus_, TestPrepConfig());
   ASSERT_TRUE(prep.ok());
   PreparedDataset ds = std::move(prep).value();
-  EXPECT_FALSE(ExtendFuture(*corpus_, 0.5, &ds).ok());
+  const std::vector<core::PostSequence> before = ds.future_posts;
+  for (double multiplier : {0.5, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(ExtendFuture(*corpus_, multiplier, &ds).code(),
+              util::StatusCode::kInvalidArgument)
+        << multiplier;
+  }
+  EXPECT_EQ(ds.future_posts, before);
+}
+
+TEST_F(DatasetPrepTest, ExtendFutureOfEmptyDatasetIsNoOp) {
+  PreparedDataset empty;
+  EXPECT_TRUE(ExtendFuture(*corpus_, 2.0, &empty).ok());
+  EXPECT_EQ(empty.size(), 0u);
 }
 
 // 64-bit FNV-1a over every field of a prepared dataset, in a fixed order.
@@ -368,6 +401,22 @@ TEST(DatasetPrepSequencesTest, AllUnstableFails) {
   auto prep = PrepareFromSequences(year, {}, config);
   EXPECT_FALSE(prep.ok());
   EXPECT_EQ(prep.status().code(), util::StatusCode::kFailedPrecondition);
+}
+
+TEST(DatasetPrepSequencesTest, BadConfigRejected) {
+  std::vector<core::PostSequence> year(1);
+  for (int i = 0; i < 40; ++i) year[0].push_back(core::Post::FromTags({1}));
+  for (int omega : {0, 1}) {
+    PrepConfig config;
+    config.stability.omega = omega;
+    auto prep = PrepareFromSequences(year, {}, config);
+    EXPECT_EQ(prep.status().code(), util::StatusCode::kInvalidArgument)
+        << "omega " << omega;
+  }
+  PrepConfig config;
+  config.january_fraction = std::numeric_limits<double>::quiet_NaN();
+  auto prep = PrepareFromSequences(year, {}, config);
+  EXPECT_EQ(prep.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(DatasetPrepSequencesTest, MismatchedUrlsRejected) {
