@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   flags.AddDouble("tau", &tau, "stability threshold");
   flags.AddString("subject", &subject_url, "resource to trace");
   INCENTAG_CHECK(flags.Parse(argc, argv).ok());
+  bench::RequireValidOmega("omega", omega);
 
   auto bench_ds = bench::MakeDataset(n, static_cast<uint64_t>(seed));
   const sim::Corpus& corpus = *bench_ds->corpus;

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   flags.AddBool("dp", &dp, "include the offline-optimal DP");
   flags.AddString("budgets", &budget_csv, "comma-separated budget list");
   INCENTAG_CHECK(flags.Parse(argc, argv).ok());
+  bench::RequireValidOmega("omega", omega);
 
   auto bench_ds = bench::MakeDataset(n, static_cast<uint64_t>(seed));
   std::vector<int64_t> budgets = bench::ParseBudgetList(budget_csv);

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   flags.AddBool("dp", &dp, "include the offline-optimal DP");
   flags.AddString("sizes", &sizes_csv, "comma-separated resource counts");
   INCENTAG_CHECK(flags.Parse(argc, argv).ok());
+  bench::RequireValidOmega("omega", omega);
 
   std::vector<int64_t> sizes = bench::ParseBudgetList(sizes_csv);
   std::printf("Figure 6(e): quality vs #resources at B=%lld\n",

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
 
   auto bench_ds = bench::MakeDataset(n, static_cast<uint64_t>(seed));
   std::vector<int64_t> omegas = bench::ParseBudgetList(omegas_csv);
+  for (int64_t omega : omegas) bench::RequireValidOmega("omegas", omega);
   std::printf("Figure 6(f): effect of omega at B=%lld (%zu resources)\n",
               static_cast<long long>(budget), bench_ds->dataset.size());
 

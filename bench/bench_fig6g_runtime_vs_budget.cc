@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
                "largest budget at which DP is planned");
   flags.AddString("budgets", &budget_csv, "comma-separated budget list");
   INCENTAG_CHECK(flags.Parse(argc, argv).ok());
+  bench::RequireValidOmega("omega", omega);
 
   auto bench_ds = bench::MakeDataset(n, static_cast<uint64_t>(seed));
   std::vector<int64_t> budgets = bench::ParseBudgetList(budget_csv);

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   flags.AddInt("omega", &omega, "MA window for MU / FP-MU");
   flags.AddString("budgets", &budget_csv, "comma-separated budget list");
   INCENTAG_CHECK(flags.Parse(argc, argv).ok());
+  bench::RequireValidOmega("omega", omega);
 
   auto bench_ds = bench::MakeDataset(n, static_cast<uint64_t>(seed));
   bench::SimilarityEvaluator evaluator(*bench_ds);

@@ -89,6 +89,7 @@ int main(int argc, char** argv) {
   flags.AddInt("omega", &omega, "MA window for MU / FP-MU");
   flags.AddInt("cap", &cap, "budget cap per strategy");
   INCENTAG_CHECK(flags.Parse(argc, argv).ok());
+  bench::RequireValidOmega("omega", omega);
 
   auto bench_ds = bench::MakeDataset(n, static_cast<uint64_t>(seed));
   std::printf("Section V-B.1: budget until all %zu resources are "

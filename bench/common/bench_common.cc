@@ -1,6 +1,7 @@
 #include "bench/common/bench_common.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/core/dp_planner.h"
 #include "src/core/strategy_fc.h"
@@ -143,6 +144,14 @@ std::vector<int64_t> CountsAfter(const sim::PreparedDataset& ds,
                 (allocation.empty() ? 0 : allocation[i]);
   }
   return counts;
+}
+
+void RequireValidOmega(const char* flag, int64_t omega) {
+  const util::Status status = core::ValidateOmega(omega);
+  if (!status.ok()) {
+    std::fprintf(stderr, "--%s: %s\n", flag, status.ToString().c_str());
+    std::exit(2);
+  }
 }
 
 std::vector<int64_t> ParseBudgetList(const std::string& csv) {

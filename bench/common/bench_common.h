@@ -75,6 +75,11 @@ void PrintMetricTable(
 // Parses budgets of the form "0,500,1000"; aborts on malformed input.
 std::vector<int64_t> ParseBudgetList(const std::string& csv);
 
+// Checks an --omega (or one --omegas) value at parse time: prints the
+// flag and core::ValidateOmega's message to stderr and exits 2 unless
+// the value is a valid MA window.
+void RequireValidOmega(const char* flag, int64_t omega);
+
 // Full year sequences (initial + future) of a prepared dataset, used to
 // build rfd snapshots at arbitrary post counts.
 std::vector<core::PostSequence> BuildYearSequences(

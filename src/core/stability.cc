@@ -1,10 +1,25 @@
 #include "src/core/stability.h"
 
+#include <cassert>
+
+#include "src/core/allocation.h"
+
 namespace incentag {
 namespace core {
 
+namespace {
+
+// The window both entry points require, checked before a MaTracker sizes
+// its ring from it.
+int CheckedOmega(int omega) {
+  assert(ValidateOmega(omega).ok());
+  return omega;
+}
+
+}  // namespace
+
 StabilityDetector::StabilityDetector(StabilityParams params)
-    : params_(params), ma_(params.omega) {}
+    : params_(params), ma_(CheckedOmega(params.omega)) {}
 
 bool StabilityDetector::AddPost(const Post& post) {
   double sim = counts_.AddPost(post);
@@ -35,7 +50,7 @@ std::vector<StabilityTracePoint> StabilityTrace(const PostSequence& posts,
   std::vector<StabilityTracePoint> trace;
   trace.reserve(posts.size());
   TagCounts counts;
-  MaTracker ma(params.omega);
+  MaTracker ma(CheckedOmega(params.omega));
   for (const Post& post : posts) {
     double sim = counts.AddPost(post);
     ma.AddAdjacentSimilarity(sim);

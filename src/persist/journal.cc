@@ -1,5 +1,6 @@
 #include "src/persist/journal.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/obs/metrics.h"
@@ -164,7 +165,7 @@ util::Status DecodeCompletionRecord(std::string_view body,
   return util::Status::OK();
 }
 
-util::Status DecodeSnapshotRecord(std::string_view body, SnapshotRecord* out) {
+util::Status DecodeSnapshotView(std::string_view body, SnapshotView* out) {
   Reader in(body);
   uint8_t type;
   if (!in.GetU8(&type) ||
@@ -182,22 +183,34 @@ util::Status DecodeSnapshotRecord(std::string_view body, SnapshotRecord* out) {
     return util::Status::Corruption(
         "snapshot record seq accounting is inconsistent");
   }
-  // Each pending id takes 4 bytes (see the submit record's checkpoints).
-  if (in.remaining() / 4 < num_pending) {
+  // Each pending id takes 4 bytes; a count the body cannot hold is
+  // damage, and is never used to size anything.
+  if (!in.GetBytesView(size_t{4} * num_pending, &out->pending)) {
     return util::Status::Corruption("short snapshot record pending set");
   }
-  out->pending.clear();
-  out->pending.reserve(num_pending);
-  for (uint32_t i = 0; i < num_pending; ++i) {
-    core::ResourceId resource = core::kInvalidResource;
-    if (!in.GetU32(&resource)) {
-      return util::Status::Corruption("short snapshot record pending set");
-    }
-    out->pending.push_back(resource);
-  }
-  if (!in.GetString(&out->runtime_state) || !in.exhausted()) {
+  if (!in.GetStringView(&out->runtime_state) || !in.exhausted()) {
     return util::Status::Corruption("malformed snapshot record state");
   }
+  return util::Status::OK();
+}
+
+SnapshotRecord SnapshotView::Header() const {
+  SnapshotRecord record;
+  record.format_version = format_version;
+  record.num_completions = num_completions;
+  record.next_assign_seq = next_assign_seq;
+  record.pending.reserve(pending.size() / 4);
+  Reader in(pending);
+  core::ResourceId resource = core::kInvalidResource;
+  while (in.GetU32(&resource)) record.pending.push_back(resource);
+  return record;
+}
+
+util::Status DecodeSnapshotRecord(std::string_view body, SnapshotRecord* out) {
+  SnapshotView view;
+  INCENTAG_RETURN_IF_ERROR(DecodeSnapshotView(body, &view));
+  *out = view.Header();
+  out->runtime_state.assign(view.runtime_state);
   return util::Status::OK();
 }
 
@@ -212,6 +225,22 @@ void AppendFrameHeader(std::string_view body, std::string* out) {
   uint32_t crc = util::Crc32(out->data() + start, 4);
   crc = util::Crc32(body, crc);
   PutU32(out, crc);
+}
+
+// Compaction copies the tail verbatim, so every byte it copies must be
+// whole frames that pass their CRC: otherwise the rewrite would carry a
+// damaged or misaligned tail into the file that replaces a good journal.
+// `bytes` sit at file offset `offset`.
+util::Status CheckTailFrames(std::string_view bytes, int64_t offset) {
+  FrameCursor cursor(bytes, offset);
+  while (cursor.Next()) {
+  }
+  INCENTAG_RETURN_IF_ERROR(cursor.status());
+  if (!cursor.tail_status().ok()) {
+    return util::Status::Corruption("compaction tail is not whole frames: " +
+                                    cursor.tail_status().ToString());
+  }
+  return util::Status::OK();
 }
 
 // Patches a little-endian u32 over already-appended bytes.
@@ -322,11 +351,13 @@ util::Status JournalWriter::AppendCancel() {
 
 util::Status JournalWriter::Flush() {
   util::MutexLock lock(&mu_);
+  if (closed_) return util::Status::OK();
   return file_.Flush();
 }
 
 util::Status JournalWriter::Sync() {
   util::MutexLock lock(&mu_);
+  if (closed_) return util::Status::OK();
   INCENTAG_RETURN_IF_ERROR(file_.Sync());
   durable_size_ = file_.size();
   return util::Status::OK();
@@ -334,6 +365,7 @@ util::Status JournalWriter::Sync() {
 
 util::Status JournalWriter::SyncData() {
   util::MutexLock lock(&mu_);
+  if (closed_) return util::Status::OK();
   INCENTAG_RETURN_IF_ERROR(file_.SyncData());
   durable_size_ = file_.size();
   return util::Status::OK();
@@ -342,6 +374,15 @@ util::Status JournalWriter::SyncData() {
 util::Status JournalWriter::RecoverAfterSyncFailure() {
   util::MutexLock lock(&mu_);
   return file_.ReopenAndRestore(durable_size_);
+}
+
+util::Status JournalWriter::Close() {
+  util::MutexLock lock(&mu_);
+  if (closed_) return util::Status::OK();
+  closed_ = true;
+  util::Status status = file_.Close();
+  file_ = util::AppendFile();  // frees the buffer's capacity too
+  return status;
 }
 
 int64_t JournalWriter::buffered_bytes() {
@@ -393,6 +434,7 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
   int64_t flushed = 0;
   {
     util::MutexLock lock(&mu_);
+    if (closed_) return util::Status::FailedPrecondition("journal closed");
     INCENTAG_RETURN_IF_ERROR(file_.Flush());
     flushed = file_.size();
   }
@@ -406,6 +448,7 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
         util::ReadFileRange(path_, tail_offset, flushed - tail_offset);
     if (!bulk.ok()) return bulk.status();
     const std::string_view piece = bulk.value();
+    INCENTAG_RETURN_IF_ERROR(CheckTailFrames(piece, tail_offset));
     INCENTAG_RETURN_IF_ERROR(tmp.AppendGather({&piece, 1}));
   }
 
@@ -413,12 +456,14 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
   // 1, make the rewrite durable and swap it in. Appenders stall for one
   // small copy + fsync + rename, not for the bulk copy above.
   util::MutexLock lock(&mu_);
+  if (closed_) return util::Status::FailedPrecondition("journal closed");
   INCENTAG_RETURN_IF_ERROR(file_.Flush());
   const int64_t final_size = file_.size();
   if (final_size > flushed) {
     auto delta = util::ReadFileRange(path_, flushed, final_size - flushed);
     if (!delta.ok()) return delta.status();
     const std::string_view piece = delta.value();
+    INCENTAG_RETURN_IF_ERROR(CheckTailFrames(piece, flushed));
     INCENTAG_RETURN_IF_ERROR(tmp.AppendGather({&piece, 1}));
   }
   util::FailPoint::Fault fault;
@@ -460,143 +505,258 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
 
 // ---- reader ------------------------------------------------------------
 
-util::Result<JournalContents> ReadJournal(const std::string& path) {
-  auto data = util::ReadFileToString(path);
-  if (!data.ok()) return data.status();
-  const std::string& bytes = data.value();
+namespace {
 
-  JournalContents out;
-  out.tail_status = util::Status::OK();
-  out.snapshot_status = util::Status::OK();
-  size_t pos = 0;
-  bool& saw_submit = out.has_submit;
+// Bytes the cursor reads from a file at a time; a larger record is read
+// whole.
+constexpr int64_t kWindowBytes = 64 << 10;
+
+}  // namespace
+
+FrameCursor::FrameCursor(std::string_view bytes, int64_t base)
+    : bytes_(bytes),
+      data_start_(base),
+      pos_(base),
+      end_(base + static_cast<int64_t>(bytes.size())) {}
+
+util::Result<FrameCursor> FrameCursor::Open(const std::string& path,
+                                            int64_t offset, int64_t end,
+                                            Check check) {
+  FrameCursor cursor;
+  cursor.from_file_ = true;
+  cursor.check_ = check;
+  INCENTAG_RETURN_IF_ERROR(cursor.file_.Open(path));
+  const int64_t size = cursor.file_.size();
+  if (end < 0) end = size;
+  if (offset < 0 || offset > end || end > size) {
+    return util::Status::OutOfRange(
+        "frame range [" + std::to_string(offset) + ", " +
+        std::to_string(end) + ") outside " + path + " of " +
+        std::to_string(size) + " bytes");
+  }
+  cursor.data_start_ = offset;
+  cursor.pos_ = offset;
+  cursor.end_ = end;
+  return cursor;
+}
+
+bool FrameCursor::Fill(size_t n) {
+  const int64_t have_end =
+      data_start_ + static_cast<int64_t>(data().size());
+  if (pos_ + static_cast<int64_t>(n) <= have_end) return true;
+  // Only a file cursor gets here: Next() checks every length against
+  // end_, and a memory cursor holds all bytes up to end_.
+  const size_t want = std::max(
+      n, static_cast<size_t>(std::min(kWindowBytes, end_ - pos_)));
+  window_.resize(want);
+  status_ = file_.ReadAt(pos_, want, window_.data());
+  if (!status_.ok()) {
+    done_ = true;
+    return false;
+  }
+  data_start_ = pos_;
+  return true;
+}
+
+bool FrameCursor::Next() {
+  body_ = {};
+  if (done_) return false;
+  if (pos_ == end_) {
+    done_ = true;
+    return false;
+  }
+  // A short header or short payload is a torn tail write: stop before it.
+  if (end_ - pos_ < static_cast<int64_t>(kFrameHeaderBytes)) {
+    tail_status_ = util::Status::Corruption("torn frame header at offset " +
+                                            std::to_string(pos_));
+    done_ = true;
+    return false;
+  }
+  if (!Fill(kFrameHeaderBytes)) return false;
+  Reader header(data().substr(static_cast<size_t>(pos_ - data_start_),
+                              kFrameHeaderBytes));
+  uint32_t length = 0;
+  uint32_t crc = 0;
+  header.GetU32(&length);
+  header.GetU32(&crc);
+  const int64_t frame_end =
+      pos_ + static_cast<int64_t>(kFrameHeaderBytes) + length;
+  if (frame_end > end_) {
+    tail_status_ = util::Status::Corruption(
+        "torn record payload at offset " + std::to_string(pos_));
+    done_ = true;
+    return false;
+  }
+  if (!Fill(kFrameHeaderBytes + length)) return false;
+  const std::string_view frame =
+      data().substr(static_cast<size_t>(pos_ - data_start_),
+                    kFrameHeaderBytes + length);
+  const std::string_view body = frame.substr(kFrameHeaderBytes);
+  // The CRC covers the length word too, so a damaged length cannot
+  // silently reframe the stream.
+  if (check_ == Check::kCrc &&
+      util::Crc32(body, util::Crc32(frame.substr(0, 4))) != crc) {
+    done_ = true;
+    // A torn append is a *prefix* of a valid record, so a fully present
+    // frame with a bad CRC can only be the unsynced garbage at the
+    // physical end of the file. The same damage followed by more data is
+    // mid-journal bit rot: fsynced records after it would be silently
+    // truncated if we called it a tail, so fail loudly.
+    if (frame_end == end_) {
+      tail_status_ = util::Status::Corruption("crc mismatch at offset " +
+                                              std::to_string(pos_));
+    } else {
+      status_ = util::Status::Corruption(
+          "crc mismatch mid-journal at offset " + std::to_string(pos_) +
+          (from_file_ ? " of " + file_.path() : std::string()));
+    }
+    return false;
+  }
+  offset_ = pos_;
+  body_ = body;
+  pos_ = frame_end;
+  return true;
+}
+
+namespace {
+
+// Applies the record rules (see JournalSummary) to every frame `cursor`
+// yields, filling `out`. `visit(type, body, completion)` sees each
+// completion and each snapshot that decoded, after its checks.
+template <typename Visit>
+util::Status Walk(FrameCursor* cursor, JournalSummary* out, Visit&& visit) {
   // Next expected completion seq. A decodable snapshot before the first
   // completion re-bases it (the compacted-journal layout); a snapshot
   // that fails to decode leaves the base to the first completion record
   // after it, so the fallback path still sees a contiguous trace.
   uint64_t next_seq = 0;
   bool seq_base_known = true;
-  while (pos < bytes.size()) {
-    // Frame header. A short header or short payload is a torn tail write:
-    // stop and report the bytes up to the previous record as valid.
-    if (bytes.size() - pos < kFrameHeaderBytes) {
-      out.tail_status = util::Status::Corruption(
-          "torn frame header at offset " + std::to_string(pos));
-      break;
-    }
-    Reader header(std::string_view(bytes).substr(pos, kFrameHeaderBytes));
-    uint32_t length = 0;
-    uint32_t crc = 0;
-    header.GetU32(&length);
-    header.GetU32(&crc);
-    if (bytes.size() - pos - kFrameHeaderBytes < length) {
-      out.tail_status = util::Status::Corruption(
-          "torn record payload at offset " + std::to_string(pos));
-      break;
-    }
-    const std::string_view body =
-        std::string_view(bytes).substr(pos + kFrameHeaderBytes, length);
-    uint32_t want_crc =
-        util::Crc32(std::string_view(bytes).substr(pos, 4));
-    want_crc = util::Crc32(body, want_crc);
-    if (want_crc != crc) {
-      // A torn append is a *prefix* of a valid record, so a fully
-      // present frame with a bad CRC can only be the unsynced garbage at
-      // the physical end of the file. The same damage followed by more
-      // data is mid-journal bit rot: fsynced records after it would be
-      // silently truncated if we called it a tail, so fail loudly.
-      if (pos + kFrameHeaderBytes + length == bytes.size()) {
-        out.tail_status = util::Status::Corruption(
-            "crc mismatch at offset " + std::to_string(pos));
-        break;
-      }
-      return util::Status::Corruption(
-          "crc mismatch mid-journal at offset " + std::to_string(pos) +
-          " of " + path);
-    }
-
-    // An intact frame that fails to decode is not a torn tail — it is
-    // structural corruption mid-journal, and recovery must not guess.
-    // (Snapshots are the one exception: see below.)
+  while (cursor->Next()) {
+    const std::string_view body = cursor->body();
+    const int64_t pos = cursor->offset();
     if (body.empty()) {
       return util::Status::Corruption("empty record at offset " +
                                       std::to_string(pos));
     }
-    const auto type = static_cast<uint8_t>(body[0]);
-    if (type == static_cast<uint8_t>(RecordType::kSubmit)) {
-      if (saw_submit) {
-        return util::Status::Corruption("duplicate submit record");
-      }
-      INCENTAG_RETURN_IF_ERROR(DecodeSubmitRecord(body, &out.submit));
-      saw_submit = true;
-    } else if (type == static_cast<uint8_t>(RecordType::kCompletion)) {
-      if (!saw_submit) {
-        return util::Status::Corruption(
-            "completion record before submit record");
-      }
-      if (out.cancelled) {
-        return util::Status::Corruption(
-            "completion record after cancel record");
-      }
-      CompletionRecord record;
-      INCENTAG_RETURN_IF_ERROR(DecodeCompletionRecord(body, &record));
-      if (!seq_base_known) {
-        // The base snapshot did not decode; the first completion after
-        // it re-anchors the sequence (it is self-describing).
-        next_seq = record.seq;
-        seq_base_known = true;
-      }
-      if (record.seq != next_seq) {
-        return util::Status::Corruption(
-            "completion seq gap at offset " + std::to_string(pos) +
-            ": want " + std::to_string(next_seq) + " got " +
-            std::to_string(record.seq));
-      }
-      ++next_seq;
-      out.completions.push_back(record);
-    } else if (type == static_cast<uint8_t>(RecordType::kCancel)) {
-      if (!saw_submit || body.size() != 1) {
-        return util::Status::Corruption("malformed cancel record");
-      }
-      out.cancelled = true;
-    } else if (type == static_cast<uint8_t>(RecordType::kSnapshot)) {
-      if (!saw_submit) {
-        return util::Status::Corruption(
-            "snapshot record before submit record");
-      }
-      SnapshotRecord snapshot;
-      util::Status decoded = DecodeSnapshotRecord(body, &snapshot);
-      if (!decoded.ok()) {
-        // The frame is intact (CRC passed) but the body is opaque — for
-        // example a snapshot written by a newer format. Remember the
-        // failure instead of refusing the whole journal: recovery falls
-        // back to full replay when the completion trace permits it.
-        out.snapshot_status = std::move(decoded);
-        if (out.completions.empty()) seq_base_known = false;
-      } else if (!out.completions.empty() &&
-                 snapshot.num_completions != next_seq) {
-        // A checkpoint mid-trace must agree with the records around it.
-        return util::Status::Corruption(
-            "snapshot at offset " + std::to_string(pos) + " claims " +
-            std::to_string(snapshot.num_completions) +
-            " completions but the journal holds " +
-            std::to_string(next_seq));
-      } else {
-        if (out.completions.empty()) {
-          // Compacted layout: the snapshot establishes the seq base.
-          next_seq = snapshot.num_completions;
+    const auto type = static_cast<RecordType>(static_cast<uint8_t>(body[0]));
+    switch (type) {
+      case RecordType::kSubmit:
+        if (out->has_submit) {
+          return util::Status::Corruption("duplicate submit record");
+        }
+        INCENTAG_RETURN_IF_ERROR(DecodeSubmitRecord(body, &out->submit));
+        out->has_submit = true;
+        break;
+      case RecordType::kCompletion: {
+        if (!out->has_submit) {
+          return util::Status::Corruption(
+              "completion record before submit record");
+        }
+        if (out->cancelled) {
+          return util::Status::Corruption(
+              "completion record after cancel record");
+        }
+        CompletionRecord record;
+        INCENTAG_RETURN_IF_ERROR(DecodeCompletionRecord(body, &record));
+        if (!seq_base_known) {
+          // The base snapshot did not decode; the first completion after
+          // it re-anchors the sequence (it is self-describing).
+          next_seq = record.seq;
           seq_base_known = true;
         }
-        out.snapshot = std::move(snapshot);
-        out.has_snapshot = true;
+        if (record.seq != next_seq) {
+          return util::Status::Corruption(
+              "completion seq gap at offset " + std::to_string(pos) +
+              ": want " + std::to_string(next_seq) + " got " +
+              std::to_string(record.seq));
+        }
+        ++next_seq;
+        if (out->num_completions++ == 0) out->first_seq = record.seq;
+        visit(type, body, record);
+        break;
       }
-    } else {
-      return util::Status::Corruption("unknown record type " +
-                                      std::to_string(type));
+      case RecordType::kCancel:
+        if (!out->has_submit || body.size() != 1) {
+          return util::Status::Corruption("malformed cancel record");
+        }
+        out->cancelled = true;
+        break;
+      case RecordType::kSnapshot: {
+        if (!out->has_submit) {
+          return util::Status::Corruption(
+              "snapshot record before submit record");
+        }
+        SnapshotView snapshot;
+        util::Status decoded = DecodeSnapshotView(body, &snapshot);
+        if (!decoded.ok()) {
+          // The frame is intact (CRC passed) but the body is opaque — for
+          // example a snapshot written by a newer format. Remember the
+          // failure instead of refusing the whole journal: recovery falls
+          // back to full replay when the completion trace permits it.
+          out->snapshot_status = std::move(decoded);
+          if (out->num_completions == 0) seq_base_known = false;
+        } else if (out->num_completions > 0 &&
+                   snapshot.num_completions != next_seq) {
+          // A checkpoint mid-trace must agree with the records around it.
+          return util::Status::Corruption(
+              "snapshot at offset " + std::to_string(pos) + " claims " +
+              std::to_string(snapshot.num_completions) +
+              " completions but the journal holds " +
+              std::to_string(next_seq));
+        } else {
+          if (out->num_completions == 0) {
+            // Compacted layout: the snapshot establishes the seq base.
+            next_seq = snapshot.num_completions;
+            seq_base_known = true;
+          }
+          out->has_snapshot = true;
+          out->snapshot_offset = pos;
+          visit(type, body, CompletionRecord{});
+        }
+        break;
+      }
+      default:
+        return util::Status::Corruption(
+            "unknown record type " +
+            std::to_string(static_cast<uint8_t>(body[0])));
     }
-    pos += kFrameHeaderBytes + length;
-    out.valid_bytes = static_cast<int64_t>(pos);
   }
+  INCENTAG_RETURN_IF_ERROR(cursor->status());
+  out->valid_bytes = cursor->valid_bytes();
+  out->tail_status = cursor->tail_status();
+  return util::Status::OK();
+}
+
+}  // namespace
+
+util::Status ScanFrames(FrameCursor* cursor, JournalSummary* out) {
+  return Walk(cursor, out,
+              [](RecordType, std::string_view, const CompletionRecord&) {});
+}
+
+util::Result<JournalSummary> ScanJournal(const std::string& path) {
+  auto cursor = FrameCursor::Open(path);
+  if (!cursor.ok()) return cursor.status();
+  JournalSummary out;
+  INCENTAG_RETURN_IF_ERROR(ScanFrames(&cursor.value(), &out));
+  return out;
+}
+
+util::Result<JournalContents> ReadJournal(const std::string& path) {
+  auto cursor = FrameCursor::Open(path);
+  if (!cursor.ok()) return cursor.status();
+  JournalContents out;
+  INCENTAG_RETURN_IF_ERROR(Walk(
+      &cursor.value(), &out,
+      [&out](RecordType type, std::string_view body,
+             const CompletionRecord& record) {
+        if (type == RecordType::kCompletion) {
+          out.completions.push_back(record);
+        } else {
+          // Walk decoded this body already; only the copy is new.
+          DecodeSnapshotRecord(body, &out.snapshot);
+        }
+      }));
   return out;
 }
 

@@ -126,6 +126,26 @@ util::Status DecodeCompletionRecord(std::string_view body,
                                     CompletionRecord* out);
 util::Status DecodeSnapshotRecord(std::string_view body, SnapshotRecord* out);
 
+// A snapshot record decoded in place: the fields, plus views of the
+// pending ids and the runtime state into the body. Decoding one
+// allocates nothing, so recovery checks every snapshot of every journal
+// this way before it resumes any campaign, and restores from the view.
+// DecodeSnapshotRecord is this decoder plus copies, so both accept
+// exactly the same bodies.
+struct SnapshotView {
+  uint32_t format_version = 0;
+  uint64_t num_completions = 0;
+  uint64_t next_assign_seq = 0;
+  // next_assign_seq - num_completions little-endian u32 resource ids.
+  std::string_view pending;
+  std::string_view runtime_state;
+
+  // The record without its runtime state: the service layer's in-flight
+  // batch tail at the snapshot.
+  SnapshotRecord Header() const;
+};
+util::Status DecodeSnapshotView(std::string_view body, SnapshotView* out);
+
 // Wraps a record body in the on-disk framing ([len][crc][payload]); the
 // writer appends these, and tests hand-construct journal files with it.
 std::string FrameRecord(std::string_view body);
@@ -217,6 +237,13 @@ class JournalWriter {
                        const SnapshotRecord& snapshot, int64_t tail_offset)
       EXCLUDES(mu_);
 
+  // Closes the descriptor and frees the buffer, for a writer whose
+  // records are all synced (a finished campaign's). Later Flush, Sync and
+  // SyncData calls have nothing to make durable and return OK, so a sink
+  // pass that still holds the writer is harmless; appends and Compact
+  // fail.
+  util::Status Close() EXCLUDES(mu_);
+
   const std::string& path() const { return path_; }
 
  private:
@@ -234,11 +261,99 @@ class JournalWriter {
   // successful Sync/SyncData, or the full rewrite after a compaction):
   // the anchor RecoverAfterSyncFailure truncates back to.
   int64_t durable_size_ GUARDED_BY(mu_) = 0;
+  bool closed_ GUARDED_BY(mu_) = false;
 };
 
-// Parses a whole journal file. `tail_status` distinguishes a clean end
-// from a torn/corrupt tail; records before the tail are always intact.
-struct JournalContents {
+// Walks a journal's frames front to back, checks each frame's CRC and
+// yields one record body at a time. It is the one reader of the framing:
+// ReadJournal, ScanJournal, recovery's replay and the compactor's tail
+// copy all go through it. Over a file it reads a 64 KiB window at a
+// time, so it never holds more than one record beyond the window.
+//
+// The damage rules:
+//   * a short frame header or short payload at the end of the data is a
+//     torn tail;
+//   * a whole frame that fails its CRC is a torn tail when it ends
+//     exactly at the end of the data (a torn append is a prefix of a
+//     valid record, so only unsynced garbage can look whole), and
+//     mid-journal corruption when more data follows it.
+// A torn tail ends the walk: tail_status() describes it and
+// valid_bytes() stops before it. Mid-journal corruption and read errors
+// end the walk with status() set.
+class FrameCursor {
+ public:
+  // Over `bytes`, which must outlive the cursor; bytes[0] sits at file
+  // offset `base`.
+  explicit FrameCursor(std::string_view bytes, int64_t base = 0);
+
+  // Whether Next() checks each frame's CRC. kFramingOnly is for bytes an
+  // earlier pass has checked: recovery's replay walks a journal its first
+  // pass checked whole, so each CRC is computed once per recovery. Its
+  // decoders are bounds-checked, so bytes changed in between still fail
+  // the replay instead of reading out of bounds.
+  enum class Check { kCrc, kFramingOnly };
+
+  // Over the file at `path`, from `offset` (a frame boundary) to `end`,
+  // or to the end of the file when `end` < 0.
+  static util::Result<FrameCursor> Open(const std::string& path,
+                                        int64_t offset = 0,
+                                        int64_t end = -1,
+                                        Check check = Check::kCrc);
+
+  FrameCursor(FrameCursor&&) = default;
+  FrameCursor& operator=(FrameCursor&&) = default;
+
+  // Advances to the next intact frame: true with body() and offset()
+  // set; false once the walk is over (see the statuses below).
+  bool Next();
+
+  // The current record's payload ([u8 type][body]); valid until the next
+  // call to Next() or a move of the cursor.
+  std::string_view body() const { return body_; }
+  // File offset of the current frame.
+  int64_t offset() const { return offset_; }
+  // Offset just past the last intact frame.
+  int64_t valid_bytes() const { return pos_; }
+  // OK while walking and at a clean end; Corruption describing the torn
+  // tail otherwise.
+  const util::Status& tail_status() const { return tail_status_; }
+  // Non-OK for mid-journal corruption or a failed read.
+  const util::Status& status() const { return status_; }
+
+ private:
+  FrameCursor() = default;
+
+  // Makes [pos_, pos_ + n) readable in data_; false (status_ set) on a
+  // read error.
+  bool Fill(size_t n);
+
+  // The bytes at [data_start_, data_start_ + data().size()).
+  std::string_view data() const {
+    return from_file_ ? std::string_view(window_) : bytes_;
+  }
+
+  bool from_file_ = false;
+  Check check_ = Check::kCrc;
+  util::ReadableFile file_;
+  std::string window_;       // the last window read from file_
+  std::string_view bytes_;   // the caller's bytes, in memory
+  int64_t data_start_ = 0;
+  int64_t pos_ = 0;
+  int64_t end_ = 0;
+  int64_t offset_ = 0;
+  std::string_view body_;
+  bool done_ = false;
+  util::Status tail_status_;
+  util::Status status_;
+};
+
+// What checking every frame and record of a journal tells recovery,
+// keeping no record but the submit. The record rules: one submit, first;
+// completions in seq order with no gap, none after a cancel; a snapshot
+// after the submit, agreeing with the completions before it. An intact
+// frame that breaks them is corruption, because recovery must not guess
+// past it.
+struct JournalSummary {
   SubmitRecord submit;
   // False when the file holds no intact SubmitRecord at all (a crash
   // between journal creation and the submit fsync): nothing recoverable.
@@ -246,20 +361,23 @@ struct JournalContents {
   // True when the journal records an explicit operator cancellation; no
   // completions may follow it.
   bool cancelled = false;
-  // Format v2: the latest decodable snapshot. Recovery restores from it
-  // and replays only the completions with seq >= snapshot.num_completions.
+  // Format v2: the latest snapshot that decodes, and the offset of its
+  // frame. Recovery restores from it and replays only the completions
+  // after it.
   bool has_snapshot = false;
-  SnapshotRecord snapshot;
+  int64_t snapshot_offset = -1;
   // OK when every snapshot record in the file decoded. A snapshot whose
   // frame is intact but whose body does not decode (e.g. written by a
   // newer format) is reported here instead of failing the read, so
   // recovery can fall back to full replay when the completion trace
   // still starts at seq 0 — and fail the campaign when it does not.
   util::Status snapshot_status;
-  // Completions in seq order. Format v1 (and uncompacted v2) journals
-  // start at seq 0; a compacted journal's trace starts at the seq the
-  // snapshot base established. Contiguous either way.
-  std::vector<CompletionRecord> completions;
+  // Completion records in the file, and the seq of the first. Format v1
+  // (and uncompacted v2) journals start at seq 0; a compacted journal's
+  // trace starts at the seq its snapshot established. Contiguous either
+  // way.
+  uint64_t num_completions = 0;
+  uint64_t first_seq = 0;
   // Bytes of the file occupied by intact records; pass to
   // JournalWriter::Open(truncate_to) when resuming the journal.
   int64_t valid_bytes = 0;
@@ -268,10 +386,26 @@ struct JournalContents {
   util::Status tail_status;
 };
 
-// Reads and validates `path`. A torn/corrupt *tail* degrades gracefully
-// (tail_status, valid_bytes); structural damage before the tail — an
-// intact frame that fails to decode, a completion before the submit, a
-// seq gap — fails, because recovery must not guess past it.
+// Walks `cursor` to its end, checking every record it yields against the
+// record rules and decoding each in place, and fills `out`. A torn/corrupt
+// *tail* degrades gracefully (tail_status, valid_bytes); damage before it
+// fails. The journal reader's one entry point: ScanJournal and ReadJournal
+// run it over a file, the fuzz targets over bytes in memory.
+util::Status ScanFrames(FrameCursor* cursor, JournalSummary* out);
+
+// ScanFrames over the file at `path`, keeping no record but the submit.
+util::Result<JournalSummary> ScanJournal(const std::string& path);
+
+// A whole journal, parsed: the summary plus the records themselves.
+struct JournalContents : JournalSummary {
+  // The snapshot at snapshot_offset, when has_snapshot.
+  SnapshotRecord snapshot;
+  // Completions in seq order.
+  std::vector<CompletionRecord> completions;
+};
+
+// ScanJournal that also keeps the latest good snapshot and every
+// completion.
 util::Result<JournalContents> ReadJournal(const std::string& path);
 
 }  // namespace persist

@@ -259,8 +259,13 @@ struct CampaignManager::Campaign {
   std::atomic<bool> compact_requested{false};
   // True while a compaction job for this campaign is queued or running.
   // At most one is ever in flight: a second job's tail offset would
-  // refer to the pre-rewrite file layout and corrupt the journal.
+  // refer to the pre-rewrite file layout and corrupt the journal. Whoever
+  // flips it false -> true with close_journal set owns the journal's
+  // close (see CloseJournalWhenIdle).
   std::atomic<bool> compact_in_flight{false};
+  // Set by Finalize once a terminal journal is synced: the journal is to
+  // be closed as soon as no compaction holds it.
+  std::atomic<bool> close_journal{false};
   // Set only by an explicit Cancel() call — not by Shutdown's teardown
   // sweep — so the journal records operator intent: a cancelled campaign
   // must stay cancelled across recovery, while a campaign interrupted by
@@ -302,8 +307,9 @@ struct CampaignManager::Campaign {
 };
 
 // One registry shard: a mutex plus the campaigns hashed to it. Campaigns
-// are never erased before the manager is destroyed, so a pointer obtained
-// under the shard lock stays valid afterwards.
+// are never erased before the manager is destroyed (a terminal one keeps
+// only its status and report; see Finalize), so a pointer obtained under
+// the shard lock stays valid afterwards.
 struct CampaignManager::Shard {
   mutable util::Mutex mu;
   std::unordered_map<CampaignId, std::unique_ptr<Campaign>> campaigns
@@ -614,6 +620,10 @@ void CampaignManager::OnCompletionBatch(Campaign* c,
                                         std::span<const TaskHandle> tasks) {
   {
     util::MutexLock lock(&c->inbox_mu);
+    // A finalized campaign drains nothing more. Checked under the lock
+    // Finalize empties the inbox under, so no push can land after that
+    // and be kept until the manager dies.
+    if (c->finalized.load()) return;
     if (c->inbox.capacity() == 0) {
       // First push: size for a whole assignment batch up front instead
       // of growing through the doubling ladder (ISSUE 5 satellite).
@@ -625,15 +635,11 @@ void CampaignManager::OnCompletionBatch(Campaign* c,
           std::clamp<int64_t>(c->config.options.batch_size, 64, 4096)));
     }
     for (const TaskHandle& task : tasks) c->inbox.push_back(task.seq);
-  }
-  // Finalized campaigns take no more steps, so their pushes are dropped
-  // from the gauge too (a push racing Finalize's drain can leak a few
-  // units of depth; bounded by one batch and acceptable for a gauge).
-  if (!c->finalized.load()) {
+    // Under the lock, so Finalize's drain retires exactly what landed.
     ServiceMetrics::Get().inbox_depth->Add(
         static_cast<int64_t>(tasks.size()));
-    ScheduleStep(c);
   }
+  if (!c->finalized.load()) ScheduleStep(c);
 }
 
 void CampaignManager::FlushJournal(Campaign* c) {
@@ -727,6 +733,8 @@ void CampaignManager::MaybeCompact(Campaign* c) {
     }
     scheduler_->compaction_budget().Release(c->id);
     c->compact_in_flight.store(false);
+    // The campaign may have finished while this job held its journal.
+    CloseJournalWhenIdle(c);
   };
   if (compactor_ != nullptr) {
     compactor_->Enqueue(std::move(job));
@@ -910,10 +918,13 @@ void CampaignManager::PublishStatus(Campaign* c) {
 // `finalized`; a second call is refused. Runs with the token held.
 //   * kQuarantined: the fd is permanently sick, so the writer leaves the
 //     sink and nothing syncs through it (fsyncgate). No report: Recover()
-//     replays the durable prefix.
+//     replays the durable prefix. Everything else is kept as it is.
 //   * otherwise the journal is synced (best effort) before waiters see
 //     the state, and an operator cancel is journaled so Recover does not
-//     resume the spend.
+//     resume the spend. A synced journal leaves the sink and is closed
+//     once no compaction holds it. The campaign then keeps only its
+//     status fields and report: the runtime's state, the strategy, the
+//     stream, their context and the step scratch are freed.
 void CampaignManager::Finalize(Campaign* c, CampaignState state,
                                std::string error) {
   if (c->finalized.load()) return;
@@ -925,14 +936,19 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
       if (state == CampaignState::kCancelled && c->user_cancelled.load()) {
         c->journal->AppendCancel();
       }
-      c->journal->Sync();
+      // A journal whose sync failed stays open: its bytes may still be
+      // in the page cache only, and the fd is the one handle on them.
+      if (c->journal->Sync().ok()) {
+        if (sink_ != nullptr) sink_->Untrack(c->journal.get());
+        c->close_journal.store(true);
+        CloseJournalWhenIdle(c);
+      }
     }
   }
   // Keep the token forever: no further steps can be scheduled, and late
   // completions are dropped in OnCompletionBatch via `finalized`.
   {
     util::MutexLock lock(&c->status_mu);
-    c->state = state;
     c->error = std::move(error);
     if (state == CampaignState::kDone || state == CampaignState::kCancelled) {
       if (c->begun) {
@@ -963,6 +979,13 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
     c->elapsed_seconds = c->begun ? c->started.ElapsedSeconds() : 0.0;
     c->final_deadline_slack_seconds = c->DeadlineSlackNow();
   }
+  // Freed before the state is published, so a caller that saw the
+  // campaign terminal never races the release.
+  if (!quarantine) ReleaseRunState(c, state);
+  {
+    util::MutexLock lock(&c->status_mu);
+    c->state = state;
+  }
   // Out of the fleet: drop any ready-queue entry and pending compaction
   // request so a terminal campaign cannot outrank live ones.
   scheduler_->Unregister(c->id);
@@ -981,6 +1004,35 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
   }
   if (quarantine) ServiceMetrics::Get().quarantines->Increment();
   c->terminal_cv.NotifyAll();
+}
+
+// Frees what a terminal campaign no longer needs; it takes no further
+// step. Runs on the finalizing stepper, before the state is published.
+void CampaignManager::ReleaseRunState(Campaign* c, CampaignState state) {
+  // A failed campaign has no report, but its runtime still holds the
+  // per-resource state and the trajectory table; Finish frees them.
+  if (state == CampaignState::kFailed && c->begun) c->runtime.Finish();
+  // The strategy may point into its context (FC's crowd model), so it
+  // goes first.
+  c->config.strategy.reset();
+  c->config.stream.reset();
+  c->config.context.reset();
+  c->order = ApplyOrder();
+  std::vector<core::ResourceId>().swap(c->batch);
+  std::vector<TaskHandle>().swap(c->tasks);
+  std::vector<uint64_t>().swap(c->drained);
+  std::vector<core::ResourceId>().swap(c->apply_run);
+  std::vector<persist::CompletionRecord>().swap(c->journal_batch);
+}
+
+// Closes a terminal campaign's journal once Finalize asked for it and no
+// compaction holds the writer. Both Finalize and a finishing compaction
+// call this; taking the compact_in_flight token makes exactly one of them
+// close, and keeps any later compaction out.
+void CampaignManager::CloseJournalWhenIdle(Campaign* c) {
+  if (c->close_journal.load() && !c->compact_in_flight.exchange(true)) {
+    c->journal->Close();
+  }
 }
 
 // Sink-thread callback: the retry ladder exhausted (or hit a permanent
@@ -1155,34 +1207,37 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
   auto files = util::ListDirFiles(dir, ".journal");
   if (!files.ok()) return files.status();
 
-  // Phase 1: parse and validate every journal with no side effects, so a
-  // factory or corruption error aborts recovery before any campaign has
-  // been registered or resumed — the caller can fix the input and call
-  // Recover again without double-resuming anything. Each parse is
-  // dropped once validated: only one journal's bytes are alive at a
-  // time, here and in phase 2.
+  // Phase 1: check every journal with no side effects, so a factory or
+  // corruption error aborts recovery before any campaign has been
+  // registered or resumed — the caller can fix the input and call
+  // Recover again without double-resuming anything. One pass of the
+  // frame cursor per journal checks every frame and decodes every record
+  // in place (ScanJournal), so a record that phase 2 could not decode
+  // fails here. The factory's config is validated and dropped: phase 1
+  // keeps only each journal's summary, no per-resource state.
   struct Pending {
     std::string path;
-    CampaignConfig config;
+    persist::JournalSummary summary;
   };
   std::vector<Pending> pending;
   for (const std::string& path : files.value()) {
     if (recovered_paths_.count(path) > 0) continue;  // a retried Recover
-    auto contents = persist::ReadJournal(path);
-    if (!contents.ok()) return contents.status();
-    if (!contents.value().has_submit) continue;
+    auto summary = persist::ScanJournal(path);
+    if (!summary.ok()) return summary.status();
+    if (!summary.value().has_submit) continue;
     // A parseable id that is already registered means this journal's
     // campaign is live in this manager; never open a second writer on a
     // file a live campaign is appending to.
     const CampaignId parsed = ParseJournalId(path);
     if (parsed != 0 && Find(parsed) != nullptr) continue;
-    auto config = factory(contents.value().submit);
+    auto config = factory(summary.value().submit);
     if (!config.ok()) return config.status();
     INCENTAG_RETURN_IF_ERROR(ValidateConfig(config.value()));
-    pending.push_back(Pending{path, std::move(config).value()});
+    pending.push_back(Pending{path, std::move(summary).value()});
   }
 
-  // Phase 2: re-read, register and resume one journal at a time. Only
+  // Phase 2: rebuild, register and resume one journal at a time, each
+  // replayed from its latest good snapshot one record at a time. Only
   // IO-level failures can abort from here on, and resumed journals are
   // remembered, so even such an abort is safely retryable. Every
   // trajectory table used is pinned until Recover returns: a recovered
@@ -1190,35 +1245,29 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
   // table, and the next journal on that dataset would build it again.
   std::vector<std::shared_ptr<const core::InitialState>> tables;
   std::vector<CampaignId> out;
-  for (Pending& p : pending) {
+  for (const Pending& p : pending) {
+    auto config = factory(p.summary.submit);
+    if (!config.ok()) return config.status();
+    INCENTAG_RETURN_IF_ERROR(ValidateConfig(config.value()));
     std::shared_ptr<const core::InitialState> table =
-        InitialStateFor(p.config);
+        InitialStateFor(config.value());
     if (std::find(tables.begin(), tables.end(), table) == tables.end()) {
       tables.push_back(std::move(table));
     }
-    {
-      auto contents = persist::ReadJournal(p.path);
-      if (!contents.ok()) return contents.status();
-      auto recovered =
-          RecoverOne(p.path, contents.value(), std::move(p.config));
-      if (!recovered.ok()) return recovered.status();
-      out.push_back(recovered.value());
-    }  // frees the parse before the campaign steps
+    auto recovered = RecoverOne(p.path, p.summary, std::move(config).value());
+    if (!recovered.ok()) return recovered.status();
+    out.push_back(recovered.value());
     recovered_paths_.insert(p.path);
     DrainReadyQueue();
   }
   return out;
 }
 
-// Resurrects one parsed-and-validated journal. Runs on the calling
-// thread with the campaign's scheduling token held throughout the
-// replay.
+// Resurrects one checked journal. Runs on the calling thread with the
+// campaign's scheduling token held throughout the replay.
 util::Result<CampaignId> CampaignManager::RecoverOne(
-    const std::string& path, const persist::JournalContents& contents,
+    const std::string& path, const persist::JournalSummary& journal,
     CampaignConfig config) {
-  const std::vector<persist::CompletionRecord>& trace =
-      contents.completions;
-
   // Keep the campaign's pre-crash id when the file name encodes one (ids
   // are then stable across restarts), and move next_id_ past it so a
   // later Submit can never be handed an id whose journal file this
@@ -1242,15 +1291,15 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
 
   // Resume the original journal file: drop the torn tail (if any), then
   // append post-recovery completions after the last intact record.
-  auto writer = persist::JournalWriter::Open(path, contents.valid_bytes);
+  auto writer = persist::JournalWriter::Open(path, journal.valid_bytes);
   if (!writer.ok()) return writer.status();
   c->journal = std::move(writer).value();
-  c->submit_record = contents.submit;
+  c->submit_record = journal.submit;
   // Bytes-trigger baseline: a snapshot-bearing journal counts as freshly
   // compacted (only post-recovery growth should re-trigger); a legacy
   // uncompacted journal starts at 0 so the policy compacts it soon.
-  if (contents.has_snapshot) {
-    c->bytes_at_last_compact.store(contents.valid_bytes);
+  if (journal.has_snapshot) {
+    c->bytes_at_last_compact.store(journal.valid_bytes);
   }
   // Journaling may be off for new submits; recovered campaigns still
   // need the fsync batcher (and compactor). Recover runs single-threaded
@@ -1264,26 +1313,46 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
   c->scheduled.store(true);  // the recovering thread is the stepper
   c->queue_delay_s = c->submitted.ElapsedSeconds();
   c->started.Restart();
+  // The journal was checked whole in phase 1; the replay reads it once
+  // more from its latest good snapshot (or its start), one record at a
+  // time, and does not check the CRCs again. A read failure here fails
+  // the campaign; the journal itself is untouched and a later recovery
+  // can retry it.
+  auto cursor = persist::FrameCursor::Open(
+      path, journal.has_snapshot ? journal.snapshot_offset : 0,
+      journal.valid_bytes, persist::FrameCursor::Check::kFramingOnly);
+  if (!cursor.ok()) {
+    Finalize(c, CampaignState::kFailed,
+             "journal replay read failed: " + cursor.status().ToString());
+    return id;
+  }
   uint64_t replay_from = 0;
-  if (contents.has_snapshot) {
+  if (journal.has_snapshot) {
     // Restore the campaign's full resumable state from the snapshot;
     // Algorithm 1 determinism makes this byte-identical to replaying the
     // num_completions records it summarizes. A runtime-level restore
     // failure cannot fall back to full replay — the strategy, stream and
     // runtime are partially consumed by then, and a compacted journal no
     // longer holds the summarized prefix anyway — so it fails loudly.
-    util::Status restored = c->runtime.RestoreResumableState(
-        contents.snapshot.runtime_state, c->config.strategy.get(),
-        c->config.stream.get(), InitialStateFor(c->config));
+    persist::SnapshotView snapshot;
+    util::Status restored =
+        cursor.value().Next()
+            ? persist::DecodeSnapshotView(cursor.value().body(), &snapshot)
+            : util::Status::Corruption("journal snapshot frame is gone");
+    if (restored.ok()) {
+      restored = c->runtime.RestoreResumableState(
+          snapshot.runtime_state, c->config.strategy.get(),
+          c->config.stream.get(), InitialStateFor(c->config));
+    }
     if (!restored.ok()) {
       Finalize(c, CampaignState::kFailed,
                "journal snapshot failed to restore: " + restored.ToString());
       return id;
     }
     c->begun = true;
-    c->order.RestoreFrom(contents.snapshot);
-    c->last_compact_seq = contents.snapshot.num_completions;
-    replay_from = contents.snapshot.num_completions;
+    c->order.RestoreFrom(snapshot.Header());
+    c->last_compact_seq = snapshot.num_completions;
+    replay_from = snapshot.num_completions;
   } else {
     // No usable snapshot. Full replay works when the completion trace
     // starts at seq 0 — which is also the corrupt-snapshot fallback: a
@@ -1293,16 +1362,16 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
     // at all, the normal state right after a compaction — lost its
     // prefix to that snapshot; restarting from Begin would silently
     // discard the campaign's whole pre-crash spend, so fail loudly.
-    if ((!trace.empty() && trace.front().seq != 0) ||
-        (trace.empty() && !contents.snapshot_status.ok())) {
+    const bool no_trace = journal.num_completions == 0;
+    if ((!no_trace && journal.first_seq != 0) ||
+        (no_trace && !journal.snapshot_status.ok())) {
       Finalize(c, CampaignState::kFailed,
                "journal snapshot is unusable (" +
-                   contents.snapshot_status.ToString() +
+                   journal.snapshot_status.ToString() +
                    ") and the completion trace " +
-                   (trace.empty()
-                        ? std::string("was compacted into it")
-                        : "starts at seq " +
-                              std::to_string(trace.front().seq)) +
+                   (no_trace ? std::string("was compacted into it")
+                             : "starts at seq " +
+                                   std::to_string(journal.first_seq)) +
                    ": full replay impossible");
       return id;
     }
@@ -1315,10 +1384,21 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
     }
     c->begun = true;
   }
-  for (size_t i = 0; i < trace.size(); ++i) {
-    // Records the snapshot already summarizes (an uncompacted journal
-    // with an inline checkpoint still carries them).
-    if (trace[i].seq < replay_from) continue;
+  for (uint64_t i = 0; cursor.value().Next();) {
+    // Completions only: the submit was read in phase 1, and a cancel
+    // record takes effect below.
+    const std::string_view body = cursor.value().body();
+    if (body.empty() ||
+        body[0] != static_cast<char>(persist::RecordType::kCompletion)) {
+      continue;
+    }
+    persist::CompletionRecord record;
+    util::Status decoded = persist::DecodeCompletionRecord(body, &record);
+    if (!decoded.ok()) {
+      Finalize(c, CampaignState::kFailed,
+               "journal replay read failed: " + decoded.ToString());
+      return id;
+    }
     if (c->order.in_flight() == 0) {
       util::Status status = c->runtime.DrawBatch(&c->batch);
       if (!status.ok()) {
@@ -1327,8 +1407,10 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
       }
       if (c->batch.empty()) {
         Finalize(c, CampaignState::kFailed,
-                 "journal replay diverged: " + std::to_string(trace.size()) +
-                     " recorded completions but the campaign stopped after " +
+                 "journal replay diverged: " +
+                     std::to_string(journal.num_completions) +
+                     " recorded completions but the campaign stopped "
+                     "after " +
                      std::to_string(i));
         return id;
       }
@@ -1338,19 +1420,30 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
     // order; any divergence means the factory rebuilt a different
     // campaign (wrong seed, options, or dataset) and replaying further
     // would fabricate state.
-    if (trace[i].seq != c->order.next_apply_seq() ||
-        trace[i].resource != c->order.next_resource()) {
+    if (record.seq != c->order.next_apply_seq() ||
+        record.resource != c->order.next_resource()) {
       Finalize(c, CampaignState::kFailed,
                "journal replay diverged at record " + std::to_string(i) +
-                   ": recorded seq " + std::to_string(trace[i].seq) +
-                   "/resource " + std::to_string(trace[i].resource) +
+                   ": recorded seq " + std::to_string(record.seq) +
+                   "/resource " + std::to_string(record.resource) +
                    ", replay expected seq " +
                    std::to_string(c->order.next_apply_seq()) + "/resource " +
                    std::to_string(c->order.next_resource()));
       return id;
     }
-    c->order.TakeRun({&trace[i].seq, 1}, 1, &c->apply_run);  // seq checked above
-    c->runtime.ApplyCompletion(trace[i].resource);
+    c->order.TakeRun({&record.seq, 1}, 1, &c->apply_run);  // seq checked above
+    c->runtime.ApplyCompletion(record.resource);
+    ++i;
+  }
+  // The walk stops at valid_bytes; anything but a clean end there means
+  // the file changed since phase 1 checked it.
+  if (!cursor.value().status().ok() || !cursor.value().tail_status().ok()) {
+    Finalize(c, CampaignState::kFailed,
+             "journal replay read failed: " +
+                 (cursor.value().status().ok()
+                      ? cursor.value().tail_status().ToString()
+                      : cursor.value().status().ToString()));
+    return id;
   }
   {
     // Observability for benches and the recovery demo: how much tail the
@@ -1362,7 +1455,7 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
   }
 
   // ---- resume live from exactly where the journal ends ----
-  if (contents.cancelled) {
+  if (journal.cancelled) {
     // The operator cancelled this campaign before the restart; recovery
     // rebuilds its partial report but must not resume its spend.
     // (`user_cancelled` stays false, so no duplicate cancel record.)

@@ -406,9 +406,11 @@ class CampaignManager {
   void DrainReadyQueue();
   void Step(Campaign* campaign);
   util::Result<CampaignId> RecoverOne(const std::string& path,
-                                      const persist::JournalContents& contents,
+                                      const persist::JournalSummary& journal,
                                       CampaignConfig config);
   void Finalize(Campaign* campaign, CampaignState state, std::string error);
+  void ReleaseRunState(Campaign* campaign, CampaignState state);
+  void CloseJournalWhenIdle(Campaign* campaign);
   void PublishStatus(Campaign* campaign);
   void OnCompletionBatch(Campaign* campaign,
                          std::span<const TaskHandle> tasks);

@@ -107,32 +107,59 @@ Result<std::string> ReadFileRange(const std::string& path, int64_t offset,
   if (offset < 0 || length < 0) {
     return Status::InvalidArgument("negative file range");
   }
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return ErrnoStatus("open", path);
-  std::string out;
-  out.resize(static_cast<size_t>(length));
+  ReadableFile file;
+  INCENTAG_RETURN_IF_ERROR(file.Open(path));
+  std::string out(static_cast<size_t>(length), '\0');
+  INCENTAG_RETURN_IF_ERROR(file.ReadAt(offset, out.size(), out.data()));
+  return out;
+}
+
+ReadableFile::~ReadableFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+ReadableFile& ReadableFile::operator=(ReadableFile&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = other.fd_;
+    path_ = std::move(other.path_);
+    size_ = other.size_;
+    other.fd_ = -1;
+    other.size_ = 0;
+  }
+  return *this;
+}
+
+Status ReadableFile::Open(const std::string& path) {
+  if (fd_ >= 0) return Status::FailedPrecondition("ReadableFile already open");
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) return ErrnoStatus("open", path);
+  path_ = path;
+  const off_t end = ::lseek(fd_, 0, SEEK_END);
+  if (end < 0) return ErrnoStatus("lseek", path);
+  size_ = static_cast<int64_t>(end);
+  return Status::OK();
+}
+
+Status ReadableFile::ReadAt(int64_t offset, size_t length, char* dst) const {
   size_t have = 0;
-  while (have < out.size()) {
+  while (have < length) {
     const ssize_t n =
-        ::pread(fd, out.data() + have, out.size() - have,
+        ::pread(fd_, dst + have, length - have,
                 static_cast<off_t>(offset + static_cast<int64_t>(have)));
     if (n < 0) {
       if (errno == EINTR) continue;
-      Status status = ErrnoStatus("pread", path);
-      ::close(fd);
-      return status;
+      return ErrnoStatus("pread", path_);
     }
     if (n == 0) {
-      ::close(fd);
       return Status::OutOfRange(
           "short read at offset " +
           std::to_string(offset + static_cast<int64_t>(have)) + " of " +
-          path);
+          path_);
     }
     have += static_cast<size_t>(n);
   }
-  ::close(fd);
-  return out;
+  return Status::OK();
 }
 
 Status RemoveFile(const std::string& path) {

@@ -36,8 +36,7 @@ Status CreateDirectories(const std::string& dir);
 Result<std::vector<std::string>> ListDirFiles(const std::string& dir,
                                               std::string_view suffix = "");
 
-// Whole-file read; the journal reader works from an in-memory image
-// (journals are bounded by campaign budgets, not log retention).
+// Whole-file read.
 Result<std::string> ReadFileToString(const std::string& path);
 
 // Reads exactly `length` bytes starting at `offset`. Fails (OutOfRange)
@@ -46,6 +45,35 @@ Result<std::string> ReadFileToString(const std::string& path);
 // means a logic error, not a benign race.
 Result<std::string> ReadFileRange(const std::string& path, int64_t offset,
                                   int64_t length);
+
+// Read-only positioned reader (pread at explicit offsets). The journal's
+// frame cursor walks a file through one, a window at a time.
+class ReadableFile {
+ public:
+  ReadableFile() = default;
+  ~ReadableFile();
+
+  ReadableFile(const ReadableFile&) = delete;
+  ReadableFile& operator=(const ReadableFile&) = delete;
+  ReadableFile(ReadableFile&& other) noexcept { *this = std::move(other); }
+  ReadableFile& operator=(ReadableFile&& other) noexcept;
+
+  // Opens `path` and records its size.
+  Status Open(const std::string& path);
+
+  // Reads exactly `length` bytes at `offset` into `dst`. Fails
+  // (OutOfRange) when the file is shorter.
+  Status ReadAt(int64_t offset, size_t length, char* dst) const;
+
+  // Size when opened.
+  int64_t size() const { return size_; }
+  const std::string& path() const { return path_; }
+
+ private:
+  int fd_ = -1;
+  std::string path_;
+  int64_t size_ = 0;
+};
 
 // Deletes `path`. OK if it does not exist.
 Status RemoveFile(const std::string& path);

@@ -123,6 +123,14 @@ class Reader {
     return true;
   }
 
+  // Zero-copy view of the next `length` bytes.
+  bool GetBytesView(size_t length, std::string_view* v) {
+    if (data_.size() - pos_ < length) return false;
+    *v = data_.substr(pos_, length);
+    pos_ += length;
+    return true;
+  }
+
   // Consumes `expected` when the unread bytes start with it; otherwise
   // consumes nothing and returns false.
   bool SkipExpected(std::string_view expected) {

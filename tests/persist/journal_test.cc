@@ -457,6 +457,145 @@ TEST_F(JournalTest, SinkBatchesSyncsAndDrains) {
   EXPECT_EQ(reread.value().completions.size(), 65u);
 }
 
+// A file walk reads a window at a time; it must yield exactly the frames
+// a walk over the whole image in memory yields, including a record larger
+// than the window and a torn tail.
+TEST_F(JournalTest, FrameCursorOverAFileMatchesTheImage) {
+  std::string bytes = FrameRecord(EncodeSubmitRecord(MakeSubmit()));
+  for (uint64_t seq = 0; seq < 5000; ++seq) {
+    bytes += FrameRecord(EncodeCompletionRecord(CompletionRecord{seq, 3}));
+  }
+  SnapshotRecord big;
+  big.num_completions = 5000;
+  big.next_assign_seq = 5000;
+  big.runtime_state = std::string(200 << 10, 'r');  // 3x the window
+  bytes += FrameRecord(EncodeSnapshotRecord(big));
+  for (uint64_t seq = 5000; seq < 5100; ++seq) {
+    bytes += FrameRecord(EncodeCompletionRecord(CompletionRecord{seq, 4}));
+  }
+  bytes += FrameRecord(EncodeCompletionRecord(CompletionRecord{5100, 4}))
+               .substr(0, 15);
+  const std::string path = PathFor("windowed.journal");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  FrameCursor image(bytes);
+  auto file = FrameCursor::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  size_t frames = 0;
+  while (image.Next()) {
+    ASSERT_TRUE(file.value().Next()) << frames;
+    EXPECT_EQ(image.offset(), file.value().offset());
+    ASSERT_EQ(image.body(), file.value().body()) << frames;
+    ++frames;
+  }
+  EXPECT_FALSE(file.value().Next());
+  EXPECT_EQ(frames, 1u + 5000u + 1u + 100u);
+  EXPECT_TRUE(file.value().status().ok());
+  EXPECT_FALSE(file.value().tail_status().ok());
+  EXPECT_EQ(image.valid_bytes(), file.value().valid_bytes());
+  EXPECT_EQ(file.value().valid_bytes(),
+            static_cast<int64_t>(bytes.size()) - 15);
+
+  // ScanJournal agrees with ReadJournal on everything it keeps.
+  auto summary = ScanJournal(path);
+  auto contents = ReadJournal(path);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  EXPECT_TRUE(summary.value().has_snapshot);
+  EXPECT_EQ(summary.value().snapshot_offset,
+            contents.value().snapshot_offset);
+  EXPECT_EQ(contents.value().snapshot.runtime_state, big.runtime_state);
+  EXPECT_EQ(summary.value().num_completions, 5100u);
+  EXPECT_EQ(contents.value().completions.size(), 5100u);
+  EXPECT_EQ(summary.value().first_seq, 0u);
+  EXPECT_EQ(summary.value().valid_bytes, contents.value().valid_bytes);
+
+  // A bounded walk from the snapshot stops where it was told to.
+  auto from_snapshot = FrameCursor::Open(
+      path, summary.value().snapshot_offset, summary.value().valid_bytes);
+  ASSERT_TRUE(from_snapshot.ok());
+  ASSERT_TRUE(from_snapshot.value().Next());
+  SnapshotView view;
+  ASSERT_TRUE(DecodeSnapshotView(from_snapshot.value().body(), &view).ok());
+  EXPECT_EQ(view.num_completions, 5000u);
+  EXPECT_EQ(view.runtime_state, big.runtime_state);
+  size_t tail = 0;
+  while (from_snapshot.value().Next()) ++tail;
+  EXPECT_EQ(tail, 100u);
+  EXPECT_TRUE(from_snapshot.value().tail_status().ok());
+
+  EXPECT_FALSE(FrameCursor::Open(path, 0, static_cast<int64_t>(bytes.size()) +
+                                              1)
+                   .ok());
+}
+
+// Only the replay's framing-only walk skips the CRC; a checked walk of the
+// same damage stops at it.
+TEST_F(JournalTest, FramingOnlyCursorSkipsTheCrc) {
+  std::string bytes = FrameRecord(EncodeSubmitRecord(MakeSubmit()));
+  bytes += FrameRecord(EncodeCompletionRecord(CompletionRecord{0, 1}));
+  bytes += FrameRecord(EncodeCompletionRecord(CompletionRecord{1, 2}));
+  bytes[bytes.size() - 30] ^= 0x01;  // inside the first completion
+  const std::string path = PathFor("crc.journal");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  auto checked = FrameCursor::Open(path);
+  ASSERT_TRUE(checked.ok());
+  int frames = 0;
+  while (checked.value().Next()) ++frames;
+  EXPECT_EQ(frames, 1);
+  EXPECT_EQ(checked.value().status().code(), util::StatusCode::kCorruption);
+  auto framing = FrameCursor::Open(path, 0, -1,
+                                   FrameCursor::Check::kFramingOnly);
+  ASSERT_TRUE(framing.ok());
+  frames = 0;
+  while (framing.value().Next()) ++frames;
+  EXPECT_EQ(frames, 3);
+  EXPECT_TRUE(framing.value().status().ok());
+}
+
+// Compaction copies the tail only as whole, intact frames: a tail offset
+// off a frame boundary fails the rewrite and leaves the journal as it was.
+TEST_F(JournalTest, CompactRefusesATailThatIsNotWholeFrames) {
+  const std::string path = WriteJournal("misaligned.journal", 20);
+  auto before = util::ReadFileToString(path);
+  ASSERT_TRUE(before.ok());
+  auto writer = JournalWriter::Open(path);
+  ASSERT_TRUE(writer.ok());
+  SnapshotRecord snapshot;
+  snapshot.num_completions = 10;
+  snapshot.next_assign_seq = 10;
+  const int64_t size = static_cast<int64_t>(before.value().size());
+  util::Status status = writer.value()->Compact(MakeSubmit(), snapshot,
+                                                size - 21 * 10 + 3);
+  EXPECT_EQ(status.code(), util::StatusCode::kCorruption)
+      << status.ToString();
+  EXPECT_EQ(util::ReadFileToString(path).value(), before.value());
+}
+
+// A closed writer has nothing left to make durable: a sink pass that
+// still holds it syncs nothing and succeeds; appends and compaction fail.
+TEST_F(JournalTest, ClosedWriterSyncsNothingAndAppendsNothing) {
+  const std::string path = WriteJournal("closed.journal", 5);
+  auto writer = JournalWriter::Open(path);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer.value()->Close().ok());
+  EXPECT_TRUE(writer.value()->Flush().ok());
+  EXPECT_TRUE(writer.value()->Sync().ok());
+  EXPECT_TRUE(writer.value()->SyncData().ok());
+  EXPECT_FALSE(writer.value()->AppendCompletion(CompletionRecord{5, 1}).ok());
+  SnapshotRecord snapshot;
+  EXPECT_EQ(writer.value()->Compact(MakeSubmit(), snapshot, 0).code(),
+            util::StatusCode::kFailedPrecondition);
+  auto contents = ReadJournal(path);
+  ASSERT_TRUE(contents.ok());
+  EXPECT_EQ(contents.value().completions.size(), 5u);
+}
+
 }  // namespace
 }  // namespace persist
 }  // namespace incentag

@@ -30,6 +30,7 @@
 
 #include "src/core/allocation.h"
 #include "src/core/post_stream.h"
+#include "src/persist/journal.h"
 #include "src/service/campaign_manager.h"
 #include "src/sim/dataset_prep.h"
 #include "src/sim/generator.h"
@@ -75,21 +76,12 @@ std::string ReportBytes(const core::RunReport& report) {
   return out;
 }
 
-// End offset of every whole frame ([u32 len][u32 crc][payload]) in a
-// journal image.
+// End offset of every intact frame in a journal image.
 std::vector<size_t> FrameEnds(const std::string& bytes) {
   std::vector<size_t> ends;
-  size_t pos = 0;
-  while (bytes.size() - pos >= 8) {
-    uint32_t length = 0;
-    for (int b = 0; b < 4; ++b) {
-      length |= static_cast<uint32_t>(
-                    static_cast<unsigned char>(bytes[pos + b]))
-                << (8 * b);
-    }
-    if (bytes.size() - pos - 8 < length) break;
-    pos += 8 + length;
-    ends.push_back(pos);
+  persist::FrameCursor cursor(bytes);
+  while (cursor.Next()) {
+    ends.push_back(static_cast<size_t>(cursor.valid_bytes()));
   }
   return ends;
 }
