@@ -1,8 +1,7 @@
 #include "src/core/stability.h"
 
-#include <cassert>
-
 #include "src/core/allocation.h"
+#include "src/util/logging.h"
 
 namespace incentag {
 namespace core {
@@ -10,9 +9,9 @@ namespace core {
 namespace {
 
 // The window both entry points require, checked before a MaTracker sizes
-// its ring from it.
+// its ring from it: 1 would divide by zero, 0 would size a ring of -1.
 int CheckedOmega(int omega) {
-  assert(ValidateOmega(omega).ok());
+  INCENTAG_CHECK(ValidateOmega(omega).ok());
   return omega;
 }
 

@@ -39,8 +39,8 @@ struct StabilityTracePoint {
 // Incremental detector of the practically-stable rfd.
 class StabilityDetector {
  public:
-  // params.omega must pass ValidateOmega (allocation.h): the MA score
-  // averages omega - 1 adjacent similarities.
+  // params.omega must pass ValidateOmega (allocation.h); a CHECK fails
+  // otherwise. The MA score averages omega - 1 adjacent similarities.
   explicit StabilityDetector(StabilityParams params);
 
   // Feeds the next post. Returns true exactly once: on the post that makes
@@ -88,7 +88,8 @@ StabilityDetector ScanSequence(const PostSequence& posts,
 
 // Produces the full (adjacent similarity, MA score) trace of a sequence —
 // the data behind Figure 3 — together with the stable point under `params`.
-// params.omega must pass ValidateOmega, as for StabilityDetector.
+// params.omega must pass ValidateOmega (CHECKed), as for
+// StabilityDetector.
 std::vector<StabilityTracePoint> StabilityTrace(const PostSequence& posts,
                                                 StabilityParams params);
 

@@ -268,7 +268,7 @@ class JournalWriter {
 // yields one record body at a time. It is the one reader of the framing:
 // ReadJournal, ScanJournal, recovery's replay and the compactor's tail
 // copy all go through it. Over a file it reads a 64 KiB window at a
-// time, so it never holds more than one record beyond the window.
+// time, so it holds one window or one record, whichever is larger.
 //
 // The damage rules:
 //   * a short frame header or short payload at the end of the data is a

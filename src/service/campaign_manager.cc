@@ -167,6 +167,31 @@ struct ServiceMetrics {
   }
 };
 
+// Recover's replays in flight on the pool. The tasks share it, so the
+// last one to finish may outlive Recover's wait.
+struct ReplayWindow {
+  util::Mutex mu;
+  util::CondVar done;
+  int in_flight GUARDED_BY(mu) = 0;
+
+  // Takes a slot unless `limit` replays are already in flight.
+  bool TryAdd(int limit) {
+    util::MutexLock lock(&mu);
+    if (in_flight >= limit) return false;
+    ++in_flight;
+    return true;
+  }
+  void Finish() {
+    util::MutexLock lock(&mu);
+    --in_flight;
+    done.NotifyAll();
+  }
+  void WaitIdle() {
+    util::MutexLock lock(&mu);
+    while (in_flight > 0) done.Wait(&mu);
+  }
+};
+
 }  // namespace
 
 // All mutable campaign state. Ownership of the non-const parts is split
@@ -1236,14 +1261,24 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
     pending.push_back(Pending{path, std::move(summary).value()});
   }
 
-  // Phase 2: rebuild, register and resume one journal at a time, each
-  // replayed from its latest good snapshot one record at a time. Only
-  // IO-level failures can abort from here on, and resumed journals are
-  // remembered, so even such an abort is safely retryable. Every
-  // trajectory table used is pinned until Recover returns: a recovered
-  // campaign that finishes during its replay would otherwise free its
-  // table, and the next journal on that dataset would build it again.
+  // Phase 2: rebuild and register one journal at a time, in file order,
+  // and replay each from its latest good snapshot one record at a time.
+  // Only IO-level failures can abort from here on, and resumed journals
+  // are remembered, so even such an abort is safely retryable. With a
+  // pool, a replay runs as a pool task while this thread registers the
+  // next journal, at most one per worker at a time (this thread replays
+  // itself when they are all busy); Recover returns once every replay
+  // has finished. Every trajectory table used is pinned until then: a
+  // recovered campaign that finishes during its replay would otherwise
+  // free its table, and the next journal on that dataset would build it
+  // again.
   std::vector<std::shared_ptr<const core::InitialState>> tables;
+  const auto window = std::make_shared<ReplayWindow>();
+  // Destroyed before `tables`: the replays touch the pinned tables.
+  struct WaitForReplays {
+    ReplayWindow* window;
+    ~WaitForReplays() { window->WaitIdle(); }
+  } wait_for_replays{window.get()};
   std::vector<CampaignId> out;
   for (const Pending& p : pending) {
     auto config = factory(p.summary.submit);
@@ -1254,18 +1289,30 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
     if (std::find(tables.begin(), tables.end(), table) == tables.end()) {
       tables.push_back(std::move(table));
     }
-    auto recovered = RecoverOne(p.path, p.summary, std::move(config).value());
-    if (!recovered.ok()) return recovered.status();
-    out.push_back(recovered.value());
+    auto registered =
+        RegisterRecovered(p.path, p.summary, std::move(config).value());
+    if (!registered.ok()) return registered.status();
+    Campaign* c = registered.value();
+    out.push_back(c->id);
     recovered_paths_.insert(p.path);
+    if (pool_ != nullptr && window->TryAdd(pool_->num_threads())) {
+      auto task = [this, c, window, &p] {
+        Replay(c, p.path, p.summary);
+        window->Finish();
+      };
+      if (!pool_->Submit(task)) task();
+      continue;
+    }
+    Replay(c, p.path, p.summary);
     DrainReadyQueue();
   }
   return out;
 }
 
-// Resurrects one checked journal. Runs on the calling thread with the
-// campaign's scheduling token held throughout the replay.
-util::Result<CampaignId> CampaignManager::RecoverOne(
+// Registers one checked journal's campaign, reopening the journal for
+// appends. The caller holds the campaign's scheduling token from here on
+// and must Replay it.
+util::Result<CampaignManager::Campaign*> CampaignManager::RegisterRecovered(
     const std::string& path, const persist::JournalSummary& journal,
     CampaignConfig config) {
   // Keep the campaign's pre-crash id when the file name encodes one (ids
@@ -1302,15 +1349,24 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
     c->bytes_at_last_compact.store(journal.valid_bytes);
   }
   // Journaling may be off for new submits; recovered campaigns still
-  // need the fsync batcher (and compactor). Recover runs single-threaded
-  // before the recovered campaigns step, so this lazy init is
-  // unsynchronized.
+  // need the fsync batcher (and compactor). Recover's thread creates them
+  // here before its first replay starts and never replaces them, so this
+  // lazy init is unsynchronized.
   EnsureJournalWorkers();
 
+  // Taken before the campaign is visible: the replay is its stepper.
+  c->scheduled.store(true);
   INCENTAG_RETURN_IF_ERROR(TryRegister(id, std::move(campaign)));
+  return c;
+}
 
+// Restores and replays a registered journal, then resumes the campaign
+// live (or finalizes it). Runs with the campaign's scheduling token held;
+// failures finalize the campaign, they are not returned.
+void CampaignManager::Replay(Campaign* c, const std::string& path,
+                             const persist::JournalSummary& journal) {
+  const CampaignId id = c->id;
   // ---- replay: seek to the latest snapshot, replay only the tail ----
-  c->scheduled.store(true);  // the recovering thread is the stepper
   c->queue_delay_s = c->submitted.ElapsedSeconds();
   c->started.Restart();
   // The journal was checked whole in phase 1; the replay reads it once
@@ -1324,7 +1380,7 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
   if (!cursor.ok()) {
     Finalize(c, CampaignState::kFailed,
              "journal replay read failed: " + cursor.status().ToString());
-    return id;
+    return;
   }
   uint64_t replay_from = 0;
   if (journal.has_snapshot) {
@@ -1347,7 +1403,7 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
     if (!restored.ok()) {
       Finalize(c, CampaignState::kFailed,
                "journal snapshot failed to restore: " + restored.ToString());
-      return id;
+      return;
     }
     c->begun = true;
     c->order.RestoreFrom(snapshot.Header());
@@ -1373,14 +1429,14 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
                              : "starts at seq " +
                                    std::to_string(journal.first_seq)) +
                    ": full replay impossible");
-      return id;
+      return;
     }
     util::Status status =
         c->runtime.Begin(c->config.strategy.get(), c->config.stream.get(),
                          InitialStateFor(c->config));
     if (!status.ok()) {
       Finalize(c, CampaignState::kFailed, status.ToString());
-      return id;
+      return;
     }
     c->begun = true;
   }
@@ -1397,13 +1453,13 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
     if (!decoded.ok()) {
       Finalize(c, CampaignState::kFailed,
                "journal replay read failed: " + decoded.ToString());
-      return id;
+      return;
     }
     if (c->order.in_flight() == 0) {
       util::Status status = c->runtime.DrawBatch(&c->batch);
       if (!status.ok()) {
         Finalize(c, CampaignState::kFailed, status.ToString());
-        return id;
+        return;
       }
       if (c->batch.empty()) {
         Finalize(c, CampaignState::kFailed,
@@ -1412,7 +1468,7 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
                      " recorded completions but the campaign stopped "
                      "after " +
                      std::to_string(i));
-        return id;
+        return;
       }
       c->order.Assign(c->id, c->batch, &c->tasks);
     }
@@ -1429,7 +1485,7 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
                    ", replay expected seq " +
                    std::to_string(c->order.next_apply_seq()) + "/resource " +
                    std::to_string(c->order.next_resource()));
-      return id;
+      return;
     }
     c->order.TakeRun({&record.seq, 1}, 1, &c->apply_run);  // seq checked above
     c->runtime.ApplyCompletion(record.resource);
@@ -1443,7 +1499,7 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
                  (cursor.value().status().ok()
                       ? cursor.value().tail_status().ToString()
                       : cursor.value().status().ToString()));
-    return id;
+    return;
   }
   {
     // Observability for benches and the recovery demo: how much tail the
@@ -1460,7 +1516,7 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
     // rebuilds its partial report but must not resume its spend.
     // (`user_cancelled` stays false, so no duplicate cancel record.)
     Finalize(c, CampaignState::kCancelled, "");
-    return id;
+    return;
   }
   // Rejoin the fleet under the recovered scheduling class (journaled in
   // the SubmitRecord); a deadline restarts from the recovery clock.
@@ -1471,12 +1527,11 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
   PublishStatus(c);
   if (!c->tasks.empty() && !source_->SubmitTasks(c->tasks, c->completion_fn)) {
     Finalize(c, CampaignState::kFailed, kSourceClosedError);
-    return id;
+    return;
   }
   // Keep the token and hand the campaign to the scheduler; the step
   // resumes it (or finalizes it, if the journal held the whole run).
   EnqueueDispatch(c);
-  return id;
 }
 
 void CampaignManager::Shutdown() {

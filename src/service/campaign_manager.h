@@ -282,7 +282,9 @@ class CampaignManager {
   // strategy_name + record.seed), stream, and any CostModel. The
   // returned config's `options` should normally be taken from
   // `record.options` unchanged — recovery replay is only byte-identical
-  // if the engine options match the original run.
+  // if the engine options match the original run. Recover calls it twice
+  // per journal (to validate, then to rebuild right before the replay);
+  // both calls must describe the same campaign.
   using CampaignFactory = std::function<util::Result<CampaignConfig>(
       const persist::SubmitRecord& record)>;
 
@@ -323,13 +325,18 @@ class CampaignManager {
   // `campaign-<id>.journal` resurrects under its original id (ids are
   // stable across restarts) and next_id_ advances past it, so later
   // Submits never reuse a recovered journal file. Every journal is
-  // parsed and run through the factory before any campaign is resumed,
+  // checked and run through the factory before any campaign is resumed,
   // so an error return means no side effects (and a rare IO failure
   // mid-resume is retryable: already-resumed journals are skipped).
-  // Only one parsed journal is held at a time: each is parsed again
-  // right before its campaign resumes and freed right after. Every
-  // trajectory table a recovered campaign used stays alive until
-  // Recover returns, so one dataset's table is built once per call.
+  // Each journal is parsed once: the first pass walks every frame and
+  // decodes every record in place, keeping only the journal's summary;
+  // the factory is then asked again right before the campaign resumes,
+  // and the replay seeks to the snapshot and decodes one record at a
+  // time. With a pool, replays run on the workers (at most one each)
+  // while the calling thread registers the next journal; every replay
+  // has finished when Recover returns. Every trajectory table a
+  // recovered campaign used stays alive until then, so one dataset's
+  // table is built once per call.
   // A non-empty `fleet-commit.log` left in `dir` by an older build fails
   // recovery with FailedPrecondition before any journal is read.
   // Call from one thread, before submitting new campaigns.
@@ -357,6 +364,11 @@ class CampaignManager {
   // path. The query surface every client (HTTP, campaign_server
   // rollups, tests) goes through.
   CampaignPage List(const ListQuery& query) const;
+
+  // Status, List, Wait and WaitFor answer for every campaign the manager
+  // ever registered: campaigns are never erased, and a terminal one keeps
+  // its status fields and report (but not its strategy, stream or
+  // journal descriptor; see Finalize).
 
   // Blocks until the campaign is terminal. Returns its RunReport (for
   // kCancelled: the partial report, with stopped_early=true whenever the
@@ -405,9 +417,11 @@ class CampaignManager {
   bool DispatchStep();
   void DrainReadyQueue();
   void Step(Campaign* campaign);
-  util::Result<CampaignId> RecoverOne(const std::string& path,
-                                      const persist::JournalSummary& journal,
-                                      CampaignConfig config);
+  util::Result<Campaign*> RegisterRecovered(
+      const std::string& path, const persist::JournalSummary& journal,
+      CampaignConfig config);
+  void Replay(Campaign* campaign, const std::string& path,
+              const persist::JournalSummary& journal);
   void Finalize(Campaign* campaign, CampaignState state, std::string error);
   void ReleaseRunState(Campaign* campaign, CampaignState state);
   void CloseJournalWhenIdle(Campaign* campaign);

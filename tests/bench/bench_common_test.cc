@@ -35,6 +35,19 @@ TEST(BenchCommonTest, ParseBudgetList) {
   EXPECT_EQ(budgets[2], 500);
 }
 
+// A figure bench's --omega outside core::ValidateOmega exits 2 with a
+// message naming the flag, instead of dying mid-run (SIGFPE at 1,
+// bad_array_new_length at 0).
+TEST(BenchCommonTest, RequireValidOmegaExitsTwoOnABadWindow) {
+  RequireValidOmega("omega", 2);
+  RequireValidOmega("omegas", 1024);
+  for (int64_t omega : {int64_t{-3}, int64_t{0}, int64_t{1}, int64_t{1025}}) {
+    EXPECT_EXIT(RequireValidOmega("omega", omega),
+                ::testing::ExitedWithCode(2), "--omega: .*omega must be")
+        << omega;
+  }
+}
+
 TEST(BenchCommonTest, RunAtBudgetSpendsTheBudget) {
   auto ds = MakeDataset(40, 9);
   auto fp = MakeStrategy("FP", nullptr);

@@ -146,6 +146,20 @@ TEST(StabilityTraceTest, TraceHasOneRowPerPost) {
   }
 }
 
+// Both entry points require a window ValidateOmega accepts; a window of 1
+// would divide by zero and 0 would size a ring of -1 entries.
+TEST(StabilityDeathTest, BadOmegaIsAPreconditionFailure) {
+  const PostSequence posts(3, Post::FromTags({1}));
+  for (int omega : {0, 1}) {
+    EXPECT_DEATH(StabilityDetector(StabilityParams{omega, 0.9}),
+                 "ValidateOmega")
+        << omega;
+    EXPECT_DEATH(StabilityTrace(posts, StabilityParams{omega, 0.9}),
+                 "ValidateOmega")
+        << omega;
+  }
+}
+
 // Property sweep: the MA score is monotonically affected by tau — with a
 // lower tau the stable point can only be earlier or equal.
 class StabilityTauTest : public ::testing::TestWithParam<uint64_t> {};
