@@ -37,13 +37,14 @@
 #include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
 #include "src/util/random.h"
-#include "src/util/wire.h"
+#include "tests/testing/report_bytes.h"
 
 namespace incentag {
 namespace service {
 namespace {
 
 namespace fs = std::filesystem;
+using testing::ReportBytes;
 using std::chrono::milliseconds;
 
 // One campaign's deterministic inputs.
@@ -53,28 +54,6 @@ struct Spec {
   core::EngineOptions options;
   uint64_t seed = 0;
 };
-
-// The report as bytes: equal strings mean equal reports, doubles to the
-// bit.
-std::string ReportBytes(const core::RunReport& report) {
-  std::string out;
-  auto metrics = [&out](const core::AllocationMetrics& m) {
-    util::wire::PutI64(&out, m.budget_used);
-    util::wire::PutDouble(&out, m.avg_quality);
-    util::wire::PutI64(&out, m.over_tagged);
-    util::wire::PutI64(&out, m.wasted_posts);
-    util::wire::PutI64(&out, m.under_tagged);
-  };
-  util::wire::PutString(&out, report.strategy_name);
-  util::wire::PutU64(&out, report.allocation.size());
-  for (int64_t a : report.allocation) util::wire::PutI64(&out, a);
-  util::wire::PutU64(&out, report.checkpoints.size());
-  for (const core::AllocationMetrics& m : report.checkpoints) metrics(m);
-  metrics(report.final_metrics);
-  util::wire::PutI64(&out, report.budget_spent);
-  util::wire::PutU8(&out, report.stopped_early ? 1 : 0);
-  return out;
-}
 
 // End offset of every intact frame in a journal image.
 std::vector<size_t> FrameEnds(const std::string& bytes) {
