@@ -1263,8 +1263,9 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
 
   // Phase 2: rebuild and register one journal at a time, in file order,
   // and replay each from its latest good snapshot one record at a time.
-  // Only IO-level failures can abort from here on, and resumed journals
-  // are remembered, so even such an abort is safely retryable. With a
+  // Only IO-level failures (or a factory refusing a record it accepted in
+  // phase 1) can abort from here on, and resumed journals are
+  // remembered, so even such an abort is safely retryable. With a
   // pool, a replay runs as a pool task while this thread registers the
   // next journal, at most one per worker at a time (this thread replays
   // itself when they are all busy); Recover returns once every replay
