@@ -243,6 +243,27 @@ util::Status CheckTailFrames(std::string_view bytes, int64_t offset) {
   return util::Status::OK();
 }
 
+// The delta Compact copies under the writer lock is this writer's own
+// appends since the bulk copy, framed and CRC'd as they were appended.
+// Only their framing is checked, so appenders never wait on a second
+// CRC pass over bytes just written. `bytes` sit at file offset `offset`.
+util::Status CheckDeltaFraming(std::string_view bytes, int64_t offset) {
+  size_t pos = 0;
+  while (bytes.size() - pos >= kFrameHeaderBytes) {
+    Reader header(bytes.substr(pos, 4));
+    uint32_t length = 0;
+    header.GetU32(&length);
+    pos += kFrameHeaderBytes + length;
+    if (pos > bytes.size()) break;
+  }
+  if (pos != bytes.size()) {
+    return util::Status::Corruption(
+        "compaction delta at offset " + std::to_string(offset) +
+        " is not whole frames");
+  }
+  return util::Status::OK();
+}
+
 // Patches a little-endian u32 over already-appended bytes.
 void PatchU32(std::string* out, size_t pos, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -454,7 +475,8 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
 
   // Phase 2, under the writer lock: copy the delta appended during phase
   // 1, make the rewrite durable and swap it in. Appenders stall for one
-  // small copy + fsync + rename, not for the bulk copy above.
+  // small copy + fsync + rename, not for the bulk copy and its CRC walk
+  // above.
   util::MutexLock lock(&mu_);
   if (closed_) return util::Status::FailedPrecondition("journal closed");
   INCENTAG_RETURN_IF_ERROR(file_.Flush());
@@ -463,7 +485,7 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
     auto delta = util::ReadFileRange(path_, flushed, final_size - flushed);
     if (!delta.ok()) return delta.status();
     const std::string_view piece = delta.value();
-    INCENTAG_RETURN_IF_ERROR(CheckTailFrames(piece, flushed));
+    INCENTAG_RETURN_IF_ERROR(CheckDeltaFraming(piece, flushed));
     INCENTAG_RETURN_IF_ERROR(tmp.AppendGather({&piece, 1}));
   }
   util::FailPoint::Fault fault;
@@ -520,11 +542,9 @@ FrameCursor::FrameCursor(std::string_view bytes, int64_t base)
       end_(base + static_cast<int64_t>(bytes.size())) {}
 
 util::Result<FrameCursor> FrameCursor::Open(const std::string& path,
-                                            int64_t offset, int64_t end,
-                                            Check check) {
+                                            int64_t offset, int64_t end) {
   FrameCursor cursor;
   cursor.from_file_ = true;
-  cursor.check_ = check;
   INCENTAG_RETURN_IF_ERROR(cursor.file_.Open(path));
   const int64_t size = cursor.file_.size();
   if (end < 0) end = size;
@@ -594,8 +614,7 @@ bool FrameCursor::Next() {
   const std::string_view body = frame.substr(kFrameHeaderBytes);
   // The CRC covers the length word too, so a damaged length cannot
   // silently reframe the stream.
-  if (check_ == Check::kCrc &&
-      util::Crc32(body, util::Crc32(frame.substr(0, 4))) != crc) {
+  if (util::Crc32(body, util::Crc32(frame.substr(0, 4))) != crc) {
     done_ = true;
     // A torn append is a *prefix* of a valid record, so a fully present
     // frame with a bad CRC can only be the unsynced garbage at the

@@ -286,19 +286,11 @@ class FrameCursor {
   // offset `base`.
   explicit FrameCursor(std::string_view bytes, int64_t base = 0);
 
-  // Whether Next() checks each frame's CRC. kFramingOnly is for bytes an
-  // earlier pass has checked: recovery's replay walks a journal its first
-  // pass checked whole, so each CRC is computed once per recovery. Its
-  // decoders are bounds-checked, so bytes changed in between still fail
-  // the replay instead of reading out of bounds.
-  enum class Check { kCrc, kFramingOnly };
-
   // Over the file at `path`, from `offset` (a frame boundary) to `end`,
   // or to the end of the file when `end` < 0.
   static util::Result<FrameCursor> Open(const std::string& path,
                                         int64_t offset = 0,
-                                        int64_t end = -1,
-                                        Check check = Check::kCrc);
+                                        int64_t end = -1);
 
   FrameCursor(FrameCursor&&) = default;
   FrameCursor& operator=(FrameCursor&&) = default;
@@ -333,7 +325,6 @@ class FrameCursor {
   }
 
   bool from_file_ = false;
-  Check check_ = Check::kCrc;
   util::ReadableFile file_;
   std::string window_;       // the last window read from file_
   std::string_view bytes_;   // the caller's bytes, in memory

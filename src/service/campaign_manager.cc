@@ -1372,12 +1372,12 @@ void CampaignManager::Replay(Campaign* c, const std::string& path,
   c->started.Restart();
   // The journal was checked whole in phase 1; the replay reads it once
   // more from its latest good snapshot (or its start), one record at a
-  // time, and does not check the CRCs again. A read failure here fails
-  // the campaign; the journal itself is untouched and a later recovery
-  // can retry it.
+  // time, checking each frame again. A read failure here fails the
+  // campaign; the journal itself is untouched and a later recovery can
+  // retry it.
   auto cursor = persist::FrameCursor::Open(
       path, journal.has_snapshot ? journal.snapshot_offset : 0,
-      journal.valid_bytes, persist::FrameCursor::Check::kFramingOnly);
+      journal.valid_bytes);
   if (!cursor.ok()) {
     Finalize(c, CampaignState::kFailed,
              "journal replay read failed: " + cursor.status().ToString());

@@ -6,7 +6,7 @@
 //
 // Beyond "no crash, no out-of-bounds read", it checks what recovery relies
 // on: the frames tile the valid bytes, and everything the first pass
-// accepts, the replay pass (which skips the CRCs) reads back and decodes.
+// accepts, the replay pass reads back and decodes.
 #include <cstddef>
 #include <cstdint>
 #include <string_view>

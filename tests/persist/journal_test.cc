@@ -531,33 +531,6 @@ TEST_F(JournalTest, FrameCursorOverAFileMatchesTheImage) {
                    .ok());
 }
 
-// Only the replay's framing-only walk skips the CRC; a checked walk of the
-// same damage stops at it.
-TEST_F(JournalTest, FramingOnlyCursorSkipsTheCrc) {
-  std::string bytes = FrameRecord(EncodeSubmitRecord(MakeSubmit()));
-  bytes += FrameRecord(EncodeCompletionRecord(CompletionRecord{0, 1}));
-  bytes += FrameRecord(EncodeCompletionRecord(CompletionRecord{1, 2}));
-  bytes[bytes.size() - 30] ^= 0x01;  // inside the first completion
-  const std::string path = PathFor("crc.journal");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << bytes;
-  }
-  auto checked = FrameCursor::Open(path);
-  ASSERT_TRUE(checked.ok());
-  int frames = 0;
-  while (checked.value().Next()) ++frames;
-  EXPECT_EQ(frames, 1);
-  EXPECT_EQ(checked.value().status().code(), util::StatusCode::kCorruption);
-  auto framing = FrameCursor::Open(path, 0, -1,
-                                   FrameCursor::Check::kFramingOnly);
-  ASSERT_TRUE(framing.ok());
-  frames = 0;
-  while (framing.value().Next()) ++frames;
-  EXPECT_EQ(frames, 3);
-  EXPECT_TRUE(framing.value().status().ok());
-}
-
 // Compaction copies the tail only as whole, intact frames: a tail offset
 // off a frame boundary fails the rewrite and leaves the journal as it was.
 TEST_F(JournalTest, CompactRefusesATailThatIsNotWholeFrames) {
