@@ -140,6 +140,8 @@ class VectorPostStream final : public ReplayablePostStream {
 
   // The posts this stream reads (its own or borrowed ones).
   const std::vector<PostSequence>& store() const { return *sequences_; }
+  // Whether store() is the stream's own copy, freed with the stream.
+  bool owns_store() const { return owned_ != nullptr; }
 
  private:
   // Set by the owning constructor only. On the heap, so `sequences_`

@@ -1269,10 +1269,13 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
   // pool, a replay runs as a pool task while this thread registers the
   // next journal, at most one per worker at a time (this thread replays
   // itself when they are all busy); Recover returns once every replay
-  // has finished. Every trajectory table used is pinned until then: a
-  // recovered campaign that finishes during its replay would otherwise
-  // free its table, and the next journal on that dataset would build it
-  // again.
+  // has finished. Every trajectory table over shared posts is pinned
+  // until then: a recovered campaign that finishes during its replay
+  // would otherwise free its table, and the next journal on that dataset
+  // would build it again. A stream that owns its posts frees them when
+  // its campaign finishes, and a table pinned over them could be matched
+  // (by address) to a later stream allocated in their place, so such a
+  // table, which no other journal shares anyway, is not pinned.
   std::vector<std::shared_ptr<const core::InitialState>> tables;
   const auto window = std::make_shared<ReplayWindow>();
   // Destroyed before `tables`: the replays touch the pinned tables.
@@ -1285,10 +1288,12 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
     auto config = factory(p.summary.submit);
     if (!config.ok()) return config.status();
     INCENTAG_RETURN_IF_ERROR(ValidateConfig(config.value()));
-    std::shared_ptr<const core::InitialState> table =
-        InitialStateFor(config.value());
-    if (std::find(tables.begin(), tables.end(), table) == tables.end()) {
-      tables.push_back(std::move(table));
+    if (!config.value().stream->owns_store()) {
+      std::shared_ptr<const core::InitialState> table =
+          InitialStateFor(config.value());
+      if (std::find(tables.begin(), tables.end(), table) == tables.end()) {
+        tables.push_back(std::move(table));
+      }
     }
     auto registered =
         RegisterRecovered(p.path, p.summary, std::move(config).value());

@@ -115,7 +115,8 @@ struct CampaignConfig {
   uint64_t seed = 0;
   // Optional keep-alive for auxiliary objects the strategy or stream
   // reference (e.g. the sim::CrowdModel behind FreeChoiceStrategy's
-  // picker). Destroyed with the campaign.
+  // picker). Destroyed, with the strategy and the stream, when the
+  // campaign ends kDone, kCancelled or kFailed.
   std::shared_ptr<void> context;
 };
 

@@ -5,7 +5,9 @@
 // build is refused rather than half-read, and no campaign may ever wedge
 // in kRunning — a closed completion source fails it fast and WaitFor
 // bounds every wait.
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -489,6 +491,88 @@ TEST_F(RecoveryTest, RecoverBuildsEachTrajectoryTableOnce) {
   }
   // Every campaign is done, so the table went with Recover's pin.
   EXPECT_EQ(recovered.num_initial_states(), 0u);
+}
+
+// Future posts that differ per seed, owned by the stream: each resource's
+// sequence without its first seed % 4 + 1 posts, when it has more.
+core::VectorPostStream OwningStream(const sim::PreparedDataset& dataset,
+                                    uint64_t seed) {
+  std::vector<core::PostSequence> posts = dataset.future_posts;
+  const size_t drop = seed % 4 + 1;
+  for (core::PostSequence& sequence : posts) {
+    if (sequence.size() > drop) {
+      sequence.erase(sequence.begin(),
+                     sequence.begin() + static_cast<std::ptrdiff_t>(drop));
+    }
+  }
+  return core::VectorPostStream(std::move(posts));
+}
+
+// A stream that owns its posts frees them when its campaign finishes, so
+// Recover must not keep that campaign's trajectory table alive: a later
+// journal's stream allocated where those posts were would match it by
+// address. Each journal here finishes during its replay; when the
+// factory runs for the next one, no table may be left.
+TEST_F(RecoveryTest, RecoverKeepsNoTableOverAFinishedStreamsOwnPosts) {
+  const std::vector<Run> runs = {{0, 200, 21}, {1, 220, 22}, {3, 240, 23},
+                                 {0, 210, 24}};
+  {
+    ManagerOptions options;
+    options.deterministic = true;
+    options.journal_dir = dir_.string();
+    CampaignManager manager(options);
+    for (const Run& run : runs) {
+      CampaignConfig config = MakeConfig(run.kind, run.budget, run.seed);
+      config.stream = std::make_unique<core::VectorPostStream>(
+          OwningStream(*dataset_, run.seed));
+      ASSERT_TRUE(manager.Submit(std::move(config)).ok());
+    }
+    manager.Shutdown();
+  }
+
+  obs::Counter* tables = obs::Registry::Default().GetCounter(
+      "incentag_service_trajectory_tables_total", "");
+  const int64_t before = tables->Value();
+  ManagerOptions options;
+  options.deterministic = true;
+  CampaignManager recovered(options);
+  size_t most_tables_at_factory = 0;
+  auto ids = recovered.Recover(
+      dir_.string(),
+      [&](const persist::SubmitRecord& record)
+          -> util::Result<CampaignConfig> {
+        most_tables_at_factory =
+            std::max(most_tables_at_factory, recovered.num_initial_states());
+        auto config = Factory(record);
+        if (config.ok()) {
+          config.value().stream = std::make_unique<core::VectorPostStream>(
+              OwningStream(*dataset_, record.seed));
+        }
+        return config;
+      });
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  ASSERT_EQ(ids.value().size(), runs.size());
+  EXPECT_EQ(most_tables_at_factory, 0u);
+  EXPECT_EQ(tables->Value() - before, static_cast<int64_t>(runs.size()));
+  EXPECT_EQ(recovered.num_initial_states(), 0u);
+  for (size_t k = 0; k < runs.size(); ++k) {
+    const Run& run = runs[k];
+    std::shared_ptr<void> context;
+    auto strategy =
+        sim::MakeStrategyByName(sim::StrategyNameForKind(run.kind),
+                                dataset_->popularity, run.seed, &context);
+    core::AllocationEngine engine(MakeOptions(run.kind, run.budget),
+                                  &dataset_->initial_posts,
+                                  &dataset_->references);
+    core::VectorPostStream stream = OwningStream(*dataset_, run.seed);
+    auto want = engine.Run(strategy.get(), &stream);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    auto result = recovered.WaitFor(ids.value()[k], milliseconds(1));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().state, CampaignState::kDone);
+    ExpectReportsEqual(want.value(), result.value().report,
+                       "kind " + std::to_string(run.kind));
+  }
 }
 
 // A crash tears bytes, not records: garbage appended past the last valid
