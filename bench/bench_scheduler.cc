@@ -91,13 +91,6 @@ FleetResult RunFleet(const bench::BenchDataset& bench_ds,
   // skips) the background tier starts preempting mid-drain and pulls
   // every policy toward round-robin. Tests cover the backstop itself.
   options.scheduler.starvation_limit = 4096;
-  // Pin the pre-sharding single queue for every arm: the gated metrics
-  // are ratios against the rr arm, and letting the manager's ISSUE-5
-  // default shard rr (but not the ranked policies) would change the
-  // denominator's dispatch order out from under the checked-in
-  // baseline. Sharding's throughput effect is bench_service_throughput's
-  // job, not this policy-separation bench's.
-  options.scheduler.num_shards = 1;
   service::CampaignManager manager(options);
 
   // Build every config before submitting anything: interleaving strategy

@@ -3,9 +3,8 @@
 //
 // The service runs millions of completions/sec across worker, tagger,
 // sink and compactor threads; its telemetry must cost nothing on that
-// hot path. The write side therefore follows the ShardRing pattern from
-// src/service/scheduler/: every Counter/Histogram is striped over
-// kStripes cache-line-aligned cells, a thread is pinned to stripe
+// hot path. The write side is therefore striped: every Counter/Histogram
+// is spread over kStripes cache-line-aligned cells, a thread is pinned to stripe
 // (thread ordinal % kStripes), and an increment is one relaxed atomic
 // add on a line no other stripe touches. Aggregation (summing the
 // stripes) happens only at scrape time, in Registry::Snapshot().

@@ -345,23 +345,10 @@ CampaignManager::CampaignManager(ManagerOptions options)
     : options_(options) {
   if (options_.tasks_per_step <= 0) options_.tasks_per_step = 1;
   options_.scheduler.base_quantum = options_.tasks_per_step;
-  const int threads = options_.num_threads > 0 ? options_.num_threads
-                                               : util::DefaultThreadCount();
-  // Ready-queue shards default to the worker count FOR ROUND-ROBIN
-  // only: RR promises nothing beyond per-shard FIFO, so sharding it is
-  // pure contention relief (the post-PR-4 bottleneck). The ranked
-  // policies' cross-campaign order is their product — EDF's miss rate
-  // rests on popping the globally earliest deadline — and the
-  // first-non-empty-shard steal scan trades that order away, so sharding
-  // them stays opt-in via SchedulerOptions::num_shards. (Deterministic
-  // mode queues one campaign at a time; one shard suffices.)
-  if (options_.scheduler.num_shards <= 0) {
-    const bool shard_by_default =
-        !options_.deterministic &&
-        options_.scheduler.policy == SchedulerPolicy::kRoundRobin;
-    options_.scheduler.num_shards = shard_by_default ? threads : 1;
-  }
   scheduler_ = MakeScheduler(options_.scheduler);
+  // Register the service instruments now, so /metrics lists them (at
+  // zero) before the first campaign steps.
+  ServiceMetrics::Get();
   for (CampaignId i = 0; i < kNumShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
@@ -380,7 +367,9 @@ CampaignManager::CampaignManager(ManagerOptions options)
     EnsureJournalWorkers();
   }
   if (!options_.deterministic) {
-    pool_ = std::make_unique<util::ThreadPool>(threads);
+    pool_ = std::make_unique<util::ThreadPool>(
+        options_.num_threads > 0 ? options_.num_threads
+                                 : util::DefaultThreadCount());
   }
   if (options_.health != nullptr) {
     // Claim the exit edge: parked campaigns resume the moment storage

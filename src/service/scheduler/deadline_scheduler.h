@@ -12,8 +12,8 @@
 // deadline_aging_seconds_per_skip earlier; that breaks convoys among
 // close deadlines but cannot rescue a no-deadline campaign from an
 // endless stream of dated ones, so the hard starvation_limit bound
-// (RankedScheduler, which also owns the sharded ready-queue/steal
-// layout) does. Skip counts reset when the campaign is popped.
+// (RankedScheduler, which also owns the ready queue) does. Skip counts
+// reset when the campaign is popped.
 #ifndef INCENTAG_SERVICE_SCHEDULER_DEADLINE_SCHEDULER_H_
 #define INCENTAG_SERVICE_SCHEDULER_DEADLINE_SCHEDULER_H_
 

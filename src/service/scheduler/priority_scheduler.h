@@ -10,9 +10,8 @@
 // priority_aging_per_skip effective priority points, so a long-waiting
 // background campaign eventually outranks fresh high-priority arrivals;
 // independently, an entry skipped starvation_limit times is popped next
-// unconditionally (RankedScheduler, which also owns the sharded
-// ready-queue/steal layout). Aging state resets when the campaign is
-// popped.
+// unconditionally (RankedScheduler, which also owns the ready queue).
+// Aging state resets when the campaign is popped.
 #ifndef INCENTAG_SERVICE_SCHEDULER_PRIORITY_SCHEDULER_H_
 #define INCENTAG_SERVICE_SCHEDULER_PRIORITY_SCHEDULER_H_
 

@@ -8,9 +8,9 @@ namespace incentag {
 namespace service {
 
 RankedScheduler::CampaignParams RankedScheduler::ParamsOfLocked(
-    const Shard& shard, CampaignId id) const {
-  auto it = shard.params.find(id);
-  return it == shard.params.end() ? CampaignParams{} : it->second;
+    CampaignId id) const {
+  auto it = params_.find(id);
+  return it == params_.end() ? CampaignParams{} : it->second;
 }
 
 void RankedScheduler::Register(CampaignId id, const ScheduleParams& params) {
@@ -19,79 +19,60 @@ void RankedScheduler::Register(CampaignId id, const ScheduleParams& params) {
   normalized.deadline = params.deadline_seconds > 0.0
                             ? clock_.ElapsedSeconds() + params.deadline_seconds
                             : kNoDeadline;
-  Shard& shard = shards_.ShardOf(id);
-  util::MutexLock lock(&shard.mu);
-  shard.params[id] = normalized;
+  util::MutexLock lock(&mu_);
+  params_[id] = normalized;
 }
 
 void RankedScheduler::Enqueue(CampaignId id) {
-  // Count-then-insert: see ShardRing's liveness contract.
-  shards_.NoteEnqueued();
-  Shard& shard = shards_.ShardOf(id);
-  util::MutexLock lock(&shard.mu);
-  shard.ready.push_back(Entry{id, shard.next_tick++, 0});
+  util::MutexLock lock(&mu_);
+  ready_.push_back(Entry{id, next_tick_++, 0});
 }
 
-bool RankedScheduler::PopsBeforeLocked(const Shard& shard, const Entry& a,
-                                       const Entry& b) const {
+bool RankedScheduler::PopsBeforeLocked(const Entry& a, const Entry& b) const {
   // Hard starvation bound dominates rank; among starving, oldest wins.
   const int64_t limit = options_.starvation_limit;
   const bool a_starving = limit > 0 && a.skips >= limit;
   const bool b_starving = limit > 0 && b.skips >= limit;
   if (a_starving != b_starving) return a_starving;
   if (a_starving) return a.tick < b.tick;
-  const double a_key = RankKey(a, ParamsOfLocked(shard, a.id));
-  const double b_key = RankKey(b, ParamsOfLocked(shard, b.id));
+  const double a_key = RankKey(a, ParamsOfLocked(a.id));
+  const double b_key = RankKey(b, ParamsOfLocked(b.id));
   if (a_key != b_key) return a_key < b_key;
   return a.tick < b.tick;
 }
 
 CampaignId RankedScheduler::PopNext() {
   const int64_t limit = options_.starvation_limit;
-  CampaignId popped = 0;
-  shards_.PopScan([&](Shard& shard) {
-    util::MutexLock lock(&shard.mu);
-    if (shard.ready.empty()) return false;
-    size_t best = 0;
-    for (size_t i = 1; i < shard.ready.size(); ++i) {
-      if (PopsBeforeLocked(shard, shard.ready[i], shard.ready[best])) {
-        best = i;
-      }
-    }
-    if (limit > 0 && shard.ready[best].skips >= limit) {
-      static obs::Counter* starvation_pops =
-          obs::Registry::Default().GetCounter(
-              "incentag_scheduler_starvation_pops_total",
-              "Pops forced by the starvation backstop instead of rank");
-      starvation_pops->Increment();
-    }
-    popped = shard.ready[best].id;
-    shard.ready.erase(shard.ready.begin() + static_cast<ptrdiff_t>(best));
-    for (Entry& e : shard.ready) ++e.skips;
-    return true;
-  });
+  util::MutexLock lock(&mu_);
+  if (ready_.empty()) return 0;
+  size_t best = 0;
+  for (size_t i = 1; i < ready_.size(); ++i) {
+    if (PopsBeforeLocked(ready_[i], ready_[best])) best = i;
+  }
+  if (limit > 0 && ready_[best].skips >= limit) {
+    static obs::Counter* starvation_pops =
+        obs::Registry::Default().GetCounter(
+            "incentag_scheduler_starvation_pops_total",
+            "Pops forced by the starvation backstop instead of rank");
+    starvation_pops->Increment();
+  }
+  const CampaignId popped = ready_[best].id;
+  ready_.erase(ready_.begin() + static_cast<ptrdiff_t>(best));
+  for (Entry& e : ready_) ++e.skips;
   return popped;
 }
 
 void RankedScheduler::Unregister(CampaignId id) {
-  Shard& shard = shards_.ShardOf(id);
-  int64_t erased = 0;
-  {
-    util::MutexLock lock(&shard.mu);
-    const auto end =
-        std::remove_if(shard.ready.begin(), shard.ready.end(),
-                       [id](const Entry& e) { return e.id == id; });
-    erased = shard.ready.end() - end;
-    shard.ready.erase(end, shard.ready.end());
-    shard.params.erase(id);
-  }
-  shards_.NoteRemoved(erased);
+  util::MutexLock lock(&mu_);
+  ready_.erase(std::remove_if(ready_.begin(), ready_.end(),
+                              [id](const Entry& e) { return e.id == id; }),
+               ready_.end());
+  params_.erase(id);
 }
 
 int64_t RankedScheduler::Quantum(CampaignId id) {
-  Shard& shard = shards_.ShardOf(id);
-  util::MutexLock lock(&shard.mu);
-  return QuantumFor(ParamsOfLocked(shard, id));
+  util::MutexLock lock(&mu_);
+  return QuantumFor(ParamsOfLocked(id));
 }
 
 }  // namespace service

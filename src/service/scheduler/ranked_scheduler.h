@@ -1,27 +1,14 @@
-// RankedScheduler: the shared sharded ready-queue machinery of the
-// ranked policies (priority, deadline).
+// RankedScheduler: the shared ready-queue machinery of the ranked
+// policies (priority, deadline).
 //
 // Both policies pop by a per-entry rank that changes as the entry waits
 // (aging) and both enforce the same hard starvation bound, so the Entry
-// bookkeeping, the pop scan, the shard/steal layout and Unregister live
-// here once; a concrete policy supplies only its rank key and quantum
-// rule over the registered CampaignParams. The linear pop scan per shard
-// is deliberate: ready size is bounded by the campaign count, and ranks
-// move on every pop — a heap's keys would be stale the moment they were
-// inserted.
-//
-// Sharding (ISSUE 5; see shard_ring.h): entries and the campaign's
-// registered parameters live on shard (id % num_shards), one mutex
-// each. PopNext starts at a rotating shard and steals from the next
-// non-empty one; within the shard it scans, steal order = rank order
-// (starving-oldest first, then best rank), and every passed-over entry
-// of that shard gains a skip — aging and the starvation bound keep
-// their semantics per shard. One shard (the default: the
-// CampaignManager only auto-shards round-robin, because a ranked
-// policy's cross-campaign order is its product and first-non-empty
-// stealing weakens it to per-shard order) reproduces the old global
-// ordering exactly; num_shards > 1 is the explicit throughput-over-
-// strict-order trade for fleets whose dispatch rate outruns one mutex.
+// bookkeeping, the pop scan and Unregister live here once; a concrete
+// policy supplies only its rank key and quantum rule over the registered
+// CampaignParams. One mutex guards the ready entries, the registered
+// parameters and the FIFO tick. The linear pop scan is deliberate: ready
+// size is bounded by the campaign count, and ranks move on every pop — a
+// heap's keys would be stale the moment they were inserted.
 #ifndef INCENTAG_SERVICE_SCHEDULER_RANKED_SCHEDULER_H_
 #define INCENTAG_SERVICE_SCHEDULER_RANKED_SCHEDULER_H_
 
@@ -30,7 +17,6 @@
 #include <vector>
 
 #include "src/service/scheduler/scheduler.h"
-#include "src/service/scheduler/shard_ring.h"
 #include "src/util/mutex.h"
 #include "src/util/stopwatch.h"
 #include "src/util/thread_annotations.h"
@@ -41,20 +27,19 @@ namespace service {
 class RankedScheduler : public Scheduler {
  public:
   explicit RankedScheduler(const SchedulerOptions& options)
-      : Scheduler(options), shards_(options.num_shards) {}
+      : Scheduler(options) {}
 
   // Stores the campaign's parameters (priority clamped to >= 1; a
   // positive relative deadline becomes absolute on the scheduler's own
-  // clock) on its shard.
+  // clock).
   void Register(CampaignId id, const ScheduleParams& params) final;
   void Enqueue(CampaignId id) final;
-  // Pops the best entry of the first non-empty shard, starting from a
-  // rotating shard: within that shard, the smallest rank key wins, but
-  // among entries past starvation_limit the oldest wins regardless of
-  // rank. Every passed-over entry of the scanned shard gains a skip,
-  // which the policies turn into aging via their rank keys.
+  // Pops the entry with the smallest rank key, but among entries past
+  // starvation_limit the oldest wins regardless of rank. Every
+  // passed-over entry gains a skip, which the policies turn into aging
+  // via their rank keys.
   CampaignId PopNext() final;
-  // Drops the campaign's ready entries and parameters from its shard.
+  // Drops the campaign's ready entries and parameters.
   void Unregister(CampaignId id) final;
   int64_t Quantum(CampaignId id) final;
 
@@ -77,33 +62,24 @@ class RankedScheduler : public Scheduler {
   static constexpr double kNoDeadline = 1e18;
 
   // Rank key of a ready entry; SMALLER pops first. Called with the
-  // entry's shard lock held.
+  // scheduler's lock held.
   virtual double RankKey(const Entry& entry,
                          const CampaignParams& params) const = 0;
   // Completions one quantum of this campaign may apply.
   virtual int64_t QuantumFor(const CampaignParams& params) const = 0;
 
  private:
-  struct alignas(64) Shard {
-    util::Mutex mu;
-    std::vector<Entry> ready GUARDED_BY(mu);
-    std::unordered_map<CampaignId, CampaignParams> params GUARDED_BY(mu);
-    // Ticks are only ever compared shard-locally.
-    uint64_t next_tick GUARDED_BY(mu) = 0;
-  };
+  // Params of `id`; defaults for unregistered campaigns (priority 1, no
+  // deadline).
+  CampaignParams ParamsOfLocked(CampaignId id) const REQUIRES(mu_);
+  // PopNext's pick order: does `a` pop before `b`?
+  bool PopsBeforeLocked(const Entry& a, const Entry& b) const
+      REQUIRES(mu_);
 
-  // Params of `id` with its shard lock held; defaults for unregistered
-  // campaigns (priority 1, no deadline).
-  CampaignParams ParamsOfLocked(const Shard& shard, CampaignId id) const
-      REQUIRES(shard.mu);
-
-  // PopNext's pick order within one locked shard: does `a` pop before
-  // `b`? A member (not a lambda inside the scan) so the analysis can
-  // tie the required capability to the `shard` parameter.
-  bool PopsBeforeLocked(const Shard& shard, const Entry& a,
-                        const Entry& b) const REQUIRES(shard.mu);
-
-  ShardRing<Shard> shards_;
+  util::Mutex mu_;
+  std::vector<Entry> ready_ GUARDED_BY(mu_);
+  std::unordered_map<CampaignId, CampaignParams> params_ GUARDED_BY(mu_);
+  uint64_t next_tick_ GUARDED_BY(mu_) = 0;
   // Base of the absolute-deadline clock, so comparisons never involve
   // "now".
   util::Stopwatch clock_;

@@ -8,39 +8,20 @@ namespace service {
 void RoundRobinScheduler::Register(CampaignId, const ScheduleParams&) {}
 
 void RoundRobinScheduler::Unregister(CampaignId id) {
-  Shard& shard = shards_.ShardOf(id);
-  int64_t erased = 0;
-  {
-    util::MutexLock lock(&shard.mu);
-    const auto end =
-        std::remove(shard.ready.begin(), shard.ready.end(), id);
-    erased = shard.ready.end() - end;
-    shard.ready.erase(end, shard.ready.end());
-  }
-  shards_.NoteRemoved(erased);
+  util::MutexLock lock(&mu_);
+  ready_.erase(std::remove(ready_.begin(), ready_.end(), id), ready_.end());
 }
 
 void RoundRobinScheduler::Enqueue(CampaignId id) {
-  // Count-then-insert: see ShardRing's liveness contract.
-  shards_.NoteEnqueued();
-  Shard& shard = shards_.ShardOf(id);
-  util::MutexLock lock(&shard.mu);
-  shard.ready.push_back(id);
+  util::MutexLock lock(&mu_);
+  ready_.push_back(id);
 }
 
 CampaignId RoundRobinScheduler::PopNext() {
-  // The manager pairs every Enqueue with exactly one dispatch; PopScan
-  // guarantees this dispatch pops SOMETHING whenever an entry exists
-  // anywhere, so 0 only means "queue empty" (the entry was stolen by a
-  // concurrent dispatch or unregistered) and nothing can be stranded.
-  CampaignId popped = 0;
-  shards_.PopScan([&popped](Shard& shard) {
-    util::MutexLock lock(&shard.mu);
-    if (shard.ready.empty()) return false;
-    popped = shard.ready.front();
-    shard.ready.pop_front();
-    return true;
-  });
+  util::MutexLock lock(&mu_);
+  if (ready_.empty()) return 0;
+  const CampaignId popped = ready_.front();
+  ready_.pop_front();
   return popped;
 }
 

@@ -2,24 +2,14 @@
 // CampaignManager hard-coded before the scheduler subsystem existed.
 // Every runnable campaign waits its turn in submission-of-work order and
 // applies at most base_quantum completions per turn; priority and
-// deadline parameters are accepted and ignored.
-//
-// The ready queue is sharded (SchedulerOptions::num_shards; see
-// shard_ring.h): a campaign always enqueues to shard (id % N), and
-// PopNext starts at a rotating shard, stealing from the next ones when
-// its first pick is empty. With one shard (the default for directly
-// constructed schedulers) this is exactly the old single-mutex FIFO;
-// with N shards FIFO order holds per shard, which is all the
-// round-robin guarantee ever promised once pops race on a pool anyway —
-// that is why the CampaignManager shards THIS policy by default but
-// leaves the ranked ones global.
+// deadline parameters are accepted and ignored. The ready queue is one
+// deque under one mutex.
 #ifndef INCENTAG_SERVICE_SCHEDULER_ROUND_ROBIN_SCHEDULER_H_
 #define INCENTAG_SERVICE_SCHEDULER_ROUND_ROBIN_SCHEDULER_H_
 
 #include <deque>
 
 #include "src/service/scheduler/scheduler.h"
-#include "src/service/scheduler/shard_ring.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
@@ -29,7 +19,7 @@ namespace service {
 class RoundRobinScheduler : public Scheduler {
  public:
   explicit RoundRobinScheduler(const SchedulerOptions& options)
-      : Scheduler(options), shards_(options.num_shards) {}
+      : Scheduler(options) {}
 
   const char* name() const override { return "rr"; }
 
@@ -40,12 +30,8 @@ class RoundRobinScheduler : public Scheduler {
   int64_t Quantum(CampaignId id) override;
 
  private:
-  struct alignas(64) Shard {
-    util::Mutex mu;
-    std::deque<CampaignId> ready GUARDED_BY(mu);
-  };
-
-  ShardRing<Shard> shards_;
+  util::Mutex mu_;
+  std::deque<CampaignId> ready_ GUARDED_BY(mu_);
 };
 
 }  // namespace service

@@ -32,12 +32,8 @@
 // MaybeCompact asks it for admission before handing a job to the
 // persist::Compactor), so N campaigns never rewrite N journals at once.
 //
-// Thread model: every method is thread-safe. The ready queue is split
-// over num_shards shards, one mutex each — a campaign is pinned to
-// shard (id % num_shards) and PopNext work-steals across shards from a
-// rotating start — so concurrent dispatches at high thread counts do not
-// serialize on a single scheduler mutex (the bottleneck the ROADMAP
-// flagged after PR 4). Enqueue and PopNext are called under the
+// Thread model: every method is thread-safe. Each policy keeps its
+// ready queue under one mutex. Enqueue and PopNext are called under the
 // manager's per-campaign scheduled-token protocol, so a campaign is in
 // the ready queue at most once at a time.
 // Deterministic mode uses the same ready queue, drained on the calling
@@ -80,20 +76,6 @@ struct SchedulerOptions {
   // Completions a campaign may apply per quantum before yielding its
   // worker; the CampaignManager sets this from tasks_per_step.
   int64_t base_quantum = 256;
-  // Ready-queue shards. A campaign is pinned to shard (id % num_shards);
-  // PopNext starts at a rotating shard and steals from the others when
-  // its first pick is empty, so concurrent dispatches rarely contend on
-  // one mutex. Policy order (FIFO / rank / starvation aging) holds
-  // *within* a shard — the steal scan takes the first non-empty shard
-  // rather than comparing ranks across all of them, which is the
-  // standard work-stealing trade. <= 0 means 1 (a single global queue,
-  // exactly the pre-sharding semantics). The CampaignManager defaults
-  // round-robin to its worker-thread count and the ranked policies to
-  // 1: per-shard FIFO is all RR ever promised, but priority/EDF
-  // dispatch order is the product — shard those only when the dispatch
-  // rate genuinely outruns one mutex and per-shard rank order is an
-  // acceptable trade.
-  int num_shards = 0;
   // PriorityScheduler: effective quantum = base_quantum * priority,
   // capped at base_quantum * max_quantum_weight so one campaign cannot
   // monopolize a worker for an unbounded stretch.

@@ -1,22 +1,20 @@
-// TSan stress tests for the two lock-light scheduler structures whose
-// correctness arguments are subtle enough to deserve an adversarial
-// interleaving check, not just the policy tests in scheduler_test.cc:
+// TSan stress tests for the scheduler structures whose correctness
+// arguments deserve an adversarial interleaving check, not just the
+// policy tests in scheduler_test.cc:
 //
-//  - ShardRing's count-then-insert liveness contract: queued() is an
-//    upper bound at every instant, so a PopScan returning false proves
-//    the ring empty and no entry is ever stranded while a concurrent
-//    steal races the scan (src/service/scheduler/shard_ring.h).
+//  - The ready queue's conservation: under concurrent Enqueue and
+//    PopNext every enqueued campaign pops exactly once, for the FIFO
+//    queue (RoundRobinScheduler) and the ranked one (PriorityScheduler).
 //  - CompactionBudget's admission invariant: with max_concurrent = C,
 //    the concurrent-admissions high-water mark never exceeds C no
 //    matter how steppers and the release thread interleave.
 //
 // The tests are meaningful under any build but earn their keep in the
 // CI `thread` sanitizer leg (INCENTAG_SANITIZE=thread): 16 threads
-// hammering push/steal and request/release is exactly the schedule
-// space the annotations in those headers claim to cover.
+// hammering push/pop and request/release is exactly the schedule space
+// the annotations in those headers claim to cover.
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,11 +28,9 @@
 #include "src/service/campaign_manager.h"
 #include "src/service/completion_source.h"
 #include "src/service/scheduler/compaction_budget.h"
-#include "src/service/scheduler/shard_ring.h"
+#include "src/service/scheduler/scheduler.h"
 #include "src/sim/dataset_prep.h"
 #include "src/sim/generator.h"
-#include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
 
 namespace incentag {
 namespace service {
@@ -42,78 +38,49 @@ namespace {
 
 constexpr int kThreads = 16;
 
-// Minimal shard shaped like the schedulers': a mutex plus a ready list
-// (RoundRobinScheduler's layout, the simplest correct visitor).
-struct StressShard {
-  util::Mutex mu;
-  std::deque<CampaignId> ready GUARDED_BY(mu);
-};
+class ReadyQueueStressTest
+    : public ::testing::TestWithParam<SchedulerPolicy> {};
 
-TEST(ShardRingStressTest, StealVsPushConservesEntries) {
-  // 8 pusher threads and 8 popper threads race on a 4-shard ring —
-  // fewer shards than threads, so steals and same-shard contention are
-  // the common case, not the corner. Conservation: every pushed id is
-  // popped exactly once, and after the pushers finish the poppers drain
-  // the ring to a provably-empty PopScan.
+TEST_P(ReadyQueueStressTest, PushVsPopConservesEntries) {
+  // 8 pusher threads and 8 popper threads race on one scheduler.
+  // Conservation: every pushed id is popped exactly once, and after the
+  // pushers finish the poppers drain the queue until PopNext reads 0.
   constexpr int kPushers = kThreads / 2;
   constexpr int kPoppers = kThreads / 2;
-  constexpr int kPerPusher = 5000;
+  // The ranked pop scans the whole queue, so the ids stay few enough
+  // that a queue the poppers fall behind on still drains quickly.
+  constexpr int kPerPusher = 1500;
 
-  ShardRing<StressShard> ring(4);
+  SchedulerOptions options;
+  options.policy = GetParam();
+  std::unique_ptr<Scheduler> scheduler = MakeScheduler(options);
   std::atomic<bool> pushers_done{false};
   std::atomic<int64_t> popped_count{0};
   std::atomic<int64_t> popped_sum{0};
 
-  auto pop_one = [&ring]() -> bool {
-    CampaignId got = 0;
-    const bool ok = ring.PopScan([&got](StressShard& shard) {
-      util::MutexLock lock(&shard.mu);
-      if (shard.ready.empty()) return false;
-      got = shard.ready.front();
-      shard.ready.pop_front();
-      return true;
-    });
-    return ok;
-  };
-
   std::vector<std::thread> threads;
   threads.reserve(kPushers + kPoppers);
   for (int p = 0; p < kPushers; ++p) {
-    threads.emplace_back([&ring, p] {
+    threads.emplace_back([&scheduler, p] {
       for (int i = 0; i < kPerPusher; ++i) {
-        const CampaignId id =
-            static_cast<CampaignId>(p * kPerPusher + i + 1);
-        // The liveness contract: count BEFORE insert, so a concurrent
-        // scan that misses this entry still retries.
-        ring.NoteEnqueued();
-        StressShard& shard = ring.ShardOf(id);
-        util::MutexLock lock(&shard.mu);
-        shard.ready.push_back(id);
+        scheduler->Enqueue(static_cast<CampaignId>(p * kPerPusher + i + 1));
       }
     });
   }
   for (int c = 0; c < kPoppers; ++c) {
     threads.emplace_back([&] {
       for (;;) {
-        CampaignId got = 0;
-        const bool ok = ring.PopScan([&got](StressShard& shard) {
-          util::MutexLock lock(&shard.mu);
-          if (shard.ready.empty()) return false;
-          got = shard.ready.front();
-          shard.ready.pop_front();
-          return true;
-        });
-        if (ok) {
+        // Read the flag before popping: a 0 after every push landed
+        // proves the queue drained.
+        const bool done = pushers_done.load(std::memory_order_acquire);
+        const CampaignId got = scheduler->PopNext();
+        if (got != 0) {
           popped_count.fetch_add(1, std::memory_order_relaxed);
-          popped_sum.fetch_add(got, std::memory_order_relaxed);
-        } else if (pushers_done.load(std::memory_order_acquire)) {
-          // Empty ring after all pushes landed: provably drained (a
-          // false PopScan means queued() read 0, and nothing will be
-          // queued again).
+          popped_sum.fetch_add(static_cast<int64_t>(got),
+                               std::memory_order_relaxed);
+        } else if (done) {
           return;
         }
-        // A false PopScan while pushers still run just means "empty at
-        // that instant" — loop and retry.
       }
     });
   }
@@ -125,8 +92,16 @@ TEST(ShardRingStressTest, StealVsPushConservesEntries) {
   EXPECT_EQ(popped_count.load(), total);
   // Sum of 1..total — catches a double-pop hiding behind a lost push.
   EXPECT_EQ(popped_sum.load(), total * (total + 1) / 2);
-  EXPECT_FALSE(pop_one()) << "ring must be empty after the drain";
+  EXPECT_EQ(scheduler->PopNext(), 0u) << "queue must be empty after the drain";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, ReadyQueueStressTest,
+    ::testing::Values(SchedulerPolicy::kRoundRobin,
+                      SchedulerPolicy::kPriority),
+    [](const ::testing::TestParamInfo<SchedulerPolicy>& info) {
+      return std::string(SchedulerPolicyName(info.param));
+    });
 
 TEST(CompactionBudgetStressTest, AdmissionCapHoldsUnder16Threads) {
   // 16 stepper threads request admission for distinct campaigns with

@@ -153,85 +153,37 @@ TEST(DeadlineSchedulerTest, StarvationLimitRescuesUndeadlinedCampaign) {
   EXPECT_LE(pops_until_undeadlined, 5);
 }
 
-// ---- sharded ready queue (ISSUE 5) -------------------------------------
+// ---- the single ready queue -------------------------------------------
 
-// With N shards a campaign is pinned to shard (id % N); FIFO order holds
-// within a shard, and a pop whose rotating start lands on an empty shard
-// steals from the next one — so every enqueued entry is popped exactly
-// once no matter where the pops start.
-TEST(RoundRobinSchedulerTest, ShardedPopsDrainEveryEntryExactlyOnce) {
+// Round-robin is one global FIFO: every enqueued entry pops exactly
+// once, in enqueue order, however many campaigns wait.
+TEST(RoundRobinSchedulerTest, PopsEveryEntryOnceInGlobalFifoOrder) {
   SchedulerOptions options;
-  options.num_shards = 4;
   RoundRobinScheduler scheduler(options);
   for (CampaignId id = 1; id <= 12; ++id) scheduler.Enqueue(id);
-  std::vector<CampaignId> popped;
-  for (int i = 0; i < 12; ++i) {
-    const CampaignId id = scheduler.PopNext();
-    ASSERT_NE(id, 0u);
-    popped.push_back(id);
-  }
-  EXPECT_EQ(scheduler.PopNext(), 0u);  // drained
-  std::sort(popped.begin(), popped.end());
   for (CampaignId id = 1; id <= 12; ++id) {
-    EXPECT_EQ(popped[id - 1], id);
-  }
-}
-
-TEST(RoundRobinSchedulerTest, ShardedFifoHoldsWithinAShard) {
-  SchedulerOptions options;
-  options.num_shards = 4;
-  RoundRobinScheduler scheduler(options);
-  // All on shard 1 (id % 4 == 1): strict FIFO among them.
-  scheduler.Enqueue(9);
-  scheduler.Enqueue(1);
-  scheduler.Enqueue(5);
-  EXPECT_EQ(scheduler.PopNext(), 9u);
-  EXPECT_EQ(scheduler.PopNext(), 1u);
-  EXPECT_EQ(scheduler.PopNext(), 5u);
-}
-
-// Work stealing in a ranked policy: a lone entry is found regardless of
-// which shard the rotating pop cursor starts from, and rank order (steal
-// order) holds among same-shard entries.
-TEST(PrioritySchedulerTest, ShardedStealFindsLoneEntryAndKeepsRankOrder) {
-  SchedulerOptions options;
-  options.policy = SchedulerPolicy::kPriority;
-  options.num_shards = 8;
-  PriorityScheduler scheduler(options);
-  // Lone entries on changing shards: every pop must steal its way to
-  // one, wherever the cursor starts.
-  for (CampaignId id = 1; id <= 24; ++id) {
-    scheduler.Register(id, ScheduleParams{1, 0.0});
-    scheduler.Enqueue(id);
     EXPECT_EQ(scheduler.PopNext(), id);
   }
-  EXPECT_EQ(scheduler.PopNext(), 0u);
-  // Same shard (id % 8 == 2), different priorities: highest first.
-  scheduler.Register(2, ScheduleParams{1, 0.0});
-  scheduler.Register(10, ScheduleParams{50, 0.0});
-  scheduler.Register(18, ScheduleParams{10, 0.0});
-  scheduler.Enqueue(2);
-  scheduler.Enqueue(10);
-  scheduler.Enqueue(18);
-  EXPECT_EQ(scheduler.PopNext(), 10u);
-  EXPECT_EQ(scheduler.PopNext(), 18u);
-  EXPECT_EQ(scheduler.PopNext(), 2u);
-  // Weighted quanta unaffected by sharding.
-  EXPECT_EQ(scheduler.Quantum(10), options.base_quantum * 50);
+  EXPECT_EQ(scheduler.PopNext(), 0u);  // drained
 }
 
-// Liveness of the sharded scan: the manager pairs every Enqueue with
-// one dispatch, so a PopNext that runs after its own Enqueue must pop
-// SOMETHING — globally, pops started never exceed enqueues completed,
-// so an entry always exists. A naive one-pass multi-shard scan can miss
-// it (the scan passes a shard before the entry lands there while a
-// concurrent pop steals the scanner's own entry) and would strand the
-// entry forever; ShardRing::PopScan's queued-counter retry closes that
-// race, making 0 returns impossible in this discipline.
-TEST(RoundRobinSchedulerTest, ShardedPopNeverMissesQueuedEntryUnderRaces) {
-  SchedulerOptions options;
-  options.num_shards = 4;
-  RoundRobinScheduler scheduler(options);
+// The liveness and Unregister properties hold for every policy's queue.
+class ReadyQueueTest : public ::testing::TestWithParam<SchedulerPolicy> {
+ protected:
+  std::unique_ptr<Scheduler> Make() const {
+    SchedulerOptions options;
+    options.policy = GetParam();
+    return MakeScheduler(options);
+  }
+};
+
+// Liveness: the manager pairs every Enqueue with one dispatch, so a
+// PopNext that runs after its own Enqueue must pop SOMETHING — globally,
+// pops started never exceed enqueues completed, so an entry always
+// exists and a 0 return would strand a campaign with its scheduled
+// token held.
+TEST_P(ReadyQueueTest, PopNeverMissesQueuedEntryUnderRaces) {
+  std::unique_ptr<Scheduler> scheduler = Make();
   constexpr int kThreads = 4;
   constexpr int kIterations = 5000;
   std::atomic<int64_t> zero_pops{0};
@@ -240,32 +192,43 @@ TEST(RoundRobinSchedulerTest, ShardedPopNeverMissesQueuedEntryUnderRaces) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&scheduler, &zero_pops, t] {
       for (int i = 0; i < kIterations; ++i) {
-        scheduler.Enqueue(static_cast<CampaignId>(t * kIterations + i + 1));
-        if (scheduler.PopNext() == 0) zero_pops.fetch_add(1);
+        const auto id = static_cast<CampaignId>(t * kIterations + i + 1);
+        scheduler->Register(id, ScheduleParams{1 + (i % 4), 0.0});
+        scheduler->Enqueue(id);
+        if (scheduler->PopNext() == 0) zero_pops.fetch_add(1);
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(zero_pops.load(), 0);
-  EXPECT_EQ(scheduler.PopNext(), 0u);  // fully drained afterwards
+  EXPECT_EQ(scheduler->PopNext(), 0u);  // fully drained afterwards
 }
 
-TEST(PrioritySchedulerTest, ShardedUnregisterOnlyDropsOwnShardEntry) {
-  SchedulerOptions options;
-  options.policy = SchedulerPolicy::kPriority;
-  options.num_shards = 4;
-  PriorityScheduler scheduler(options);
+TEST_P(ReadyQueueTest, UnregisterDropsOnlyItsOwnEntry) {
+  std::unique_ptr<Scheduler> scheduler = Make();
   for (CampaignId id = 1; id <= 8; ++id) {
-    scheduler.Register(id, ScheduleParams{static_cast<int32_t>(id), 0.0});
-    scheduler.Enqueue(id);
+    scheduler->Register(id, ScheduleParams{static_cast<int32_t>(id), 0.0});
+    scheduler->Enqueue(id);
   }
-  scheduler.Unregister(6);
+  scheduler->Unregister(6);
   std::vector<CampaignId> popped;
-  for (CampaignId id = 0; id < 7; ++id) popped.push_back(scheduler.PopNext());
-  EXPECT_EQ(scheduler.PopNext(), 0u);
-  EXPECT_EQ(std::count(popped.begin(), popped.end(), 6u), 0);
-  EXPECT_EQ(std::count(popped.begin(), popped.end(), 0u), 0);
+  for (int i = 0; i < 7; ++i) popped.push_back(scheduler->PopNext());
+  EXPECT_EQ(scheduler->PopNext(), 0u);
+  // rr pops FIFO; priority pops the highest registered priority first.
+  std::vector<CampaignId> want = {1, 2, 3, 4, 5, 7, 8};
+  if (GetParam() == SchedulerPolicy::kPriority) {
+    std::reverse(want.begin(), want.end());
+  }
+  EXPECT_EQ(popped, want);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, ReadyQueueTest,
+    ::testing::Values(SchedulerPolicy::kRoundRobin,
+                      SchedulerPolicy::kPriority),
+    [](const ::testing::TestParamInfo<SchedulerPolicy>& info) {
+      return std::string(SchedulerPolicyName(info.param));
+    });
 
 TEST(SchedulerTest, UnregisterDropsReadyEntries) {
   SchedulerOptions options;
