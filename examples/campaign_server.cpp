@@ -116,7 +116,6 @@ int main(int argc, char** argv) {
   int64_t kill_after_polls = 0;
   int64_t compact_every = 0;
   int64_t compact_bytes = 0;
-  int64_t max_compactions = 0;
   std::string scheduler = "rr";
   int64_t priority = 4;
   double deadline_ms = 0.0;
@@ -148,9 +147,6 @@ int main(int argc, char** argv) {
                "checkpoint-compact each journal once it grows this many "
                "bytes past its last snapshot (0 = off; needs "
                "--journal_dir)");
-  flags.AddInt("max_compactions", &max_compactions,
-               "fleet-wide compaction budget: at most this many journal "
-               "rewrites in flight at once (0 = unlimited)");
   flags.AddString("scheduler", &scheduler,
                   "cross-campaign stepping policy: rr|priority|edf");
   flags.AddInt("priority", &priority,
@@ -230,8 +226,6 @@ int main(int argc, char** argv) {
   manager_options.compact_every_n_completions = compact_every;
   manager_options.compact_journal_bytes = compact_bytes;
   manager_options.scheduler.policy = policy.value();
-  manager_options.scheduler.max_concurrent_compactions =
-      static_cast<int>(max_compactions);
   service::CampaignManager manager(manager_options);
   std::printf("manager: %d worker threads, %lld tagger threads, %s "
               "scheduler%s\n",

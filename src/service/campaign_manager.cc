@@ -706,14 +706,6 @@ void CampaignManager::MaybeCompact(Campaign* c) {
   // round leaves compact_requested / the policy counters untouched, so
   // the next step boundary retries.
   if (c->compact_in_flight.exchange(true)) return;
-  // Fleet-wide budget: at most max_concurrent_compactions rewrites in
-  // flight across all campaigns, the neediest journal (most bytes since
-  // its snapshot) first. A refusal is cheap — the due-state stays set
-  // and the next step boundary asks again.
-  if (!scheduler_->compaction_budget().Request(c->id, bytes_since)) {
-    c->compact_in_flight.store(false);
-    return;
-  }
   c->compact_requested.store(false);
 
   persist::CompactionJob job;
@@ -726,7 +718,6 @@ void CampaignManager::MaybeCompact(Campaign* c) {
     INCENTAG_LOG_ERROR("campaign %llu snapshot failed: %s",
                        static_cast<unsigned long long>(c->id),
                        serialized.ToString().c_str());
-    scheduler_->compaction_budget().Release(c->id);
     c->compact_in_flight.store(false);
     return;
   }
@@ -745,7 +736,6 @@ void CampaignManager::MaybeCompact(Campaign* c) {
                          static_cast<unsigned long long>(c->id),
                          status.ToString().c_str());
     }
-    scheduler_->compaction_budget().Release(c->id);
     c->compact_in_flight.store(false);
     // The campaign may have finished while this job held its journal.
     CloseJournalWhenIdle(c);
@@ -1000,10 +990,9 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
     util::MutexLock lock(&c->status_mu);
     c->state = state;
   }
-  // Out of the fleet: drop any ready-queue entry and pending compaction
-  // request so a terminal campaign cannot outrank live ones.
+  // Out of the fleet: drop any ready-queue entry so a terminal campaign
+  // cannot outrank live ones.
   scheduler_->Unregister(c->id);
-  scheduler_->compaction_budget().Forget(c->id);
   c->finalized.store(true);
   // Undelivered completions will never be drained by a stepper now, so
   // retire them from the fleet inbox-depth gauge; pushes arriving after

@@ -40,8 +40,7 @@
 //     pre-scheduler behavior), priority (weighted quanta), or EDF over
 //     per-campaign deadlines. Each enqueue of a runnable campaign pairs
 //     with one generic dispatch task on the pool; the dispatch pops the
-//     scheduler's top-ranked campaign. The scheduler also owns the
-//     fleet-wide compaction budget (max_concurrent_compactions).
+//     scheduler's top-ranked campaign.
 //
 // Deterministic mode (ManagerOptions::deterministic) is the same driver
 // on a single-thread executor: no pool, the inline completion source, and
@@ -225,11 +224,11 @@ struct ManagerOptions {
   // per campaign (see SchedulerOptions::max_quantum_weight).
   int64_t tasks_per_step = 256;
   // Cross-campaign stepping policy and its knobs (dispatch order,
-  // weighted quanta, aging, the fleet-wide compaction budget). The
-  // policy defaults to round-robin — byte-identical behavior to the
-  // pre-scheduler manager. `scheduler.base_quantum` is overwritten with
-  // tasks_per_step. Campaigns carry their own class in
-  // core::EngineOptions::priority / deadline_seconds.
+  // weighted quanta, aging). The policy defaults to round-robin —
+  // byte-identical behavior to the pre-scheduler manager.
+  // `scheduler.base_quantum` is overwritten with tasks_per_step.
+  // Campaigns carry their own class in core::EngineOptions::priority /
+  // deadline_seconds.
   SchedulerOptions scheduler;
   // Tagger crowd; null means an internal InlineCompletionSource. An
   // external source must outlive the manager AND be stopped/quiesced
@@ -246,11 +245,11 @@ struct ManagerOptions {
   int64_t journal_batch_interval_us = 500;
   // Journal compaction triggers. When a campaign is due, the stepper
   // serializes a checkpoint snapshot of its resumable state at a step
-  // boundary and (after admission by the scheduler's fleet-wide
-  // CompactionBudget) hands the journal to the persist::Compactor, which
-  // rewrites it as `submit + snapshot + tail`; recovery then seeks to
-  // the snapshot and replays only the tail — bounded-time restarts for
-  // long campaigns. Deterministic mode compacts inline.
+  // boundary and hands the journal to the persist::Compactor (one
+  // thread, one rewrite at a time), which rewrites it as
+  // `submit + snapshot + tail`; recovery then seeks to the snapshot and
+  // replays only the tail — bounded-time restarts for long campaigns.
+  // Deterministic mode compacts inline.
   //
   // The primary trigger is journal *bytes* accumulated since the last
   // snapshot — bytes are what recovery has to read and replay, and what
@@ -399,11 +398,6 @@ class CampaignManager {
   // per (initial posts, post store, references, omega) in use.
   size_t num_initial_states() const;
 
-  // The stepping policy in force (read-only; owned by the manager).
-  // Exposes the fleet-wide CompactionBudget counters for tests and
-  // operator dashboards.
-  const Scheduler& scheduler() const { return *scheduler_; }
-
  private:
   struct Campaign;
   struct Shard;
@@ -453,8 +447,8 @@ class CampaignManager {
   ManagerOptions options_;
   std::unique_ptr<InlineCompletionSource> inline_source_;
   CompletionSource* source_ = nullptr;  // options_.completions or inline
-  // The stepping policy: ready queue, per-campaign quanta and the
-  // fleet-wide compaction budget. Never null, in either mode.
+  // The stepping policy: ready queue and per-campaign quanta. Never
+  // null, in either mode.
   std::unique_ptr<Scheduler> scheduler_;
   std::unique_ptr<util::ThreadPool> pool_;  // null in deterministic mode
   std::unique_ptr<persist::JournalSink> sink_;  // null unless journaling

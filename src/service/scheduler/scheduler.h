@@ -27,11 +27,6 @@
 // next regardless of rank, so a low-priority campaign under sustained
 // high-priority load still finishes.
 //
-// The scheduler is also the fleet-wide compaction governor: it owns the
-// CompactionBudget that caps concurrent journal rewrites (the manager's
-// MaybeCompact asks it for admission before handing a job to the
-// persist::Compactor), so N campaigns never rewrite N journals at once.
-//
 // Thread model: every method is thread-safe. Each policy keeps its
 // ready queue under one mutex. Enqueue and PopNext are called under the
 // manager's per-campaign scheduled-token protocol, so a campaign is in
@@ -47,7 +42,6 @@
 #include <string>
 
 #include "src/service/completion_source.h"
-#include "src/service/scheduler/compaction_budget.h"
 #include "src/util/status.h"
 
 namespace incentag {
@@ -89,16 +83,11 @@ struct SchedulerOptions {
   // next regardless of its rank. <= 0 disables the bound (aging still
   // applies).
   int64_t starvation_limit = 64;
-  // Fleet-wide compaction budget: at most this many journal rewrites in
-  // flight across all campaigns; <= 0 means unlimited (see
-  // CompactionBudget).
-  int max_concurrent_compactions = 0;
 };
 
 class Scheduler {
  public:
-  explicit Scheduler(const SchedulerOptions& options)
-      : options_(options), budget_(options.max_concurrent_compactions) {}
+  explicit Scheduler(const SchedulerOptions& options) : options_(options) {}
   virtual ~Scheduler() = default;
 
   Scheduler(const Scheduler&) = delete;
@@ -108,7 +97,7 @@ class Scheduler {
 
   // Fleet membership. Register is called once when the campaign is
   // submitted or recovered; Unregister when it goes terminal (it also
-  // drops any ready-queue entry and pending compaction request).
+  // drops any ready-queue entry).
   virtual void Register(CampaignId id, const ScheduleParams& params) = 0;
   virtual void Unregister(CampaignId id) = 0;
 
@@ -123,17 +112,10 @@ class Scheduler {
   // Completions the next step of `id` may apply before yielding.
   virtual int64_t Quantum(CampaignId id) = 0;
 
-  // The fleet-wide compaction governor (shared by every policy).
-  CompactionBudget& compaction_budget() { return budget_; }
-  const CompactionBudget& compaction_budget() const { return budget_; }
-
   const SchedulerOptions& options() const { return options_; }
 
  protected:
   const SchedulerOptions options_;
-
- private:
-  CompactionBudget budget_;
 };
 
 // Builds the policy named by `options.policy`.

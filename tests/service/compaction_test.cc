@@ -495,12 +495,11 @@ TEST_F(CompactionTest, CompactRejectsUnjournaledAndTerminalCampaigns) {
   }
 }
 
-// The fleet-wide compaction budget: a 16-campaign fleet compacting
-// aggressively under max_concurrent_compactions=1 must never have more
-// than one rewrite in flight, while every campaign still completes to
-// ground truth and every journal stays recoverable. (The TSan job runs
-// this file, so the budget's cross-thread admission is race-checked.)
-TEST_F(CompactionTest, FleetWideBudgetCapsInFlightRewrites) {
+// A 16-campaign fleet compacting aggressively through the one compactor
+// thread: every campaign still completes to ground truth and every
+// journal stays recoverable. (The TSan job runs this file, so steppers
+// handing jobs to the compactor while it rewrites are race-checked.)
+TEST_F(CompactionTest, FleetCompactingEveryTenCompletionsStaysRecoverable) {
   sim::LoadGeneratorOptions load_options;
   load_options.num_taggers = 4;
   load_options.mean_latency_us = 20.0;
@@ -512,7 +511,6 @@ TEST_F(CompactionTest, FleetWideBudgetCapsInFlightRewrites) {
   options.completions = &crowd;
   options.journal_dir = dir_.string();
   options.compact_every_n_completions = 10;  // every campaign compacts often
-  options.scheduler.max_concurrent_compactions = 1;
   CampaignManager manager(options);
 
   const int kCampaigns = 16;
@@ -532,10 +530,6 @@ TEST_F(CompactionTest, FleetWideBudgetCapsInFlightRewrites) {
   }
   crowd.Stop();
   manager.Shutdown();
-
-  const CompactionBudget& budget = manager.scheduler().compaction_budget();
-  EXPECT_LE(budget.max_in_flight(), 1);
-  EXPECT_GE(budget.admitted(), 1);  // the cap throttles, it does not stall
 
   ManagerOptions det;
   det.deterministic = true;
@@ -566,7 +560,6 @@ TEST_F(CompactionTest, JournalBytesTriggerCompacts) {
   ASSERT_EQ(result.value().state, CampaignState::kDone);
   manager.Shutdown();
 
-  EXPECT_GE(manager.scheduler().compaction_budget().admitted(), 1);
   const std::string journal =
       (dir_ / ("campaign-" + std::to_string(id.value()) + ".journal"))
           .string();

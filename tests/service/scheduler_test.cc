@@ -1,6 +1,6 @@
 // The pluggable campaign scheduler (src/service/scheduler/): policy
 // unit tests (dispatch order, weighted quanta, aging, the hard
-// starvation bound, the fleet-wide compaction budget) plus the
+// starvation bound, the single ready queue) plus the
 // service-level properties the subsystem must preserve — campaign
 // results are byte-identical to the sequential engine under every
 // policy (scheduling reorders work, never outcomes), deterministic mode
@@ -253,44 +253,6 @@ TEST(SchedulerTest, ParsePolicyNames) {
             SchedulerPolicy::kDeadline);
   EXPECT_FALSE(ParseSchedulerPolicy("fifo").ok());
   EXPECT_STREQ(SchedulerPolicyName(SchedulerPolicy::kDeadline), "edf");
-}
-
-// ---- compaction budget -------------------------------------------------
-
-TEST(CompactionBudgetTest, CapsInFlightAndPrioritizesByBytes) {
-  CompactionBudget budget(1);
-  EXPECT_TRUE(budget.Request(1, 100));   // slot free
-  EXPECT_FALSE(budget.Request(2, 500));  // slot taken
-  EXPECT_EQ(budget.in_flight(), 1);
-  budget.Release(1);
-  // Campaign 2's 500-byte request is still pending, so the smaller
-  // journal loses the comparison until the bigger one is served.
-  EXPECT_FALSE(budget.Request(3, 50));
-  EXPECT_TRUE(budget.Request(2, 500));
-  budget.Release(2);
-  EXPECT_TRUE(budget.Request(3, 50));
-  budget.Release(3);
-  EXPECT_EQ(budget.max_in_flight(), 1);
-  EXPECT_EQ(budget.admitted(), 3);
-  EXPECT_GE(budget.deferred(), 2);
-  EXPECT_EQ(budget.in_flight(), 0);
-}
-
-TEST(CompactionBudgetTest, ForgetDropsAPendingRequest) {
-  CompactionBudget budget(1);
-  EXPECT_TRUE(budget.Request(1, 10));
-  EXPECT_FALSE(budget.Request(2, 9999));  // pending, huge
-  budget.Release(1);
-  budget.Forget(2);  // campaign 2 went terminal
-  EXPECT_TRUE(budget.Request(3, 1));
-}
-
-TEST(CompactionBudgetTest, UnlimitedAdmitsEverything) {
-  CompactionBudget budget(0);
-  EXPECT_TRUE(budget.Request(1, 1));
-  EXPECT_TRUE(budget.Request(2, 2));
-  EXPECT_TRUE(budget.Request(3, 3));
-  EXPECT_EQ(budget.in_flight(), 3);
 }
 
 // ---- service-level properties ------------------------------------------
