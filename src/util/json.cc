@@ -78,8 +78,8 @@ class Parser {
     return true;
   }
 
+  // `depth` counts the arrays/objects enclosing this value.
   Status ParseValue(int depth, Value* out) {
-    if (depth > options_.max_depth) return Error("nesting too deep");
     SkipSpace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     switch (text_[pos_]) {
@@ -98,8 +98,10 @@ class Parser {
       case '"':
         return ParseString(out);
       case '[':
+        if (depth >= options_.max_depth) return Error("nesting too deep");
         return ParseArray(depth, out);
       case '{':
+        if (depth >= options_.max_depth) return Error("nesting too deep");
         return ParseObject(depth, out);
       default:
         return ParseNumber(out);

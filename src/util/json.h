@@ -118,8 +118,9 @@ class Value {
 };
 
 struct ParseOptions {
-  // Maximum nesting of arrays/objects; attacker-controlled bodies must
-  // not be able to recurse the stack away.
+  // Maximum nesting of arrays/objects (a document of max_depth nested
+  // containers parses, one more does not); attacker-controlled bodies
+  // must not be able to recurse the stack away.
   int max_depth = 64;
 };
 
