@@ -1,6 +1,6 @@
 // Fuzz target for the JSON reader behind every /v1 request body
 // (util::json::Parse). The input is a document's bytes. Built two ways:
-// linked into util_json_fuzz_test, whose gtest driver replays a seed
+// linked into util_json_fuzz_test, whose gtest cases replay a seed
 // corpus and seeded mutations through it, and alone with clang's
 // -fsanitize=fuzzer as a libFuzzer binary.
 //
