@@ -437,7 +437,6 @@ util::Status CampaignRuntime::RestoreResumableState(
   util::wire::Reader in(state);
   uint32_t version = 0;
   uint64_t encoded_n = 0;
-  uint8_t stopped_early = 0;
   uint64_t next_checkpoint = 0;
   if (!in.GetU32(&version) || version != kRuntimeStateVersion) {
     return util::Status::Corruption("unsupported runtime state version");
@@ -447,10 +446,9 @@ util::Status CampaignRuntime::RestoreResumableState(
         "runtime state resource count does not match the dataset");
   }
   if (!in.GetI64(&spent_) || !in.GetI64(&tasks_completed_) ||
-      !in.GetU8(&stopped_early) || !in.GetU64(&next_checkpoint)) {
+      !in.GetBool(&stopped_early_) || !in.GetU64(&next_checkpoint)) {
     return util::Status::Corruption("short runtime state header");
   }
-  stopped_early_ = stopped_early != 0;
   if (next_checkpoint > options_.checkpoints.size()) {
     return util::Status::Corruption(
         "runtime state checkpoint cursor out of range");
@@ -469,11 +467,11 @@ util::Status CampaignRuntime::RestoreResumableState(
   }
   exhausted_.assign(n, false);
   for (size_t i = 0; i < n; ++i) {
-    uint8_t flag = 0;
-    if (!in.GetU8(&flag)) {
+    bool flag = false;
+    if (!in.GetBool(&flag)) {
       return util::Status::Corruption("short runtime state exhausted set");
     }
-    exhausted_[i] = flag != 0;
+    exhausted_[i] = flag;
   }
   uint32_t num_checkpoints = 0;
   if (!in.GetU32(&num_checkpoints) ||

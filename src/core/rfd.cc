@@ -64,6 +64,7 @@ bool TagCounts::Restore(util::wire::Reader* in) {
   // multi-GiB allocation (abort) instead of the documented graceful
   // snapshot_status degradation.
   if (in->remaining() / 12 < num_tags) return false;
+  TagId previous = 0;
   counts_.clear();
   counts_.reserve(num_tags);
   for (uint32_t i = 0; i < num_tags; ++i) {
@@ -75,6 +76,10 @@ bool TagCounts::Restore(util::wire::Reader* in) {
         count > TagCountMap::kMaxCount) {
       return false;
     }
+    // Serialize writes the tags ascending, so an unordered or repeated
+    // tag is corruption; accepting it would not serialize back.
+    if (i > 0 && tag <= previous) return false;
+    previous = tag;
     counts_.Set(tag, count);
   }
   return true;

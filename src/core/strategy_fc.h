@@ -78,11 +78,11 @@ class FreeChoiceStrategy : public Strategy {
       return util::Status::Corruption("malformed FC strategy state");
     }
     for (size_t i = 0; i < exhausted_.size(); ++i) {
-      uint8_t flag = 0;
-      if (!in.GetU8(&flag)) {
+      bool flag = false;
+      if (!in.GetBool(&flag)) {
         return util::Status::Corruption("short FC strategy state");
       }
-      if (flag != 0) {
+      if (flag) {
         exhausted_[i] = true;
         ++num_exhausted_;
       }

@@ -79,11 +79,11 @@ class CostAwareFpStrategy : public Strategy {
     pending_.assign(ctx.num_resources(), 0);
     heap_ = std::make_unique<util::IndexedHeap>(ctx.num_resources());
     for (ResourceId i = 0; i < ctx.num_resources(); ++i) {
-      uint8_t in_heap = 0;
-      if (!in.GetU8(&in_heap) || !in.GetI64(&pending_[i])) {
+      bool in_heap = false;
+      if (!in.GetBool(&in_heap) || !in.GetI64(&pending_[i])) {
         return util::Status::Corruption("short FP-$ strategy state");
       }
-      if (in_heap != 0) heap_->Push(i, Priority(i));
+      if (in_heap) heap_->Push(i, Priority(i));
     }
     if (!in.exhausted()) {
       return util::Status::Corruption("trailing bytes in FP-$ strategy state");

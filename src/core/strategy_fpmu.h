@@ -106,15 +106,13 @@ class HybridFpMuStrategy : public Strategy {
                             std::string_view state) override {
     ctx_ = &ctx;
     util::wire::Reader in(state);
-    uint8_t mu_initialized = 0;
     std::string_view fp_state;
     std::string_view mu_state;
     if (!in.GetI64(&warmup_remaining_) || !in.GetI64(&fp_tasks_in_flight_) ||
-        !in.GetU8(&mu_initialized) || !in.GetStringView(&fp_state) ||
+        !in.GetBool(&mu_initialized_) || !in.GetStringView(&fp_state) ||
         !in.GetStringView(&mu_state) || !in.exhausted()) {
       return util::Status::Corruption("malformed FP-MU strategy state");
     }
-    mu_initialized_ = mu_initialized != 0;
     INCENTAG_RETURN_IF_ERROR(fp_.RestoreState(ctx, fp_state));
     if (mu_initialized_) {
       INCENTAG_RETURN_IF_ERROR(mu_.RestoreState(ctx, mu_state));

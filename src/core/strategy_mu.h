@@ -70,11 +70,11 @@ class MostUnstableStrategy : public Strategy {
     }
     heap_ = std::make_unique<util::IndexedHeap>(ctx.num_resources());
     for (ResourceId i = 0; i < ctx.num_resources(); ++i) {
-      uint8_t in_heap = 0;
-      if (!in.GetU8(&in_heap)) {
+      bool in_heap = false;
+      if (!in.GetBool(&in_heap)) {
         return util::Status::Corruption("short MU strategy state");
       }
-      if (in_heap != 0) {
+      if (in_heap) {
         if (!ctx.state(i).has_ma_score()) {
           return util::Status::Corruption(
               "MU strategy state lists a member without an MA score");

@@ -72,11 +72,11 @@ class RoundRobinStrategy : public Strategy {
     }
     next_ = static_cast<size_t>(next);
     for (size_t i = 0; i < n_; ++i) {
-      uint8_t flag = 0;
-      if (!in.GetU8(&flag)) {
+      bool flag = false;
+      if (!in.GetBool(&flag)) {
         return util::Status::Corruption("short RR strategy state");
       }
-      if (flag != 0) {
+      if (flag) {
         exhausted_[i] = true;
         ++num_exhausted_;
       }

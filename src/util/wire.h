@@ -67,6 +67,15 @@ class Reader {
     return true;
   }
 
+  // A flag PutU8 wrote as 0 or 1; any other byte is corruption (it
+  // would not encode back to itself).
+  bool GetBool(bool* v) {
+    uint8_t byte = 0;
+    if (!GetU8(&byte) || byte > 1) return false;
+    *v = byte == 1;
+    return true;
+  }
+
   bool GetU32(uint32_t* v) {
     if (data_.size() - pos_ < 4) return false;
     *v = 0;
