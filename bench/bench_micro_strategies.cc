@@ -27,7 +27,7 @@ using namespace incentag;
 
 struct World {
   std::vector<core::ResourceState> states;
-  std::vector<core::ResourceView> views;
+  core::ResourceStateViews views{&states};
   core::StrategyContext ctx;
   core::PostSequence posts;  // recycled post supply
   size_t next_post = 0;
@@ -43,10 +43,7 @@ struct World {
       }
     }
     posts = testing::RandomSequence(&rng, 512, 64);
-    for (const core::ResourceState& state : states) {
-      views.push_back(core::ResourceView::Of(state));
-    }
-    ctx.states = &views;
+    ctx.views = &views;
     ctx.omega = omega;
   }
 
@@ -65,7 +62,6 @@ void RunDecisionLoop(benchmark::State& state, core::Strategy* strategy,
     core::ResourceId chosen = strategy->Choose();
     strategy->OnAssigned(chosen);
     world->states[chosen].AddPost(world->NextPost());
-    world->views[chosen] = core::ResourceView::Of(world->states[chosen]);
     strategy->Update(chosen);
     ++tasks;
   }

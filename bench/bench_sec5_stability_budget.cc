@@ -48,12 +48,9 @@ int64_t BudgetToFullStability(const BenchDataset& bench_ds,
 
   sim::CorpusPostStream stream(bench_ds.corpus.get(), ds.source_ids,
                                initial_offsets);
-  std::vector<core::ResourceView> views;
-  for (const core::ResourceState& state : states) {
-    views.push_back(core::ResourceView::Of(state));
-  }
+  core::ResourceStateViews views(&states);
   core::StrategyContext ctx;
-  ctx.states = &views;
+  ctx.views = &views;
   ctx.omega = omega;
   strategy->Init(ctx);
 
@@ -64,7 +61,6 @@ int64_t BudgetToFullStability(const BenchDataset& bench_ds,
     strategy->OnAssigned(chosen);
     const core::Post& post = stream.Next(chosen);
     states[chosen].AddPost(post);
-    views[chosen] = core::ResourceView::Of(states[chosen]);
     strategy->Update(chosen);
     ++spent;
     if (states[chosen].posts() == ds.references[chosen].stable_point) {

@@ -152,19 +152,8 @@ util::Status CampaignRuntime::AttachInitialState(
   return util::Status::OK();
 }
 
-ResourceView CampaignRuntime::ViewOf(size_t i) const {
-  return ResourceView(initial_->initial_posts(i) + allocation_[i],
-                      initial_->row(i, allocation_[i]).ma_score);
-}
-
-void CampaignRuntime::ResetViews() {
-  views_.clear();
-  views_.reserve(allocation_.size());
-  for (size_t i = 0; i < allocation_.size(); ++i) views_.push_back(ViewOf(i));
-}
-
 util::Status CampaignRuntime::Begin(
-    Strategy* strategy, VectorPostStream* stream,
+    Strategy* strategy, const VectorPostStream* stream,
     std::shared_ptr<const InitialState> initial) {
   if (options_.budget < 0) {
     return util::Status::InvalidArgument("budget must be non-negative");
@@ -176,18 +165,16 @@ util::Status CampaignRuntime::Begin(
     return built;
   }
   strategy_ = strategy;
-  stream_ = stream;
 
   // Every resource starts at its January row.
   const size_t n = initial_posts_->size();
   allocation_.assign(n, 0);
   exhausted_.assign(n, false);
-  ResetViews();
   eval_ = std::make_unique<internal::Evaluation>(
       *initial_, options_.under_tagged_threshold);
   eval_->StartAtJanuary();
 
-  ctx_.states = &views_;
+  ctx_.views = this;
   ctx_.omega = options_.omega;
 
   timer_.Restart();
@@ -213,10 +200,10 @@ util::Status CampaignRuntime::DrawBatch(std::vector<ResourceId>* batch) {
       return util::Status::Internal("strategy chose an invalid resource id");
     }
     const int64_t task_cost = CostOf(chosen);
-    // A resource is unusable if its stream ran dry or its reward amount
-    // no longer fits in the total remaining budget (budgets only shrink,
-    // so both conditions are permanent).
-    if (!stream_->HasNext(chosen) ||
+    // A resource is unusable if its future posts ran out or its reward
+    // amount no longer fits in the total remaining budget (budgets only
+    // shrink, so both conditions are permanent).
+    if (Exhausted(chosen) ||
         task_cost > options_.budget - spent_) {
       if (exhausted_[chosen]) {
         return util::Status::Internal(
@@ -252,17 +239,15 @@ void CampaignRuntime::ApplyCompletionBatch(const ResourceId* chosen,
     const ResourceId resource = chosen[k];
     // A task whose resource ran dry mid-batch is unfilled; its reserved
     // budget is released.
-    if (!stream_->HasNext(resource)) {
+    if (Exhausted(resource)) {
       if (!exhausted_[resource]) {
         exhausted_[resource] = true;
         strategy_->OnExhausted(resource);
       }
       continue;
     }
-    // The post itself is the table's: only the cursor moves.
-    stream_->Next(resource);
+    // The post itself is the table's: only the allocation moves.
     const int64_t j = ++allocation_[resource];
-    views_[resource] = ViewOf(resource);
     eval_->OnPostTask(resource, j);
     strategy_->Update(resource);
     ++tasks_completed_;
@@ -416,9 +401,8 @@ util::Status CampaignRuntime::SerializeResumableState(
     util::wire::PutDouble(out, initial_->row(i, allocation_[i]).quality);
   }
   eval_->Serialize(out);
-  for (size_t i = 0; i < n; ++i) {
-    util::wire::PutI64(out, stream_->Consumed(static_cast<ResourceId>(i)));
-  }
+  // Format v1's stream cursors: a campaign's cursor is its allocation.
+  for (int64_t x : allocation_) util::wire::PutI64(out, x);
   std::string strategy_state;
   strategy_->SerializeState(&strategy_state);
   util::wire::PutString(out, strategy_state);
@@ -426,7 +410,8 @@ util::Status CampaignRuntime::SerializeResumableState(
 }
 
 util::Status CampaignRuntime::RestoreResumableState(
-    std::string_view state, Strategy* strategy, VectorPostStream* stream,
+    std::string_view state, Strategy* strategy,
+    const VectorPostStream* stream,
     std::shared_ptr<const InitialState> initial) {
   if (eval_ != nullptr) {
     return util::Status::FailedPrecondition(
@@ -500,20 +485,14 @@ util::Status CampaignRuntime::RestoreResumableState(
     return util::Status::Corruption("malformed runtime evaluation state");
   }
 
-  // Fast-forward the fresh stream to where the serialized one stood; a
-  // deterministic stream then yields the same future posts.
+  // The stream cursors the blob carries must be the allocation; the
+  // stream itself stays where Begin wants it, unmoved.
   for (size_t i = 0; i < n; ++i) {
     int64_t consumed = 0;
     if (!in.GetI64(&consumed) || consumed != allocation_[i]) {
       eval_.reset();
       return util::Status::Corruption(
           "runtime stream cursor differs from the allocation");
-    }
-    util::Status skipped =
-        stream->Skip(static_cast<ResourceId>(i), consumed);
-    if (!skipped.ok()) {
-      eval_.reset();
-      return skipped;
     }
   }
 
@@ -532,16 +511,13 @@ util::Status CampaignRuntime::RestoreResumableState(
     }
   }
   strategy_ = strategy;
-  stream_ = stream;
-  ResetViews();
-  ctx_.states = &views_;
+  ctx_.views = this;
   ctx_.omega = options_.omega;
   timer_.Restart();
   util::Status restored = strategy_->RestoreState(ctx_, strategy_state);
   if (!restored.ok()) {
     eval_.reset();
     strategy_ = nullptr;
-    stream_ = nullptr;
     return restored;
   }
   return util::Status::OK();
@@ -563,7 +539,6 @@ RunReport CampaignRuntime::Finish() {
   }
   // The campaign is over: free its per-resource state (swapping with an
   // empty container releases the storage; clear() would keep it).
-  std::vector<ResourceView>().swap(views_);
   std::vector<bool>().swap(exhausted_);
   eval_.reset();
   initial_.reset();

@@ -23,13 +23,18 @@
 // Begin borrows the dataset's trajectory table (initial_state.h;
 // CampaignManager keeps one per dataset, post store and omega), or builds
 // a private one when the caller passes none. A resource's state after j
-// applied posts is the table's row(i, j), the same in every campaign, so the
-// runtime keeps no per-resource state of its own beyond its allocation
-// x_i = j and a 16-byte ResourceView per resource for the strategy.
+// applied posts is the table's row(i, j), the same in every campaign, so
+// the allocation x_i = j is the runtime's only per-resource state (8
+// bytes, plus one exhausted bit). It is the campaign's cursor into the
+// shared post store: a completion moves x_i and never the stream, so the
+// stream's own cursors are never allocated, and a resource is exhausted
+// once x_i reaches its future length. It is also the strategy's view:
+// StrategyContext::state(i) computes ResourceView(c_i + x_i,
+// row(i, x_i).ma_score) on each call.
 // Begin has the table replay every trajectory from January; a restore
 // needs each resource only from its allocation on (InitialState::Attach).
-// Finish frees the views, the evaluation and the table reference; only
-// the report survives.
+// Finish moves the allocation into the report and frees the evaluation
+// and the table reference; only the report survives.
 //
 // Driving the protocol straight through (as AllocationEngine::Run now
 // does, and as CampaignManager's deterministic mode does) reproduces the
@@ -58,7 +63,9 @@ namespace internal {
 class Evaluation;
 }  // namespace internal
 
-class CampaignRuntime {
+// Privately a ViewSource: the strategy's context reads the views it
+// computes.
+class CampaignRuntime : private ViewSource {
  public:
   // Pointers must outlive the runtime and have equal size (same contract
   // as AllocationEngine).
@@ -77,9 +84,11 @@ class CampaignRuntime {
   // rows, runs strategy->Init and records the t=0 checkpoint. `initial`
   // must have been built for this runtime's dataset pointers, `stream`'s
   // store and omega, and `stream` must not have consumed any post (else
-  // InvalidArgument). `strategy` and `stream` must outlive the runtime;
-  // the stream's cursors are consumed.
-  util::Status Begin(Strategy* strategy, VectorPostStream* stream,
+  // InvalidArgument). `strategy` must outlive the runtime. The runtime
+  // reads `stream`'s store() and Consumed() here only and never moves
+  // it. The store must outlive the runtime (and so the stream, where it
+  // owns its store).
+  util::Status Begin(Strategy* strategy, const VectorPostStream* stream,
                      std::shared_ptr<const InitialState> initial = nullptr);
 
   // Assignment phase: fills `batch` with up to options.batch_size
@@ -89,7 +98,7 @@ class CampaignRuntime {
   util::Status DrawBatch(std::vector<ResourceId>* batch);
 
   // Completion phase for one task previously returned by DrawBatch:
-  // consumes the resource's next post, moves its view and the evaluation
+  // moves the resource's allocation, and so its view, and the evaluation
   // one row along its trajectory, and notifies the strategy. Tasks of a
   // batch may be applied at any later time but must be applied in
   // assignment order and exactly once each.
@@ -110,7 +119,7 @@ class CampaignRuntime {
 
   int64_t spent() const { return spent_; }
   int64_t tasks_completed() const { return tasks_completed_; }
-  size_t num_resources() const { return initial_posts_->size(); }
+  size_t num_resources() const override { return initial_posts_->size(); }
   const EngineOptions& options() const { return options_; }
 
   // Current evaluation snapshot (O(1); safe between any two steps).
@@ -128,7 +137,8 @@ class CampaignRuntime {
   // SerializeResumableState captures everything the runtime needs to
   // continue mid-campaign — per-resource observable states, the
   // incremental evaluation, allocation, checkpoints, budget counters,
-  // the stream's consumed positions and the strategy's opaque state —
+  // the stream cursors (the allocation again: format v1 keeps both) and
+  // the strategy's opaque state —
   // with doubles stored bit-exactly, so a restored runtime produces a
   // RunReport byte-identical to one that replayed the whole journal.
   // The per-resource bytes are rebuilt from the trajectory table
@@ -140,19 +150,20 @@ class CampaignRuntime {
 
   // Restores a freshly constructed runtime (same options and dataset
   // pointers as the serialized one) from a SerializeResumableState blob.
-  // Called INSTEAD of Begin: re-attaches `strategy` and `stream` (both
-  // freshly built by the recovery factory), fast-forwards the stream to
-  // its serialized position via PostStream::Skip, and hands the strategy
-  // its serialized sub-blob through Strategy::RestoreState. `initial` is
-  // as for Begin. A resource's state is a function of its allocation, so
-  // where the table is built at a resource's allocation the blob's bytes
-  // (state, quality tracker and quality) must equal its rebuild; where it
-  // is not, the decoded state seeds it (InitialState::Attach) and the
-  // trajectory is replayed from there only. Every stream cursor must
+  // Called INSTEAD of Begin: attaches `strategy` and reads `stream` as
+  // Begin does (both freshly built by the recovery factory; the stream
+  // stays unmoved), and hands the strategy its serialized sub-blob through
+  // Strategy::RestoreState. `initial` is as for Begin. A resource's state
+  // is a function of its allocation, so where the table is built at a
+  // resource's allocation the blob's bytes (state, quality tracker and
+  // quality) must equal its rebuild; where it is not, the decoded state
+  // seeds it (InitialState::Attach) and the trajectory is replayed from
+  // there only. Every stream cursor must
   // equal its allocation and no allocation may pass the resource's future
   // posts (else Corruption).
   util::Status RestoreResumableState(
-      std::string_view state, Strategy* strategy, VectorPostStream* stream,
+      std::string_view state, Strategy* strategy,
+      const VectorPostStream* stream,
       std::shared_ptr<const InitialState> initial = nullptr);
 
  private:
@@ -163,23 +174,28 @@ class CampaignRuntime {
   util::Status AttachInitialState(const VectorPostStream& stream,
                                   std::shared_ptr<const InitialState> initial);
   // Resource i's view at its current allocation.
-  ResourceView ViewOf(size_t i) const;
-  // Sets every view from the allocation.
-  void ResetViews();
+  ResourceView View(ResourceId i) const override {
+    const int64_t j = allocation_[i];
+    return ResourceView(initial_->initial_posts(i) + j,
+                        initial_->row(i, j).ma_score);
+  }
+  // True once resource i's allocation has used every future post.
+  bool Exhausted(ResourceId i) const {
+    return allocation_[i] >= initial_->future_length(i);
+  }
 
   EngineOptions options_;
   const std::vector<PostSequence>* initial_posts_;
   const std::vector<ResourceReference>* references_;
 
   Strategy* strategy_ = nullptr;
-  VectorPostStream* stream_ = nullptr;
   StrategyContext ctx_;
   std::shared_ptr<const InitialState> initial_;
-  // The strategy's view of every resource: initial_->row(i, allocation_[i]).
-  std::vector<ResourceView> views_;
   std::unique_ptr<internal::Evaluation> eval_;
+  // Whether the strategy has been told OnExhausted for the resource.
   std::vector<bool> exhausted_;
 
+  // x_i: the posts applied to each resource, its row in initial_.
   std::vector<int64_t> allocation_;
   std::vector<AllocationMetrics> checkpoints_;
   size_t next_checkpoint_ = 0;

@@ -42,12 +42,10 @@ class PostStream {
   // Number of posts already consumed for resource i.
   virtual int64_t Consumed(ResourceId i) const = 0;
 
-  // Advances resource i's cursor by `k` posts without observing them —
-  // snapshot restore (journal format v2) fast-forwards a fresh stream to
-  // its serialized Consumed() position this way. The default draws and
-  // discards, which is correct for any deterministic stream; streams
-  // with cheap random access (VectorPostStream) override it with an O(1)
-  // seek. A negative `k` is InvalidArgument. A failure (stream too short
+  // Advances resource i's cursor by `k` posts without observing them.
+  // The default draws and discards, which is correct for any
+  // deterministic stream; streams with cheap random access
+  // (VectorPostStream) override it with an O(1) seek. A negative `k` is InvalidArgument. A failure (stream too short
   // for the requested skip) leaves the cursor position unspecified;
   // callers treat it as unrecoverable.
   virtual util::Status Skip(ResourceId i, int64_t k) {
@@ -87,42 +85,43 @@ class ReplayablePostStream : public PostStream {
 // Replayable stream over per-resource post vectors (the materialised
 // "rest of the year" of a prepared dataset). The posts are read-only; only
 // the cursors belong to the stream, so any number of streams may read one
-// vector at once, each from its own position. A CampaignRuntime reads
-// resource state from a trajectory built over store() (initial_state.h),
-// so it takes this stream type only.
+// vector at once, each from its own position. The cursors are allocated
+// on the first Next or Skip: a CampaignRuntime reads the stream's store()
+// through a trajectory table (initial_state.h) and keeps its own cursor,
+// the allocation, so a campaign's stream never moves and costs no
+// per-resource memory. The runtime takes this stream type only.
 class VectorPostStream final : public ReplayablePostStream {
  public:
   // Owns `sequences`.
   explicit VectorPostStream(std::vector<PostSequence> sequences)
       : owned_(std::make_unique<const std::vector<PostSequence>>(
             std::move(sequences))),
-        sequences_(owned_.get()),
-        cursors_(sequences_->size(), 0) {}
+        sequences_(owned_.get()) {}
 
   // Reads `*sequences` in place. It must outlive the stream and must not
   // change while the stream is alive.
   explicit VectorPostStream(const std::vector<PostSequence>* sequences)
-      : sequences_(sequences), cursors_(sequences_->size(), 0) {}
+      : sequences_(sequences) {}
 
   size_t num_resources() const override { return sequences_->size(); }
 
-  bool HasNext(ResourceId i) override {
-    return cursors_[i] < Available(i);
-  }
+  bool HasNext(ResourceId i) override { return Consumed(i) < Available(i); }
 
   const Post& Next(ResourceId i) override {
-    return (*sequences_)[i][static_cast<size_t>(cursors_[i]++)];
+    return (*sequences_)[i][static_cast<size_t>(Cursors()[i]++)];
   }
 
-  int64_t Consumed(ResourceId i) const override { return cursors_[i]; }
+  int64_t Consumed(ResourceId i) const override {
+    return cursors_.empty() ? 0 : cursors_[i];
+  }
 
   util::Status Skip(ResourceId i, int64_t k) override {
     if (k < 0) return NegativeSkip();
-    if (cursors_[i] + k > Available(i)) {
+    if (Consumed(i) + k > Available(i)) {
       return util::Status::OutOfRange(
           "stream ran dry fast-forwarding resource " + std::to_string(i));
     }
-    cursors_[i] += k;
+    Cursors()[i] += k;
     return util::Status::OK();
   }
 
@@ -134,9 +133,8 @@ class VectorPostStream final : public ReplayablePostStream {
     return static_cast<int64_t>((*sequences_)[i].size());
   }
 
-  void Reset() override {
-    for (auto& c : cursors_) c = 0;
-  }
+  // Frees the cursors: every resource is back at its first post.
+  void Reset() override { std::vector<int64_t>().swap(cursors_); }
 
   // The posts this stream reads (its own or borrowed ones).
   const std::vector<PostSequence>& store() const { return *sequences_; }
@@ -144,10 +142,16 @@ class VectorPostStream final : public ReplayablePostStream {
   bool owns_store() const { return owned_ != nullptr; }
 
  private:
+  std::vector<int64_t>& Cursors() {
+    if (cursors_.empty()) cursors_.assign(sequences_->size(), 0);
+    return cursors_;
+  }
+
   // Set by the owning constructor only. On the heap, so `sequences_`
   // stays valid when the stream is moved.
   std::unique_ptr<const std::vector<PostSequence>> owned_;
   const std::vector<PostSequence>* sequences_;
+  // Empty until the first Next or Skip; then one cursor per resource.
   std::vector<int64_t> cursors_;
 };
 

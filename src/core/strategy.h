@@ -29,22 +29,14 @@ namespace incentag {
 namespace core {
 
 // What a strategy sees of one resource: its post count and its MA score.
-// 16 bytes; a runtime keeps one per resource and refreshes it when a post
-// is applied (a copy, so a view read before Update() goes stale).
+// A view is computed on every StrategyContext::state() call, never kept:
+// it holds the resource as it stands at that call (so one read before
+// Update() describes the resource before the post).
 class ResourceView {
  public:
   // `ma_score` is NaN while the score is undefined (posts < omega).
   ResourceView(int64_t posts, double ma_score)
       : posts_(posts), ma_score_(ma_score) {}
-
-  // The view of a hand-driven ResourceState (tests and benches that
-  // feed states themselves; refresh it after every AddPost).
-  static ResourceView Of(const ResourceState& state) {
-    return ResourceView(state.posts(),
-                        state.has_ma_score()
-                            ? state.ma_score()
-                            : std::numeric_limits<double>::quiet_NaN());
-  }
 
   // Number of posts received so far (c_i + x_i during a run).
   int64_t posts() const { return posts_; }
@@ -58,16 +50,50 @@ class ResourceView {
   double ma_score_;
 };
 
-// Read-only view of the observable world, owned by the engine: one
-// ResourceView per resource, which lives for the whole run. A resource's
-// view is updated between Choose() and Update().
+// Where a StrategyContext's views come from. A CampaignRuntime computes
+// resource i's view from its allocation x_i and the dataset's trajectory
+// table (campaign_runtime.h); ResourceStateViews computes it from a
+// hand-driven ResourceState. Neither copies a view per resource.
+class ViewSource {
+ public:
+  virtual size_t num_resources() const = 0;
+  virtual ResourceView View(ResourceId i) const = 0;
+
+ protected:
+  ~ViewSource() = default;
+};
+
+// A ViewSource over caller-owned ResourceStates, for tests and benches
+// that feed states themselves: a state's AddPost shows in its next view.
+class ResourceStateViews final : public ViewSource {
+ public:
+  // `states` must outlive the views; it may grow between reads.
+  explicit ResourceStateViews(const std::vector<ResourceState>* states)
+      : states_(states) {}
+
+  size_t num_resources() const override { return states_->size(); }
+  ResourceView View(ResourceId i) const override {
+    const ResourceState& state = (*states_)[i];
+    return ResourceView(state.posts(),
+                        state.has_ma_score()
+                            ? state.ma_score()
+                            : std::numeric_limits<double>::quiet_NaN());
+  }
+
+ private:
+  const std::vector<ResourceState>* states_;
+};
+
+// Read-only view of the observable world, owned by the engine for the
+// whole run. state(i) reads resource i as it stands: a completed post
+// shows from the Update() that reports it on.
 struct StrategyContext {
-  const std::vector<ResourceView>* states = nullptr;
+  const ViewSource* views = nullptr;
   // MA window omega used by MU / FP-MU (paper default: 5).
   int omega = 5;
 
-  size_t num_resources() const { return states->size(); }
-  const ResourceView& state(ResourceId i) const { return (*states)[i]; }
+  size_t num_resources() const { return views->num_resources(); }
+  ResourceView state(ResourceId i) const { return views->View(i); }
 };
 
 class Strategy {

@@ -3,12 +3,17 @@
 // Always gives the next post task to the resource with the fewest posts
 // (c_i + x_i). The priority queue of the paper is realised as an
 // IndexedHeap so the chosen resource's key is updated in place after each
-// task: O((n + B) log n) time and O(n) space as Table V states.
+// task: O((n + B) log n) time and O(n) space as Table V states. The space
+// is 20 bytes per resource: the heap's 16 and a 4-byte pending count (a
+// resource never has 2^31 tasks outstanding; snapshots keep the count in
+// a 64-bit field and refuse one outside int32).
 //
 // Ties break toward the smaller resource id, making runs deterministic.
 #ifndef INCENTAG_CORE_STRATEGY_FP_H_
 #define INCENTAG_CORE_STRATEGY_FP_H_
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -77,9 +82,14 @@ class FewestPostsStrategy : public Strategy {
     heap_ = std::make_unique<util::IndexedHeap>(ctx.num_resources());
     for (ResourceId i = 0; i < ctx.num_resources(); ++i) {
       bool in_heap = false;
-      if (!in.GetBool(&in_heap) || !in.GetI64(&pending_[i])) {
+      int64_t pending = 0;
+      if (!in.GetBool(&in_heap) || !in.GetI64(&pending)) {
         return util::Status::Corruption("short FP strategy state");
       }
+      if (pending < 0 || pending > std::numeric_limits<int32_t>::max()) {
+        return util::Status::Corruption("FP pending count out of range");
+      }
+      pending_[i] = static_cast<int32_t>(pending);
       if (in_heap) {
         heap_->Push(i, static_cast<double>(ctx.state(i).posts() +
                                            pending_[i]));
@@ -100,7 +110,8 @@ class FewestPostsStrategy : public Strategy {
   }
 
   const StrategyContext* ctx_ = nullptr;
-  std::vector<int64_t> pending_;
+  // Tasks assigned to each resource and not yet completed.
+  std::vector<int32_t> pending_;
   std::unique_ptr<util::IndexedHeap> heap_;
 };
 

@@ -147,16 +147,12 @@ TEST(CostAwareFpTest, TieBreaksTowardCheaperResource) {
   CostAwareFpStrategy strategy(&costs);
   std::vector<ResourceState> states;
   for (int i = 0; i < 3; ++i) states.emplace_back(2);  // all at 0 posts
-  std::vector<ResourceView> views;
-  for (const ResourceState& state : states) {
-    views.push_back(ResourceView::Of(state));
-  }
+  ResourceStateViews views(&states);
   StrategyContext ctx;
-  ctx.states = &views;
+  ctx.views = &views;
   strategy.Init(ctx);
   EXPECT_EQ(strategy.Choose(), 1u);  // cheapest among the tied level
   states[1].AddPost(Post::FromTags({1}));
-  views[1] = ResourceView::Of(states[1]);
   strategy.Update(1);
   EXPECT_EQ(strategy.Choose(), 2u);  // next-cheapest at 0 posts
 }
@@ -168,12 +164,9 @@ TEST(CostAwareFpTest, PostCountStillDominatesCost) {
   states.emplace_back(2);
   states.emplace_back(2);
   states[0].AddPost(Post::FromTags({1}));  // 1 post, cheap
-  std::vector<ResourceView> views;
-  for (const ResourceState& state : states) {
-    views.push_back(ResourceView::Of(state));
-  }
+  ResourceStateViews views(&states);
   StrategyContext ctx;
-  ctx.states = &views;
+  ctx.views = &views;
   strategy.Init(ctx);
   // Resource 1 has fewer posts despite being expensive.
   EXPECT_EQ(strategy.Choose(), 1u);
@@ -189,12 +182,9 @@ TEST(CostAwareFpTest, MatchesFpUnderUniformCosts) {
       states.back().AddPost(Post::FromTags({1}));
     }
   }
-  std::vector<ResourceView> views;
-  for (const ResourceState& state : states) {
-    views.push_back(ResourceView::Of(state));
-  }
+  ResourceStateViews views(&states);
   StrategyContext ctx;
-  ctx.states = &views;
+  ctx.views = &views;
   strategy.Init(ctx);
   EXPECT_EQ(strategy.Choose(), 3u);  // fewest posts
   strategy.OnExhausted(3);

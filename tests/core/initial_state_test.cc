@@ -684,6 +684,66 @@ TEST_F(InitialStateTest, AStreamThatAlreadyMovedIsRejected) {
             util::StatusCode::kInvalidArgument);
 }
 
+// A campaign's allocation is its only cursor: neither a run nor a
+// restore moves the stream, and the snapshot's cursor array is the
+// allocation itself.
+TEST_F(InitialStateTest, TheAllocationIsTheOnlyCursor) {
+  const size_t n = fixture_.initial.size();
+  for (const Case& c : cases_) {
+    Campaign live(fixture_, c);
+    ASSERT_TRUE(live.runtime.Begin(live.strategy.get(), &live.stream).ok());
+    for (int step = 0; step < 4; ++step) ASSERT_TRUE(live.Step()) << c.label;
+    std::string blob;
+    ASSERT_TRUE(live.runtime.SerializeResumableState(&blob).ok());
+    std::string strategy_state;
+    live.strategy->SerializeState(&strategy_state);
+    while (live.Step()) {
+    }
+    const RunReport report = live.runtime.Finish();
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(live.stream.Consumed(static_cast<ResourceId>(i)), 0)
+          << c.label << " " << i;
+    }
+
+    // The blob's cursor array (before the strategy's string) repeats its
+    // allocation.
+    const size_t cursors_at =
+        blob.size() - 4 - strategy_state.size() - 8 * n;
+    size_t touched = n;
+    for (size_t i = 0; i < n; ++i) {
+      int64_t cursor = 0;
+      std::memcpy(&cursor, blob.data() + cursors_at + 8 * i, 8);
+      EXPECT_EQ(cursor, AllocationIn(blob, i)) << c.label << " " << i;
+      if (AllocationIn(blob, i) > 0 && touched == n) touched = i;
+    }
+    ASSERT_LT(touched, n) << c.label;
+    // A cursor left where an unmoved stream stands is not the allocation.
+    std::string unmoved = blob;
+    std::memset(unmoved.data() + cursors_at + 8 * touched, 0, 8);
+    Campaign rejected(fixture_, c);
+    EXPECT_EQ(rejected.runtime
+                  .RestoreResumableState(unmoved, rejected.strategy.get(),
+                                         &rejected.stream)
+                  .code(),
+              util::StatusCode::kCorruption)
+        << c.label;
+
+    Campaign restored(fixture_, c);
+    ASSERT_TRUE(restored.runtime
+                    .RestoreResumableState(blob, restored.strategy.get(),
+                                           &restored.stream)
+                    .ok());
+    while (restored.Step()) {
+    }
+    EXPECT_EQ(restored.runtime.Finish().allocation, report.allocation)
+        << c.label;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(restored.stream.Consumed(static_cast<ResourceId>(i)), 0)
+          << c.label << " " << i;
+    }
+  }
+}
+
 TEST_F(InitialStateTest, OmegaOutsideItsRangeIsRejected) {
   for (int omega : {-1, 0, 1, kMaxOmega + 1}) {
     Case c = cases_[0];

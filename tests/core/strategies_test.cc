@@ -1,4 +1,6 @@
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,19 +13,25 @@
 #include "src/core/strategy_mu.h"
 #include "src/core/strategy_rr.h"
 #include "src/core/types.h"
+#include "src/util/status.h"
+#include "src/util/wire.h"
 
 namespace incentag {
 namespace core {
 namespace {
 
 // Drives a strategy directly against hand-built states (no engine), which
-// keeps the Algorithm 2-5 behaviours visible and exactly checkable.
+// keeps the Algorithm 2-5 behaviours visible and exactly checkable. The
+// strategy reads them through ResourceStateViews.
 class StrategyHarness {
  public:
-  explicit StrategyHarness(int omega) : omega_(omega) {
+  explicit StrategyHarness(int omega) : omega_(omega), views_(&states_) {
     ctx_.omega = omega;
-    ctx_.states = &views_;
+    ctx_.views = &views_;
   }
+
+  StrategyHarness(const StrategyHarness&) = delete;
+  StrategyHarness& operator=(const StrategyHarness&) = delete;
 
   // Adds a resource that has already received `posts` copies of a
   // one-tag post {tag}.
@@ -32,14 +40,10 @@ class StrategyHarness {
     for (int64_t i = 0; i < posts; ++i) {
       state.AddPost(Post::FromTags({tag}));
     }
-    views_.push_back(ResourceView::Of(state));
   }
 
-  // Applies `post` to resource i and refreshes the strategy's view.
-  void AddPost(ResourceId i, const Post& post) {
-    states_[i].AddPost(post);
-    views_[i] = ResourceView::Of(states_[i]);
-  }
+  // Applies `post` to resource i.
+  void AddPost(ResourceId i, const Post& post) { states_[i].AddPost(post); }
 
   // One engine step with batch size 1: Choose, assign, apply a post,
   // complete.
@@ -58,7 +62,7 @@ class StrategyHarness {
  private:
   int omega_;
   std::vector<ResourceState> states_;
-  std::vector<ResourceView> views_;
+  ResourceStateViews views_;
   StrategyContext ctx_;
 };
 
@@ -179,6 +183,59 @@ TEST(FewestPostsTest, ExhaustedResourceLeavesHeap) {
   EXPECT_EQ(fp.Choose(), kInvalidResource);
 }
 
+// FP's pending counts are 32-bit in memory and 64-bit on the wire: one
+// past 2^16 (the width a narrower count would wrap at) round-trips.
+TEST(FewestPostsTest, LargePendingCountRoundTrips) {
+  constexpr int kPending = 70000;
+  StrategyHarness h(2);
+  h.AddResource(0, 1);
+  FewestPostsStrategy fp;
+  fp.Init(h.ctx());
+  for (int k = 0; k < kPending; ++k) {
+    ASSERT_EQ(fp.Choose(), 0u);
+    fp.OnAssigned(0);
+  }
+  std::string blob;
+  fp.SerializeState(&blob);
+  util::wire::Reader in(blob);
+  uint64_t n = 0;
+  bool in_heap = false;
+  int64_t pending = 0;
+  ASSERT_TRUE(in.GetU64(&n) && in.GetBool(&in_heap) && in.GetI64(&pending));
+  EXPECT_EQ(pending, kPending);
+
+  FewestPostsStrategy restored;
+  ASSERT_TRUE(restored.RestoreState(h.ctx(), blob).ok());
+  std::string again;
+  restored.SerializeState(&again);
+  EXPECT_EQ(again, blob);
+  // One completion later both still agree.
+  h.AddPost(0, Post::FromTags({1}));
+  fp.Update(0);
+  restored.Update(0);
+  blob.clear();
+  again.clear();
+  fp.SerializeState(&blob);
+  restored.SerializeState(&again);
+  EXPECT_EQ(again, blob);
+}
+
+// A pending count outside int32 (or negative) is corruption.
+TEST(FewestPostsTest, PendingCountOutsideInt32IsRejected) {
+  StrategyHarness h(2);
+  h.AddResource(0, 1);
+  for (int64_t pending : {int64_t{-1}, int64_t{INT32_MAX} + 1}) {
+    std::string blob;
+    util::wire::PutU64(&blob, 1);
+    util::wire::PutU8(&blob, 1);
+    util::wire::PutI64(&blob, pending);
+    FewestPostsStrategy fp;
+    EXPECT_EQ(fp.RestoreState(h.ctx(), blob).code(),
+              util::StatusCode::kCorruption)
+        << pending;
+  }
+}
+
 // ---------------------------------------------------------------- MU ----
 
 TEST(MostUnstableTest, IgnoresResourcesBelowOmega) {
@@ -292,6 +349,30 @@ TEST(HybridTest, ExhaustionDuringWarmupShrinksWarmupBudget) {
   EXPECT_EQ(hybrid.warmup_remaining(), 7);
   hybrid.OnExhausted(0);
   EXPECT_EQ(hybrid.warmup_remaining(), 3);
+}
+
+// FP-MU nests FP's blob: a warm-up with a pending count past 2^16 on one
+// resource round-trips through both.
+TEST(HybridTest, LargePendingCountRoundTrips) {
+  constexpr int64_t kPending = 70000;
+  StrategyHarness h(2);
+  h.AddResource(0, 1);
+  std::string fp_blob;
+  util::wire::PutU64(&fp_blob, 1);
+  util::wire::PutU8(&fp_blob, 1);
+  util::wire::PutI64(&fp_blob, kPending);
+  std::string blob;
+  util::wire::PutI64(&blob, 1);         // warm-up tasks left
+  util::wire::PutI64(&blob, kPending);  // FP tasks in flight
+  util::wire::PutU8(&blob, 0);          // still in warm-up
+  util::wire::PutString(&blob, fp_blob);
+  util::wire::PutString(&blob, "");
+
+  HybridFpMuStrategy hybrid;
+  ASSERT_TRUE(hybrid.RestoreState(h.ctx(), blob).ok());
+  std::string again;
+  hybrid.SerializeState(&again);
+  EXPECT_EQ(again, blob);
 }
 
 }  // namespace
