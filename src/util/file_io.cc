@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <limits.h>
+#include <sys/stat.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -217,7 +218,17 @@ Status AppendFile::Open(const std::string& path, int64_t truncate_to) {
   if (fd_ < 0) return ErrnoStatus("open", path);
   path_ = path;
   if (truncate_to >= 0) {
-    if (::ftruncate(fd_, static_cast<off_t>(truncate_to)) != 0) {
+    // A recovered journal mostly reopens at its own size. ftruncate then
+    // changes no byte but still stamps the inode's times, which the next
+    // Sync must write, so it runs only when the size differs.
+    struct stat st;
+    if (::fstat(fd_, &st) != 0) {
+      Status status = ErrnoStatus("fstat", path);
+      Close();
+      return status;
+    }
+    if (st.st_size != static_cast<off_t>(truncate_to) &&
+        ::ftruncate(fd_, static_cast<off_t>(truncate_to)) != 0) {
       Status status = ErrnoStatus("ftruncate", path);
       Close();
       return status;

@@ -90,6 +90,8 @@ Status SyncDir(const std::string& dir);
 // Byte-positioned appender. Open() creates the file when missing; when
 // `truncate_to` >= 0 the file is first truncated to that many bytes —
 // recovery uses this to drop a torn tail record before resuming appends.
+// A file already `truncate_to` bytes long is left untouched, its inode
+// times included.
 class AppendFile {
  public:
   AppendFile() = default;

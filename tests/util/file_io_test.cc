@@ -5,14 +5,18 @@
 // the failed-sync reopen path build on.
 #include "src/util/file_io.h"
 
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "src/util/fail_point.h"
@@ -291,6 +295,40 @@ TEST_F(FileIoTest, ReopenAppendsAtTheEndWithoutSeeking) {
     ASSERT_TRUE(file.Close().ok());
   }
   EXPECT_EQ(Contents(Path("f")), "first|second");
+}
+
+// Recovery reopens most journals at their own size: that Open must not
+// touch the inode (ftruncate would stamp its ctime even at the same
+// size), while a shorter truncate_to still cuts the file.
+TEST_F(FileIoTest, TruncateToTheCurrentSizeLeavesTheInodeAlone) {
+  {
+    AppendFile file;
+    ASSERT_TRUE(file.Open(Path("f"), 0).ok());
+    ASSERT_TRUE(file.Append("0123456789").ok());
+    ASSERT_TRUE(file.Close().ok());
+  }
+  struct stat before;
+  ASSERT_EQ(::stat(Path("f").c_str(), &before), 0);
+  // Past a tick of the kernel's coarse clock, so a stamp would show.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    AppendFile file;
+    ASSERT_TRUE(file.Open(Path("f"), 10).ok());
+    EXPECT_EQ(file.size(), 10);
+    ASSERT_TRUE(file.Close().ok());
+  }
+  struct stat after;
+  ASSERT_EQ(::stat(Path("f").c_str(), &after), 0);
+  EXPECT_EQ(after.st_ctim.tv_sec, before.st_ctim.tv_sec);
+  EXPECT_EQ(after.st_ctim.tv_nsec, before.st_ctim.tv_nsec);
+  {
+    AppendFile file;
+    ASSERT_TRUE(file.Open(Path("f"), 4).ok());
+    EXPECT_EQ(file.size(), 4);
+    ASSERT_TRUE(file.Append("|x").ok());
+    ASSERT_TRUE(file.Close().ok());
+  }
+  EXPECT_EQ(Contents(Path("f")), "0123|x");
 }
 
 TEST_F(FileIoTest, GatherOnClosedFileFails) {
