@@ -30,8 +30,8 @@ namespace core {
 
 // What a strategy sees of one resource: its post count and its MA score.
 // A view is computed on every StrategyContext::state() call, never kept:
-// it holds the resource as it stands at that call (so one read before
-// Update() describes the resource before the post).
+// it is the resource as it stands at that call, and a copy held across a
+// completion goes stale.
 class ResourceView {
  public:
   // `ma_score` is NaN while the score is undefined (posts < omega).
