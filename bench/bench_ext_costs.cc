@@ -73,9 +73,8 @@ int main(int argc, char** argv) {
   core::CostAwareFpStrategy fp_cost(&costs);
   core::RunReport fp_cost_report = run(&fp_cost);
 
-  core::VectorPostStream dp_stream = ds.MakeStream();
   auto plan = core::DpPlanner::PlanWithCosts(ds.initial_posts, ds.references,
-                                             &dp_stream, budget, costs);
+                                             ds.future_posts, budget, costs);
   INCENTAG_CHECK(plan.ok());
   core::PlanStrategy dp(plan.value().allocation);
   core::RunReport dp_report = run(&dp);

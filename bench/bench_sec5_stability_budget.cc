@@ -5,8 +5,9 @@
 // stability while FP and FP-MU require only about 200,000, which is 90%
 // less than what FC needs."
 //
-// Each strategy draws from an unbounded generative stream (the year limit
-// is irrelevant here); a resource counts as stable once its total posts
+// Each strategy draws resource i's k-th post straight from the corpus'
+// deterministic generator, unbounded (the year limit is irrelevant here);
+// a resource counts as stable once its total posts
 // reach its reference stable point k*. The budget cap keeps FC's hopeless
 // tail-chasing bounded.
 #include <cstdio>
@@ -16,7 +17,7 @@
 
 #include "bench/common/bench_common.h"
 #include "src/core/resource_state.h"
-#include "src/sim/corpus_stream.h"
+#include "src/sim/generator.h"
 #include "src/util/flags.h"
 #include "src/util/logging.h"
 
@@ -35,19 +36,15 @@ int64_t BudgetToFullStability(const BenchDataset& bench_ds,
 
   std::vector<core::ResourceState> states;
   states.reserve(n);
-  std::vector<int64_t> initial_offsets(n);
   size_t pending = 0;
   for (size_t i = 0; i < n; ++i) {
     states.emplace_back(omega);
     for (const core::Post& post : ds.initial_posts[i]) {
       states[i].AddPost(post);
     }
-    initial_offsets[i] = states[i].posts();
     if (states[i].posts() < ds.references[i].stable_point) ++pending;
   }
 
-  sim::CorpusPostStream stream(bench_ds.corpus.get(), ds.source_ids,
-                               initial_offsets);
   core::ResourceStateViews views(&states);
   core::StrategyContext ctx;
   ctx.views = &views;
@@ -59,8 +56,10 @@ int64_t BudgetToFullStability(const BenchDataset& bench_ds,
     core::ResourceId chosen = strategy->Choose();
     if (chosen == core::kInvalidResource) break;
     strategy->OnAssigned(chosen);
-    const core::Post& post = stream.Next(chosen);
-    states[chosen].AddPost(post);
+    // Resource i's next post is its sequence's post number c_i + x_i,
+    // which is its post count.
+    states[chosen].AddPost(bench_ds.corpus->SamplePost(
+        ds.source_ids[chosen], states[chosen].posts()));
     strategy->Update(chosen);
     ++spent;
     if (states[chosen].posts() == ds.references[chosen].stable_point) {

@@ -66,10 +66,9 @@ core::RunReport RunAtBudget(const BenchDataset& bench_ds,
 core::RunReport RunDpAtBudget(const BenchDataset& bench_ds, int64_t budget,
                               int omega, double* plan_seconds) {
   const sim::PreparedDataset& ds = bench_ds.dataset;
-  core::VectorPostStream plan_stream = ds.MakeStream();
   util::Stopwatch timer;
   auto plan = core::DpPlanner::Plan(ds.initial_posts, ds.references,
-                                    &plan_stream, budget);
+                                    ds.future_posts, budget);
   const double elapsed = timer.ElapsedSeconds();
   if (plan_seconds != nullptr) *plan_seconds = elapsed;
   INCENTAG_CHECK(plan.ok());

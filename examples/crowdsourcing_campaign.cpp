@@ -104,9 +104,8 @@ int main(int argc, char** argv) {
   rows.push_back(run(&fpmu));
 
   if (run_dp) {
-    core::VectorPostStream dp_stream = ds.MakeStream();
     auto plan = core::DpPlanner::Plan(ds.initial_posts, ds.references,
-                                      &dp_stream, budget);
+                                      ds.future_posts, budget);
     if (plan.ok()) {
       core::PlanStrategy dp(plan.value().allocation);
       rows.push_back(run(&dp));

@@ -96,9 +96,8 @@ int main(int argc, char** argv) {
   core::RunReport fp_report = run(&fp);
   core::RunReport fp_cost_report = run(&fp_cost);
 
-  core::VectorPostStream dp_stream = ds.MakeStream();
   auto plan = core::DpPlanner::PlanWithCosts(ds.initial_posts, ds.references,
-                                             &dp_stream, budget, costs);
+                                             ds.future_posts, budget, costs);
   if (!plan.ok()) {
     std::fprintf(stderr, "dp: %s\n", plan.status().ToString().c_str());
     return 1;

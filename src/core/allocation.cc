@@ -33,8 +33,8 @@ AllocationEngine::AllocationEngine(
 // batch's completions are applied immediately, in assignment order — the
 // taggers of paper Algorithm 1 who finish instantly. The concurrent
 // driver of the same protocol lives in src/service/campaign_manager.h.
-util::Result<RunReport> AllocationEngine::Run(Strategy* strategy,
-                                              VectorPostStream* future) {
+util::Result<RunReport> AllocationEngine::Run(
+    Strategy* strategy, const VectorPostStream* future) {
   CampaignRuntime runtime(options_, initial_posts_, references_);
   util::Status status = runtime.Begin(strategy, future);
   if (!status.ok()) return status;

@@ -129,9 +129,11 @@ class AllocationEngine {
                    const std::vector<PostSequence>* initial_posts,
                    const std::vector<ResourceReference>* references);
 
-  // Runs Algorithm 1 with `strategy` drawing posts from `future`.
-  // The stream's cursors are consumed; pass a fresh or Reset() stream.
-  util::Result<RunReport> Run(Strategy* strategy, VectorPostStream* future);
+  // Runs Algorithm 1 with `strategy` drawing posts from `future`'s store,
+  // which must outlive the call. The store is only read, so one store may
+  // serve any number of runs.
+  util::Result<RunReport> Run(Strategy* strategy,
+                              const VectorPostStream* future);
 
  private:
   EngineOptions options_;

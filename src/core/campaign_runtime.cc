@@ -132,14 +132,6 @@ util::Status CampaignRuntime::AttachInitialState(
         "cost model resource count does not match the engine's");
   }
   INCENTAG_RETURN_IF_ERROR(ValidateOmega(options_.omega));
-  // A campaign's j-th post on resource i is row j of the table, so its
-  // stream must start at every resource's first future post.
-  for (size_t i = 0; i < n; ++i) {
-    if (stream.Consumed(static_cast<ResourceId>(i)) != 0) {
-      return util::Status::InvalidArgument(
-          "stream has already consumed posts; pass a fresh or Reset() one");
-    }
-  }
   if (initial == nullptr) {
     initial = std::make_shared<const InitialState>(
         initial_posts_, &stream.store(), references_, options_.omega);
@@ -176,6 +168,8 @@ util::Status CampaignRuntime::Begin(
 
   ctx_.views = this;
   ctx_.omega = options_.omega;
+  ctx_.budget = options_.budget;
+  ctx_.batch_size = std::max<int64_t>(1, options_.batch_size);
 
   timer_.Restart();
   strategy_->Init(ctx_);
@@ -188,7 +182,7 @@ util::Status CampaignRuntime::DrawBatch(std::vector<ResourceId>* batch) {
   batch->clear();
   if (done()) return util::Status::OK();
   const size_t n = initial_posts_->size();
-  const int64_t batch_size = std::max<int64_t>(1, options_.batch_size);
+  const int64_t batch_size = ctx_.batch_size;
 
   // Commit up to batch_size tasks on current (stale) information. Budget
   // for the batch is reserved as it is handed out.
@@ -485,8 +479,7 @@ util::Status CampaignRuntime::RestoreResumableState(
     return util::Status::Corruption("malformed runtime evaluation state");
   }
 
-  // The stream cursors the blob carries must be the allocation; the
-  // stream itself stays where Begin wants it, unmoved.
+  // Format v1's stream cursors: each must be the allocation.
   for (size_t i = 0; i < n; ++i) {
     int64_t consumed = 0;
     if (!in.GetI64(&consumed) || consumed != allocation_[i]) {
@@ -513,6 +506,8 @@ util::Status CampaignRuntime::RestoreResumableState(
   strategy_ = strategy;
   ctx_.views = this;
   ctx_.omega = options_.omega;
+  ctx_.budget = options_.budget;
+  ctx_.batch_size = std::max<int64_t>(1, options_.batch_size);
   timer_.Restart();
   util::Status restored = strategy_->RestoreState(ctx_, strategy_state);
   if (!restored.ok()) {

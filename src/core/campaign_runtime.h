@@ -26,9 +26,9 @@
 // applied posts is the table's row(i, j), the same in every campaign, so
 // the allocation x_i = j is the runtime's only per-resource state (8
 // bytes, plus one exhausted bit). It is the campaign's cursor into the
-// shared post store: a completion moves x_i and never the stream, so the
-// stream's own cursors are never allocated, and a resource is exhausted
-// once x_i reaches its future length. It is also the strategy's view:
+// shared post store, which the runtime only reads: a completion moves
+// x_i, and a resource is exhausted once x_i reaches its future length.
+// It is also the strategy's view:
 // StrategyContext::state(i) computes ResourceView(c_i + x_i,
 // row(i, x_i).ma_score) on each call.
 // Begin has the table replay every trajectory from January; a restore
@@ -83,11 +83,10 @@ class CampaignRuntime : private ViewSource {
   // has it built from January, sums the t=0 evaluation from its January
   // rows, runs strategy->Init and records the t=0 checkpoint. `initial`
   // must have been built for this runtime's dataset pointers, `stream`'s
-  // store and omega, and `stream` must not have consumed any post (else
-  // InvalidArgument). `strategy` must outlive the runtime. The runtime
-  // reads `stream`'s store() and Consumed() here only and never moves
-  // it. The store must outlive the runtime (and so the stream, where it
-  // owns its store).
+  // store and omega (else InvalidArgument). `strategy` must outlive the
+  // runtime. The runtime reads `stream`'s store() here only; the store,
+  // like the dataset pointers, is borrowed and must outlive the runtime.
+  // Every campaign starts at each resource's first future post.
   util::Status Begin(Strategy* strategy, const VectorPostStream* stream,
                      std::shared_ptr<const InitialState> initial = nullptr);
 
@@ -150,17 +149,16 @@ class CampaignRuntime : private ViewSource {
 
   // Restores a freshly constructed runtime (same options and dataset
   // pointers as the serialized one) from a SerializeResumableState blob.
-  // Called INSTEAD of Begin: attaches `strategy` and reads `stream` as
-  // Begin does (both freshly built by the recovery factory; the stream
-  // stays unmoved), and hands the strategy its serialized sub-blob through
-  // Strategy::RestoreState. `initial` is as for Begin. A resource's state
-  // is a function of its allocation, so where the table is built at a
-  // resource's allocation the blob's bytes (state, quality tracker and
-  // quality) must equal its rebuild; where it is not, the decoded state
-  // seeds it (InitialState::Attach) and the trajectory is replayed from
-  // there only. Every stream cursor must
-  // equal its allocation and no allocation may pass the resource's future
-  // posts (else Corruption).
+  // Called INSTEAD of Begin: attaches `strategy` and reads `stream`'s
+  // store as Begin does, and hands the strategy its serialized sub-blob
+  // through Strategy::RestoreState. `initial` is as for Begin. A
+  // resource's state is a function of its allocation, so where the table
+  // is built at a resource's allocation the blob's bytes (state, quality
+  // tracker and quality) must equal its rebuild; where it is not, the
+  // decoded state seeds it (InitialState::Attach) and the trajectory is
+  // replayed from there only. Every format-v1 stream cursor in the blob
+  // must equal its allocation and no allocation may pass the resource's
+  // future posts (else Corruption).
   util::Status RestoreResumableState(
       std::string_view state, Strategy* strategy,
       const VectorPostStream* stream,

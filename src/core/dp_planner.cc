@@ -12,15 +12,16 @@ namespace core {
 util::Result<DpPlan> DpPlanner::PlanWithCosts(
     const std::vector<PostSequence>& initial_posts,
     const std::vector<ResourceReference>& references,
-    ReplayablePostStream* future, int64_t budget, const CostModel& costs) {
+    const std::vector<PostSequence>& future, int64_t budget,
+    const CostModel& costs) {
   const size_t n = initial_posts.size();
   if (n == 0) {
     return util::Status::InvalidArgument("empty resource set");
   }
-  if (references.size() != n || future->num_resources() != n ||
+  if (references.size() != n || future.size() != n ||
       costs.num_resources() != n) {
     return util::Status::InvalidArgument(
-        "initial posts, references, stream and cost sizes must match");
+        "initial posts, references, future posts and cost sizes must match");
   }
   if (budget < 0) {
     return util::Status::InvalidArgument("budget must be non-negative");
@@ -80,19 +81,22 @@ util::Result<DpPlan> DpPlanner::PlanWithCosts(
 
 std::vector<double> DpPlanner::QualityTable(
     const PostSequence& initial_posts, const ResourceReference& reference,
-    ReplayablePostStream* future, ResourceId resource, int64_t max_x) {
+    const std::vector<PostSequence>& future, ResourceId resource,
+    int64_t max_x) {
   TagCounts counts;
   QualityTracker tracker(&reference.stable_rfd);
   for (const Post& post : initial_posts) {
     counts.AddPost(post);
     tracker.AddPost(post, counts.norm_squared());
   }
-  const int64_t cap = std::min(max_x, future->Available(resource));
+  const PostSequence& posts = future[resource];
+  const int64_t cap =
+      std::min(max_x, static_cast<int64_t>(posts.size()));
   std::vector<double> table;
   table.reserve(static_cast<size_t>(cap) + 1);
   table.push_back(tracker.Quality());  // x = 0
   for (int64_t x = 1; x <= cap; ++x) {
-    const Post& post = future->Peek(resource, x - 1);
+    const Post& post = posts[static_cast<size_t>(x - 1)];
     counts.AddPost(post);
     tracker.AddPost(post, counts.norm_squared());
     table.push_back(tracker.Quality());
@@ -103,14 +107,14 @@ std::vector<double> DpPlanner::QualityTable(
 util::Result<DpPlan> DpPlanner::Plan(
     const std::vector<PostSequence>& initial_posts,
     const std::vector<ResourceReference>& references,
-    ReplayablePostStream* future, int64_t budget) {
+    const std::vector<PostSequence>& future, int64_t budget) {
   const size_t n = initial_posts.size();
   if (n == 0) {
     return util::Status::InvalidArgument("empty resource set");
   }
-  if (references.size() != n || future->num_resources() != n) {
+  if (references.size() != n || future.size() != n) {
     return util::Status::InvalidArgument(
-        "initial posts, references and stream sizes must match");
+        "initial posts, references and future posts sizes must match");
   }
   if (budget < 0) {
     return util::Status::InvalidArgument("budget must be non-negative");

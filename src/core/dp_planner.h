@@ -21,7 +21,6 @@
 
 #include "src/core/allocation.h"
 #include "src/core/cost_model.h"
-#include "src/core/post_stream.h"
 #include "src/core/strategy.h"
 #include "src/core/types.h"
 #include "src/util/status.h"
@@ -38,13 +37,13 @@ struct DpPlan {
 
 class DpPlanner {
  public:
-  // Computes the optimal plan. `future` supplies the known future posts
-  // (cursors are not disturbed; only Peek/Available are used). A resource
-  // cannot be allocated more tasks than its stream holds.
+  // Computes the optimal plan. `future[i]` holds resource i's known future
+  // posts, in the order it would receive them; a resource cannot be
+  // allocated more tasks than it holds.
   static util::Result<DpPlan> Plan(
       const std::vector<PostSequence>& initial_posts,
       const std::vector<ResourceReference>& references,
-      ReplayablePostStream* future, int64_t budget);
+      const std::vector<PostSequence>& future, int64_t budget);
 
   // Cost-aware variant (the Section III-C extension): task x on resource i
   // costs `costs.cost(i)` reward units and the plan's total cost must not
@@ -54,14 +53,15 @@ class DpPlanner {
   static util::Result<DpPlan> PlanWithCosts(
       const std::vector<PostSequence>& initial_posts,
       const std::vector<ResourceReference>& references,
-      ReplayablePostStream* future, int64_t budget, const CostModel& costs);
+      const std::vector<PostSequence>& future, int64_t budget,
+      const CostModel& costs);
 
   // Builds one resource's quality table: q_l(c_l + x) for x = 0..max_x.
   // Exposed for tests and for the ablation bench.
-  static std::vector<double> QualityTable(const PostSequence& initial_posts,
-                                          const ResourceReference& reference,
-                                          ReplayablePostStream* future,
-                                          ResourceId resource, int64_t max_x);
+  static std::vector<double> QualityTable(
+      const PostSequence& initial_posts, const ResourceReference& reference,
+      const std::vector<PostSequence>& future, ResourceId resource,
+      int64_t max_x);
 };
 
 // Adapts a fixed allocation plan to the Strategy interface so the engine

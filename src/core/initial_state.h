@@ -4,7 +4,7 @@
 // Algorithm 1 starts each campaign from c_i, the posts every resource
 // received before the campaign began, and a campaign's j-th completed
 // task on resource i applies the dataset's post future_posts[i][j - 1]
-// (every campaign's VectorPostStream reads one shared store). A
+// (every campaign on the dataset borrows that one read-only store). A
 // resource's observable state — its post count, its MA score m_i(k, omega)
 // (Definition 7) and its quality q_i(k) (Definition 9) — depends only on
 // that post prefix, so resource i after j applied posts is the same in

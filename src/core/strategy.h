@@ -91,6 +91,10 @@ struct StrategyContext {
   const ViewSource* views = nullptr;
   // MA window omega used by MU / FP-MU (paper default: 5).
   int omega = 5;
+  // The campaign's budget B and tasks per batch (at least 1); they bound
+  // the state a restore accepts.
+  int64_t budget = 0;
+  int64_t batch_size = 1;
 
   size_t num_resources() const { return views->num_resources(); }
   ResourceView state(ResourceId i) const { return views->View(i); }

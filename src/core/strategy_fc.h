@@ -9,7 +9,9 @@
 #ifndef INCENTAG_CORE_STRATEGY_FC_H_
 #define INCENTAG_CORE_STRATEGY_FC_H_
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -90,12 +92,42 @@ class FreeChoiceStrategy : public Strategy {
     if (!in.exhausted()) {
       return util::Status::Corruption("trailing bytes in FC strategy state");
     }
+    if (picks > MaxPicks(ctx, exhausted_.size())) {
+      return util::Status::Corruption("FC draw count exceeds the budget's");
+    }
     while (picks_ < picks) Draw();
     return util::Status::OK();
   }
 
  private:
   static constexpr int kMaxRedraws = 64;
+
+  // The most draws a campaign over n resources makes. Choose() draws at
+  // most kMaxRedraws times (its scan fallback draws none), and one
+  // CampaignRuntime::DrawBatch call makes at most batch_size + 1 Choose()
+  // calls (one per task it assigns, and one that ends the batch) plus one
+  // per resource it marks exhausted. The runtime draws a batch only once
+  // the previous one is applied, and applying a non-empty batch either
+  // spends at least one budget unit (every cost is at least 1) or refunds
+  // its first task, which marks that task's resource exhausted. With a
+  // resources marked at an apply and d at a draw (a + d <= n: each is
+  // marked once), there are at most budget + a + 1 DrawBatch calls, and so
+  // at most (budget + a + 1) * (batch_size + 1) + d <= (budget + n + 1) *
+  // (batch_size + 1) Choose() calls. FC does not see OnAssigned, so one
+  // batch may send every task to one resource and refund all but its
+  // first: the bound must not assume a batch spends its size. Saturates
+  // where the product would not fit.
+  static uint64_t MaxPicks(const StrategyContext& ctx, size_t n) {
+    constexpr uint64_t kNoBound = std::numeric_limits<uint64_t>::max();
+    const uint64_t budget =
+        ctx.budget > 0 ? static_cast<uint64_t>(ctx.budget) : 0;
+    const uint64_t per_call =
+        (ctx.batch_size > 1 ? static_cast<uint64_t>(ctx.batch_size) : 1) + 1;
+    if (budget > kNoBound / 4 || n > kNoBound / 4) return kNoBound;
+    const uint64_t calls = budget + n + 1;
+    if (calls > kNoBound / kMaxRedraws / per_call) return kNoBound;
+    return kMaxRedraws * calls * per_call;
+  }
 
   ResourceId Draw() {
     ++picks_;

@@ -32,7 +32,6 @@
 #include "src/service/completion_source.h"
 
 // Simulation substrate: corpus, dataset pipeline, crowds.
-#include "src/sim/corpus_stream.h"
 #include "src/sim/crowd.h"
 #include "src/sim/dataset_io.h"
 #include "src/sim/dataset_prep.h"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -44,8 +45,15 @@ std::string JournalPath(const std::string& dir, CampaignId id) {
   return dir + "/campaign-" + std::to_string(id) + ".journal";
 }
 
-// Inverse of JournalPath on the basename; 0 when the name does not match
-// "campaign-<digits>.journal".
+// Recovering id k moves the next Submit to k + 1, so an id at or near
+// UINT64_MAX would wrap later Submits to 0, the scheduler's "queue
+// empty" value: such a campaign would never step. A journal name past
+// this id is taken as no id.
+constexpr CampaignId kMaxJournalId = std::numeric_limits<int64_t>::max();
+
+// Inverse of JournalPath on the basename; 0 (take a fresh id) when the
+// name does not match "campaign-<digits>.journal" or the digits pass
+// kMaxJournalId.
 CampaignId ParseJournalId(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   const std::string base =
@@ -65,7 +73,9 @@ CampaignId ParseJournalId(const std::string& path) {
   CampaignId id = 0;
   for (char ch : digits) {
     if (ch < '0' || ch > '9') return 0;
-    id = id * 10 + static_cast<CampaignId>(ch - '0');
+    const auto digit = static_cast<CampaignId>(ch - '0');
+    if (id > (kMaxJournalId - digit) / 10) return 0;
+    id = id * 10 + digit;
   }
   return id;
 }
@@ -1247,13 +1257,10 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
   // pool, a replay runs as a pool task while this thread registers the
   // next journal, at most one per worker at a time (this thread replays
   // itself when they are all busy); Recover returns once every replay
-  // has finished. Every trajectory table over shared posts is pinned
-  // until then: a recovered campaign that finishes during its replay
-  // would otherwise free its table, and the next journal on that dataset
-  // would build it again. A stream that owns its posts frees them when
-  // its campaign finishes, and a table pinned over them could be matched
-  // (by address) to a later stream allocated in their place, so such a
-  // table, which no other journal shares anyway, is not pinned.
+  // has finished. Every trajectory table is pinned until then: a
+  // recovered campaign that finishes during its replay would otherwise
+  // free its table, and the next journal on that dataset would build it
+  // again.
   std::vector<std::shared_ptr<const core::InitialState>> tables;
   const auto window = std::make_shared<ReplayWindow>();
   // Destroyed before `tables`: the replays touch the pinned tables.
@@ -1266,12 +1273,10 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
     auto config = factory(p.summary.submit);
     if (!config.ok()) return config.status();
     INCENTAG_RETURN_IF_ERROR(ValidateConfig(config.value()));
-    if (!config.value().stream->owns_store()) {
-      std::shared_ptr<const core::InitialState> table =
-          InitialStateFor(config.value());
-      if (std::find(tables.begin(), tables.end(), table) == tables.end()) {
-        tables.push_back(std::move(table));
-      }
+    std::shared_ptr<const core::InitialState> table =
+        InitialStateFor(config.value());
+    if (std::find(tables.begin(), tables.end(), table) == tables.end()) {
+      tables.push_back(std::move(table));
     }
     auto registered =
         RegisterRecovered(p.path, p.summary, std::move(config).value());

@@ -4,7 +4,7 @@
 // platform runs many — one per community/vocabulary/budget (cf.
 // arXiv:2104.01028, arXiv:2104.08504) — fed by asynchronous task
 // completions from the crowd. CampaignManager owns N independent
-// campaigns (each an EngineOptions + Strategy + PostStream + per-resource
+// campaigns (each an EngineOptions + Strategy + post store + per-resource
 // states wrapped in a core::CampaignRuntime) and drives them concurrently
 // on a fixed util::ThreadPool with an event-driven lifecycle:
 //
@@ -92,14 +92,12 @@ namespace service {
 
 class FleetHealth;
 
-// Everything one campaign needs. `initial_posts` and `references` must
-// outlive the manager (they are shared, read-only dataset vectors).
-// `strategy` and `stream` are owned by the campaign and must not be
-// shared across campaigns. The posts a stream reads may still be shared,
-// read-only dataset vectors (sim::PreparedDataset::MakeStream() reads
-// the dataset in place); those must outlive the manager too. Campaigns
-// over one post store share one trajectory table (core::InitialState);
-// a stream that owns its own copy of the posts gets a table of its own.
+// Everything one campaign needs. `initial_posts`, `references` and the
+// future posts `stream` reads (sim::PreparedDataset::MakeStream() reads
+// the dataset in place) are borrowed, read-only dataset vectors that
+// must outlive the manager. `strategy` and `stream` are owned by the
+// campaign and must not be shared across campaigns. Campaigns over one
+// post store share one trajectory table (core::InitialState).
 struct CampaignConfig {
   std::string name;
   core::EngineOptions options;

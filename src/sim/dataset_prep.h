@@ -68,10 +68,9 @@ struct PreparedDataset {
 
   size_t size() const { return initial_posts.size(); }
 
-  // A fresh replayable stream over the future posts. It reads
-  // `future_posts` in place and owns only its cursors, so every stream
-  // starts from the same state and any number of campaigns share one copy
-  // of the posts. The dataset must outlive the stream.
+  // A campaign's view of the future posts: it reads `future_posts` in
+  // place, so any number of campaigns share one copy of the posts. The
+  // dataset must outlive every campaign that reads it.
   core::VectorPostStream MakeStream() const {
     return core::VectorPostStream(&future_posts);
   }

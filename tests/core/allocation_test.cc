@@ -47,7 +47,7 @@ TEST(AllocationEngineTest, SpendsExactBudgetAndSumsAllocation) {
   options.omega = 2;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&rr, &stream);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().budget_spent, 5);
@@ -67,7 +67,7 @@ TEST(AllocationEngineTest, QualityMatchesManualComputation) {
   options.omega = 2;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;  // gives one post to each resource
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&rr, &stream);
   ASSERT_TRUE(report.ok());
   // Resource 0: posts {1},{1} -> cos with e_1 = 1.
@@ -84,7 +84,7 @@ TEST(AllocationEngineTest, InitialMetricsAtZeroCheckpoint) {
   options.checkpoints = {0, 2, 4};
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&rr, &stream);
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report.value().checkpoints.size(), 3u);
@@ -110,7 +110,7 @@ TEST(AllocationEngineTest, OverTaggedAndWastedAccounting) {
   options.omega = 2;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&rr, &stream);
   ASSERT_TRUE(report.ok());
   // Each resource: 1 initial + 3 tasks = 4 posts >= stable point 3.
@@ -128,7 +128,7 @@ TEST(AllocationEngineTest, UnderTaggedThresholdRespected) {
   options.under_tagged_threshold = 2;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&rr, &stream);
   ASSERT_TRUE(report.ok());
   // Final posts: 3 per resource > threshold 2: nothing under-tagged.
@@ -144,7 +144,7 @@ TEST(AllocationEngineTest, StopsEarlyWhenAllStreamsExhausted) {
   options.omega = 2;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&rr, &stream);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().stopped_early);
@@ -159,7 +159,7 @@ TEST(AllocationEngineTest, ExhaustionConsumesNoBudget) {
   options.omega = 2;
   AllocationEngine engine(options, &f.initial, &f.references);
   FewestPostsStrategy fp;  // would pick 0 first (fewest posts, tie by id)
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&fp, &stream);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().budget_spent, 3);
@@ -184,7 +184,7 @@ TEST(AllocationEngineTest, MisbehavedStrategyIsCaught) {
   options.budget = 2;
   AllocationEngine engine(options, &f.initial, &f.references);
   StubbornStrategy stubborn;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&stubborn, &stream);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), util::StatusCode::kInternal);
@@ -204,7 +204,7 @@ TEST(AllocationEngineTest, InvalidResourceIdIsCaught) {
   options.budget = 1;
   AllocationEngine engine(options, &f.initial, &f.references);
   RogueStrategy rogue;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&rogue, &stream);
   EXPECT_FALSE(report.ok());
 }
@@ -215,7 +215,8 @@ TEST(AllocationEngineTest, MismatchedStreamIsRejected) {
   options.budget = 1;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  VectorPostStream stream(std::vector<PostSequence>(3));  // wrong size
+  const std::vector<PostSequence> wrong_size(3);
+  VectorPostStream stream(&wrong_size);
   auto report = engine.Run(&rr, &stream);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), util::StatusCode::kInvalidArgument);
@@ -227,7 +228,7 @@ TEST(AllocationEngineTest, ZeroBudgetReportsInitialState) {
   options.budget = 0;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&rr, &stream);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().budget_spent, 0);
@@ -240,7 +241,7 @@ TEST(AllocationEngineTest, NegativeBudgetIsRejected) {
   options.budget = -1;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   EXPECT_FALSE(engine.Run(&rr, &stream).ok());
 }
 

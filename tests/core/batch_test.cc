@@ -45,7 +45,7 @@ RunReport RunEngine(BatchFixture* f, Strategy* strategy, int64_t budget,
   options.omega = 2;
   options.batch_size = batch_size;
   AllocationEngine engine(options, &f->initial, &f->references);
-  VectorPostStream stream(f->future);
+  VectorPostStream stream(&f->future);
   auto report = engine.Run(strategy, &stream);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return std::move(report).value();
@@ -87,7 +87,7 @@ TEST(BatchTest, BatchOneMatchesUnbatchedExactly) {
   options.budget = 15;
   options.omega = 2;  // defaults: batch_size = 1
   AllocationEngine engine(options, &f2.initial, &f2.references);
-  VectorPostStream stream(f2.future);
+  VectorPostStream stream(&f2.future);
   auto plain = engine.Run(&fp2, &stream);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(batched.allocation, plain.value().allocation);
@@ -138,7 +138,7 @@ TEST(BatchTest, FpmuWarmupCommitsAtAssignment) {
   options.batch_size = 3;
   AllocationEngine engine(options, &f.initial, &f.references);
   HybridFpMuStrategy fpmu;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&fpmu, &stream);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().budget_spent, 9);

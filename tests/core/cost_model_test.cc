@@ -61,7 +61,7 @@ TEST(CostModelEngineTest, BudgetChargedPerResourceCost) {
   options.costs = &costs;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&rr, &stream);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // RR alternates: tasks cost 2,3,2,3 = 10 exactly -> 2 tasks each.
@@ -79,7 +79,7 @@ TEST(CostModelEngineTest, UnaffordableResourceTreatedAsExhausted) {
   options.costs = &costs;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&rr, &stream);
   ASSERT_TRUE(report.ok());
   // Resource 1 never fits; the whole budget goes to resource 0.
@@ -97,7 +97,7 @@ TEST(CostModelEngineTest, LeftoverBudgetWhenNothingAffordable) {
   options.costs = &costs;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   auto report = engine.Run(&rr, &stream);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().budget_spent, 4);
@@ -112,7 +112,7 @@ TEST(CostModelEngineTest, MismatchedCostModelRejected) {
   options.costs = &costs;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   EXPECT_FALSE(engine.Run(&rr, &stream).ok());
 }
 
@@ -130,8 +130,8 @@ TEST(CostModelEngineTest, UnitCostsMatchDefaultEngine) {
   AllocationEngine engine_b(without_costs, &f.initial, &f.references);
   RoundRobinStrategy rr_a;
   RoundRobinStrategy rr_b;
-  VectorPostStream stream_a(f.future);
-  VectorPostStream stream_b(f.future);
+  VectorPostStream stream_a(&f.future);
+  VectorPostStream stream_b(&f.future);
   auto a = engine_a.Run(&rr_a, &stream_a);
   auto b = engine_b.Run(&rr_b, &stream_b);
   ASSERT_TRUE(a.ok() && b.ok());
@@ -200,8 +200,7 @@ TEST(DpWithCostsTest, PrefersCheaperEquivalentResource) {
   f.initial[0][0] = Post::FromTags({9});
   f.initial[1][0] = Post::FromTags({9});
   CostModel costs({1, 2});
-  VectorPostStream stream(f.future);
-  auto plan = DpPlanner::PlanWithCosts(f.initial, f.references, &stream, 4,
+  auto plan = DpPlanner::PlanWithCosts(f.initial, f.references, f.future, 4,
                                        costs);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   // 4 units buy 4 tasks on resource 0 vs 2 on resource 1; quality is
@@ -222,8 +221,7 @@ TEST(DpWithCostsTest, MatchesBruteForceOnSmallInstance) {
   CostModel costs({2, 3});
   const int64_t budget = 11;
 
-  VectorPostStream stream(f.future);
-  auto plan = DpPlanner::PlanWithCosts(f.initial, f.references, &stream,
+  auto plan = DpPlanner::PlanWithCosts(f.initial, f.references, f.future,
                                        budget, costs);
   ASSERT_TRUE(plan.ok());
 
@@ -251,12 +249,10 @@ TEST(DpWithCostsTest, MatchesBruteForceOnSmallInstance) {
 TEST(DpWithCostsTest, UnitCostsAllowFullSpend) {
   CostFixture f;
   CostModel costs = CostModel::Uniform(2, 1);
-  VectorPostStream stream(f.future);
   auto with_costs =
-      DpPlanner::PlanWithCosts(f.initial, f.references, &stream, 6, costs);
+      DpPlanner::PlanWithCosts(f.initial, f.references, f.future, 6, costs);
   ASSERT_TRUE(with_costs.ok());
-  VectorPostStream stream2(f.future);
-  auto exact = DpPlanner::Plan(f.initial, f.references, &stream2, 6);
+  auto exact = DpPlanner::Plan(f.initial, f.references, f.future, 6);
   ASSERT_TRUE(exact.ok());
   // Under <= semantics the optimum is at least the ==-constrained one.
   EXPECT_GE(with_costs.value().optimal_total_quality + 1e-12,
@@ -266,9 +262,8 @@ TEST(DpWithCostsTest, UnitCostsAllowFullSpend) {
 TEST(DpWithCostsTest, RejectsMismatchedCosts) {
   CostFixture f;
   CostModel costs = CostModel::Uniform(7);
-  VectorPostStream stream(f.future);
   EXPECT_FALSE(
-      DpPlanner::PlanWithCosts(f.initial, f.references, &stream, 3, costs)
+      DpPlanner::PlanWithCosts(f.initial, f.references, f.future, 3, costs)
           .ok());
 }
 

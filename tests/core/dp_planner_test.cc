@@ -90,8 +90,7 @@ TEST_P(DpVsBruteForceTest, DpMatchesExhaustiveSearch) {
   TinyProblem p = MakeRandomProblem(GetParam(), /*n=*/3, /*init_posts=*/4,
                                     /*future_posts=*/6);
   for (int64_t budget : {0, 1, 3, 5, 8}) {
-    VectorPostStream stream(p.future);
-    auto plan = DpPlanner::Plan(p.initial, p.references, &stream, budget);
+    auto plan = DpPlanner::Plan(p.initial, p.references, p.future, budget);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     const double brute = BruteForceOptimum(p, budget);
     EXPECT_NEAR(plan.value().optimal_total_quality, brute, 1e-9)
@@ -111,24 +110,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DpVsBruteForceTest,
 
 TEST(DpPlannerTest, ZeroBudgetAllocatesNothing) {
   TinyProblem p = MakeRandomProblem(5, 2, 3, 4);
-  VectorPostStream stream(p.future);
-  auto plan = DpPlanner::Plan(p.initial, p.references, &stream, 0);
+  auto plan = DpPlanner::Plan(p.initial, p.references, p.future, 0);
   ASSERT_TRUE(plan.ok());
   for (int64_t v : plan.value().allocation) EXPECT_EQ(v, 0);
 }
 
 TEST(DpPlannerTest, BudgetBeyondSupplyFails) {
   TinyProblem p = MakeRandomProblem(6, 2, 3, 4);
-  VectorPostStream stream(p.future);
-  auto plan = DpPlanner::Plan(p.initial, p.references, &stream, 9);
+  auto plan = DpPlanner::Plan(p.initial, p.references, p.future, 9);
   EXPECT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), util::StatusCode::kFailedPrecondition);
 }
 
 TEST(DpPlannerTest, BudgetEqualToSupplyTakesEverything) {
   TinyProblem p = MakeRandomProblem(7, 2, 3, 4);
-  VectorPostStream stream(p.future);
-  auto plan = DpPlanner::Plan(p.initial, p.references, &stream, 8);
+  auto plan = DpPlanner::Plan(p.initial, p.references, p.future, 8);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan.value().allocation[0], 4);
   EXPECT_EQ(plan.value().allocation[1], 4);
@@ -136,25 +132,22 @@ TEST(DpPlannerTest, BudgetEqualToSupplyTakesEverything) {
 
 TEST(DpPlannerTest, RejectsMismatchedInputs) {
   TinyProblem p = MakeRandomProblem(8, 2, 3, 4);
-  VectorPostStream stream(p.future);
   std::vector<ResourceReference> short_refs = {p.references[0]};
-  auto plan = DpPlanner::Plan(p.initial, short_refs, &stream, 1);
+  auto plan = DpPlanner::Plan(p.initial, short_refs, p.future, 1);
   EXPECT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(DpPlannerTest, RejectsEmptyProblemAndNegativeBudget) {
   TinyProblem p = MakeRandomProblem(9, 2, 3, 4);
-  VectorPostStream stream(p.future);
-  EXPECT_FALSE(DpPlanner::Plan({}, {}, &stream, 1).ok());
-  EXPECT_FALSE(DpPlanner::Plan(p.initial, p.references, &stream, -1).ok());
+  EXPECT_FALSE(DpPlanner::Plan({}, {}, p.future, 1).ok());
+  EXPECT_FALSE(DpPlanner::Plan(p.initial, p.references, p.future, -1).ok());
 }
 
 TEST(DpPlannerTest, QualityTableMatchesSequenceQuality) {
   TinyProblem p = MakeRandomProblem(10, 1, 5, 10);
-  VectorPostStream stream(p.future);
   std::vector<double> table = DpPlanner::QualityTable(
-      p.initial[0], p.references[0], &stream, 0, 10);
+      p.initial[0], p.references[0], p.future, 0, 10);
   ASSERT_EQ(table.size(), 11u);
   for (int64_t x = 0; x <= 10; ++x) {
     PostSequence combined = p.initial[0];
@@ -185,8 +178,7 @@ TEST(DpPlannerTest, PreferObviouslyBetterResource) {
       ResourceReference{RfdVector::FromWeights({{1, 1.0}}), 3});
   p.references.push_back(
       ResourceReference{RfdVector::FromWeights({{1, 1.0}}), 3});
-  VectorPostStream stream(p.future);
-  auto plan = DpPlanner::Plan(p.initial, p.references, &stream, 5);
+  auto plan = DpPlanner::Plan(p.initial, p.references, p.future, 5);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan.value().allocation[0], 5);
   EXPECT_EQ(plan.value().allocation[1], 0);

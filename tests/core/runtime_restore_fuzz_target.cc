@@ -91,7 +91,8 @@ std::unique_ptr<CampaignRuntime> RuntimeFuzzRuntime() {
       RuntimeFuzzOptions(), &dataset.initial_posts, &dataset.references);
 }
 
-// A fresh stream over the target's dataset.
+// A stream over the target's dataset: it borrows the static dataset's
+// future posts.
 incentag::core::VectorPostStream RuntimeFuzzStream() {
   return Dataset().MakeStream();
 }

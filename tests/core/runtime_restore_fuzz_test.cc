@@ -4,8 +4,9 @@
 // dataset: at t=0, mid-batch with assignments outstanding, and at the end
 // of the budget, each against both tables. Each seed and its seeded
 // mutations (truncations, bit flips, counts inflated past what the blob
-// holds) go through the target; a finding aborts the process with the
-// failed check.
+// holds) go through the target, and so do FC blobs whose draw count is
+// inflated past the budget; a finding aborts the process with the failed
+// check.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -119,6 +120,39 @@ TEST(RuntimeRestoreFuzzTest, SeedCorpusAndMutations) {
         for (const std::string& mutant : Mutants(seed, &rng, 150)) {
           RunTarget(mutant);
         }
+      }
+    }
+  }
+}
+
+// FC restores its picker by redrawing the blob's draw count, so a count
+// past what the campaign's budget allows is refused before any draw: a
+// CRC-valid blob with 2^40 there would otherwise stall for hours, and one
+// with 0xFFFFFFFF for ~35 s.
+TEST(RuntimeRestoreFuzzTest, FcDrawCountPastTheBudgetIsRejected) {
+  constexpr uint8_t kFc = 4;
+  const size_t n = RuntimeFuzzRuntime()->num_resources();
+  for (const std::string& blob : Snapshots(kFc, 3)) {
+    // FC's state ends the blob: draws (u64), n (u64), n exhausted flags.
+    const size_t draws_at = blob.size() - (8 + 8 + n);
+    for (uint64_t draws : {uint64_t{1} << 40, uint64_t{0xFFFFFFFF}}) {
+      std::string inflated = blob;
+      std::string word;
+      util::wire::PutU64(&word, draws);
+      inflated.replace(draws_at, 8, word);
+      for (uint8_t table : {uint8_t{0}, uint8_t{1}}) {
+        RunTarget(Input(kFc, table, inflated));
+        std::shared_ptr<void> context;
+        std::unique_ptr<Strategy> strategy =
+            RuntimeFuzzStrategy(kFc, &context);
+        VectorPostStream stream = RuntimeFuzzStream();
+        std::unique_ptr<CampaignRuntime> runtime = RuntimeFuzzRuntime();
+        EXPECT_EQ(runtime
+                      ->RestoreResumableState(inflated, strategy.get(),
+                                              &stream, RuntimeFuzzTable(table))
+                      .code(),
+                  util::StatusCode::kCorruption)
+            << draws << " table " << int{table};
       }
     }
   }

@@ -120,7 +120,7 @@ void CheckRoundTrip(
   RunReport want;
   {
     auto strategy = make_strategy();
-    VectorPostStream stream(f.future);
+    VectorPostStream stream(&f.future);
     CampaignRuntime rt(options, &f.initial, &f.references);
     ASSERT_TRUE(rt.Begin(strategy.get(), &stream).ok()) << label;
     std::deque<ResourceId> pending;
@@ -132,7 +132,7 @@ void CheckRoundTrip(
   std::deque<ResourceId> pending;
   {
     auto strategy = make_strategy();
-    VectorPostStream stream(f.future);
+    VectorPostStream stream(&f.future);
     CampaignRuntime rt(options, &f.initial, &f.references);
     ASSERT_TRUE(rt.Begin(strategy.get(), &stream).ok()) << label;
     std::vector<ResourceId> batch;
@@ -162,7 +162,7 @@ void CheckRoundTrip(
   // Restore into an entirely fresh world and finish.
   {
     auto strategy = make_strategy();
-    VectorPostStream stream(f.future);
+    VectorPostStream stream(&f.future);
     CampaignRuntime rt(options, &f.initial, &f.references);
     ASSERT_TRUE(
         rt.RestoreResumableState(state, strategy.get(), &stream).ok())
@@ -228,6 +228,53 @@ TEST_F(RuntimeSnapshotTest, FreeChoiceRoundTripsWithDeterministicPicker) {
   }
 }
 
+// FC does not see OnAssigned, so a picker stuck on one resource sends a
+// whole batch there and all but one task is refunded; once that resource
+// is dry every Choose() redraws kMaxRedraws times before its scan. The
+// draw count of such a campaign is far above one batch per budget unit,
+// and its snapshot at the end must still restore.
+TEST_F(RuntimeSnapshotTest, FreeChoiceRestoresAStuckPickersDrawCount) {
+  Fixture f = fixture_;
+  for (PostSequence& future : f.future) future.resize(1);
+  const int64_t n = static_cast<int64_t>(f.initial.size());
+  const EngineOptions options = MakeOptions(2 * n, 8);
+  auto make = [] {
+    return std::make_unique<FreeChoiceStrategy>([] { return ResourceId{0}; });
+  };
+
+  std::string state;
+  {
+    auto strategy = make();
+    VectorPostStream stream(&f.future);
+    CampaignRuntime rt(options, &f.initial, &f.references);
+    ASSERT_TRUE(rt.Begin(strategy.get(), &stream).ok());
+    std::vector<ResourceId> batch;
+    while (!rt.done()) {
+      ASSERT_TRUE(rt.DrawBatch(&batch).ok());
+      for (ResourceId r : batch) rt.ApplyCompletion(r);
+    }
+    EXPECT_EQ(rt.spent(), n);  // one post each, then every resource is dry
+    ASSERT_TRUE(rt.SerializeResumableState(&state).ok());
+    std::string fc;
+    strategy->SerializeState(&fc);
+    util::wire::Reader in(fc);
+    uint64_t draws = 0;
+    ASSERT_TRUE(in.GetU64(&draws));
+    // More than a bound that assumes a batch's tasks are mostly spent,
+    // kMaxRedraws * (2 * budget + n + 1), allows.
+    EXPECT_GT(draws, uint64_t{64} * static_cast<uint64_t>(2 * 2 * n + n + 1))
+        << draws;
+  }
+
+  auto strategy = make();
+  VectorPostStream stream(&f.future);
+  CampaignRuntime rt(options, &f.initial, &f.references);
+  ASSERT_TRUE(rt.RestoreResumableState(state, strategy.get(), &stream).ok());
+  std::string again;
+  ASSERT_TRUE(rt.SerializeResumableState(&again).ok());
+  EXPECT_EQ(again, state);
+}
+
 TEST_F(RuntimeSnapshotTest, CostAwareFpRoundTrips) {
   std::vector<int64_t> costs;
   for (size_t i = 0; i < fixture_.initial.size(); ++i) {
@@ -255,7 +302,7 @@ TEST_F(RuntimeSnapshotTest, PlanStrategyRoundTrips) {
 
 TEST_F(RuntimeSnapshotTest, RestoreRejectsDamagedState) {
   auto strategy = std::make_unique<FewestPostsStrategy>();
-  VectorPostStream stream(fixture_.future);
+  VectorPostStream stream(&fixture_.future);
   CampaignRuntime rt(MakeOptions(100, 1), &fixture_.initial,
                      &fixture_.references);
   ASSERT_TRUE(rt.Begin(strategy.get(), &stream).ok());
@@ -268,7 +315,7 @@ TEST_F(RuntimeSnapshotTest, RestoreRejectsDamagedState) {
   for (size_t cut : {size_t{0}, size_t{3}, state.size() / 2,
                      state.size() - 1}) {
     auto fresh_strategy = std::make_unique<FewestPostsStrategy>();
-    VectorPostStream fresh_stream(fixture_.future);
+    VectorPostStream fresh_stream(&fixture_.future);
     CampaignRuntime fresh(MakeOptions(100, 1), &fixture_.initial,
                           &fixture_.references);
     EXPECT_FALSE(fresh
@@ -365,7 +412,7 @@ TEST(SnapshotGoldenTest, TagCountsAndMaTrackerBytes) {
 // Fingerprint of SerializeResumableState halfway through a campaign.
 std::string MidRunStateFingerprint(const Fixture& f, Strategy* strategy) {
   const EngineOptions options = MakeOptions(200, 1);
-  VectorPostStream stream(f.future);
+  VectorPostStream stream(&f.future);
   CampaignRuntime rt(options, &f.initial, &f.references);
   EXPECT_TRUE(rt.Begin(strategy, &stream).ok());
   std::vector<ResourceId> batch;
@@ -482,7 +529,7 @@ std::string GoldenDigest(
         options.omega = omega;
         options.under_tagged_threshold = 6;
         auto strategy = make_strategy();
-        VectorPostStream stream(f.future);
+        VectorPostStream stream(&f.future);
         CampaignRuntime rt(options, &f.initial, &f.references);
         EXPECT_TRUE(rt.Begin(strategy.get(), &stream).ok());
         std::string state;

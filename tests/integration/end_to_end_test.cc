@@ -76,10 +76,9 @@ TEST_F(EndToEndTest, StrategyQualityOrderingMatchesThePaper) {
   quality["MU"] = RunStrategy(&mu).final_metrics.avg_quality;
   quality["FP-MU"] = RunStrategy(&fpmu).final_metrics.avg_quality;
 
-  core::VectorPostStream dp_stream = dataset_->MakeStream();
   auto plan = core::DpPlanner::Plan(dataset_->initial_posts,
-                                    dataset_->references, &dp_stream,
-                                    kBudget);
+                                    dataset_->references,
+                                    dataset_->future_posts, kBudget);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   core::PlanStrategy dp(plan.value().allocation);
   quality["DP"] = RunStrategy(&dp).final_metrics.avg_quality;
@@ -153,9 +152,9 @@ TEST_F(EndToEndTest, RunsAreDeterministic) {
 TEST_F(EndToEndTest, DpBeatsEveryRandomAllocationSample) {
   // DP's objective dominates arbitrary alternative allocations evaluated
   // through the same engine. (Spot check of optimality at system level.)
-  core::VectorPostStream dp_stream = dataset_->MakeStream();
   auto plan = core::DpPlanner::Plan(dataset_->initial_posts,
-                                    dataset_->references, &dp_stream, 50);
+                                    dataset_->references,
+                                    dataset_->future_posts, 50);
   ASSERT_TRUE(plan.ok());
 
   core::EngineOptions options;

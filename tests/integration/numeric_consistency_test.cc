@@ -99,10 +99,9 @@ TEST_F(NumericConsistencyTest, DpObjectiveEqualsEngineEvaluation) {
   // The planner's reported optimum, scaled to an average, must equal what
   // the engine measures when the plan is executed.
   const int64_t budget = 80;
-  core::VectorPostStream plan_stream = dataset_->MakeStream();
   auto plan = core::DpPlanner::Plan(dataset_->initial_posts,
-                                    dataset_->references, &plan_stream,
-                                    budget);
+                                    dataset_->references,
+                                    dataset_->future_posts, budget);
   ASSERT_TRUE(plan.ok());
 
   core::EngineOptions options;
@@ -125,10 +124,9 @@ TEST_F(NumericConsistencyTest, CostAwareDpIsMonotoneInBudget) {
   core::CostModel costs = core::CostModel::Uniform(dataset_->size(), 2);
   double prev = -1.0;
   for (int64_t budget : {0, 20, 60, 120}) {
-    core::VectorPostStream stream = dataset_->MakeStream();
-    auto plan = core::DpPlanner::PlanWithCosts(dataset_->initial_posts,
-                                               dataset_->references,
-                                               &stream, budget, costs);
+    auto plan = core::DpPlanner::PlanWithCosts(
+        dataset_->initial_posts, dataset_->references,
+        dataset_->future_posts, budget, costs);
     ASSERT_TRUE(plan.ok());
     EXPECT_GE(plan.value().optimal_total_quality + 1e-12, prev)
         << "budget=" << budget;
@@ -138,10 +136,9 @@ TEST_F(NumericConsistencyTest, CostAwareDpIsMonotoneInBudget) {
 
 TEST_F(NumericConsistencyTest, DpDominatesEveryPracticalStrategy) {
   const int64_t budget = 120;
-  core::VectorPostStream plan_stream = dataset_->MakeStream();
   auto plan = core::DpPlanner::Plan(dataset_->initial_posts,
-                                    dataset_->references, &plan_stream,
-                                    budget);
+                                    dataset_->references,
+                                    dataset_->future_posts, budget);
   ASSERT_TRUE(plan.ok());
   const double dp_avg = plan.value().optimal_total_quality /
                         static_cast<double>(dataset_->size());

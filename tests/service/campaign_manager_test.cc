@@ -349,6 +349,9 @@ class SilentCompletionSource : public CompletionSource {
 };
 
 TEST_F(CampaignManagerTest, CampaignsOverOneStoreShareOneTrajectoryTable) {
+  // A second store with the same posts; like every store, it outlives
+  // the manager.
+  const std::vector<core::PostSequence> copy = dataset_->future_posts;
   SilentCompletionSource silent;
   ManagerOptions options;
   options.num_threads = 2;
@@ -363,9 +366,9 @@ TEST_F(CampaignManagerTest, CampaignsOverOneStoreShareOneTrajectoryTable) {
   // Two campaigns over MakeStream() share the dataset's store.
   submit(MakeConfig(0, 1000, 1));
   submit(MakeConfig(1, 1000, 2));
-  // One over its own copy of the posts, and one with another omega.
+  // One over the copy, and one with another omega.
   CampaignConfig own = MakeConfig(2, 1000, 3);
-  own.stream = std::make_unique<core::VectorPostStream>(dataset_->future_posts);
+  own.stream = std::make_unique<core::VectorPostStream>(&copy);
   submit(std::move(own));
   CampaignConfig other_omega = MakeConfig(3, 1000, 4);
   other_omega.options.omega = 3;

@@ -146,7 +146,8 @@ class FleetIsolationTest : public ::testing::Test {
     std::shared_ptr<void> context;
     auto strategy = sim::MakeStrategyByName(
         StrategyOf(index), dataset_->popularity, 0, &context);
-    core::VectorPostStream stream(dataset_->future_posts);
+    const std::vector<core::PostSequence> posts = dataset_->future_posts;
+    core::VectorPostStream stream(&posts);
     core::CampaignRuntime runtime(MakeOptions(index),
                                   &dataset_->initial_posts,
                                   &dataset_->references);

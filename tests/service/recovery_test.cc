@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -255,9 +256,28 @@ class RecoveryTest : public ::testing::Test {
     manager.Shutdown();
   }
 
+  // Future posts that differ per seed % 4: each resource's sequence
+  // without its first seed % 4 + 1 posts, when it has more. Built on
+  // first use and kept by the fixture, so a store outlives every manager.
+  const std::vector<core::PostSequence>* StoreFor(uint64_t seed) {
+    const size_t drop = seed % 4 + 1;
+    auto [it, inserted] = stores_.try_emplace(drop);
+    if (inserted) {
+      it->second = dataset_->future_posts;
+      for (core::PostSequence& sequence : it->second) {
+        if (sequence.size() > drop) {
+          sequence.erase(sequence.begin(),
+                         sequence.begin() + static_cast<std::ptrdiff_t>(drop));
+        }
+      }
+    }
+    return &it->second;
+  }
+
   static sim::Corpus* corpus_;
   static sim::PreparedDataset* dataset_;
   fs::path dir_;
+  std::map<size_t, std::vector<core::PostSequence>> stores_;
 };
 
 sim::Corpus* RecoveryTest::corpus_ = nullptr;
@@ -390,6 +410,47 @@ TEST_F(RecoveryTest, RecoveredIdsAreStableAndNewSubmitsDoNotCollide) {
   }
 }
 
+// A journal name whose id a later Submit could not follow recovers under
+// a fresh id: UINT64_MAX and UINT64_MAX - 1 would move the next Submits
+// to id 0, the scheduler's "queue empty" value, under which a campaign
+// never steps and Shutdown waits for ever; 25 digits overflow 64 bits.
+TEST_F(RecoveryTest, JournalIdsPastTheIdRangeRecoverUnderFreshIds) {
+  const int kind = 1;
+  const int64_t budget = 300;
+  const std::vector<std::string> names = {
+      "campaign-18446744073709551615.journal",
+      "campaign-18446744073709551614.journal",
+      "campaign-1234567890123456789012345.journal"};
+  for (size_t k = 0; k < names.size(); ++k) {
+    KillMidRun(kind, budget, /*seed=*/8 + k, /*kill_after=*/100);
+    fs::rename(dir_ / "campaign-1.journal", dir_ / names[k]);
+  }
+
+  ManagerOptions options;
+  options.num_threads = 2;
+  options.journal_dir = dir_.string();
+  CampaignManager manager(options);
+  auto ids = manager.Recover(dir_.string(), Factory);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  std::vector<CampaignId> recovered = ids.value();
+  std::sort(recovered.begin(), recovered.end());
+  EXPECT_EQ(recovered, (std::vector<CampaignId>{1, 2, 3}));
+  std::vector<CampaignId> all = recovered;
+  for (uint64_t seed : {20u, 21u}) {
+    auto fresh = manager.Submit(MakeConfig(kind, budget, seed));
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_NE(fresh.value(), 0u);
+    all.push_back(fresh.value());
+  }
+  EXPECT_EQ(all.back(), 5u);
+  for (CampaignId id : all) {
+    auto result = manager.WaitFor(id, milliseconds(10000));
+    ASSERT_TRUE(result.ok()) << id << ": " << result.status().ToString();
+    EXPECT_EQ(result.value().state, CampaignState::kDone) << id;
+  }
+  manager.Shutdown();
+}
+
 // Recovery is all or nothing: mid-journal damage in one file aborts
 // Recover before any campaign is registered or any good journal is
 // reopened, and once the bad file is gone both good journals resume to
@@ -493,29 +554,13 @@ TEST_F(RecoveryTest, RecoverBuildsEachTrajectoryTableOnce) {
   EXPECT_EQ(recovered.num_initial_states(), 0u);
 }
 
-// Future posts that differ per seed, owned by the stream: each resource's
-// sequence without its first seed % 4 + 1 posts, when it has more.
-core::VectorPostStream OwningStream(const sim::PreparedDataset& dataset,
-                                    uint64_t seed) {
-  std::vector<core::PostSequence> posts = dataset.future_posts;
-  const size_t drop = seed % 4 + 1;
-  for (core::PostSequence& sequence : posts) {
-    if (sequence.size() > drop) {
-      sequence.erase(sequence.begin(),
-                     sequence.begin() + static_cast<std::ptrdiff_t>(drop));
-    }
-  }
-  return core::VectorPostStream(std::move(posts));
-}
-
-// A stream that owns its posts frees them when its campaign finishes, so
-// Recover must not keep that campaign's trajectory table alive: a later
-// journal's stream allocated where those posts were would match it by
-// address. Each journal here finishes during its replay; when the
-// factory runs for the next one, no table may be left.
-TEST_F(RecoveryTest, RecoverKeepsNoTableOverAFinishedStreamsOwnPosts) {
+// Recover pins every trajectory table until it returns, so journals over
+// one borrowed store share one table even when a campaign finishes
+// during its replay, and a table is built once per store.
+TEST_F(RecoveryTest, RecoverPinsOneTablePerBorrowedStore) {
+  // Seeds 21 and 25 share a store (21 % 4 == 25 % 4); the rest differ.
   const std::vector<Run> runs = {{0, 200, 21}, {1, 220, 22}, {3, 240, 23},
-                                 {0, 210, 24}};
+                                 {0, 210, 25}};
   {
     ManagerOptions options;
     options.deterministic = true;
@@ -524,7 +569,7 @@ TEST_F(RecoveryTest, RecoverKeepsNoTableOverAFinishedStreamsOwnPosts) {
     for (const Run& run : runs) {
       CampaignConfig config = MakeConfig(run.kind, run.budget, run.seed);
       config.stream = std::make_unique<core::VectorPostStream>(
-          OwningStream(*dataset_, run.seed));
+          StoreFor(run.seed));
       ASSERT_TRUE(manager.Submit(std::move(config)).ok());
     }
     manager.Shutdown();
@@ -536,24 +581,20 @@ TEST_F(RecoveryTest, RecoverKeepsNoTableOverAFinishedStreamsOwnPosts) {
   ManagerOptions options;
   options.deterministic = true;
   CampaignManager recovered(options);
-  size_t most_tables_at_factory = 0;
   auto ids = recovered.Recover(
       dir_.string(),
       [&](const persist::SubmitRecord& record)
           -> util::Result<CampaignConfig> {
-        most_tables_at_factory =
-            std::max(most_tables_at_factory, recovered.num_initial_states());
         auto config = Factory(record);
         if (config.ok()) {
           config.value().stream = std::make_unique<core::VectorPostStream>(
-              OwningStream(*dataset_, record.seed));
+              StoreFor(record.seed));
         }
         return config;
       });
   ASSERT_TRUE(ids.ok()) << ids.status().ToString();
   ASSERT_EQ(ids.value().size(), runs.size());
-  EXPECT_EQ(most_tables_at_factory, 0u);
-  EXPECT_EQ(tables->Value() - before, static_cast<int64_t>(runs.size()));
+  EXPECT_EQ(tables->Value() - before, 3);
   EXPECT_EQ(recovered.num_initial_states(), 0u);
   for (size_t k = 0; k < runs.size(); ++k) {
     const Run& run = runs[k];
@@ -564,7 +605,7 @@ TEST_F(RecoveryTest, RecoverKeepsNoTableOverAFinishedStreamsOwnPosts) {
     core::AllocationEngine engine(MakeOptions(run.kind, run.budget),
                                   &dataset_->initial_posts,
                                   &dataset_->references);
-    core::VectorPostStream stream = OwningStream(*dataset_, run.seed);
+    core::VectorPostStream stream(StoreFor(run.seed));
     auto want = engine.Run(strategy.get(), &stream);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     auto result = recovered.WaitFor(ids.value()[k], milliseconds(1));

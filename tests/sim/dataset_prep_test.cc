@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -174,16 +175,22 @@ TEST_F(DatasetPrepTest, MakeStreamReplaysFuturePosts) {
   const PreparedDataset& ds = prep.value();
   core::VectorPostStream stream = ds.MakeStream();
   ASSERT_EQ(stream.num_resources(), ds.size());
-  ASSERT_TRUE(stream.HasNext(0));
   // The stream reads the dataset's posts in place rather than copying.
-  EXPECT_EQ(&ds.MakeStream().Peek(0, 0), &ds.future_posts[0][0]);
-  EXPECT_EQ(stream.Next(0), ds.future_posts[0][0]);
-  // A second stream starts fresh: advancing the first moved only its own
-  // cursor.
-  core::VectorPostStream stream2 = ds.MakeStream();
-  EXPECT_EQ(stream.Consumed(0), 1);
-  EXPECT_EQ(stream2.Consumed(0), 0);
-  EXPECT_EQ(&stream2.Next(0), &ds.future_posts[0][0]);
+  EXPECT_EQ(&stream.store(), &ds.future_posts);
+  // Resource i's k-th future post is post c_i + k of its source
+  // sequence, so drawing past the year from the corpus continues it.
+  size_t checked = 0;
+  for (size_t i = 0; i < std::min<size_t>(ds.size(), 5); ++i) {
+    const auto c_i = static_cast<int64_t>(ds.initial_posts[i].size());
+    for (size_t k = 0; k < std::min<size_t>(ds.future_posts[i].size(), 10);
+         ++k, ++checked) {
+      EXPECT_EQ(corpus_->SamplePost(ds.source_ids[i],
+                                    c_i + static_cast<int64_t>(k)),
+                ds.future_posts[i][k])
+          << i << " " << k;
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST_F(DatasetPrepTest, ExtendFutureGrowsSupply) {
