@@ -230,6 +230,121 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(SchedulerPolicyName(info.param));
     });
 
+// ---- pinned pop order --------------------------------------------------
+
+std::unique_ptr<Scheduler> NewScheduler(SchedulerPolicy policy,
+                                        int64_t starvation_limit,
+                                        int64_t base_quantum) {
+  SchedulerOptions options;
+  options.policy = policy;
+  options.starvation_limit = starvation_limit;
+  options.base_quantum = base_quantum;
+  return MakeScheduler(options);
+}
+
+uint64_t SplitMix64(uint64_t* state) {
+  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+// FNV-1a over the eight little-endian bytes of `value`.
+uint64_t Fnv1a(uint64_t hash, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xff;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+struct PinnedOrder {
+  SchedulerPolicy policy;
+  int64_t starvation_limit;
+  uint64_t digest;  // recorded from the original per-policy classes
+};
+
+class SchedulerTest : public ::testing::TestWithParam<PinnedOrder> {};
+
+// A seeded script of Register / Enqueue / PopNext / Quantum / Unregister
+// over 300 ids with mixed classes, folded into an FNV-1a digest of every
+// popped id and its quantum. Any change to the pop order, the aging, the
+// starvation backstop or the quantum rule moves the digest. Enqueue keeps
+// the manager's protocol (an id is queued at most once). Each dated id's
+// deadline is 1000 s x id, so ids sit >= 1000 s apart and the
+// microseconds between Register calls (EDF's clock starts there) never
+// reorder them; aging moves a deadline by 0.05 s per skip, and no entry
+// is skipped anywhere near 20,000 times.
+TEST_P(SchedulerTest, PopOrderIsPinned) {
+  const PinnedOrder& pinned = GetParam();
+  constexpr CampaignId kIds = 300;
+  constexpr int kOps = 8000;
+  std::unique_ptr<Scheduler> scheduler =
+      NewScheduler(pinned.policy, pinned.starvation_limit, 16);
+  std::vector<bool> queued(kIds + 1, false);
+  uint64_t rng = 20261019;
+  uint64_t digest = 0xcbf29ce484222325ull;
+  int64_t pops = 0;
+  const auto pop = [&] {
+    const CampaignId id = scheduler->PopNext();
+    if (id == 0) return false;
+    queued[id] = false;
+    ++pops;
+    digest = Fnv1a(Fnv1a(digest, id),
+                   static_cast<uint64_t>(scheduler->Quantum(id)));
+    return true;
+  };
+  for (int op = 0; op < kOps; ++op) {
+    const uint64_t r = SplitMix64(&rng);
+    const auto id = static_cast<CampaignId>(1 + (r >> 8) % kIds);
+    const uint64_t kind = r % 16;
+    if (kind < 2) {
+      // Priorities -4..95: some clamp to 1, some pass the weight cap.
+      const auto priority = static_cast<int32_t>((r >> 24) % 100) - 4;
+      const double deadline =
+          (r >> 40) % 3 == 0 ? 0.0 : 1000.0 * static_cast<double>(id);
+      scheduler->Register(id, ScheduleParams{priority, deadline});
+    } else if (kind < 8) {
+      if (!queued[id]) {
+        queued[id] = true;
+        scheduler->Enqueue(id);
+      }
+    } else if (kind < 13) {
+      pop();
+    } else if (kind < 14) {
+      scheduler->Unregister(id);
+      queued[id] = false;
+    } else {
+      // Quantum of any id, registered or not, queued or not.
+      digest = Fnv1a(digest, static_cast<uint64_t>(scheduler->Quantum(id)));
+    }
+  }
+  while (pop()) {
+  }
+  EXPECT_EQ(std::count(queued.begin(), queued.end(), true), 0);
+  EXPECT_GT(pops, kOps / 4);
+  EXPECT_EQ(digest, pinned.digest)
+      << std::hex << "0x" << digest << " after " << std::dec << pops
+      << " pops";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, SchedulerTest,
+    ::testing::Values(
+        PinnedOrder{SchedulerPolicy::kRoundRobin, 64, 0x9807160300b1c18dull},
+        PinnedOrder{SchedulerPolicy::kRoundRobin, 4, 0x9807160300b1c18dull},
+        PinnedOrder{SchedulerPolicy::kRoundRobin, 0, 0x9807160300b1c18dull},
+        PinnedOrder{SchedulerPolicy::kPriority, 64, 0x53d542e71a6d933bull},
+        PinnedOrder{SchedulerPolicy::kPriority, 4, 0x67ac636a275ba38dull},
+        PinnedOrder{SchedulerPolicy::kPriority, 0, 0xcaa820b8764639fcull},
+        PinnedOrder{SchedulerPolicy::kDeadline, 64, 0x335d689b519289eaull},
+        PinnedOrder{SchedulerPolicy::kDeadline, 4, 0x5294936693e39dc1ull},
+        PinnedOrder{SchedulerPolicy::kDeadline, 0, 0x23e6282999d38c83ull}),
+    [](const ::testing::TestParamInfo<PinnedOrder>& info) {
+      return std::string(SchedulerPolicyName(info.param.policy)) + "_limit" +
+             std::to_string(info.param.starvation_limit);
+    });
+
 TEST(SchedulerTest, UnregisterDropsReadyEntries) {
   SchedulerOptions options;
   PriorityScheduler scheduler(options);
