@@ -75,17 +75,17 @@ struct EngineOptions {
   // stale by up to batch_size-1 tasks. 1 reproduces Algorithm 1 exactly.
   int64_t batch_size = 1;
   // Scheduling class when the campaign runs under the service layer's
-  // pluggable scheduler (src/service/scheduler/). The core engine itself
+  // scheduler (src/service/scheduler/). The core engine itself
   // ignores both fields; they live here because they are deterministic
   // campaign inputs — journaled in the SubmitRecord (format v3) and
   // restored at recovery, like budget and batch_size.
   //
-  // PriorityScheduler weight: >= 1; higher = ranked first and given
-  // proportionally larger quanta. Values < 1 are treated as 1.
+  // Weight under the priority policy: >= 1; higher = ranked first and
+  // given proportionally larger quanta. Values < 1 are treated as 1.
   int32_t priority = 1;
   // Relative completion deadline in seconds from Submit (recovery
-  // restarts the clock); <= 0 means none. DeadlineScheduler's EDF key
-  // and the source of CampaignStatus::deadline_slack_seconds.
+  // restarts the clock); <= 0 means none. The EDF policy's key and the
+  // source of CampaignStatus::deadline_slack_seconds.
   double deadline_seconds = 0.0;
 };
 

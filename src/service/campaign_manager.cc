@@ -354,8 +354,8 @@ struct CampaignManager::Shard {
 CampaignManager::CampaignManager(ManagerOptions options)
     : options_(options) {
   if (options_.tasks_per_step <= 0) options_.tasks_per_step = 1;
-  options_.scheduler.base_quantum = options_.tasks_per_step;
-  scheduler_ = MakeScheduler(options_.scheduler);
+  scheduler_ =
+      std::make_unique<Scheduler>(options_.scheduler, options_.tasks_per_step);
   // Register the service instruments now, so /metrics lists them (at
   // zero) before the first campaign steps.
   ServiceMetrics::Get();

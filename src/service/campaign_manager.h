@@ -35,7 +35,7 @@
 //     and are re-ordered into assignment order before application, so a
 //     campaign's result is independent of tagger timing.
 //   * Which campaign a free worker steps next — and how many completions
-//     it may apply before yielding — is policy, delegated to a pluggable
+//     it may apply before yielding — is policy, delegated to the
 //     Scheduler (src/service/scheduler/): round-robin (default,
 //     pre-scheduler behavior), priority (weighted quanta), or EDF over
 //     per-campaign deadlines. Each enqueue of a runnable campaign pairs
@@ -218,14 +218,13 @@ struct ManagerOptions {
   bool deterministic = false;
   // Completions applied per scheduling quantum before a campaign yields
   // its worker — the fairness knob between campaign count and latency.
-  // This is the scheduler's base quantum; PriorityScheduler scales it
-  // per campaign (see SchedulerOptions::max_quantum_weight).
+  // This is the scheduler's base quantum; the priority policy scales it
+  // by the campaign's weight, capped at 64.
   int64_t tasks_per_step = 256;
-  // Cross-campaign stepping policy and its knobs (dispatch order,
-  // weighted quanta, aging). The policy defaults to round-robin —
-  // byte-identical behavior to the pre-scheduler manager.
-  // `scheduler.base_quantum` is overwritten with tasks_per_step.
-  // Campaigns carry their own class in core::EngineOptions::priority /
+  // Cross-campaign stepping policy (dispatch order, weighted quanta,
+  // aging) and its starvation bound. The policy defaults to round-robin
+  // — byte-identical behavior to the pre-scheduler manager. Campaigns
+  // carry their own class in core::EngineOptions::priority /
   // deadline_seconds.
   SchedulerOptions scheduler;
   // Tagger crowd; null means an internal InlineCompletionSource. An

@@ -1,48 +1,60 @@
-// Scheduler: pluggable cross-campaign stepping policy for the service
-// layer.
+// Scheduler: the service layer's cross-campaign stepping policy.
 //
 // The paper's incentive campaigns are budgeted, long-lived processes; a
 // production fleet runs hundreds of them against a fixed worker pool, and
 // "which campaign steps next, and for how long" is policy, not plumbing
 // (cf. the budget/deadline pacing concerns of arXiv:1709.00197 and
-// arXiv:2104.08504). A Scheduler owns two decisions the CampaignManager
-// used to hard-code:
+// arXiv:2104.08504). The Scheduler owns two decisions:
 //
 //   * dispatch order — the ready queue of runnable campaigns. The manager
 //     enqueues a campaign when it becomes runnable (submitted, completion
 //     arrived, quantum expired) and pairs each Enqueue with one generic
 //     dispatch task on the worker pool; the dispatch pops whichever
-//     campaign the policy ranks first. Round-robin pops FIFO (exactly the
-//     pre-scheduler pool order), priority pops the highest weight,
-//     deadline pops earliest-deadline-first (EDF).
+//     campaign the policy ranks first. Round-robin pops the front of the
+//     queue (FIFO, no scan); priority and EDF scan it for the smallest
+//     rank key, oldest first on ties:
+//       priority: -(priority + 0.5 x skips)   highest weight first
+//       edf:      deadline - 0.05 s x skips   earliest deadline first
+//     `skips` counts the pops that passed the entry over since it was
+//     enqueued, so a waiting entry's rank improves (aging). A deadline is
+//     absolute — Register time plus the relative deadline, on the
+//     scheduler's own clock — and a campaign without one ranks behind
+//     every dated one.
 //   * quantum size — how many completions the popped campaign may apply
-//     before it must yield its worker. Round-robin and EDF use the base
-//     quantum (ManagerOptions::tasks_per_step); priority scales it by the
-//     campaign's weight so high-priority campaigns do proportionally more
-//     work per trip through the queue.
+//     before it must yield its worker: the base quantum
+//     (ManagerOptions::tasks_per_step), scaled under priority by the
+//     campaign's weight capped at 64, so high-priority campaigns do
+//     proportionally more work per trip through the queue.
 //
-// Starvation: both ranked policies age entries — every time PopNext
-// passes an entry over, its effective rank improves — and enforce a hard
-// bound (starvation_limit): an entry skipped that many times is popped
-// next regardless of rank, so a low-priority campaign under sustained
-// high-priority load still finishes.
+// Starvation: aging alone cannot rescue a no-deadline campaign from an
+// endless stream of dated ones, so the ranked policies also enforce a
+// hard bound (starvation_limit): an entry skipped that many times pops
+// next regardless of rank, the oldest such entry first. Each such pop
+// counts in incentag_scheduler_starvation_pops_total.
 //
-// Thread model: every method is thread-safe. Each policy keeps its
-// ready queue under one mutex. Enqueue and PopNext are called under the
-// manager's per-campaign scheduled-token protocol, so a campaign is in
-// the ready queue at most once at a time.
-// Deterministic mode uses the same ready queue, drained on the calling
-// thread; a policy only reorders campaigns, never a campaign's own
-// completions, so its byte-identity to AllocationEngine::Run holds.
+// Thread model: every method is thread-safe; one mutex guards the ready
+// queue and the registered classes. The linear pop scan is deliberate:
+// the queue is bounded by the campaign count, and ranks move on every
+// pop, so a heap's keys would be stale the moment they were inserted.
+// Enqueue and PopNext are called under the manager's per-campaign
+// scheduled-token protocol, so a campaign is in the ready queue at most
+// once at a time. Deterministic mode uses the same ready queue, drained
+// on the calling thread; a policy only reorders campaigns, never a
+// campaign's own completions, so its byte-identity to
+// AllocationEngine::Run holds.
 #ifndef INCENTAG_SERVICE_SCHEDULER_SCHEDULER_H_
 #define INCENTAG_SERVICE_SCHEDULER_SCHEDULER_H_
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <string>
+#include <unordered_map>
 
 #include "src/service/completion_source.h"
+#include "src/util/mutex.h"
 #include "src/util/status.h"
+#include "src/util/stopwatch.h"
+#include "src/util/thread_annotations.h"
 
 namespace incentag {
 namespace service {
@@ -57,8 +69,8 @@ enum class SchedulerPolicy {
 // (mirrors core::EngineOptions::priority / deadline_seconds, which travel
 // with the campaign through the journal and recovery).
 struct ScheduleParams {
-  // Weight for PriorityScheduler: quantum multiplier and dispatch rank.
-  // Clamped to >= 1; 1 is the background/baseline class.
+  // Weight under the priority policy: quantum multiplier and dispatch
+  // rank. Clamped to >= 1; 1 is the background/baseline class.
   int32_t priority = 1;
   // Relative completion deadline in seconds from registration (Submit, or
   // Recover — recovery restarts the clock); <= 0 means no deadline.
@@ -67,59 +79,71 @@ struct ScheduleParams {
 
 struct SchedulerOptions {
   SchedulerPolicy policy = SchedulerPolicy::kRoundRobin;
-  // Completions a campaign may apply per quantum before yielding its
-  // worker; the CampaignManager sets this from tasks_per_step.
-  int64_t base_quantum = 256;
-  // PriorityScheduler: effective quantum = base_quantum * priority,
-  // capped at base_quantum * max_quantum_weight so one campaign cannot
-  // monopolize a worker for an unbounded stretch.
-  int64_t max_quantum_weight = 64;
-  // Aging, per skipped pop: a passed-over entry gains this many priority
-  // points (PriorityScheduler) / moves its effective deadline this many
-  // seconds earlier (DeadlineScheduler).
-  double priority_aging_per_skip = 0.5;
-  double deadline_aging_seconds_per_skip = 0.05;
-  // Hard starvation bound: an entry passed over this many times is popped
-  // next regardless of its rank. <= 0 disables the bound (aging still
-  // applies).
+  // Hard starvation bound of the ranked policies: an entry passed over
+  // this many times is popped next regardless of its rank. <= 0
+  // disables the bound (aging still applies).
   int64_t starvation_limit = 64;
 };
 
 class Scheduler {
  public:
-  explicit Scheduler(const SchedulerOptions& options) : options_(options) {}
-  virtual ~Scheduler() = default;
+  // `base_quantum`: completions a campaign may apply per quantum before
+  // yielding its worker (the manager passes tasks_per_step).
+  Scheduler(const SchedulerOptions& options, int64_t base_quantum)
+      : options_(options), base_quantum_(base_quantum) {}
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  virtual const char* name() const = 0;
-
   // Fleet membership. Register is called once when the campaign is
   // submitted or recovered; Unregister when it goes terminal (it also
   // drops any ready-queue entry).
-  virtual void Register(CampaignId id, const ScheduleParams& params) = 0;
-  virtual void Unregister(CampaignId id) = 0;
+  void Register(CampaignId id, const ScheduleParams& params);
+  void Unregister(CampaignId id);
 
   // Marks `id` runnable. The manager's scheduled-token protocol
   // guarantees a campaign is enqueued at most once until popped.
-  virtual void Enqueue(CampaignId id) = 0;
+  void Enqueue(CampaignId id);
 
   // Pops the campaign the next free worker should step, per policy; 0
   // when the queue is empty.
-  virtual CampaignId PopNext() = 0;
+  CampaignId PopNext();
 
   // Completions the next step of `id` may apply before yielding.
-  virtual int64_t Quantum(CampaignId id) = 0;
+  int64_t Quantum(CampaignId id);
 
-  const SchedulerOptions& options() const { return options_; }
+ private:
+  struct Entry {
+    CampaignId id = 0;
+    int64_t skips = 0;  // times PopNext passed this entry over
+  };
 
- protected:
+  // Registered class of one campaign, normalized once.
+  struct CampaignParams {
+    int32_t priority = 1;
+    // Absolute deadline in seconds on clock_; kNoDeadline when none.
+    double deadline = kNoDeadline;
+  };
+
+  static constexpr double kNoDeadline = 1e18;
+
+  // Params of `id`; the baseline class for unregistered campaigns.
+  CampaignParams ParamsOfLocked(CampaignId id) const REQUIRES(mu_);
+  // Rank key of a ready entry under a ranked policy; smaller pops first.
+  double RankKeyLocked(const Entry& entry) const REQUIRES(mu_);
+  // Index of the entry a ranked policy pops from a non-empty queue.
+  size_t PickLocked() const REQUIRES(mu_);
+
   const SchedulerOptions options_;
+  const int64_t base_quantum_;
+  util::Mutex mu_;
+  // Enqueue order: the front is the oldest entry.
+  std::deque<Entry> ready_ GUARDED_BY(mu_);
+  std::unordered_map<CampaignId, CampaignParams> params_ GUARDED_BY(mu_);
+  // Base of the absolute-deadline clock, so comparisons never involve
+  // "now".
+  util::Stopwatch clock_;
 };
-
-// Builds the policy named by `options.policy`.
-std::unique_ptr<Scheduler> MakeScheduler(const SchedulerOptions& options);
 
 // "rr" | "priority" | "edf" -> policy, for --scheduler flags.
 util::Result<SchedulerPolicy> ParseSchedulerPolicy(const std::string& name);

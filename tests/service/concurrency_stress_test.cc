@@ -3,14 +3,15 @@
 //
 //  - The ready queue's conservation: under concurrent Enqueue and
 //    PopNext every enqueued campaign pops exactly once, for the FIFO
-//    queue (RoundRobinScheduler) and the ranked one (PriorityScheduler).
+//    queue (the rr policy) and the ranked scan (the priority policy).
 //  - The read paths (/metrics snapshot, campaign listing) under a
 //    running fleet.
 //
 // The tests are meaningful under any build but earn their keep in the
 // CI `thread` sanitizer leg (INCENTAG_SANITIZE=thread): 16 threads
 // hammering push/pop is exactly the schedule space the annotations in
-// the scheduler headers claim to cover.
+// the scheduler header claim to cover: one mutex over one ready queue,
+// whichever policy reads it.
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -50,7 +51,7 @@ TEST_P(ReadyQueueStressTest, PushVsPopConservesEntries) {
 
   SchedulerOptions options;
   options.policy = GetParam();
-  std::unique_ptr<Scheduler> scheduler = MakeScheduler(options);
+  auto scheduler = std::make_unique<Scheduler>(options, 256);
   std::atomic<bool> pushers_done{false};
   std::atomic<int64_t> popped_count{0};
   std::atomic<int64_t> popped_sum{0};

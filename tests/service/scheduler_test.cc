@@ -1,4 +1,4 @@
-// The pluggable campaign scheduler (src/service/scheduler/): policy
+// The campaign scheduler (src/service/scheduler/): policy
 // unit tests (dispatch order, weighted quanta, aging, the hard
 // starvation bound, the single ready queue) plus the
 // service-level properties the subsystem must preserve — campaign
@@ -24,9 +24,6 @@
 #include "src/core/post_stream.h"
 #include "src/persist/journal.h"
 #include "src/service/campaign_manager.h"
-#include "src/service/scheduler/deadline_scheduler.h"
-#include "src/service/scheduler/priority_scheduler.h"
-#include "src/service/scheduler/round_robin_scheduler.h"
 #include "src/service/scheduler/scheduler.h"
 #include "src/sim/dataset_prep.h"
 #include "src/sim/generator.h"
@@ -43,10 +40,8 @@ using std::chrono::milliseconds;
 
 // ---- policy unit tests -------------------------------------------------
 
-TEST(RoundRobinSchedulerTest, PopsFifoAndUsesBaseQuantum) {
-  SchedulerOptions options;
-  options.base_quantum = 32;
-  RoundRobinScheduler scheduler(options);
+TEST(RoundRobinPolicyTest, PopsFifoAndUsesBaseQuantum) {
+  Scheduler scheduler(SchedulerOptions{}, 32);
   scheduler.Register(1, ScheduleParams{5, 0.0});
   scheduler.Register(2, ScheduleParams{1, 1.0});
   scheduler.Enqueue(2);
@@ -61,13 +56,12 @@ TEST(RoundRobinSchedulerTest, PopsFifoAndUsesBaseQuantum) {
   EXPECT_EQ(scheduler.Quantum(2), 32);
 }
 
-TEST(PrioritySchedulerTest, PopsHighestPriorityFirstAndScalesQuanta) {
+TEST(PriorityPolicyTest, PopsHighestPriorityFirstAndScalesQuanta) {
   SchedulerOptions options;
-  options.base_quantum = 10;
-  options.max_quantum_weight = 4;
-  PriorityScheduler scheduler(options);
+  options.policy = SchedulerPolicy::kPriority;
+  Scheduler scheduler(options, 10);
   scheduler.Register(1, ScheduleParams{1, 0.0});
-  scheduler.Register(2, ScheduleParams{8, 0.0});
+  scheduler.Register(2, ScheduleParams{100, 0.0});
   scheduler.Register(3, ScheduleParams{3, 0.0});
   scheduler.Enqueue(1);
   scheduler.Enqueue(2);
@@ -75,24 +69,25 @@ TEST(PrioritySchedulerTest, PopsHighestPriorityFirstAndScalesQuanta) {
   EXPECT_EQ(scheduler.PopNext(), 2u);
   EXPECT_EQ(scheduler.PopNext(), 3u);
   EXPECT_EQ(scheduler.PopNext(), 1u);
-  // Weighted quanta, capped at max_quantum_weight.
+  // Weighted quanta, with the weight capped at 64.
   EXPECT_EQ(scheduler.Quantum(1), 10);
   EXPECT_EQ(scheduler.Quantum(3), 30);
-  EXPECT_EQ(scheduler.Quantum(2), 40);  // 8 capped to 4
+  EXPECT_EQ(scheduler.Quantum(2), 640);  // 100 capped to 64
   // Unregistered campaigns fall back to the baseline class.
   EXPECT_EQ(scheduler.Quantum(99), 10);
 }
 
-TEST(PrioritySchedulerTest, AgingLiftsAPassedOverEntry) {
+TEST(PriorityPolicyTest, AgingLiftsAPassedOverEntry) {
   SchedulerOptions options;
-  options.priority_aging_per_skip = 1.0;
+  options.policy = SchedulerPolicy::kPriority;
   options.starvation_limit = 0;  // isolate aging from the hard bound
-  PriorityScheduler scheduler(options);
+  Scheduler scheduler(options, 256);
   scheduler.Register(1, ScheduleParams{1, 0.0});
   scheduler.Register(2, ScheduleParams{5, 0.0});
   scheduler.Enqueue(1);
-  // A continuous stream of high-priority work: entry 1 gains one
-  // effective priority point per skip and must win within 5 pops.
+  // A continuous stream of high-priority work: entry 1 gains half an
+  // effective priority point per skip, ties fresh entry 2 after 8 skips
+  // and, being older, wins the tie: it must pop within 10 pops.
   int pops_until_low = 0;
   for (int i = 0; i < 20; ++i) {
     scheduler.Enqueue(2);
@@ -101,14 +96,14 @@ TEST(PrioritySchedulerTest, AgingLiftsAPassedOverEntry) {
     if (popped == 1) break;
     EXPECT_EQ(popped, 2u);
   }
-  EXPECT_LE(pops_until_low, 5);
+  EXPECT_LE(pops_until_low, 10);
 }
 
-TEST(PrioritySchedulerTest, StarvationLimitHardPops) {
+TEST(PriorityPolicyTest, StarvationLimitHardPops) {
   SchedulerOptions options;
-  options.priority_aging_per_skip = 0.0;  // aging off: only the bound
+  options.policy = SchedulerPolicy::kPriority;
   options.starvation_limit = 3;
-  PriorityScheduler scheduler(options);
+  Scheduler scheduler(options, 256);
   scheduler.Register(1, ScheduleParams{1, 0.0});
   scheduler.Register(2, ScheduleParams{100, 0.0});
   scheduler.Enqueue(1);
@@ -117,14 +112,16 @@ TEST(PrioritySchedulerTest, StarvationLimitHardPops) {
     scheduler.Enqueue(2);
     order.push_back(scheduler.PopNext());
   }
-  // Three skips, then the starving entry pops regardless of priority.
+  // Three skips of aging (1.5 points) leave entry 1 far behind 100, yet
+  // the starving entry then pops regardless of priority.
   const std::vector<CampaignId> want = {2, 2, 2, 1, 2};
   EXPECT_EQ(order, want);
 }
 
-TEST(DeadlineSchedulerTest, PopsEarliestDeadlineFirst) {
+TEST(DeadlinePolicyTest, PopsEarliestDeadlineFirst) {
   SchedulerOptions options;
-  DeadlineScheduler scheduler(options);
+  options.policy = SchedulerPolicy::kDeadline;
+  Scheduler scheduler(options, 256);
   scheduler.Register(1, ScheduleParams{1, 0.0});    // no deadline
   scheduler.Register(2, ScheduleParams{1, 500.0});
   scheduler.Register(3, ScheduleParams{1, 100.0});
@@ -134,13 +131,14 @@ TEST(DeadlineSchedulerTest, PopsEarliestDeadlineFirst) {
   EXPECT_EQ(scheduler.PopNext(), 3u);
   EXPECT_EQ(scheduler.PopNext(), 2u);
   EXPECT_EQ(scheduler.PopNext(), 1u);
-  EXPECT_EQ(scheduler.Quantum(2), options.base_quantum);
+  EXPECT_EQ(scheduler.Quantum(2), 256);  // priority is ignored
 }
 
-TEST(DeadlineSchedulerTest, StarvationLimitRescuesUndeadlinedCampaign) {
+TEST(DeadlinePolicyTest, StarvationLimitRescuesUndeadlinedCampaign) {
   SchedulerOptions options;
+  options.policy = SchedulerPolicy::kDeadline;
   options.starvation_limit = 4;
-  DeadlineScheduler scheduler(options);
+  Scheduler scheduler(options, 256);
   scheduler.Register(1, ScheduleParams{1, 0.0});  // no deadline
   scheduler.Register(2, ScheduleParams{1, 1.0});  // always urgent
   scheduler.Enqueue(1);
@@ -157,9 +155,8 @@ TEST(DeadlineSchedulerTest, StarvationLimitRescuesUndeadlinedCampaign) {
 
 // Round-robin is one global FIFO: every enqueued entry pops exactly
 // once, in enqueue order, however many campaigns wait.
-TEST(RoundRobinSchedulerTest, PopsEveryEntryOnceInGlobalFifoOrder) {
-  SchedulerOptions options;
-  RoundRobinScheduler scheduler(options);
+TEST(RoundRobinPolicyTest, PopsEveryEntryOnceInGlobalFifoOrder) {
+  Scheduler scheduler(SchedulerOptions{}, 256);
   for (CampaignId id = 1; id <= 12; ++id) scheduler.Enqueue(id);
   for (CampaignId id = 1; id <= 12; ++id) {
     EXPECT_EQ(scheduler.PopNext(), id);
@@ -173,7 +170,7 @@ class ReadyQueueTest : public ::testing::TestWithParam<SchedulerPolicy> {
   std::unique_ptr<Scheduler> Make() const {
     SchedulerOptions options;
     options.policy = GetParam();
-    return MakeScheduler(options);
+    return std::make_unique<Scheduler>(options, 256);
   }
 };
 
@@ -238,8 +235,7 @@ std::unique_ptr<Scheduler> NewScheduler(SchedulerPolicy policy,
   SchedulerOptions options;
   options.policy = policy;
   options.starvation_limit = starvation_limit;
-  options.base_quantum = base_quantum;
-  return MakeScheduler(options);
+  return std::make_unique<Scheduler>(options, base_quantum);
 }
 
 uint64_t SplitMix64(uint64_t* state) {
@@ -347,7 +343,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SchedulerTest, UnregisterDropsReadyEntries) {
   SchedulerOptions options;
-  PriorityScheduler scheduler(options);
+  options.policy = SchedulerPolicy::kPriority;
+  Scheduler scheduler(options, 256);
   scheduler.Register(1, ScheduleParams{1, 0.0});
   scheduler.Register(2, ScheduleParams{2, 0.0});
   scheduler.Enqueue(1);
