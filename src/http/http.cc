@@ -201,6 +201,13 @@ ReadResult RequestReader::Next(Request* out) {
   }
   size_t body_len = 0;
   if (const std::string* cl = out->Header("content-length")) {
+    // RFC 9112 section 6.3: differing values leave the framing ambiguous,
+    // and a proxy honouring another one would smuggle a request.
+    for (const auto& [name, value] : out->headers) {
+      if (name == "content-length" && value != *cl) {
+        return {ReadOutcome::kMalformed, "conflicting content-length"};
+      }
+    }
     uint64_t parsed = 0;
     std::string_view text = *cl;
     if (text.empty()) return {ReadOutcome::kMalformed, "bad content-length"};

@@ -142,6 +142,38 @@ TEST(RequestReader, RejectsMalformed) {
   }
 }
 
+// RFC 9112 section 6.3: Content-Length fields with different values make
+// the framing ambiguous. A proxy in front that honours the other one
+// would read the body as a second, smuggled request. Repeats of one
+// value frame the same body and pass.
+TEST(RequestReader, RejectsConflictingContentLengths) {
+  {
+    WirePair wire;
+    ASSERT_TRUE(wire.client_
+                    .WriteAll("POST /x HTTP/1.1\r\n"
+                              "Content-Length: 2\r\nContent-Length: 40\r\n"
+                              "\r\n{}GET /smuggled HTTP/1.1\r\n\r\n")
+                    .ok());
+    RequestReader reader(&wire.server_, ReadLimits{});
+    Request req;
+    EXPECT_EQ(reader.Next(&req).outcome, ReadOutcome::kMalformed);
+  }
+  WirePair wire;
+  ASSERT_TRUE(wire.client_
+                  .WriteAll("POST /x HTTP/1.1\r\n"
+                            "Content-Length: 2\r\nContent-Length: 2\r\n"
+                            "\r\n{}GET /next HTTP/1.1\r\n\r\n")
+                  .ok());
+  RequestReader reader(&wire.server_, ReadLimits{});
+  Request req;
+  ReadResult r = reader.Next(&req);
+  ASSERT_EQ(r.outcome, ReadOutcome::kOk) << r.error;
+  EXPECT_EQ(req.body, "{}");
+  r = reader.Next(&req);
+  ASSERT_EQ(r.outcome, ReadOutcome::kOk) << r.error;
+  EXPECT_EQ(req.path, "/next");
+}
+
 TEST(RequestReader, RecvTimeoutSurfacesAsTimeout) {
   WirePair wire;
   ASSERT_TRUE(wire.server_.SetRecvTimeout(50).ok());

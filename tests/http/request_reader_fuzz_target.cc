@@ -13,7 +13,8 @@
 // read", it checks that every read ends in kOk, kClosed, kTooLarge or
 // kMalformed (never a timeout or transport error on a connection that
 // only closed), that no accepted head or body exceeds the limits, and
-// that an accepted body is exactly its Content-Length.
+// that an accepted body is exactly its Content-Length (every one of
+// them, when the field repeats).
 #include <sys/socket.h>
 
 #include <cstddef>
@@ -96,11 +97,15 @@ std::vector<ReadOutcome> RequestReaderFuzzRun(const uint8_t* data,
     INCENTAG_CHECK(request.body.size() <= limits.max_body_bytes);
     INCENTAG_CHECK(!request.method.empty());
     INCENTAG_CHECK(!request.path.empty() && request.path[0] == '/');
-    // An accepted Content-Length is digits only and within the limit.
+    // An accepted Content-Length is digits only and within the limit,
+    // and every repeat of it frames the same body.
     const std::string* length = request.Header("content-length");
     INCENTAG_CHECK(length == nullptr
                        ? request.body.empty()
                        : std::stoull(*length) == request.body.size());
+    for (const auto& [name, value] : request.headers) {
+      INCENTAG_CHECK(name != "content-length" || value == *length);
+    }
   }
   INCENTAG_CHECK(!"the reader accepted more requests than the wire holds");
   return outcomes;

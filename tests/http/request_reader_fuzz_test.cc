@@ -51,6 +51,8 @@ std::vector<std::string> Seeds() {
       "GET /x HTTP/1.1\r\nBadHeader\r\n\r\n",
       "POST /x HTTP/1.1\r\nContent-Length: nan\r\n\r\n",
       "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+      "POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 40\r\n\r\n"
+      "{}GET /smuggled HTTP/1.1\r\n\r\n",
       // the /v1 routes
       Post("/v1/campaigns",
            R"({"name":"news","strategy":"fpmu","budget":5000,"omega":7,)"
@@ -66,8 +68,8 @@ std::vector<std::string> Seeds() {
       "GET /healthz#frag HTTP/1.1\r\nConnection: close\r\n\r\n",
   };
   // Keep-alive pipelines of the routes above.
-  seeds.push_back(seeds[10] + seeds[11] + seeds[12]);
-  seeds.push_back(seeds[11] + seeds[15] + seeds[11]);
+  seeds.push_back(seeds[11] + seeds[12] + seeds[13]);
+  seeds.push_back(seeds[12] + seeds[16] + seeds[12]);
   return seeds;
 }
 
