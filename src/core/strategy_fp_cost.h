@@ -12,6 +12,8 @@
 #define INCENTAG_CORE_STRATEGY_FP_COST_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -80,9 +82,14 @@ class CostAwareFpStrategy : public Strategy {
     heap_ = std::make_unique<util::IndexedHeap>(ctx.num_resources());
     for (ResourceId i = 0; i < ctx.num_resources(); ++i) {
       bool in_heap = false;
-      if (!in.GetBool(&in_heap) || !in.GetI64(&pending_[i])) {
+      int64_t pending = 0;
+      if (!in.GetBool(&in_heap) || !in.GetI64(&pending)) {
         return util::Status::Corruption("short FP-$ strategy state");
       }
+      if (pending < 0 || pending > std::numeric_limits<int32_t>::max()) {
+        return util::Status::Corruption("FP-$ pending count out of range");
+      }
+      pending_[i] = static_cast<int32_t>(pending);
       if (in_heap) heap_->Push(i, Priority(i));
     }
     if (!in.exhausted()) {
@@ -107,7 +114,9 @@ class CostAwareFpStrategy : public Strategy {
 
   const CostModel* costs_;
   const StrategyContext* ctx_ = nullptr;
-  std::vector<int64_t> pending_;
+  // Tasks assigned to each resource and not yet completed; 64-bit on
+  // the wire, like FP's.
+  std::vector<int32_t> pending_;
   std::unique_ptr<util::IndexedHeap> heap_;
 };
 

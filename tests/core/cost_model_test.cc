@@ -1,5 +1,9 @@
 #include "src/core/cost_model.h"
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/core/allocation.h"
@@ -8,6 +12,7 @@
 #include "src/core/strategy_fp_cost.h"
 #include "src/core/strategy_rr.h"
 #include "src/core/types.h"
+#include "src/util/wire.h"
 
 namespace incentag {
 namespace core {
@@ -189,6 +194,41 @@ TEST(CostAwareFpTest, MatchesFpUnderUniformCosts) {
   EXPECT_EQ(strategy.Choose(), 3u);  // fewest posts
   strategy.OnExhausted(3);
   EXPECT_EQ(strategy.Choose(), 2u);
+}
+
+// A snapshot's pending count outside [0, INT32_MAX] is corruption, as
+// for FP; the largest in-range count restores and re-serializes to
+// itself.
+TEST(CostAwareFpTest, PendingCountOutsideInt32IsRejected) {
+  CostModel costs({3, 1});
+  std::vector<ResourceState> states;
+  states.emplace_back(2);
+  states.emplace_back(2);
+  ResourceStateViews views(&states);
+  StrategyContext ctx;
+  ctx.views = &views;
+  const auto blob = [](int64_t pending) {
+    std::string out;
+    util::wire::PutU64(&out, 2);
+    util::wire::PutU8(&out, 1);
+    util::wire::PutI64(&out, 0);
+    util::wire::PutU8(&out, 1);
+    util::wire::PutI64(&out, pending);
+    return out;
+  };
+  for (int64_t pending : {int64_t{-1}, int64_t{1} << 40}) {
+    CostAwareFpStrategy strategy(&costs);
+    EXPECT_EQ(strategy.RestoreState(ctx, blob(pending)).code(),
+              util::StatusCode::kCorruption)
+        << pending;
+  }
+  CostAwareFpStrategy strategy(&costs);
+  const std::string largest = blob(INT32_MAX);
+  ASSERT_TRUE(strategy.RestoreState(ctx, largest).ok());
+  std::string again;
+  strategy.SerializeState(&again);
+  EXPECT_EQ(again, largest);
+  EXPECT_EQ(strategy.Choose(), 0u);  // resource 1 carries the pending tasks
 }
 
 // DP with costs ----------------------------------------------------------
