@@ -151,6 +151,28 @@ TEST(DeadlinePolicyTest, StarvationLimitRescuesUndeadlinedCampaign) {
   EXPECT_LE(pops_until_undeadlined, 5);
 }
 
+TEST(DeadlinePolicyTest, AgingPullsAWaitingDeadlineForward) {
+  SchedulerOptions options;
+  options.policy = SchedulerPolicy::kDeadline;
+  options.starvation_limit = 0;  // isolate aging from the hard bound
+  Scheduler scheduler(options, 256);
+  // Registered first, so time between the calls only widens the gap: 2's
+  // deadline is at least 1 s before 1's.
+  scheduler.Register(2, ScheduleParams{1, 10.0});
+  scheduler.Register(1, ScheduleParams{1, 11.0});
+  scheduler.Enqueue(1);
+  // Each skip moves 1's deadline 0.05 s earlier, so a fresh 2 keeps
+  // winning for about 20 pops and then loses.
+  int pops_until_later = 0;
+  for (int i = 0; i < 40; ++i) {
+    scheduler.Enqueue(2);
+    ++pops_until_later;
+    if (scheduler.PopNext() == 1) break;
+  }
+  EXPECT_GE(pops_until_later, 20);
+  EXPECT_LE(pops_until_later, 30);
+}
+
 // ---- the single ready queue -------------------------------------------
 
 // Round-robin is one global FIFO: every enqueued entry pops exactly
