@@ -131,7 +131,7 @@ TEST(DeadlinePolicyTest, PopsEarliestDeadlineFirst) {
   EXPECT_EQ(scheduler.PopNext(), 3u);
   EXPECT_EQ(scheduler.PopNext(), 2u);
   EXPECT_EQ(scheduler.PopNext(), 1u);
-  EXPECT_EQ(scheduler.Quantum(2), 256);  // priority is ignored
+  EXPECT_EQ(scheduler.Quantum(2), 256);  // uniform quanta
 }
 
 TEST(DeadlinePolicyTest, StarvationLimitRescuesUndeadlinedCampaign) {
