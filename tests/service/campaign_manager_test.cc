@@ -1,6 +1,8 @@
 #include "src/service/campaign_manager.h"
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,8 +20,10 @@
 #include "src/sim/crowd.h"
 #include "src/sim/dataset_prep.h"
 #include "src/sim/generator.h"
+#include "src/service/fleet_health.h"
 #include "src/sim/load_generator.h"
 #include "src/util/random.h"
+#include "tests/testing/report_bytes.h"
 
 namespace incentag {
 namespace service {
@@ -411,6 +415,60 @@ TEST_F(CampaignManagerTest, ManyMoreCampaignsThanThreads) {
     total += status.tasks_completed;
   }
   EXPECT_GT(total, 0);
+}
+
+
+// Degraded storage parks background campaigns (priority <= 1) at their
+// step boundary. A parked campaign does no work while a priority-2
+// campaign runs, times out a bounded wait, stays cancellable, and runs
+// to the engine's report once storage recovers.
+TEST_F(CampaignManagerTest, ParkedCampaignLifecycle) {
+  FleetHealth health;  // degraded after 3 failures, healthy after 2 syncs
+  const util::Status enospc = util::Status::IoError("no space", ENOSPC);
+  for (int i = 0; i < 3; ++i) health.ReportStorageError(enospc);
+  ASSERT_TRUE(health.degraded());
+
+  ManagerOptions options;
+  options.num_threads = 2;
+  options.health = &health;
+  CampaignManager manager(options);
+
+  auto parked = manager.Submit(MakeConfig(1, 200, 1));
+  ASSERT_TRUE(parked.ok()) << parked.status().ToString();
+  CampaignConfig critical_config = MakeConfig(2, 200, 2);
+  critical_config.options.priority = 2;
+  auto critical = manager.Submit(std::move(critical_config));
+  ASSERT_TRUE(critical.ok()) << critical.status().ToString();
+  auto critical_report = manager.Wait(critical.value());
+  ASSERT_TRUE(critical_report.ok()) << critical_report.status().ToString();
+  EXPECT_EQ(manager.Status(parked.value()).value().tasks_completed, 0);
+  EXPECT_EQ(manager.WaitFor(parked.value(), std::chrono::milliseconds(50))
+                .status()
+                .code(),
+            util::StatusCode::kDeadlineExceeded);
+
+  ASSERT_TRUE(manager.Cancel(parked.value()).ok());
+  auto cancelled =
+      manager.WaitFor(parked.value(), std::chrono::milliseconds::max());
+  ASSERT_TRUE(cancelled.ok()) << cancelled.status().ToString();
+  EXPECT_EQ(cancelled.value().state, CampaignState::kCancelled);
+
+  auto resumed = manager.Submit(MakeConfig(3, 200, 3));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(manager.WaitFor(resumed.value(), std::chrono::milliseconds(50))
+                .status()
+                .code(),
+            util::StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(manager.Status(resumed.value()).value().tasks_completed, 0);
+  health.ReportStorageOk();
+  health.ReportStorageOk();
+  ASSERT_FALSE(health.degraded());
+  auto report = manager.Wait(resumed.value());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(manager.Status(resumed.value()).value().state,
+            CampaignState::kDone);
+  EXPECT_EQ(testing::ReportBytes(report.value()),
+            testing::ReportBytes(RunSequential(3, 200, 3)));
 }
 
 }  // namespace
