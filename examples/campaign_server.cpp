@@ -387,7 +387,7 @@ int main(int argc, char** argv) {
     int64_t tasks = 0;
     int64_t in_flight = 0;
     for (const service::CampaignStatus& s : ListAll(manager)) {
-      if (s.state == service::CampaignState::kRunning) ++running;
+      if (!service::IsTerminal(s.state)) ++running;
       spent += s.budget_spent;
       tasks += s.tasks_completed;
       in_flight += s.tasks_in_flight;
@@ -425,7 +425,7 @@ int main(int argc, char** argv) {
   // so the rollup still prints.
   if (http_ingest) {
     for (const service::CampaignStatus& s : ListAll(manager)) {
-      if (s.state == service::CampaignState::kRunning) {
+      if (!service::IsTerminal(s.state)) {
         (void)manager.Cancel(s.id);
       }
     }

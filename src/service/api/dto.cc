@@ -163,6 +163,8 @@ std::string_view CampaignStateName(CampaignState state) {
   switch (state) {
     case CampaignState::kRunning:
       return "running";
+    case CampaignState::kParked:
+      return "parked";
     case CampaignState::kDone:
       return "done";
     case CampaignState::kCancelled:
@@ -178,6 +180,8 @@ std::string_view CampaignStateName(CampaignState state) {
 bool ParseCampaignState(std::string_view name, CampaignState* out) {
   if (name == "running") {
     *out = CampaignState::kRunning;
+  } else if (name == "parked") {
+    *out = CampaignState::kParked;
   } else if (name == "done") {
     *out = CampaignState::kDone;
   } else if (name == "cancelled") {

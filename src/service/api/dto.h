@@ -55,8 +55,9 @@ util::Result<SubmitCampaignRequest> DecodeSubmitCampaignRequest(
 util::Result<CompletionBatchRequest> DecodeCompletionBatchRequest(
     const util::json::Value& body);
 
-// Wire names for CampaignState ("running", "done", "cancelled",
-// "failed") and the inverse for ?state= filters.
+// Wire names for CampaignState ("running", "parked", "done",
+// "cancelled", "failed", "quarantined") and the inverse for ?state=
+// filters.
 std::string_view CampaignStateName(CampaignState state);
 bool ParseCampaignState(std::string_view name, CampaignState* out);
 

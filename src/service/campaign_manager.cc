@@ -1,10 +1,12 @@
 #include "src/service/campaign_manager.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <limits>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -55,29 +57,16 @@ constexpr CampaignId kMaxJournalId = std::numeric_limits<int64_t>::max();
 // name does not match "campaign-<digits>.journal" or the digits pass
 // kMaxJournalId.
 CampaignId ParseJournalId(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string base =
-      slash == std::string::npos ? path : path.substr(slash + 1);
-  constexpr char kPrefix[] = "campaign-";
-  constexpr char kSuffix[] = ".journal";
-  if (base.size() <= sizeof(kPrefix) - 1 + sizeof(kSuffix) - 1 ||
-      base.compare(0, sizeof(kPrefix) - 1, kPrefix) != 0 ||
-      base.compare(base.size() - (sizeof(kSuffix) - 1), sizeof(kSuffix) - 1,
-                   kSuffix) != 0) {
-    return 0;
-  }
-  const std::string digits = base.substr(
-      sizeof(kPrefix) - 1,
-      base.size() - (sizeof(kPrefix) - 1) - (sizeof(kSuffix) - 1));
-  if (digits.empty()) return 0;
+  std::string_view base(path);
+  base.remove_prefix(base.find_last_of('/') + 1);  // npos + 1 == 0
+  constexpr std::string_view kPrefix = "campaign-";
+  constexpr std::string_view kSuffix = ".journal";
+  if (!base.starts_with(kPrefix) || !base.ends_with(kSuffix)) return 0;
+  const char* first = base.data() + kPrefix.size();
+  const char* last = base.data() + base.size() - kSuffix.size();
   CampaignId id = 0;
-  for (char ch : digits) {
-    if (ch < '0' || ch > '9') return 0;
-    const auto digit = static_cast<CampaignId>(ch - '0');
-    if (id > (kMaxJournalId - digit) / 10) return 0;
-    id = id * 10 + digit;
-  }
-  return id;
+  const auto [end, ec] = std::from_chars(first, last, id);
+  return ec == std::errc() && end == last && id <= kMaxJournalId ? id : 0;
 }
 
 // Older builds could leave a fleet commit log in the journal directory,
@@ -104,6 +93,12 @@ util::Status RejectLegacyCommitLog(const std::string& dir) {
 }
 
 constexpr char kSourceClosedError[] = "completion source closed";
+
+// Why a live campaign is to stop, strongest last. A request is only ever
+// raised, never lowered, and takes effect at the next step boundary.
+// Only a user cancel is journaled: a campaign Shutdown interrupts must
+// resume on Recover, and a quarantined one's fd takes no more writes.
+enum class StopRequest : uint8_t { kNone, kShutdown, kUserCancel, kQuarantine };
 
 // Registry shards; a campaign lives on shard id % kNumShards.
 constexpr CampaignId kNumShards = 16;
@@ -280,16 +275,6 @@ struct CampaignManager::Campaign {
   // 0 by the popping step, which observes the delta into the per-class
   // queue-wait histogram. 0 = not currently stamped.
   std::atomic<uint64_t> enqueued_ns{0};
-  std::atomic<bool> cancel_requested{false};
-  // Set by the sink's on_writer_sick callback (the retry ladder gave up
-  // on this campaign's journal fd); consumed at a step boundary, which
-  // freezes the campaign as kQuarantined. The error itself travels in
-  // quarantine_error under status_mu.
-  std::atomic<bool> quarantine_requested{false};
-  // True while the campaign sits out fleet degraded mode (priority <= 1
-  // and storage unhealthy): the token is released without stepping, and
-  // FleetHealth's exit edge (ResumeParked) reschedules it.
-  std::atomic<bool> parked{false};
   // Set by an explicit Compact() call; consumed at a step boundary.
   std::atomic<bool> compact_requested{false};
   // True while a compaction job for this campaign is queued or running.
@@ -301,12 +286,13 @@ struct CampaignManager::Campaign {
   // Set by Finalize once a terminal journal is synced: the journal is to
   // be closed as soon as no compaction holds it.
   std::atomic<bool> close_journal{false};
-  // Set only by an explicit Cancel() call — not by Shutdown's teardown
-  // sweep — so the journal records operator intent: a cancelled campaign
-  // must stay cancelled across recovery, while a campaign interrupted by
-  // a restart must resume.
-  std::atomic<bool> user_cancelled{false};
-  std::atomic<bool> finalized{false};
+
+  // ---- lifecycle ----
+  // Read lock-free anywhere; written only by Transition.
+  std::atomic<CampaignState> state{CampaignState::kRunning};
+  // Raised by Shutdown, Cancel and OnWriterSick; see StopRequest. A
+  // quarantine's error travels in quarantine_error under status_mu.
+  std::atomic<StopRequest> stop{StopRequest::kNone};
 
   // ---- completion inbox (MPSC: taggers produce, the stepper drains) ----
   // Completion spans land here under one lock per span; the stepper
@@ -318,7 +304,6 @@ struct CampaignManager::Campaign {
   // ---- published snapshot + terminal state ----
   mutable util::Mutex status_mu;
   util::CondVar terminal_cv;
-  CampaignState state GUARDED_BY(status_mu) = CampaignState::kRunning;
   core::AllocationMetrics metrics GUARDED_BY(status_mu);
   int64_t budget_spent GUARDED_BY(status_mu) = 0;
   int64_t tasks_completed GUARDED_BY(status_mu) = 0;
@@ -338,6 +323,24 @@ struct CampaignManager::Campaign {
     return deadline_seconds > 0.0
                ? deadline_seconds - submitted.ElapsedSeconds()
                : 0.0;
+  }
+
+  // The one writer of `state`, checking the edge against the lifecycle
+  // table. Only the holder of the `scheduled` token calls it, so nothing
+  // moves the state between the check and the store; status_mu orders
+  // the store with the fields waiters read beside it.
+  void Transition(CampaignState to) {
+    util::MutexLock lock(&status_mu);
+    INCENTAG_CHECK(IsLegalTransition(state.load(), to));
+    state.store(to);
+  }
+
+  // Raises `stop` to at least `request`; returns the value it held.
+  StopRequest RaiseStop(StopRequest request) {
+    StopRequest current = stop.load();
+    while (current < request && !stop.compare_exchange_weak(current, request)) {
+    }
+    return current;
   }
 };
 
@@ -644,10 +647,10 @@ void CampaignManager::OnCompletionBatch(Campaign* c,
                                         std::span<const TaskHandle> tasks) {
   {
     util::MutexLock lock(&c->inbox_mu);
-    // A finalized campaign drains nothing more. Checked under the lock
+    // A terminal campaign drains nothing more. Checked under the lock
     // Finalize empties the inbox under, so no push can land after that
     // and be kept until the manager dies.
-    if (c->finalized.load()) return;
+    if (IsTerminal(c->state.load())) return;
     if (c->inbox.capacity() == 0) {
       // First push: size for a whole assignment batch up front instead
       // of growing through the doubling ladder (ISSUE 5 satellite).
@@ -663,7 +666,7 @@ void CampaignManager::OnCompletionBatch(Campaign* c,
     ServiceMetrics::Get().inbox_depth->Add(
         static_cast<int64_t>(tasks.size()));
   }
-  if (!c->finalized.load()) ScheduleStep(c);
+  if (!IsTerminal(c->state.load())) ScheduleStep(c);
 }
 
 void CampaignManager::FlushJournal(Campaign* c) {
@@ -767,10 +770,8 @@ void CampaignManager::MaybeCompact(Campaign* c) {
 // the ready queue — comes from the scheduler, so a priority policy can
 // hand high-priority campaigns proportionally more work per dispatch.
 void CampaignManager::Step(Campaign* c) {
-  if (c->finalized.load()) return;
-  auto stop_requested = [c] {
-    return c->cancel_requested.load() || c->quarantine_requested.load();
-  };
+  if (IsTerminal(c->state.load())) return;
+  auto stop_requested = [c] { return c->stop.load() != StopRequest::kNone; };
   // Drops the token, then takes it back if `runnable` turned true in
   // between: whoever made it runnable saw the token held and left it to us.
   auto release_token = [this, c](auto runnable) {
@@ -782,15 +783,18 @@ void CampaignManager::Step(Campaign* c) {
   // critical campaigns and compaction. Stop requests still win — a
   // parked campaign must stay cancellable. Deterministic mode never
   // parks: nothing would resume the campaign on the calling thread.
-  if (pool_ != nullptr && options_.health != nullptr &&
-      options_.health->degraded() && c->priority <= 1 && !stop_requested()) {
-    c->parked.store(true);
+  const bool park = pool_ != nullptr && options_.health != nullptr &&
+                    options_.health->degraded() && c->priority <= 1 &&
+                    !stop_requested();
+  if (park != (c->state.load() == CampaignState::kParked)) {
+    c->Transition(park ? CampaignState::kParked : CampaignState::kRunning);
+  }
+  if (park) {
     // ResumeParked may sweep past before the release.
     release_token(
         [&] { return !options_.health->degraded() || stop_requested(); });
     return;
   }
-  c->parked.store(false);
   const ServiceMetrics& metrics = ServiceMetrics::Get();
   // Queue wait: the delta from this campaign's last enqueue stamp.
   // exchange(0) so a stamp is observed exactly once even if a spurious
@@ -814,21 +818,22 @@ void CampaignManager::Step(Campaign* c) {
 
   int64_t applied = 0;
   for (;;) {
-    // The one place stop requests take effect. Quarantine goes first: a
-    // cancel would sync through the sick fd.
-    if (c->quarantine_requested.load()) {
+    // The one place stop requests take effect. Quarantine outranks a
+    // cancel, which would sync through the sick fd.
+    if (const StopRequest stop = c->stop.load(); stop != StopRequest::kNone) {
       std::string error;
-      {
+      if (stop == StopRequest::kQuarantine) {
         util::MutexLock lock(&c->status_mu);
         error = c->quarantine_error;
+      } else if (stop == StopRequest::kUserCancel && c->journal != nullptr) {
+        c->journal->AppendCancel();  // so Recover does not resume the spend
       }
-      Finalize(c, CampaignState::kQuarantined, std::move(error));
-      return;
-    }
-    if (c->cancel_requested.load()) {
-      // Before the first step this skips Begin entirely; Finalize then
+      // A cancel before the first step skips Begin entirely; Finalize then
       // synthesizes the report from the config.
-      Finalize(c, CampaignState::kCancelled, "");
+      Finalize(c,
+               stop == StopRequest::kQuarantine ? CampaignState::kQuarantined
+                                                : CampaignState::kCancelled,
+               std::move(error));
       return;
     }
     if (!c->begun) {
@@ -928,39 +933,31 @@ void CampaignManager::PublishStatus(Campaign* c) {
   c->elapsed_seconds = c->started.ElapsedSeconds();
 }
 
-// The one way out of kRunning and the only writer of `state` and
-// `finalized`; a second call is refused. Runs with the token held.
+// The one way into a terminal state. Runs with the token held.
 //   * kQuarantined: the fd is permanently sick, so the writer leaves the
 //     sink and nothing syncs through it (fsyncgate). No report: Recover()
 //     replays the durable prefix. Everything else is kept as it is.
 //   * otherwise the journal is synced (best effort) before waiters see
-//     the state, and an operator cancel is journaled so Recover does not
-//     resume the spend. A synced journal leaves the sink and is closed
-//     once no compaction holds it. The campaign then keeps only its
-//     status fields and report: the runtime's state, the strategy, the
-//     stream, their context and the step scratch are freed.
+//     the state. A synced journal leaves the sink and is closed once no
+//     compaction holds it. The campaign then keeps only its status fields
+//     and report: the runtime's state, the strategy, the stream, their
+//     context and the step scratch are freed.
 void CampaignManager::Finalize(Campaign* c, CampaignState state,
                                std::string error) {
-  if (c->finalized.load()) return;
   const bool quarantine = state == CampaignState::kQuarantined;
   if (c->journal != nullptr) {
     if (quarantine) {
       if (sink_ != nullptr) sink_->Untrack(c->journal.get());
-    } else {
-      if (state == CampaignState::kCancelled && c->user_cancelled.load()) {
-        c->journal->AppendCancel();
-      }
+    } else if (c->journal->Sync().ok()) {
       // A journal whose sync failed stays open: its bytes may still be
       // in the page cache only, and the fd is the one handle on them.
-      if (c->journal->Sync().ok()) {
-        if (sink_ != nullptr) sink_->Untrack(c->journal.get());
-        c->close_journal.store(true);
-        CloseJournalWhenIdle(c);
-      }
+      if (sink_ != nullptr) sink_->Untrack(c->journal.get());
+      c->close_journal.store(true);
+      CloseJournalWhenIdle(c);
     }
   }
   // Keep the token forever: no further steps can be scheduled, and late
-  // completions are dropped in OnCompletionBatch via `finalized`.
+  // completions are dropped in OnCompletionBatch by the terminal state.
   {
     util::MutexLock lock(&c->status_mu);
     c->error = std::move(error);
@@ -995,18 +992,29 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
   }
   // Freed before the state is published, so a caller that saw the
   // campaign terminal never races the release.
-  if (!quarantine) ReleaseRunState(c, state);
-  {
-    util::MutexLock lock(&c->status_mu);
-    c->state = state;
+  if (!quarantine) {
+    // A failed campaign has no report, but its runtime still holds the
+    // per-resource state and the trajectory table; Finish frees them.
+    if (state == CampaignState::kFailed && c->begun) c->runtime.Finish();
+    // The strategy may point into its context (FC's crowd model), so it
+    // goes first.
+    c->config.strategy.reset();
+    c->config.stream.reset();
+    c->config.context.reset();
+    c->order = ApplyOrder();
+    std::vector<core::ResourceId>().swap(c->batch);
+    std::vector<TaskHandle>().swap(c->tasks);
+    std::vector<uint64_t>().swap(c->drained);
+    std::vector<core::ResourceId>().swap(c->apply_run);
+    std::vector<persist::CompletionRecord>().swap(c->journal_batch);
   }
+  c->Transition(state);
   // Out of the fleet: drop any ready-queue entry so a terminal campaign
   // cannot outrank live ones.
   scheduler_->Unregister(c->id);
-  c->finalized.store(true);
   // Undelivered completions will never be drained by a stepper now, so
   // retire them from the fleet inbox-depth gauge; pushes arriving after
-  // the finalized flag above skip the gauge entirely.
+  // the transition above skip the gauge entirely.
   {
     util::MutexLock lock(&c->inbox_mu);
     if (!c->inbox.empty()) {
@@ -1017,25 +1025,6 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
   }
   if (quarantine) ServiceMetrics::Get().quarantines->Increment();
   c->terminal_cv.NotifyAll();
-}
-
-// Frees what a terminal campaign no longer needs; it takes no further
-// step. Runs on the finalizing stepper, before the state is published.
-void CampaignManager::ReleaseRunState(Campaign* c, CampaignState state) {
-  // A failed campaign has no report, but its runtime still holds the
-  // per-resource state and the trajectory table; Finish frees them.
-  if (state == CampaignState::kFailed && c->begun) c->runtime.Finish();
-  // The strategy may point into its context (FC's crowd model), so it
-  // goes first.
-  c->config.strategy.reset();
-  c->config.stream.reset();
-  c->config.context.reset();
-  c->order = ApplyOrder();
-  std::vector<core::ResourceId>().swap(c->batch);
-  std::vector<TaskHandle>().swap(c->tasks);
-  std::vector<uint64_t>().swap(c->drained);
-  std::vector<core::ResourceId>().swap(c->apply_run);
-  std::vector<persist::CompletionRecord>().swap(c->journal_batch);
 }
 
 // Closes a terminal campaign's journal once Finalize asked for it and no
@@ -1059,11 +1048,14 @@ void CampaignManager::OnWriterSick(persist::JournalWriter* writer,
   // registry snapshot's shard locks publish the pointer.
   for (Campaign* c : AllCampaigns()) {
     if (c->journal.get() != writer) continue;
-    if (c->finalized.load() || c->quarantine_requested.exchange(true)) {
-      return;
-    }
     {
+      // Raised under the lock the step reads the error under, so the
+      // step that sees the request sees its error.
       util::MutexLock lock(&c->status_mu);
+      if (IsTerminal(c->state.load()) ||
+          c->RaiseStop(StopRequest::kQuarantine) == StopRequest::kQuarantine) {
+        return;
+      }
       c->quarantine_error =
           "journal sync failed permanently: " + status.ToString();
     }
@@ -1072,22 +1064,21 @@ void CampaignManager::OnWriterSick(persist::JournalWriter* writer,
   }
 }
 
-// FleetHealth exit edge: reschedule everything that sat out degraded
-// mode. ScheduleStep is a no-op for campaigns whose token is held, and
-// a re-park is harmless if the health flaps back before the step runs.
+// FleetHealth exit edge: reschedule every parked campaign, whose step
+// takes the kParked -> kRunning edge. ScheduleStep is a no-op for
+// campaigns whose token is held, and the step parks again if the health
+// flaps back before it runs.
 void CampaignManager::ResumeParked() {
   for (Campaign* c : AllCampaigns()) {
-    if (!c->parked.exchange(false)) continue;
-    if (!c->finalized.load()) ScheduleStep(c);
+    if (c->state.load() == CampaignState::kParked) ScheduleStep(c);
   }
 }
 
 util::Status CampaignManager::Cancel(CampaignId id) {
   Campaign* c = Find(id);
   if (c == nullptr) return util::Status::NotFound("no such campaign");
-  c->user_cancelled.store(true);
-  c->cancel_requested.store(true);
-  if (!c->finalized.load()) ScheduleStep(c);
+  c->RaiseStop(StopRequest::kUserCancel);
+  if (!IsTerminal(c->state.load())) ScheduleStep(c);
   return util::Status::OK();
 }
 
@@ -1097,7 +1088,7 @@ util::Status CampaignManager::Compact(CampaignId id) {
   if (c->journal == nullptr) {
     return util::Status::FailedPrecondition("campaign is not journaled");
   }
-  if (c->finalized.load()) {
+  if (IsTerminal(c->state.load())) {
     // Finish() moved the report out and freed the runtime's state; there
     // is nothing left to snapshot (and nothing left to gain — a terminal
     // journal replays once, at recovery, into a terminal campaign).
@@ -1119,10 +1110,10 @@ util::Result<CampaignStatus> CampaignManager::Status(CampaignId id) const {
   out.priority = c->priority;
   out.quanta_run = c->quanta_run.load(std::memory_order_relaxed);
   util::MutexLock lock(&c->status_mu);
-  out.state = c->state;
-  out.deadline_slack_seconds = c->state == CampaignState::kRunning
-                                   ? c->DeadlineSlackNow()
-                                   : c->final_deadline_slack_seconds;
+  out.state = c->state.load();
+  out.deadline_slack_seconds = IsTerminal(out.state)
+                                   ? c->final_deadline_slack_seconds
+                                   : c->DeadlineSlackNow();
   out.budget_spent = c->budget_spent;
   out.tasks_completed = c->tasks_completed;
   out.tasks_in_flight = c->tasks_in_flight;
@@ -1190,21 +1181,21 @@ util::Result<CampaignResult> CampaignManager::WaitFor(
   if (c == nullptr) return util::Status::NotFound("no such campaign");
   const auto start = std::chrono::steady_clock::now();
   util::MutexLock lock(&c->status_mu);
-  while (c->state == CampaignState::kRunning) {
+  while (!IsTerminal(c->state.load())) {
     if (timeout == kNoDeadline) {
       c->terminal_cv.Wait(&c->status_mu);
     } else if (!c->terminal_cv.WaitUntil(&c->status_mu, start + timeout)) {
       break;
     }
   }
-  if (c->state == CampaignState::kRunning) {
+  if (!IsTerminal(c->state.load())) {
     return util::Status::DeadlineExceeded(
         "campaign " + std::to_string(id) + " not terminal after " +
         std::to_string(timeout.count()) + "ms");
   }
   CampaignResult out;
   out.id = id;
-  out.state = c->state;
+  out.state = c->state.load();
   out.report = c->report;
   out.error = c->error;
   return out;
@@ -1503,7 +1494,6 @@ void CampaignManager::Replay(Campaign* c, const std::string& path,
   if (journal.cancelled) {
     // The operator cancelled this campaign before the restart; recovery
     // rebuilds its partial report but must not resume its spend.
-    // (`user_cancelled` stays false, so no duplicate cancel record.)
     Finalize(c, CampaignState::kCancelled, "");
     return;
   }
@@ -1537,8 +1527,8 @@ void CampaignManager::Shutdown() {
     // to finalize them, then drain and join the pool.
     const std::vector<Campaign*> live = AllCampaigns();
     for (Campaign* c : live) {
-      c->cancel_requested.store(true);
-      if (!c->finalized.load()) ScheduleStep(c);
+      c->RaiseStop(StopRequest::kShutdown);
+      if (!IsTerminal(c->state.load())) ScheduleStep(c);
     }
     DrainReadyQueue();
     for (Campaign* c : live) WaitFor(c->id, kNoDeadline);

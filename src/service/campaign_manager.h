@@ -17,13 +17,9 @@
 //                                           re-scheduled once
 //   budget spent / strategy stopped      -> RunReport, waiters notified
 //
-// The completion path is batch-shaped end to end (ISSUE 5): sources
-// deliver spans of finished tasks, the inbox absorbs a span under one
-// lock, the step drains into reusable scratch buffers, applies a whole
-// in-order run through CampaignRuntime::ApplyCompletionBatch, and
-// journals the run with one JournalWriter::AppendCompletionBatch call
-// (arena-encoded, one writer-lock acquisition). See the "hot path"
-// section of src/service/README.md.
+// The completion path is batch-shaped end to end: a span of completions
+// costs one inbox lock, one CampaignRuntime::ApplyCompletionBatch and one
+// journal append (the "hot path" section of src/service/README.md).
 //
 // Threading model (see src/service/README.md for the full picture):
 //   * Campaign state is sharded: the registry is split over 16 shards with
@@ -119,16 +115,37 @@ struct CampaignConfig {
 
 enum class CampaignState {
   kRunning,      // submitted; stepping or waiting for completions
+  kParked,       // sitting out fleet degraded mode (priority <= 1 while
+                 // FleetHealth reports degraded); runs again on its exit
   kDone,         // budget spent or strategy stopped early; report ready
   kCancelled,    // Cancel() took effect; partial report ready
   kFailed,       // configuration, strategy or completion-source error;
                  // see CampaignStatus::error
-  kQuarantined,  // the campaign's journal fd went permanently sick
-                 // (ISSUE 10): the campaign is frozen with its durable
-                 // journal prefix intact and resumable — Recover() on a
-                 // healthy disk replays it like a crash tail. No report;
-                 // see CampaignStatus::error for the storage error.
+  kQuarantined,  // the campaign's journal fd went permanently sick: the
+                 // campaign is frozen with its durable journal prefix
+                 // intact and resumable — Recover() on a healthy disk
+                 // replays it like a crash tail. No report; see
+                 // CampaignStatus::error for the storage error.
 };
+
+// The lifecycle table, kLifecycle[from][to]: kRunning <-> kParked, either
+// of them -> kDone, kCancelled, kFailed or kQuarantined, and nothing out
+// of a terminal state (the rows left zero). Every state change is checked
+// against it.
+inline constexpr bool kLifecycle[6][6] = {
+    // to: running parked done  cancelled failed quarantined
+    {false, true, true, true, true, true},  // from kRunning
+    {true, false, true, true, true, true},  // from kParked
+};
+
+constexpr bool IsLegalTransition(CampaignState from, CampaignState to) {
+  return kLifecycle[static_cast<int>(from)][static_cast<int>(to)];
+}
+
+// Terminal: the campaign takes no further step and its state never moves.
+constexpr bool IsTerminal(CampaignState state) {
+  return state != CampaignState::kRunning && state != CampaignState::kParked;
+}
 
 // A point-in-time snapshot, pollable while the campaign runs.
 struct CampaignStatus {
@@ -303,37 +320,24 @@ class CampaignManager {
   util::Result<CampaignId> Submit(CampaignConfig config);
 
   // Scans `dir` for campaign journals and resurrects each one: reads its
-  // SubmitRecord + completion trace (tolerating a torn/corrupt tail,
-  // which is truncated), asks `factory` for a fresh CampaignConfig,
-  // seeks to the latest checkpoint snapshot (format v2) when one exists
-  // — restoring the serialized runtime/strategy/stream state, then
-  // replaying only the tail — and otherwise replays the whole trace
+  // SubmitRecord + completion trace (a torn/corrupt tail is truncated),
+  // asks `factory` for a fresh CampaignConfig, restores the latest
+  // checkpoint snapshot when one exists and replays the rest of the trace
   // through the runtime's step protocol; Algorithm 1's determinism makes
-  // either path byte-identical to the pre-crash run. The campaign then
-  // resumes live, appending new completions to the same journal
-  // (deterministic mode: steps it to completion before returning). A
-  // snapshot whose record does not decode falls back to full replay
-  // when the trace still starts at seq 0 and fails the campaign when
-  // its prefix was compacted away. Files without an
-  // intact SubmitRecord (a crash between journal creation and the submit
-  // fsync) are skipped. Returns the new ids in journal-file order; a
-  // journal that diverges from the replay finalizes its campaign as
-  // kFailed rather than failing the whole recovery. A journal named
-  // `campaign-<id>.journal` resurrects under its original id (ids are
-  // stable across restarts) and next_id_ advances past it, so later
-  // Submits never reuse a recovered journal file. Every journal is
-  // checked and run through the factory before any campaign is resumed,
-  // so an error return means no side effects (and a rare IO failure
-  // mid-resume is retryable: already-resumed journals are skipped).
-  // Each journal is parsed once: the first pass walks every frame and
-  // decodes every record in place, keeping only the journal's summary;
-  // the factory is then asked again right before the campaign resumes,
-  // and the replay seeks to the snapshot and decodes one record at a
-  // time. With a pool, replays run on the workers (at most one each)
-  // while the calling thread registers the next journal; every replay
-  // has finished when Recover returns. Every trajectory table a
-  // recovered campaign used stays alive until then, so one dataset's
-  // table is built once per call.
+  // this byte-identical to the pre-crash run. The campaign then resumes
+  // live, appending to the same journal (deterministic mode: steps it to
+  // completion before returning). A snapshot that does not decode falls
+  // back to full replay when the trace still starts at seq 0 and fails
+  // the campaign when its prefix was compacted away; a journal that
+  // diverges from the replay likewise fails only its campaign. Files
+  // without an intact SubmitRecord (a crash between journal creation and
+  // the submit fsync) are skipped. A journal named `campaign-<id>.journal`
+  // resurrects under its original id, and later Submits get higher ids.
+  // Returns the new ids in journal-file order. Every journal is checked
+  // and run through the factory before any campaign is resumed, so an
+  // error return means no side effects (and a rare IO failure mid-resume
+  // is retryable: already-resumed journals are skipped). With a pool the
+  // replays run on the workers; all have finished when Recover returns.
   // A non-empty `fleet-commit.log` left in `dir` by an older build fails
   // recovery with FailedPrecondition before any journal is read.
   // Call from one thread, before submitting new campaigns.
@@ -415,7 +419,6 @@ class CampaignManager {
   void Replay(Campaign* campaign, const std::string& path,
               const persist::JournalSummary& journal);
   void Finalize(Campaign* campaign, CampaignState state, std::string error);
-  void ReleaseRunState(Campaign* campaign, CampaignState state);
   void CloseJournalWhenIdle(Campaign* campaign);
   void PublishStatus(Campaign* campaign);
   void OnCompletionBatch(Campaign* campaign,

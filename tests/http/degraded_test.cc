@@ -9,8 +9,11 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/core/strategy_rr.h"
 
 #include "src/http/campaign_routes.h"
 #include "src/http/client.h"
@@ -18,6 +21,7 @@
 #include "src/service/campaign_manager.h"
 #include "src/service/external_source.h"
 #include "src/service/fleet_health.h"
+#include "src/util/json.h"
 #include "src/util/status.h"
 
 namespace incentag {
@@ -37,6 +41,7 @@ class DegradedModeTest : public ::testing::Test {
     service::ManagerOptions manager_options;
     manager_options.num_threads = 1;
     manager_options.completions = source_.get();
+    manager_options.health = health_.get();
     manager_ = std::make_unique<service::CampaignManager>(manager_options);
 
     ServerOptions server_options;
@@ -77,6 +82,12 @@ class DegradedModeTest : public ::testing::Test {
     return retry;
   }
 
+  // A two-resource dataset for campaigns submitted in process; declared
+  // before the manager, which must not outlive it.
+  const std::vector<core::PostSequence> posts_ = {{core::Post{{1}}},
+                                                  {core::Post{{2}}}};
+  const std::vector<core::ResourceReference> references_ =
+      std::vector<core::ResourceReference>(2);
   std::unique_ptr<service::FleetHealth> health_;
   std::unique_ptr<service::ExternalCompletionSource> source_;
   std::unique_ptr<service::CampaignManager> manager_;
@@ -136,6 +147,43 @@ TEST_F(DegradedModeTest, WritesShedWithRetryAfterWhileReadsServe) {
   submit = client->Post("/v1/campaigns", "{}");
   ASSERT_TRUE(submit.ok());
   EXPECT_EQ(submit.value().status, 501);
+}
+
+// A background campaign submitted while degraded parks, and the listing
+// filter takes "parked" like any other state.
+TEST_F(DegradedModeTest, ListingFiltersParkedCampaigns) {
+  EnterDegraded();
+  service::CampaignConfig config;
+  config.name = "background";
+  config.options.budget = 10;
+  config.initial_posts = &posts_;
+  config.references = &references_;
+  config.strategy = std::make_unique<core::RoundRobinStrategy>();
+  config.stream = std::make_unique<core::VectorPostStream>(&posts_);
+  auto id = manager_->Submit(std::move(config));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  while (manager_->Status(id.value()).value().state !=
+         service::CampaignState::kParked) {
+    std::this_thread::yield();
+  }
+
+  auto client = Connect(NoRetry());
+  auto total = [&client](const std::string& target) -> int64_t {
+    auto response = client->Get(target);
+    EXPECT_TRUE(response.ok());
+    if (!response.ok()) return -1;
+    EXPECT_EQ(response.value().status, 200) << target;
+    auto body = util::json::Parse(response.value().body);
+    EXPECT_TRUE(body.ok()) << response.value().body;
+    return body.ok() ? body.value().Find("total")->int_value() : -1;
+  };
+  EXPECT_EQ(total("/v1/campaigns?state=parked"), 1);
+  EXPECT_EQ(total("/v1/campaigns?state=running"), 0);
+  auto status = client->Get("/v1/campaigns/" + std::to_string(id.value()));
+  ASSERT_TRUE(status.ok());
+  auto body = util::json::Parse(status.value().body);
+  ASSERT_TRUE(body.ok()) << status.value().body;
+  EXPECT_EQ(body.value().Find("state")->string_value(), "parked");
 }
 
 // The client ladder rides out a brownout: Retry-After (7s) is clamped

@@ -276,7 +276,7 @@ TEST_F(CampaignManagerTest, StatusIsPollableWhileRunning) {
     EXPECT_LE(status.value().budget_spent, 400);
     EXPECT_GE(status.value().tasks_completed, 0);
     EXPECT_EQ(status.value().strategy, "FP");
-    if (status.value().state != CampaignState::kRunning) break;
+    if (IsTerminal(status.value().state)) break;
   }
   auto report = manager.Wait(id.value());
   ASSERT_TRUE(report.ok());
@@ -336,7 +336,7 @@ TEST_F(CampaignManagerTest, ShutdownCancelsEverythingAndIsIdempotent) {
   for (CampaignId id : ids) {
     auto status = manager->Status(id);
     ASSERT_TRUE(status.ok());
-    EXPECT_NE(status.value().state, CampaignState::kRunning);
+    EXPECT_TRUE(IsTerminal(status.value().state));
   }
   EXPECT_FALSE(manager->Submit(MakeConfig(0, 10, 1)).ok());
   crowd.Stop();
@@ -432,9 +432,25 @@ TEST_F(CampaignManagerTest, ParkedCampaignLifecycle) {
   options.num_threads = 2;
   options.health = &health;
   CampaignManager manager(options);
+  // Parked is a state: Status and List show it.
+  auto wait_parked = [&manager](CampaignId id) {
+    while (manager.Status(id).value().state != CampaignState::kParked) {
+      std::this_thread::yield();
+    }
+    ListQuery query;
+    query.state = CampaignState::kParked;
+    const CampaignPage page = manager.List(query);
+    ASSERT_EQ(page.total, 1u);
+    EXPECT_EQ(page.statuses[0].id, id);
+  };
 
-  auto parked = manager.Submit(MakeConfig(1, 200, 1));
+  CampaignConfig parked_config = MakeConfig(1, 200, 1);
+  parked_config.options.deadline_seconds = 1000.0;
+  auto parked = manager.Submit(std::move(parked_config));
   ASSERT_TRUE(parked.ok()) << parked.status().ToString();
+  wait_parked(parked.value());
+  const double slack = manager.Status(parked.value()).value()
+                           .deadline_slack_seconds;
   CampaignConfig critical_config = MakeConfig(2, 200, 2);
   critical_config.options.priority = 2;
   auto critical = manager.Submit(std::move(critical_config));
@@ -446,6 +462,9 @@ TEST_F(CampaignManagerTest, ParkedCampaignLifecycle) {
                 .status()
                 .code(),
             util::StatusCode::kDeadlineExceeded);
+  // The deadline clock keeps running while the campaign is parked.
+  EXPECT_LT(manager.Status(parked.value()).value().deadline_slack_seconds,
+            slack);
 
   ASSERT_TRUE(manager.Cancel(parked.value()).ok());
   auto cancelled =
@@ -455,6 +474,7 @@ TEST_F(CampaignManagerTest, ParkedCampaignLifecycle) {
 
   auto resumed = manager.Submit(MakeConfig(3, 200, 3));
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  wait_parked(resumed.value());
   EXPECT_EQ(manager.WaitFor(resumed.value(), std::chrono::milliseconds(50))
                 .status()
                 .code(),
@@ -469,6 +489,32 @@ TEST_F(CampaignManagerTest, ParkedCampaignLifecycle) {
             CampaignState::kDone);
   EXPECT_EQ(testing::ReportBytes(report.value()),
             testing::ReportBytes(RunSequential(3, 200, 3)));
+}
+
+// Every (from, to) pair of the lifecycle table: the two park edges, live
+// to terminal, and nothing else.
+TEST(CampaignLifecycleTest, TableHoldsExactlyTheLifecycleEdges) {
+  const CampaignState kAll[] = {
+      CampaignState::kRunning, CampaignState::kParked,
+      CampaignState::kDone,    CampaignState::kCancelled,
+      CampaignState::kFailed,  CampaignState::kQuarantined};
+  auto live = [](CampaignState s) {
+    return s == CampaignState::kRunning || s == CampaignState::kParked;
+  };
+  int pairs = 0;
+  int legal = 0;
+  for (CampaignState from : kAll) {
+    EXPECT_EQ(IsTerminal(from), !live(from)) << static_cast<int>(from);
+    for (CampaignState to : kAll) {
+      const bool want = live(from) && from != to;
+      EXPECT_EQ(IsLegalTransition(from, to), want)
+          << static_cast<int>(from) << " -> " << static_cast<int>(to);
+      ++pairs;
+      legal += want ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(pairs, 36);
+  EXPECT_EQ(legal, 10);
 }
 
 }  // namespace

@@ -227,7 +227,7 @@ class CampaignReleaseTest : public ::testing::Test {
     auto status = manager.Status(id);
     ASSERT_TRUE(status.ok());
     const CampaignStatus& s = status.value();
-    ASSERT_NE(s.state, CampaignState::kRunning);
+    ASSERT_TRUE(IsTerminal(s.state));
     auto again = manager.Status(id);
     ASSERT_TRUE(again.ok());
     ExpectSameStatus(s, again.value());
@@ -371,8 +371,7 @@ TEST_F(CampaignReleaseTest, CancelRacingTheLastCompletion) {
         std::chrono::steady_clock::now() + milliseconds(10000);
     while (manager.Status(id.value()).value().tasks_completed <
                budget - 1 - round % 3 &&
-           manager.Status(id.value()).value().state ==
-               CampaignState::kRunning &&
+           !IsTerminal(manager.Status(id.value()).value().state) &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::yield();
     }

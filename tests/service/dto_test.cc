@@ -2,7 +2,9 @@
 // round trip, and the StatusCode -> HTTP mapping table (ISSUE 8).
 #include "src/service/api/dto.h"
 
+#include <set>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -110,13 +112,17 @@ TEST(CompletionBatchDecode, ValidAndInvalid) {
 
 TEST(StateNames, RoundTrip) {
   const CampaignState states[] = {
-      CampaignState::kRunning, CampaignState::kDone,
-      CampaignState::kCancelled, CampaignState::kFailed};
+      CampaignState::kRunning,   CampaignState::kParked,
+      CampaignState::kDone,      CampaignState::kCancelled,
+      CampaignState::kFailed,    CampaignState::kQuarantined};
+  std::set<std::string_view> names;
   for (CampaignState s : states) {
     CampaignState parsed;
     ASSERT_TRUE(ParseCampaignState(CampaignStateName(s), &parsed));
     EXPECT_EQ(parsed, s);
+    names.insert(CampaignStateName(s));
   }
+  EXPECT_EQ(names.size(), 6u);  // one distinct name per state
   CampaignState ignored;
   EXPECT_FALSE(ParseCampaignState("paused", &ignored));
   EXPECT_FALSE(ParseCampaignState("", &ignored));

@@ -271,7 +271,7 @@ TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
     for (CampaignId id : ids) {
       auto status = manager->Status(id);
       ASSERT_TRUE(status.ok());
-      if (status.value().state != CampaignState::kRunning) ++terminal;
+      if (IsTerminal(status.value().state)) ++terminal;
     }
     if (terminal >= kCampaigns / 2) break;  // keep faulting while busy
 

@@ -102,8 +102,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       for (incentag::service::CampaignId id : ids.value()) {
         auto status = manager.Status(id);
         INCENTAG_CHECK(status.ok());
-        INCENTAG_CHECK(status.value().state !=
-                       incentag::service::CampaignState::kRunning);
+        INCENTAG_CHECK(incentag::service::IsTerminal(status.value().state));
         INCENTAG_CHECK(status.value().error.find(
                            "journal replay read failed") ==
                        std::string::npos);

@@ -89,7 +89,7 @@ EOF
 )
   if [[ -z "${BATCH}" ]]; then
     STATE=$(json_field "$(req 200 GET "/v1/campaigns/${ID}")" state)
-    [[ "${STATE}" == "running" ]] || break
+    [[ "${STATE}" == "running" || "${STATE}" == "parked" ]] || break
     sleep 0.05
     continue
   fi
