@@ -162,8 +162,11 @@ TEST_F(DegradedModeTest, ListingFiltersParkedCampaigns) {
   config.stream = std::make_unique<core::VectorPostStream>(&posts_);
   auto id = manager_->Submit(std::move(config));
   ASSERT_TRUE(id.ok()) << id.status().ToString();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (manager_->Status(id.value()).value().state !=
          service::CampaignState::kParked) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "never parked";
     std::this_thread::yield();
   }
 
@@ -174,8 +177,10 @@ TEST_F(DegradedModeTest, ListingFiltersParkedCampaigns) {
     if (!response.ok()) return -1;
     EXPECT_EQ(response.value().status, 200) << target;
     auto body = util::json::Parse(response.value().body);
-    EXPECT_TRUE(body.ok()) << response.value().body;
-    return body.ok() ? body.value().Find("total")->int_value() : -1;
+    const util::json::Value* total =
+        body.ok() ? body.value().Find("total") : nullptr;
+    EXPECT_NE(total, nullptr) << response.value().body;
+    return total != nullptr ? total->int_value() : -1;
   };
   EXPECT_EQ(total("/v1/campaigns?state=parked"), 1);
   EXPECT_EQ(total("/v1/campaigns?state=running"), 0);
@@ -183,7 +188,9 @@ TEST_F(DegradedModeTest, ListingFiltersParkedCampaigns) {
   ASSERT_TRUE(status.ok());
   auto body = util::json::Parse(status.value().body);
   ASSERT_TRUE(body.ok()) << status.value().body;
-  EXPECT_EQ(body.value().Find("state")->string_value(), "parked");
+  const util::json::Value* state = body.value().Find("state");
+  ASSERT_NE(state, nullptr) << status.value().body;
+  EXPECT_EQ(state->string_value(), "parked");
 }
 
 // The client ladder rides out a brownout: Retry-After (7s) is clamped

@@ -434,7 +434,11 @@ TEST_F(CampaignManagerTest, ParkedCampaignLifecycle) {
   CampaignManager manager(options);
   // Parked is a state: Status and List show it.
   auto wait_parked = [&manager](CampaignId id) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
     while (manager.Status(id).value().state != CampaignState::kParked) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "campaign " << id << " never parked";
       std::this_thread::yield();
     }
     ListQuery query;
