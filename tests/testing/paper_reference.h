@@ -29,6 +29,7 @@
 
 #include "src/core/allocation.h"
 #include "src/core/types.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace testing {
@@ -146,7 +147,7 @@ class PaperReference {
     for (int64_t j = k - omega_ + 2; j <= k; ++j) {
       const std::map<core::TagId, int64_t> before = counts;
       AddPost(i, j, &counts);
-      sum += Cosine(before, counts);
+      sum += NaiveCosine(before, counts);
     }
     return sum / static_cast<double>(omega_ - 1);
   }
@@ -195,26 +196,6 @@ class PaperReference {
     const core::Post& post =
         index < c ? initial_[i][index] : future_[i][index - c];
     for (core::TagId tag : post.tags) ++(*counts)[tag];
-  }
-
-  // Eq. 16: cosine of two tag-count vectors, 0 when either is empty.
-  static double Cosine(const std::map<core::TagId, int64_t>& a,
-                       const std::map<core::TagId, int64_t>& b) {
-    double dot = 0.0;
-    double na = 0.0;
-    double nb = 0.0;
-    for (const auto& [tag, count] : a) {
-      na += static_cast<double>(count) * static_cast<double>(count);
-      auto it = b.find(tag);
-      if (it != b.end()) {
-        dot += static_cast<double>(count) * static_cast<double>(it->second);
-      }
-    }
-    for (const auto& [tag, count] : b) {
-      nb += static_cast<double>(count) * static_cast<double>(count);
-    }
-    if (dot == 0.0) return 0.0;
-    return dot / (std::sqrt(na) * std::sqrt(nb));
   }
 
   // The least-key candidate, smallest id among equal keys; nullopt when
