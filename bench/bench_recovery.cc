@@ -3,7 +3,7 @@
 //
 // A campaign of --budget tasks is journaled to completion twice — once
 // plain (the PR 2 format: one CompletionRecord per applied task forever)
-// and once with --compact_every snapshot compaction. Each journal is then
+// and once with --compact_bytes snapshot compaction. Each journal is then
 // recovered by a fresh CampaignManager and the wall-clock of Recover(),
 // the number of tail records replayed, and the final reports are
 // compared. Compaction must show an order-of-magnitude reduction in
@@ -11,7 +11,7 @@
 // bar this binary gates in CI (bench/check_regression.py).
 //
 //   ./build/bench/bench_recovery --n=600 --budget=50000
-//       --compact_every=2500 --json=bench_recovery.json
+//       --compact_bytes=52500 --json=bench_recovery.json
 //
 // The paper's Figure 6(g)/(h) timing discipline applies: dataset
 // preparation and the recorded runs are outside the clock; only
@@ -60,11 +60,11 @@ service::CampaignConfig MakeConfig(const bench::BenchDataset& bench_ds,
 // Journals one full campaign run into `dir` (deterministic mode: the
 // whole run happens inside Submit, compactions inline).
 void RecordRun(const bench::BenchDataset& bench_ds, int64_t budget,
-               const std::string& dir, int64_t compact_every) {
+               const std::string& dir, int64_t compact_bytes) {
   service::ManagerOptions options;
   options.deterministic = true;
   options.journal_dir = dir;
-  options.compact_every_n_completions = compact_every;
+  options.compact_journal_bytes = compact_bytes;
   service::CampaignManager manager(options);
   auto id = manager.Submit(MakeConfig(bench_ds, budget));
   INCENTAG_CHECK(id.ok());
@@ -156,15 +156,16 @@ int main(int argc, char** argv) {
   int64_t n = 600;
   int64_t seed = 42;
   int64_t budget = 50000;
-  int64_t compact_every = 2500;
+  int64_t compact_bytes = 52500;
   std::string work_dir;
   std::string json_path;
   util::FlagSet flags;
   flags.AddInt("n", &n, "resources to generate");
   flags.AddInt("seed", &seed, "corpus seed");
   flags.AddInt("budget", &budget, "reward units (journal trace length)");
-  flags.AddInt("compact_every", &compact_every,
-               "snapshot compaction interval, applied completions");
+  flags.AddInt("compact_bytes", &compact_bytes,
+               "snapshot compaction interval, journal bytes (a framed "
+               "completion is 21 bytes)");
   flags.AddString("dir", &work_dir,
                   "working directory for the journals "
                   "('' = a fresh directory under /tmp)");
@@ -191,12 +192,12 @@ int main(int argc, char** argv) {
 
   auto bench_ds = bench::MakeDataset(n, static_cast<uint64_t>(seed));
   std::printf("recovery bench: budget %lld over %zu resources, "
-              "compact_every=%lld\n",
+              "compact_bytes=%lld\n",
               static_cast<long long>(budget), bench_ds->dataset.size(),
-              static_cast<long long>(compact_every));
+              static_cast<long long>(compact_bytes));
 
-  RecordRun(*bench_ds, budget, plain_dir, /*compact_every=*/0);
-  RecordRun(*bench_ds, budget, compacted_dir, compact_every);
+  RecordRun(*bench_ds, budget, plain_dir, /*compact_bytes=*/0);
+  RecordRun(*bench_ds, budget, compacted_dir, compact_bytes);
   const int64_t plain_bytes = JournalBytes(plain_dir);
   const int64_t compacted_bytes = JournalBytes(compacted_dir);
 
@@ -236,7 +237,7 @@ int main(int argc, char** argv) {
     std::fprintf(
         out,
         "{\"bench\":\"recovery\",\"n\":%lld,\"budget\":%lld,"
-        "\"compact_every\":%lld,"
+        "\"compact_bytes\":%lld,"
         "\"plain\":{\"recovery_seconds\":%.6f,\"records_replayed\":%lld,"
         "\"journal_bytes\":%lld},"
         "\"compacted\":{\"recovery_seconds\":%.6f,\"records_replayed\":%lld,"
@@ -244,7 +245,7 @@ int main(int argc, char** argv) {
         "\"replay_reduction\":%.3f,\"recovery_speedup\":%.3f,"
         "\"reports_identical\":%s}\n",
         static_cast<long long>(n), static_cast<long long>(budget),
-        static_cast<long long>(compact_every), plain.recovery_seconds,
+        static_cast<long long>(compact_bytes), plain.recovery_seconds,
         static_cast<long long>(plain.records_replayed),
         static_cast<long long>(plain_bytes), compacted.recovery_seconds,
         static_cast<long long>(compacted.records_replayed),

@@ -19,11 +19,11 @@
 // reports the uninterrupted run would have produced:
 //
 //   ./build/examples/campaign_server --journal_dir=/tmp/itag-journals
-//       --compact_every=200 --kill_after_polls=3   # "crash" mid-fleet
+//       --compact_bytes=4200 --kill_after_polls=3   # "crash" mid-fleet
 //   ./build/examples/campaign_server --journal_dir=/tmp/itag-journals
 //       --recover                   # resumes them where the journal ends
 //
-// With --compact_every the journals are checkpoint-compacted as they
+// With --compact_bytes the journals are checkpoint-compacted as they
 // grow (format v2): recovery seeks to each journal's snapshot and
 // replays only the tail — the --recover run prints journal bytes and
 // records replayed per campaign so the effect is visible end to end.
@@ -114,7 +114,6 @@ int main(int argc, char** argv) {
   std::string journal_dir;
   bool recover = false;
   int64_t kill_after_polls = 0;
-  int64_t compact_every = 0;
   int64_t compact_bytes = 0;
   std::string scheduler = "rr";
   int64_t priority = 4;
@@ -140,9 +139,6 @@ int main(int argc, char** argv) {
   flags.AddInt("kill_after_polls", &kill_after_polls,
                "simulate a crash: _Exit() after this many dashboard polls "
                "(0 = run to completion)");
-  flags.AddInt("compact_every", &compact_every,
-               "checkpoint-compact each journal every N applied "
-               "completions (0 = never; needs --journal_dir)");
   flags.AddInt("compact_bytes", &compact_bytes,
                "checkpoint-compact each journal once it grows this many "
                "bytes past its last snapshot (0 = off; needs "
@@ -223,7 +219,6 @@ int main(int argc, char** argv) {
                                           &intake)
                                     : &crowd;
   manager_options.journal_dir = journal_dir;
-  manager_options.compact_every_n_completions = compact_every;
   manager_options.compact_journal_bytes = compact_bytes;
   manager_options.scheduler.policy = policy.value();
   service::CampaignManager manager(manager_options);

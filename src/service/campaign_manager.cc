@@ -251,9 +251,6 @@ struct CampaignManager::Campaign {
   // The journaled deterministic inputs, kept so a compaction can rewrite
   // the journal's submit record without re-deriving it.
   persist::SubmitRecord submit_record;
-  // order.next_apply_seq() as of the last snapshot handed to the
-  // compactor; the compact_every_n_completions policy measures from here.
-  uint64_t last_compact_seq = 0;
   // Journal size when the last compaction rewrite finished; the
   // compact_journal_bytes policy measures from here. Atomic because the
   // compactor thread's done-callback stores it while the stepper reads.
@@ -695,9 +692,8 @@ void CampaignManager::FlushJournal(Campaign* c) {
 // the journal uncompacted but valid, so it is logged, not fatal.
 void CampaignManager::MaybeCompact(Campaign* c) {
   if (c->journal == nullptr || !c->begun) return;
-  // The primary trigger is journal bytes accumulated since the last
-  // rewrite — what recovery has to replay and the rewrite has to copy —
-  // with the PR 3 completion-count policy as a fallback trigger.
+  // The trigger is journal bytes accumulated since the last rewrite —
+  // what recovery has to replay and the rewrite has to copy.
   const int64_t bytes_since =
       c->journal->size() - c->bytes_at_last_compact.load();
   // In degraded mode disk space is the fleet's binding constraint, so
@@ -709,14 +705,11 @@ void CampaignManager::MaybeCompact(Campaign* c) {
   const bool due =
       c->compact_requested.load() || degraded_due ||
       (options_.compact_journal_bytes > 0 &&
-       bytes_since >= options_.compact_journal_bytes) ||
-      (options_.compact_every_n_completions > 0 &&
-       c->order.next_apply_seq() - c->last_compact_seq >=
-           static_cast<uint64_t>(options_.compact_every_n_completions));
+       bytes_since >= options_.compact_journal_bytes);
   if (!due) return;
   // One rewrite at a time per campaign: the tail offset below is only
   // meaningful against the file layout the job will find. A skipped
-  // round leaves compact_requested / the policy counters untouched, so
+  // round leaves compact_requested and the bytes baseline untouched, so
   // the next step boundary retries.
   if (c->compact_in_flight.exchange(true)) return;
   c->compact_requested.store(false);
@@ -735,7 +728,6 @@ void CampaignManager::MaybeCompact(Campaign* c) {
     return;
   }
   job.tail_offset = c->journal->size();
-  c->last_compact_seq = c->order.next_apply_seq();
   // The campaign and manager outlive the job: Shutdown stops the
   // compactor before any campaign is destroyed.
   job.done = [this, c](const util::Status& status) {
@@ -1387,7 +1379,6 @@ void CampaignManager::Replay(Campaign* c, const std::string& path,
     }
     c->begun = true;
     c->order.RestoreFrom(snapshot.Header());
-    c->last_compact_seq = snapshot.num_completions;
     replay_from = snapshot.num_completions;
   } else {
     // No usable snapshot. Full replay works when the completion trace

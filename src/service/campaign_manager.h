@@ -257,23 +257,19 @@ struct ManagerOptions {
   // Coalescing window of the background fsync batcher (see
   // persist::JournalSinkOptions).
   int64_t journal_batch_interval_us = 500;
-  // Journal compaction triggers. When a campaign is due, the stepper
-  // serializes a checkpoint snapshot of its resumable state at a step
-  // boundary and hands the journal to the persist::Compactor (one
-  // thread, one rewrite at a time), which rewrites it as
-  // `submit + snapshot + tail`; recovery then seeks to the snapshot and
-  // replays only the tail — bounded-time restarts for long campaigns.
-  // Deterministic mode compacts inline.
+  // Journal compaction. When a campaign is due, the stepper serializes a
+  // checkpoint snapshot of its resumable state at a step boundary and
+  // hands the journal to the persist::Compactor (one thread, one rewrite
+  // at a time), which rewrites it as `submit + snapshot + tail`; recovery
+  // then seeks to the snapshot and replays only the tail — bounded-time
+  // restarts for long campaigns. Deterministic mode compacts inline.
   //
-  // The primary trigger is journal *bytes* accumulated since the last
-  // snapshot — bytes are what recovery has to read and replay, and what
-  // the rewrite has to copy, so they track the real cost better than a
-  // record count. 0 disables the bytes trigger.
+  // A campaign is due once its journal has grown this many bytes since
+  // the last snapshot (a framed completion is 21 bytes): bytes are what
+  // recovery has to read and replay, and what the rewrite has to copy.
+  // 0 disables the trigger; journals are then rewritten only by an
+  // explicit Compact(id) or in degraded mode (see `health`).
   int64_t compact_journal_bytes = 0;
-  // Fallback/legacy trigger: every n applied completions. Both triggers
-  // may be set; whichever fires first wins. 0 disables it. With both 0,
-  // only explicit Compact(id) rewrites journals.
-  int64_t compact_every_n_completions = 0;
   // Retry ladder for transient journal-sync failures, forwarded to the
   // sink (ISSUE 10; see persist::SyncRetryPolicy).
   persist::SyncRetryPolicy journal_retry;
@@ -351,8 +347,8 @@ class CampaignManager {
   util::Status Cancel(CampaignId id);
 
   // Requests a one-off journal compaction, independent of
-  // compact_every_n_completions; the snapshot is taken at the campaign's
-  // next step boundary and the rewrite runs on the compactor thread.
+  // compact_journal_bytes; the snapshot is taken at the campaign's next
+  // step boundary and the rewrite runs on the compactor thread.
   // Fails on unjournaled or already-terminal campaigns.
   util::Status Compact(CampaignId id);
 

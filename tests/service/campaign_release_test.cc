@@ -279,7 +279,7 @@ TEST_F(CampaignReleaseTest, TerminalCampaignsKeepOnlyTheirReports) {
     options.tasks_per_step = 16;
     options.completions = &source;
     options.journal_dir = dir_.string();
-    options.compact_every_n_completions = 25;
+    options.compact_journal_bytes = 25 * 21;  // 25 framed completions
     CampaignManager manager(options);
     std::vector<CampaignId> ids;
     for (int i = 0; i < kCampaigns; ++i) {

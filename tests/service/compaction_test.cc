@@ -33,6 +33,10 @@ namespace {
 namespace fs = std::filesystem;
 using std::chrono::milliseconds;
 
+// One framed completion record (8 header + 13 payload bytes): the unit
+// the compaction cadences below are written in.
+constexpr int64_t kCompletionBytes = 21;
+
 // Completes the first `limit` tasks inline, then silently drops the rest
 // — wedges the campaign mid-run so Shutdown acts as the "kill".
 class LimitedCompletionSource : public CompletionSource {
@@ -173,17 +177,17 @@ class CompactionTest : public ::testing::Test {
 
   // Runs campaign `kind` against a source that completes only
   // `kill_after` tasks so it wedges mid-run, then tears the manager down
-  // (the "kill"). With compact_every > 0 the journal gets compacted
+  // (the "kill"). With compact_bytes > 0 the journal gets compacted
   // along the way. Returns the journal path.
   std::string KillMidRun(int kind, int64_t budget, uint64_t seed,
-                         int64_t kill_after, int64_t compact_every) {
+                         int64_t kill_after, int64_t compact_bytes) {
     LimitedCompletionSource source(kill_after);
     ManagerOptions options;
     options.num_threads = 2;
     options.tasks_per_step = 8;
     options.completions = &source;
     options.journal_dir = dir_.string();
-    options.compact_every_n_completions = compact_every;
+    options.compact_journal_bytes = compact_bytes;
     CampaignManager manager(options);
     auto id = manager.Submit(MakeConfig(kind, budget, seed));
     EXPECT_TRUE(id.ok()) << id.status().ToString();
@@ -213,7 +217,7 @@ TEST_F(CompactionTest, SnapshotRecoveryMatchesUninterruptedRun) {
     const uint64_t seed = 77 + static_cast<uint64_t>(kind);
     const int64_t kill_after = budget / 2;
     const std::string journal =
-        KillMidRun(kind, budget, seed, kill_after, /*compact_every=*/25);
+        KillMidRun(kind, budget, seed, kill_after, 25 * kCompletionBytes);
 
     auto contents = persist::ReadJournal(journal);
     ASSERT_TRUE(contents.ok()) << contents.status().ToString();
@@ -259,12 +263,12 @@ TEST_F(CompactionTest, SnapshotRecoveryContinuesLiveAndStaysRecoverable) {
   const int kind = 1;
   const int64_t budget = 400;
   const uint64_t seed = 1234;
-  KillMidRun(kind, budget, seed, /*kill_after=*/200, /*compact_every=*/30);
+  KillMidRun(kind, budget, seed, /*kill_after=*/200, 30 * kCompletionBytes);
 
   ManagerOptions options;
   options.num_threads = 3;
   options.tasks_per_step = 16;
-  options.compact_every_n_completions = 30;
+  options.compact_journal_bytes = 30 * kCompletionBytes;
   options.journal_dir = dir_.string();
   CampaignManager recovered(options);
   auto ids = recovered.Recover(dir_.string(), Factory);
@@ -296,7 +300,7 @@ TEST_F(CompactionTest, KillDuringCompactionRecoversFromOldJournal) {
   const int64_t budget = 300;
   const uint64_t seed = 5;
   const std::string journal =
-      KillMidRun(kind, budget, seed, /*kill_after=*/120, /*compact_every=*/0);
+      KillMidRun(kind, budget, seed, /*kill_after=*/120, /*compact_bytes=*/0);
   const std::string tmp = journal + persist::kCompactionTmpSuffix;
   {
     std::ofstream f(tmp, std::ios::binary);
@@ -325,7 +329,7 @@ TEST_F(CompactionTest, CorruptSnapshotFallsBackToFullReplay) {
   const int64_t budget = 300;
   const uint64_t seed = 9;
   const std::string journal =
-      KillMidRun(kind, budget, seed, /*kill_after=*/120, /*compact_every=*/0);
+      KillMidRun(kind, budget, seed, /*kill_after=*/120, /*compact_bytes=*/0);
 
   auto before = persist::ReadJournal(journal);
   ASSERT_TRUE(before.ok());
@@ -361,7 +365,7 @@ TEST_F(CompactionTest, CorruptSnapshotFallsBackToFullReplay) {
 TEST_F(CompactionTest, UnusableSnapshotWithCompactedPrefixFailsCampaign) {
   const int kind = 1;
   KillMidRun(kind, /*budget=*/300, /*seed=*/8, /*kill_after=*/150,
-             /*compact_every=*/40);
+             40 * kCompletionBytes);
   auto files = util::ListDirFiles(dir_.string(), ".journal");
   ASSERT_TRUE(files.ok());
   ASSERT_EQ(files.value().size(), 1u);
@@ -510,7 +514,7 @@ TEST_F(CompactionTest, FleetCompactingEveryTenCompletionsStaysRecoverable) {
   options.tasks_per_step = 8;
   options.completions = &crowd;
   options.journal_dir = dir_.string();
-  options.compact_every_n_completions = 10;  // every campaign compacts often
+  options.compact_journal_bytes = 10 * kCompletionBytes;  // compacts often
   CampaignManager manager(options);
 
   const int kCampaigns = 16;
@@ -543,9 +547,9 @@ TEST_F(CompactionTest, FleetCompactingEveryTenCompletionsStaysRecoverable) {
   }
 }
 
-// The journal-bytes trigger: with compact_journal_bytes set (and the
-// completion-count knob off), journals get checkpoint-compacted as they
-// grow past the threshold.
+// The journal-bytes trigger at a threshold that is not a whole number of
+// completion frames: journals get checkpoint-compacted as they grow past
+// it.
 TEST_F(CompactionTest, JournalBytesTriggerCompacts) {
   ManagerOptions options;
   options.num_threads = 2;
@@ -597,7 +601,7 @@ TEST_F(CompactionTest, ConcurrentCompactionUnderCrowdLoadIsExact) {
   options.tasks_per_step = 8;
   options.completions = &crowd;
   options.journal_dir = dir_.string();
-  options.compact_every_n_completions = 10;  // compact aggressively
+  options.compact_journal_bytes = 10 * kCompletionBytes;  // aggressively
   CampaignManager manager(options);
 
   const int kCampaigns = 6;

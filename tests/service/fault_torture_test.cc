@@ -213,7 +213,7 @@ TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
   options.tasks_per_step = 13;
   options.completions = &crowd;
   options.journal_dir = dir_.string();
-  options.compact_every_n_completions = 64;
+  options.compact_journal_bytes = 64 * 21;  // 64 framed completions
   options.journal_retry.max_attempts = 4;
   options.journal_retry.initial_backoff_us = 20;
   options.journal_retry.max_backoff_us = 500;

@@ -34,18 +34,18 @@ void RunTarget(const std::string& bytes) {
 }
 
 // Journals of finished campaigns, one per strategy, written by a
-// deterministic manager (compacting every `compact_every` completions;
+// deterministic manager (compacting every `compact_bytes` journal bytes;
 // 0 = never) through the target's own factory.
-std::vector<std::string> WrittenJournals(int64_t compact_every) {
+std::vector<std::string> WrittenJournals(int64_t compact_bytes) {
   const fs::path dir = fs::path(::testing::TempDir()) /
-                       ("recover_fuzz_test_" + std::to_string(compact_every));
+                       ("recover_fuzz_test_" + std::to_string(compact_bytes));
   fs::remove_all(dir);
   std::vector<std::string> out;
   {
     ManagerOptions options;
     options.deterministic = true;
     options.journal_dir = dir.string();
-    options.compact_every_n_completions = compact_every;
+    options.compact_journal_bytes = compact_bytes;
     CampaignManager manager(options);
     for (int kind = 0; kind < 5; ++kind) {
       persist::SubmitRecord record;
@@ -74,8 +74,9 @@ std::vector<std::string> WrittenJournals(int64_t compact_every) {
 
 TEST(RecoverFuzzTest, SeedCorpusAndMutations) {
   std::vector<std::string> seeds = testing::SeedJournals();
-  for (int64_t compact_every : {int64_t{0}, int64_t{25}}) {
-    for (std::string& journal : WrittenJournals(compact_every)) {
+  // 525 bytes: 25 framed completions of 21 bytes.
+  for (int64_t compact_bytes : {int64_t{0}, int64_t{525}}) {
+    for (std::string& journal : WrittenJournals(compact_bytes)) {
       seeds.push_back(journal + testing::CancelFrame());
       seeds.push_back(std::move(journal));
     }

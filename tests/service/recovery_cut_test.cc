@@ -47,6 +47,9 @@ namespace fs = std::filesystem;
 using testing::ReportBytes;
 using std::chrono::milliseconds;
 
+// One framed completion record (8 header + 13 payload bytes).
+constexpr int64_t kCompletionBytes = 21;
+
 // One campaign's deterministic inputs.
 struct Spec {
   std::string name;
@@ -175,10 +178,10 @@ class RecoveryCutTest : public ::testing::Test {
   }
 
   // Runs every spec to the end in one deterministic journaled manager
-  // (compacting every `compact_every` completions; 0 = never) and returns
+  // (compacting every `compact_bytes` journal bytes; 0 = never) and returns
   // each finished journal's bytes, in `specs` order.
   std::vector<std::string> FinishedJournals(const std::vector<Spec>& specs,
-                                            int64_t compact_every) {
+                                            int64_t compact_bytes) {
     const fs::path dir = dir_ / "journals";
     fs::remove_all(dir);
     std::vector<std::string> out;
@@ -186,7 +189,7 @@ class RecoveryCutTest : public ::testing::Test {
       ManagerOptions options;
       options.deterministic = true;
       options.journal_dir = dir.string();
-      options.compact_every_n_completions = compact_every;
+      options.compact_journal_bytes = compact_bytes;
       CampaignManager manager(options);
       for (const Spec& spec : specs) {
         auto id = manager.Submit(MakeConfig(spec));
@@ -301,7 +304,8 @@ sim::PreparedDataset* RecoveryCutTest::dataset_ = nullptr;
 TEST_F(RecoveryCutTest, EveryStrategyRecoversFromSeededCutPoints) {
   const std::vector<Spec> specs = StrategySpecs();
   const std::vector<std::string> plain = FinishedJournals(specs, 0);
-  const std::vector<std::string> compacted = FinishedJournals(specs, 150);
+  const std::vector<std::string> compacted =
+      FinishedJournals(specs, 150 * kCompletionBytes);
   util::Rng rng(0x5EED2021);
   for (size_t s = 0; s < specs.size(); ++s) {
     const std::string want = Uninterrupted(specs[s]);
@@ -408,7 +412,8 @@ TEST_F(RecoveryCutTest, CancelRecordIsTerminalAndACutBeforeItResumes) {
 TEST_F(RecoveryCutTest, MixedFleetRecoversFromSeededCutPoints) {
   const std::vector<Spec> specs = MixedFleet();
   const std::vector<std::string> plain = FinishedJournals(specs, 0);
-  const std::vector<std::string> compacted = FinishedJournals(specs, 48);
+  const std::vector<std::string> compacted =
+      FinishedJournals(specs, 48 * kCompletionBytes);
   for (size_t i = 0; i < specs.size(); ++i) {
     ASSERT_TRUE(HoldsSnapshot(compacted[i])) << specs[i].name;
   }
