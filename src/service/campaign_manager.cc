@@ -7,7 +7,6 @@
 #include <limits>
 #include <mutex>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "src/core/campaign_runtime.h"
@@ -99,9 +98,6 @@ constexpr char kSourceClosedError[] = "completion source closed";
 // Only a user cancel is journaled: a campaign Shutdown interrupts must
 // resume on Recover, and a quarantined one's fd takes no more writes.
 enum class StopRequest : uint8_t { kNone, kShutdown, kUserCancel, kQuarantine };
-
-// Registry shards; a campaign lives on shard id % kNumShards.
-constexpr CampaignId kNumShards = 16;
 
 constexpr std::chrono::milliseconds kNoDeadline =
     std::chrono::milliseconds::max();
@@ -341,16 +337,6 @@ struct CampaignManager::Campaign {
   }
 };
 
-// One registry shard: a mutex plus the campaigns hashed to it. Campaigns
-// are never erased before the manager is destroyed (a terminal one keeps
-// only its status and report; see Finalize), so a pointer obtained under
-// the shard lock stays valid afterwards.
-struct CampaignManager::Shard {
-  mutable util::Mutex mu;
-  std::unordered_map<CampaignId, std::unique_ptr<Campaign>> campaigns
-      GUARDED_BY(mu);
-};
-
 CampaignManager::CampaignManager(ManagerOptions options)
     : options_(options) {
   if (options_.tasks_per_step <= 0) options_.tasks_per_step = 1;
@@ -359,9 +345,6 @@ CampaignManager::CampaignManager(ManagerOptions options)
   // Register the service instruments now, so /metrics lists them (at
   // zero) before the first campaign steps.
   ServiceMetrics::Get();
-  for (CampaignId i = 0; i < kNumShards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   if (options_.completions != nullptr && !options_.deterministic) {
     source_ = options_.completions;
   } else {
@@ -464,38 +447,31 @@ size_t CampaignManager::num_campaigns() const {
 }
 
 CampaignManager::Campaign* CampaignManager::Find(CampaignId id) const {
-  const Shard& shard = *shards_[id % kNumShards];
-  util::MutexLock lock(&shard.mu);
-  auto it = shard.campaigns.find(id);
-  return it == shard.campaigns.end() ? nullptr : it->second.get();
+  util::MutexLock lock(&registry_mu_);
+  auto it = campaigns_.find(id);
+  return it == campaigns_.end() ? nullptr : it->second.get();
 }
 
-// Campaigns are never erased before the manager is destroyed, so the
-// pointers stay valid after the shard locks are dropped.
 std::vector<CampaignManager::Campaign*> CampaignManager::AllCampaigns()
     const {
   std::vector<Campaign*> out;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(&shard->mu);
-    for (const auto& [id, campaign] : shard->campaigns) {
-      out.push_back(campaign.get());
-    }
-  }
+  util::MutexLock lock(&registry_mu_);
+  out.reserve(campaigns_.size());
+  for (const auto& [id, campaign] : campaigns_) out.push_back(campaign.get());
   return out;
 }
 
 util::Status CampaignManager::TryRegister(
     CampaignId id, std::unique_ptr<Campaign> campaign) {
-  Shard& shard = *shards_[id % kNumShards];
-  util::MutexLock lock(&shard.mu);
-  // Checked under the shard lock so Submit and Shutdown's sweep cannot
-  // miss each other: Shutdown sets the flag before locking the shards,
-  // so either this read sees it (reject) or the sweep's later snapshot
-  // of this shard sees the campaign (cancel it).
+  util::MutexLock lock(&registry_mu_);
+  // Checked under the registry lock so Submit and Shutdown's sweep cannot
+  // miss each other: Shutdown sets the flag before taking the lock, so
+  // either this read sees it (reject) or the sweep's later snapshot of
+  // the registry sees the campaign (cancel it).
   if (shutdown_.load()) {
     return util::Status::FailedPrecondition("manager is shut down");
   }
-  shard.campaigns.emplace(id, std::move(campaign));
+  campaigns_.emplace(id, std::move(campaign));
   return util::Status::OK();
 }
 
@@ -1037,7 +1013,7 @@ void CampaignManager::CloseJournalWhenIdle(Campaign* c) {
 void CampaignManager::OnWriterSick(persist::JournalWriter* writer,
                                    const util::Status& status) {
   // `journal` is set before registration and never reassigned, so the
-  // registry snapshot's shard locks publish the pointer.
+  // registry lock publishes the pointer.
   for (Campaign* c : AllCampaigns()) {
     if (c->journal.get() != writer) continue;
     {
@@ -1094,6 +1070,11 @@ util::Status CampaignManager::Compact(CampaignId id) {
 util::Result<CampaignStatus> CampaignManager::Status(CampaignId id) const {
   const Campaign* c = Find(id);
   if (c == nullptr) return util::Status::NotFound("no such campaign");
+  return StatusOf(c);
+}
+
+// Takes the campaign's status_mu and nothing else.
+CampaignStatus CampaignManager::StatusOf(const Campaign* c) {
   CampaignStatus out;
   out.id = c->id;
   out.name = c->config.name;
@@ -1123,20 +1104,15 @@ util::Result<CampaignStatus> CampaignManager::Status(CampaignId id) const {
 }
 
 CampaignPage CampaignManager::List(const ListQuery& query) const {
-  std::vector<Campaign*> campaigns = AllCampaigns();
-  std::sort(campaigns.begin(), campaigns.end(),
-            [](const Campaign* a, const Campaign* b) { return a->id < b->id; });
-
   CampaignPage page;
   page.offset = query.offset;
   page.limit = std::min(query.limit, ListQuery::kMaxLimit);
   const std::string needle = util::AsciiToLower(query.search);
   // One pass in id order: count every match, snapshot only the window.
-  // Status(id) takes that campaign's status_mu and nothing else, so a
+  // StatusOf takes that campaign's status_mu and nothing else, so a
   // full-fleet listing never touches an inbox lock or stalls a stepper.
-  // Campaigns are never erased, so it always finds them.
-  for (const Campaign* c : campaigns) {
-    CampaignStatus s = Status(c->id).value();
+  for (const Campaign* c : AllCampaigns()) {
+    CampaignStatus s = StatusOf(c);
     if (query.state.has_value() && s.state != *query.state) continue;
     if (!needle.empty() &&
         util::AsciiToLower(s.name).find(needle) == std::string::npos) {
@@ -1505,7 +1481,7 @@ void CampaignManager::Replay(Campaign* c, const std::string& path,
 }
 
 void CampaignManager::Shutdown() {
-  // The flag must be set before the sweep locks the shards (see the
+  // The flag must be set before the sweep locks the registry (see the
   // matching comment in TryRegister); call_once makes concurrent or
   // repeated Shutdown calls block until the one real teardown completes,
   // so no caller can join the pool while another is still sweeping.

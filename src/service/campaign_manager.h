@@ -22,9 +22,9 @@
 // journal append (the "hot path" section of src/service/README.md).
 //
 // Threading model (see src/service/README.md for the full picture):
-//   * Campaign state is sharded: the registry is split over 16 shards with
-//     one mutex each, and every mutable campaign structure is per-campaign
-//     — the hot path (a campaign step) takes no global lock.
+//   * One mutex guards the registry (id -> campaign), held only to look
+//     up, register or list campaigns; every mutable campaign structure is
+//     per-campaign, so a step holds no fleet-wide lock while it works.
 //   * At most one thread steps a given campaign at a time, enforced by an
 //     atomic "scheduled" token; the runtime itself is single-threaded.
 //   * Completions land in a per-campaign MPSC inbox (mutex + swap-drain)
@@ -61,6 +61,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -356,7 +357,7 @@ class CampaignManager {
   util::Result<CampaignStatus> Status(CampaignId id) const;
 
   // Paginated, filterable fleet listing in ascending id order. Touches
-  // only the shard registries and each listed campaign's status_mu —
+  // only the registry and each listed campaign's status_mu —
   // never an inbox lock — so listing cannot stall the completion hot
   // path. The query surface every client (HTTP, campaign_server
   // rollups, tests) goes through.
@@ -397,11 +398,11 @@ class CampaignManager {
 
  private:
   struct Campaign;
-  struct Shard;
 
   Campaign* Find(CampaignId id) const;
-  // Every registered campaign, in no particular order.
+  // Every registered campaign, in ascending id order.
   std::vector<Campaign*> AllCampaigns() const;
+  static CampaignStatus StatusOf(const Campaign* campaign);
   util::Status TryRegister(CampaignId id,
                            std::unique_ptr<Campaign> campaign);
   void ScheduleStep(Campaign* campaign);
@@ -451,7 +452,13 @@ class CampaignManager {
   // Background journal rewriter; null in deterministic mode (compaction
   // then runs inline on the driving thread) and until journaling is on.
   std::unique_ptr<persist::Compactor> compactor_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // Every campaign the manager ever registered. Campaigns are never
+  // erased before the manager is destroyed (a terminal one keeps only its
+  // status and report; see Finalize), so a pointer obtained under the
+  // lock stays valid afterwards.
+  mutable util::Mutex registry_mu_;
+  std::map<CampaignId, std::unique_ptr<Campaign>> campaigns_
+      GUARDED_BY(registry_mu_);
   // One trajectory table per (initial posts, post store, references,
   // omega), shared by every campaign on it and freed with the last of
   // them (weak_ptr); expired entries are pruned by InitialStateFor.
