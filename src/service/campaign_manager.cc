@@ -1185,11 +1185,13 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
   // Recover again without double-resuming anything. One pass of the
   // frame cursor per journal checks every frame and decodes every record
   // in place (ScanJournal), so a record that phase 2 could not decode
-  // fails here. The factory's config is validated and dropped: phase 1
-  // keeps only each journal's summary, no per-resource state.
+  // fails here. Each journal's validated config waits beside its summary
+  // for phase 2; its post store is borrowed, so it holds no per-resource
+  // state.
   struct Pending {
     std::string path;
     persist::JournalSummary summary;
+    CampaignConfig config;
   };
   std::vector<Pending> pending;
   for (const std::string& path : files.value()) {
@@ -1205,14 +1207,14 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
     auto config = factory(summary.value().submit);
     if (!config.ok()) return config.status();
     INCENTAG_RETURN_IF_ERROR(ValidateConfig(config.value()));
-    pending.push_back(Pending{path, std::move(summary).value()});
+    pending.push_back(Pending{path, std::move(summary).value(),
+                              std::move(config).value()});
   }
 
   // Phase 2: rebuild and register one journal at a time, in file order,
   // and replay each from its latest good snapshot one record at a time.
-  // Only IO-level failures (or a factory refusing a record it accepted in
-  // phase 1) can abort from here on, and resumed journals are
-  // remembered, so even such an abort is safely retryable. With a
+  // Only IO-level failures can abort from here on, and resumed journals
+  // are remembered, so even such an abort is safely retryable. With a
   // pool, a replay runs as a pool task while this thread registers the
   // next journal, at most one per worker at a time (this thread replays
   // itself when they are all busy); Recover returns once every replay
@@ -1228,17 +1230,14 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
     ~WaitForReplays() { window->WaitIdle(); }
   } wait_for_replays{window.get()};
   std::vector<CampaignId> out;
-  for (const Pending& p : pending) {
-    auto config = factory(p.summary.submit);
-    if (!config.ok()) return config.status();
-    INCENTAG_RETURN_IF_ERROR(ValidateConfig(config.value()));
+  for (Pending& p : pending) {
     std::shared_ptr<const core::InitialState> table =
-        InitialStateFor(config.value());
+        InitialStateFor(p.config);
     if (std::find(tables.begin(), tables.end(), table) == tables.end()) {
       tables.push_back(std::move(table));
     }
     auto registered =
-        RegisterRecovered(p.path, p.summary, std::move(config).value());
+        RegisterRecovered(p.path, p.summary, std::move(p.config));
     if (!registered.ok()) return registered.status();
     Campaign* c = registered.value();
     out.push_back(c->id);

@@ -293,9 +293,8 @@ class CampaignManager {
   // strategy_name + record.seed), stream, and any CostModel. The
   // returned config's `options` should normally be taken from
   // `record.options` unchanged — recovery replay is only byte-identical
-  // if the engine options match the original run. Recover calls it twice
-  // per journal (to validate, then to rebuild right before the replay);
-  // both calls must describe the same campaign.
+  // if the engine options match the original run. Recover calls it once
+  // per journal, before any campaign is registered or resumed.
   using CampaignFactory = std::function<util::Result<CampaignConfig>(
       const persist::SubmitRecord& record)>;
 

@@ -554,6 +554,38 @@ TEST_F(RecoveryTest, RecoverBuildsEachTrajectoryTableOnce) {
   EXPECT_EQ(recovered.num_initial_states(), 0u);
 }
 
+// Recover asks the factory once per journal: phase 1 checks the config
+// it returns and phase 2 replays that same config.
+TEST_F(RecoveryTest, RecoverCallsTheFactoryOncePerJournal) {
+  const std::vector<Run> runs = {{0, 200, 31}, {2, 220, 32}, {4, 240, 33}};
+  std::vector<std::string> journals;
+  JournalFinishedRuns(runs, &journals);
+  ASSERT_EQ(journals.size(), 3u);
+
+  std::map<uint64_t, int> calls;  // by journaled seed, one per run
+  const auto counting = [&calls](const persist::SubmitRecord& record) {
+    ++calls[record.seed];
+    return Factory(record);
+  };
+  ManagerOptions options;
+  options.num_threads = 2;
+  CampaignManager recovered(options);
+  auto ids = recovered.Recover(dir_.string(), counting);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  ASSERT_EQ(ids.value().size(), runs.size());
+  EXPECT_EQ(calls.size(), runs.size());
+  for (const Run& run : runs) EXPECT_EQ(calls[run.seed], 1) << run.seed;
+  for (size_t k = 0; k < runs.size(); ++k) {
+    const Run& run = runs[k];
+    auto result = recovered.WaitFor(ids.value()[k], milliseconds(10000));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().state, CampaignState::kDone);
+    ExpectReportsEqual(RunSequential(run.kind, run.budget, run.seed),
+                       result.value().report,
+                       "kind " + std::to_string(run.kind));
+  }
+}
+
 // Recover pins every trajectory table until it returns, so journals over
 // one borrowed store share one table even when a campaign finishes
 // during its replay, and a table is built once per store.
