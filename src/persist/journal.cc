@@ -445,13 +445,10 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
   const int64_t prefix_bytes =
       static_cast<int64_t>(head.size() + snapshot_body.size());
 
-  util::AppendFile tmp;
-  INCENTAG_RETURN_IF_ERROR(tmp.Open(tmp_path, /*truncate_to=*/0));
-  INCENTAG_RETURN_IF_ERROR(tmp.AppendGather(prefix));
-
-  // Phase 1, without the writer lock: push everything appended so far to
-  // the kernel and copy the bulk of the tail. Appends racing with this
-  // copy only extend the file past `flushed`; phase 2 picks them up.
+  // Phase 1, mostly without the writer lock: push everything appended so
+  // far to the kernel and copy the bulk of the tail. Appends racing with
+  // this copy only extend the file past `flushed`; phase 2 picks them up.
+  // A closed writer is refused before the rewrite file exists.
   int64_t flushed = 0;
   {
     util::MutexLock lock(&mu_);
@@ -464,6 +461,21 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
         "compaction tail offset " + std::to_string(tail_offset) +
         " out of range for journal of " + std::to_string(flushed) + " bytes");
   }
+  // Every failure from here on leaves the journal as it was and removes
+  // the partial rewrite; only the rename makes the rewrite the journal.
+  util::AppendFile tmp;
+  struct RemoveUnlessRenamed {
+    util::AppendFile* file;
+    const std::string* path;
+    bool renamed = false;
+    ~RemoveUnlessRenamed() {
+      if (renamed) return;
+      file->Close();
+      util::RemoveFile(*path);
+    }
+  } rewrite{&tmp, &tmp_path};
+  INCENTAG_RETURN_IF_ERROR(tmp.Open(tmp_path, /*truncate_to=*/0));
+  INCENTAG_RETURN_IF_ERROR(tmp.AppendGather(prefix));
   if (tail_offset < flushed) {
     auto bulk =
         util::ReadFileRange(path_, tail_offset, flushed - tail_offset);
@@ -503,6 +515,7 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
         "rename " + tmp_path + ": " + std::strerror(fault.err), fault.err);
   }
   INCENTAG_RETURN_IF_ERROR(util::RenameFile(tmp_path, path_));
+  rewrite.renamed = true;
   // The rename must be durable before anyone relies on the dropped
   // prefix being gone; the containing directory carries that entry.
   const size_t slash = path_.find_last_of('/');

@@ -232,7 +232,10 @@ class JournalWriter {
   // mix. Each of the three pieces (submit + snapshot, bulk tail, delta)
   // reaches the rewrite in one gathered pwritev, never through its
   // buffer, and the writer then adopts the rewrite's open descriptor: a
-  // compacted writer keeps no copy of the snapshot or the tail.
+  // compacted writer keeps no copy of the snapshot or the tail. A closed
+  // writer (Close may land from another thread mid-rewrite) is refused
+  // with FailedPrecondition, and any failure before the rename removes
+  // the partial rewrite.
   util::Status Compact(const SubmitRecord& submit,
                        const SnapshotRecord& snapshot, int64_t tail_offset)
       EXCLUDES(mu_);

@@ -272,13 +272,8 @@ struct CampaignManager::Campaign {
   std::atomic<bool> compact_requested{false};
   // True while a compaction job for this campaign is queued or running.
   // At most one is ever in flight: a second job's tail offset would
-  // refer to the pre-rewrite file layout and corrupt the journal. Whoever
-  // flips it false -> true with close_journal set owns the journal's
-  // close (see CloseJournalWhenIdle).
+  // refer to the pre-rewrite file layout and corrupt the journal.
   std::atomic<bool> compact_in_flight{false};
-  // Set by Finalize once a terminal journal is synced: the journal is to
-  // be closed as soon as no compaction holds it.
-  std::atomic<bool> close_journal{false};
 
   // ---- lifecycle ----
   // Read lock-free anywhere; written only by Transition.
@@ -665,7 +660,9 @@ void CampaignManager::FlushJournal(Campaign* c) {
 // the records currently in the journal — appends happen on this thread,
 // in order — so the journal's current size is the tail boundary. The
 // rewrite itself runs on the compactor thread; a failure there leaves
-// the journal uncompacted but valid, so it is logged, not fatal.
+// the journal uncompacted but valid, so it is logged, not fatal. A
+// campaign that finishes meanwhile closes its journal, and the rewrite
+// then stops with FailedPrecondition, which is expected and not logged.
 void CampaignManager::MaybeCompact(Campaign* c) {
   if (c->journal == nullptr || !c->begun) return;
   // The trigger is journal bytes accumulated since the last rewrite —
@@ -712,14 +709,12 @@ void CampaignManager::MaybeCompact(Campaign* c) {
       // snapshot prefix plus whatever tail accumulated meanwhile, so the
       // delta to the next trigger measures fresh post-snapshot bytes.
       c->bytes_at_last_compact.store(c->journal->size());
-    } else {
+    } else if (status.code() != util::StatusCode::kFailedPrecondition) {
       INCENTAG_LOG_ERROR("campaign %llu compaction failed: %s",
                          static_cast<unsigned long long>(c->id),
                          status.ToString().c_str());
     }
     c->compact_in_flight.store(false);
-    // The campaign may have finished while this job held its journal.
-    CloseJournalWhenIdle(c);
   };
   if (compactor_ != nullptr) {
     compactor_->Enqueue(std::move(job));
@@ -906,10 +901,11 @@ void CampaignManager::PublishStatus(Campaign* c) {
 //     sink and nothing syncs through it (fsyncgate). No report: Recover()
 //     replays the durable prefix. Everything else is kept as it is.
 //   * otherwise the journal is synced (best effort) before waiters see
-//     the state. A synced journal leaves the sink and is closed once no
-//     compaction holds it. The campaign then keeps only its status fields
-//     and report: the runtime's state, the strategy, the stream, their
-//     context and the step scratch are freed.
+//     the state. A synced journal leaves the sink and is closed here; a
+//     compaction still running on it finds it closed and stops. The
+//     campaign then keeps only its status fields and report: the
+//     runtime's state, the strategy, the stream, their context and the
+//     step scratch are freed.
 void CampaignManager::Finalize(Campaign* c, CampaignState state,
                                std::string error) {
   const bool quarantine = state == CampaignState::kQuarantined;
@@ -920,8 +916,7 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
       // A journal whose sync failed stays open: its bytes may still be
       // in the page cache only, and the fd is the one handle on them.
       if (sink_ != nullptr) sink_->Untrack(c->journal.get());
-      c->close_journal.store(true);
-      CloseJournalWhenIdle(c);
+      c->journal->Close();
     }
   }
   // Keep the token forever: no further steps can be scheduled, and late
@@ -993,16 +988,6 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
   }
   if (quarantine) ServiceMetrics::Get().quarantines->Increment();
   c->terminal_cv.NotifyAll();
-}
-
-// Closes a terminal campaign's journal once Finalize asked for it and no
-// compaction holds the writer. Both Finalize and a finishing compaction
-// call this; taking the compact_in_flight token makes exactly one of them
-// close, and keeps any later compaction out.
-void CampaignManager::CloseJournalWhenIdle(Campaign* c) {
-  if (c->close_journal.load() && !c->compact_in_flight.exchange(true)) {
-    c->journal->Close();
-  }
 }
 
 // Sink-thread callback: the retry ladder exhausted (or hit a permanent

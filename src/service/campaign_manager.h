@@ -415,7 +415,6 @@ class CampaignManager {
   void Replay(Campaign* campaign, const std::string& path,
               const persist::JournalSummary& journal);
   void Finalize(Campaign* campaign, CampaignState state, std::string error);
-  void CloseJournalWhenIdle(Campaign* campaign);
   void PublishStatus(Campaign* campaign);
   void OnCompletionBatch(Campaign* campaign,
                          std::span<const TaskHandle> tasks);

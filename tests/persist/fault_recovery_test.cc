@@ -359,6 +359,37 @@ TEST_F(FaultRecoveryTest, CompactionUnderShortWritesMatchesUnfaulted) {
   }
 }
 
+// A rewrite that fails before its rename leaves the journal as it was
+// and no rewrite file beside it, and the writer keeps appending.
+TEST_F(FaultRecoveryTest, FailedCompactionLeavesNoRewriteBehind) {
+  auto writer = MakeWriter("failed.journal");
+  const int64_t base = writer->size();
+  AppendBatch(writer.get(), 0, 20);
+  SubmitRecord submit;
+  submit.name = "failed.journal";
+  submit.strategy_name = "round_robin";
+  SnapshotRecord snapshot;
+  snapshot.num_completions = 10;
+  snapshot.next_assign_seq = 10;
+  size_t appended = 20;
+  for (const char* point : {"compactor/rewrite", "compactor/rename"}) {
+    {
+      ScopedFailPoint fp(point, ScopedFailPoint::Fires(1),
+                         ScopedFailPoint::Enospc());
+      EXPECT_FALSE(
+          writer->Compact(submit, snapshot, base + 10 * 21).ok())
+          << point;
+    }
+    EXPECT_FALSE(std::filesystem::exists(Path("failed.journal") +
+                                         kCompactionTmpSuffix))
+        << point;
+    AppendBatch(writer.get(), appended, 5);
+    appended += 5;
+    ASSERT_TRUE(writer->Sync().ok());
+    ExpectIntact("failed.journal", appended);
+  }
+}
+
 #endif  // INCENTAG_FAILPOINTS
 
 }  // namespace

@@ -564,6 +564,8 @@ TEST_F(JournalTest, ClosedWriterSyncsNothingAndAppendsNothing) {
   SnapshotRecord snapshot;
   EXPECT_EQ(writer.value()->Compact(MakeSubmit(), snapshot, 0).code(),
             util::StatusCode::kFailedPrecondition);
+  // Refused before the rewrite file was created.
+  EXPECT_FALSE(fs::exists(path + kCompactionTmpSuffix));
   auto contents = ReadJournal(path);
   ASSERT_TRUE(contents.ok());
   EXPECT_EQ(contents.value().completions.size(), 5u);

@@ -310,7 +310,8 @@ TEST_F(CampaignReleaseTest, TerminalCampaignsKeepOnlyTheirReports) {
         done_reports[id] = got;
       }
     }
-    // A compaction still holding a finished journal closes it when done.
+    // A compaction still running on a finished journal releases its
+    // rewrite's descriptor when it stops.
     const auto deadline = std::chrono::steady_clock::now() + milliseconds(5000);
     while (OpenFds() != fds_before &&
            std::chrono::steady_clock::now() < deadline) {
