@@ -76,8 +76,7 @@ int64_t JournalSyncsTotal() {
 SweepResult RunOnce(const bench::BenchDataset& bench_ds, int threads,
                     int64_t campaigns, int64_t budget, int64_t batch,
                     int64_t taggers, double latency_us,
-                    const std::string& journal_dir,
-                    int64_t journal_batch_us) {
+                    const std::string& journal_dir) {
   const sim::PreparedDataset& ds = bench_ds.dataset;
   const int64_t syncs_before = JournalSyncsTotal();
 
@@ -85,7 +84,6 @@ SweepResult RunOnce(const bench::BenchDataset& bench_ds, int threads,
   service::ManagerOptions options;
   options.num_threads = threads;
   options.journal_dir = journal_dir;
-  options.journal_batch_interval_us = journal_batch_us;
   if (taggers > 0) {
     sim::LoadGeneratorOptions load_options;
     load_options.num_taggers = static_cast<int>(taggers);
@@ -139,8 +137,6 @@ int main(int argc, char** argv) {
   int64_t threads = 0;
   int64_t taggers = 0;
   double latency_us = 0.0;
-  int64_t journal_batch_us = 500;
-  std::string journal_batch_us_sweep;
   std::string batch_sweep_list;
   std::string journal_dir;
   std::string json_path;
@@ -160,13 +156,6 @@ int main(int argc, char** argv) {
   flags.AddString("journal_dir", &journal_dir,
                   "enable the write-ahead journal in this directory "
                   "('' = journaling off) to measure its overhead");
-  flags.AddInt("journal_batch_us", &journal_batch_us,
-               "group-commit coalescing window of the journal sink, "
-               "microseconds (needs --journal_dir)");
-  flags.AddString("journal_batch_us_sweep", &journal_batch_us_sweep,
-                  "comma-separated journal_batch_interval_us values to "
-                  "sweep at max threads (needs --journal_dir); reports "
-                  "tasks/sec and group-commit fsync counts per window");
   flags.AddString("batch_sweep", &batch_sweep_list,
                   "comma-separated assignment batch sizes to sweep at max "
                   "threads — how burst-shaped the completion pipeline is "
@@ -207,7 +196,7 @@ int main(int argc, char** argv) {
   for (int64_t t : sweep) {
     SweepResult result =
         RunOnce(*bench_ds, static_cast<int>(t), campaigns, budget, batch,
-                taggers, latency_us, journal_dir, journal_batch_us);
+                taggers, latency_us, journal_dir);
     const double rate =
         result.seconds > 0.0
             ? static_cast<double>(result.tasks) / result.seconds
@@ -233,8 +222,7 @@ int main(int argc, char** argv) {
     auto run_rate = [&](const std::string& dir) {
       SweepResult r =
           RunOnce(*bench_ds, static_cast<int>(threads), campaigns,
-                  budget, batch, taggers, latency_us, dir,
-                  journal_batch_us);
+                  budget, batch, taggers, latency_us, dir);
       return r.seconds > 0.0
                  ? static_cast<double>(r.tasks) / r.seconds
                  : 0.0;
@@ -260,28 +248,28 @@ int main(int argc, char** argv) {
         static_cast<long long>(threads));
   }
 
-  // One-parameter sweeps at max threads, sharing the parse/run/print
-  // machinery: the group-commit window sweep (the sink's coalescing
-  // interval trades durability lag against fsync count) and the
-  // assignment-batch sweep (how much the batched completion pipeline —
-  // span delivery, single-lock inbox, vectorized apply, batched journal
-  // appends — gains as the per-step burst grows).
+  // The assignment-batch sweep at max threads: how much the batched
+  // completion pipeline — span delivery, single-lock inbox, vectorized
+  // apply, batched journal appends — gains as the per-step burst grows.
   struct SweepEntry {
-    int64_t value = 0;  // the swept parameter (interval_us / batch)
+    int64_t value = 0;  // the assignment batch size
     int64_t tasks = 0;
     double rate = 0.0;
     int64_t syncs = 0;
   };
-  // Parses the comma list and runs one configuration per value;
-  // `run` maps a swept value to its SweepResult.
-  auto run_sweep = [](const std::string& list, const auto& run) {
-    std::vector<SweepEntry> entries;
-    for (std::string_view part : util::Split(list, ',')) {
+  std::vector<SweepEntry> assign_sweep;
+  if (!batch_sweep_list.empty()) {
+    std::printf("\nassignment batch sweep (%lld threads):\n",
+                static_cast<long long>(threads));
+    std::printf("%10s  %12s  %12s\n", "batch", "tasks/sec", "fsyncs");
+    for (std::string_view part : util::Split(batch_sweep_list, ',')) {
       part = util::StripAsciiWhitespace(part);
       if (part.empty()) continue;
       auto parsed = util::ParseInt64(part);
-      INCENTAG_CHECK(parsed.ok());
-      SweepResult result = run(parsed.value());
+      INCENTAG_CHECK(parsed.ok() && parsed.value() > 0);
+      SweepResult result =
+          RunOnce(*bench_ds, static_cast<int>(threads), campaigns, budget,
+                  parsed.value(), taggers, latency_us, journal_dir);
       SweepEntry entry;
       entry.value = parsed.value();
       entry.tasks = result.tasks;
@@ -289,43 +277,8 @@ int main(int argc, char** argv) {
                        ? static_cast<double>(result.tasks) / result.seconds
                        : 0.0;
       entry.syncs = result.journal_syncs;
-      entries.push_back(entry);
+      assign_sweep.push_back(entry);
     }
-    return entries;
-  };
-
-  std::vector<SweepEntry> journal_sweep;
-  if (!journal_batch_us_sweep.empty()) {
-    INCENTAG_CHECK(!journal_dir.empty());
-    std::printf("\ngroup-commit sweep (%lld threads):\n",
-                static_cast<long long>(threads));
-    std::printf("%10s  %12s  %10s  %12s\n", "batch_us", "tasks/sec",
-                "fsyncs", "tasks/fsync");
-    journal_sweep = run_sweep(journal_batch_us_sweep, [&](int64_t us) {
-      return RunOnce(*bench_ds, static_cast<int>(threads), campaigns,
-                     budget, batch, taggers, latency_us, journal_dir, us);
-    });
-    for (const SweepEntry& entry : journal_sweep) {
-      std::printf("%10lld  %12.0f  %10lld  %12.1f\n",
-                  static_cast<long long>(entry.value), entry.rate,
-                  static_cast<long long>(entry.syncs),
-                  entry.syncs > 0 ? static_cast<double>(entry.tasks) /
-                                        static_cast<double>(entry.syncs)
-                                  : 0.0);
-    }
-  }
-
-  std::vector<SweepEntry> assign_sweep;
-  if (!batch_sweep_list.empty()) {
-    std::printf("\nassignment batch sweep (%lld threads):\n",
-                static_cast<long long>(threads));
-    std::printf("%10s  %12s  %12s\n", "batch", "tasks/sec", "fsyncs");
-    assign_sweep = run_sweep(batch_sweep_list, [&](int64_t sweep_batch) {
-      INCENTAG_CHECK(sweep_batch > 0);
-      return RunOnce(*bench_ds, static_cast<int>(threads), campaigns,
-                     budget, sweep_batch, taggers, latency_us, journal_dir,
-                     journal_batch_us);
-    });
     for (const SweepEntry& entry : assign_sweep) {
       std::printf("%10lld  %12.0f  %12lld\n",
                   static_cast<long long>(entry.value), entry.rate,
@@ -368,26 +321,20 @@ int main(int argc, char** argv) {
                    static_cast<long long>(results[i].journal_syncs));
     }
     std::fprintf(out, "]");
-    // One emitter for both sweeps; only the array key and the swept
-    // parameter's key differ.
-    auto emit_sweep = [out](const char* array_key, const char* value_key,
-                            const std::vector<SweepEntry>& entries) {
-      if (entries.empty()) return;
-      std::fprintf(out, ",\"%s\":[", array_key);
-      for (size_t i = 0; i < entries.size(); ++i) {
+    if (!assign_sweep.empty()) {
+      std::fprintf(out, ",\"batch_sweep\":[");
+      for (size_t i = 0; i < assign_sweep.size(); ++i) {
         std::fprintf(out,
-                     "%s{\"%s\":%lld,\"tasks\":%lld,"
+                     "%s{\"batch\":%lld,\"tasks\":%lld,"
                      "\"tasks_per_sec\":%.1f,\"journal_syncs\":%lld}",
-                     i == 0 ? "" : ",", value_key,
-                     static_cast<long long>(entries[i].value),
-                     static_cast<long long>(entries[i].tasks),
-                     entries[i].rate,
-                     static_cast<long long>(entries[i].syncs));
+                     i == 0 ? "" : ",",
+                     static_cast<long long>(assign_sweep[i].value),
+                     static_cast<long long>(assign_sweep[i].tasks),
+                     assign_sweep[i].rate,
+                     static_cast<long long>(assign_sweep[i].syncs));
       }
       std::fprintf(out, "]");
-    };
-    emit_sweep("journal_batch_sweep", "interval_us", journal_sweep);
-    emit_sweep("batch_sweep", "batch", assign_sweep);
+    }
     std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("wrote %s\n", json_path.c_str());

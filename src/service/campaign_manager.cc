@@ -374,9 +374,8 @@ CampaignManager::CampaignManager(ManagerOptions options)
 // unjournaled; both call sites are single-threaded.
 void CampaignManager::EnsureJournalWorkers() {
   if (sink_ == nullptr) {
+    // The sink's own coalescing window and retry ladder apply.
     persist::JournalSinkOptions sink_options;
-    sink_options.batch_interval_us = options_.journal_batch_interval_us;
-    sink_options.retry = options_.journal_retry;
     if (options_.health != nullptr) {
       FleetHealth* health = options_.health;
       sink_options.on_storage_error = [health](const util::Status& status) {

@@ -255,9 +255,6 @@ struct ManagerOptions {
   // stale journal file of the same name, so Recover() from a previous
   // incarnation's directory must happen before new Submits into it.
   std::string journal_dir;
-  // Coalescing window of the background fsync batcher (see
-  // persist::JournalSinkOptions).
-  int64_t journal_batch_interval_us = 500;
   // Journal compaction. When a campaign is due, the stepper serializes a
   // checkpoint snapshot of its resumable state at a step boundary and
   // hands the journal to the persist::Compactor (one thread, one rewrite
@@ -271,9 +268,6 @@ struct ManagerOptions {
   // 0 disables the trigger; journals are then rewritten only by an
   // explicit Compact(id) or in degraded mode (see `health`).
   int64_t compact_journal_bytes = 0;
-  // Retry ladder for transient journal-sync failures, forwarded to the
-  // sink (ISSUE 10; see persist::SyncRetryPolicy).
-  persist::SyncRetryPolicy journal_retry;
   // Fleet storage-health tracker (ISSUE 10). When set: journal sync
   // outcomes feed it; while it reports degraded, background-class
   // campaigns (priority <= 1) park at their next step boundary instead

@@ -214,9 +214,6 @@ TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
   options.completions = &crowd;
   options.journal_dir = dir_.string();
   options.compact_journal_bytes = 64 * 21;  // 64 framed completions
-  options.journal_retry.max_attempts = 4;
-  options.journal_retry.initial_backoff_us = 20;
-  options.journal_retry.max_backoff_us = 500;
   options.health = &health;
   auto manager = std::make_unique<CampaignManager>(options);
 
