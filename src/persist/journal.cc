@@ -376,9 +376,19 @@ util::Status JournalWriter::Flush() {
   return file_.Flush();
 }
 
+util::Status JournalWriter::SyncOwedDir() {
+  if (!dir_sync_owed_) return util::Status::OK();
+  const size_t slash = path_.find_last_of('/');
+  INCENTAG_RETURN_IF_ERROR(util::SyncDir(
+      slash == std::string::npos ? "." : path_.substr(0, slash)));
+  dir_sync_owed_ = false;
+  return util::Status::OK();
+}
+
 util::Status JournalWriter::Sync() {
   util::MutexLock lock(&mu_);
   if (closed_) return util::Status::OK();
+  INCENTAG_RETURN_IF_ERROR(SyncOwedDir());
   INCENTAG_RETURN_IF_ERROR(file_.Sync());
   durable_size_ = file_.size();
   return util::Status::OK();
@@ -387,6 +397,7 @@ util::Status JournalWriter::Sync() {
 util::Status JournalWriter::SyncData() {
   util::MutexLock lock(&mu_);
   if (closed_) return util::Status::OK();
+  INCENTAG_RETURN_IF_ERROR(SyncOwedDir());
   INCENTAG_RETURN_IF_ERROR(file_.SyncData());
   durable_size_ = file_.size();
   return util::Status::OK();
@@ -516,21 +527,22 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
   }
   INCENTAG_RETURN_IF_ERROR(util::RenameFile(tmp_path, path_));
   rewrite.renamed = true;
-  // The rename must be durable before anyone relies on the dropped
-  // prefix being gone; the containing directory carries that entry.
-  const size_t slash = path_.find_last_of('/');
-  INCENTAG_RETURN_IF_ERROR(util::SyncDir(
-      slash == std::string::npos ? "." : path_.substr(0, slash)));
-  // Swap the writer onto the rewrite's still-open descriptor — it now
-  // backs `path_` — and drop the old one, which points at the replaced
-  // file where appends would vanish. Adopting the open fd instead of
-  // close-then-reopen leaves no window in which a transient open
-  // failure could strand an otherwise healthy writer.
+  // Swap the writer onto the rewrite's still-open descriptor at once —
+  // it now backs `path_` — and drop the old one, which points at the
+  // replaced file where appends would vanish. Adopting the open fd
+  // instead of close-then-reopen leaves no window in which a transient
+  // open failure could strand an otherwise healthy writer.
   file_ = std::move(tmp);
   file_.set_path(path_);
   // The rewrite is fully durable (tmp.Sync() above): the durable anchor
   // for any later failed-sync recovery is the whole new file.
   durable_size_ = file_.size();
+  // The rename must be durable before anyone relies on the dropped
+  // prefix being gone; the containing directory carries that entry. A
+  // failed fsync here stays owed, so no later sync of this writer can
+  // succeed without it.
+  dir_sync_owed_ = true;
+  INCENTAG_RETURN_IF_ERROR(SyncOwedDir());
   compactions->Increment();
   const int64_t reclaimed = tail_offset - prefix_bytes;
   if (reclaimed > 0) bytes_reclaimed->Add(reclaimed);

@@ -192,6 +192,8 @@ class JournalWriter {
   util::Status AppendCancel() EXCLUDES(mu_);
 
   util::Status Flush() EXCLUDES(mu_);
+  // Both syncs first retry a directory fsync a compaction still owes
+  // (see Compact), and fail while it fails.
   util::Status Sync() EXCLUDES(mu_);
 
   // Flush + fdatasync — the cheap durability point the JournalSink
@@ -235,7 +237,9 @@ class JournalWriter {
   // compacted writer keeps no copy of the snapshot or the tail. A closed
   // writer (Close may land from another thread mid-rewrite) is refused
   // with FailedPrecondition, and any failure before the rename removes
-  // the partial rewrite.
+  // the partial rewrite. Once the rename succeeds the writer runs on the
+  // rewrite; if the directory fsync then fails, Compact returns that
+  // error and the writer owes the fsync to its next Sync or SyncData.
   util::Status Compact(const SubmitRecord& submit,
                        const SnapshotRecord& snapshot, int64_t tail_offset)
       EXCLUDES(mu_);
@@ -253,6 +257,9 @@ class JournalWriter {
   explicit JournalWriter(std::string path) : path_(std::move(path)) {}
 
   util::Status AppendFramed(std::string_view body) EXCLUDES(mu_);
+  // Fsyncs the journal's directory if a compaction's rename still needs
+  // it.
+  util::Status SyncOwedDir() REQUIRES(mu_);
 
   const std::string path_;
   util::Mutex mu_;
@@ -265,6 +272,8 @@ class JournalWriter {
   // the anchor RecoverAfterSyncFailure truncates back to.
   int64_t durable_size_ GUARDED_BY(mu_) = 0;
   bool closed_ GUARDED_BY(mu_) = false;
+  // Set from a compaction's rename until a directory fsync succeeds.
+  bool dir_sync_owed_ GUARDED_BY(mu_) = false;
 };
 
 // Walks a journal's frames front to back, checks each frame's CRC and

@@ -35,6 +35,7 @@ INCENTAG_FAIL_POINT_DEFINE(g_fail_open, "file_io/open");
 INCENTAG_FAIL_POINT_DEFINE(g_fail_pwritev, "file_io/pwritev");
 INCENTAG_FAIL_POINT_DEFINE(g_fail_fsync, "file_io/fsync");
 INCENTAG_FAIL_POINT_DEFINE(g_fail_fdatasync, "file_io/fdatasync");
+INCENTAG_FAIL_POINT_DEFINE(g_fail_syncdir, "file_io/syncdir");
 
 // Evaluates a sync-shaped fail point: kErrno skips the syscall and
 // fails; kTornSync really syncs first (the data is durable) and then
@@ -181,7 +182,10 @@ Status SyncDir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) return ErrnoStatus("open", dir);
   Status status;
-  if (::fsync(fd) != 0) status = ErrnoStatus("fsync", dir);
+  if (SyncFaultFired(g_fail_syncdir, fd, /*data_only=*/false) ||
+      ::fsync(fd) != 0) {
+    status = ErrnoStatus("fsync", dir);
+  }
   ::close(fd);
   return status;
 }

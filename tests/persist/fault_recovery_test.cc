@@ -390,6 +390,44 @@ TEST_F(FaultRecoveryTest, FailedCompactionLeavesNoRewriteBehind) {
   }
 }
 
+// The directory fsync after a compaction's rename fails: the writer
+// must already run on the rewrite, or its later appends would land in
+// the unlinked old file and vanish on reopen. It owes the directory
+// fsync, so its next sync retries it first and fails while it fails.
+TEST_F(FaultRecoveryTest, FailedDirSyncAfterCompactionLosesNoRecord) {
+  const std::string name = "dirsync.journal";
+  auto writer = MakeWriter(name);
+  const int64_t base = writer->size();
+  AppendBatch(writer.get(), 0, 30);
+  SubmitRecord submit;
+  submit.name = name;
+  submit.strategy_name = "round_robin";
+  SnapshotRecord snapshot;
+  snapshot.num_completions = 10;
+  snapshot.next_assign_seq = 10;
+  {
+    ScopedFailPoint fp("file_io/syncdir", ScopedFailPoint::Fires(2),
+                       ScopedFailPoint::Enospc());
+    EXPECT_FALSE(writer->Compact(submit, snapshot, base + 10 * 21).ok());
+    AppendBatch(writer.get(), 30, 10);
+    EXPECT_FALSE(writer->SyncData().ok());  // the owed fsync fails again
+    ASSERT_TRUE(writer->SyncData().ok());
+    EXPECT_EQ(fp.point()->fires(), 2u);
+  }
+  EXPECT_FALSE(std::filesystem::exists(Path(name) + kCompactionTmpSuffix));
+
+  // Reopened, the journal is the rewrite: the snapshot, then 10..39.
+  writer.reset();
+  auto contents = ReadJournal(Path(name));
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  ASSERT_TRUE(contents.value().has_snapshot);
+  EXPECT_EQ(contents.value().snapshot.num_completions, 10u);
+  ASSERT_EQ(contents.value().completions.size(), 30u);
+  for (size_t i = 0; i < 30; ++i) {
+    EXPECT_EQ(contents.value().completions[i].seq, 10 + i);
+  }
+}
+
 #endif  // INCENTAG_FAILPOINTS
 
 }  // namespace

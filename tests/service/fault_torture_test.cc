@@ -255,7 +255,8 @@ TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
   // random shape, while the fleet runs.
   const char* kSites[] = {
       "file_io/pwritev", "file_io/fdatasync", "file_io/fsync",
-      "file_io/open",    "compactor/rewrite", "compactor/rename",
+      "file_io/open",    "file_io/syncdir",   "compactor/rewrite",
+      "compactor/rename",
   };
   constexpr size_t kNumSites = sizeof(kSites) / sizeof(kSites[0]);
   util::Rng rng(0xF417);
