@@ -456,10 +456,10 @@ util::Status JournalWriter::Compact(const SubmitRecord& submit,
   const int64_t prefix_bytes =
       static_cast<int64_t>(head.size() + snapshot_body.size());
 
-  // Phase 1, mostly without the writer lock: push everything appended so
-  // far to the kernel and copy the bulk of the tail. Appends racing with
-  // this copy only extend the file past `flushed`; phase 2 picks them up.
-  // A closed writer is refused before the rewrite file exists.
+  // Phase 1, without the writer lock: push everything appended so far to
+  // the kernel and copy the bulk of the tail. Appends racing with this
+  // copy only extend the file past `flushed`; phase 2 picks them up. A
+  // closed writer is refused before the rewrite file exists.
   int64_t flushed = 0;
   {
     util::MutexLock lock(&mu_);

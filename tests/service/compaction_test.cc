@@ -548,29 +548,34 @@ TEST_F(CompactionTest, FleetCompactingEveryTenCompletionsStaysRecoverable) {
 }
 
 // The journal-bytes trigger at a threshold that is not a whole number of
-// completion frames: journals get checkpoint-compacted as they grow past
-// it.
+// completion frames: a journal gets checkpoint-compacted as it grows past
+// it. The campaign wedges part-way, so it is still live when the
+// compactor thread gets to its rewrite; a campaign that finishes first
+// closes its journal and the rewrite is dropped.
 TEST_F(CompactionTest, JournalBytesTriggerCompacts) {
+  LimitedCompletionSource source(200);
   ManagerOptions options;
   options.num_threads = 2;
   options.tasks_per_step = 8;
+  options.completions = &source;
   options.journal_dir = dir_.string();
   options.compact_journal_bytes = 1024;
   CampaignManager manager(options);
   auto id = manager.Submit(MakeConfig(1, 300, 9));
   ASSERT_TRUE(id.ok());
-  auto result = manager.WaitFor(id.value(), milliseconds(20000));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result.value().state, CampaignState::kDone);
-  manager.Shutdown();
 
   const std::string journal =
       (dir_ / ("campaign-" + std::to_string(id.value()) + ".journal"))
           .string();
-  auto contents = persist::ReadJournal(journal);
-  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
-  EXPECT_TRUE(contents.value().has_snapshot);
-  EXPECT_GT(contents.value().snapshot.num_completions, 0u);
+  bool compacted = false;
+  for (int i = 0; i < 500 && !compacted; ++i) {
+    std::this_thread::sleep_for(milliseconds(20));
+    auto contents = persist::ReadJournal(journal);
+    compacted = contents.ok() && contents.value().has_snapshot &&
+                contents.value().snapshot.num_completions > 0;
+  }
+  EXPECT_TRUE(compacted);
+  manager.Shutdown();
 
   // And it recovers to ground truth like any compacted journal.
   ManagerOptions det;
