@@ -273,6 +273,7 @@ struct CampaignManager::Campaign {
   // True while a compaction job for this campaign is queued or running.
   // At most one is ever in flight: a second job's tail offset would
   // refer to the pre-rewrite file layout and corrupt the journal.
+  // Finalize waits for it to clear before it closes the journal.
   std::atomic<bool> compact_in_flight{false};
 
   // ---- lifecycle ----
@@ -660,8 +661,8 @@ void CampaignManager::FlushJournal(Campaign* c) {
 // in order — so the journal's current size is the tail boundary. The
 // rewrite itself runs on the compactor thread; a failure there leaves
 // the journal uncompacted but valid, so it is logged, not fatal. A
-// campaign that finishes meanwhile closes its journal, and the rewrite
-// then stops with FailedPrecondition, which is expected and not logged.
+// campaign that finishes meanwhile waits for the rewrite in Finalize
+// before it closes the journal.
 void CampaignManager::MaybeCompact(Campaign* c) {
   if (c->journal == nullptr || !c->begun) return;
   // The trigger is journal bytes accumulated since the last rewrite —
@@ -708,12 +709,13 @@ void CampaignManager::MaybeCompact(Campaign* c) {
       // snapshot prefix plus whatever tail accumulated meanwhile, so the
       // delta to the next trigger measures fresh post-snapshot bytes.
       c->bytes_at_last_compact.store(c->journal->size());
-    } else if (status.code() != util::StatusCode::kFailedPrecondition) {
+    } else {
       INCENTAG_LOG_ERROR("campaign %llu compaction failed: %s",
                          static_cast<unsigned long long>(c->id),
                          status.ToString().c_str());
     }
     c->compact_in_flight.store(false);
+    c->compact_in_flight.notify_all();  // Finalize may be waiting
   };
   if (compactor_ != nullptr) {
     compactor_->Enqueue(std::move(job));
@@ -899,9 +901,10 @@ void CampaignManager::PublishStatus(Campaign* c) {
 //   * kQuarantined: the fd is permanently sick, so the writer leaves the
 //     sink and nothing syncs through it (fsyncgate). No report: Recover()
 //     replays the durable prefix. Everything else is kept as it is.
-//   * otherwise the journal is synced (best effort) before waiters see
-//     the state. A synced journal leaves the sink and is closed here; a
-//     compaction still running on it finds it closed and stops. The
+//   * otherwise a compaction still queued or running on the journal is
+//     waited for, so a campaign that ends mid-rewrite keeps its snapshot,
+//     and the journal is synced (best effort) before waiters see the
+//     state. A synced journal leaves the sink and is closed here. The
 //     campaign then keeps only its status fields and report: the
 //     runtime's state, the strategy, the stream, their context and the
 //     step scratch are freed.
@@ -911,11 +914,17 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
   if (c->journal != nullptr) {
     if (quarantine) {
       if (sink_ != nullptr) sink_->Untrack(c->journal.get());
-    } else if (c->journal->Sync().ok()) {
-      // A journal whose sync failed stays open: its bytes may still be
-      // in the page cache only, and the fd is the one handle on them.
-      if (sink_ != nullptr) sink_->Untrack(c->journal.get());
-      c->journal->Close();
+    } else {
+      // No new job can start: compactions are enqueued only by this
+      // campaign's steps. Waiting before the sync also lets it retry a
+      // directory fsync the rewrite left owing.
+      c->compact_in_flight.wait(true);
+      if (c->journal->Sync().ok()) {
+        // A journal whose sync failed stays open: its bytes may still be
+        // in the page cache only, and the fd is the one handle on them.
+        if (sink_ != nullptr) sink_->Untrack(c->journal.get());
+        c->journal->Close();
+      }
     }
   }
   // Keep the token forever: no further steps can be scheduled, and late

@@ -547,35 +547,29 @@ TEST_F(CompactionTest, FleetCompactingEveryTenCompletionsStaysRecoverable) {
   }
 }
 
-// The journal-bytes trigger at a threshold that is not a whole number of
-// completion frames: a journal gets checkpoint-compacted as it grows past
-// it. The campaign wedges part-way, so it is still live when the
-// compactor thread gets to its rewrite; a campaign that finishes first
-// closes its journal and the rewrite is dropped.
+// The journal-bytes trigger: with compact_journal_bytes set, journals get
+// checkpoint-compacted as they grow past the threshold.
 TEST_F(CompactionTest, JournalBytesTriggerCompacts) {
-  LimitedCompletionSource source(200);
   ManagerOptions options;
   options.num_threads = 2;
   options.tasks_per_step = 8;
-  options.completions = &source;
   options.journal_dir = dir_.string();
   options.compact_journal_bytes = 1024;
   CampaignManager manager(options);
   auto id = manager.Submit(MakeConfig(1, 300, 9));
   ASSERT_TRUE(id.ok());
+  auto result = manager.WaitFor(id.value(), milliseconds(20000));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result.value().state, CampaignState::kDone);
+  manager.Shutdown();
 
   const std::string journal =
       (dir_ / ("campaign-" + std::to_string(id.value()) + ".journal"))
           .string();
-  bool compacted = false;
-  for (int i = 0; i < 500 && !compacted; ++i) {
-    std::this_thread::sleep_for(milliseconds(20));
-    auto contents = persist::ReadJournal(journal);
-    compacted = contents.ok() && contents.value().has_snapshot &&
-                contents.value().snapshot.num_completions > 0;
-  }
-  EXPECT_TRUE(compacted);
-  manager.Shutdown();
+  auto contents = persist::ReadJournal(journal);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  EXPECT_TRUE(contents.value().has_snapshot);
+  EXPECT_GT(contents.value().snapshot.num_completions, 0u);
 
   // And it recovers to ground truth like any compacted journal.
   ManagerOptions det;
@@ -588,6 +582,67 @@ TEST_F(CompactionTest, JournalBytesTriggerCompacts) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ExpectReportsEqual(RunSequential(1, 300, 9), report.value(),
                      "bytes-trigger recovery");
+}
+
+// A threshold equal to the whole journal fires on a campaign's final
+// quantum, so the campaign finishes while that compaction is still queued
+// or running. Finalize waits for the rewrite before it closes the
+// journal: every finished journal holds a snapshot of its whole run.
+TEST_F(CompactionTest, CampaignFinishingMidCompactionKeepsItsSnapshot) {
+  const int kind = 1;
+  const int64_t budget = 300;
+  const uint64_t seed = 9;
+  // The uncompacted journal of the same run, from a deterministic
+  // manager in a directory of its own.
+  const fs::path plain_dir = dir_ / "plain";
+  fs::create_directories(plain_dir);
+  fs::path plain;
+  {
+    ManagerOptions det;
+    det.deterministic = true;
+    det.journal_dir = plain_dir.string();
+    CampaignManager manager(det);
+    auto id = manager.Submit(MakeConfig(kind, budget, seed));
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(manager.Wait(id.value()).ok());
+    manager.Shutdown();
+    plain = plain_dir /
+            ("campaign-" + std::to_string(id.value()) + ".journal");
+  }
+  auto full = persist::ReadJournal(plain.string());
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_FALSE(full.value().has_snapshot);
+  const uint64_t completions = full.value().completions.size();
+
+  ManagerOptions options;
+  options.num_threads = 2;
+  options.tasks_per_step = 8;
+  options.journal_dir = dir_.string();
+  options.compact_journal_bytes =
+      static_cast<int64_t>(fs::file_size(plain));
+  CampaignManager manager(options);
+  const int kCampaigns = 8;
+  std::vector<CampaignId> ids;
+  for (int i = 0; i < kCampaigns; ++i) {
+    auto id = manager.Submit(MakeConfig(kind, budget, seed));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  for (CampaignId id : ids) {
+    auto result = manager.WaitFor(id, milliseconds(20000));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result.value().state, CampaignState::kDone);
+  }
+  manager.Shutdown();
+  for (CampaignId id : ids) {
+    const std::string journal =
+        (dir_ / ("campaign-" + std::to_string(id) + ".journal")).string();
+    auto contents = persist::ReadJournal(journal);
+    ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+    EXPECT_TRUE(contents.value().has_snapshot) << "campaign " << id;
+    EXPECT_EQ(contents.value().snapshot.num_completions, completions)
+        << "campaign " << id;
+  }
 }
 
 // Compaction racing live application: a crowd completes tasks out of
