@@ -202,10 +202,10 @@ struct ReplayWindow {
 //   * inbox: completed seqs from tagger threads, guarded by inbox_mu;
 //   * published: the status snapshot + terminal report, guarded by
 //     status_mu, written at step boundaries and read by pollers/waiters.
-struct CampaignManager::Campaign {
+struct CampaignManager::Campaign : Runnable {
   Campaign(CampaignManager* manager, CampaignId id_in,
            CampaignConfig config_in)
-      : id(id_in),
+      : Runnable(id_in),
         config(std::move(config_in)),
         strategy_name(config.strategy->name()),
         runtime(config.options, config.initial_posts, config.references),
@@ -213,7 +213,6 @@ struct CampaignManager::Campaign {
           manager->OnCompletionBatch(this, tasks);
         }) {}
 
-  const CampaignId id;
   CampaignConfig config;
   // Cached at submit time: pollers must not call name() on a strategy a
   // stepper thread is concurrently mutating.
@@ -579,7 +578,7 @@ void CampaignManager::ScheduleStep(Campaign* c) {
 // thread driving the campaign pops the entry in DrainReadyQueue.
 void CampaignManager::EnqueueDispatch(Campaign* c) {
   c->enqueued_ns.store(obs::NowNs(), std::memory_order_relaxed);
-  scheduler_->Enqueue(c->id);
+  scheduler_->Enqueue(c);
   if (pool_ != nullptr && !pool_->Submit([this] { DispatchStep(); })) {
     // Pool already shut down (late completion during teardown). Submit
     // only fails after Shutdown's sweep has finalized every campaign, so
@@ -593,10 +592,10 @@ void CampaignManager::EnqueueDispatch(Campaign* c) {
 // campaign the policy ranks first right now (which need not be the one
 // whose enqueue created this task). False when the queue was empty.
 bool CampaignManager::DispatchStep() {
-  const CampaignId id = scheduler_->PopNext();
-  if (id == 0) return false;  // entry removed by a concurrent Unregister
-  Campaign* c = Find(id);
-  if (c != nullptr) Step(c);
+  // Null when a concurrent Unregister removed this dispatch's entry.
+  Runnable* next = scheduler_->PopNext();
+  if (next == nullptr) return false;
+  Step(static_cast<Campaign*>(next));
   return true;
 }
 

@@ -23,8 +23,9 @@
 //
 // Threading model (see src/service/README.md for the full picture):
 //   * One mutex guards the registry (id -> campaign), held only to look
-//     up, register or list campaigns; every mutable campaign structure is
-//     per-campaign, so a step holds no fleet-wide lock while it works.
+//     up, register or list campaigns; a step never takes it (the ready
+//     queue hands a worker the campaign itself), and every mutable
+//     campaign structure is per-campaign.
 //   * At most one thread steps a given campaign at a time, enforced by an
 //     atomic "scheduled" token; the runtime itself is single-threaded.
 //   * Completions land in a per-campaign MPSC inbox (mutex + swap-drain)

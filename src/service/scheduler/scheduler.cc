@@ -38,18 +38,18 @@ void Scheduler::Register(CampaignId id, const ScheduleParams& params) {
 void Scheduler::Unregister(CampaignId id) {
   util::MutexLock lock(&mu_);
   ready_.erase(std::remove_if(ready_.begin(), ready_.end(),
-                              [id](const Entry& e) { return e.id == id; }),
+                              [id](const Entry& e) { return e.item->id == id; }),
                ready_.end());
   params_.erase(id);
 }
 
-void Scheduler::Enqueue(CampaignId id) {
+void Scheduler::Enqueue(Runnable* item) {
   util::MutexLock lock(&mu_);
-  ready_.push_back(Entry{id, 0});
+  ready_.push_back(Entry{item, 0});
 }
 
 double Scheduler::RankKeyLocked(const Entry& entry) const {
-  const CampaignParams params = ParamsOfLocked(entry.id);
+  const CampaignParams params = ParamsOfLocked(entry.item->id);
   const double skips = static_cast<double>(entry.skips);
   switch (options_.policy) {
     case SchedulerPolicy::kPriority:
@@ -86,15 +86,15 @@ size_t Scheduler::PickLocked() const {
   return best;
 }
 
-CampaignId Scheduler::PopNext() {
+Runnable* Scheduler::PopNext() {
   util::MutexLock lock(&mu_);
-  if (ready_.empty()) return 0;
+  if (ready_.empty()) return nullptr;
   size_t best = 0;
   if (options_.policy != SchedulerPolicy::kRoundRobin) {
     best = PickLocked();
     for (Entry& e : ready_) ++e.skips;
   }
-  const CampaignId popped = ready_[best].id;
+  Runnable* popped = ready_[best].item;
   ready_.erase(ready_.begin() + static_cast<ptrdiff_t>(best));
   return popped;
 }

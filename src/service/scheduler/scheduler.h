@@ -85,6 +85,13 @@ struct SchedulerOptions {
   int64_t starvation_limit = 64;
 };
 
+// What the ready queue holds. The manager's campaigns derive from it, so
+// a worker pops the campaign itself, not an id it must look up again.
+struct Runnable {
+  explicit Runnable(CampaignId id_in) : id(id_in) {}
+  const CampaignId id;
+};
+
 class Scheduler {
  public:
   // `base_quantum`: completions a campaign may apply per quantum before
@@ -101,20 +108,21 @@ class Scheduler {
   void Register(CampaignId id, const ScheduleParams& params);
   void Unregister(CampaignId id);
 
-  // Marks `id` runnable. The manager's scheduled-token protocol
-  // guarantees a campaign is enqueued at most once until popped.
-  void Enqueue(CampaignId id);
+  // Marks `item` runnable; it must outlive its ready-queue entry. The
+  // manager's scheduled-token protocol guarantees a campaign is enqueued
+  // at most once until popped.
+  void Enqueue(Runnable* item);
 
-  // Pops the campaign the next free worker should step, per policy; 0
-  // when the queue is empty.
-  CampaignId PopNext();
+  // Pops the campaign the next free worker should step, per policy;
+  // null when the queue is empty.
+  Runnable* PopNext();
 
   // Completions the next step of `id` may apply before yielding.
   int64_t Quantum(CampaignId id);
 
  private:
   struct Entry {
-    CampaignId id = 0;
+    Runnable* item = nullptr;
     int64_t skips = 0;  // times PopNext passed this entry over
   };
 

@@ -14,6 +14,7 @@
 // whichever policy reads it.
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -42,7 +43,7 @@ class ReadyQueueStressTest
 TEST_P(ReadyQueueStressTest, PushVsPopConservesEntries) {
   // 8 pusher threads and 8 popper threads race on one scheduler.
   // Conservation: every pushed id is popped exactly once, and after the
-  // pushers finish the poppers drain the queue until PopNext reads 0.
+  // pushers finish the poppers drain the queue until PopNext reads null.
   constexpr int kPushers = kThreads / 2;
   constexpr int kPoppers = kThreads / 2;
   // The ranked pop scans the whole queue, so the ids stay few enough
@@ -52,6 +53,11 @@ TEST_P(ReadyQueueStressTest, PushVsPopConservesEntries) {
   SchedulerOptions options;
   options.policy = GetParam();
   auto scheduler = std::make_unique<Scheduler>(options, 256);
+  // One ready-queue entry per id, 1..kPushers * kPerPusher.
+  std::deque<Runnable> items;
+  for (int i = 0; i < kPushers * kPerPusher; ++i) {
+    items.emplace_back(static_cast<CampaignId>(i + 1));
+  }
   std::atomic<bool> pushers_done{false};
   std::atomic<int64_t> popped_count{0};
   std::atomic<int64_t> popped_sum{0};
@@ -59,22 +65,22 @@ TEST_P(ReadyQueueStressTest, PushVsPopConservesEntries) {
   std::vector<std::thread> threads;
   threads.reserve(kPushers + kPoppers);
   for (int p = 0; p < kPushers; ++p) {
-    threads.emplace_back([&scheduler, p] {
+    threads.emplace_back([&scheduler, &items, p] {
       for (int i = 0; i < kPerPusher; ++i) {
-        scheduler->Enqueue(static_cast<CampaignId>(p * kPerPusher + i + 1));
+        scheduler->Enqueue(&items[static_cast<size_t>(p * kPerPusher + i)]);
       }
     });
   }
   for (int c = 0; c < kPoppers; ++c) {
     threads.emplace_back([&] {
       for (;;) {
-        // Read the flag before popping: a 0 after every push landed
+        // Read the flag before popping: a null after every push landed
         // proves the queue drained.
         const bool done = pushers_done.load(std::memory_order_acquire);
-        const CampaignId got = scheduler->PopNext();
-        if (got != 0) {
+        const Runnable* got = scheduler->PopNext();
+        if (got != nullptr) {
           popped_count.fetch_add(1, std::memory_order_relaxed);
-          popped_sum.fetch_add(static_cast<int64_t>(got),
+          popped_sum.fetch_add(static_cast<int64_t>(got->id),
                                std::memory_order_relaxed);
         } else if (done) {
           return;
@@ -90,7 +96,8 @@ TEST_P(ReadyQueueStressTest, PushVsPopConservesEntries) {
   EXPECT_EQ(popped_count.load(), total);
   // Sum of 1..total — catches a double-pop hiding behind a lost push.
   EXPECT_EQ(popped_sum.load(), total * (total + 1) / 2);
-  EXPECT_EQ(scheduler->PopNext(), 0u) << "queue must be empty after the drain";
+  EXPECT_EQ(scheduler->PopNext(), nullptr)
+      << "queue must be empty after the drain";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -40,17 +41,34 @@ using std::chrono::milliseconds;
 
 // ---- policy unit tests -------------------------------------------------
 
+// The policy tests name ready-queue entries by id: Item(id) is the one
+// entry of campaign `id` (ids up to 20,000), and PopId is the id of
+// whatever PopNext hands back, 0 when the queue is empty.
+Runnable* Item(CampaignId id) {
+  static std::deque<Runnable> items = [] {
+    std::deque<Runnable> all;
+    for (CampaignId i = 0; i <= 20000; ++i) all.emplace_back(i);
+    return all;
+  }();
+  return &items.at(id);
+}
+
+CampaignId PopId(Scheduler& scheduler) {
+  const Runnable* popped = scheduler.PopNext();
+  return popped == nullptr ? 0 : popped->id;
+}
+
 TEST(RoundRobinPolicyTest, PopsFifoAndUsesBaseQuantum) {
   Scheduler scheduler(SchedulerOptions{}, 32);
   scheduler.Register(1, ScheduleParams{5, 0.0});
   scheduler.Register(2, ScheduleParams{1, 1.0});
-  scheduler.Enqueue(2);
-  scheduler.Enqueue(1);
-  scheduler.Enqueue(3);
-  EXPECT_EQ(scheduler.PopNext(), 2u);
-  EXPECT_EQ(scheduler.PopNext(), 1u);
-  EXPECT_EQ(scheduler.PopNext(), 3u);
-  EXPECT_EQ(scheduler.PopNext(), 0u);  // empty
+  scheduler.Enqueue(Item(2));
+  scheduler.Enqueue(Item(1));
+  scheduler.Enqueue(Item(3));
+  EXPECT_EQ(PopId(scheduler), 2u);
+  EXPECT_EQ(PopId(scheduler), 1u);
+  EXPECT_EQ(PopId(scheduler), 3u);
+  EXPECT_EQ(PopId(scheduler), 0u);  // empty
   // Priority is ignored: everyone gets the base quantum.
   EXPECT_EQ(scheduler.Quantum(1), 32);
   EXPECT_EQ(scheduler.Quantum(2), 32);
@@ -63,12 +81,12 @@ TEST(PriorityPolicyTest, PopsHighestPriorityFirstAndScalesQuanta) {
   scheduler.Register(1, ScheduleParams{1, 0.0});
   scheduler.Register(2, ScheduleParams{100, 0.0});
   scheduler.Register(3, ScheduleParams{3, 0.0});
-  scheduler.Enqueue(1);
-  scheduler.Enqueue(2);
-  scheduler.Enqueue(3);
-  EXPECT_EQ(scheduler.PopNext(), 2u);
-  EXPECT_EQ(scheduler.PopNext(), 3u);
-  EXPECT_EQ(scheduler.PopNext(), 1u);
+  scheduler.Enqueue(Item(1));
+  scheduler.Enqueue(Item(2));
+  scheduler.Enqueue(Item(3));
+  EXPECT_EQ(PopId(scheduler), 2u);
+  EXPECT_EQ(PopId(scheduler), 3u);
+  EXPECT_EQ(PopId(scheduler), 1u);
   // Weighted quanta, with the weight capped at 64.
   EXPECT_EQ(scheduler.Quantum(1), 10);
   EXPECT_EQ(scheduler.Quantum(3), 30);
@@ -84,14 +102,14 @@ TEST(PriorityPolicyTest, AgingLiftsAPassedOverEntry) {
   Scheduler scheduler(options, 256);
   scheduler.Register(1, ScheduleParams{1, 0.0});
   scheduler.Register(2, ScheduleParams{5, 0.0});
-  scheduler.Enqueue(1);
+  scheduler.Enqueue(Item(1));
   // A continuous stream of high-priority work: entry 1 gains half an
   // effective priority point per skip, ties fresh entry 2 after 8 skips
   // and, being older, wins the tie: it must pop within 10 pops.
   int pops_until_low = 0;
   for (int i = 0; i < 20; ++i) {
-    scheduler.Enqueue(2);
-    const CampaignId popped = scheduler.PopNext();
+    scheduler.Enqueue(Item(2));
+    const CampaignId popped = PopId(scheduler);
     ++pops_until_low;
     if (popped == 1) break;
     EXPECT_EQ(popped, 2u);
@@ -106,11 +124,11 @@ TEST(PriorityPolicyTest, StarvationLimitHardPops) {
   Scheduler scheduler(options, 256);
   scheduler.Register(1, ScheduleParams{1, 0.0});
   scheduler.Register(2, ScheduleParams{100, 0.0});
-  scheduler.Enqueue(1);
+  scheduler.Enqueue(Item(1));
   std::vector<CampaignId> order;
   for (int i = 0; i < 5; ++i) {
-    scheduler.Enqueue(2);
-    order.push_back(scheduler.PopNext());
+    scheduler.Enqueue(Item(2));
+    order.push_back(PopId(scheduler));
   }
   // Three skips of aging (1.5 points) leave entry 1 far behind 100, yet
   // the starving entry then pops regardless of priority.
@@ -125,12 +143,12 @@ TEST(DeadlinePolicyTest, PopsEarliestDeadlineFirst) {
   scheduler.Register(1, ScheduleParams{1, 0.0});    // no deadline
   scheduler.Register(2, ScheduleParams{1, 500.0});
   scheduler.Register(3, ScheduleParams{1, 100.0});
-  scheduler.Enqueue(1);
-  scheduler.Enqueue(2);
-  scheduler.Enqueue(3);
-  EXPECT_EQ(scheduler.PopNext(), 3u);
-  EXPECT_EQ(scheduler.PopNext(), 2u);
-  EXPECT_EQ(scheduler.PopNext(), 1u);
+  scheduler.Enqueue(Item(1));
+  scheduler.Enqueue(Item(2));
+  scheduler.Enqueue(Item(3));
+  EXPECT_EQ(PopId(scheduler), 3u);
+  EXPECT_EQ(PopId(scheduler), 2u);
+  EXPECT_EQ(PopId(scheduler), 1u);
   EXPECT_EQ(scheduler.Quantum(2), 256);  // uniform quanta
 }
 
@@ -141,12 +159,12 @@ TEST(DeadlinePolicyTest, StarvationLimitRescuesUndeadlinedCampaign) {
   Scheduler scheduler(options, 256);
   scheduler.Register(1, ScheduleParams{1, 0.0});  // no deadline
   scheduler.Register(2, ScheduleParams{1, 1.0});  // always urgent
-  scheduler.Enqueue(1);
+  scheduler.Enqueue(Item(1));
   int pops_until_undeadlined = 0;
   for (int i = 0; i < 20; ++i) {
-    scheduler.Enqueue(2);
+    scheduler.Enqueue(Item(2));
     ++pops_until_undeadlined;
-    if (scheduler.PopNext() == 1) break;
+    if (PopId(scheduler) == 1) break;
   }
   EXPECT_LE(pops_until_undeadlined, 5);
 }
@@ -160,14 +178,14 @@ TEST(DeadlinePolicyTest, AgingPullsAWaitingDeadlineForward) {
   // deadline is at least 1 s before 1's.
   scheduler.Register(2, ScheduleParams{1, 10.0});
   scheduler.Register(1, ScheduleParams{1, 11.0});
-  scheduler.Enqueue(1);
+  scheduler.Enqueue(Item(1));
   // Each skip moves 1's deadline 0.05 s earlier, so a fresh 2 keeps
   // winning for about 20 pops and then loses.
   int pops_until_later = 0;
   for (int i = 0; i < 40; ++i) {
-    scheduler.Enqueue(2);
+    scheduler.Enqueue(Item(2));
     ++pops_until_later;
-    if (scheduler.PopNext() == 1) break;
+    if (PopId(scheduler) == 1) break;
   }
   EXPECT_GE(pops_until_later, 20);
   EXPECT_LE(pops_until_later, 30);
@@ -179,11 +197,11 @@ TEST(DeadlinePolicyTest, AgingPullsAWaitingDeadlineForward) {
 // once, in enqueue order, however many campaigns wait.
 TEST(RoundRobinPolicyTest, PopsEveryEntryOnceInGlobalFifoOrder) {
   Scheduler scheduler(SchedulerOptions{}, 256);
-  for (CampaignId id = 1; id <= 12; ++id) scheduler.Enqueue(id);
+  for (CampaignId id = 1; id <= 12; ++id) scheduler.Enqueue(Item(id));
   for (CampaignId id = 1; id <= 12; ++id) {
-    EXPECT_EQ(scheduler.PopNext(), id);
+    EXPECT_EQ(PopId(scheduler), id);
   }
-  EXPECT_EQ(scheduler.PopNext(), 0u);  // drained
+  EXPECT_EQ(PopId(scheduler), 0u);  // drained
 }
 
 // The liveness and Unregister properties hold for every policy's queue.
@@ -213,26 +231,26 @@ TEST_P(ReadyQueueTest, PopNeverMissesQueuedEntryUnderRaces) {
       for (int i = 0; i < kIterations; ++i) {
         const auto id = static_cast<CampaignId>(t * kIterations + i + 1);
         scheduler->Register(id, ScheduleParams{1 + (i % 4), 0.0});
-        scheduler->Enqueue(id);
-        if (scheduler->PopNext() == 0) zero_pops.fetch_add(1);
+        scheduler->Enqueue(Item(id));
+        if (PopId(*scheduler) == 0) zero_pops.fetch_add(1);
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(zero_pops.load(), 0);
-  EXPECT_EQ(scheduler->PopNext(), 0u);  // fully drained afterwards
+  EXPECT_EQ(PopId(*scheduler), 0u);  // fully drained afterwards
 }
 
 TEST_P(ReadyQueueTest, UnregisterDropsOnlyItsOwnEntry) {
   std::unique_ptr<Scheduler> scheduler = Make();
   for (CampaignId id = 1; id <= 8; ++id) {
     scheduler->Register(id, ScheduleParams{static_cast<int32_t>(id), 0.0});
-    scheduler->Enqueue(id);
+    scheduler->Enqueue(Item(id));
   }
   scheduler->Unregister(6);
   std::vector<CampaignId> popped;
-  for (int i = 0; i < 7; ++i) popped.push_back(scheduler->PopNext());
-  EXPECT_EQ(scheduler->PopNext(), 0u);
+  for (int i = 0; i < 7; ++i) popped.push_back(PopId(*scheduler));
+  EXPECT_EQ(PopId(*scheduler), 0u);
   // rr pops FIFO; priority pops the highest registered priority first.
   std::vector<CampaignId> want = {1, 2, 3, 4, 5, 7, 8};
   if (GetParam() == SchedulerPolicy::kPriority) {
@@ -304,7 +322,7 @@ TEST_P(SchedulerTest, PopOrderIsPinned) {
   uint64_t digest = 0xcbf29ce484222325ull;
   int64_t pops = 0;
   const auto pop = [&] {
-    const CampaignId id = scheduler->PopNext();
+    const CampaignId id = PopId(*scheduler);
     if (id == 0) return false;
     queued[id] = false;
     ++pops;
@@ -325,7 +343,7 @@ TEST_P(SchedulerTest, PopOrderIsPinned) {
     } else if (kind < 8) {
       if (!queued[id]) {
         queued[id] = true;
-        scheduler->Enqueue(id);
+        scheduler->Enqueue(Item(id));
       }
     } else if (kind < 13) {
       pop();
@@ -369,11 +387,11 @@ TEST(SchedulerTest, UnregisterDropsReadyEntries) {
   Scheduler scheduler(options, 256);
   scheduler.Register(1, ScheduleParams{1, 0.0});
   scheduler.Register(2, ScheduleParams{2, 0.0});
-  scheduler.Enqueue(1);
-  scheduler.Enqueue(2);
+  scheduler.Enqueue(Item(1));
+  scheduler.Enqueue(Item(2));
   scheduler.Unregister(2);
-  EXPECT_EQ(scheduler.PopNext(), 1u);
-  EXPECT_EQ(scheduler.PopNext(), 0u);
+  EXPECT_EQ(PopId(scheduler), 1u);
+  EXPECT_EQ(PopId(scheduler), 0u);
 }
 
 TEST(SchedulerTest, ParsePolicyNames) {
