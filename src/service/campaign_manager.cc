@@ -1178,8 +1178,8 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
   // frame cursor per journal checks every frame and decodes every record
   // in place (ScanJournal), so a record that phase 2 could not decode
   // fails here. Each journal's validated config waits beside its summary
-  // for phase 2; its post store is borrowed, so it holds no per-resource
-  // state.
+  // for phase 2. Its post store is borrowed, but its strategy and
+  // context may hold per-resource state (FC's crowd model: n doubles).
   struct Pending {
     std::string path;
     persist::JournalSummary summary;
