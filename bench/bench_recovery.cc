@@ -13,6 +13,9 @@
 //   ./build/bench/bench_recovery --n=600 --budget=50000
 //       --compact_bytes=52500 --json=bench_recovery.json
 //
+// --compact_bytes defaults to 2500 framed completions
+// (persist::kFramedCompletionBytes each), 52,500 bytes.
+//
 // The paper's Figure 6(g)/(h) timing discipline applies: dataset
 // preparation and the recorded runs are outside the clock; only
 // Recover() is timed.
@@ -156,7 +159,7 @@ int main(int argc, char** argv) {
   int64_t n = 600;
   int64_t seed = 42;
   int64_t budget = 50000;
-  int64_t compact_bytes = 52500;
+  int64_t compact_bytes = 2500 * persist::kFramedCompletionBytes;
   std::string work_dir;
   std::string json_path;
   util::FlagSet flags;
@@ -165,7 +168,9 @@ int main(int argc, char** argv) {
   flags.AddInt("budget", &budget, "reward units (journal trace length)");
   flags.AddInt("compact_bytes", &compact_bytes,
                "snapshot compaction interval, journal bytes (a framed "
-               "completion is 21 bytes)");
+               "completion is " +
+                   std::to_string(persist::kFramedCompletionBytes) +
+                   " bytes)");
   flags.AddString("dir", &work_dir,
                   "working directory for the journals "
                   "('' = a fresh directory under /tmp)");

@@ -23,6 +23,8 @@ using util::wire::PutU8;
 using util::wire::Reader;
 
 constexpr size_t kFrameHeaderBytes = 8;  // u32 length + u32 crc
+// Frame header + u8 type + u64 seq + u32 resource.
+static_assert(kFramedCompletionBytes == kFrameHeaderBytes + 1 + 8 + 4);
 
 // Dirty-buffer bound for the batched append path: below this a quantum
 // coalesces in the writer buffer for the sink's next window flush; at

@@ -157,6 +157,11 @@ std::string FrameRecord(std::string_view body);
 void AppendFramedCompletionRecord(const CompletionRecord& record,
                                   std::string* out);
 
+// Journal bytes of one framed completion record, whatever its seq and
+// resource: the 8-byte frame header plus a fixed 13-byte body. Journal
+// byte cadences counted in completions are written in this unit.
+inline constexpr int64_t kFramedCompletionBytes = 21;
+
 // Suffix of the temporary file a compaction writes next to the journal
 // before the atomic rename. A crash mid-compaction leaves it behind; it
 // never matches ListDirFiles(dir, ".journal"), and recovery deletes it.

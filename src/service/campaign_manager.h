@@ -264,7 +264,8 @@ struct ManagerOptions {
   // restarts for long campaigns. Deterministic mode compacts inline.
   //
   // A campaign is due once its journal has grown this many bytes since
-  // the last snapshot (a framed completion is 21 bytes): bytes are what
+  // the last snapshot (a framed completion is
+  // persist::kFramedCompletionBytes): bytes are what
   // recovery has to read and replay, and what the rewrite has to copy.
   // 0 disables the trigger; journals are then rewritten only by an
   // explicit Compact(id) or in degraded mode (see `health`).

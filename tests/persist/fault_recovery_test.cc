@@ -376,9 +376,8 @@ TEST_F(FaultRecoveryTest, FailedCompactionLeavesNoRewriteBehind) {
     {
       ScopedFailPoint fp(point, ScopedFailPoint::Fires(1),
                          ScopedFailPoint::Enospc());
-      EXPECT_FALSE(
-          writer->Compact(submit, snapshot, base + 10 * 21).ok())
-          << point;
+      const int64_t tail = base + 10 * kFramedCompletionBytes;
+      EXPECT_FALSE(writer->Compact(submit, snapshot, tail).ok()) << point;
     }
     EXPECT_FALSE(std::filesystem::exists(Path("failed.journal") +
                                          kCompactionTmpSuffix))
@@ -408,7 +407,9 @@ TEST_F(FaultRecoveryTest, FailedDirSyncAfterCompactionLosesNoRecord) {
   {
     ScopedFailPoint fp("file_io/syncdir", ScopedFailPoint::Fires(2),
                        ScopedFailPoint::Enospc());
-    EXPECT_FALSE(writer->Compact(submit, snapshot, base + 10 * 21).ok());
+    EXPECT_FALSE(
+        writer->Compact(submit, snapshot, base + 10 * kFramedCompletionBytes)
+            .ok());
     AppendBatch(writer.get(), 30, 10);
     EXPECT_FALSE(writer->SyncData().ok());  // the owed fsync fails again
     ASSERT_TRUE(writer->SyncData().ok());

@@ -206,6 +206,16 @@ TEST_F(JournalTest, EncodeCompletionRecordToMatchesAllocatingEncode) {
   EXPECT_EQ(framed.substr(7), FrameRecord(EncodeCompletionRecord(record)));
 }
 
+// Compaction cadences are written in completions times this constant.
+TEST_F(JournalTest, FramedCompletionBytesMatchesTheEncoding) {
+  for (const CompletionRecord& record :
+       {CompletionRecord{0, 0}, CompletionRecord{~uint64_t{0}, 4000000000u}}) {
+    EXPECT_EQ(static_cast<int64_t>(
+                  FrameRecord(EncodeCompletionRecord(record)).size()),
+              kFramedCompletionBytes);
+  }
+}
+
 // The batched append is a pure fast path: the on-disk bytes must match a
 // per-record append stream exactly, so v1–v3 readers (and compaction's
 // tail copies) never notice which API produced a journal.

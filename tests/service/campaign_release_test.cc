@@ -20,6 +20,7 @@
 #include "src/core/allocation.h"
 #include "src/core/post_stream.h"
 #include "src/core/strategy.h"
+#include "src/persist/journal.h"
 #include "src/service/campaign_manager.h"
 #include "src/sim/dataset_prep.h"
 #include "src/sim/generator.h"
@@ -279,7 +280,7 @@ TEST_F(CampaignReleaseTest, TerminalCampaignsKeepOnlyTheirReports) {
     options.tasks_per_step = 16;
     options.completions = &source;
     options.journal_dir = dir_.string();
-    options.compact_journal_bytes = 25 * 21;  // 25 framed completions
+    options.compact_journal_bytes = 25 * persist::kFramedCompletionBytes;
     CampaignManager manager(options);
     std::vector<CampaignId> ids;
     for (int i = 0; i < kCampaigns; ++i) {

@@ -33,10 +33,6 @@ namespace {
 namespace fs = std::filesystem;
 using std::chrono::milliseconds;
 
-// One framed completion record (8 header + 13 payload bytes): the unit
-// the compaction cadences below are written in.
-constexpr int64_t kCompletionBytes = 21;
-
 // Completes the first `limit` tasks inline, then silently drops the rest
 // — wedges the campaign mid-run so Shutdown acts as the "kill".
 class LimitedCompletionSource : public CompletionSource {
@@ -217,7 +213,8 @@ TEST_F(CompactionTest, SnapshotRecoveryMatchesUninterruptedRun) {
     const uint64_t seed = 77 + static_cast<uint64_t>(kind);
     const int64_t kill_after = budget / 2;
     const std::string journal =
-        KillMidRun(kind, budget, seed, kill_after, 25 * kCompletionBytes);
+        KillMidRun(kind, budget, seed, kill_after,
+                   25 * persist::kFramedCompletionBytes);
 
     auto contents = persist::ReadJournal(journal);
     ASSERT_TRUE(contents.ok()) << contents.status().ToString();
@@ -263,12 +260,13 @@ TEST_F(CompactionTest, SnapshotRecoveryContinuesLiveAndStaysRecoverable) {
   const int kind = 1;
   const int64_t budget = 400;
   const uint64_t seed = 1234;
-  KillMidRun(kind, budget, seed, /*kill_after=*/200, 30 * kCompletionBytes);
+  KillMidRun(kind, budget, seed, /*kill_after=*/200,
+             30 * persist::kFramedCompletionBytes);
 
   ManagerOptions options;
   options.num_threads = 3;
   options.tasks_per_step = 16;
-  options.compact_journal_bytes = 30 * kCompletionBytes;
+  options.compact_journal_bytes = 30 * persist::kFramedCompletionBytes;
   options.journal_dir = dir_.string();
   CampaignManager recovered(options);
   auto ids = recovered.Recover(dir_.string(), Factory);
@@ -365,7 +363,7 @@ TEST_F(CompactionTest, CorruptSnapshotFallsBackToFullReplay) {
 TEST_F(CompactionTest, UnusableSnapshotWithCompactedPrefixFailsCampaign) {
   const int kind = 1;
   KillMidRun(kind, /*budget=*/300, /*seed=*/8, /*kill_after=*/150,
-             40 * kCompletionBytes);
+             40 * persist::kFramedCompletionBytes);
   auto files = util::ListDirFiles(dir_.string(), ".journal");
   ASSERT_TRUE(files.ok());
   ASSERT_EQ(files.value().size(), 1u);
@@ -514,7 +512,8 @@ TEST_F(CompactionTest, FleetCompactingEveryTenCompletionsStaysRecoverable) {
   options.tasks_per_step = 8;
   options.completions = &crowd;
   options.journal_dir = dir_.string();
-  options.compact_journal_bytes = 10 * kCompletionBytes;  // compacts often
+  // Every campaign compacts often.
+  options.compact_journal_bytes = 10 * persist::kFramedCompletionBytes;
   CampaignManager manager(options);
 
   const int kCampaigns = 16;
@@ -661,7 +660,8 @@ TEST_F(CompactionTest, ConcurrentCompactionUnderCrowdLoadIsExact) {
   options.tasks_per_step = 8;
   options.completions = &crowd;
   options.journal_dir = dir_.string();
-  options.compact_journal_bytes = 10 * kCompletionBytes;  // aggressively
+  // Compact aggressively.
+  options.compact_journal_bytes = 10 * persist::kFramedCompletionBytes;
   CampaignManager manager(options);
 
   const int kCampaigns = 6;

@@ -213,7 +213,7 @@ TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
   options.tasks_per_step = 13;
   options.completions = &crowd;
   options.journal_dir = dir_.string();
-  options.compact_journal_bytes = 64 * 21;  // 64 framed completions
+  options.compact_journal_bytes = 64 * persist::kFramedCompletionBytes;
   options.health = &health;
   auto manager = std::make_unique<CampaignManager>(options);
 

@@ -74,8 +74,8 @@ std::vector<std::string> WrittenJournals(int64_t compact_bytes) {
 
 TEST(RecoverFuzzTest, SeedCorpusAndMutations) {
   std::vector<std::string> seeds = testing::SeedJournals();
-  // 525 bytes: 25 framed completions of 21 bytes.
-  for (int64_t compact_bytes : {int64_t{0}, int64_t{525}}) {
+  for (int64_t compact_bytes :
+       {int64_t{0}, 25 * persist::kFramedCompletionBytes}) {
     for (std::string& journal : WrittenJournals(compact_bytes)) {
       seeds.push_back(journal + testing::CancelFrame());
       seeds.push_back(std::move(journal));

@@ -47,9 +47,6 @@ namespace fs = std::filesystem;
 using testing::ReportBytes;
 using std::chrono::milliseconds;
 
-// One framed completion record (8 header + 13 payload bytes).
-constexpr int64_t kCompletionBytes = 21;
-
 // One campaign's deterministic inputs.
 struct Spec {
   std::string name;
@@ -305,7 +302,7 @@ TEST_F(RecoveryCutTest, EveryStrategyRecoversFromSeededCutPoints) {
   const std::vector<Spec> specs = StrategySpecs();
   const std::vector<std::string> plain = FinishedJournals(specs, 0);
   const std::vector<std::string> compacted =
-      FinishedJournals(specs, 150 * kCompletionBytes);
+      FinishedJournals(specs, 150 * persist::kFramedCompletionBytes);
   util::Rng rng(0x5EED2021);
   for (size_t s = 0; s < specs.size(); ++s) {
     const std::string want = Uninterrupted(specs[s]);
@@ -413,7 +410,7 @@ TEST_F(RecoveryCutTest, MixedFleetRecoversFromSeededCutPoints) {
   const std::vector<Spec> specs = MixedFleet();
   const std::vector<std::string> plain = FinishedJournals(specs, 0);
   const std::vector<std::string> compacted =
-      FinishedJournals(specs, 48 * kCompletionBytes);
+      FinishedJournals(specs, 48 * persist::kFramedCompletionBytes);
   for (size_t i = 0; i < specs.size(); ++i) {
     ASSERT_TRUE(HoldsSnapshot(compacted[i])) << specs[i].name;
   }
