@@ -37,9 +37,7 @@ void Scheduler::Register(CampaignId id, const ScheduleParams& params) {
 
 void Scheduler::Unregister(CampaignId id) {
   util::MutexLock lock(&mu_);
-  ready_.erase(std::remove_if(ready_.begin(), ready_.end(),
-                              [id](const Entry& e) { return e.item->id == id; }),
-               ready_.end());
+  std::erase_if(ready_, [id](const Entry& e) { return e.item->id == id; });
   params_.erase(id);
 }
 
