@@ -36,10 +36,10 @@ int main(int argc, char** argv) {
   const sim::ResourceInfo& info = corpus.resource(subject.value());
 
   core::StabilityParams params{static_cast<int>(omega), tau};
-  core::PostSequence posts =
-      corpus.MaterializeSequence(subject.value(), info.year_length);
+  const core::PostStore posts = core::PostStore::FromPosts(
+      {corpus.MaterializeSequence(subject.value(), info.year_length)});
   std::vector<core::StabilityTracePoint> trace =
-      core::StabilityTrace(posts, params);
+      core::StabilityTrace(posts[0], params);
 
   std::printf("Figure 3: MA score trace of %s (omega=%lld, tau=%.4f)\n",
               info.url.c_str(), static_cast<long long>(omega), tau);

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < ds.size() && used < 60; ++i) {
     if (ds.year_length[i] < horizon + 10) continue;
     if (corpus.resource(ds.source_ids[i]).two_aspect) continue;
-    core::PostSequence year =
+    const std::vector<core::Post> year =
         corpus.MaterializeSequence(ds.source_ids[i], horizon);
     core::TagCounts counts;
     core::QualityTracker tracker(&ds.references[i].stable_rfd);

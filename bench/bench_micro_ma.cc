@@ -17,13 +17,12 @@ namespace {
 
 using incentag::core::MaTracker;
 using incentag::core::Post;
-using incentag::core::PostSequence;
 using incentag::core::TagCounts;
 
 void BM_MaTrackerIncremental(benchmark::State& state) {
   const int omega = static_cast<int>(state.range(0));
   incentag::util::Rng rng(42);
-  const PostSequence posts =
+  const std::vector<Post> posts =
       incentag::testing::ConvergingSequence(&rng, 256, 32);
   for (auto _ : state) {
     TagCounts counts;
@@ -43,7 +42,7 @@ BENCHMARK(BM_MaTrackerIncremental)->Arg(5)->Arg(20)->Arg(50);
 void BM_MaNaiveDefinition(benchmark::State& state) {
   const int omega = static_cast<int>(state.range(0));
   incentag::util::Rng rng(42);
-  const PostSequence posts =
+  const std::vector<Post> posts =
       incentag::testing::ConvergingSequence(&rng, 256, 32);
   for (auto _ : state) {
     double acc = 0.0;

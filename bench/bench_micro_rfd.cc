@@ -16,16 +16,15 @@ namespace {
 
 using incentag::core::Cosine;
 using incentag::core::Post;
-using incentag::core::PostSequence;
 using incentag::core::TagCounts;
 
-PostSequence MakeSequence(int posts, uint32_t universe) {
+std::vector<Post> MakeSequence(int posts, uint32_t universe) {
   incentag::util::Rng rng(42);
   return incentag::testing::ConvergingSequence(&rng, posts, universe);
 }
 
 void BM_AddPostIncremental(benchmark::State& state) {
-  const PostSequence posts =
+  const std::vector<Post> posts =
       MakeSequence(512, static_cast<uint32_t>(state.range(0)));
   for (auto _ : state) {
     TagCounts counts;
@@ -39,7 +38,7 @@ void BM_AddPostIncremental(benchmark::State& state) {
 BENCHMARK(BM_AddPostIncremental)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_AddPostNaiveAdjacent(benchmark::State& state) {
-  const PostSequence posts =
+  const std::vector<Post> posts =
       MakeSequence(512, static_cast<uint32_t>(state.range(0)));
   for (auto _ : state) {
     TagCounts previous;
@@ -59,8 +58,8 @@ void BM_AddPostNaiveAdjacent(benchmark::State& state) {
 BENCHMARK(BM_AddPostNaiveAdjacent)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_CosineTagCounts(benchmark::State& state) {
-  const PostSequence a = MakeSequence(256, 64);
-  const PostSequence b = MakeSequence(256, 64);
+  const std::vector<Post> a = MakeSequence(256, 64);
+  const std::vector<Post> b = MakeSequence(256, 64);
   TagCounts ca;
   TagCounts cb;
   for (const Post& post : a) ca.AddPost(post);
@@ -72,8 +71,8 @@ void BM_CosineTagCounts(benchmark::State& state) {
 BENCHMARK(BM_CosineTagCounts);
 
 void BM_CosineRfdVectors(benchmark::State& state) {
-  const PostSequence a = MakeSequence(256, 64);
-  const PostSequence b = MakeSequence(256, 64);
+  const std::vector<Post> a = MakeSequence(256, 64);
+  const std::vector<Post> b = MakeSequence(256, 64);
   TagCounts ca;
   TagCounts cb;
   for (const Post& post : a) ca.AddPost(post);

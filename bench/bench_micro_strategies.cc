@@ -29,7 +29,7 @@ struct World {
   std::vector<core::ResourceState> states;
   core::ResourceStateViews views{&states};
   core::StrategyContext ctx;
-  core::PostSequence posts;  // recycled post supply
+  std::vector<core::Post> posts;  // recycled post supply
   size_t next_post = 0;
 
   explicit World(size_t n, int omega) {

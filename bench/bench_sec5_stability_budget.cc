@@ -39,7 +39,7 @@ int64_t BudgetToFullStability(const BenchDataset& bench_ds,
   size_t pending = 0;
   for (size_t i = 0; i < n; ++i) {
     states.emplace_back(omega);
-    for (const core::Post& post : ds.initial_posts[i]) {
+    for (core::PostView post : ds.initial_posts[i]) {
       states[i].AddPost(post);
     }
     if (states[i].posts() < ds.references[i].stable_point) ++pending;

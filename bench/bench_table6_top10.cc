@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   core::RunReport fp_report =
       bench::RunAtBudget(*bench_ds, fp.get(), budget, 5);
 
-  std::vector<core::PostSequence> year = bench::BuildYearSequences(ds);
+  const core::PostStore year = bench::BuildYearSequences(ds);
   const auto subject_id = static_cast<core::ResourceId>(subject);
   auto top_at = [&](const std::vector<int64_t>& allocation) {
     std::vector<core::RfdVector> rfds =

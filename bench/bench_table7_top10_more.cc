@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   core::RunReport fp_report =
       bench::RunAtBudget(*bench_ds, fp.get(), budget, 5);
 
-  std::vector<core::PostSequence> year = bench::BuildYearSequences(ds);
+  const core::PostStore year = bench::BuildYearSequences(ds);
   std::vector<core::RfdVector> jan_rfds =
       ir::BuildRfds(year, bench::CountsAfter(ds, {}));
   std::vector<core::RfdVector> fc_rfds =

@@ -124,15 +124,14 @@ void PrintMetricTable(
   }
 }
 
-std::vector<core::PostSequence> BuildYearSequences(
-    const sim::PreparedDataset& ds) {
-  std::vector<core::PostSequence> year(ds.size());
+core::PostStore BuildYearSequences(const sim::PreparedDataset& ds) {
+  core::PostStore::Builder year;
   for (size_t i = 0; i < ds.size(); ++i) {
-    year[i] = ds.initial_posts[i];
-    year[i].insert(year[i].end(), ds.future_posts[i].begin(),
-                   ds.future_posts[i].end());
+    year.AddPosts(ds.initial_posts[i]);
+    year.AddPosts(ds.future_posts[i]);
+    year.EndResource();
   }
-  return year;
+  return std::move(year).Build();
 }
 
 std::vector<int64_t> CountsAfter(const sim::PreparedDataset& ds,

@@ -82,8 +82,7 @@ void RequireValidOmega(const char* flag, int64_t omega);
 
 // Full year sequences (initial + future) of a prepared dataset, used to
 // build rfd snapshots at arbitrary post counts.
-std::vector<core::PostSequence> BuildYearSequences(
-    const sim::PreparedDataset& ds);
+core::PostStore BuildYearSequences(const sim::PreparedDataset& ds);
 
 // Post counts after a campaign: initial + allocation (empty allocation =
 // the January state).

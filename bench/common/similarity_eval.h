@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bench/common/bench_common.h"
-#include "src/core/types.h"
+#include "src/core/post_store.h"
 
 namespace incentag {
 namespace bench {
@@ -27,13 +27,11 @@ class SimilarityEvaluator {
   // ground truth. Empty allocation = the January state.
   double RankingAccuracy(const std::vector<int64_t>& allocation) const;
 
-  const std::vector<core::PostSequence>& year_sequences() const {
-    return year_;
-  }
+  const core::PostStore& year_sequences() const { return year_; }
 
  private:
   const BenchDataset& bench_ds_;
-  std::vector<core::PostSequence> year_;
+  core::PostStore year_;
   std::vector<double> ground_truth_;  // per pair (i < j), row-major
 };
 

@@ -94,14 +94,17 @@ int main(int argc, char** argv) {
     auto corpus = sim::Corpus::Generate(config);
     if (!corpus.ok()) return corpus.status();
     std::vector<std::string> urls;
-    std::vector<core::PostSequence> sequences;
+    core::PostStore::Builder sequences;
     for (core::ResourceId i = 0; i < corpus.value().num_resources(); ++i) {
       urls.push_back(corpus.value().resource(i).url);
-      sequences.push_back(corpus.value().MaterializeSequence(
-          i, corpus.value().resource(i).year_length));
+      for (const core::Post& post : corpus.value().MaterializeSequence(
+               i, corpus.value().resource(i).year_length)) {
+        sequences.AddPost(post);
+      }
+      sequences.EndResource();
     }
-    INCENTAG_RETURN_IF_ERROR(
-        sim::WriteDumpFile(path, urls, sequences, corpus.value().vocab()));
+    INCENTAG_RETURN_IF_ERROR(sim::WriteDumpFile(
+        path, urls, std::move(sequences).Build(), corpus.value().vocab()));
     std::printf("wrote %zu resources to %s\n", urls.size(), path.c_str());
     return util::Status::OK();
   };

@@ -28,7 +28,6 @@
 
 namespace {
 
-using incentag::core::PostSequence;
 using incentag::core::RfdVector;
 using incentag::ir::ScoredResource;
 
@@ -110,12 +109,13 @@ int main(int argc, char** argv) {
               static_cast<long long>(budget));
 
   // Year sequences (initial + future) for building rfd snapshots.
-  std::vector<PostSequence> year(ds.size());
+  core::PostStore::Builder year_builder;
   for (size_t i = 0; i < ds.size(); ++i) {
-    year[i] = ds.initial_posts[i];
-    year[i].insert(year[i].end(), ds.future_posts[i].begin(),
-                   ds.future_posts[i].end());
+    year_builder.AddPosts(ds.initial_posts[i]);
+    year_builder.AddPosts(ds.future_posts[i]);
+    year_builder.EndResource();
   }
+  const core::PostStore year = std::move(year_builder).Build();
 
   core::EngineOptions options;
   options.budget = budget;

@@ -18,7 +18,7 @@ util::Status ValidateOmega(int64_t omega) {
 }
 
 AllocationEngine::AllocationEngine(
-    EngineOptions options, const std::vector<PostSequence>* initial_posts,
+    EngineOptions options, const PostStore* initial_posts,
     const std::vector<ResourceReference>* references)
     : options_(std::move(options)),
       initial_posts_(initial_posts),

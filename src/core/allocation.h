@@ -125,8 +125,7 @@ class AllocationEngine {
   // `initial_posts` are the pre-campaign per-resource sequences (the
   // "January" posts); `references` the ground truth per resource. Both
   // must outlive the engine and have equal size.
-  AllocationEngine(EngineOptions options,
-                   const std::vector<PostSequence>* initial_posts,
+  AllocationEngine(EngineOptions options, const PostStore* initial_posts,
                    const std::vector<ResourceReference>* references);
 
   // Runs Algorithm 1 with `strategy` drawing posts from `future`'s store,
@@ -137,7 +136,7 @@ class AllocationEngine {
 
  private:
   EngineOptions options_;
-  const std::vector<PostSequence>* initial_posts_;
+  const PostStore* initial_posts_;
   const std::vector<ResourceReference>* references_;
 };
 

@@ -87,7 +87,7 @@ class Evaluation {
 }  // namespace internal
 
 CampaignRuntime::CampaignRuntime(
-    EngineOptions options, const std::vector<PostSequence>* initial_posts,
+    EngineOptions options, const PostStore* initial_posts,
     const std::vector<ResourceReference>* references)
     : options_(std::move(options)),
       initial_posts_(initial_posts),

@@ -69,8 +69,7 @@ class CampaignRuntime : private ViewSource {
  public:
   // Pointers must outlive the runtime and have equal size (same contract
   // as AllocationEngine).
-  CampaignRuntime(EngineOptions options,
-                  const std::vector<PostSequence>* initial_posts,
+  CampaignRuntime(EngineOptions options, const PostStore* initial_posts,
                   const std::vector<ResourceReference>* references);
   ~CampaignRuntime();
 
@@ -183,7 +182,7 @@ class CampaignRuntime : private ViewSource {
   }
 
   EngineOptions options_;
-  const std::vector<PostSequence>* initial_posts_;
+  const PostStore* initial_posts_;
   const std::vector<ResourceReference>* references_;
 
   Strategy* strategy_ = nullptr;

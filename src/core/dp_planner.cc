@@ -10,10 +10,9 @@ namespace incentag {
 namespace core {
 
 util::Result<DpPlan> DpPlanner::PlanWithCosts(
-    const std::vector<PostSequence>& initial_posts,
-    const std::vector<ResourceReference>& references,
-    const std::vector<PostSequence>& future, int64_t budget,
-    const CostModel& costs) {
+    const PostStore& initial_posts,
+    const std::vector<ResourceReference>& references, const PostStore& future,
+    int64_t budget, const CostModel& costs) {
   const size_t n = initial_posts.size();
   if (n == 0) {
     return util::Status::InvalidArgument("empty resource set");
@@ -80,23 +79,22 @@ util::Result<DpPlan> DpPlanner::PlanWithCosts(
 }
 
 std::vector<double> DpPlanner::QualityTable(
-    const PostSequence& initial_posts, const ResourceReference& reference,
-    const std::vector<PostSequence>& future, ResourceId resource,
-    int64_t max_x) {
+    PostSequence initial_posts, const ResourceReference& reference,
+    const PostStore& future, ResourceId resource, int64_t max_x) {
   TagCounts counts;
   QualityTracker tracker(&reference.stable_rfd);
-  for (const Post& post : initial_posts) {
+  for (PostView post : initial_posts) {
     counts.AddPost(post);
     tracker.AddPost(post, counts.norm_squared());
   }
-  const PostSequence& posts = future[resource];
+  const PostSequence posts = future[resource];
   const int64_t cap =
       std::min(max_x, static_cast<int64_t>(posts.size()));
   std::vector<double> table;
   table.reserve(static_cast<size_t>(cap) + 1);
   table.push_back(tracker.Quality());  // x = 0
   for (int64_t x = 1; x <= cap; ++x) {
-    const Post& post = posts[static_cast<size_t>(x - 1)];
+    const PostView post = posts[static_cast<size_t>(x - 1)];
     counts.AddPost(post);
     tracker.AddPost(post, counts.norm_squared());
     table.push_back(tracker.Quality());
@@ -105,9 +103,9 @@ std::vector<double> DpPlanner::QualityTable(
 }
 
 util::Result<DpPlan> DpPlanner::Plan(
-    const std::vector<PostSequence>& initial_posts,
-    const std::vector<ResourceReference>& references,
-    const std::vector<PostSequence>& future, int64_t budget) {
+    const PostStore& initial_posts,
+    const std::vector<ResourceReference>& references, const PostStore& future,
+    int64_t budget) {
   const size_t n = initial_posts.size();
   if (n == 0) {
     return util::Status::InvalidArgument("empty resource set");

@@ -21,6 +21,7 @@
 
 #include "src/core/allocation.h"
 #include "src/core/cost_model.h"
+#include "src/core/post_store.h"
 #include "src/core/strategy.h"
 #include "src/core/types.h"
 #include "src/util/status.h"
@@ -41,9 +42,9 @@ class DpPlanner {
   // posts, in the order it would receive them; a resource cannot be
   // allocated more tasks than it holds.
   static util::Result<DpPlan> Plan(
-      const std::vector<PostSequence>& initial_posts,
+      const PostStore& initial_posts,
       const std::vector<ResourceReference>& references,
-      const std::vector<PostSequence>& future, int64_t budget);
+      const PostStore& future, int64_t budget);
 
   // Cost-aware variant (the Section III-C extension): task x on resource i
   // costs `costs.cost(i)` reward units and the plan's total cost must not
@@ -51,17 +52,15 @@ class DpPlanner {
   // may be infeasible). Reduces to Plan's objective when all costs are 1,
   // except that leftover budget is allowed.
   static util::Result<DpPlan> PlanWithCosts(
-      const std::vector<PostSequence>& initial_posts,
+      const PostStore& initial_posts,
       const std::vector<ResourceReference>& references,
-      const std::vector<PostSequence>& future, int64_t budget,
-      const CostModel& costs);
+      const PostStore& future, int64_t budget, const CostModel& costs);
 
   // Builds one resource's quality table: q_l(c_l + x) for x = 0..max_x.
   // Exposed for tests and for the ablation bench.
   static std::vector<double> QualityTable(
-      const PostSequence& initial_posts, const ResourceReference& reference,
-      const std::vector<PostSequence>& future, ResourceId resource,
-      int64_t max_x);
+      PostSequence initial_posts, const ResourceReference& reference,
+      const PostStore& future, ResourceId resource, int64_t max_x);
 };
 
 // Adapts a fixed allocation plan to the Strategy interface so the engine

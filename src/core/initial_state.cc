@@ -8,7 +8,7 @@ namespace core {
 namespace {
 
 // Applies `post` to a resource's observable state and its quality tracker.
-void Apply(const Post& post, ResourceState* state, QualityTracker* tracker) {
+void Apply(PostView post, ResourceState* state, QualityTracker* tracker) {
   state->AddPost(post);
   tracker->AddPost(post, state->counts().norm_squared());
 }
@@ -56,8 +56,8 @@ bool SameBytes(const ResourceState& a_state, const QualityTracker& a_tracker,
 
 }  // namespace
 
-InitialState::InitialState(const std::vector<PostSequence>* initial_posts,
-                           const std::vector<PostSequence>* future_posts,
+InitialState::InitialState(const PostStore* initial_posts,
+                           const PostStore* future_posts,
                            const std::vector<ResourceReference>* references,
                            int omega)
     : initial_posts_(initial_posts),
@@ -92,7 +92,7 @@ InitialState::~InitialState() = default;
 InitialState::Kept InitialState::January(size_t i) const {
   Kept january{ResourceState(omega_),
                QualityTracker(&(*references_)[i].stable_rfd)};
-  for (const Post& post : (*initial_posts_)[i]) {
+  for (PostView post : (*initial_posts_)[i]) {
     Apply(post, &january.state, &january.tracker);
   }
   return january;
@@ -100,7 +100,7 @@ InitialState::Kept InitialState::January(size_t i) const {
 
 void InitialState::WalkLocked(size_t i, int64_t from, int64_t to,
                               Kept* walker) const {
-  const PostSequence& future = (*future_posts_)[i];
+  const PostSequence future = (*future_posts_)[i];
   const int64_t last = future_length(i);
   for (int64_t j = from; j < to; ++j) {
     if (j % kKeepEvery == 0) KeptSlot(i, j) = std::make_unique<Kept>(*walker);
@@ -195,7 +195,7 @@ void InitialState::SerializeAt(size_t i, int64_t j, std::string* state,
     return;
   }
   Kept walker = *from;
-  const PostSequence& future = (*future_posts_)[i];
+  const PostSequence future = (*future_posts_)[i];
   for (int64_t k = at; k < j; ++k) {
     Apply(future[static_cast<size_t>(k)], &walker.state, &walker.tracker);
   }

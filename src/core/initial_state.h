@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "src/core/allocation.h"
+#include "src/core/post_store.h"
 #include "src/core/quality.h"
 #include "src/core/resource_state.h"
 #include "src/core/types.h"
@@ -73,9 +74,9 @@ class InitialState {
   // Rows between two kept full states (see SerializeAt).
   static constexpr int64_t kKeepEvery = 32;
 
-  // `omega` must pass ValidateOmega; the three vectors have equal size.
-  InitialState(const std::vector<PostSequence>* initial_posts,
-               const std::vector<PostSequence>* future_posts,
+  // `omega` must pass ValidateOmega; the two stores and `references`
+  // hold the same number of resources.
+  InitialState(const PostStore* initial_posts, const PostStore* future_posts,
                const std::vector<ResourceReference>* references, int omega);
   ~InitialState();
 
@@ -84,8 +85,7 @@ class InitialState {
 
   // True when this state was built from exactly these inputs (the
   // dataset is identified by address, as the runtime's pointers are).
-  bool BuiltFor(const std::vector<PostSequence>* initial_posts,
-                const std::vector<PostSequence>* future_posts,
+  bool BuiltFor(const PostStore* initial_posts, const PostStore* future_posts,
                 const std::vector<ResourceReference>* references,
                 int omega) const {
     return initial_posts == initial_posts_ && future_posts == future_posts_ &&
@@ -176,8 +176,8 @@ class InitialState {
     return kept_[kept_offsets_[i] + static_cast<size_t>(j / kKeepEvery)];
   }
 
-  const std::vector<PostSequence>* initial_posts_;
-  const std::vector<PostSequence>* future_posts_;
+  const PostStore* initial_posts_;
+  const PostStore* future_posts_;
   const std::vector<ResourceReference>* references_;
   int omega_;
   // Resource i's rows are rows_[offsets_[i] .. offsets_[i + 1]); its kept

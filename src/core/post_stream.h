@@ -11,30 +11,29 @@
 //
 // The stream borrows its store, like a campaign's initial posts and
 // references: any number of streams and campaigns read one store at once.
+// The store is the dataset's flat PostStore (post_store.h): reading a post
+// is two offset loads into its tag array, and no post owns an allocation.
 #ifndef INCENTAG_CORE_POST_STREAM_H_
 #define INCENTAG_CORE_POST_STREAM_H_
 
-#include <vector>
-
-#include "src/core/types.h"
+#include "src/core/post_store.h"
 
 namespace incentag {
 namespace core {
 
 class VectorPostStream final {
  public:
-  // Reads `*sequences` in place. It must outlive every campaign that
-  // reads it and must not change while one does.
-  explicit VectorPostStream(const std::vector<PostSequence>* sequences)
-      : sequences_(sequences) {}
+  // Reads `*store` in place. It must outlive every campaign that reads it
+  // and must not change while one does.
+  explicit VectorPostStream(const PostStore* store) : store_(store) {}
 
-  size_t num_resources() const { return sequences_->size(); }
+  size_t num_resources() const { return store_->size(); }
 
   // The posts this stream reads.
-  const std::vector<PostSequence>& store() const { return *sequences_; }
+  const PostStore& store() const { return *store_; }
 
  private:
-  const std::vector<PostSequence>* sequences_;
+  const PostStore* store_;
 };
 
 }  // namespace core

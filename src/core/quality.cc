@@ -5,7 +5,7 @@
 namespace incentag {
 namespace core {
 
-double SequenceQuality(const PostSequence& posts, int64_t k,
+double SequenceQuality(PostSequence posts, int64_t k,
                        const RfdVector& reference) {
   assert(k >= 0 && k <= static_cast<int64_t>(posts.size()));
   TagCounts counts;

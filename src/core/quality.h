@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/core/post_store.h"
 #include "src/core/rfd.h"
 #include "src/core/types.h"
 #include "src/util/wire.h"
@@ -29,7 +30,7 @@ class QualityTracker {
 
   // Mirrors a post that was already applied to some TagCounts; the tracker
   // only needs the post itself plus the resulting norm.
-  void AddPost(const Post& post, double new_norm_squared) {
+  void AddPost(PostView post, double new_norm_squared) {
     for (TagId tag : post.tags) {
       dot_ += reference_->Weight(tag);
     }
@@ -71,7 +72,7 @@ class QualityTracker {
 
 // One-shot q_i(k) for a materialised prefix: replays `posts` into counts
 // and returns the cosine against `reference`.
-double SequenceQuality(const PostSequence& posts, int64_t k,
+double SequenceQuality(PostSequence posts, int64_t k,
                        const RfdVector& reference);
 
 }  // namespace core

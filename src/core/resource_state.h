@@ -34,7 +34,7 @@ class ResourceState {
 
   // Applies one post; updates counts and MA. Returns the adjacent
   // similarity s(F(k-1), F(k)).
-  double AddPost(const Post& post) {
+  double AddPost(PostView post) {
     double sim = counts_.AddPost(post);
     ma_.AddAdjacentSimilarity(sim);
     return sim;

@@ -14,7 +14,7 @@ double TagCounts::RelativeFrequency(TagId tag) const {
   return static_cast<double>(Count(tag)) / static_cast<double>(total_tags_);
 }
 
-double TagCounts::AddPost(const Post& post) {
+double TagCounts::AddPost(PostView post) {
   assert(!post.empty());
   // The new count vector is h' = h + e_P where e_P is the indicator of the
   // post's tag set. Then

@@ -53,8 +53,8 @@ class TagCounts {
 
   // Appends one post and returns the adjacent similarity
   // s(F(k-1), F(k)) — by Appendix A this is 0 when k-1 == 0.
-  // Duplicate tags inside `post` are counted once (Post is a set).
-  double AddPost(const Post& post);
+  // `post` is a set: sorted, without duplicate tags.
+  double AddPost(PostView post);
 
   // Unit-normalised snapshot of the current rfd F_i(k).
   RfdVector Snapshot() const;

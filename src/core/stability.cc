@@ -20,7 +20,7 @@ int CheckedOmega(int omega) {
 StabilityDetector::StabilityDetector(StabilityParams params)
     : params_(params), ma_(CheckedOmega(params.omega)) {}
 
-bool StabilityDetector::AddPost(const Post& post) {
+bool StabilityDetector::AddPost(PostView post) {
   double sim = counts_.AddPost(post);
   ma_.AddAdjacentSimilarity(sim);
   if (!stable_point_.has_value() && ma_.HasScore() &&
@@ -37,20 +37,19 @@ std::optional<double> StabilityDetector::ma_score() const {
   return ma_.Score();
 }
 
-StabilityDetector ScanSequence(const PostSequence& posts,
-                               StabilityParams params) {
+StabilityDetector ScanSequence(PostSequence posts, StabilityParams params) {
   StabilityDetector detector(params);
-  for (const Post& post : posts) detector.AddPost(post);
+  for (PostView post : posts) detector.AddPost(post);
   return detector;
 }
 
-std::vector<StabilityTracePoint> StabilityTrace(const PostSequence& posts,
+std::vector<StabilityTracePoint> StabilityTrace(PostSequence posts,
                                                 StabilityParams params) {
   std::vector<StabilityTracePoint> trace;
   trace.reserve(posts.size());
   TagCounts counts;
   MaTracker ma(CheckedOmega(params.omega));
-  for (const Post& post : posts) {
+  for (PostView post : posts) {
     double sim = counts.AddPost(post);
     ma.AddAdjacentSimilarity(sim);
     StabilityTracePoint point;

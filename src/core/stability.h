@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/core/ma_tracker.h"
+#include "src/core/post_store.h"
 #include "src/core/rfd.h"
 #include "src/core/types.h"
 
@@ -47,7 +48,7 @@ class StabilityDetector {
   // the resource practically stable (m(k, omega) > tau for the first time,
   // with k >= omega). Further posts return false and do not change the
   // recorded stable point / stable rfd.
-  bool AddPost(const Post& post);
+  bool AddPost(PostView post);
 
   // True once the stable point has been reached.
   bool IsStable() const { return stable_point_.has_value(); }
@@ -83,14 +84,13 @@ class StabilityDetector {
 
 // Runs the detector over a materialised sequence. Returns the detector in
 // its final state (stable or not).
-StabilityDetector ScanSequence(const PostSequence& posts,
-                               StabilityParams params);
+StabilityDetector ScanSequence(PostSequence posts, StabilityParams params);
 
 // Produces the full (adjacent similarity, MA score) trace of a sequence —
 // the data behind Figure 3 — together with the stable point under `params`.
 // params.omega must pass ValidateOmega (CHECKed), as for
 // StabilityDetector.
-std::vector<StabilityTracePoint> StabilityTrace(const PostSequence& posts,
+std::vector<StabilityTracePoint> StabilityTrace(PostSequence posts,
                                                 StabilityParams params);
 
 }  // namespace core

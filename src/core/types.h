@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace incentag {
@@ -21,7 +22,9 @@ inline constexpr ResourceId kInvalidResource = static_cast<ResourceId>(-1);
 
 // A post (Definition 1): the non-empty set of tags a tagger assigns to a
 // resource in one tagging operation. Tags are stored sorted and de-duplicated
-// so set semantics hold structurally.
+// so set semantics hold structurally. A Post owns its tags; parsers, the
+// generator and tests build them, and a dataset keeps its posts in one
+// flat PostStore (post_store.h) instead.
 struct Post {
   std::vector<TagId> tags;
 
@@ -42,8 +45,26 @@ struct Post {
   }
 };
 
-// The post sequence of one resource (Definition 2), ordered by posting time.
-using PostSequence = std::vector<Post>;
+// A post read in place, from a Post or from a PostStore's tag array.
+struct PostView {
+  std::span<const TagId> tags;
+
+  // Implicit, so code that reads posts takes either kind.
+  PostView() = default;
+  PostView(std::span<const TagId> tags) : tags(tags) {}
+  PostView(const Post& post) : tags(post.tags) {}
+  PostView(const PostView&) = default;
+  // Lvalues only: assigning to a view a store returned changes nothing.
+  PostView& operator=(const PostView&) & = default;
+
+  bool empty() const { return tags.empty(); }
+  size_t size() const { return tags.size(); }
+
+  friend bool operator==(PostView a, PostView b) {
+    return std::equal(a.tags.begin(), a.tags.end(), b.tags.begin(),
+                      b.tags.end());
+  }
+};
 
 }  // namespace core
 }  // namespace incentag

@@ -5,20 +5,19 @@
 namespace incentag {
 namespace ir {
 
-std::vector<core::RfdVector> BuildRfds(
-    const std::vector<core::PostSequence>& sequences,
-    const std::vector<int64_t>& counts) {
+std::vector<core::RfdVector> BuildRfds(const core::PostStore& sequences,
+                                       const std::vector<int64_t>& counts) {
   assert(counts.empty() || counts.size() == sequences.size());
   std::vector<core::RfdVector> rfds;
   rfds.reserve(sequences.size());
   for (size_t i = 0; i < sequences.size(); ++i) {
-    const int64_t limit = counts.empty()
-                              ? static_cast<int64_t>(sequences[i].size())
-                              : counts[i];
+    const core::PostSequence posts = sequences[i];
+    const int64_t limit =
+        counts.empty() ? static_cast<int64_t>(posts.size()) : counts[i];
     core::TagCounts tag_counts;
-    for (int64_t k = 0;
-         k < limit && k < static_cast<int64_t>(sequences[i].size()); ++k) {
-      tag_counts.AddPost(sequences[i][static_cast<size_t>(k)]);
+    for (int64_t k = 0; k < limit && k < static_cast<int64_t>(posts.size());
+         ++k) {
+      tag_counts.AddPost(posts[static_cast<size_t>(k)]);
     }
     rfds.push_back(tag_counts.Snapshot());
   }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/core/post_store.h"
 #include "src/core/rfd.h"
 #include "src/core/types.h"
 
@@ -20,8 +21,7 @@ namespace ir {
 // Builds one rfd snapshot per resource from the first `counts[i]` posts of
 // each sequence. counts may be empty, meaning "use the whole sequence".
 std::vector<core::RfdVector> BuildRfds(
-    const std::vector<core::PostSequence>& sequences,
-    const std::vector<int64_t>& counts = {});
+    const core::PostStore& sequences, const std::vector<int64_t>& counts = {});
 
 // Cosine similarities of `subject` against every resource in `rfds`
 // (subject's own entry is set to 1).

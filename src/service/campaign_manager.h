@@ -92,14 +92,14 @@ class FleetHealth;
 
 // Everything one campaign needs. `initial_posts`, `references` and the
 // future posts `stream` reads (sim::PreparedDataset::MakeStream() reads
-// the dataset in place) are borrowed, read-only dataset vectors that
-// must outlive the manager. `strategy` and `stream` are owned by the
+// the dataset in place) are borrowed, read-only dataset stores that must
+// outlive the manager. `strategy` and `stream` are owned by the
 // campaign and must not be shared across campaigns. Campaigns over one
 // post store share one trajectory table (core::InitialState).
 struct CampaignConfig {
   std::string name;
   core::EngineOptions options;
-  const std::vector<core::PostSequence>* initial_posts = nullptr;
+  const core::PostStore* initial_posts = nullptr;
   const std::vector<core::ResourceReference>* references = nullptr;
   std::unique_ptr<core::Strategy> strategy;
   std::unique_ptr<core::VectorPostStream> stream;

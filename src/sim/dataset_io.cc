@@ -21,10 +21,10 @@ bool HasWhitespace(std::string_view s) {
   return s.empty();
 }
 
-util::Status AppendPosts(const core::PostSequence& posts,
+util::Status AppendPosts(core::PostSequence posts,
                          const core::TagVocabulary& vocab,
                          std::string* out) {
-  for (const core::Post& post : posts) {
+  for (core::PostView post : posts) {
     for (size_t t = 0; t < post.tags.size(); ++t) {
       const std::string& name = vocab.Name(post.tags[t]);
       if (HasWhitespace(name)) {
@@ -141,9 +141,10 @@ util::Result<LoadedDataset> ParsePreparedDataset(std::string_view text) {
 
   LoadedDataset loaded;
   PreparedDataset& ds = loaded.dataset;
+  core::PostStore::Builder initial_posts;
+  core::PostStore::Builder future_posts;
   auto read_posts = [&](int64_t posts,
-                        core::PostSequence* out) -> util::Status {
-    out->reserve(static_cast<size_t>(posts));
+                        core::PostStore::Builder* out) -> util::Status {
     for (int64_t p = 0; p < posts; ++p) {
       if (!reader.Next(&line)) return CorruptAt(reader, "missing post");
       std::vector<core::TagId> tags;
@@ -151,8 +152,9 @@ util::Result<LoadedDataset> ParsePreparedDataset(std::string_view text) {
         tags.push_back(loaded.vocab.Intern(name));
       }
       if (tags.empty()) return CorruptAt(reader, "empty post");
-      out->push_back(core::Post::FromTags(std::move(tags)));
+      out->AddPost(core::Post::FromTags(std::move(tags)));
     }
+    out->EndResource();
     return util::Status::OK();
   };
 
@@ -207,9 +209,8 @@ util::Result<LoadedDataset> ParsePreparedDataset(std::string_view text) {
     if (!initial_count.ok() || initial_count.value() < 0) {
       return CorruptAt(reader, "bad initial count");
     }
-    ds.initial_posts.emplace_back();
     INCENTAG_RETURN_IF_ERROR(
-        read_posts(initial_count.value(), &ds.initial_posts.back()));
+        read_posts(initial_count.value(), &initial_posts));
 
     if (!reader.Next(&line)) return CorruptAt(reader, "missing future");
     fields = util::SplitWhitespace(line);
@@ -220,10 +221,11 @@ util::Result<LoadedDataset> ParsePreparedDataset(std::string_view text) {
     if (!future_count.ok() || future_count.value() < 0) {
       return CorruptAt(reader, "bad future count");
     }
-    ds.future_posts.emplace_back();
     INCENTAG_RETURN_IF_ERROR(
-        read_posts(future_count.value(), &ds.future_posts.back()));
+        read_posts(future_count.value(), &future_posts));
   }
+  ds.initial_posts = std::move(initial_posts).Build();
+  ds.future_posts = std::move(future_posts).Build();
   ds.scanned = count.value();
   return loaded;
 }

@@ -22,28 +22,23 @@ namespace {
 // head must not hold a large share of the corpus' posts.
 constexpr size_t kScanChunk = 8;
 
-// One resource's sampled posts, flattened: post p holds
-// tags[ends[p - 1], ends[p]), with ends[-1] = 0. Scan workers fill it; the
-// calling thread builds the `Post`s, so the kept posts are allocated by
-// one thread (and one malloc arena) whatever the thread count.
+// One resource's sampled posts, laid out as in core::PostStore: post p
+// holds tags[bounds[p], bounds[p + 1]). Scan workers fill it; the calling
+// thread appends the kept posts to the dataset's stores, so those are
+// allocated by one thread (and one malloc arena) whatever the thread
+// count.
 struct SampledYear {
   std::vector<core::TagId> tags;
-  std::vector<uint32_t> ends;
+  std::vector<uint32_t> bounds;
   // Set when the sampling fed a stability detector that reached stability;
   // 0 otherwise (a stable point is at least omega >= 2).
   int64_t stable_point = 0;
   core::RfdVector stable_rfd;
 
-  // Posts [begin, end) of the flattened sequence.
-  core::PostSequence Build(size_t begin, size_t end) const {
-    core::PostSequence posts;
-    posts.reserve(end - begin);
-    for (size_t p = begin; p < end; ++p) {
-      posts.push_back(core::Post{std::vector<core::TagId>(
-          tags.begin() + (p == 0 ? 0 : ends[p - 1]),
-          tags.begin() + ends[p])});
-    }
-    return posts;
+  // Every sampled post; none when the year was dropped.
+  core::PostSequence Posts() const {
+    if (bounds.empty()) return {};
+    return core::PostSequence(tags.data(), bounds);
   }
 };
 
@@ -54,13 +49,14 @@ SampledYear SampleFlat(const Corpus& corpus, core::ResourceId i,
                        int64_t begin, int64_t end,
                        const core::StabilityParams* stability) {
   SampledYear year;
-  year.ends.reserve(static_cast<size_t>(end - begin));
+  year.bounds.reserve(static_cast<size_t>(end - begin) + 1);
+  year.bounds.push_back(0);
   std::optional<core::StabilityDetector> detector;
   if (stability != nullptr) detector.emplace(*stability);
   for (int64_t k = begin; k < end; ++k) {
     const core::Post post = corpus.SamplePost(i, k);
     year.tags.insert(year.tags.end(), post.tags.begin(), post.tags.end());
-    year.ends.push_back(static_cast<uint32_t>(year.tags.size()));
+    year.bounds.push_back(static_cast<uint32_t>(year.tags.size()));
     if (detector && !detector->IsStable()) detector->AddPost(post);
   }
   if (!detector) return year;
@@ -143,14 +139,19 @@ int64_t JanuaryCut(int64_t year_length, const PrepConfig& config,
   return std::clamp<int64_t>(cut, 1, year_length - 1);
 }
 
+// The dataset's two post stores while the keep step fills them.
+struct KeptPosts {
+  core::PostStore::Builder initial;
+  core::PostStore::Builder future;
+};
+
 // The keep step of both entry points, called in resource order: counts the
 // resource as scanned and either drops it as unstable or keeps it, cut at
-// a January size drawn from the one sequential `rng`. split(cut, &initial,
-// &future) fills the kept posts. Returns false once config.max_keep
-// resources are kept.
-template <typename Split>
-bool KeepResource(ScannedResource resource, Split split,
-                  const PrepConfig& config, util::Rng* rng,
+// a January size drawn from the one sequential `rng`: posts [0, cut) of
+// `year` become its January prefix, the rest its future. Returns false
+// once config.max_keep resources are kept.
+bool KeepResource(ScannedResource resource, core::PostSequence year,
+                  const PrepConfig& config, util::Rng* rng, KeptPosts* posts,
                   PreparedDataset* out) {
   ++out->scanned;
   if (resource.stable_point == 0) {
@@ -162,8 +163,10 @@ bool KeepResource(ScannedResource resource, Split split,
           ? std::clamp<int64_t>(resource.january_hint, 1,
                                 resource.year_length - 1)
           : JanuaryCut(resource.year_length, config, rng);
-  split(cut, &out->initial_posts.emplace_back(),
-        &out->future_posts.emplace_back());
+  posts->initial.AddPosts(year.Slice(0, static_cast<size_t>(cut)));
+  posts->initial.EndResource();
+  posts->future.AddPosts(year.Slice(static_cast<size_t>(cut), year.size()));
+  posts->future.EndResource();
   out->references.push_back(core::ResourceReference{
       std::move(resource.stable_rfd), resource.stable_point});
   out->year_length.push_back(resource.year_length);
@@ -171,7 +174,7 @@ bool KeepResource(ScannedResource resource, Split split,
   out->urls.push_back(std::move(resource.url));
   out->source_ids.push_back(resource.id);
   return config.max_keep <= 0 ||
-         static_cast<int64_t>(out->size()) < config.max_keep;
+         static_cast<int64_t>(out->references.size()) < config.max_keep;
 }
 
 util::Status ValidatePrepConfig(const PrepConfig& config) {
@@ -194,8 +197,12 @@ util::Rng CutRng(const PrepConfig& config) {
   return util::Rng(util::MixSeeds(config.seed, 0x9A17ull));
 }
 
-util::Result<PreparedDataset> NonEmpty(PreparedDataset out,
-                                       const char* message) {
+// Builds the kept posts into `out`'s stores; FailedPrecondition with
+// `message` when no resource was kept.
+util::Result<PreparedDataset> Finish(PreparedDataset out, KeptPosts posts,
+                                     const char* message) {
+  out.initial_posts = std::move(posts.initial).Build();
+  out.future_posts = std::move(posts.future).Build();
   if (out.size() == 0) return util::Status::FailedPrecondition(message);
   return out;
 }
@@ -206,6 +213,7 @@ util::Result<PreparedDataset> PrepareFromCorpus(const Corpus& corpus,
                                                 const PrepConfig& config) {
   if (util::Status s = ValidatePrepConfig(config); !s.ok()) return s;
   PreparedDataset out;
+  KeptPosts posts;
   util::Rng rng = CutRng(config);
   std::vector<SampledYear> years(corpus.num_resources());
   ScanThenKeep(
@@ -227,31 +235,26 @@ util::Result<PreparedDataset> PrepareFromCorpus(const Corpus& corpus,
                             .url = info.url,
                             .stable_point = year.stable_point,
                             .stable_rfd = std::move(year.stable_rfd)},
-            [&](int64_t cut, core::PostSequence* initial,
-                core::PostSequence* future) {
-              *initial = year.Build(0, static_cast<size_t>(cut));
-              *future =
-                  year.Build(static_cast<size_t>(cut), year.ends.size());
-            },
-            config, &rng, &out);
+            year.Posts(), config, &rng, &posts, &out);
       });
-  return NonEmpty(std::move(out),
-                  "no resource reached stability; relax (omega_s, tau_s) or "
-                  "increase year volumes");
+  return Finish(std::move(out), std::move(posts),
+                "no resource reached stability; relax (omega_s, tau_s) or "
+                "increase year volumes");
 }
 
 util::Result<PreparedDataset> PrepareFromSequences(
-    const std::vector<core::PostSequence>& year_posts,
-    const std::vector<std::string>& urls, const PrepConfig& config) {
+    const core::PostStore& year_posts, const std::vector<std::string>& urls,
+    const PrepConfig& config) {
   if (util::Status s = ValidatePrepConfig(config); !s.ok()) return s;
   if (!urls.empty() && urls.size() != year_posts.size()) {
     return util::Status::InvalidArgument(
         "urls and year_posts sizes must match");
   }
   PreparedDataset out;
+  KeptPosts posts;
   util::Rng rng = CutRng(config);
   for (size_t i = 0; i < year_posts.size(); ++i) {
-    const core::PostSequence& year = year_posts[i];
+    const core::PostSequence year = year_posts[i];
     ScannedResource resource;
     resource.id = static_cast<core::ResourceId>(i);
     resource.year_length = static_cast<int64_t>(year.size());
@@ -259,7 +262,7 @@ util::Result<PreparedDataset> PrepareFromSequences(
     resource.url = urls.empty() ? "resource-" + std::to_string(i) : urls[i];
     if (year.size() >= 2) {
       core::StabilityDetector detector(config.stability);
-      for (const core::Post& post : year) {
+      for (core::PostView post : year) {
         if (detector.AddPost(post)) {
           resource.stable_point = detector.stable_point();
           resource.stable_rfd = std::move(detector).stable_rfd();
@@ -267,18 +270,13 @@ util::Result<PreparedDataset> PrepareFromSequences(
         }
       }
     }
-    const bool more = KeepResource(
-        std::move(resource),
-        [&](int64_t cut, core::PostSequence* initial,
-            core::PostSequence* future) {
-          initial->assign(year.begin(), year.begin() + cut);
-          future->assign(year.begin() + cut, year.end());
-        },
-        config, &rng, &out);
-    if (!more) break;
+    if (!KeepResource(std::move(resource), year, config, &rng, &posts,
+                      &out)) {
+      break;
+    }
   }
-  return NonEmpty(std::move(out),
-                  "no resource reached stability; relax (omega_s, tau_s)");
+  return Finish(std::move(out), std::move(posts),
+                "no resource reached stability; relax (omega_s, tau_s)");
 }
 
 util::Status ExtendFuture(const Corpus& corpus, double multiplier,
@@ -294,6 +292,7 @@ util::Status ExtendFuture(const Corpus& corpus, double multiplier,
     }
   }
   std::vector<SampledYear> extended(dataset->size());
+  core::PostStore::Builder future;
   ScanThenKeep(
       extended.size(),
       [&](size_t i) {
@@ -306,10 +305,12 @@ util::Status ExtendFuture(const Corpus& corpus, double multiplier,
             /*stability=*/nullptr);
       },
       [&](size_t i) {
-        const SampledYear future = std::exchange(extended[i], {});
-        dataset->future_posts[i] = future.Build(0, future.ends.size());
+        const SampledYear year = std::exchange(extended[i], {});
+        future.AddPosts(year.Posts());
+        future.EndResource();
         return true;
       });
+  dataset->future_posts = std::move(future).Build();
   return util::Status::OK();
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/core/allocation.h"
+#include "src/core/post_store.h"
 #include "src/core/post_stream.h"
 #include "src/core/stability.h"
 #include "src/core/types.h"
@@ -53,9 +54,14 @@ struct PrepConfig {
 };
 
 // The evaluation-ready dataset: index-aligned vectors over kept resources.
+//
+// Footprint. The posts are two flat stores (core::PostStore): 4 bytes per
+// tag, 4 per post and 4 per resource each, with no allocation per post.
+// At n=2000 (seed 1) the 100,782 kept posts carry 155,671 tags, ~1.0 MB
+// in all.
 struct PreparedDataset {
-  std::vector<core::PostSequence> initial_posts;  // the "January" prefixes
-  std::vector<core::PostSequence> future_posts;   // the rest of the year
+  core::PostStore initial_posts;  // the "January" prefixes
+  core::PostStore future_posts;   // the rest of the year
   std::vector<core::ResourceReference> references;
   std::vector<int64_t> year_length;
   std::vector<double> popularity;
@@ -83,8 +89,9 @@ struct PreparedDataset {
 //    the stable point; an unstable year is dropped there.
 //  - Keep, on the calling thread, in resource order as the scan completes:
 //    draws each kept resource's January cut from the one sequential rng
-//    and builds its January prefix and future from the flat buffer. With
-//    max_keep the scan stops soon after the cap is reached.
+//    and appends the flat buffer's two halves to the dataset's January and
+//    future stores. With max_keep the scan stops soon after the cap is
+//    reached.
 // The output is byte-identical whatever the thread count or the order the
 // threads finish in. The corpus is only read, so several preparations may
 // share one corpus concurrently. Returns InvalidArgument for a stability
@@ -98,17 +105,17 @@ util::Result<PreparedDataset> PrepareFromCorpus(const Corpus& corpus,
 // PrepareFromCorpus. `urls` may be empty; popularity defaults to the year
 // volume.
 util::Result<PreparedDataset> PrepareFromSequences(
-    const std::vector<core::PostSequence>& year_posts,
-    const std::vector<std::string>& urls, const PrepConfig& config);
+    const core::PostStore& year_posts, const std::vector<std::string>& urls,
+    const PrepConfig& config);
 
 // Replaces `dataset->future_posts` with extended streams drawn from the
 // corpus: each resource's future grows to multiplier * year_length posts
 // (total, including the January prefix). Used by the Section V-B.1
 // "budget until everything is stable" experiment, which needs more posts
 // than one year supplies. Samples in parallel like PrepareFromCorpus and
-// builds the posts on the calling thread. Returns InvalidArgument unless
-// the multiplier is finite and >= 1. Must not run while a stream from
-// MakeStream() is alive: the stream reads the vectors this replaces.
+// builds the new store on the calling thread. Returns InvalidArgument
+// unless the multiplier is finite and >= 1. Must not run while a stream
+// from MakeStream() is alive: the stream reads the store this replaces.
 util::Status ExtendFuture(const Corpus& corpus, double multiplier,
                           PreparedDataset* dataset);
 

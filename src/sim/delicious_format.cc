@@ -79,7 +79,7 @@ util::Result<RawDump> ReadDumpText(std::string_view text) {
     if (eol >= text.size()) break;
   }
 
-  dump.sequences.resize(pending.size());
+  core::PostStore::Builder sequences;
   for (size_t i = 0; i < pending.size(); ++i) {
     std::sort(pending[i].begin(), pending[i].end(),
               [](const PendingPost& a, const PendingPost& b) {
@@ -88,11 +88,10 @@ util::Result<RawDump> ReadDumpText(std::string_view text) {
                 }
                 return a.order < b.order;
               });
-    dump.sequences[i].reserve(pending[i].size());
-    for (PendingPost& p : pending[i]) {
-      dump.sequences[i].push_back(std::move(p.post));
-    }
+    for (const PendingPost& p : pending[i]) sequences.AddPost(p.post);
+    sequences.EndResource();
   }
+  dump.sequences = std::move(sequences).Build();
   return dump;
 }
 
@@ -111,8 +110,7 @@ util::Result<RawDump> ReadDumpFile(const std::string& path) {
 
 util::Status WriteDumpFile(
     const std::string& path, const std::vector<std::string>& urls,
-    const std::vector<core::PostSequence>& sequences,
-    const core::TagVocabulary& vocab) {
+    const core::PostStore& sequences, const core::TagVocabulary& vocab) {
   if (urls.size() != sequences.size()) {
     return util::Status::InvalidArgument(
         "urls and sequences sizes must match");
@@ -127,13 +125,13 @@ util::Status WriteDumpFile(
   // each URL's internal order: post k of url i gets timestamp k*n + i.
   const size_t n = urls.size();
   size_t max_len = 0;
-  for (const core::PostSequence& seq : sequences) {
+  for (core::PostSequence seq : sequences) {
     max_len = std::max(max_len, seq.size());
   }
   for (size_t k = 0; k < max_len; ++k) {
     for (size_t i = 0; i < n; ++i) {
       if (k >= sequences[i].size()) continue;
-      const core::Post& post = sequences[i][k];
+      const core::PostView post = sequences[i][k];
       const uint64_t ts = static_cast<uint64_t>(k) * n + i;
       const uint64_t user = (i * 2654435761ULL + k * 40503ULL) % 9973ULL;
       out << ts << '\t' << "user" << user << '\t' << urls[i] << '\t';

@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/post_store.h"
 #include "src/core/tag_vocabulary.h"
 #include "src/core/types.h"
 #include "src/util/status.h"
@@ -32,8 +33,8 @@ namespace sim {
 // Parsed dump: per-URL post sequences over a private vocabulary.
 struct RawDump {
   core::TagVocabulary vocab;
-  std::vector<std::string> urls;                 // first-seen order
-  std::vector<core::PostSequence> sequences;     // aligned with urls
+  std::vector<std::string> urls;  // first-seen order
+  core::PostStore sequences;      // aligned with urls
   int64_t lines = 0;    // non-comment, non-blank lines seen
   int64_t posts = 0;    // successfully parsed posts
   int64_t skipped = 0;  // malformed lines
@@ -50,7 +51,7 @@ util::Result<RawDump> ReadDumpFile(const std::string& path);
 // `urls` and `sequences` must be index-aligned; tags resolve via `vocab`.
 util::Status WriteDumpFile(const std::string& path,
                            const std::vector<std::string>& urls,
-                           const std::vector<core::PostSequence>& sequences,
+                           const core::PostStore& sequences,
                            const core::TagVocabulary& vocab);
 
 }  // namespace sim

@@ -268,9 +268,9 @@ core::Post Corpus::SamplePost(core::ResourceId i, int64_t k) const {
   return core::Post::FromTags(std::move(tags));
 }
 
-core::PostSequence Corpus::MaterializeSequence(core::ResourceId i,
-                                               int64_t count) const {
-  core::PostSequence seq;
+std::vector<core::Post> Corpus::MaterializeSequence(core::ResourceId i,
+                                                    int64_t count) const {
+  std::vector<core::Post> seq;
   seq.reserve(static_cast<size_t>(count));
   for (int64_t k = 0; k < count; ++k) seq.push_back(SamplePost(i, k));
   return seq;

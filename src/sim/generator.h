@@ -114,8 +114,8 @@ class Corpus {
   core::Post SamplePost(core::ResourceId i, int64_t k) const;
 
   // Materialises posts 0..count-1 of resource i.
-  core::PostSequence MaterializeSequence(core::ResourceId i,
-                                         int64_t count) const;
+  std::vector<core::Post> MaterializeSequence(core::ResourceId i,
+                                              int64_t count) const;
 
   // Finds a resource by URL (the showcase pages), NotFound otherwise.
   util::Result<core::ResourceId> FindUrl(std::string_view url) const;

@@ -79,7 +79,7 @@ TEST(BenchCommonTest, RunBudgetSweepAlignsWithBudgets) {
 
 TEST(BenchCommonTest, BuildYearSequencesConcatenatesSplits) {
   auto ds = MakeDataset(40, 9);
-  std::vector<core::PostSequence> year = BuildYearSequences(ds->dataset);
+  const core::PostStore year = BuildYearSequences(ds->dataset);
   ASSERT_EQ(year.size(), ds->dataset.size());
   for (size_t i = 0; i < year.size(); ++i) {
     EXPECT_EQ(year[i].size(),

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/post_store.h"
 #include "src/core/post_stream.h"
 #include "src/core/quality.h"
 #include "src/core/strategy_fp.h"
@@ -17,26 +18,26 @@ namespace {
 
 // A 2-resource problem with hand-computable metrics. Both references point
 // at tag 1; resource 0 starts aligned, resource 1 starts off-reference.
+// Resource i can take future_length[i] tasks, each a post of tag 1.
 struct Fixture {
-  std::vector<PostSequence> initial;
+  PostStore initial;
   std::vector<ResourceReference> references;
-  std::vector<PostSequence> future;
+  PostStore future;
 
-  Fixture() {
-    initial.resize(2);
-    initial[0].push_back(Post::FromTags({1}));
-    initial[1].push_back(Post::FromTags({2}));
+  explicit Fixture(std::vector<size_t> future_length = {6, 6}) {
+    initial = PostStore::FromPosts({{Post::FromTags({1})},
+                                    {Post::FromTags({2})}});
     references.push_back(
         ResourceReference{RfdVector::FromWeights({{1, 1.0}}),
                           /*stable_point=*/3});
     references.push_back(
         ResourceReference{RfdVector::FromWeights({{1, 1.0}}),
                           /*stable_point=*/3});
-    future.resize(2);
-    for (int i = 0; i < 6; ++i) {
-      future[0].push_back(Post::FromTags({1}));
-      future[1].push_back(Post::FromTags({1}));
+    std::vector<std::vector<Post>> posts;
+    for (size_t length : future_length) {
+      posts.emplace_back(length, Post::FromTags({1}));
     }
+    future = PostStore::FromPosts(posts);
   }
 };
 
@@ -136,9 +137,7 @@ TEST(AllocationEngineTest, UnderTaggedThresholdRespected) {
 }
 
 TEST(AllocationEngineTest, StopsEarlyWhenAllStreamsExhausted) {
-  Fixture f;
-  f.future[0].resize(1);
-  f.future[1].resize(1);
+  Fixture f({1, 1});
   EngineOptions options;
   options.budget = 10;
   options.omega = 2;
@@ -152,8 +151,7 @@ TEST(AllocationEngineTest, StopsEarlyWhenAllStreamsExhausted) {
 }
 
 TEST(AllocationEngineTest, ExhaustionConsumesNoBudget) {
-  Fixture f;
-  f.future[0].clear();  // resource 0 can never take a task
+  Fixture f({0, 6});  // resource 0 can never take a task
   EngineOptions options;
   options.budget = 3;
   options.omega = 2;
@@ -178,8 +176,7 @@ TEST(AllocationEngineTest, MisbehavedStrategyIsCaught) {
     void Update(ResourceId) override {}
     void OnExhausted(ResourceId) override {}  // ignores the signal
   };
-  Fixture f;
-  f.future[0].clear();
+  Fixture f({0, 6});
   EngineOptions options;
   options.budget = 2;
   AllocationEngine engine(options, &f.initial, &f.references);
@@ -215,7 +212,7 @@ TEST(AllocationEngineTest, MismatchedStreamIsRejected) {
   options.budget = 1;
   AllocationEngine engine(options, &f.initial, &f.references);
   RoundRobinStrategy rr;
-  const std::vector<PostSequence> wrong_size(3);
+  const PostStore wrong_size = PostStore::FromPosts({{}, {}, {}});
   VectorPostStream stream(&wrong_size);
   auto report = engine.Run(&rr, &stream);
   EXPECT_FALSE(report.ok());

@@ -17,10 +17,11 @@ namespace incentag {
 namespace core {
 namespace {
 
+// Tests edit the posts; RunEngine stores them.
 struct BatchFixture {
-  std::vector<PostSequence> initial;
+  std::vector<std::vector<Post>> initial;
   std::vector<ResourceReference> references;
-  std::vector<PostSequence> future;
+  std::vector<std::vector<Post>> future;
 
   explicit BatchFixture(size_t n, int initial_posts, int future_posts) {
     initial.resize(n);
@@ -44,8 +45,10 @@ RunReport RunEngine(BatchFixture* f, Strategy* strategy, int64_t budget,
   options.budget = budget;
   options.omega = 2;
   options.batch_size = batch_size;
-  AllocationEngine engine(options, &f->initial, &f->references);
-  VectorPostStream stream(&f->future);
+  const PostStore initial = PostStore::FromPosts(f->initial);
+  const PostStore future = PostStore::FromPosts(f->future);
+  AllocationEngine engine(options, &initial, &f->references);
+  VectorPostStream stream(&future);
   auto report = engine.Run(strategy, &stream);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return std::move(report).value();
@@ -86,8 +89,10 @@ TEST(BatchTest, BatchOneMatchesUnbatchedExactly) {
   EngineOptions options;
   options.budget = 15;
   options.omega = 2;  // defaults: batch_size = 1
-  AllocationEngine engine(options, &f2.initial, &f2.references);
-  VectorPostStream stream(&f2.future);
+  const PostStore initial = PostStore::FromPosts(f2.initial);
+  const PostStore future = PostStore::FromPosts(f2.future);
+  AllocationEngine engine(options, &initial, &f2.references);
+  VectorPostStream stream(&future);
   auto plain = engine.Run(&fp2, &stream);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(batched.allocation, plain.value().allocation);
@@ -136,9 +141,11 @@ TEST(BatchTest, FpmuWarmupCommitsAtAssignment) {
   options.budget = 9;
   options.omega = 2;
   options.batch_size = 3;
-  AllocationEngine engine(options, &f.initial, &f.references);
+  const PostStore initial = PostStore::FromPosts(f.initial);
+  const PostStore future = PostStore::FromPosts(f.future);
+  AllocationEngine engine(options, &initial, &f.references);
   HybridFpMuStrategy fpmu;
-  VectorPostStream stream(&f.future);
+  VectorPostStream stream(&future);
   auto report = engine.Run(&fpmu, &stream);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().budget_spent, 9);

@@ -36,24 +36,24 @@ TEST(CostModelTest, Heterogeneous) {
 
 // Engine integration -----------------------------------------------------
 
+// Both resources start with one post of `initial_tag`. Resource 0's ten
+// future posts are tag 1; resource 1's are `future1`, or ten tag-1 posts
+// when it is empty.
 struct CostFixture {
-  std::vector<PostSequence> initial;
+  PostStore initial;
   std::vector<ResourceReference> references;
-  std::vector<PostSequence> future;
+  PostStore future;
 
-  CostFixture() {
-    initial.resize(2);
-    initial[0].push_back(Post::FromTags({1}));
-    initial[1].push_back(Post::FromTags({1}));
+  explicit CostFixture(TagId initial_tag = 1, std::vector<Post> future1 = {}) {
+    initial = PostStore::FromPosts({{Post::FromTags({initial_tag})},
+                                    {Post::FromTags({initial_tag})}});
     for (int i = 0; i < 2; ++i) {
       references.push_back(ResourceReference{
           RfdVector::FromWeights({{1, 1.0}}), /*stable_point=*/100});
     }
-    future.resize(2);
-    for (int i = 0; i < 10; ++i) {
-      future[0].push_back(Post::FromTags({1}));
-      future[1].push_back(Post::FromTags({1}));
-    }
+    const std::vector<Post> ones(10, Post::FromTags({1}));
+    future = PostStore::FromPosts(
+        {ones, future1.empty() ? ones : std::move(future1)});
   }
 };
 
@@ -236,9 +236,7 @@ TEST(CostAwareFpTest, PendingCountOutsideInt32IsRejected) {
 TEST(DpWithCostsTest, PrefersCheaperEquivalentResource) {
   // Two identical resources; resource 1 costs twice as much. All budget
   // should flow to resource 0 first.
-  CostFixture f;
-  f.initial[0][0] = Post::FromTags({9});
-  f.initial[1][0] = Post::FromTags({9});
+  CostFixture f(/*initial_tag=*/9);
   CostModel costs({1, 2});
   auto plan = DpPlanner::PlanWithCosts(f.initial, f.references, f.future, 4,
                                        costs);
@@ -252,12 +250,12 @@ TEST(DpWithCostsTest, PrefersCheaperEquivalentResource) {
 }
 
 TEST(DpWithCostsTest, MatchesBruteForceOnSmallInstance) {
-  CostFixture f;
   // Make the two resources differ so the optimum is non-trivial.
-  f.future[1].clear();
+  std::vector<Post> future1;
   for (int i = 0; i < 10; ++i) {
-    f.future[1].push_back(Post::FromTags({i % 2 == 0 ? 1u : 7u}));
+    future1.push_back(Post::FromTags({i % 2 == 0 ? 1u : 7u}));
   }
+  CostFixture f(/*initial_tag=*/1, future1);
   CostModel costs({2, 3});
   const int64_t budget = 11;
 
@@ -274,7 +272,7 @@ TEST(DpWithCostsTest, MatchesBruteForceOnSmallInstance) {
       for (size_t i = 0; i < 2; ++i) {
         const int64_t x = i == 0 ? x0 : x1;
         TagCounts counts;
-        for (const Post& post : f.initial[i]) counts.AddPost(post);
+        for (PostView post : f.initial[i]) counts.AddPost(post);
         for (int64_t k = 0; k < x; ++k) {
           counts.AddPost(f.future[i][static_cast<size_t>(k)]);
         }

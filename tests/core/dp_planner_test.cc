@@ -17,8 +17,8 @@ namespace {
 // A tiny instance: initial posts + future posts per resource, plus a
 // reference direction per resource.
 struct TinyProblem {
-  std::vector<PostSequence> initial;
-  std::vector<PostSequence> future;
+  PostStore initial;
+  PostStore future;
   std::vector<ResourceReference> references;
 };
 
@@ -26,23 +26,27 @@ TinyProblem MakeRandomProblem(uint64_t seed, size_t n, int init_posts,
                               int future_posts) {
   util::Rng rng(seed);
   TinyProblem p;
-  p.initial.resize(n);
-  p.future.resize(n);
+  PostStore::Builder initial;
+  PostStore::Builder future;
   for (size_t i = 0; i < n; ++i) {
     // Per-resource tag universe offset keeps resources distinct.
     const uint32_t universe = 6;
-    core::PostSequence all =
+    const std::vector<Post> all =
         testing::ConvergingSequence(&rng, init_posts + future_posts + 60,
                                     universe);
-    p.initial[i].assign(all.begin(), all.begin() + init_posts);
-    p.future[i].assign(all.begin() + init_posts,
-                       all.begin() + init_posts + future_posts);
+    for (int k = 0; k < init_posts + future_posts; ++k) {
+      (k < init_posts ? initial : future).AddPost(all[static_cast<size_t>(k)]);
+    }
+    initial.EndResource();
+    future.EndResource();
     // Reference: the converged direction of the whole sequence.
     TagCounts counts;
     for (const Post& post : all) counts.AddPost(post);
     p.references.push_back(
         ResourceReference{counts.Snapshot(), /*stable_point=*/50});
   }
+  p.initial = std::move(initial).Build();
+  p.future = std::move(future).Build();
   return p;
 }
 
@@ -51,7 +55,7 @@ double ObjectiveOf(const TinyProblem& p, const std::vector<int64_t>& x) {
   double total = 0.0;
   for (size_t i = 0; i < p.initial.size(); ++i) {
     TagCounts counts;
-    for (const Post& post : p.initial[i]) counts.AddPost(post);
+    for (PostView post : p.initial[i]) counts.AddPost(post);
     for (int64_t k = 0; k < x[i]; ++k) {
       counts.AddPost(p.future[i][static_cast<size_t>(k)]);
     }
@@ -150,12 +154,14 @@ TEST(DpPlannerTest, QualityTableMatchesSequenceQuality) {
       p.initial[0], p.references[0], p.future, 0, 10);
   ASSERT_EQ(table.size(), 11u);
   for (int64_t x = 0; x <= 10; ++x) {
-    PostSequence combined = p.initial[0];
-    combined.insert(combined.end(), p.future[0].begin(),
-                    p.future[0].begin() + x);
+    PostStore::Builder builder;
+    builder.AddPosts(p.initial[0]);
+    builder.AddPosts(p.future[0].Slice(0, static_cast<size_t>(x)));
+    builder.EndResource();
+    const PostStore combined = std::move(builder).Build();
     EXPECT_NEAR(table[static_cast<size_t>(x)],
-                SequenceQuality(combined,
-                                static_cast<int64_t>(combined.size()),
+                SequenceQuality(combined[0],
+                                static_cast<int64_t>(combined[0].size()),
                                 p.references[0].stable_rfd),
                 1e-9)
         << "x=" << x;
@@ -166,14 +172,11 @@ TEST(DpPlannerTest, PreferObviouslyBetterResource) {
   // Resource 0's future posts match its reference; resource 1's future
   // posts are junk relative to its reference. All budget must go to 0.
   TinyProblem p;
-  p.initial.resize(2);
-  p.future.resize(2);
-  p.initial[0].push_back(Post::FromTags({9}));  // off-reference start
-  p.initial[1].push_back(Post::FromTags({1}));
-  for (int i = 0; i < 5; ++i) {
-    p.future[0].push_back(Post::FromTags({1}));  // matches reference {1}
-    p.future[1].push_back(Post::FromTags({9}));  // moves away from {1}
-  }
+  p.initial = PostStore::FromPosts({{Post::FromTags({9})},  // off-reference
+                                    {Post::FromTags({1})}});
+  p.future = PostStore::FromPosts(
+      {std::vector<Post>(5, Post::FromTags({1})),    // matches reference {1}
+       std::vector<Post>(5, Post::FromTags({9}))});  // moves away from {1}
   p.references.push_back(
       ResourceReference{RfdVector::FromWeights({{1, 1.0}}), 3});
   p.references.push_back(

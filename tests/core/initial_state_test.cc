@@ -38,25 +38,32 @@ namespace core {
 namespace {
 
 struct Fixture {
-  std::vector<PostSequence> initial;
-  std::vector<PostSequence> future;
+  PostStore initial;
+  PostStore future;
   std::vector<ResourceReference> references;
 };
 
 Fixture MakeFixture(size_t n, uint64_t seed) {
   util::Rng rng(seed);
   Fixture f;
+  PostStore::Builder initial;
+  PostStore::Builder future;
   for (size_t i = 0; i < n; ++i) {
-    PostSequence year = incentag::testing::ConvergingSequence(
+    const std::vector<Post> year = incentag::testing::ConvergingSequence(
         &rng, 40 + static_cast<int>(i % 7) * 5, /*universe=*/20);
     const size_t cut = 4 + i % 5;
-    f.initial.emplace_back(year.begin(), year.begin() + cut);
-    f.future.emplace_back(year.begin() + cut, year.end());
+    for (size_t k = 0; k < year.size(); ++k) {
+      (k < cut ? initial : future).AddPost(year[k]);
+    }
+    initial.EndResource();
+    future.EndResource();
     TagCounts full;
     for (const Post& post : year) full.AddPost(post);
     f.references.push_back(ResourceReference{
         full.Snapshot(), 10 + static_cast<int64_t>(i % 9)});
   }
+  f.initial = std::move(initial).Build();
+  f.future = std::move(future).Build();
   return f;
 }
 
@@ -374,7 +381,7 @@ TEST_F(InitialStateTest, EveryRowMatchesAFreshReplay) {
     const size_t n = fixture_.initial.size();
     ASSERT_EQ(table->num_resources(), n);
     for (size_t i = 0; i < n; ++i) {
-      const PostSequence& future = fixture_.future[i];
+      const PostSequence future = fixture_.future[i];
       ASSERT_EQ(table->initial_posts(i),
                 static_cast<int64_t>(fixture_.initial[i].size()));
       ASSERT_EQ(table->future_length(i), static_cast<int64_t>(future.size()));
@@ -384,11 +391,12 @@ TEST_F(InitialStateTest, EveryRowMatchesAFreshReplay) {
                                   " row " + std::to_string(j);
         ResourceState state(omega);
         QualityTracker tracker(&fixture_.references[i].stable_rfd);
-        PostSequence prefix = fixture_.initial[i];
-        prefix.insert(prefix.end(), future.begin(), future.begin() + j);
-        for (const Post& post : prefix) {
-          state.AddPost(post);
-          tracker.AddPost(post, state.counts().norm_squared());
+        for (PostSequence part : {fixture_.initial[i],
+                                  future.Slice(0, static_cast<size_t>(j))}) {
+          for (PostView post : part) {
+            state.AddPost(post);
+            tracker.AddPost(post, state.counts().norm_squared());
+          }
         }
         const InitialState::Row& row = table->row(i, j);
         EXPECT_EQ(std::bit_cast<uint64_t>(row.quality),
@@ -649,7 +657,18 @@ TEST_F(InitialStateTest, BuildFromJanuaryRejectsASeedItsPostsDoNotReach) {
   Fixture other = fixture_;
   size_t touched = 0;
   while (AllocationIn(blob, touched) == 0) ++touched;
-  other.future[touched][0] = Post::FromTags({1000});
+  PostStore::Builder future;
+  for (size_t i = 0; i < other.future.size(); ++i) {
+    const PostSequence posts = other.future[i];
+    if (i == touched) {
+      future.AddPost(Post::FromTags({1000}));
+      future.AddPosts(posts.Slice(1, posts.size()));
+    } else {
+      future.AddPosts(posts);
+    }
+    future.EndResource();
+  }
+  other.future = std::move(future).Build();
   auto table = std::make_shared<const InitialState>(
       &other.initial, &other.future, &other.references, 5);
   Campaign restored(other, c);

@@ -60,7 +60,7 @@ class MaDefinitionTest
 TEST_P(MaDefinitionTest, TrackerMatchesDefinition7) {
   const int omega = std::get<0>(GetParam());
   util::Rng rng(std::get<1>(GetParam()));
-  PostSequence posts = testing::ConvergingSequence(&rng, 80, 8);
+  std::vector<Post> posts = testing::ConvergingSequence(&rng, 80, 8);
 
   TagCounts counts;
   MaTracker ma(omega);

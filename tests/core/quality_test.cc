@@ -51,7 +51,7 @@ class QualityIncrementalTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(QualityIncrementalTest, TrackerMatchesDirectCosine) {
   util::Rng rng(GetParam());
-  PostSequence posts = testing::ConvergingSequence(&rng, 150, 9);
+  std::vector<Post> posts = testing::ConvergingSequence(&rng, 150, 9);
 
   // Reference: the converged rfd of a longer prefix of the same process.
   TagCounts ref_counts;
@@ -75,7 +75,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QualityIncrementalTest,
 
 TEST(SequenceQualityTest, MatchesManualPrefixReplay) {
   util::Rng rng(8);
-  PostSequence posts = testing::RandomSequence(&rng, 40, 6);
+  std::vector<Post> posts = testing::RandomSequence(&rng, 40, 6);
   RfdVector reference =
       RfdVector::FromWeights({{0, 0.5}, {1, 0.3}, {2, 0.2}});
   for (int64_t k : {0, 1, 5, 20, 40}) {
@@ -83,7 +83,7 @@ TEST(SequenceQualityTest, MatchesManualPrefixReplay) {
     for (int64_t i = 0; i < k; ++i) {
       counts.AddPost(posts[static_cast<size_t>(i)]);
     }
-    EXPECT_NEAR(SequenceQuality(posts, k, reference),
+    EXPECT_NEAR(SequenceQuality(testing::Store(posts)[0], k, reference),
                 Cosine(counts, reference), 1e-12)
         << "k=" << k;
   }
@@ -93,12 +93,13 @@ TEST(SequenceQualityTest, MoreAlignedPostsImproveQuality) {
   // Quality against a reference dominated by tag 1 grows as posts with tag
   // 1 accumulate after an off-topic start.
   RfdVector reference = RfdVector::FromWeights({{1, 0.9}, {2, 0.1}});
-  PostSequence posts;
-  posts.push_back(Post::FromTags({3}));  // off-topic
-  for (int i = 0; i < 20; ++i) posts.push_back(Post::FromTags({1}));
-  double prev = SequenceQuality(posts, 1, reference);
+  std::vector<Post> off_topic_first;
+  off_topic_first.push_back(Post::FromTags({3}));
+  for (int i = 0; i < 20; ++i) off_topic_first.push_back(Post::FromTags({1}));
+  const PostStore posts = PostStore::FromPosts({off_topic_first});
+  double prev = SequenceQuality(posts[0], 1, reference);
   for (int64_t k = 2; k <= 21; ++k) {
-    double q = SequenceQuality(posts, k, reference);
+    double q = SequenceQuality(posts[0], k, reference);
     EXPECT_GT(q, prev);
     prev = q;
   }

@@ -128,7 +128,7 @@ class RfdIncrementalTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RfdIncrementalTest, IncrementalMatchesNaive) {
   util::Rng rng(GetParam());
-  PostSequence posts = testing::RandomSequence(&rng, 120, 10);
+  std::vector<Post> posts = testing::RandomSequence(&rng, 120, 10);
   TagCounts counts;
   for (int64_t k = 1; k <= static_cast<int64_t>(posts.size()); ++k) {
     double incremental =

@@ -33,26 +33,43 @@ namespace core {
 namespace {
 
 struct Fixture {
-  std::vector<PostSequence> initial;
-  std::vector<PostSequence> future;
+  PostStore initial;
+  PostStore future;
   std::vector<ResourceReference> references;
+
+  // Posts [0, cut) of `year` become the next resource's January, the
+  // rest its future; Finish builds the stores.
+  void AddResource(const std::vector<Post>& year, size_t cut,
+                   int64_t stable_point) {
+    for (size_t k = 0; k < year.size(); ++k) {
+      (k < cut ? initial_builder : future_builder).AddPost(year[k]);
+    }
+    initial_builder.EndResource();
+    future_builder.EndResource();
+    TagCounts full;
+    for (const Post& post : year) full.AddPost(post);
+    references.push_back(ResourceReference{full.Snapshot(), stable_point});
+  }
+  Fixture Finish() && {
+    initial = std::move(initial_builder).Build();
+    future = std::move(future_builder).Build();
+    return std::move(*this);
+  }
+
+  PostStore::Builder initial_builder;
+  PostStore::Builder future_builder;
 };
 
 Fixture MakeFixture(size_t n, uint64_t seed) {
   util::Rng rng(seed);
   Fixture f;
   for (size_t i = 0; i < n; ++i) {
-    PostSequence year = incentag::testing::ConvergingSequence(
-        &rng, 40 + static_cast<int>(i % 7) * 5, /*universe=*/20);
-    const size_t cut = 4 + i % 5;
-    f.initial.emplace_back(year.begin(), year.begin() + cut);
-    f.future.emplace_back(year.begin() + cut, year.end());
-    TagCounts full;
-    for (const Post& post : year) full.AddPost(post);
-    f.references.push_back(ResourceReference{
-        full.Snapshot(), 10 + static_cast<int64_t>(i % 9)});
+    f.AddResource(incentag::testing::ConvergingSequence(
+                      &rng, 40 + static_cast<int>(i % 7) * 5,
+                      /*universe=*/20),
+                  4 + i % 5, 10 + static_cast<int64_t>(i % 9));
   }
-  return f;
+  return std::move(f).Finish();
 }
 
 EngineOptions MakeOptions(int64_t budget, int64_t batch_size,
@@ -235,7 +252,12 @@ TEST_F(RuntimeSnapshotTest, FreeChoiceRoundTripsWithDeterministicPicker) {
 // and its snapshot at the end must still restore.
 TEST_F(RuntimeSnapshotTest, FreeChoiceRestoresAStuckPickersDrawCount) {
   Fixture f = fixture_;
-  for (PostSequence& future : f.future) future.resize(1);
+  PostStore::Builder first_posts;
+  for (PostSequence future : f.future) {
+    first_posts.AddPosts(future.Slice(0, 1));
+    first_posts.EndResource();
+  }
+  f.future = std::move(first_posts).Build();
   const int64_t n = static_cast<int64_t>(f.initial.size());
   const EngineOptions options = MakeOptions(2 * n, 8);
   auto make = [] {
@@ -364,12 +386,12 @@ uint64_t Fnv1a(const std::string& bytes) {
 
 // A fixed 12-post sequence over tags that collide in small tables
 // (dense ids plus far-apart ones).
-PostSequence GoldenPosts() {
+std::vector<Post> GoldenPosts() {
   const std::vector<std::vector<TagId>> raw = {
       {3, 7},       {7},       {1, 3, 9},  {7, 70000}, {3},
       {9, 7, 1},    {4000000}, {7, 3},     {1},        {70000, 9},
       {3, 7, 9, 1}, {7}};
-  PostSequence posts;
+  std::vector<Post> posts;
   for (const auto& tags : raw) posts.push_back(Post::FromTags(tags));
   return posts;
 }
@@ -456,18 +478,14 @@ Fixture MakeGoldenFixture() {
   util::Rng rng(20261017);
   Fixture f;
   for (size_t i = 0; i < 40; ++i) {
-    PostSequence year = incentag::testing::ConvergingSequence(
+    const std::vector<Post> year = incentag::testing::ConvergingSequence(
         &rng, 12 + static_cast<int>(i % 11) * 6, /*universe=*/24);
     const size_t cut = i % 13 == 5 ? year.size() : i % 9;
-    f.initial.emplace_back(year.begin(), year.begin() + cut);
-    f.future.emplace_back(year.begin() + cut, year.end());
-    TagCounts full;
-    for (const Post& post : year) full.AddPost(post);
     const int64_t stable_point =
         i % 7 == 3 ? 0 : 3 + static_cast<int64_t>(i % 17);
-    f.references.push_back(ResourceReference{full.Snapshot(), stable_point});
+    f.AddResource(year, cut, stable_point);
   }
-  return f;
+  return std::move(f).Finish();
 }
 
 class ReportDigest {

@@ -47,7 +47,7 @@ TEST(StabilityDetectorTest, StablePointIsFirstCrossing) {
   // Definition 8: k* is the *smallest* k with m(k, omega) > tau. Verify
   // against a trace computed independently.
   util::Rng rng(77);
-  PostSequence posts = testing::ConvergingSequence(&rng, 400, 10);
+  std::vector<Post> posts = testing::ConvergingSequence(&rng, 400, 10);
   StabilityParams params{/*omega=*/10, /*tau=*/0.995};
 
   StabilityDetector detector(params);
@@ -57,7 +57,8 @@ TEST(StabilityDetectorTest, StablePointIsFirstCrossing) {
   ASSERT_TRUE(detector.IsStable());
   const int64_t k_star = detector.stable_point();
 
-  std::vector<StabilityTracePoint> trace = StabilityTrace(posts, params);
+  std::vector<StabilityTracePoint> trace =
+      StabilityTrace(testing::Store(posts)[0], params);
   for (const StabilityTracePoint& point : trace) {
     if (point.k < k_star) {
       EXPECT_FALSE(point.ma_defined && point.ma_score > params.tau)
@@ -71,7 +72,7 @@ TEST(StabilityDetectorTest, StablePointIsFirstCrossing) {
 
 TEST(StabilityDetectorTest, StableRfdIsSnapshotAtStablePoint) {
   util::Rng rng(31);
-  PostSequence posts = testing::ConvergingSequence(&rng, 400, 6);
+  std::vector<Post> posts = testing::ConvergingSequence(&rng, 400, 6);
   StabilityParams params{/*omega=*/8, /*tau=*/0.99};
   StabilityDetector detector(params);
   for (const Post& post : posts) {
@@ -120,9 +121,10 @@ TEST(StabilityDetectorTest, MaScoreOptionalUntilDefined) {
 
 TEST(ScanSequenceTest, MatchesIncrementalDetector) {
   util::Rng rng(5);
-  PostSequence posts = testing::ConvergingSequence(&rng, 300, 8);
+  std::vector<Post> posts = testing::ConvergingSequence(&rng, 300, 8);
   StabilityParams params{/*omega=*/10, /*tau=*/0.99};
-  StabilityDetector scanned = ScanSequence(posts, params);
+  StabilityDetector scanned =
+      ScanSequence(testing::Store(posts)[0], params);
   StabilityDetector manual(params);
   for (const Post& post : posts) manual.AddPost(post);
   EXPECT_EQ(scanned.IsStable(), manual.IsStable());
@@ -133,9 +135,10 @@ TEST(ScanSequenceTest, MatchesIncrementalDetector) {
 
 TEST(StabilityTraceTest, TraceHasOneRowPerPost) {
   util::Rng rng(6);
-  PostSequence posts = testing::ConvergingSequence(&rng, 50, 5);
+  std::vector<Post> posts = testing::ConvergingSequence(&rng, 50, 5);
   StabilityParams params{/*omega=*/5, /*tau=*/0.99};
-  std::vector<StabilityTracePoint> trace = StabilityTrace(posts, params);
+  std::vector<StabilityTracePoint> trace =
+      StabilityTrace(testing::Store(posts)[0], params);
   ASSERT_EQ(trace.size(), posts.size());
   for (size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(trace[i].k, static_cast<int64_t>(i + 1));
@@ -149,12 +152,13 @@ TEST(StabilityTraceTest, TraceHasOneRowPerPost) {
 // Both entry points require a window ValidateOmega accepts; a window of 1
 // would divide by zero and 0 would size a ring of -1 entries.
 TEST(StabilityDeathTest, BadOmegaIsAPreconditionFailure) {
-  const PostSequence posts(3, Post::FromTags({1}));
+  const PostStore posts =
+      PostStore::FromPosts({std::vector<Post>(3, Post::FromTags({1}))});
   for (int omega : {0, 1}) {
     EXPECT_DEATH(StabilityDetector(StabilityParams{omega, 0.9}),
                  "ValidateOmega")
         << omega;
-    EXPECT_DEATH(StabilityTrace(posts, StabilityParams{omega, 0.9}),
+    EXPECT_DEATH(StabilityTrace(posts[0], StabilityParams{omega, 0.9}),
                  "ValidateOmega")
         << omega;
   }
@@ -166,7 +170,7 @@ class StabilityTauTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StabilityTauTest, LooserTauStabilisesNoLater) {
   util::Rng rng(GetParam());
-  PostSequence posts = testing::ConvergingSequence(&rng, 500, 10);
+  std::vector<Post> posts = testing::ConvergingSequence(&rng, 500, 10);
   StabilityDetector strict(StabilityParams{10, 0.999});
   StabilityDetector loose(StabilityParams{10, 0.99});
   for (const Post& post : posts) {

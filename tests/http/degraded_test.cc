@@ -84,8 +84,8 @@ class DegradedModeTest : public ::testing::Test {
 
   // A two-resource dataset for campaigns submitted in process; declared
   // before the manager, which must not outlive it.
-  const std::vector<core::PostSequence> posts_ = {{core::Post{{1}}},
-                                                  {core::Post{{2}}}};
+  const core::PostStore posts_ =
+      core::PostStore::FromPosts({{core::Post{{1}}}, {core::Post{{2}}}});
   const std::vector<core::ResourceReference> references_ =
       std::vector<core::ResourceReference>(2);
   std::unique_ptr<service::FleetHealth> health_;

@@ -37,7 +37,7 @@ class NumericConsistencyTest : public ::testing::Test {
     double total = 0.0;
     for (size_t i = 0; i < ds.size(); ++i) {
       core::TagCounts counts;
-      for (const core::Post& post : ds.initial_posts[i]) {
+      for (core::PostView post : ds.initial_posts[i]) {
         counts.AddPost(post);
       }
       for (int64_t k = 0; k < allocation[i]; ++k) {

@@ -2,21 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/post_store.h"
 #include "src/core/types.h"
 
 namespace incentag {
 namespace ir {
 namespace {
 
-std::vector<core::PostSequence> MakeSequences() {
-  std::vector<core::PostSequence> seqs(3);
+core::PostStore MakeSequences() {
   // Resource 0 and 1 share tag 1; resource 2 is disjoint.
-  for (int i = 0; i < 4; ++i) {
-    seqs[0].push_back(core::Post::FromTags({1}));
-    seqs[1].push_back(core::Post::FromTags({1, 2}));
-    seqs[2].push_back(core::Post::FromTags({9}));
-  }
-  return seqs;
+  return core::PostStore::FromPosts(
+      {std::vector<core::Post>(4, core::Post::FromTags({1})),
+       std::vector<core::Post>(4, core::Post::FromTags({1, 2})),
+       std::vector<core::Post>(4, core::Post::FromTags({9}))});
 }
 
 TEST(BuildRfdsTest, UsesWholeSequenceByDefault) {
@@ -28,24 +26,23 @@ TEST(BuildRfdsTest, UsesWholeSequenceByDefault) {
 }
 
 TEST(BuildRfdsTest, RespectsPrefixCounts) {
-  std::vector<core::PostSequence> seqs(1);
-  seqs[0].push_back(core::Post::FromTags({1}));
-  seqs[0].push_back(core::Post::FromTags({2}));
+  const core::PostStore seqs = core::PostStore::FromPosts(
+      {{core::Post::FromTags({1}), core::Post::FromTags({2})}});
   std::vector<core::RfdVector> rfds = BuildRfds(seqs, {1});
   EXPECT_NEAR(rfds[0].Weight(1), 1.0, 1e-12);
   EXPECT_EQ(rfds[0].Weight(2), 0.0);
 }
 
 TEST(BuildRfdsTest, CountBeyondSequenceIsClamped) {
-  std::vector<core::PostSequence> seqs(1);
-  seqs[0].push_back(core::Post::FromTags({1}));
+  const core::PostStore seqs =
+      core::PostStore::FromPosts({{core::Post::FromTags({1})}});
   std::vector<core::RfdVector> rfds = BuildRfds(seqs, {100});
   EXPECT_NEAR(rfds[0].Weight(1), 1.0, 1e-12);
 }
 
 TEST(BuildRfdsTest, ZeroCountGivesEmptyRfd) {
-  std::vector<core::PostSequence> seqs(1);
-  seqs[0].push_back(core::Post::FromTags({1}));
+  const core::PostStore seqs =
+      core::PostStore::FromPosts({{core::Post::FromTags({1})}});
   std::vector<core::RfdVector> rfds = BuildRfds(seqs, {0});
   EXPECT_TRUE(rfds[0].empty());
 }

@@ -355,7 +355,7 @@ class SilentCompletionSource : public CompletionSource {
 TEST_F(CampaignManagerTest, CampaignsOverOneStoreShareOneTrajectoryTable) {
   // A second store with the same posts; like every store, it outlives
   // the manager.
-  const std::vector<core::PostSequence> copy = dataset_->future_posts;
+  const core::PostStore copy = dataset_->future_posts;
   SilentCompletionSource silent;
   ManagerOptions options;
   options.num_threads = 2;

@@ -146,7 +146,7 @@ class FleetIsolationTest : public ::testing::Test {
     std::shared_ptr<void> context;
     auto strategy = sim::MakeStrategyByName(
         StrategyOf(index), dataset_->popularity, 0, &context);
-    const std::vector<core::PostSequence> posts = dataset_->future_posts;
+    const core::PostStore posts = dataset_->future_posts;
     core::VectorPostStream stream(&posts);
     core::CampaignRuntime runtime(MakeOptions(index),
                                   &dataset_->initial_posts,

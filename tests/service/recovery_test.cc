@@ -259,17 +259,18 @@ class RecoveryTest : public ::testing::Test {
   // Future posts that differ per seed % 4: each resource's sequence
   // without its first seed % 4 + 1 posts, when it has more. Built on
   // first use and kept by the fixture, so a store outlives every manager.
-  const std::vector<core::PostSequence>* StoreFor(uint64_t seed) {
+  const core::PostStore* StoreFor(uint64_t seed) {
     const size_t drop = seed % 4 + 1;
     auto [it, inserted] = stores_.try_emplace(drop);
     if (inserted) {
-      it->second = dataset_->future_posts;
-      for (core::PostSequence& sequence : it->second) {
-        if (sequence.size() > drop) {
-          sequence.erase(sequence.begin(),
-                         sequence.begin() + static_cast<std::ptrdiff_t>(drop));
-        }
+      core::PostStore::Builder store;
+      for (core::PostSequence sequence : dataset_->future_posts) {
+        store.AddPosts(sequence.size() > drop
+                           ? sequence.Slice(drop, sequence.size())
+                           : sequence);
+        store.EndResource();
       }
+      it->second = std::move(store).Build();
     }
     return &it->second;
   }
@@ -277,7 +278,7 @@ class RecoveryTest : public ::testing::Test {
   static sim::Corpus* corpus_;
   static sim::PreparedDataset* dataset_;
   fs::path dir_;
-  std::map<size_t, std::vector<core::PostSequence>> stores_;
+  std::map<size_t, core::PostStore> stores_;
 };
 
 sim::Corpus* RecoveryTest::corpus_ = nullptr;

@@ -210,7 +210,7 @@ TEST_F(DatasetPrepTest, ExtendFutureRejectsBadMultiplier) {
   auto prep = PrepareFromCorpus(*corpus_, TestPrepConfig());
   ASSERT_TRUE(prep.ok());
   PreparedDataset ds = std::move(prep).value();
-  const std::vector<core::PostSequence> before = ds.future_posts;
+  const core::PostStore before = ds.future_posts;
   for (double multiplier : {0.5, std::numeric_limits<double>::quiet_NaN(),
                             std::numeric_limits<double>::infinity()}) {
     EXPECT_EQ(ExtendFuture(*corpus_, multiplier, &ds).code(),
@@ -233,9 +233,9 @@ class DatasetDigest {
     Add(ds.size());
     for (size_t i = 0; i < ds.size(); ++i) {
       Add(ds.initial_posts[i].size());  // the January cut
-      for (const core::Post& post : ds.initial_posts[i]) AddPost(post);
+      for (core::PostView post : ds.initial_posts[i]) AddPost(post);
       Add(ds.future_posts[i].size());
-      for (const core::Post& post : ds.future_posts[i]) AddPost(post);
+      for (core::PostView post : ds.future_posts[i]) AddPost(post);
       Add(ds.references[i].stable_point);
       Add(ds.references[i].stable_rfd.size());
       for (const auto& [tag, weight] : ds.references[i].stable_rfd.entries()) {
@@ -273,7 +273,7 @@ class DatasetDigest {
     std::memcpy(&bits, &value, sizeof(bits));
     Add(bits);
   }
-  void AddPost(const core::Post& post) {
+  void AddPost(core::PostView post) {
     Add(post.tags.size());
     for (core::TagId tag : post.tags) Add(tag);
   }
@@ -354,14 +354,15 @@ TEST(DatasetPrepGoldenTest, PreparedSequencesArePinned) {
   corpus_config.seed = 5;
   auto corpus = Corpus::Generate(corpus_config);
   ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-  std::vector<core::PostSequence> year;
+  std::vector<std::vector<core::Post>> year;
   for (core::ResourceId i = 0; i < corpus.value().num_resources(); ++i) {
     year.push_back(corpus.value().MaterializeSequence(
         i, corpus.value().resource(i).year_length));
   }
   PrepConfig config;
   config.seed = 3;
-  auto prep = PrepareFromSequences(year, {}, config);
+  auto prep =
+      PrepareFromSequences(core::PostStore::FromPosts(year), {}, config);
   ASSERT_TRUE(prep.ok()) << prep.status().ToString();
   EXPECT_EQ(DatasetDigest(prep.value()).Hex(), "39e56d6c9fd29a92");
 }
@@ -382,13 +383,11 @@ TEST(DatasetPrepGoldenTest, ConcurrentPreparationsShareOneCorpus) {
 
 TEST(DatasetPrepSequencesTest, WorksOnMaterialisedSequences) {
   // Stable sequences: repeated identical posts.
-  std::vector<core::PostSequence> year(3);
-  for (int i = 0; i < 40; ++i) {
-    year[0].push_back(core::Post::FromTags({1, 2}));
-    year[1].push_back(core::Post::FromTags({3}));
-  }
   // Resource 2 never stabilises (too short).
-  year[2].push_back(core::Post::FromTags({4}));
+  const core::PostStore year = core::PostStore::FromPosts(
+      {std::vector<core::Post>(40, core::Post::FromTags({1, 2})),
+       std::vector<core::Post>(40, core::Post::FromTags({3})),
+       {core::Post::FromTags({4})}});
 
   PrepConfig config;
   config.stability = core::StabilityParams{5, 0.99};
@@ -402,8 +401,8 @@ TEST(DatasetPrepSequencesTest, WorksOnMaterialisedSequences) {
 }
 
 TEST(DatasetPrepSequencesTest, AllUnstableFails) {
-  std::vector<core::PostSequence> year(1);
-  year[0].push_back(core::Post::FromTags({1}));
+  const core::PostStore year =
+      core::PostStore::FromPosts({{core::Post::FromTags({1})}});
   PrepConfig config;
   auto prep = PrepareFromSequences(year, {}, config);
   EXPECT_FALSE(prep.ok());
@@ -411,8 +410,8 @@ TEST(DatasetPrepSequencesTest, AllUnstableFails) {
 }
 
 TEST(DatasetPrepSequencesTest, BadConfigRejected) {
-  std::vector<core::PostSequence> year(1);
-  for (int i = 0; i < 40; ++i) year[0].push_back(core::Post::FromTags({1}));
+  const core::PostStore year = core::PostStore::FromPosts(
+      {std::vector<core::Post>(40, core::Post::FromTags({1}))});
   for (int omega : {0, 1}) {
     PrepConfig config;
     config.stability.omega = omega;
@@ -427,7 +426,7 @@ TEST(DatasetPrepSequencesTest, BadConfigRejected) {
 }
 
 TEST(DatasetPrepSequencesTest, MismatchedUrlsRejected) {
-  std::vector<core::PostSequence> year(2);
+  const core::PostStore year = core::PostStore::FromPosts({{}, {}});
   PrepConfig config;
   auto prep = PrepareFromSequences(year, {"only-one"}, config);
   EXPECT_FALSE(prep.ok());

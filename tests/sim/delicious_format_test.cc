@@ -118,7 +118,7 @@ TEST(DeliciousFormatTest, RoundTripPreservesSequences) {
   ASSERT_TRUE(corpus.ok());
 
   std::vector<std::string> urls;
-  std::vector<core::PostSequence> sequences;
+  std::vector<std::vector<core::Post>> sequences;
   for (core::ResourceId i = 0; i < corpus.value().num_resources(); ++i) {
     urls.push_back(corpus.value().resource(i).url);
     sequences.push_back(corpus.value().MaterializeSequence(
@@ -127,7 +127,9 @@ TEST(DeliciousFormatTest, RoundTripPreservesSequences) {
 
   const std::string path = ::testing::TempDir() + "/incentag_roundtrip.tsv";
   ASSERT_TRUE(
-      WriteDumpFile(path, urls, sequences, corpus.value().vocab()).ok());
+      WriteDumpFile(path, urls, core::PostStore::FromPosts(sequences),
+                    corpus.value().vocab())
+          .ok());
 
   auto dump = ReadDumpFile(path);
   ASSERT_TRUE(dump.ok()) << dump.status().ToString();
@@ -142,7 +144,7 @@ TEST(DeliciousFormatTest, RoundTripPreservesSequences) {
     }
     ASSERT_LT(orig, urls.size());
     const core::PostSequence& got = dump.value().sequences[d];
-    const core::PostSequence& want = sequences[orig];
+    const std::vector<core::Post>& want = sequences[orig];
     ASSERT_EQ(got.size(), want.size()) << dump.value().urls[d];
     for (size_t k = 0; k < want.size(); ++k) {
       ASSERT_EQ(got[k].size(), want[k].size());

@@ -138,7 +138,7 @@ TEST(CorpusTest, PostsAreNonEmptyAndWithinVocabulary) {
 TEST(CorpusTest, MaterializeMatchesSamplePost) {
   auto corpus = Corpus::Generate(SmallConfig());
   ASSERT_TRUE(corpus.ok());
-  core::PostSequence seq = corpus.value().MaterializeSequence(3, 25);
+  std::vector<core::Post> seq = corpus.value().MaterializeSequence(3, 25);
   ASSERT_EQ(seq.size(), 25u);
   for (int64_t k = 0; k < 25; ++k) {
     EXPECT_EQ(seq[static_cast<size_t>(k)],

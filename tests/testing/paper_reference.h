@@ -46,8 +46,8 @@ struct PaperRun {
 
 class PaperReference {
  public:
-  PaperReference(const std::vector<core::PostSequence>& initial,
-                 const std::vector<core::PostSequence>& future,
+  PaperReference(const core::PostStore& initial,
+                 const core::PostStore& future,
                  const std::vector<core::ResourceReference>& references,
                  int omega, int64_t under_tagged_threshold)
       : initial_(initial),
@@ -193,7 +193,7 @@ class PaperReference {
                std::map<core::TagId, int64_t>* counts) const {
     const size_t c = initial_[i].size();
     const size_t index = static_cast<size_t>(j - 1);
-    const core::Post& post =
+    const core::PostView post =
         index < c ? initial_[i][index] : future_[i][index - c];
     for (core::TagId tag : post.tags) ++(*counts)[tag];
   }
@@ -227,8 +227,8 @@ class PaperReference {
         [&](size_t i) { return MaScore(i, Posts(i, x)); });
   }
 
-  const std::vector<core::PostSequence>& initial_;
-  const std::vector<core::PostSequence>& future_;
+  const core::PostStore& initial_;
+  const core::PostStore& future_;
   const std::vector<core::ResourceReference>& references_;
   const int omega_;
   const int64_t under_tagged_threshold_;

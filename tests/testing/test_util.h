@@ -4,11 +4,16 @@
 #ifndef INCENTAG_TESTS_TESTING_TEST_UTIL_H_
 #define INCENTAG_TESTS_TESTING_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "src/core/post_store.h"
 #include "src/core/rfd.h"
 #include "src/core/types.h"
 #include "src/util/random.h"
@@ -29,25 +34,38 @@ inline core::Post RandomPost(util::Rng* rng, uint32_t universe,
 }
 
 // A sequence of `n` random posts.
-inline core::PostSequence RandomSequence(util::Rng* rng, int n,
-                                         uint32_t universe,
-                                         int max_size = 4) {
-  core::PostSequence seq;
+inline std::vector<core::Post> RandomSequence(util::Rng* rng, int n,
+                                              uint32_t universe,
+                                              int max_size = 4) {
+  std::vector<core::Post> seq;
   seq.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) seq.push_back(RandomPost(rng, universe, max_size));
   return seq;
 }
 
+// A store whose one resource holds `posts`, for code that reads a
+// core::PostSequence: Store(posts)[0] lives to the end of the statement.
+inline core::PostStore Store(const std::vector<core::Post>& posts) {
+  return core::PostStore::FromPosts({posts});
+}
+
+// `<temp dir>/<name>_<pid>`: a path no other process running the same
+// test binary at once (a second build's ctest, say) also uses.
+inline std::filesystem::path TempPath(const std::string& name) {
+  return std::filesystem::temp_directory_path() /
+         (name + "_" + std::to_string(::getpid()));
+}
+
 // A sequence drawn from a fixed skewed latent distribution, so rfds
 // actually converge (unlike uniform RandomSequence).
-inline core::PostSequence ConvergingSequence(util::Rng* rng, int n,
-                                             uint32_t universe,
-                                             int max_size = 3) {
+inline std::vector<core::Post> ConvergingSequence(util::Rng* rng, int n,
+                                                  uint32_t universe,
+                                                  int max_size = 3) {
   std::vector<double> weights(universe);
   for (uint32_t t = 0; t < universe; ++t) {
     weights[t] = 1.0 / static_cast<double>((t + 1) * (t + 1));
   }
-  core::PostSequence seq;
+  std::vector<core::Post> seq;
   seq.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     const int size = 1 + static_cast<int>(rng->NextBounded(
@@ -64,7 +82,7 @@ inline core::PostSequence ConvergingSequence(util::Rng* rng, int n,
 
 // Naive reference: exact tag-count map of a prefix.
 inline std::map<core::TagId, int64_t> NaiveCounts(
-    const core::PostSequence& posts, int64_t k) {
+    const std::vector<core::Post>& posts, int64_t k) {
   std::map<core::TagId, int64_t> counts;
   for (int64_t i = 0; i < k; ++i) {
     for (core::TagId t : posts[static_cast<size_t>(i)].tags) ++counts[t];
@@ -95,7 +113,7 @@ inline double NaiveCosine(const std::map<core::TagId, int64_t>& a,
 
 // Naive reference: m(k, omega) straight from Definition 7 — average of the
 // adjacent similarities at posts k-omega+2 .. k, each computed from scratch.
-inline double NaiveMaScore(const core::PostSequence& posts, int64_t k,
+inline double NaiveMaScore(const std::vector<core::Post>& posts, int64_t k,
                            int omega) {
   double sum = 0.0;
   for (int64_t j = k - omega + 2; j <= k; ++j) {
