@@ -414,9 +414,7 @@ util::Status JournalWriter::Close() {
   util::MutexLock lock(&mu_);
   if (closed_) return util::Status::OK();
   closed_ = true;
-  util::Status status = file_.Close();
-  file_ = util::AppendFile();  // frees the buffer's capacity too
-  return status;
+  return file_.Close();
 }
 
 int64_t JournalWriter::buffered_bytes() {

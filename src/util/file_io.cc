@@ -194,7 +194,10 @@ AppendFile::~AppendFile() { Close(); }
 
 AppendFile& AppendFile::operator=(AppendFile&& other) noexcept {
   if (this != &other) {
-    Close();  // best effort; an unsynced buffer was the caller's choice
+    // Best effort; an unsynced buffer was the caller's choice. Close
+    // also frees this buffer's capacity, which moving other's in would
+    // keep when other's buffer is short enough to be stored inline.
+    Close();
     fd_ = other.fd_;
     path_ = std::move(other.path_);
     buffer_ = std::move(other.buffer_);
@@ -446,12 +449,18 @@ Status AppendFile::ReadAt(int64_t offset, int64_t length,
 }
 
 Status AppendFile::Close() {
-  if (!is_open()) return Status::OK();
-  Status status = Flush();
-  if (::close(fd_) != 0 && status.ok()) {
-    status = ErrnoStatus("close", path_);
+  Status status;
+  if (is_open()) {
+    status = Flush();
+    if (::close(fd_) != 0 && status.ok()) {
+      status = ErrnoStatus("close", path_);
+    }
+    fd_ = -1;
   }
-  fd_ = -1;
+  // A closed file writes nothing more, so its buffer's capacity goes too.
+  // Explicitly: assigning or moving an empty string in keeps it.
+  buffer_.clear();
+  buffer_.shrink_to_fit();
   return status;
 }
 

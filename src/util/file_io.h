@@ -157,6 +157,8 @@ class AppendFile {
   // file is closed and the writer is unusable — the caller escalates.
   Status ReopenAndRestore(int64_t durable_offset);
 
+  // Flushes (best effort: on error the unwritten bytes are lost with the
+  // descriptor) and closes, and frees the buffer's capacity.
   Status Close();
 
   bool is_open() const { return fd_ >= 0; }
@@ -174,6 +176,9 @@ class AppendFile {
   int64_t buffered_bytes() const {
     return static_cast<int64_t>(buffer_.size());
   }
+  // Heap the buffer holds, written or not: it stays allocated between
+  // flushes and is freed by Close.
+  size_t buffer_capacity() const { return buffer_.capacity(); }
 
  private:
   // Bytes already written to the kernel; the next write lands here.

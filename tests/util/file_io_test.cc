@@ -331,6 +331,29 @@ TEST_F(FileIoTest, TruncateToTheCurrentSizeLeavesTheInodeAlone) {
   EXPECT_EQ(Contents(Path("f")), "0123|x");
 }
 
+// A closed or replaced file frees its buffer's heap, not only its bytes.
+// Moving a short (inline) string into a string keeps the target's
+// capacity, so a closed journal used to hold its ~40 KB buffer until the
+// manager that owned it was destroyed.
+TEST_F(FileIoTest, CloseAndMoveAssignmentFreeTheBuffer) {
+  const std::string chunk(40 << 10, 'x');
+  AppendFile replaced;
+  ASSERT_TRUE(replaced.Open(Path("replaced")).ok());
+  ASSERT_TRUE(replaced.Append(chunk).ok());
+  ASSERT_TRUE(replaced.Flush().ok());
+  EXPECT_GE(replaced.buffer_capacity(), chunk.size());  // kept for reuse
+  replaced = AppendFile();
+  EXPECT_LT(replaced.buffer_capacity(), 64u);
+  EXPECT_EQ(Contents(Path("replaced")), chunk);
+
+  AppendFile closed;
+  ASSERT_TRUE(closed.Open(Path("closed")).ok());
+  ASSERT_TRUE(closed.Append(chunk).ok());
+  ASSERT_TRUE(closed.Close().ok());
+  EXPECT_LT(closed.buffer_capacity(), 64u);
+  EXPECT_EQ(Contents(Path("closed")), chunk);
+}
+
 TEST_F(FileIoTest, GatherOnClosedFileFails) {
   AppendFile file;
   const std::array<std::string_view, 1> pieces = {"x"};
