@@ -903,7 +903,8 @@ void CampaignManager::PublishStatus(Campaign* c) {
 //   * otherwise a compaction still queued or running on the journal is
 //     waited for, so a campaign that ends mid-rewrite keeps its snapshot,
 //     and the journal is synced (best effort) before waiters see the
-//     state. A synced journal leaves the sink and is closed here. The
+//     state. A synced journal leaves the sink and is closed here; one
+//     whose sync failed stays open and goes to the sink to retry. The
 //     campaign then keeps only its status fields and report: the
 //     runtime's state, the strategy, the stream, their context and the
 //     step scratch are freed.
@@ -919,10 +920,14 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
       // directory fsync the rewrite left owing.
       c->compact_in_flight.wait(true);
       if (c->journal->Sync().ok()) {
-        // A journal whose sync failed stays open: its bytes may still be
-        // in the page cache only, and the fd is the one handle on them.
         if (sink_ != nullptr) sink_->Untrack(c->journal.get());
         c->journal->Close();
+      } else if (sink_ != nullptr) {
+        // A journal whose sync failed stays open: its bytes may still be
+        // in the page cache only, and the fd is the one handle on them.
+        // The sink's retry ladder syncs it again (with any directory
+        // fsync the rewrite still owes) before Shutdown returns.
+        sink_->Schedule(c->journal.get());
       }
     }
   }
