@@ -29,6 +29,7 @@
 #include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
 #include "src/util/json.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace http {
@@ -60,11 +61,9 @@ class IngestTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("ingest_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+    dir_ = incentag::testing::TempPath(
+        std::string("ingest_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
   }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/obs/metrics.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace obs {
@@ -119,7 +120,7 @@ TEST(ExportTest, WriteSnapshotJsonRoundTrips) {
   Registry registry;
   Populate(&registry);
   const std::string path =
-      testing::TempDir() + "/obs_exporter_snapshot.json";
+      incentag::testing::TempPath("obs_exporter_snapshot.json").string();
   ASSERT_TRUE(WriteSnapshotJson(registry.Snapshot(), path).ok());
   std::FILE* file = std::fopen(path.c_str(), "r");
   ASSERT_NE(file, nullptr);

@@ -13,6 +13,7 @@
 #include "src/persist/journal.h"
 #include "src/util/file_io.h"
 #include "src/util/random.h"
+#include "tests/testing/test_util.h"
 #include "tests/testing/journal_corpus.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
@@ -58,7 +59,7 @@ TEST(JournalFuzzTest, SeedsScanAsTheirShapesSay) {
 // Journals as JournalWriter writes them, plain and compacted, with their
 // mutants.
 TEST(JournalFuzzTest, WrittenJournalsAndMutations) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "journal_fuzz_test";
+  const fs::path dir = incentag::testing::TempPath("journal_fuzz_test");
   fs::remove_all(dir);
   ASSERT_TRUE(util::CreateDirectories(dir.string()).ok());
   const std::string path = (dir / "campaign-1.journal").string();

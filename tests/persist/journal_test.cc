@@ -11,6 +11,7 @@
 #include "src/persist/journal_sink.h"
 #include "src/util/file_io.h"
 #include "src/util/wire.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace persist {
@@ -21,10 +22,9 @@ namespace fs = std::filesystem;
 class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("journal_test_" +
-            std::string(
-                ::testing::UnitTest::GetInstance()->current_test_info()->name()));
+    dir_ = incentag::testing::TempPath(
+        std::string("journal_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
   }

@@ -14,6 +14,7 @@
 #include "src/persist/compactor.h"
 #include "src/persist/journal.h"
 #include "src/util/file_io.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace persist {
@@ -24,10 +25,9 @@ namespace fs = std::filesystem;
 class SnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("snapshot_test_" +
-            std::string(
-                ::testing::UnitTest::GetInstance()->current_test_info()->name()));
+    dir_ = incentag::testing::TempPath(
+        std::string("snapshot_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
   }

@@ -27,6 +27,7 @@
 #include "src/sim/load_generator.h"
 #include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
+#include "tests/testing/test_util.h"
 #include "tests/testing/report_bytes.h"
 
 namespace incentag {
@@ -127,11 +128,9 @@ class CampaignReleaseTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("campaign_release_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+    dir_ = incentag::testing::TempPath(
+        std::string("campaign_release_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
   }
 

@@ -25,6 +25,7 @@
 #include "src/sim/load_generator.h"
 #include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace service {
@@ -76,10 +77,9 @@ class CompactionTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("compaction_test_" +
-            std::string(
-                ::testing::UnitTest::GetInstance()->current_test_info()->name()));
+    dir_ = incentag::testing::TempPath(
+        std::string("compaction_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
   }

@@ -31,6 +31,7 @@
 #include "src/util/fail_point.h"
 #include "src/util/file_io.h"
 #include "src/util/random.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace service {
@@ -71,11 +72,9 @@ class FaultTortureTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("fault_torture_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+    dir_ = incentag::testing::TempPath(
+        std::string("fault_torture_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
   }
@@ -361,6 +360,45 @@ TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
     ExpectReportsEqual(want[static_cast<size_t>(i)], report.value(),
                        "recovered, campaign " + std::to_string(i));
   }
+}
+
+// A terminal sync that fails leaves the journal open, and the sink's
+// retry ladder syncs it again before Shutdown returns. The campaign fits
+// in one quantum, so no step schedules the journal on the sink first:
+// every fdatasync counted comes after the failed terminal fsync.
+TEST_F(FaultTortureTest, FailedTerminalSyncIsRetriedOnTheSink) {
+  constexpr int kKind = 1;
+  constexpr int64_t kBudget = 12;
+  constexpr uint64_t kSeed = 4242;
+  const core::RunReport want = RunSequential(kKind, kBudget, kSeed);
+
+  // fsync hit 1 is the submit record's sync, hit 2 the terminal one.
+  FailPoint* fsync = FailPoint::Find("file_io/fsync");
+  FailPoint* fdatasync = FailPoint::Find("file_io/fdatasync");
+  ASSERT_NE(fsync, nullptr);
+  ASSERT_NE(fdatasync, nullptr);
+  FailPoint::Trigger second;
+  second.mode = FailPoint::Mode::kNthHit;
+  second.n = 2;
+  fsync->Arm(second, FailPoint::Fault{});
+  FailPoint::Trigger never;
+  never.mode = FailPoint::Mode::kProbability;
+  never.probability = 0.0;
+  fdatasync->Arm(never, FailPoint::Fault{});
+
+  ManagerOptions options;
+  options.deterministic = true;
+  options.journal_dir = dir_.string();
+  CampaignManager manager(options);
+  auto id = manager.Submit(MakeConfig(kKind, kBudget, kSeed, 1));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto report = manager.Wait(id.value());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ExpectReportsEqual(want, report.value(), "terminal sync failed");
+  manager.Shutdown();
+
+  EXPECT_EQ(fsync->fires(), 1u);
+  EXPECT_GE(fdatasync->hits(), 1u);
 }
 
 #endif  // INCENTAG_FAILPOINTS

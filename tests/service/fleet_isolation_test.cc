@@ -29,6 +29,7 @@
 #include "src/sim/generator.h"
 #include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace service {
@@ -89,7 +90,7 @@ class FleetIsolationTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "fleet_isolation_test";
+    dir_ = incentag::testing::TempPath("fleet_isolation_test");
     fs::remove_all(dir_);
     ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
   }

@@ -16,6 +16,7 @@
 #include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
 #include "src/util/random.h"
+#include "tests/testing/test_util.h"
 #include "tests/testing/journal_corpus.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
@@ -37,8 +38,8 @@ void RunTarget(const std::string& bytes) {
 // deterministic manager (compacting every `compact_bytes` journal bytes;
 // 0 = never) through the target's own factory.
 std::vector<std::string> WrittenJournals(int64_t compact_bytes) {
-  const fs::path dir = fs::path(::testing::TempDir()) /
-                       ("recover_fuzz_test_" + std::to_string(compact_bytes));
+  const fs::path dir = incentag::testing::TempPath(
+      "recover_fuzz_test_" + std::to_string(compact_bytes));
   fs::remove_all(dir);
   std::vector<std::string> out;
   {

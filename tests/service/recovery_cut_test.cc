@@ -37,6 +37,7 @@
 #include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
 #include "src/util/random.h"
+#include "tests/testing/test_util.h"
 #include "tests/testing/report_bytes.h"
 
 namespace incentag {
@@ -120,11 +121,9 @@ class RecoveryCutTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("recovery_cut_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+    dir_ = incentag::testing::TempPath(
+        std::string("recovery_cut_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
   }
 

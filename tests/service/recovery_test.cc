@@ -30,6 +30,7 @@
 #include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
 #include "src/util/random.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace service {
@@ -110,10 +111,9 @@ class RecoveryTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("recovery_test_" +
-            std::string(
-                ::testing::UnitTest::GetInstance()->current_test_info()->name()));
+    dir_ = incentag::testing::TempPath(
+        std::string("recovery_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
   }

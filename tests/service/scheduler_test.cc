@@ -31,6 +31,7 @@
 #include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
 #include "src/util/wire.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace service {
@@ -431,10 +432,9 @@ class SchedulerServiceTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("scheduler_test_" +
-            std::string(
-                ::testing::UnitTest::GetInstance()->current_test_info()->name()));
+    dir_ = incentag::testing::TempPath(
+        std::string("scheduler_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
   }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/sim/generator.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace sim {
@@ -77,7 +78,8 @@ TEST_F(DatasetIoTest, RoundTripPreservesEverything) {
 }
 
 TEST_F(DatasetIoTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/incentag_dataset.txt";
+  const std::string path =
+      incentag::testing::TempPath("incentag_dataset.txt").string();
   ASSERT_TRUE(
       SavePreparedDataset(path, *dataset_, corpus_->vocab()).ok());
   auto loaded = LoadPreparedDataset(path);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/sim/generator.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace sim {
@@ -125,7 +126,8 @@ TEST(DeliciousFormatTest, RoundTripPreservesSequences) {
         i, corpus.value().resource(i).year_length));
   }
 
-  const std::string path = ::testing::TempDir() + "/incentag_roundtrip.tsv";
+  const std::string path =
+      incentag::testing::TempPath("incentag_roundtrip.tsv").string();
   ASSERT_TRUE(
       WriteDumpFile(path, urls, core::PostStore::FromPosts(sequences),
                     corpus.value().vocab())

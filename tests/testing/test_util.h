@@ -49,11 +49,11 @@ inline core::PostStore Store(const std::vector<core::Post>& posts) {
   return core::PostStore::FromPosts({posts});
 }
 
-// `<temp dir>/<name>_<pid>`: a path no other process running the same
+// `<temp dir>/<pid>_<name>`: a path no other process running the same
 // test binary at once (a second build's ctest, say) also uses.
 inline std::filesystem::path TempPath(const std::string& name) {
   return std::filesystem::temp_directory_path() /
-         (name + "_" + std::to_string(::getpid()));
+         (std::to_string(::getpid()) + "_" + name);
 }
 
 // A sequence drawn from a fixed skewed latent distribution, so rfds
