@@ -31,6 +31,11 @@
 // row from the nearest kept state at or below it, replaying fewer than
 // kKeepEvery posts.
 //
+// Footprint. The table borrows the dataset's two PostStores (post_store.h:
+// one flat tag array each, 4 bytes per tag and 4 per post, no allocation
+// per post) and owns only its rows, kept states and per-resource
+// offsets.
+//
 // Threads. Building runs under the table's mutex. A row or kept state is
 // written once, before the call that makes it readable returns, and is
 // never written again; a campaign reads only rows at or past the point it

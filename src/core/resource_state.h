@@ -14,6 +14,8 @@
 // x86-64: TagCounts (56: the flat map's header plus three int64 totals)
 // and MaTracker (48). Out of line it owns the map's 8-byte slots (a power
 // of two >= 8, kept under 0.7 load) and the tracker's omega - 1 doubles.
+// It holds no posts: AddPost reads a PostView into the dataset's flat
+// PostStore (post_store.h), where no post owns an allocation.
 #ifndef INCENTAG_CORE_RESOURCE_STATE_H_
 #define INCENTAG_CORE_RESOURCE_STATE_H_
 
