@@ -18,13 +18,12 @@
 #ifndef INCENTAG_CORE_POST_STORE_H_
 #define INCENTAG_CORE_POST_STORE_H_
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/core/types.h"
@@ -36,16 +35,9 @@ namespace core {
 // One resource's posts, in posting order (Definition 2), read in place.
 class PostSequence {
  public:
+  // For range-for: yields each post by value.
   class Iterator {
    public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = PostView;
-    using difference_type = std::ptrdiff_t;
-    using pointer = void;
-    using reference = PostView;
-
-    Iterator() = default;
-
     PostView operator*() const {
       return PostView(std::span<const TagId>(tags_ + bound_[0],
                                              bound_[1] - bound_[0]));
@@ -53,11 +45,6 @@ class PostSequence {
     Iterator& operator++() {
       ++bound_;
       return *this;
-    }
-    Iterator operator++(int) {
-      Iterator old = *this;
-      ++bound_;
-      return old;
     }
     friend bool operator==(Iterator a, Iterator b) {
       return a.bound_ == b.bound_;
@@ -106,7 +93,11 @@ class PostSequence {
 
   // Same posts, in the same order.
   friend bool operator==(const PostSequence& a, const PostSequence& b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    if (a.size() != b.size()) return false;
+    for (size_t k = 0; k < a.size(); ++k) {
+      if (!(a[k] == b[k])) return false;
+    }
+    return true;
   }
 
  private:
@@ -119,25 +110,13 @@ class PostStore {
  public:
   class Builder;
 
+  // For range-for: yields each resource's sequence by value.
   class Iterator {
    public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = PostSequence;
-    using difference_type = std::ptrdiff_t;
-    using pointer = void;
-    using reference = PostSequence;
-
-    Iterator() = default;
-
     PostSequence operator*() const { return (*store_)[i_]; }
     Iterator& operator++() {
       ++i_;
       return *this;
-    }
-    Iterator operator++(int) {
-      Iterator old = *this;
-      ++i_;
-      return old;
     }
     friend bool operator==(Iterator a, Iterator b) { return a.i_ == b.i_; }
 
@@ -194,7 +173,7 @@ class PostStore::Builder {
 
   // Appends `post` to the open resource.
   void AddPost(PostView post) {
-    Reserve(post.size(), 1);
+    CheckFits(post.size(), 1);
     store_.tags_.insert(store_.tags_.end(), post.tags.begin(),
                         post.tags.end());
     store_.bounds_.push_back(static_cast<uint32_t>(store_.tags_.size()));
@@ -208,7 +187,7 @@ class PostStore::Builder {
     const PostView last = posts[posts.size() - 1];
     const size_t tags =
         static_cast<size_t>(last.tags.data() + last.size() - from);
-    Reserve(tags, posts.size());
+    CheckFits(tags, posts.size());
     const size_t base = store_.tags_.size();
     store_.tags_.insert(store_.tags_.end(), from, from + tags);
     for (PostView post : posts) {
@@ -236,7 +215,7 @@ class PostStore::Builder {
  private:
   // CHECKs that `tags` more tags and `posts` more posts keep every offset
   // within uint32_t.
-  void Reserve(size_t tags, size_t posts) const {
+  void CheckFits(size_t tags, size_t posts) const {
     constexpr size_t kMax = std::numeric_limits<uint32_t>::max();
     INCENTAG_CHECK(tags <= kMax - store_.tags_.size());
     INCENTAG_CHECK(posts <= kMax - store_.num_posts());
