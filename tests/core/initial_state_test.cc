@@ -31,6 +31,7 @@
 #include "src/core/strategy_mu.h"
 #include "src/core/strategy_rr.h"
 #include "src/util/random.h"
+#include "tests/testing/report_bytes.h"
 #include "tests/testing/test_util.h"
 
 namespace incentag {
@@ -76,30 +77,6 @@ EngineOptions MakeOptions(int64_t budget, int64_t batch_size, int omega = 5,
   options.checkpoints = {0, budget / 4, budget / 2, budget};
   options.costs = costs;
   return options;
-}
-
-void ExpectMetricsEqual(const AllocationMetrics& want,
-                        const AllocationMetrics& got,
-                        const std::string& label) {
-  EXPECT_EQ(want.budget_used, got.budget_used) << label;
-  EXPECT_EQ(want.avg_quality, got.avg_quality) << label;
-  EXPECT_EQ(want.over_tagged, got.over_tagged) << label;
-  EXPECT_EQ(want.wasted_posts, got.wasted_posts) << label;
-  EXPECT_EQ(want.under_tagged, got.under_tagged) << label;
-}
-
-void ExpectReportsEqual(const RunReport& want, const RunReport& got,
-                        const std::string& label) {
-  EXPECT_EQ(want.strategy_name, got.strategy_name) << label;
-  EXPECT_EQ(want.allocation, got.allocation) << label;
-  EXPECT_EQ(want.budget_spent, got.budget_spent) << label;
-  EXPECT_EQ(want.stopped_early, got.stopped_early) << label;
-  ASSERT_EQ(want.checkpoints.size(), got.checkpoints.size()) << label;
-  for (size_t i = 0; i < want.checkpoints.size(); ++i) {
-    ExpectMetricsEqual(want.checkpoints[i], got.checkpoints[i],
-                       label + " checkpoint " + std::to_string(i));
-  }
-  ExpectMetricsEqual(want.final_metrics, got.final_metrics, label + " final");
 }
 
 // One campaign under test: its options and a factory for a fresh
@@ -237,8 +214,8 @@ class InitialStateTest : public ::testing::Test {
 TEST_F(InitialStateTest, SharedRunMatchesPrivateBuildForEveryStrategy) {
   std::shared_ptr<const InitialState> shared = Shared();
   for (const Case& c : cases_) {
-    ExpectReportsEqual(RunSolo(fixture_, c, nullptr),
-                       RunSolo(fixture_, c, shared), c.label);
+    EXPECT_TRUE(testing::SameReport(RunSolo(fixture_, c, nullptr),
+                                    RunSolo(fixture_, c, shared))) << c.label;
   }
 }
 
@@ -261,10 +238,11 @@ TEST_F(InitialStateTest, AlternatingRuntimesMatchSoloRunsAndLeaveItIntact) {
       if (a_live) a_live = ca.Step();
       if (b_live) b_live = cb.Step();
     }
-    ExpectReportsEqual(RunSolo(fixture_, a, nullptr), ca.runtime.Finish(),
-                       label);
-    ExpectReportsEqual(RunSolo(fixture_, b, nullptr), cb.runtime.Finish(),
-                       b.label + " beside " + a.label);
+    EXPECT_TRUE(testing::SameReport(RunSolo(fixture_, a, nullptr),
+                                    ca.runtime.Finish())) << label;
+    EXPECT_TRUE(testing::SameReport(RunSolo(fixture_, b, nullptr),
+                                    cb.runtime.Finish()))
+        << b.label + " beside " + a.label;
   }
   EXPECT_EQ(before, SharedBytes(*shared));
   EXPECT_EQ(shared.use_count(), 1);  // Finish dropped every borrow
@@ -283,8 +261,9 @@ TEST_F(InitialStateTest, UnderTaggedThresholdIsRecountedPerCampaign) {
                     .Begin(borrowing.strategy.get(), &borrowing.stream,
                            shared)
                     .ok());
-    ExpectMetricsEqual(own.runtime.Metrics(), borrowing.runtime.Metrics(),
-                       label + " t=0");
+    EXPECT_TRUE(testing::SameMetrics(own.runtime.Metrics(),
+                                     borrowing.runtime.Metrics()))
+        << label + " t=0";
     // Both sides above share the evaluation code; count independently.
     int64_t under_tagged = 0;
     int64_t over_tagged = 0;
@@ -299,7 +278,7 @@ TEST_F(InitialStateTest, UnderTaggedThresholdIsRecountedPerCampaign) {
     const RunReport borrowed_report = borrowing.runtime.Finish();
     ASSERT_FALSE(borrowed_report.checkpoints.empty());
     EXPECT_EQ(borrowed_report.checkpoints.front().budget_used, 0);
-    ExpectReportsEqual(own_report, borrowed_report, label);
+    EXPECT_TRUE(testing::SameReport(own_report, borrowed_report)) << label;
   }
 }
 
@@ -353,8 +332,8 @@ TEST_F(InitialStateTest, RestoreMatchesTheLiveRunAndRejectsADrift) {
   }
   while (restored.Step()) {
   }
-  ExpectReportsEqual(live.runtime.Finish(), restored.runtime.Finish(),
-                     "restored");
+  EXPECT_TRUE(testing::SameReport(live.runtime.Finish(),
+                                  restored.runtime.Finish())) << "restored";
 
   // Resource 0's state opens with its post count, right after the
   // header, the allocation, the exhausted flags and the checkpoints.
@@ -539,12 +518,13 @@ TEST_F(InitialStateTest, RestoreIntoAnUnbuiltTableReplaysOnlyTheRest) {
   }
   while (restored.Step()) {
   }
-  ExpectReportsEqual(live.runtime.Finish(), restored.runtime.Finish(),
-                     "restored");
+  EXPECT_TRUE(testing::SameReport(live.runtime.Finish(),
+                                  restored.runtime.Finish())) << "restored";
 
   // A campaign that begins later has every prefix replayed from January.
-  ExpectReportsEqual(RunSolo(fixture_, c, nullptr),
-                     RunSolo(fixture_, c, seeded), "begun after a restore");
+  EXPECT_TRUE(testing::SameReport(RunSolo(fixture_, c, nullptr),
+                                  RunSolo(fixture_, c, seeded)))
+      << "begun after a restore";
   EXPECT_EQ(SharedBytes(*built), SharedBytes(*seeded));
   for (size_t i = 0; i < fixture_.initial.size(); ++i) {
     for (int64_t j = 0; j <= seeded->future_length(i); ++j) {
@@ -590,8 +570,10 @@ TEST_F(InitialStateTest, RestoreBelowASeedReplaysThePrefixFirst) {
   while (from_early.Step()) {
   }
   const RunReport want = live.runtime.Finish();
-  ExpectReportsEqual(want, from_late.runtime.Finish(), "from the late one");
-  ExpectReportsEqual(want, from_early.runtime.Finish(), "from the early one");
+  EXPECT_TRUE(testing::SameReport(want, from_late.runtime.Finish()))
+      << "from the late one";
+  EXPECT_TRUE(testing::SameReport(want, from_early.runtime.Finish()))
+      << "from the early one";
 }
 
 TEST_F(InitialStateTest, ConcurrentRestoresAndBeginsShareOneTable) {
@@ -637,9 +619,9 @@ TEST_F(InitialStateTest, ConcurrentRestoresAndBeginsShareOneTable) {
   }
   for (std::thread& thread : threads) thread.join();
   for (size_t k = 0; k < blobs.size(); ++k) {
-    ExpectReportsEqual(want, got[k], "restored " + std::to_string(k));
+    EXPECT_TRUE(testing::SameReport(want, got[k])) << "restored " << k;
   }
-  ExpectReportsEqual(want_begun, got.back(), "begun");
+  EXPECT_TRUE(testing::SameReport(want_begun, got.back())) << "begun";
   EXPECT_EQ(SharedBytes(*Shared()), SharedBytes(*table));
 }
 

@@ -26,6 +26,7 @@
 #include "src/core/strategy_mu.h"
 #include "src/core/strategy_rr.h"
 #include "src/util/wire.h"
+#include "tests/testing/report_bytes.h"
 #include "tests/testing/test_util.h"
 
 namespace incentag {
@@ -81,30 +82,6 @@ EngineOptions MakeOptions(int64_t budget, int64_t batch_size,
   options.checkpoints = {budget / 4, budget / 2, budget};
   options.costs = costs;
   return options;
-}
-
-void ExpectMetricsEqual(const AllocationMetrics& want,
-                        const AllocationMetrics& got,
-                        const std::string& label) {
-  EXPECT_EQ(want.budget_used, got.budget_used) << label;
-  EXPECT_EQ(want.avg_quality, got.avg_quality) << label;
-  EXPECT_EQ(want.over_tagged, got.over_tagged) << label;
-  EXPECT_EQ(want.wasted_posts, got.wasted_posts) << label;
-  EXPECT_EQ(want.under_tagged, got.under_tagged) << label;
-}
-
-void ExpectReportsEqual(const RunReport& want, const RunReport& got,
-                        const std::string& label) {
-  EXPECT_EQ(want.strategy_name, got.strategy_name) << label;
-  EXPECT_EQ(want.allocation, got.allocation) << label;
-  EXPECT_EQ(want.budget_spent, got.budget_spent) << label;
-  EXPECT_EQ(want.stopped_early, got.stopped_early) << label;
-  ASSERT_EQ(want.checkpoints.size(), got.checkpoints.size()) << label;
-  for (size_t i = 0; i < want.checkpoints.size(); ++i) {
-    ExpectMetricsEqual(want.checkpoints[i], got.checkpoints[i],
-                       label + " checkpoint " + std::to_string(i));
-  }
-  ExpectMetricsEqual(want.final_metrics, got.final_metrics, label + " final");
 }
 
 // Drives `rt` to completion, applying whatever assignments are still
@@ -185,7 +162,7 @@ void CheckRoundTrip(
         rt.RestoreResumableState(state, strategy.get(), &stream).ok())
         << label;
     RunReport got = DriveToCompletion(&rt, &pending);
-    ExpectReportsEqual(want, got, label);
+    EXPECT_TRUE(testing::SameReport(want, got)) << label;
   }
 }
 

@@ -10,140 +10,16 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/allocation.h"
-#include "src/core/post_stream.h"
-#include "src/core/strategy_fc.h"
-#include "src/core/strategy_fp.h"
-#include "src/core/strategy_fpmu.h"
-#include "src/core/strategy_mu.h"
-#include "src/core/strategy_rr.h"
-#include "src/sim/crowd.h"
-#include "src/sim/dataset_prep.h"
-#include "src/sim/generator.h"
 #include "src/service/fleet_health.h"
 #include "src/sim/load_generator.h"
-#include "src/util/random.h"
-#include "tests/testing/report_bytes.h"
+#include "tests/testing/campaign_fixture.h"
 
 namespace incentag {
 namespace service {
 namespace {
 
-// One shared prepared dataset for every test (read-only).
-class CampaignManagerTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    sim::CorpusConfig config;
-    config.num_resources = 80;
-    config.seed = 20260728;
-    auto corpus = sim::Corpus::Generate(config);
-    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-    corpus_ = new sim::Corpus(std::move(corpus).value());
-    auto prep = sim::PrepareFromCorpus(*corpus_, sim::PrepConfig{});
-    ASSERT_TRUE(prep.ok()) << prep.status().ToString();
-    dataset_ = new sim::PreparedDataset(std::move(prep).value());
-  }
-
-  static void TearDownTestSuite() {
-    delete dataset_;
-    delete corpus_;
-    dataset_ = nullptr;
-    corpus_ = nullptr;
-  }
-
-  // A fresh strategy of the i-th kind, with FC crowds seeded per campaign
-  // so sequential and service runs see identical tagger choices.
-  static std::unique_ptr<core::Strategy> MakeStrategy(
-      int kind, uint64_t fc_seed, std::shared_ptr<void>* context) {
-    switch (kind % 5) {
-      case 0:
-        return std::make_unique<core::RoundRobinStrategy>();
-      case 1:
-        return std::make_unique<core::FewestPostsStrategy>();
-      case 2:
-        return std::make_unique<core::MostUnstableStrategy>();
-      case 3:
-        return std::make_unique<core::HybridFpMuStrategy>();
-      default: {
-        auto crowd = std::make_shared<sim::CrowdModel>(
-            dataset_->popularity, /*alpha=*/1.0, fc_seed);
-        *context = crowd;
-        return std::make_unique<core::FreeChoiceStrategy>(
-            crowd->MakePicker());
-      }
-    }
-  }
-
-  static core::EngineOptions MakeOptions(int kind, int64_t budget) {
-    core::EngineOptions options;
-    options.budget = budget;
-    options.omega = 5;
-    options.checkpoints = {budget / 4, budget / 2, budget};
-    // Mix batched and unbatched campaigns.
-    options.batch_size = (kind % 3 == 0) ? 16 : 1;
-    return options;
-  }
-
-  static CampaignConfig MakeConfig(int kind, int64_t budget,
-                                   uint64_t fc_seed) {
-    CampaignConfig config;
-    config.name = "campaign-" + std::to_string(kind);
-    config.options = MakeOptions(kind, budget);
-    config.initial_posts = &dataset_->initial_posts;
-    config.references = &dataset_->references;
-    config.strategy = MakeStrategy(kind, fc_seed, &config.context);
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset_->MakeStream());
-    return config;
-  }
-
-  // The sequential ground truth for the same campaign parameters.
-  static core::RunReport RunSequential(int kind, int64_t budget,
-                                       uint64_t fc_seed) {
-    std::shared_ptr<void> context;
-    auto strategy = MakeStrategy(kind, fc_seed, &context);
-    core::AllocationEngine engine(MakeOptions(kind, budget),
-                                  &dataset_->initial_posts,
-                                  &dataset_->references);
-    core::VectorPostStream stream = dataset_->MakeStream();
-    auto report = engine.Run(strategy.get(), &stream);
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
-  }
-
-  static void ExpectReportsEqual(const core::RunReport& want,
-                                 const core::RunReport& got,
-                                 const std::string& label) {
-    EXPECT_EQ(want.strategy_name, got.strategy_name) << label;
-    EXPECT_EQ(want.allocation, got.allocation) << label;
-    EXPECT_EQ(want.budget_spent, got.budget_spent) << label;
-    EXPECT_EQ(want.stopped_early, got.stopped_early) << label;
-    ASSERT_EQ(want.checkpoints.size(), got.checkpoints.size()) << label;
-    for (size_t i = 0; i < want.checkpoints.size(); ++i) {
-      ExpectMetricsEqual(want.checkpoints[i], got.checkpoints[i],
-                         label + " checkpoint " + std::to_string(i));
-    }
-    ExpectMetricsEqual(want.final_metrics, got.final_metrics,
-                       label + " final");
-  }
-
-  static void ExpectMetricsEqual(const core::AllocationMetrics& want,
-                                 const core::AllocationMetrics& got,
-                                 const std::string& label) {
-    EXPECT_EQ(want.budget_used, got.budget_used) << label;
-    // Same code path, same application order: bitwise-identical doubles.
-    EXPECT_EQ(want.avg_quality, got.avg_quality) << label;
-    EXPECT_EQ(want.over_tagged, got.over_tagged) << label;
-    EXPECT_EQ(want.wasted_posts, got.wasted_posts) << label;
-    EXPECT_EQ(want.under_tagged, got.under_tagged) << label;
-  }
-
-  static sim::Corpus* corpus_;
-  static sim::PreparedDataset* dataset_;
-};
-
-sim::Corpus* CampaignManagerTest::corpus_ = nullptr;
-sim::PreparedDataset* CampaignManagerTest::dataset_ = nullptr;
+// Campaigns are testing::KindSpec's; their seed seeds FC's crowd.
+using CampaignManagerTest = testing::CampaignTest<80, 20260728>;
 
 TEST_F(CampaignManagerTest, RejectsInvalidConfigs) {
   CampaignManager manager(ManagerOptions{});
@@ -168,98 +44,6 @@ TEST_F(CampaignManagerTest, RejectsInvalidConfigs) {
   EXPECT_FALSE(manager.Wait(999).ok());
   EXPECT_FALSE(manager.Status(999).ok());
   EXPECT_FALSE(manager.Cancel(999).ok());
-}
-
-// Small quanta make deterministic mode yield through the ready queue
-// mid-batch; the default quantum covers whole batches.
-TEST_F(CampaignManagerTest, DeterministicModeMatchesEngineExactly) {
-  for (int64_t tasks_per_step : {int64_t{1}, int64_t{7}, int64_t{256}}) {
-    ManagerOptions options;
-    options.deterministic = true;
-    options.tasks_per_step = tasks_per_step;
-    CampaignManager manager(options);
-    for (int kind = 0; kind < 5; ++kind) {
-      const int64_t budget = 200 + 40 * kind;
-      const uint64_t fc_seed = 99 + static_cast<uint64_t>(kind);
-      auto id = manager.Submit(MakeConfig(kind, budget, fc_seed));
-      ASSERT_TRUE(id.ok()) << id.status().ToString();
-      auto got = manager.Wait(id.value());
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectReportsEqual(RunSequential(kind, budget, fc_seed), got.value(),
-                         "quantum " + std::to_string(tasks_per_step) +
-                             ", kind " + std::to_string(kind));
-    }
-  }
-}
-
-TEST_F(CampaignManagerTest, ConcurrentInlineMatchesEngine) {
-  ManagerOptions options;
-  options.num_threads = 4;
-  options.tasks_per_step = 32;  // force many scheduling quanta
-  CampaignManager manager(options);
-  std::vector<CampaignId> ids;
-  const int kCampaigns = 10;
-  for (int i = 0; i < kCampaigns; ++i) {
-    auto id = manager.Submit(
-        MakeConfig(i, 150 + 10 * i, 7 + static_cast<uint64_t>(i)));
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    ids.push_back(id.value());
-  }
-  for (int i = 0; i < kCampaigns; ++i) {
-    auto got = manager.Wait(ids[static_cast<size_t>(i)]);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectReportsEqual(
-        RunSequential(i, 150 + 10 * i, 7 + static_cast<uint64_t>(i)),
-        got.value(), "campaign " + std::to_string(i));
-  }
-}
-
-// The headline stress test: many mixed-strategy campaigns completed by a
-// crowd of latency-jittered tagger threads, so completions arrive out of
-// assignment order and campaign steps interleave arbitrarily. Every
-// campaign must still reproduce its sequential RunReport exactly.
-TEST_F(CampaignManagerTest, StressRandomInterleavingsMatchSequential) {
-  sim::LoadGeneratorOptions load_options;
-  load_options.num_taggers = 6;
-  load_options.mean_latency_us = 30.0;  // enough to shuffle completions
-  load_options.tagger_speed_sigma = 1.0;
-  load_options.seed = 4242;
-  load_options.queue_capacity = 64;  // exercise backpressure
-  sim::CrowdLoadGenerator crowd(load_options);
-
-  ManagerOptions options;
-  options.num_threads = 4;
-  options.tasks_per_step = 17;  // odd quantum to shear step boundaries
-  options.completions = &crowd;
-  CampaignManager manager(options);
-
-  util::Rng rng(555);
-  const int kCampaigns = 24;
-  std::vector<CampaignId> ids;
-  std::vector<int64_t> budgets;
-  std::vector<uint64_t> fc_seeds;
-  for (int i = 0; i < kCampaigns; ++i) {
-    budgets.push_back(60 + static_cast<int64_t>(rng.NextBounded(200)));
-    fc_seeds.push_back(rng.NextUint64());
-    auto id = manager.Submit(MakeConfig(i, budgets.back(), fc_seeds.back()));
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    ids.push_back(id.value());
-  }
-  manager.WaitAll();
-  for (int i = 0; i < kCampaigns; ++i) {
-    auto got = manager.Wait(ids[static_cast<size_t>(i)]);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    const auto& status = manager.Status(ids[static_cast<size_t>(i)]);
-    ASSERT_TRUE(status.ok());
-    EXPECT_EQ(status.value().state, CampaignState::kDone);
-    EXPECT_EQ(status.value().tasks_in_flight, 0);
-    ExpectReportsEqual(
-        RunSequential(i, budgets[static_cast<size_t>(i)],
-                      fc_seeds[static_cast<size_t>(i)]),
-        got.value(), "campaign " + std::to_string(i));
-  }
-  crowd.Stop();
-  manager.Shutdown();
 }
 
 TEST_F(CampaignManagerTest, StatusIsPollableWhileRunning) {
@@ -355,7 +139,7 @@ class SilentCompletionSource : public CompletionSource {
 TEST_F(CampaignManagerTest, CampaignsOverOneStoreShareOneTrajectoryTable) {
   // A second store with the same posts; like every store, it outlives
   // the manager.
-  const core::PostStore copy = dataset_->future_posts;
+  const core::PostStore copy = dataset().future_posts;
   SilentCompletionSource silent;
   ManagerOptions options;
   options.num_threads = 2;
@@ -491,8 +275,8 @@ TEST_F(CampaignManagerTest, ParkedCampaignLifecycle) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(manager.Status(resumed.value()).value().state,
             CampaignState::kDone);
-  EXPECT_EQ(testing::ReportBytes(report.value()),
-            testing::ReportBytes(RunSequential(3, 200, 3)));
+  EXPECT_TRUE(testing::SameReport(Uninterrupted(3, 200, 3),
+                                  report.value()));
 }
 
 // Every (from, to) pair of the lifecycle table: the two park edges, live

@@ -17,18 +17,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/allocation.h"
-#include "src/core/post_stream.h"
 #include "src/core/strategy.h"
 #include "src/persist/journal.h"
 #include "src/service/campaign_manager.h"
-#include "src/sim/dataset_prep.h"
-#include "src/sim/generator.h"
 #include "src/sim/load_generator.h"
-#include "src/sim/strategy_factory.h"
-#include "src/util/file_io.h"
-#include "tests/testing/test_util.h"
-#include "tests/testing/report_bytes.h"
+#include "tests/testing/campaign_fixture.h"
 
 namespace incentag {
 namespace service {
@@ -109,97 +102,54 @@ class RefusingSource : public CompletionSource {
   const std::set<CampaignId> refuse_;
 };
 
-class CampaignReleaseTest : public ::testing::Test {
+class CampaignReleaseTest : public testing::CampaignTest<60, 20261019> {
  protected:
-  static void SetUpTestSuite() {
-    sim::CorpusConfig config;
-    config.num_resources = 60;
-    config.seed = 20261019;
-    auto corpus = sim::Corpus::Generate(config);
-    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-    auto prep = sim::PrepareFromCorpus(corpus.value(), sim::PrepConfig{});
-    ASSERT_TRUE(prep.ok()) << prep.status().ToString();
-    dataset_ = new sim::PreparedDataset(std::move(prep).value());
-  }
-
-  static void TearDownTestSuite() {
-    delete dataset_;
-    dataset_ = nullptr;
-  }
-
-  void SetUp() override {
-    dir_ = incentag::testing::TempPath(
-        std::string("campaign_release_test_") +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-  }
-
   void TearDown() override {
-    fs::remove_all(dir_);
+    CampaignTest::TearDown();
     EXPECT_EQ(g_live_strategies.load(), 0);
     EXPECT_EQ(g_live_contexts.load(), 0);
   }
 
-  static core::EngineOptions MakeOptions(int kind, int64_t budget) {
-    core::EngineOptions options;
-    options.budget = budget;
-    options.omega = 5;
-    options.batch_size = kind % 2 == 0 ? 8 : 1;
-    options.checkpoints = {budget / 2, budget};
-    return options;
+  static testing::Spec KindSpec(int kind, int64_t budget) {
+    testing::Spec spec{
+        "release-" + std::to_string(kind) + "-" + std::to_string(budget),
+        std::string(sim::StrategyNameForKind(kind)),
+        {},
+        500 + static_cast<uint64_t>(kind)};
+    spec.options.budget = budget;
+    spec.options.omega = 5;
+    spec.options.batch_size = kind % 2 == 0 ? 8 : 1;
+    spec.options.checkpoints = {budget / 2, budget};
+    return spec;
   }
 
-  static util::Result<CampaignConfig> BuildConfig(
-      const std::string& name, const std::string& strategy,
-      const core::EngineOptions& options, uint64_t seed) {
-    CampaignConfig config;
-    config.name = name;
-    config.options = options;
-    config.initial_posts = &dataset_->initial_posts;
-    config.references = &dataset_->references;
-    config.seed = seed;
-    std::shared_ptr<void> context;
-    auto inner = sim::MakeStrategyByName(strategy, dataset_->popularity,
-                                         seed, &context);
-    if (inner == nullptr) {
-      return util::Status::InvalidArgument("unknown strategy " + strategy);
+  // The fixture's config with its strategy and context counted.
+  static util::Result<CampaignConfig> Counted(
+      util::Result<CampaignConfig> config) {
+    if (config.ok()) {
+      config.value().strategy = std::make_unique<CountingStrategy>(
+          std::move(config.value().strategy));
+      config.value().context =
+          std::make_shared<CountedContext>(std::move(config.value().context));
     }
-    config.strategy = std::make_unique<CountingStrategy>(std::move(inner));
-    config.context = std::make_shared<CountedContext>(std::move(context));
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset_->MakeStream());
     return config;
   }
 
   static CampaignConfig MakeConfig(int kind, int64_t budget) {
-    auto config = BuildConfig(
-        "release-" + std::to_string(kind) + "-" + std::to_string(budget),
-        std::string(sim::StrategyNameForKind(kind)),
-        MakeOptions(kind, budget), 500 + static_cast<uint64_t>(kind));
+    auto config =
+        Counted(testing::BuildConfig(dataset(), KindSpec(kind, budget)));
     EXPECT_TRUE(config.ok()) << config.status().ToString();
     return std::move(config).value();
   }
 
   static util::Result<CampaignConfig> Factory(
       const persist::SubmitRecord& record) {
-    return BuildConfig(record.name, record.strategy_name, record.options,
-                       record.seed);
+    return Counted(CampaignTest::Factory(record));
   }
 
   // The uninterrupted run, straight through the engine.
   static std::string Reference(int kind, int64_t budget) {
-    std::shared_ptr<void> context;
-    auto strategy =
-        sim::MakeStrategyByName(sim::StrategyNameForKind(kind),
-                                dataset_->popularity,
-                                500 + static_cast<uint64_t>(kind), &context);
-    core::AllocationEngine engine(MakeOptions(kind, budget),
-                                  &dataset_->initial_posts,
-                                  &dataset_->references);
-    core::VectorPostStream stream = dataset_->MakeStream();
-    auto report = engine.Run(strategy.get(), &stream);
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return ReportBytes(report.value());
+    return ReportBytes(Uninterrupted(KindSpec(kind, budget)));
   }
 
   static void ExpectSameStatus(const CampaignStatus& a,
@@ -259,11 +209,7 @@ class CampaignReleaseTest : public ::testing::Test {
     EXPECT_EQ(s.checkpoints_recorded, report.value().checkpoints.size());
   }
 
-  static sim::PreparedDataset* dataset_;
-  fs::path dir_;
 };
-
-sim::PreparedDataset* CampaignReleaseTest::dataset_ = nullptr;
 
 // A journaled fleet that ends in every terminal state frees every
 // strategy and context and closes every journal, live and after Recover.

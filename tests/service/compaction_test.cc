@@ -16,16 +16,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/allocation.h"
-#include "src/core/post_stream.h"
 #include "src/persist/journal.h"
 #include "src/service/campaign_manager.h"
-#include "src/sim/dataset_prep.h"
-#include "src/sim/generator.h"
 #include "src/sim/load_generator.h"
-#include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
-#include "tests/testing/test_util.h"
+#include "tests/testing/campaign_fixture.h"
 
 namespace incentag {
 namespace service {
@@ -34,150 +29,15 @@ namespace {
 namespace fs = std::filesystem;
 using std::chrono::milliseconds;
 
-// Completes the first `limit` tasks inline, then silently drops the rest
-// — wedges the campaign mid-run so Shutdown acts as the "kill".
-class LimitedCompletionSource : public CompletionSource {
- public:
-  explicit LimitedCompletionSource(int64_t limit) : remaining_(limit) {}
-
-  bool SubmitTasks(const std::vector<TaskHandle>& tasks,
-                   const CompletionFn& done) override {
-    for (const TaskHandle& task : tasks) {
-      if (remaining_ > 0) {
-        --remaining_;
-        done(std::span<const TaskHandle>(&task, 1));
-      }
-    }
-    return true;
-  }
-
- private:
-  int64_t remaining_;
-};
-
-class CompactionTest : public ::testing::Test {
+class CompactionTest : public testing::CampaignTest<60, 20260729> {
  protected:
-  static void SetUpTestSuite() {
-    sim::CorpusConfig config;
-    config.num_resources = 60;
-    config.seed = 20260729;
-    auto corpus = sim::Corpus::Generate(config);
-    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-    corpus_ = new sim::Corpus(std::move(corpus).value());
-    auto prep = sim::PrepareFromCorpus(*corpus_, sim::PrepConfig{});
-    ASSERT_TRUE(prep.ok()) << prep.status().ToString();
-    dataset_ = new sim::PreparedDataset(std::move(prep).value());
-  }
-
-  static void TearDownTestSuite() {
-    delete dataset_;
-    delete corpus_;
-    dataset_ = nullptr;
-    corpus_ = nullptr;
-  }
-
-  void SetUp() override {
-    dir_ = incentag::testing::TempPath(
-        std::string("compaction_test_") +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
-  }
-
-  void TearDown() override { fs::remove_all(dir_); }
-
-  static core::EngineOptions MakeOptions(int kind, int64_t budget) {
-    core::EngineOptions options;
-    options.budget = budget;
-    options.omega = 5;
-    options.checkpoints = {budget / 4, budget / 2, budget};
-    options.batch_size = (kind % 3 == 0) ? 16 : 1;
-    return options;
-  }
-
-  static CampaignConfig MakeConfig(int kind, int64_t budget, uint64_t seed) {
-    CampaignConfig config;
-    config.name = "campaign-" + std::to_string(kind);
-    config.options = MakeOptions(kind, budget);
-    config.initial_posts = &dataset_->initial_posts;
-    config.references = &dataset_->references;
-    config.seed = seed;
-    config.strategy =
-        sim::MakeStrategyByName(sim::StrategyNameForKind(kind),
-                                dataset_->popularity, seed, &config.context);
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset_->MakeStream());
-    return config;
-  }
-
-  static util::Result<CampaignConfig> Factory(
-      const persist::SubmitRecord& record) {
-    CampaignConfig config;
-    config.name = record.name;
-    config.options = record.options;
-    config.initial_posts = &dataset_->initial_posts;
-    config.references = &dataset_->references;
-    config.seed = record.seed;
-    config.strategy =
-        sim::MakeStrategyByName(record.strategy_name, dataset_->popularity,
-                                record.seed, &config.context);
-    if (config.strategy == nullptr) {
-      return util::Status::InvalidArgument("unknown strategy " +
-                                           record.strategy_name);
-    }
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset_->MakeStream());
-    return config;
-  }
-
-  static core::RunReport RunSequential(int kind, int64_t budget,
-                                       uint64_t seed) {
-    std::shared_ptr<void> context;
-    auto strategy =
-        sim::MakeStrategyByName(sim::StrategyNameForKind(kind),
-                                dataset_->popularity, seed, &context);
-    core::AllocationEngine engine(MakeOptions(kind, budget),
-                                  &dataset_->initial_posts,
-                                  &dataset_->references);
-    core::VectorPostStream stream = dataset_->MakeStream();
-    auto report = engine.Run(strategy.get(), &stream);
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
-  }
-
-  static void ExpectReportsEqual(const core::RunReport& want,
-                                 const core::RunReport& got,
-                                 const std::string& label) {
-    EXPECT_EQ(want.strategy_name, got.strategy_name) << label;
-    EXPECT_EQ(want.allocation, got.allocation) << label;
-    EXPECT_EQ(want.budget_spent, got.budget_spent) << label;
-    EXPECT_EQ(want.stopped_early, got.stopped_early) << label;
-    ASSERT_EQ(want.checkpoints.size(), got.checkpoints.size()) << label;
-    for (size_t i = 0; i < want.checkpoints.size(); ++i) {
-      ExpectMetricsEqual(want.checkpoints[i], got.checkpoints[i],
-                         label + " checkpoint " + std::to_string(i));
-    }
-    ExpectMetricsEqual(want.final_metrics, got.final_metrics,
-                       label + " final");
-  }
-
-  static void ExpectMetricsEqual(const core::AllocationMetrics& want,
-                                 const core::AllocationMetrics& got,
-                                 const std::string& label) {
-    EXPECT_EQ(want.budget_used, got.budget_used) << label;
-    EXPECT_EQ(want.avg_quality, got.avg_quality) << label;
-    EXPECT_EQ(want.over_tagged, got.over_tagged) << label;
-    EXPECT_EQ(want.wasted_posts, got.wasted_posts) << label;
-    EXPECT_EQ(want.under_tagged, got.under_tagged) << label;
-  }
-
   // Runs campaign `kind` against a source that completes only
   // `kill_after` tasks so it wedges mid-run, then tears the manager down
   // (the "kill"). With compact_bytes > 0 the journal gets compacted
   // along the way. Returns the journal path.
   std::string KillMidRun(int kind, int64_t budget, uint64_t seed,
                          int64_t kill_after, int64_t compact_bytes) {
-    LimitedCompletionSource source(kill_after);
+    testing::LimitedCompletionSource source(kill_after);
     ManagerOptions options;
     options.num_threads = 2;
     options.tasks_per_step = 8;
@@ -194,68 +54,13 @@ class CompactionTest : public ::testing::Test {
         .string();
   }
 
-  static sim::Corpus* corpus_;
-  static sim::PreparedDataset* dataset_;
-  fs::path dir_;
 };
 
-sim::Corpus* CompactionTest::corpus_ = nullptr;
-sim::PreparedDataset* CompactionTest::dataset_ = nullptr;
-
-// The acceptance property, per strategy kind: kill mid-run with
-// compaction on -> the journal holds a snapshot, recovery replays only
-// the tail, and the final report is byte-identical to the uninterrupted
-// run (and hence to recovering an uncompacted journal, which the PR 2
-// tests already pin to the same ground truth).
-TEST_F(CompactionTest, SnapshotRecoveryMatchesUninterruptedRun) {
-  for (int kind = 0; kind < 5; ++kind) {
-    const int64_t budget = 220 + 30 * kind;
-    const uint64_t seed = 77 + static_cast<uint64_t>(kind);
-    const int64_t kill_after = budget / 2;
-    const std::string journal =
-        KillMidRun(kind, budget, seed, kill_after,
-                   25 * persist::kFramedCompletionBytes);
-
-    auto contents = persist::ReadJournal(journal);
-    ASSERT_TRUE(contents.ok()) << contents.status().ToString();
-    ASSERT_TRUE(contents.value().has_snapshot) << "kind " << kind;
-    // The snapshot swallowed a non-trivial prefix of the trace.
-    EXPECT_GT(contents.value().snapshot.num_completions, 0u)
-        << "kind " << kind;
-
-    ManagerOptions options;
-    options.deterministic = true;
-    CampaignManager recovered(options);
-    auto ids = recovered.Recover(dir_.string(), Factory);
-    ASSERT_TRUE(ids.ok()) << ids.status().ToString();
-    ASSERT_EQ(ids.value().size(), 1u) << "kind " << kind;
-    auto report = recovered.Wait(ids.value()[0]);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ExpectReportsEqual(RunSequential(kind, budget, seed), report.value(),
-                       "kind " + std::to_string(kind));
-
-    // The snapshot bounded the replay: recovery applied exactly the
-    // compacted journal's tail, which is shorter than the trace the
-    // campaign accumulated before the kill by the snapshot's prefix.
-    // (The precise tail length varies — concurrent bursts can skip
-    // compaction rounds while one rewrite is in flight — so the hard
-    // ratio is pinned by bench_recovery in steady state instead.)
-    auto status = recovered.Status(ids.value()[0]);
-    ASSERT_TRUE(status.ok());
-    EXPECT_EQ(status.value().records_replayed,
-              static_cast<int64_t>(contents.value().completions.size()))
-        << "kind " << kind;
-    EXPECT_LT(status.value().records_replayed, kill_after)
-        << "kind " << kind;
-
-    fs::remove_all(dir_);
-    ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
-  }
-}
-
-// Same kill, but recovery resumes live on a thread pool and runs to
-// completion with further compactions enabled — the journal stays
-// recoverable (deterministically) after the campaign finishes.
+// Kill mid-run with compaction on, then recovery resumes live on a thread
+// pool and runs to completion with further compactions enabled — the
+// journal stays recoverable (deterministically) after the campaign
+// finishes. (Every strategy's compacted journal, cut at seeded points and
+// recovered from its snapshot, is recovery_cut_test.)
 TEST_F(CompactionTest, SnapshotRecoveryContinuesLiveAndStaysRecoverable) {
   const int kind = 1;
   const int64_t budget = 400;
@@ -275,8 +80,9 @@ TEST_F(CompactionTest, SnapshotRecoveryContinuesLiveAndStaysRecoverable) {
   auto result = recovered.WaitFor(ids.value()[0], milliseconds(10000));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().state, CampaignState::kDone);
-  const core::RunReport want = RunSequential(kind, budget, seed);
-  ExpectReportsEqual(want, result.value().report, "live recovery");
+  const core::RunReport want = Uninterrupted(kind, budget, seed);
+  EXPECT_TRUE(testing::SameReport(want, result.value().report))
+      << "live recovery";
   recovered.Shutdown();
 
   ManagerOptions det;
@@ -287,7 +93,7 @@ TEST_F(CompactionTest, SnapshotRecoveryContinuesLiveAndStaysRecoverable) {
   ASSERT_EQ(ids2.value().size(), 1u);
   auto report2 = again.Wait(ids2.value()[0]);
   ASSERT_TRUE(report2.ok()) << report2.status().ToString();
-  ExpectReportsEqual(want, report2.value(), "second recovery");
+  EXPECT_TRUE(testing::SameReport(want, report2.value())) << "second recovery";
 }
 
 // Kill during the compaction rewrite: the temp file exists but the
@@ -313,8 +119,9 @@ TEST_F(CompactionTest, KillDuringCompactionRecoversFromOldJournal) {
   ASSERT_EQ(ids.value().size(), 1u);
   auto report = recovered.Wait(ids.value()[0]);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ExpectReportsEqual(RunSequential(kind, budget, seed), report.value(),
-                     "kill during compaction");
+  EXPECT_TRUE(
+      testing::SameReport(Uninterrupted(kind, budget, seed), report.value()))
+      << "kill during compaction";
   EXPECT_FALSE(fs::exists(tmp));
 }
 
@@ -351,8 +158,9 @@ TEST_F(CompactionTest, CorruptSnapshotFallsBackToFullReplay) {
   ASSERT_EQ(ids.value().size(), 1u);
   auto report = recovered.Wait(ids.value()[0]);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ExpectReportsEqual(RunSequential(kind, budget, seed), report.value(),
-                     "corrupt snapshot fallback");
+  EXPECT_TRUE(
+      testing::SameReport(Uninterrupted(kind, budget, seed), report.value()))
+      << "corrupt snapshot fallback";
   auto status = recovered.Status(ids.value()[0]);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status.value().records_replayed, trace_len);  // full replay
@@ -432,7 +240,7 @@ TEST_F(CompactionTest, ExplicitCompactRewritesWedgedCampaign) {
   const int kind = 3;
   const int64_t budget = 300;
   const uint64_t seed = 21;
-  LimitedCompletionSource source(150);
+  testing::LimitedCompletionSource source(150);
   ManagerOptions options;
   options.num_threads = 2;
   options.tasks_per_step = 8;
@@ -467,8 +275,9 @@ TEST_F(CompactionTest, ExplicitCompactRewritesWedgedCampaign) {
   ASSERT_EQ(ids.value().size(), 1u);
   auto report = recovered.Wait(ids.value()[0]);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ExpectReportsEqual(RunSequential(kind, budget, seed), report.value(),
-                     "explicit compact");
+  EXPECT_TRUE(
+      testing::SameReport(Uninterrupted(kind, budget, seed), report.value()))
+      << "explicit compact";
 }
 
 // Compact() contract errors: unjournaled and terminal campaigns.
@@ -527,9 +336,8 @@ TEST_F(CompactionTest, FleetCompactingEveryTenCompletionsStaysRecoverable) {
     auto result = manager.WaitFor(ids[i], milliseconds(20000));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_EQ(result.value().state, CampaignState::kDone);
-    ExpectReportsEqual(RunSequential(i % 5, 150 + 10 * (i % 4), 7),
-                       result.value().report,
-                       "campaign " + std::to_string(i));
+    EXPECT_TRUE(testing::SameReport(Uninterrupted(i % 5, 150 + 10 * (i % 4), 7),
+                                    result.value().report)) << "campaign " << i;
   }
   crowd.Stop();
   manager.Shutdown();
@@ -579,8 +387,8 @@ TEST_F(CompactionTest, JournalBytesTriggerCompacts) {
   ASSERT_EQ(ids.value().size(), 1u);
   auto report = recovered.Wait(ids.value()[0]);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ExpectReportsEqual(RunSequential(1, 300, 9), report.value(),
-                     "bytes-trigger recovery");
+  EXPECT_TRUE(testing::SameReport(Uninterrupted(1, 300, 9), report.value()))
+      << "bytes-trigger recovery";
 }
 
 // A threshold equal to the whole journal fires on a campaign's final
@@ -675,9 +483,8 @@ TEST_F(CompactionTest, ConcurrentCompactionUnderCrowdLoadIsExact) {
     auto result = manager.WaitFor(ids[i], milliseconds(20000));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_EQ(result.value().state, CampaignState::kDone);
-    ExpectReportsEqual(RunSequential(i, 200 + 20 * i, 7),
-                       result.value().report,
-                       "campaign " + std::to_string(i));
+    EXPECT_TRUE(testing::SameReport(Uninterrupted(i, 200 + 20 * i, 7),
+                                    result.value().report)) << "campaign " << i;
   }
   crowd.Stop();
   manager.Shutdown();

@@ -22,14 +22,12 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/strategy_rr.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/service/campaign_manager.h"
 #include "src/service/completion_source.h"
 #include "src/service/scheduler/scheduler.h"
-#include "src/sim/dataset_prep.h"
-#include "src/sim/generator.h"
+#include "tests/testing/campaign_fixture.h"
 
 namespace incentag {
 namespace service {
@@ -117,14 +115,7 @@ TEST(ObservabilityStressTest, ScrapeAndListNeverBlockTheCompletionPath) {
   // read paths continuously while a fleet of campaigns runs completions
   // through the manager pool; the fleet finishing under that fire (and
   // TSan staying quiet about the interleavings) is the assertion.
-  sim::CorpusConfig corpus_config;
-  corpus_config.num_resources = 40;
-  corpus_config.seed = 20260808;
-  auto corpus = sim::Corpus::Generate(corpus_config);
-  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-  auto prep = sim::PrepareFromCorpus(corpus.value(), sim::PrepConfig{});
-  ASSERT_TRUE(prep.ok()) << prep.status().ToString();
-  const sim::PreparedDataset& dataset = prep.value();
+  const sim::PreparedDataset& dataset = testing::Dataset(40, 20260808);
 
   ManagerOptions options;
   options.num_threads = 4;
@@ -164,15 +155,9 @@ TEST(ObservabilityStressTest, ScrapeAndListNeverBlockTheCompletionPath) {
   }
 
   for (int i = 0; i < kCampaigns; ++i) {
-    CampaignConfig config;
-    config.name = "stress-" + std::to_string(i);
-    config.options.budget = 300;
-    config.initial_posts = &dataset.initial_posts;
-    config.references = &dataset.references;
-    config.strategy = std::make_unique<core::RoundRobinStrategy>();
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset.MakeStream());
-    ASSERT_TRUE(manager.Submit(std::move(config)).ok());
+    testing::Spec spec{"stress-" + std::to_string(i), "RR", {}, 0};
+    spec.options.budget = 300;
+    ASSERT_TRUE(manager.Submit(testing::MakeConfig(dataset, spec)).ok());
   }
   manager.WaitAll();
   fleet_done.store(true, std::memory_order_release);

@@ -18,20 +18,14 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/allocation.h"
-#include "src/core/post_stream.h"
 #include "src/obs/metrics.h"
 #include "src/persist/journal.h"
 #include "src/service/campaign_manager.h"
 #include "src/service/fleet_health.h"
-#include "src/sim/dataset_prep.h"
-#include "src/sim/generator.h"
 #include "src/sim/load_generator.h"
-#include "src/sim/strategy_factory.h"
 #include "src/util/fail_point.h"
-#include "src/util/file_io.h"
 #include "src/util/random.h"
-#include "tests/testing/test_util.h"
+#include "tests/testing/campaign_fixture.h"
 
 namespace incentag {
 namespace service {
@@ -50,122 +44,19 @@ TEST(FaultTortureTest, CompiledOut) {
 
 using util::FailPoint;
 
-class FaultTortureTest : public ::testing::Test {
+class FaultTortureTest : public testing::CampaignTest<60, 20260808> {
  protected:
-  static void SetUpTestSuite() {
-    sim::CorpusConfig config;
-    config.num_resources = 60;
-    config.seed = 20260808;
-    auto corpus = sim::Corpus::Generate(config);
-    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-    corpus_ = new sim::Corpus(std::move(corpus).value());
-    auto prep = sim::PrepareFromCorpus(*corpus_, sim::PrepConfig{});
-    ASSERT_TRUE(prep.ok()) << prep.status().ToString();
-    dataset_ = new sim::PreparedDataset(std::move(prep).value());
-  }
-
-  static void TearDownTestSuite() {
-    delete dataset_;
-    delete corpus_;
-    dataset_ = nullptr;
-    corpus_ = nullptr;
-  }
-
-  void SetUp() override {
-    dir_ = incentag::testing::TempPath(
-        std::string("fault_torture_test_") +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
-  }
-
   void TearDown() override {
     util::FailPoint::DisarmAll();
-    fs::remove_all(dir_);
+    CampaignTest::TearDown();
   }
 
-  static core::EngineOptions MakeOptions(int kind, int64_t budget,
-                                         int32_t priority) {
-    core::EngineOptions options;
-    options.budget = budget;
-    options.omega = 5;
-    options.checkpoints = {budget / 4, budget / 2, budget};
-    options.batch_size = (kind % 3 == 0) ? 16 : 1;
-    options.priority = priority;
-    return options;
-  }
-
-  static CampaignConfig MakeConfig(int kind, int64_t budget, uint64_t seed,
-                                   int32_t priority) {
-    CampaignConfig config;
-    config.name = "torture-" + std::to_string(kind);
-    config.options = MakeOptions(kind, budget, priority);
-    config.initial_posts = &dataset_->initial_posts;
-    config.references = &dataset_->references;
-    config.seed = seed;
-    config.strategy =
-        sim::MakeStrategyByName(sim::StrategyNameForKind(kind),
-                                dataset_->popularity, seed, &config.context);
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset_->MakeStream());
-    return config;
-  }
-
-  static util::Result<CampaignConfig> Factory(
-      const persist::SubmitRecord& record) {
-    CampaignConfig config;
-    config.name = record.name;
-    config.options = record.options;
-    config.initial_posts = &dataset_->initial_posts;
-    config.references = &dataset_->references;
-    config.seed = record.seed;
-    config.strategy =
-        sim::MakeStrategyByName(record.strategy_name, dataset_->popularity,
-                                record.seed, &config.context);
-    if (config.strategy == nullptr) {
-      return util::Status::InvalidArgument("unknown strategy " +
-                                           record.strategy_name);
-    }
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset_->MakeStream());
-    return config;
-  }
-
-  static core::RunReport RunSequential(int kind, int64_t budget,
-                                       uint64_t seed) {
-    std::shared_ptr<void> context;
-    auto strategy =
-        sim::MakeStrategyByName(sim::StrategyNameForKind(kind),
-                                dataset_->popularity, seed, &context);
-    core::AllocationEngine engine(MakeOptions(kind, budget, 1),
-                                  &dataset_->initial_posts,
-                                  &dataset_->references);
-    core::VectorPostStream stream = dataset_->MakeStream();
-    auto report = engine.Run(strategy.get(), &stream);
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
-  }
-
-  static void ExpectReportsEqual(const core::RunReport& want,
-                                 const core::RunReport& got,
-                                 const std::string& label) {
-    EXPECT_EQ(want.strategy_name, got.strategy_name) << label;
-    EXPECT_EQ(want.allocation, got.allocation) << label;
-    EXPECT_EQ(want.budget_spent, got.budget_spent) << label;
-    EXPECT_EQ(want.stopped_early, got.stopped_early) << label;
-    EXPECT_EQ(want.final_metrics.budget_used,
-              got.final_metrics.budget_used)
-        << label;
-    EXPECT_EQ(want.final_metrics.avg_quality, got.final_metrics.avg_quality)
-        << label;
-    EXPECT_EQ(want.final_metrics.over_tagged, got.final_metrics.over_tagged)
-        << label;
-    EXPECT_EQ(want.final_metrics.wasted_posts,
-              got.final_metrics.wasted_posts)
-        << label;
-    EXPECT_EQ(want.final_metrics.under_tagged,
-              got.final_metrics.under_tagged)
-        << label;
+  static testing::Spec KindSpec(int kind, int64_t budget, uint64_t seed,
+                                int32_t priority) {
+    testing::Spec spec = testing::KindSpec(kind, budget, seed);
+    spec.name = "torture-" + std::to_string(kind);
+    spec.options.priority = priority;
+    return spec;
   }
 
   static int64_t InjectionsTotal() {
@@ -174,25 +65,20 @@ class FaultTortureTest : public ::testing::Test {
         ->Value();
   }
 
-  static sim::Corpus* corpus_;
-  static sim::PreparedDataset* dataset_;
-  fs::path dir_;
 };
-
-sim::Corpus* FaultTortureTest::corpus_ = nullptr;
-sim::PreparedDataset* FaultTortureTest::dataset_ = nullptr;
 
 TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
   constexpr int kCampaigns = 16;
 
-  // Uninterrupted deterministic ground truth per campaign.
+  // Mixed scheduling classes: odd campaigns are foreground (priority 2,
+  // never parked), even ones background (parked while degraded).
+  std::vector<testing::Spec> specs;
   std::vector<core::RunReport> want;
-  std::vector<int64_t> budgets;
-  std::vector<uint64_t> seeds;
   for (int i = 0; i < kCampaigns; ++i) {
-    budgets.push_back(300 + 20 * i);
-    seeds.push_back(9000 + static_cast<uint64_t>(i));
-    want.push_back(RunSequential(i % 5, budgets.back(), seeds.back()));
+    specs.push_back(KindSpec(i % 5, 300 + 20 * i,
+                             9000 + static_cast<uint64_t>(i),
+                             (i % 2 == 1) ? 2 : 1));
+    want.push_back(Uninterrupted(specs.back()));
   }
 
   FleetHealthOptions health_options;
@@ -236,14 +122,10 @@ TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
     FailPoint::Find("file_io/pwritev")->Arm(opener, short_write);
   }
 
-  // Mixed scheduling classes: odd campaigns are foreground (priority 2,
-  // never parked), even ones background (parked while degraded).
   std::unordered_map<CampaignId, int> index_of;
   std::vector<CampaignId> ids;
   for (int i = 0; i < kCampaigns; ++i) {
-    auto id = manager->Submit(MakeConfig(
-        i % 5, budgets[static_cast<size_t>(i)],
-        seeds[static_cast<size_t>(i)], (i % 2 == 1) ? 2 : 1));
+    auto id = manager->Submit(MakeConfig(specs[static_cast<size_t>(i)]));
     ASSERT_TRUE(id.ok()) << id.status().ToString();
     index_of[id.value()] = i;
     ids.push_back(id.value());
@@ -328,8 +210,9 @@ TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
     ASSERT_EQ(result.value().state, CampaignState::kDone)
         << "campaign " << i << ": " << result.value().error;
     ++done;
-    ExpectReportsEqual(want[static_cast<size_t>(i)], result.value().report,
-                       "faulted run, campaign " + std::to_string(i));
+    EXPECT_TRUE(testing::SameReport(want[static_cast<size_t>(i)],
+                                    result.value().report))
+        << "faulted run, campaign " << i;
   }
   EXPECT_EQ(done + quarantined, kCampaigns);
   EXPECT_GE(InjectionsTotal(), injected_before + 2);  // opener at minimum
@@ -357,8 +240,9 @@ TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
     auto report = recovered.Wait(id);
     ASSERT_TRUE(report.ok())
         << "campaign " << i << ": " << report.status().ToString();
-    ExpectReportsEqual(want[static_cast<size_t>(i)], report.value(),
-                       "recovered, campaign " + std::to_string(i));
+    EXPECT_TRUE(
+        testing::SameReport(want[static_cast<size_t>(i)], report.value()))
+        << "recovered, campaign " << i;
   }
 }
 
@@ -370,7 +254,8 @@ TEST_F(FaultTortureTest, FailedTerminalSyncIsRetriedOnTheSink) {
   constexpr int kKind = 1;
   constexpr int64_t kBudget = 12;
   constexpr uint64_t kSeed = 4242;
-  const core::RunReport want = RunSequential(kKind, kBudget, kSeed);
+  const testing::Spec spec = KindSpec(kKind, kBudget, kSeed, 1);
+  const core::RunReport want = Uninterrupted(spec);
 
   // fsync hit 1 is the submit record's sync, hit 2 the terminal one.
   FailPoint* fsync = FailPoint::Find("file_io/fsync");
@@ -390,11 +275,11 @@ TEST_F(FaultTortureTest, FailedTerminalSyncIsRetriedOnTheSink) {
   options.deterministic = true;
   options.journal_dir = dir_.string();
   CampaignManager manager(options);
-  auto id = manager.Submit(MakeConfig(kKind, kBudget, kSeed, 1));
+  auto id = manager.Submit(MakeConfig(spec));
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   auto report = manager.Wait(id.value());
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ExpectReportsEqual(want, report.value(), "terminal sync failed");
+  EXPECT_TRUE(testing::SameReport(want, report.value()));
   manager.Shutdown();
 
   EXPECT_EQ(fsync->fires(), 1u);

@@ -6,54 +6,22 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/strategy_rr.h"
 #include "src/service/campaign_manager.h"
-#include "src/sim/dataset_prep.h"
-#include "src/sim/generator.h"
+#include "tests/testing/campaign_fixture.h"
 
 namespace incentag {
 namespace service {
 namespace {
 
-class ListTest : public ::testing::Test {
+class ListTest : public testing::CampaignTest<40, 20260808> {
  protected:
-  static void SetUpTestSuite() {
-    sim::CorpusConfig config;
-    config.num_resources = 40;
-    config.seed = 20260808;
-    auto corpus = sim::Corpus::Generate(config);
-    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-    corpus_ = new sim::Corpus(std::move(corpus).value());
-    auto prep = sim::PrepareFromCorpus(*corpus_, sim::PrepConfig{});
-    ASSERT_TRUE(prep.ok()) << prep.status().ToString();
-    dataset_ = new sim::PreparedDataset(std::move(prep).value());
-  }
-
-  static void TearDownTestSuite() {
-    delete dataset_;
-    delete corpus_;
-    dataset_ = nullptr;
-    corpus_ = nullptr;
-  }
-
+  // An RR campaign of budget 50.
   static CampaignConfig MakeConfig(const std::string& name) {
-    CampaignConfig config;
-    config.name = name;
-    config.options.budget = 50;
-    config.initial_posts = &dataset_->initial_posts;
-    config.references = &dataset_->references;
-    config.strategy = std::make_unique<core::RoundRobinStrategy>();
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset_->MakeStream());
-    return config;
+    testing::Spec spec{name, "RR", {}, 0};
+    spec.options.budget = 50;
+    return CampaignTest::MakeConfig(spec);
   }
-
-  static sim::Corpus* corpus_;
-  static sim::PreparedDataset* dataset_;
 };
-
-sim::Corpus* ListTest::corpus_ = nullptr;
-sim::PreparedDataset* ListTest::dataset_ = nullptr;
 
 // Deterministic mode: every campaign is terminal (kDone) when Submit
 // returns, so listings are exact.

@@ -12,49 +12,34 @@
 //   * compacted tail: a compacted journal cut after its snapshot;
 //   * after a terminal record: the whole journal of a finished run, and a
 //     cancelled run's journal ending in its cancel record.
-// One seed per strategy (RR, FP, MU, FP-MU, FC), plus the fleet of
-// fleet_isolation_test, which mixes omegas and under-tagged thresholds
-// over one dataset and recovers all at once on the threaded manager.
+// The specs are the cross-path table's: one per strategy (RR, FP, MU,
+// FP-MU, FC), plus the mixed fleet, which mixes omegas and under-tagged
+// thresholds over one dataset and recovers all at once on the threaded
+// manager.
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
-#include <span>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/core/allocation.h"
-#include "src/core/post_stream.h"
 #include "src/persist/journal.h"
 #include "src/service/campaign_manager.h"
-#include "src/sim/dataset_prep.h"
-#include "src/sim/generator.h"
-#include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
 #include "src/util/random.h"
-#include "tests/testing/test_util.h"
-#include "tests/testing/report_bytes.h"
+#include "tests/testing/campaign_fixture.h"
 
 namespace incentag {
 namespace service {
 namespace {
 
 namespace fs = std::filesystem;
-using testing::ReportBytes;
+using testing::SameReport;
+using testing::Spec;
 using std::chrono::milliseconds;
-
-// One campaign's deterministic inputs.
-struct Spec {
-  std::string name;
-  std::string strategy;
-  core::EngineOptions options;
-  uint64_t seed = 0;
-};
 
 // End offset of every intact frame in a journal image.
 std::vector<size_t> FrameEnds(const std::string& bytes) {
@@ -73,26 +58,18 @@ bool HoldsSnapshot(const std::string& bytes) {
   return ends.size() > 1 && bytes[ends[0] + 8] == 4;
 }
 
-// Completes the first `limit` tasks inline and drops the rest, so the
-// campaign waits forever at a known point.
-class LimitedCompletionSource : public CompletionSource {
- public:
-  explicit LimitedCompletionSource(int64_t limit) : remaining_(limit) {}
-
-  bool SubmitTasks(const std::vector<TaskHandle>& tasks,
-                   const CompletionFn& done) override {
-    for (const TaskHandle& task : tasks) {
-      if (remaining_ > 0) {
-        --remaining_;
-        done(std::span<const TaskHandle>(&task, 1));
-      }
-    }
-    return true;
+// Intact completion records after the journal's last snapshot (or its
+// submit record): what a recovery replays.
+int64_t TailCompletions(const std::string& bytes) {
+  int64_t tail = 0;
+  persist::FrameCursor cursor(bytes);
+  while (cursor.Next()) {
+    const auto type = static_cast<persist::RecordType>(cursor.body()[0]);
+    if (type == persist::RecordType::kSnapshot) tail = 0;
+    if (type == persist::RecordType::kCompletion) ++tail;
   }
-
- private:
-  int64_t remaining_;
-};
+  return tail;
+}
 
 // A crash state: the journal's bytes, and the compaction rewrite left
 // beside it (empty: none).
@@ -102,77 +79,8 @@ struct Cut {
   std::string tmp;
 };
 
-class RecoveryCutTest : public ::testing::Test {
+class RecoveryCutTest : public testing::CampaignTest<60, 20261018> {
  protected:
-  static void SetUpTestSuite() {
-    sim::CorpusConfig config;
-    config.num_resources = 60;
-    config.seed = 20261018;
-    auto corpus = sim::Corpus::Generate(config);
-    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-    auto prep = sim::PrepareFromCorpus(corpus.value(), sim::PrepConfig{});
-    ASSERT_TRUE(prep.ok()) << prep.status().ToString();
-    dataset_ = new sim::PreparedDataset(std::move(prep).value());
-  }
-
-  static void TearDownTestSuite() {
-    delete dataset_;
-    dataset_ = nullptr;
-  }
-
-  void SetUp() override {
-    dir_ = incentag::testing::TempPath(
-        std::string("recovery_cut_test_") +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-  }
-
-  void TearDown() override { fs::remove_all(dir_); }
-
-  static util::Result<CampaignConfig> BuildConfig(
-      const std::string& name, const std::string& strategy,
-      const core::EngineOptions& options, uint64_t seed) {
-    CampaignConfig config;
-    config.name = name;
-    config.options = options;
-    config.initial_posts = &dataset_->initial_posts;
-    config.references = &dataset_->references;
-    config.seed = seed;
-    config.strategy = sim::MakeStrategyByName(strategy, dataset_->popularity,
-                                              seed, &config.context);
-    if (config.strategy == nullptr) {
-      return util::Status::InvalidArgument("unknown strategy " + strategy);
-    }
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset_->MakeStream());
-    return config;
-  }
-
-  static CampaignConfig MakeConfig(const Spec& spec) {
-    auto config =
-        BuildConfig(spec.name, spec.strategy, spec.options, spec.seed);
-    EXPECT_TRUE(config.ok()) << config.status().ToString();
-    return std::move(config).value();
-  }
-
-  static util::Result<CampaignConfig> Factory(
-      const persist::SubmitRecord& record) {
-    return BuildConfig(record.name, record.strategy_name, record.options,
-                       record.seed);
-  }
-
-  // The uninterrupted run: the deterministic manager, no journal.
-  static std::string Uninterrupted(const Spec& spec) {
-    ManagerOptions options;
-    options.deterministic = true;
-    CampaignManager manager(options);
-    auto id = manager.Submit(MakeConfig(spec));
-    EXPECT_TRUE(id.ok()) << id.status().ToString();
-    auto report = manager.Wait(id.value());
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return ReportBytes(report.value());
-  }
-
   // Runs every spec to the end in one deterministic journaled manager
   // (compacting every `compact_bytes` journal bytes; 0 = never) and returns
   // each finished journal's bytes, in `specs` order.
@@ -252,59 +160,16 @@ class RecoveryCutTest : public ::testing::Test {
     }
   }
 
-  static std::vector<Spec> StrategySpecs() {
-    std::vector<Spec> specs;
-    for (int kind = 0; kind < 5; ++kind) {
-      Spec spec;
-      spec.strategy = std::string(sim::StrategyNameForKind(kind));
-      spec.name = "strategy-" + spec.strategy;
-      spec.seed = 301 + static_cast<uint64_t>(kind);
-      spec.options.budget = 250 + 20 * kind;
-      spec.options.omega = 5;
-      spec.options.batch_size = kind % 2 == 0 ? 16 : 1;
-      spec.options.checkpoints = {spec.options.budget / 4,
-                                  spec.options.budget / 2,
-                                  spec.options.budget};
-      specs.push_back(std::move(spec));
-    }
-    return specs;
-  }
-
-  // fleet_isolation_test's fleet: four strategies x two budgets x two
-  // omegas, under-tagged thresholds alternating.
-  static std::vector<Spec> MixedFleet() {
-    constexpr std::string_view kStrategies[] = {"RR", "FP", "MU", "FP-MU"};
-    std::vector<Spec> specs;
-    for (int i = 0; i < 16; ++i) {
-      Spec spec;
-      spec.name = "fleet-" + std::to_string(i);
-      spec.strategy = std::string(kStrategies[i % 4]);
-      spec.options.budget = (i / 4) % 2 == 0 ? 150 : 600;
-      spec.options.omega = i < 8 ? 3 : 5;
-      spec.options.under_tagged_threshold = i % 2 == 0 ? 10 : 4;
-      spec.options.batch_size = 16;
-      spec.options.checkpoints = {0, spec.options.budget / 4,
-                                  spec.options.budget / 2,
-                                  spec.options.budget};
-      specs.push_back(std::move(spec));
-    }
-    return specs;
-  }
-
-  static sim::PreparedDataset* dataset_;
-  fs::path dir_;
 };
 
-sim::PreparedDataset* RecoveryCutTest::dataset_ = nullptr;
-
 TEST_F(RecoveryCutTest, EveryStrategyRecoversFromSeededCutPoints) {
-  const std::vector<Spec> specs = StrategySpecs();
+  const std::vector<Spec> specs = testing::StrategySpecs();
   const std::vector<std::string> plain = FinishedJournals(specs, 0);
   const std::vector<std::string> compacted =
       FinishedJournals(specs, 150 * persist::kFramedCompletionBytes);
   util::Rng rng(0x5EED2021);
   for (size_t s = 0; s < specs.size(); ++s) {
-    const std::string want = Uninterrupted(specs[s]);
+    const core::RunReport want = Uninterrupted(specs[s]);
     ASSERT_TRUE(HoldsSnapshot(compacted[s])) << specs[s].name;
     for (int kind = 0; kind < 8; ++kind) {
       const Cut cut = DrawCut(kind, plain[s], compacted[s], &rng);
@@ -326,7 +191,14 @@ TEST_F(RecoveryCutTest, EveryStrategyRecoversFromSeededCutPoints) {
       auto result = manager.WaitFor(ids.value()[0], milliseconds(10000));
       ASSERT_TRUE(result.ok()) << label;
       EXPECT_EQ(result.value().state, CampaignState::kDone) << label;
-      EXPECT_TRUE(ReportBytes(result.value().report) == want) << label;
+      EXPECT_TRUE(SameReport(want, result.value().report)) << label;
+      // Recovery replays exactly the tail after the snapshot, which is
+      // shorter than the whole trace.
+      const int64_t replayed = manager.Status(7).value().records_replayed;
+      EXPECT_EQ(replayed, TailCompletions(cut.journal)) << label;
+      if (HoldsSnapshot(cut.journal)) {
+        EXPECT_LT(replayed, TailCompletions(plain[s])) << label;
+      }
       EXPECT_FALSE(fs::exists(dir / "campaign-7.journal.compact.tmp"))
           << label;
     }
@@ -338,13 +210,13 @@ TEST_F(RecoveryCutTest, EveryStrategyRecoversFromSeededCutPoints) {
 // journal resumes to the uninterrupted report.
 TEST_F(RecoveryCutTest, CancelRecordIsTerminalAndACutBeforeItResumes) {
   util::Rng rng(0xCA9CE1);
-  for (const Spec& spec : StrategySpecs()) {
+  for (const Spec& spec : testing::StrategySpecs()) {
     const fs::path dir = dir_ / "live";
     fs::remove_all(dir);
     const int64_t applied = 40 + static_cast<int64_t>(rng.NextBounded(80));
-    std::string partial;
+    core::RunReport partial;
     {
-      LimitedCompletionSource source(applied);
+      testing::LimitedCompletionSource source(applied);
       ManagerOptions options;
       options.num_threads = 2;
       options.tasks_per_step = 8;
@@ -363,7 +235,7 @@ TEST_F(RecoveryCutTest, CancelRecordIsTerminalAndACutBeforeItResumes) {
       auto result = manager.WaitFor(id.value(), milliseconds(10000));
       ASSERT_TRUE(result.ok()) << spec.name;
       ASSERT_EQ(result.value().state, CampaignState::kCancelled) << spec.name;
-      partial = ReportBytes(result.value().report);
+      partial = result.value().report;
       manager.Shutdown();
     }
     auto bytes = util::ReadFileToString((dir / "campaign-1.journal").string());
@@ -396,8 +268,8 @@ TEST_F(RecoveryCutTest, CancelRecordIsTerminalAndACutBeforeItResumes) {
       EXPECT_EQ(result.value().state, cancelled ? CampaignState::kCancelled
                                                 : CampaignState::kDone)
           << label;
-      EXPECT_TRUE(ReportBytes(result.value().report) ==
-                  (cancelled ? partial : Uninterrupted(spec)))
+      EXPECT_TRUE(SameReport(cancelled ? partial : Uninterrupted(spec),
+                             result.value().report))
           << label;
     }
   }
@@ -406,14 +278,14 @@ TEST_F(RecoveryCutTest, CancelRecordIsTerminalAndACutBeforeItResumes) {
 // The mixed omega/threshold fleet, each journal cut at its own seeded
 // point and kind, recovered together on the threaded manager.
 TEST_F(RecoveryCutTest, MixedFleetRecoversFromSeededCutPoints) {
-  const std::vector<Spec> specs = MixedFleet();
+  const std::vector<Spec> specs = testing::MixedFleet();
   const std::vector<std::string> plain = FinishedJournals(specs, 0);
   const std::vector<std::string> compacted =
       FinishedJournals(specs, 48 * persist::kFramedCompletionBytes);
   for (size_t i = 0; i < specs.size(); ++i) {
     ASSERT_TRUE(HoldsSnapshot(compacted[i])) << specs[i].name;
   }
-  std::map<std::string, std::string> want;
+  std::map<std::string, core::RunReport> want;
   for (const Spec& spec : specs) want[spec.name] = Uninterrupted(spec);
 
   util::Rng rng(0xF1EE7);
@@ -443,8 +315,7 @@ TEST_F(RecoveryCutTest, MixedFleetRecoversFromSeededCutPoints) {
       ASSERT_TRUE(status.ok());
       const std::string& label = labels[status.value().name];
       EXPECT_EQ(result.value().state, CampaignState::kDone) << label;
-      EXPECT_TRUE(ReportBytes(result.value().report) ==
-                  want[status.value().name])
+      EXPECT_TRUE(SameReport(want[status.value().name], result.value().report))
           << label;
     }
   }

@@ -18,19 +18,13 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/allocation.h"
-#include "src/core/post_stream.h"
 #include "src/obs/metrics.h"
 #include "src/persist/journal.h"
 #include "src/service/campaign_manager.h"
-#include "src/sim/crowd.h"
-#include "src/sim/dataset_prep.h"
-#include "src/sim/generator.h"
 #include "src/sim/load_generator.h"
-#include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
 #include "src/util/random.h"
-#include "tests/testing/test_util.h"
+#include "tests/testing/campaign_fixture.h"
 
 namespace incentag {
 namespace service {
@@ -38,28 +32,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using std::chrono::milliseconds;
-
-// Completes the first `limit` tasks inline, then silently drops the rest
-// — the misbehaving-source scenario that used to wedge campaigns in
-// kRunning forever. Never reports itself closed.
-class LimitedCompletionSource : public CompletionSource {
- public:
-  explicit LimitedCompletionSource(int64_t limit) : remaining_(limit) {}
-
-  bool SubmitTasks(const std::vector<TaskHandle>& tasks,
-                   const CompletionFn& done) override {
-    for (const TaskHandle& task : tasks) {
-      if (remaining_ > 0) {
-        --remaining_;
-        done(std::span<const TaskHandle>(&task, 1));
-      }
-    }
-    return true;
-  }
-
- private:
-  int64_t remaining_;
-};
 
 // Inline source whose first SubmitTasks blocks until Release() — used to
 // pin the single pool worker so a second campaign provably queues.
@@ -89,132 +61,15 @@ class BlockingCompletionSource : public CompletionSource {
   bool released_ = false;
 };
 
-class RecoveryTest : public ::testing::Test {
+class RecoveryTest : public testing::CampaignTest<60, 20260729> {
  protected:
-  static void SetUpTestSuite() {
-    sim::CorpusConfig config;
-    config.num_resources = 60;
-    config.seed = 20260729;
-    auto corpus = sim::Corpus::Generate(config);
-    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-    corpus_ = new sim::Corpus(std::move(corpus).value());
-    auto prep = sim::PrepareFromCorpus(*corpus_, sim::PrepConfig{});
-    ASSERT_TRUE(prep.ok()) << prep.status().ToString();
-    dataset_ = new sim::PreparedDataset(std::move(prep).value());
-  }
-
-  static void TearDownTestSuite() {
-    delete dataset_;
-    delete corpus_;
-    dataset_ = nullptr;
-    corpus_ = nullptr;
-  }
-
-  void SetUp() override {
-    dir_ = incentag::testing::TempPath(
-        std::string("recovery_test_") +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
-  }
-
-  void TearDown() override { fs::remove_all(dir_); }
-
-  static core::EngineOptions MakeOptions(int kind, int64_t budget) {
-    core::EngineOptions options;
-    options.budget = budget;
-    options.omega = 5;
-    options.checkpoints = {budget / 4, budget / 2, budget};
-    options.batch_size = (kind % 3 == 0) ? 16 : 1;
-    return options;
-  }
-
-  static CampaignConfig MakeConfig(int kind, int64_t budget, uint64_t seed) {
-    CampaignConfig config;
-    config.name = "campaign-" + std::to_string(kind);
-    config.options = MakeOptions(kind, budget);
-    config.initial_posts = &dataset_->initial_posts;
-    config.references = &dataset_->references;
-    config.seed = seed;
-    config.strategy =
-        sim::MakeStrategyByName(sim::StrategyNameForKind(kind),
-                                dataset_->popularity, seed, &config.context);
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset_->MakeStream());
-    return config;
-  }
-
-  // The CampaignFactory handed to Recover: rebuilds dataset pointers,
-  // strategy and stream from the journaled SubmitRecord.
-  static util::Result<CampaignConfig> Factory(
-      const persist::SubmitRecord& record) {
-    CampaignConfig config;
-    config.name = record.name;
-    config.options = record.options;
-    config.initial_posts = &dataset_->initial_posts;
-    config.references = &dataset_->references;
-    config.seed = record.seed;
-    config.strategy =
-        sim::MakeStrategyByName(record.strategy_name, dataset_->popularity,
-                                record.seed, &config.context);
-    if (config.strategy == nullptr) {
-      return util::Status::InvalidArgument("unknown strategy " +
-                                           record.strategy_name);
-    }
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset_->MakeStream());
-    return config;
-  }
-
-  // Uninterrupted ground truth for the same campaign parameters.
-  static core::RunReport RunSequential(int kind, int64_t budget,
-                                       uint64_t seed) {
-    std::shared_ptr<void> context;
-    auto strategy =
-        sim::MakeStrategyByName(sim::StrategyNameForKind(kind),
-                                dataset_->popularity, seed, &context);
-    core::AllocationEngine engine(MakeOptions(kind, budget),
-                                  &dataset_->initial_posts,
-                                  &dataset_->references);
-    core::VectorPostStream stream = dataset_->MakeStream();
-    auto report = engine.Run(strategy.get(), &stream);
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
-  }
-
-  static void ExpectReportsEqual(const core::RunReport& want,
-                                 const core::RunReport& got,
-                                 const std::string& label) {
-    EXPECT_EQ(want.strategy_name, got.strategy_name) << label;
-    EXPECT_EQ(want.allocation, got.allocation) << label;
-    EXPECT_EQ(want.budget_spent, got.budget_spent) << label;
-    EXPECT_EQ(want.stopped_early, got.stopped_early) << label;
-    ASSERT_EQ(want.checkpoints.size(), got.checkpoints.size()) << label;
-    for (size_t i = 0; i < want.checkpoints.size(); ++i) {
-      ExpectMetricsEqual(want.checkpoints[i], got.checkpoints[i],
-                         label + " checkpoint " + std::to_string(i));
-    }
-    ExpectMetricsEqual(want.final_metrics, got.final_metrics,
-                       label + " final");
-  }
-
-  static void ExpectMetricsEqual(const core::AllocationMetrics& want,
-                                 const core::AllocationMetrics& got,
-                                 const std::string& label) {
-    EXPECT_EQ(want.budget_used, got.budget_used) << label;
-    EXPECT_EQ(want.avg_quality, got.avg_quality) << label;
-    EXPECT_EQ(want.over_tagged, got.over_tagged) << label;
-    EXPECT_EQ(want.wasted_posts, got.wasted_posts) << label;
-    EXPECT_EQ(want.under_tagged, got.under_tagged) << label;
-  }
-
   // Runs campaign `kind` against a source that completes only
   // `kill_after` tasks, so the campaign wedges mid-run; tears the
   // manager down (the "kill"), leaving a journal whose trace ends
   // mid-campaign. Returns the journal directory.
   void KillMidRun(int kind, int64_t budget, uint64_t seed,
                   int64_t kill_after) {
-    LimitedCompletionSource source(kill_after);
+    testing::LimitedCompletionSource source(kill_after);
     ManagerOptions options;
     options.num_threads = 2;
     options.tasks_per_step = 8;
@@ -264,7 +119,7 @@ class RecoveryTest : public ::testing::Test {
     auto [it, inserted] = stores_.try_emplace(drop);
     if (inserted) {
       core::PostStore::Builder store;
-      for (core::PostSequence sequence : dataset_->future_posts) {
+      for (core::PostSequence sequence : dataset().future_posts) {
         store.AddPosts(sequence.size() > drop
                            ? sequence.Slice(drop, sequence.size())
                            : sequence);
@@ -275,42 +130,13 @@ class RecoveryTest : public ::testing::Test {
     return &it->second;
   }
 
-  static sim::Corpus* corpus_;
-  static sim::PreparedDataset* dataset_;
-  fs::path dir_;
   std::map<size_t, core::PostStore> stores_;
 };
 
-sim::Corpus* RecoveryTest::corpus_ = nullptr;
-sim::PreparedDataset* RecoveryTest::dataset_ = nullptr;
-
-// The acceptance test: kill after N completions -> Recover -> report
-// byte-identical to the uninterrupted deterministic run, for every
-// strategy kind.
-TEST_F(RecoveryTest, KillAndRecoverMatchesUninterruptedRun) {
-  for (int kind = 0; kind < 5; ++kind) {
-    const int64_t budget = 220 + 30 * kind;
-    const uint64_t seed = 77 + static_cast<uint64_t>(kind);
-    KillMidRun(kind, budget, seed, /*kill_after=*/budget / 3);
-
-    ManagerOptions options;
-    options.deterministic = true;
-    CampaignManager recovered(options);
-    auto ids = recovered.Recover(dir_.string(), Factory);
-    ASSERT_TRUE(ids.ok()) << ids.status().ToString();
-    ASSERT_EQ(ids.value().size(), 1u) << "kind " << kind;
-    auto report = recovered.Wait(ids.value()[0]);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ExpectReportsEqual(RunSequential(kind, budget, seed), report.value(),
-                       "kind " + std::to_string(kind));
-    fs::remove_all(dir_);
-    ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
-  }
-}
-
-// Same kill, but the fresh manager resumes the campaign *live* on its
-// thread pool with inline completions — recovery is not limited to
-// deterministic mode.
+// A kill after N completions, recovered by a fresh manager that resumes
+// the campaign *live* on its thread pool with inline completions:
+// recovery is not limited to deterministic mode. (Every strategy's
+// journal, cut at seeded points and recovered, is recovery_cut_test.)
 TEST_F(RecoveryTest, RecoverContinuesLiveOnThreadPool) {
   const int kind = 1;
   const int64_t budget = 400;
@@ -327,8 +153,8 @@ TEST_F(RecoveryTest, RecoverContinuesLiveOnThreadPool) {
   auto result = recovered.WaitFor(ids.value()[0], milliseconds(10000));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().state, CampaignState::kDone);
-  ExpectReportsEqual(RunSequential(kind, budget, seed),
-                     result.value().report, "live recovery");
+  EXPECT_TRUE(testing::SameReport(Uninterrupted(kind, budget, seed),
+                                  result.value().report)) << "live recovery";
 
   // The resumed journal now records the full campaign: a second recovery
   // replays it end-to-end to the same report again.
@@ -341,8 +167,9 @@ TEST_F(RecoveryTest, RecoverContinuesLiveOnThreadPool) {
   ASSERT_EQ(ids2.value().size(), 1u);
   auto report2 = again.Wait(ids2.value()[0]);
   ASSERT_TRUE(report2.ok());
-  ExpectReportsEqual(RunSequential(kind, budget, seed), report2.value(),
-                     "second recovery");
+  EXPECT_TRUE(
+      testing::SameReport(Uninterrupted(kind, budget, seed), report2.value()))
+      << "second recovery";
 }
 
 // Recovered campaigns keep their pre-crash ids, and a Submit into the
@@ -395,8 +222,8 @@ TEST_F(RecoveryTest, RecoveredIdsAreStableAndNewSubmitsDoNotCollide) {
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_EQ(r1.value().state, CampaignState::kDone);
   EXPECT_EQ(r2.value().state, CampaignState::kDone);
-  ExpectReportsEqual(RunSequential(kind, budget, seed),
-                     r1.value().report, "recovered");
+  EXPECT_TRUE(testing::SameReport(Uninterrupted(kind, budget, seed),
+                                  r1.value().report)) << "recovered";
   manager.Shutdown();
 
   // Both journals intact and complete after the mixed run.
@@ -513,8 +340,9 @@ TEST_F(RecoveryTest, MidJournalCorruptionAbortsRecoveryOfEveryJournal) {
     const std::string label = "kind " + std::to_string(run.kind);
     auto report = manager.Wait(ids.value()[k]);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ExpectReportsEqual(RunSequential(run.kind, run.budget, run.seed),
-                       report.value(), label);
+    EXPECT_TRUE(testing::SameReport(
+        Uninterrupted(run.kind, run.budget, run.seed), report.value()))
+        << label;
     auto status = manager.Status(ids.value()[k]);
     ASSERT_TRUE(status.ok());
     EXPECT_GT(status.value().records_replayed, 0) << label;
@@ -547,9 +375,9 @@ TEST_F(RecoveryTest, RecoverBuildsEachTrajectoryTableOnce) {
     auto result = recovered.WaitFor(ids.value()[k], milliseconds(1));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result.value().state, CampaignState::kDone);
-    ExpectReportsEqual(RunSequential(run.kind, run.budget, run.seed),
-                       result.value().report,
-                       "kind " + std::to_string(run.kind));
+    EXPECT_TRUE(testing::SameReport(
+        Uninterrupted(run.kind, run.budget, run.seed), result.value().report))
+        << "kind " << run.kind;
   }
   // Every campaign is done, so the table went with Recover's pin.
   EXPECT_EQ(recovered.num_initial_states(), 0u);
@@ -581,9 +409,9 @@ TEST_F(RecoveryTest, RecoverCallsTheFactoryOncePerJournal) {
     auto result = recovered.WaitFor(ids.value()[k], milliseconds(10000));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result.value().state, CampaignState::kDone);
-    ExpectReportsEqual(RunSequential(run.kind, run.budget, run.seed),
-                       result.value().report,
-                       "kind " + std::to_string(run.kind));
+    EXPECT_TRUE(testing::SameReport(
+        Uninterrupted(run.kind, run.budget, run.seed), result.value().report))
+        << "kind " << run.kind;
   }
 }
 
@@ -632,20 +460,20 @@ TEST_F(RecoveryTest, RecoverPinsOneTablePerBorrowedStore) {
   for (size_t k = 0; k < runs.size(); ++k) {
     const Run& run = runs[k];
     std::shared_ptr<void> context;
-    auto strategy =
-        sim::MakeStrategyByName(sim::StrategyNameForKind(run.kind),
-                                dataset_->popularity, run.seed, &context);
-    core::AllocationEngine engine(MakeOptions(run.kind, run.budget),
-                                  &dataset_->initial_posts,
-                                  &dataset_->references);
+    const testing::Spec spec =
+        testing::KindSpec(run.kind, run.budget, run.seed);
+    auto strategy = sim::MakeStrategyByName(
+        spec.strategy, dataset().popularity, spec.seed, &context);
+    core::AllocationEngine engine(spec.options, &dataset().initial_posts,
+                                  &dataset().references);
     core::VectorPostStream stream(StoreFor(run.seed));
     auto want = engine.Run(strategy.get(), &stream);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     auto result = recovered.WaitFor(ids.value()[k], milliseconds(1));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result.value().state, CampaignState::kDone);
-    ExpectReportsEqual(want.value(), result.value().report,
-                       "kind " + std::to_string(run.kind));
+    EXPECT_TRUE(testing::SameReport(want.value(), result.value().report))
+        << "kind " << run.kind;
   }
 }
 
@@ -674,8 +502,9 @@ TEST_F(RecoveryTest, RecoveryToleratesTornJournalTail) {
   ASSERT_EQ(ids.value().size(), 1u);
   auto report = recovered.Wait(ids.value()[0]);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ExpectReportsEqual(RunSequential(kind, budget, seed), report.value(),
-                     "torn tail");
+  EXPECT_TRUE(
+      testing::SameReport(Uninterrupted(kind, budget, seed), report.value()))
+      << "torn tail";
 
   // An empty journal (crash before the submit fsync) is skipped, not an
   // error, and does not disturb other journals in the directory.
@@ -698,7 +527,7 @@ TEST_F(RecoveryTest, KillDuringBatchAppendRecoversByteIdentically) {
   const int kind = 0;
   const int64_t budget = 300;
   const uint64_t seed = 9;
-  const core::RunReport want = RunSequential(kind, budget, seed);
+  const core::RunReport want = Uninterrupted(kind, budget, seed);
   KillMidRun(kind, budget, seed, /*kill_after=*/100);
 
   auto files = util::ListDirFiles(dir_.string(), ".journal");
@@ -725,8 +554,8 @@ TEST_F(RecoveryTest, KillDuringBatchAppendRecoversByteIdentically) {
     ASSERT_EQ(ids.value().size(), 1u);
     auto report = recovered.Wait(ids.value()[0]);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ExpectReportsEqual(want, report.value(),
-                       "torn batch, cut " + std::to_string(back));
+    EXPECT_TRUE(testing::SameReport(want, report.value()))
+        << "torn batch, cut " << back;
   }
 }
 
@@ -765,7 +594,7 @@ TEST_F(RecoveryTest, CancelledCampaignStaysCancelledAcrossRecovery) {
   const int64_t budget = 100000;
   const uint64_t seed = 4;
   {
-    LimitedCompletionSource source(50);
+    testing::LimitedCompletionSource source(50);
     ManagerOptions options;
     options.num_threads = 2;
     options.completions = &source;
@@ -860,8 +689,9 @@ TEST_F(RecoveryTest, EmptyLegacyCommitLogIsRemoved) {
   ASSERT_EQ(ids.value().size(), 1u);
   auto report = recovered.Wait(ids.value()[0]);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ExpectReportsEqual(RunSequential(kind, budget, seed), report.value(),
-                     "recovered past an empty legacy log");
+  EXPECT_TRUE(
+      testing::SameReport(Uninterrupted(kind, budget, seed), report.value()))
+      << "recovered past an empty legacy log";
 
   const fs::path fresh = dir_ / "fresh";
   ASSERT_TRUE(util::CreateDirectories(fresh.string()).ok());
@@ -931,7 +761,7 @@ TEST_F(RecoveryTest, CancelBeforeFirstStepSynthesizesReport) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().state, CampaignState::kCancelled);
   EXPECT_EQ(result.value().report.strategy_name, "FP");
-  EXPECT_EQ(result.value().report.allocation.size(), dataset_->size());
+  EXPECT_EQ(result.value().report.allocation.size(), dataset().size());
   EXPECT_EQ(result.value().report.budget_spent, 0);
   EXPECT_TRUE(result.value().report.stopped_early);
 

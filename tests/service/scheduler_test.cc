@@ -21,17 +21,12 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/allocation.h"
-#include "src/core/post_stream.h"
 #include "src/persist/journal.h"
 #include "src/service/campaign_manager.h"
 #include "src/service/scheduler/scheduler.h"
-#include "src/sim/dataset_prep.h"
-#include "src/sim/generator.h"
-#include "src/sim/strategy_factory.h"
 #include "src/util/file_io.h"
 #include "src/util/wire.h"
-#include "tests/testing/test_util.h"
+#include "tests/testing/campaign_fixture.h"
 
 namespace incentag {
 namespace service {
@@ -410,193 +405,26 @@ TEST(SchedulerTest, ParsePolicyNames) {
 
 // ---- service-level properties ------------------------------------------
 
-class SchedulerServiceTest : public ::testing::Test {
+class SchedulerServiceTest : public testing::CampaignTest<50, 20260729> {
  protected:
-  static void SetUpTestSuite() {
-    sim::CorpusConfig config;
-    config.num_resources = 50;
-    config.seed = 20260729;
-    auto corpus = sim::Corpus::Generate(config);
-    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-    corpus_ = new sim::Corpus(std::move(corpus).value());
-    auto prep = sim::PrepareFromCorpus(*corpus_, sim::PrepConfig{});
-    ASSERT_TRUE(prep.ok()) << prep.status().ToString();
-    dataset_ = new sim::PreparedDataset(std::move(prep).value());
-  }
-
-  static void TearDownTestSuite() {
-    delete dataset_;
-    delete corpus_;
-    dataset_ = nullptr;
-    corpus_ = nullptr;
-  }
-
-  void SetUp() override {
-    dir_ = incentag::testing::TempPath(
-        std::string("scheduler_test_") +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    ASSERT_TRUE(util::CreateDirectories(dir_.string()).ok());
-  }
-
-  void TearDown() override { fs::remove_all(dir_); }
-
-  static core::EngineOptions MakeOptions(int kind, int64_t budget) {
-    core::EngineOptions options;
-    options.budget = budget;
-    options.omega = 5;
-    options.checkpoints = {budget / 2, budget};
-    options.batch_size = (kind % 3 == 0) ? 8 : 1;
-    return options;
+  // testing::KindSpec with checkpoints at half and all of the budget and
+  // batches of 8.
+  static testing::Spec KindSpec(int kind, int64_t budget, uint64_t seed) {
+    testing::Spec spec = testing::KindSpec(kind, budget, seed);
+    spec.options.checkpoints = {budget / 2, budget};
+    spec.options.batch_size = (kind % 3 == 0) ? 8 : 1;
+    return spec;
   }
 
   static CampaignConfig MakeConfig(int kind, int64_t budget, uint64_t seed) {
-    CampaignConfig config;
-    config.name = "campaign-" + std::to_string(kind);
-    config.options = MakeOptions(kind, budget);
-    config.initial_posts = &dataset_->initial_posts;
-    config.references = &dataset_->references;
-    config.seed = seed;
-    config.strategy =
-        sim::MakeStrategyByName(sim::StrategyNameForKind(kind),
-                                dataset_->popularity, seed, &config.context);
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset_->MakeStream());
-    return config;
-  }
-
-  static util::Result<CampaignConfig> Factory(
-      const persist::SubmitRecord& record) {
-    CampaignConfig config;
-    config.name = record.name;
-    config.options = record.options;
-    config.initial_posts = &dataset_->initial_posts;
-    config.references = &dataset_->references;
-    config.seed = record.seed;
-    config.strategy =
-        sim::MakeStrategyByName(record.strategy_name, dataset_->popularity,
-                                record.seed, &config.context);
-    if (config.strategy == nullptr) {
-      return util::Status::InvalidArgument("unknown strategy " +
-                                           record.strategy_name);
-    }
-    config.stream =
-        std::make_unique<core::VectorPostStream>(dataset_->MakeStream());
-    return config;
+    return CampaignTest::MakeConfig(KindSpec(kind, budget, seed));
   }
 
   static core::RunReport RunSequential(int kind, int64_t budget,
                                        uint64_t seed) {
-    std::shared_ptr<void> context;
-    auto strategy =
-        sim::MakeStrategyByName(sim::StrategyNameForKind(kind),
-                                dataset_->popularity, seed, &context);
-    core::AllocationEngine engine(MakeOptions(kind, budget),
-                                  &dataset_->initial_posts,
-                                  &dataset_->references);
-    core::VectorPostStream stream = dataset_->MakeStream();
-    auto report = engine.Run(strategy.get(), &stream);
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
+    return Uninterrupted(KindSpec(kind, budget, seed));
   }
-
-  static void ExpectReportsEqual(const core::RunReport& want,
-                                 const core::RunReport& got,
-                                 const std::string& label) {
-    EXPECT_EQ(want.strategy_name, got.strategy_name) << label;
-    EXPECT_EQ(want.allocation, got.allocation) << label;
-    EXPECT_EQ(want.budget_spent, got.budget_spent) << label;
-    EXPECT_EQ(want.stopped_early, got.stopped_early) << label;
-    ASSERT_EQ(want.checkpoints.size(), got.checkpoints.size()) << label;
-    for (size_t i = 0; i < want.checkpoints.size(); ++i) {
-      EXPECT_EQ(want.checkpoints[i].budget_used,
-                got.checkpoints[i].budget_used)
-          << label;
-      EXPECT_EQ(want.checkpoints[i].avg_quality,
-                got.checkpoints[i].avg_quality)
-          << label;
-    }
-    EXPECT_EQ(want.final_metrics.avg_quality, got.final_metrics.avg_quality)
-        << label;
-    EXPECT_EQ(want.final_metrics.wasted_posts,
-              got.final_metrics.wasted_posts)
-        << label;
-  }
-
-  static constexpr SchedulerPolicy kAllPolicies[] = {
-      SchedulerPolicy::kRoundRobin,
-      SchedulerPolicy::kPriority,
-      SchedulerPolicy::kDeadline,
-  };
-
-  static sim::Corpus* corpus_;
-  static sim::PreparedDataset* dataset_;
-  fs::path dir_;
 };
-
-sim::Corpus* SchedulerServiceTest::corpus_ = nullptr;
-sim::PreparedDataset* SchedulerServiceTest::dataset_ = nullptr;
-constexpr SchedulerPolicy SchedulerServiceTest::kAllPolicies[];
-
-// Deterministic mode drives each campaign to the end inside Submit: the
-// calling thread pops the scheduler's ready queue and runs Step until the
-// campaign is terminal. With one campaign queued at a time the policy has
-// nothing to reorder, so reports must stay byte-identical to
-// AllocationEngine::Run under EVERY policy.
-TEST_F(SchedulerServiceTest, DeterministicModeMatchesEngineUnderEveryPolicy) {
-  for (SchedulerPolicy policy : kAllPolicies) {
-    ManagerOptions options;
-    options.deterministic = true;
-    options.scheduler.policy = policy;
-    CampaignManager manager(options);
-    for (int kind = 0; kind < 4; ++kind) {
-      const int64_t budget = 120 + 20 * kind;
-      CampaignConfig config = MakeConfig(kind, budget, 11);
-      config.options.priority = 1 + kind;
-      config.options.deadline_seconds = kind % 2 == 0 ? 0.0 : 60.0;
-      auto id = manager.Submit(std::move(config));
-      ASSERT_TRUE(id.ok()) << id.status().ToString();
-      auto report = manager.Wait(id.value());
-      ASSERT_TRUE(report.ok()) << report.status().ToString();
-      // The sequential ground truth ignores scheduling fields entirely.
-      ExpectReportsEqual(RunSequential(kind, budget, 11), report.value(),
-                         std::string(SchedulerPolicyName(policy)) + "/kind" +
-                             std::to_string(kind));
-    }
-  }
-}
-
-// Threaded mode: scheduling reorders which campaign steps when, but a
-// campaign's own completions still apply in assignment order — results
-// must equal the sequential engine under every policy.
-TEST_F(SchedulerServiceTest, ConcurrentFleetMatchesEngineUnderEveryPolicy) {
-  for (SchedulerPolicy policy : kAllPolicies) {
-    ManagerOptions options;
-    options.num_threads = 3;
-    options.tasks_per_step = 8;
-    options.scheduler.policy = policy;
-    CampaignManager manager(options);
-    std::vector<CampaignId> ids;
-    for (int kind = 0; kind < 6; ++kind) {
-      CampaignConfig config = MakeConfig(kind, 150 + 10 * kind, 23);
-      config.options.priority = 1 + (kind % 3) * 4;
-      config.options.deadline_seconds = kind % 2 == 0 ? 0.5 : 0.0;
-      auto id = manager.Submit(std::move(config));
-      ASSERT_TRUE(id.ok()) << id.status().ToString();
-      ids.push_back(id.value());
-    }
-    for (int kind = 0; kind < 6; ++kind) {
-      auto result = manager.WaitFor(ids[kind], milliseconds(20000));
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ASSERT_EQ(result.value().state, CampaignState::kDone);
-      ExpectReportsEqual(RunSequential(kind, 150 + 10 * kind, 23),
-                         result.value().report,
-                         std::string(SchedulerPolicyName(policy)) + "/kind" +
-                             std::to_string(kind));
-    }
-    manager.Shutdown();
-  }
-}
 
 // The acceptance property for aging: a priority-1 campaign competing
 // with a fleet of priority-100 campaigns on one worker thread must still
@@ -626,8 +454,8 @@ TEST_F(SchedulerServiceTest, LowPriorityCampaignFinishesUnderSustainedLoad) {
   auto result = manager.WaitFor(low_id.value(), milliseconds(30000));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().state, CampaignState::kDone);
-  ExpectReportsEqual(RunSequential(1, 200, 31), result.value().report,
-                     "low-priority");
+  EXPECT_TRUE(testing::SameReport(RunSequential(1, 200, 31),
+                                  result.value().report));
   auto status = manager.Status(low_id.value());
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status.value().priority, 1);
@@ -673,21 +501,7 @@ TEST_F(SchedulerServiceTest, SchedulingClassSurvivesKillAndRecover) {
   const uint64_t seed = 17;
   {
     // Wedge mid-run: a source that completes only half the tasks.
-    class HalfSource : public CompletionSource {
-     public:
-      bool SubmitTasks(const std::vector<TaskHandle>& tasks,
-                       const CompletionFn& done) override {
-        for (const TaskHandle& task : tasks) {
-          if (remaining_ > 0) {
-            --remaining_;
-            done(std::span<const TaskHandle>(&task, 1));
-          }
-        }
-        return true;
-      }
-      int64_t remaining_ = 100;
-    };
-    HalfSource source;
+    testing::LimitedCompletionSource source(100);
     ManagerOptions options;
     options.num_threads = 2;
     options.tasks_per_step = 8;
@@ -723,8 +537,8 @@ TEST_F(SchedulerServiceTest, SchedulingClassSurvivesKillAndRecover) {
   ASSERT_EQ(ids.value().size(), 1u);
   auto report = recovered.Wait(ids.value()[0]);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ExpectReportsEqual(RunSequential(kind, budget, seed), report.value(),
-                     "recovered");
+  EXPECT_TRUE(
+      testing::SameReport(RunSequential(kind, budget, seed), report.value()));
   auto status = recovered.Status(ids.value()[0]);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status.value().priority, 7);
