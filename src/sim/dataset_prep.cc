@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -42,9 +43,9 @@ struct SampledYear {
   }
 };
 
-// Samples posts [begin, end) of resource i and frees each `Post` once its
-// tags are copied out. With `stability`, a detector reads the posts until
-// it reports stable.
+// Samples posts [begin, end) of resource i straight into the year's tag
+// buffer. With `stability`, a detector reads the posts until it reports
+// stable.
 SampledYear SampleFlat(const Corpus& corpus, core::ResourceId i,
                        int64_t begin, int64_t end,
                        const core::StabilityParams* stability) {
@@ -54,10 +55,12 @@ SampledYear SampleFlat(const Corpus& corpus, core::ResourceId i,
   std::optional<core::StabilityDetector> detector;
   if (stability != nullptr) detector.emplace(*stability);
   for (int64_t k = begin; k < end; ++k) {
-    const core::Post post = corpus.SamplePost(i, k);
-    year.tags.insert(year.tags.end(), post.tags.begin(), post.tags.end());
+    const size_t first = year.tags.size();
+    corpus.AppendPostTags(i, k, &year.tags);
     year.bounds.push_back(static_cast<uint32_t>(year.tags.size()));
-    if (detector && !detector->IsStable()) detector->AddPost(post);
+    if (detector && !detector->IsStable()) {
+      detector->AddPost(std::span<const core::TagId>(year.tags).subspan(first));
+    }
   }
   if (!detector) return year;
   // An unstable year is dropped: keep none of its posts.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 
 namespace incentag {
 namespace sim {
@@ -231,6 +232,13 @@ void Corpus::BuildResource(CategoryId primary, CategoryId secondary,
 }
 
 core::Post Corpus::SamplePost(core::ResourceId i, int64_t k) const {
+  core::Post post;
+  AppendPostTags(i, k, &post.tags);
+  return post;
+}
+
+void Corpus::AppendPostTags(core::ResourceId i, int64_t k,
+                            std::vector<core::TagId>* tags) const {
   assert(i < resources_.size());
   assert(k >= 0);
   const ResourceInfo& info = resources_[i];
@@ -252,20 +260,20 @@ core::Post Corpus::SamplePost(core::ResourceId i, int64_t k) const {
 
   const size_t want =
       std::min(dist.size(), 1 + post_size_sampler_->Sample(&rng));
-  std::vector<core::TagId> tags;
-  tags.reserve(want);
+  const auto first = static_cast<std::ptrdiff_t>(tags->size());
   // Sample without replacement by rejection; bounded attempts keep the
   // sampler deterministic-time even for degenerate distributions.
   const size_t max_attempts = 8 * want + 8;
-  for (size_t attempt = 0; attempt < max_attempts && tags.size() < want;
+  for (size_t attempt = 0, drawn = 0; attempt < max_attempts && drawn < want;
        ++attempt) {
     core::TagId tag = dist[sampler.Sample(&rng)].first;
-    if (std::find(tags.begin(), tags.end(), tag) == tags.end()) {
-      tags.push_back(tag);
+    if (std::find(tags->begin() + first, tags->end(), tag) == tags->end()) {
+      tags->push_back(tag);
+      ++drawn;
     }
   }
-  assert(!tags.empty());
-  return core::Post::FromTags(std::move(tags));
+  assert(tags->size() > static_cast<size_t>(first));
+  std::sort(tags->begin() + first, tags->end());
 }
 
 std::vector<core::Post> Corpus::MaterializeSequence(core::ResourceId i,

@@ -113,6 +113,11 @@ class Corpus {
   // The k-th (0-based) post of resource i. Deterministic in (seed, i, k).
   core::Post SamplePost(core::ResourceId i, int64_t k) const;
 
+  // Appends the tags of SamplePost(i, k), sorted and distinct, to `tags`:
+  // the same post without a vector of its own.
+  void AppendPostTags(core::ResourceId i, int64_t k,
+                      std::vector<core::TagId>* tags) const;
+
   // Materialises posts 0..count-1 of resource i.
   std::vector<core::Post> MaterializeSequence(core::ResourceId i,
                                               int64_t count) const;
