@@ -14,42 +14,23 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 
-#include "src/core/post_stream.h"
 #include "src/service/campaign_manager.h"
-#include "src/sim/dataset_prep.h"
-#include "src/sim/generator.h"
-#include "src/sim/strategy_factory.h"
 #include "src/util/logging.h"
+#include "tests/testing/campaign_spec.h"
 
 namespace {
 
 namespace fs = std::filesystem;
 using incentag::service::CampaignConfig;
 
-// A small dataset, built once per process.
-const incentag::sim::PreparedDataset& Dataset() {
-  static const incentag::sim::PreparedDataset* dataset = [] {
-    incentag::sim::CorpusConfig config;
-    config.num_resources = 24;
-    config.seed = 20261020;
-    auto corpus = incentag::sim::Corpus::Generate(config);
-    INCENTAG_CHECK(corpus.ok());
-    auto prep = incentag::sim::PrepareFromCorpus(corpus.value(),
-                                                 incentag::sim::PrepConfig{});
-    INCENTAG_CHECK(prep.ok());
-    return new incentag::sim::PreparedDataset(std::move(prep).value());
-  }();
-  return *dataset;
-}
-
 }  // namespace
 
-// Rebuilds a campaign over Dataset() from its submit record. Journals the
-// fuzzer invents can ask for anything, so the factory refuses campaigns
-// outside a small envelope (as a service would refuse a bad submit).
+// Rebuilds a campaign over a small dataset from its submit record.
+// Journals the fuzzer invents can ask for anything, so the factory refuses
+// campaigns outside a small envelope (as a service would refuse a bad
+// submit).
 incentag::util::Result<CampaignConfig> RecoverFuzzFactory(
     const incentag::persist::SubmitRecord& record) {
   const incentag::core::EngineOptions& options = record.options;
@@ -62,21 +43,9 @@ incentag::util::Result<CampaignConfig> RecoverFuzzFactory(
         options.checkpoints.back() > options.budget))) {
     return incentag::util::Status::InvalidArgument("outside the envelope");
   }
-  const incentag::sim::PreparedDataset& dataset = Dataset();
-  CampaignConfig config;
-  config.name = record.name;
-  config.options = options;
-  config.initial_posts = &dataset.initial_posts;
-  config.references = &dataset.references;
-  config.seed = record.seed;
-  config.strategy = incentag::sim::MakeStrategyByName(
-      record.strategy_name, dataset.popularity, record.seed, &config.context);
-  if (config.strategy == nullptr) {
-    return incentag::util::Status::InvalidArgument("unknown strategy");
-  }
-  config.stream = std::make_unique<incentag::core::VectorPostStream>(
-      dataset.MakeStream());
-  return config;
+  return incentag::testing::BuildConfig(
+      incentag::testing::Dataset(24, 20261020),
+      incentag::testing::SpecOf(record));
 }
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
