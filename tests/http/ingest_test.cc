@@ -7,7 +7,6 @@
 // (malformed body, oversized body, unknown campaign) over a real socket.
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,7 +27,6 @@ namespace incentag {
 namespace http {
 namespace {
 
-namespace fs = std::filesystem;
 using std::chrono::milliseconds;
 using util::json::Value;
 

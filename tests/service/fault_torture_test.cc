@@ -9,7 +9,6 @@
 // run.
 #include <cerrno>
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,7 +30,6 @@ namespace incentag {
 namespace service {
 namespace {
 
-namespace fs = std::filesystem;
 using std::chrono::milliseconds;
 
 #if !INCENTAG_FAILPOINTS

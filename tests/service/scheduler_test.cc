@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <filesystem>
 #include <fstream>
 #include <thread>
 #include <memory>
@@ -32,7 +31,6 @@ namespace incentag {
 namespace service {
 namespace {
 
-namespace fs = std::filesystem;
 using std::chrono::milliseconds;
 
 // ---- policy unit tests -------------------------------------------------
