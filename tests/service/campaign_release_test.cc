@@ -9,6 +9,7 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -28,7 +29,7 @@ namespace service {
 namespace {
 
 namespace fs = std::filesystem;
-using testing::ReportBytes;
+using testing::SameReport;
 using std::chrono::milliseconds;
 
 std::atomic<int> g_live_strategies{0};
@@ -147,11 +148,6 @@ class CampaignReleaseTest : public testing::CampaignTest<60, 20261019> {
     return Counted(CampaignTest::Factory(record));
   }
 
-  // The uninterrupted run, straight through the engine.
-  static std::string Reference(int kind, int64_t budget) {
-    return ReportBytes(Uninterrupted(KindSpec(kind, budget)));
-  }
-
   static void ExpectSameStatus(const CampaignStatus& a,
                                const CampaignStatus& b) {
     EXPECT_EQ(a.id, b.id);
@@ -201,8 +197,7 @@ class CampaignReleaseTest : public testing::CampaignTest<60, 20261019> {
       return;
     }
     ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(ReportBytes(report.value()),
-              ReportBytes(result.value().report));
+    EXPECT_TRUE(SameReport(report.value(), result.value().report));
     EXPECT_EQ(s.budget_spent, report.value().budget_spent);
     EXPECT_EQ(s.metrics.avg_quality,
               report.value().final_metrics.avg_quality);
@@ -218,7 +213,7 @@ TEST_F(CampaignReleaseTest, TerminalCampaignsKeepOnlyTheirReports) {
   // Campaigns 3, 8, 13 and 18 fail: their source reports itself closed.
   RefusingSource source({3, 8, 13, 18});
   const int fds_before = OpenFds();
-  std::vector<std::string> done_reports(kCampaigns + 1);
+  std::vector<std::optional<core::RunReport>> done_reports(kCampaigns + 1);
   {
     ManagerOptions options;
     options.num_threads = 3;
@@ -251,9 +246,10 @@ TEST_F(CampaignReleaseTest, TerminalCampaignsKeepOnlyTheirReports) {
         EXPECT_EQ(status.state, CampaignState::kCancelled) << id;
       } else {
         ASSERT_EQ(status.state, CampaignState::kDone) << id;
-        const std::string got = ReportBytes(manager.Wait(id).value());
-        EXPECT_EQ(got, Reference(i % 5, 120 + 10 * i)) << id;
-        done_reports[id] = got;
+        done_reports[id] = manager.Wait(id).value();
+        EXPECT_TRUE(SameReport(Uninterrupted(KindSpec(i % 5, 120 + 10 * i)),
+                               *done_reports[id]))
+            << id;
       }
     }
     // A compaction still running on a finished journal releases its
@@ -280,8 +276,8 @@ TEST_F(CampaignReleaseTest, TerminalCampaignsKeepOnlyTheirReports) {
   EXPECT_EQ(OpenFds(), fds_before) << "recovered journals left open";
   for (CampaignId id : ids.value()) {
     ExpectTerminalReadsAgree(recovered, id);
-    if (!done_reports[id].empty()) {
-      EXPECT_EQ(ReportBytes(recovered.Wait(id).value()), done_reports[id])
+    if (done_reports[id]) {
+      EXPECT_TRUE(SameReport(*done_reports[id], recovered.Wait(id).value()))
           << id;
     }
   }
@@ -329,7 +325,8 @@ TEST_F(CampaignReleaseTest, CancelRacingTheLastCompletion) {
     ExpectTerminalReadsAgree(manager, id.value());
     if (result.value().state == CampaignState::kDone) {
       ++done;
-      EXPECT_EQ(ReportBytes(result.value().report), Reference(kind, budget));
+      EXPECT_TRUE(SameReport(Uninterrupted(KindSpec(kind, budget)),
+                             result.value().report));
     } else {
       ASSERT_EQ(result.value().state, CampaignState::kCancelled);
       ++cancelled;

@@ -417,11 +417,6 @@ class SchedulerServiceTest : public testing::CampaignTest<50, 20260729> {
   static CampaignConfig MakeConfig(int kind, int64_t budget, uint64_t seed) {
     return CampaignTest::MakeConfig(KindSpec(kind, budget, seed));
   }
-
-  static core::RunReport RunSequential(int kind, int64_t budget,
-                                       uint64_t seed) {
-    return Uninterrupted(KindSpec(kind, budget, seed));
-  }
 };
 
 // The acceptance property for aging: a priority-1 campaign competing
@@ -452,7 +447,7 @@ TEST_F(SchedulerServiceTest, LowPriorityCampaignFinishesUnderSustainedLoad) {
   auto result = manager.WaitFor(low_id.value(), milliseconds(30000));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().state, CampaignState::kDone);
-  EXPECT_TRUE(testing::SameReport(RunSequential(1, 200, 31),
+  EXPECT_TRUE(testing::SameReport(Uninterrupted(KindSpec(1, 200, 31)),
                                   result.value().report));
   auto status = manager.Status(low_id.value());
   ASSERT_TRUE(status.ok());
@@ -535,8 +530,8 @@ TEST_F(SchedulerServiceTest, SchedulingClassSurvivesKillAndRecover) {
   ASSERT_EQ(ids.value().size(), 1u);
   auto report = recovered.Wait(ids.value()[0]);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(
-      testing::SameReport(RunSequential(kind, budget, seed), report.value()));
+  EXPECT_TRUE(testing::SameReport(Uninterrupted(KindSpec(kind, budget, seed)),
+                                  report.value()));
   auto status = recovered.Status(ids.value()[0]);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status.value().priority, 7);

@@ -169,6 +169,7 @@ TEST(DatasetFuzzTest, HalfValidDumpsKeepTheValidLines) {
 // shorter but valid tag name, which the parser cannot know.
 TEST(DatasetFuzzTest, TruncationsOfAValidFileAreRefused) {
   const std::string full(kValidDataset);
+  ASSERT_TRUE(ParsePreparedDataset(full).ok());
   const size_t last_structure = full.rfind("future");
   ASSERT_NE(last_structure, std::string::npos);
   for (uint64_t seed : {7u, 123u}) {

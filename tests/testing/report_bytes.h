@@ -4,10 +4,13 @@
 #ifndef INCENTAG_TESTS_TESTING_REPORT_BYTES_H_
 #define INCENTAG_TESTS_TESTING_REPORT_BYTES_H_
 
-#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,120 +20,105 @@
 namespace incentag {
 namespace testing {
 
-inline void PutMetrics(std::string* out, const core::AllocationMetrics& m) {
-  util::wire::PutI64(out, m.budget_used);
-  util::wire::PutDouble(out, m.avg_quality);
-  util::wire::PutI64(out, m.over_tagged);
-  util::wire::PutI64(out, m.wasted_posts);
-  util::wire::PutI64(out, m.under_tagged);
+// One serialized field: its name, its wire bytes and its printed value.
+struct ReportField {
+  std::string name;
+  std::string bytes;
+  std::string text;
+};
+
+using ReportFields = std::vector<ReportField>;
+
+template <typename T>
+void AddField(ReportFields* fields, std::string name,
+              std::type_identity_t<T> value, void (*put)(std::string*, T)) {
+  ReportField field{std::move(name), {}, {}};
+  put(&field.bytes, value);
+  std::ostringstream text;
+  text.precision(17);
+  if constexpr (std::is_integral_v<T>) {
+    text << static_cast<int64_t>(value);
+  } else {
+    text << value;
+  }
+  field.text = text.str();
+  fields->push_back(std::move(field));
+}
+
+// The field list of a report and of one metrics snapshot, in wire order.
+// The bytes and the mismatch message both come from here.
+inline void AddMetrics(ReportFields* fields, const std::string& where,
+                       const core::AllocationMetrics& m) {
+  AddField(fields, where + "budget_used", m.budget_used, util::wire::PutI64);
+  AddField(fields, where + "avg_quality", m.avg_quality, util::wire::PutDouble);
+  AddField(fields, where + "over_tagged", m.over_tagged, util::wire::PutI64);
+  AddField(fields, where + "wasted_posts", m.wasted_posts, util::wire::PutI64);
+  AddField(fields, where + "under_tagged", m.under_tagged, util::wire::PutI64);
+}
+
+inline ReportFields Fields(const core::RunReport& report) {
+  ReportFields fields;
+  AddField(&fields, "strategy", std::string_view(report.strategy_name),
+           util::wire::PutString);
+  AddField(&fields, "allocation size", report.allocation.size(),
+           util::wire::PutU64);
+  for (size_t i = 0; i < report.allocation.size(); ++i) {
+    AddField(&fields, "allocation[" + std::to_string(i) + "]",
+             report.allocation[i], util::wire::PutI64);
+  }
+  AddField(&fields, "checkpoints", report.checkpoints.size(),
+           util::wire::PutU64);
+  for (size_t i = 0; i < report.checkpoints.size(); ++i) {
+    AddMetrics(&fields, "checkpoint " + std::to_string(i) + " ",
+               report.checkpoints[i]);
+  }
+  AddMetrics(&fields, "final ", report.final_metrics);
+  AddField(&fields, "budget_spent", report.budget_spent, util::wire::PutI64);
+  AddField(&fields, "stopped_early", report.stopped_early ? 1 : 0,
+           util::wire::PutU8);
+  return fields;
+}
+
+inline ReportFields Fields(const core::AllocationMetrics& metrics) {
+  ReportFields fields;
+  AddMetrics(&fields, "", metrics);
+  return fields;
 }
 
 inline std::string ReportBytes(const core::RunReport& report) {
   std::string out;
-  util::wire::PutString(&out, report.strategy_name);
-  util::wire::PutU64(&out, report.allocation.size());
-  for (int64_t a : report.allocation) util::wire::PutI64(&out, a);
-  util::wire::PutU64(&out, report.checkpoints.size());
-  for (const core::AllocationMetrics& m : report.checkpoints) {
-    PutMetrics(&out, m);
-  }
-  PutMetrics(&out, report.final_metrics);
-  util::wire::PutI64(&out, report.budget_spent);
-  util::wire::PutU8(&out, report.stopped_early ? 1 : 0);
+  for (const ReportField& field : Fields(report)) out += field.bytes;
   return out;
 }
 
-// The first field of `got` that differs from `want`, as "<field>: want
-// <w>, got <g>"; empty when every field is equal.
-inline std::string FirstMetricsDifference(const core::AllocationMetrics& want,
-                                          const core::AllocationMetrics& got,
-                                          const std::string& where) {
-  std::ostringstream out;
-  out.precision(17);
-  if (want.budget_used != got.budget_used) {
-    out << where << "budget_used: want " << want.budget_used << ", got "
-        << got.budget_used;
-  } else if (std::bit_cast<uint64_t>(want.avg_quality) !=
-             std::bit_cast<uint64_t>(got.avg_quality)) {
-    out << where << "avg_quality: want " << want.avg_quality << ", got "
-        << got.avg_quality;
-  } else if (want.over_tagged != got.over_tagged) {
-    out << where << "over_tagged: want " << want.over_tagged << ", got "
-        << got.over_tagged;
-  } else if (want.wasted_posts != got.wasted_posts) {
-    out << where << "wasted_posts: want " << want.wasted_posts << ", got "
-        << got.wasted_posts;
-  } else if (want.under_tagged != got.under_tagged) {
-    out << where << "under_tagged: want " << want.under_tagged << ", got "
-        << got.under_tagged;
+// Equal when every field has the same bytes; otherwise names the first
+// field that differs. A length field precedes its entries, so two lists
+// of different lengths differ there first.
+inline ::testing::AssertionResult SameFields(const ReportFields& want,
+                                             const ReportFields& got) {
+  for (size_t i = 0; i < want.size() && i < got.size(); ++i) {
+    if (want[i].bytes == got[i].bytes) continue;
+    return ::testing::AssertionFailure()
+           << "first difference at " << want[i].name << ": want "
+           << want[i].text << ", got " << got[i].text;
   }
-  return out.str();
-}
-
-inline std::string FirstReportDifference(const core::RunReport& want,
-                                         const core::RunReport& got) {
-  std::ostringstream out;
-  if (want.strategy_name != got.strategy_name) {
-    out << "strategy: want " << want.strategy_name << ", got "
-        << got.strategy_name;
-    return out.str();
+  if (want.size() != got.size()) {
+    return ::testing::AssertionFailure()
+           << "field count: want " << want.size() << ", got " << got.size();
   }
-  if (want.allocation.size() != got.allocation.size()) {
-    out << "allocation size: want " << want.allocation.size() << ", got "
-        << got.allocation.size();
-    return out.str();
-  }
-  for (size_t i = 0; i < want.allocation.size(); ++i) {
-    if (want.allocation[i] != got.allocation[i]) {
-      out << "allocation[" << i << "]: want " << want.allocation[i]
-          << ", got " << got.allocation[i];
-      return out.str();
-    }
-  }
-  if (want.checkpoints.size() != got.checkpoints.size()) {
-    out << "checkpoints: want " << want.checkpoints.size() << ", got "
-        << got.checkpoints.size();
-    return out.str();
-  }
-  for (size_t i = 0; i < want.checkpoints.size(); ++i) {
-    std::string diff =
-        FirstMetricsDifference(want.checkpoints[i], got.checkpoints[i],
-                               "checkpoint " + std::to_string(i) + " ");
-    if (!diff.empty()) return diff;
-  }
-  std::string diff = FirstMetricsDifference(want.final_metrics,
-                                            got.final_metrics, "final ");
-  if (!diff.empty()) return diff;
-  if (want.budget_spent != got.budget_spent) {
-    out << "budget_spent: want " << want.budget_spent << ", got "
-        << got.budget_spent;
-  } else if (want.stopped_early != got.stopped_early) {
-    out << "stopped_early: want " << want.stopped_early << ", got "
-        << got.stopped_early;
-  }
-  return out.str();
+  return ::testing::AssertionSuccess();
 }
 
 // EXPECT_TRUE(SameReport(want, got)) << label;
 inline ::testing::AssertionResult SameReport(const core::RunReport& want,
                                              const core::RunReport& got) {
-  if (ReportBytes(want) == ReportBytes(got)) {
-    return ::testing::AssertionSuccess();
-  }
-  return ::testing::AssertionFailure()
-         << "reports differ, first at " << FirstReportDifference(want, got);
+  return SameFields(Fields(want), Fields(got));
 }
 
 // The same comparison for one metrics snapshot.
 inline ::testing::AssertionResult SameMetrics(
     const core::AllocationMetrics& want, const core::AllocationMetrics& got) {
-  std::string want_bytes;
-  std::string got_bytes;
-  PutMetrics(&want_bytes, want);
-  PutMetrics(&got_bytes, got);
-  if (want_bytes == got_bytes) return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure() << "metrics differ, first at "
-                                       << FirstMetricsDifference(want, got, "");
+  return SameFields(Fields(want), Fields(got));
 }
 
 }  // namespace testing
