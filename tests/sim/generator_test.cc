@@ -1,6 +1,8 @@
 #include "src/sim/generator.h"
 
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -248,6 +250,101 @@ TEST(CorpusTest, FindUrlMissing) {
   auto corpus = Corpus::Generate(SmallConfig());
   ASSERT_TRUE(corpus.ok());
   EXPECT_FALSE(corpus.value().FindUrl("not-a-real-url.example").ok());
+}
+
+// FNV-1a over bytes, for pinning generated data bit for bit.
+class Fnv1a {
+ public:
+  void Add(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void Add(uint64_t value) { Add(&value, sizeof(value)); }
+  std::string Hex() const {
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(hash_));
+    return hex;
+  }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+// Digest of posts 0..year_length-1 of every resource, tag ids in order.
+std::string PostsDigest(const Corpus& corpus) {
+  Fnv1a digest;
+  for (core::ResourceId i = 0; i < corpus.num_resources(); ++i) {
+    const int64_t year = corpus.resource(i).year_length;
+    digest.Add(static_cast<uint64_t>(year));
+    std::vector<core::TagId> tags;
+    for (int64_t k = 0; k < year; ++k) {
+      tags.clear();
+      corpus.AppendPostTags(i, k, &tags);
+      digest.Add(tags.size());
+      for (core::TagId tag : tags) digest.Add(tag);
+    }
+  }
+  return digest.Hex();
+}
+
+// Digest of the vocabulary's names in id order.
+std::string VocabDigest(const core::TagVocabulary& vocab) {
+  Fnv1a digest;
+  digest.Add(vocab.size());
+  for (core::TagId id = 0; id < vocab.size(); ++id) {
+    const std::string_view name = vocab.Name(id);
+    digest.Add(name.size());
+    digest.Add(name.data(), name.size());
+  }
+  return digest.Hex();
+}
+
+struct GoldenCase {
+  std::string posts;
+  std::string vocab;
+};
+
+GoldenCase Digests(const CorpusConfig& config) {
+  auto corpus = Corpus::Generate(config);
+  EXPECT_TRUE(corpus.ok()) << corpus.status().ToString();
+  if (!corpus.ok()) return {};
+  return {PostsDigest(corpus.value()), VocabDigest(corpus.value().vocab())};
+}
+
+// Pins every post of three corpora and their vocabularies bit for bit, so
+// a change to how a corpus stores its distributions or names must
+// reproduce the same data.
+TEST(CorpusGoldenTest, DefaultsArePinned) {
+  CorpusConfig config;
+  config.num_resources = 200;
+  config.seed = 42;
+  const GoldenCase got = Digests(config);
+  EXPECT_EQ(got.posts, "919a4262fe8522f8");
+  EXPECT_EQ(got.vocab, "3452d90f85b00ec0");
+}
+
+// Every resource has two aspects, so every one samples an early span.
+TEST(CorpusGoldenTest, AllTwoAspectIsPinned) {
+  CorpusConfig config;
+  config.num_resources = 500;
+  config.two_aspect_prob = 1.0;
+  const GoldenCase got = Digests(config);
+  EXPECT_EQ(got.posts, "0e2c37677a20241f");
+  EXPECT_EQ(got.vocab, "f6199e292a36ef59");
+}
+
+TEST(CorpusGoldenTest, NoShowcasesNoJitterIsPinned) {
+  CorpusConfig config;
+  config.num_resources = 300;
+  config.add_showcases = false;
+  config.year_jitter_sigma = 0.0;
+  const GoldenCase got = Digests(config);
+  EXPECT_EQ(got.posts, "062cec5161ecb5e6");
+  EXPECT_EQ(got.vocab, "48198d167bd6ae7d");
 }
 
 }  // namespace
