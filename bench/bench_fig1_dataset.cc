@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/common/bench_common.h"
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
   const int64_t trace_len = std::min<int64_t>(info.year_length, 500);
 
   // Leading tags = the 5 heaviest tags of the converged distribution.
-  std::vector<std::pair<core::TagId, double>> heavy = info.true_dist;
+  sim::TagDistribution heavy = corpus.Distribution(subject.value());
   std::sort(heavy.begin(), heavy.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
   heavy.resize(std::min<size_t>(heavy.size(), 5));
@@ -56,7 +57,8 @@ int main(int argc, char** argv) {
               info.url.c_str());
   std::printf("%6s", "posts");
   for (const auto& [tag, w] : heavy) {
-    std::printf("  %14s", corpus.vocab().Name(tag).c_str());
+    const std::string_view name = corpus.vocab().Name(tag);
+    std::printf("  %14.*s", static_cast<int>(name.size()), name.data());
   }
   std::printf("\n");
   core::TagCounts counts;

@@ -4,6 +4,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <span>
+
+#include "src/util/discrete_distribution.h"
 
 namespace incentag {
 namespace sim {
@@ -99,8 +103,7 @@ util::Result<Corpus> Corpus::Generate(const CorpusConfig& config) {
 
   const size_t n = static_cast<size_t>(config.num_resources);
   corpus.resources_.reserve(n);
-  corpus.true_samplers_.reserve(n);
-  corpus.early_samplers_.reserve(n);
+  corpus.spans_.reserve(n);
   corpus.post_size_sampler_ = std::make_unique<util::ZipfSampler>(
       static_cast<size_t>(config.max_post_size), config.post_size_skew);
 
@@ -171,6 +174,8 @@ util::Result<Corpus> Corpus::Generate(const CorpusConfig& config) {
                          config.secondary_aspect_weight, std::move(url),
                          profiles);
   }
+  corpus.tags_.shrink_to_fit();
+  corpus.cdf_.shrink_to_fit();
   return corpus;
 }
 
@@ -201,34 +206,55 @@ void Corpus::BuildResource(CategoryId primary, CategoryId secondary,
   const TagDistribution& primary_profile = profiles.profile(primary);
   const TagDistribution& secondary_profile = profiles.profile(secondary);
 
+  ResourceSpans spans;
   if (info.two_aspect) {
     const double sec = secondary_weight;
     const double prim = 1.0 - config_.resource_own_weight - sec;
-    info.true_dist = MixDistributions({{&primary_profile, prim},
-                                       {&secondary_profile, sec},
-                                       {&own, config_.resource_own_weight}});
+    spans.converged = AddSpan(MixDistributions(
+        {{&primary_profile, prim},
+         {&secondary_profile, sec},
+         {&own, config_.resource_own_weight}}));
     // Early posts see the secondary aspect as dominant.
-    info.early_dist =
-        MixDistributions({{&primary_profile, 0.05},
-                          {&secondary_profile, 0.95 - config_.resource_own_weight},
-                          {&own, config_.resource_own_weight}});
+    spans.early = AddSpan(MixDistributions(
+        {{&primary_profile, 0.05},
+         {&secondary_profile, 0.95 - config_.resource_own_weight},
+         {&own, config_.resource_own_weight}}));
   } else {
     const double prim = 1.0 - config_.resource_own_weight;
-    info.true_dist = MixDistributions(
-        {{&primary_profile, prim}, {&own, config_.resource_own_weight}});
-    info.early_dist = info.true_dist;
+    spans.converged = AddSpan(MixDistributions(
+        {{&primary_profile, prim}, {&own, config_.resource_own_weight}}));
+    spans.early = spans.converged;
   }
-
-  std::vector<double> true_weights;
-  true_weights.reserve(info.true_dist.size());
-  for (const auto& [tag, w] : info.true_dist) true_weights.push_back(w);
-  std::vector<double> early_weights;
-  early_weights.reserve(info.early_dist.size());
-  for (const auto& [tag, w] : info.early_dist) early_weights.push_back(w);
-
   resources_.push_back(std::move(info));
-  true_samplers_.emplace_back(true_weights);
-  early_samplers_.emplace_back(early_weights);
+  spans_.push_back(spans);
+}
+
+Corpus::SamplingSpan Corpus::AddSpan(const TagDistribution& dist) {
+  assert(tags_.size() + dist.size() <= UINT32_MAX);
+  SamplingSpan span;
+  span.begin = static_cast<uint32_t>(tags_.size());
+  span.size = static_cast<uint32_t>(dist.size());
+  for (const auto& [tag, w] : dist) {
+    assert(w >= 0.0);
+    span.total += w;
+    tags_.push_back(tag);
+    cdf_.push_back(span.total);
+  }
+  assert(span.total > 0.0);
+  return span;
+}
+
+TagDistribution Corpus::Distribution(core::ResourceId i, bool early) const {
+  assert(i < spans_.size());
+  const SamplingSpan& span = early ? spans_[i].early : spans_[i].converged;
+  TagDistribution dist;
+  dist.reserve(span.size);
+  double previous = 0.0;
+  for (uint32_t e = span.begin; e < span.begin + span.size; ++e) {
+    dist.emplace_back(tags_[e], (cdf_[e] - previous) / span.total);
+    previous = cdf_[e];
+  }
+  return dist;
 }
 
 core::Post Corpus::SamplePost(core::ResourceId i, int64_t k) const {
@@ -253,20 +279,19 @@ void Corpus::AppendPostTags(core::ResourceId i, int64_t k,
     use_early =
         rng.NextBool(config_.early_bias_strength * (1.0 - progress));
   }
-  const TagDistribution& dist =
-      use_early ? info.early_dist : info.true_dist;
-  const util::DiscreteDistribution& sampler =
-      use_early ? early_samplers_[i] : true_samplers_[i];
+  const SamplingSpan& span = use_early ? spans_[i].early : spans_[i].converged;
+  const std::span<const double> cdf(cdf_.data() + span.begin, span.size);
 
-  const size_t want =
-      std::min(dist.size(), 1 + post_size_sampler_->Sample(&rng));
+  const size_t want = std::min<size_t>(span.size,
+                                       1 + post_size_sampler_->Sample(&rng));
   const auto first = static_cast<std::ptrdiff_t>(tags->size());
   // Sample without replacement by rejection; bounded attempts keep the
   // sampler deterministic-time even for degenerate distributions.
   const size_t max_attempts = 8 * want + 8;
   for (size_t attempt = 0, drawn = 0; attempt < max_attempts && drawn < want;
        ++attempt) {
-    core::TagId tag = dist[sampler.Sample(&rng)].first;
+    const core::TagId tag =
+        tags_[span.begin + util::SampleCumulative(cdf, span.total, &rng)];
     if (std::find(tags->begin() + first, tags->end(), tag) == tags->end()) {
       tags->push_back(tag);
       ++drawn;

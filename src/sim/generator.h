@@ -37,7 +37,6 @@
 #include "src/core/types.h"
 #include "src/sim/tag_profile.h"
 #include "src/sim/topic_hierarchy.h"
-#include "src/util/discrete_distribution.h"
 #include "src/util/random.h"
 #include "src/util/status.h"
 #include "src/util/zipf.h"
@@ -93,8 +92,8 @@ struct ResourceInfo {
   // proportional cut; -1 = derive from year_length. Showcase pages use it
   // to start under-tagged despite a long year, like the paper's subjects.
   int64_t january_hint = -1;
-  TagDistribution true_dist;   // converged latent distribution
-  TagDistribution early_dist;  // biased distribution for the early prefix
+  // The latent tag distributions live in the corpus's sampling table; read
+  // them with Corpus::Distribution.
 };
 
 class Corpus {
@@ -125,8 +124,30 @@ class Corpus {
   // Finds a resource by URL (the showcase pages), NotFound otherwise.
   util::Result<core::ResourceId> FindUrl(std::string_view url) const;
 
+  // The latent distribution that posts of resource i sample from: the
+  // converged one, or with `early` the biased one of its early prefix (the
+  // converged one again for a single-aspect resource). Sorted by TagId.
+  // The weights are read back from the table's cumulative sums, so they
+  // match the generated weights to rounding.
+  TagDistribution Distribution(core::ResourceId i, bool early = false) const;
+
  private:
+  // One distribution of the sampling table: entries [begin, begin + size)
+  // of tags_ and cdf_, whose last cumulative sum is `total`.
+  struct SamplingSpan {
+    uint32_t begin = 0;
+    uint32_t size = 0;
+    double total = 0.0;
+  };
+  struct ResourceSpans {
+    SamplingSpan converged;
+    SamplingSpan early;
+  };
+
   Corpus() : hierarchy_(TopicHierarchy::BuildDefault()) {}
+
+  // Appends `dist` to the sampling table and returns its span.
+  SamplingSpan AddSpan(const TagDistribution& dist);
 
   void BuildResource(CategoryId primary, CategoryId secondary,
                      double popularity, int64_t year_length,
@@ -138,9 +159,12 @@ class Corpus {
   TopicHierarchy hierarchy_;
   core::TagVocabulary vocab_;
   std::vector<ResourceInfo> resources_;
-  // Prebuilt samplers, index-aligned with resources_.
-  std::vector<util::DiscreteDistribution> true_samplers_;
-  std::vector<util::DiscreteDistribution> early_samplers_;
+  // The sampling table: every resource's distributions back to back, as
+  // tags and per-distribution cumulative weights, plus each resource's two
+  // spans (index-aligned with resources_).
+  std::vector<core::TagId> tags_;
+  std::vector<double> cdf_;
+  std::vector<ResourceSpans> spans_;
   std::unique_ptr<util::ZipfSampler> post_size_sampler_;
 };
 

@@ -23,12 +23,17 @@ double DiscreteDistribution::Pmf(size_t i) const {
   return (cdf_[i] - prev) / total_;
 }
 
+size_t SampleCumulative(std::span<const double> cdf, double total,
+                        Rng* rng) {
+  assert(!cdf.empty());
+  const double target = rng->NextDouble() * total;
+  auto it = std::upper_bound(cdf.begin(), cdf.end(), target);
+  if (it == cdf.end()) --it;
+  return static_cast<size_t>(it - cdf.begin());
+}
+
 size_t DiscreteDistribution::Sample(Rng* rng) const {
-  assert(!cdf_.empty());
-  double target = rng->NextDouble() * total_;
-  auto it = std::upper_bound(cdf_.begin(), cdf_.end(), target);
-  if (it == cdf_.end()) --it;
-  return static_cast<size_t>(it - cdf_.begin());
+  return SampleCumulative(cdf_, total_, rng);
 }
 
 }  // namespace util

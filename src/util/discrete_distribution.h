@@ -8,12 +8,20 @@
 #define INCENTAG_UTIL_DISCRETE_DISTRIBUTION_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/util/random.h"
 
 namespace incentag {
 namespace util {
+
+// Draws one index of a distribution given by its cumulative sums: the
+// first entry whose sum exceeds a uniform draw in [0, total), clamped to
+// the last entry. `cdf` must be non-empty and non-decreasing, with
+// cdf.back() == total > 0. DiscreteDistribution samples through it, and so
+// do callers that keep many distributions' sums in one shared array.
+size_t SampleCumulative(std::span<const double> cdf, double total, Rng* rng);
 
 class DiscreteDistribution {
  public:

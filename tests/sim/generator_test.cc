@@ -204,11 +204,13 @@ TEST(CorpusTest, EarlyBiasShiftsEarlyPostsTowardSecondaryAspect) {
 
   // Secondary-aspect tag mass in early vs late posts.
   std::set<core::TagId> secondary_tags;
-  for (const auto& [tag, w] : info.early_dist) {
+  const TagDistribution converged = corpus.value().Distribution(subject);
+  for (const auto& [tag, w] :
+       corpus.value().Distribution(subject, /*early=*/true)) {
     // Tags with much higher early weight than true weight belong to the
     // secondary aspect.
     double true_w = 0.0;
-    for (const auto& [t2, w2] : info.true_dist) {
+    for (const auto& [t2, w2] : converged) {
       if (t2 == tag) true_w = w2;
     }
     if (w > true_w * 1.5) secondary_tags.insert(tag);
