@@ -4,12 +4,21 @@
 // single point where external tag strings (from a dump file or a generator)
 // are interned. Interning is append-only: ids are stable for the lifetime of
 // the vocabulary.
+//
+// Layout: every name lives in one char arena, back to back in id order,
+// and `ends_[id]` is the arena offset one past name `id` (its start is the
+// previous name's end). The string -> id direction is an open-addressing
+// table of TagIds over the arena (linear probing, sized like src/core's
+// other flat hashes by FlatHashCapacityFor), so a name costs its bytes,
+// 4 bytes of offset and under 8 bytes of index, and no allocation of its
+// own. A corpus's vocabulary is held by every program that generates one,
+// so its size is paid per process, not per campaign.
 #ifndef INCENTAG_CORE_TAG_VOCABULARY_H_
 #define INCENTAG_CORE_TAG_VOCABULARY_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/types.h"
@@ -29,15 +38,24 @@ class TagVocabulary {
   // Returns the id of `tag` or NotFound if it was never interned.
   util::Result<TagId> Find(std::string_view tag) const;
 
-  // Returns the string for `id`; requires id < size().
-  const std::string& Name(TagId id) const;
+  // Returns the name of `id`; requires id < size(). The view points into
+  // the arena: the next Intern may move it, after which the view dangles.
+  // Copy it into a std::string to keep it across an Intern.
+  std::string_view Name(TagId id) const;
 
   // Number of distinct tags (|T|).
-  size_t size() const { return names_.size(); }
+  size_t size() const { return ends_.size(); }
 
  private:
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, TagId> ids_;
+  // The index slot holding `tag`'s id, or the empty slot where it would
+  // go. Requires a non-empty index.
+  size_t Slot(std::string_view tag) const;
+  // Sizes the index for size() names and re-inserts every one.
+  void Rehash();
+
+  std::string chars_;           // every name, back to back in id order
+  std::vector<uint32_t> ends_;  // ends_[id]: offset one past name id
+  std::vector<TagId> index_;    // power-of-two size; kEmptySlot = empty
 };
 
 }  // namespace core

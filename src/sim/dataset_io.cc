@@ -26,10 +26,10 @@ util::Status AppendPosts(core::PostSequence posts,
                          std::string* out) {
   for (core::PostView post : posts) {
     for (size_t t = 0; t < post.tags.size(); ++t) {
-      const std::string& name = vocab.Name(post.tags[t]);
+      const std::string_view name = vocab.Name(post.tags[t]);
       if (HasWhitespace(name)) {
         return util::Status::InvalidArgument("tag not serialisable: '" +
-                                             name + "'");
+                                             std::string(name) + "'");
       }
       if (t > 0) *out += ' ';
       *out += name;
@@ -100,12 +100,14 @@ util::Result<std::string> SerializePreparedDataset(
     std::snprintf(buf, sizeof(buf), "reference %zu", rfd.size());
     out += buf;
     for (const auto& [tag, weight] : rfd.entries()) {
-      const std::string& name = vocab.Name(tag);
+      const std::string_view name = vocab.Name(tag);
       if (HasWhitespace(name)) {
         return util::Status::InvalidArgument("tag not serialisable: '" +
-                                             name + "'");
+                                             std::string(name) + "'");
       }
-      std::snprintf(buf, sizeof(buf), " %s %.17g", name.c_str(), weight);
+      out += ' ';
+      out += name;
+      std::snprintf(buf, sizeof(buf), " %.17g", weight);
       out += buf;
     }
     out += '\n';

@@ -312,10 +312,10 @@ TEST_F(E2eDatasetTest, DatasetIoRoundTripIsByteIdentical) {
         std::vector<std::string> want_names;
         std::vector<std::string> got_names;
         for (TagId tag : want_posts[k].tags) {
-          want_names.push_back(corpus_->vocab().Name(tag));
+          want_names.emplace_back(corpus_->vocab().Name(tag));
         }
         for (TagId tag : got_posts[k].tags) {
-          got_names.push_back(loaded.value().vocab.Name(tag));
+          got_names.emplace_back(loaded.value().vocab.Name(tag));
         }
         std::sort(want_names.begin(), want_names.end());
         std::sort(got_names.begin(), got_names.end());

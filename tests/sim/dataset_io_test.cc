@@ -40,8 +40,8 @@ void ExpectSamePosts(const core::PostSequence& a,
     ASSERT_EQ(a[k].size(), b[k].size());
     std::set<std::string> names_a;
     std::set<std::string> names_b;
-    for (core::TagId t : a[k].tags) names_a.insert(vocab_a.Name(t));
-    for (core::TagId t : b[k].tags) names_b.insert(vocab_b.Name(t));
+    for (core::TagId t : a[k].tags) names_a.emplace(vocab_a.Name(t));
+    for (core::TagId t : b[k].tags) names_b.emplace(vocab_b.Name(t));
     ASSERT_EQ(names_a, names_b);
   }
 }

@@ -156,10 +156,10 @@ TEST(DeliciousFormatTest, RoundTripPreservesSequences) {
         std::set<std::string> got_names;
         std::set<std::string> want_names;
         for (core::TagId tag : got[k].tags) {
-          got_names.insert(dump.value().vocab.Name(tag));
+          got_names.emplace(dump.value().vocab.Name(tag));
         }
         for (core::TagId tag : want[k].tags) {
-          want_names.insert(corpus.value().vocab().Name(tag));
+          want_names.emplace(corpus.value().vocab().Name(tag));
         }
         ASSERT_EQ(got_names, want_names);
       }
