@@ -117,22 +117,36 @@ RfdVector RfdVector::FromWeights(
     const double inv = 1.0 / std::sqrt(norm_sq);
     for (auto& [tag, w] : weights) w *= inv;
     v.entries_ = std::move(weights);
-    // Flat hash index for O(1) Weight probes (same scheme as
-    // TagCountMap — see FlatHashBucket/FlatHashCapacityFor).
-    const size_t capacity = FlatHashCapacityFor(v.entries_.size());
-    v.lookup_.assign(capacity, {0, 0.0});
-    const size_t mask = capacity - 1;
-    for (const auto& entry : v.entries_) {
-      for (size_t i = FlatHashBucket(entry.first, mask);;
-           i = (i + 1) & mask) {
-        if (v.lookup_[i].second == 0.0) {
-          v.lookup_[i] = entry;
-          break;
-        }
+    v.BuildLookup();
+  }
+  return v;
+}
+
+RfdVector RfdVector::FromUnitEntries(
+    std::vector<std::pair<TagId, double>> entries) {
+  RfdVector v;
+  v.entries_ = std::move(entries);
+  if (!v.entries_.empty()) v.BuildLookup();
+  return v;
+}
+
+void RfdVector::BuildLookup() {
+  // Flat hash index for O(1) Weight probes (same scheme as
+  // TagCountMap — see FlatHashBucket/FlatHashCapacityFor).
+  const size_t capacity = FlatHashCapacityFor(entries_.size());
+  lookup_.assign(capacity, {0, 0.0});
+  const size_t mask = capacity - 1;
+  for (size_t e = 0; e < entries_.size(); ++e) {
+    const auto& entry = entries_[e];
+    assert(entry.second > 0.0);
+    assert(e == 0 || entries_[e - 1].first < entry.first);
+    for (size_t i = FlatHashBucket(entry.first, mask);; i = (i + 1) & mask) {
+      if (lookup_[i].second == 0.0) {
+        lookup_[i] = entry;
+        break;
       }
     }
   }
-  return v;
 }
 
 double Cosine(const TagCounts& a, const TagCounts& b) {

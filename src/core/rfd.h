@@ -90,6 +90,13 @@ class RfdVector {
   // tags are summed.
   static RfdVector FromWeights(std::vector<std::pair<TagId, double>> weights);
 
+  // Builds a vector from entries already in unit form and keeps their
+  // weights bit for bit: a saved reference loads back exactly as it was
+  // written. Entries must be sorted by TagId, distinct, with positive
+  // weights; the caller vouches for their norm.
+  static RfdVector FromUnitEntries(
+      std::vector<std::pair<TagId, double>> entries);
+
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
   const std::vector<std::pair<TagId, double>>& entries() const {
@@ -112,6 +119,9 @@ class RfdVector {
   }
 
  private:
+  // Fills lookup_ from entries_.
+  void BuildLookup();
+
   std::vector<std::pair<TagId, double>> entries_;  // sorted by TagId
   // Open-addressing (tag, weight) index over entries_; power-of-two size.
   std::vector<std::pair<TagId, double>> lookup_;

@@ -1,6 +1,8 @@
 #include "src/sim/dataset_io.h"
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -189,17 +191,26 @@ util::Result<LoadedDataset> ParsePreparedDataset(std::string_view text) {
         fields.size() != 2 + 2 * static_cast<size_t>(entries.value())) {
       return CorruptAt(reader, "bad reference entry count");
     }
+    // The writer writes a unit vector's positive weights with %.17g, so
+    // they load back bit for bit; nothing is renormalized or dropped.
     std::vector<std::pair<core::TagId, double>> weights;
     for (int64_t e = 0; e < entries.value(); ++e) {
       auto weight = util::ParseDouble(fields[3 + 2 * e]);
-      if (!weight.ok() || weight.value() < 0.0) {
+      if (!weight.ok() || !(weight.value() > 0.0) ||
+          !std::isfinite(weight.value())) {
         return CorruptAt(reader, "bad reference weight");
       }
       weights.emplace_back(loaded.vocab.Intern(fields[2 + 2 * e]),
                            weight.value());
     }
+    std::sort(weights.begin(), weights.end());
+    for (size_t e = 1; e < weights.size(); ++e) {
+      if (weights[e - 1].first == weights[e].first) {
+        return CorruptAt(reader, "duplicate reference tag");
+      }
+    }
     ds.references.push_back(core::ResourceReference{
-        core::RfdVector::FromWeights(std::move(weights)),
+        core::RfdVector::FromUnitEntries(std::move(weights)),
         stable_point.value()});
 
     if (!reader.Next(&line)) return CorruptAt(reader, "missing initial");

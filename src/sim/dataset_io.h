@@ -45,7 +45,11 @@ util::Status SavePreparedDataset(const std::string& path,
                                  const core::TagVocabulary& vocab);
 
 // Parses a file written by SavePreparedDataset. Corrupt or truncated
-// files yield Corruption with a line-number message.
+// files yield Corruption with a line-number message. Reference weights
+// load bit for bit as written (the writer writes unit vectors), so a
+// loaded dataset saves back to the same bytes; a weight that is not a
+// positive finite number, or a tag listed twice in one reference, is
+// Corruption.
 util::Result<LoadedDataset> LoadPreparedDataset(const std::string& path);
 
 // Text-level variants used by the file functions and by tests.

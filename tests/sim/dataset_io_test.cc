@@ -68,13 +68,46 @@ TEST_F(DatasetIoTest, RoundTripPreservesEverything) {
     for (const auto& [tag, weight] : want_rfd.entries()) {
       auto got_tag = loaded.value().vocab.Find(corpus_->vocab().Name(tag));
       ASSERT_TRUE(got_tag.ok());
-      EXPECT_NEAR(got_rfd.Weight(got_tag.value()), weight, 1e-12);
+      EXPECT_EQ(got_rfd.Weight(got_tag.value()), weight);
     }
     ExpectSamePosts(got.initial_posts[i], loaded.value().vocab,
                     dataset_->initial_posts[i], corpus_->vocab());
     ExpectSamePosts(got.future_posts[i], loaded.value().vocab,
                     dataset_->future_posts[i], corpus_->vocab());
   }
+}
+
+// The fleet benchmark's dataset (2000 resources, seed 1, no year jitter),
+// saved and loaded, saves to bytes that load and save back to themselves:
+// reference weights load bit for bit. (The first file lists each post's
+// tags in the corpus's id order and the loader assigns its own ids, so
+// only the order of tags within a line may change on the first load.)
+TEST(DatasetIoFleetTest, SaveLoadSaveIsByteIdentical) {
+  CorpusConfig config;
+  config.num_resources = 2000;
+  config.seed = 1;
+  config.year_jitter_sigma = 0.0;
+  auto corpus = Corpus::Generate(config);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  PrepConfig prep_config;
+  prep_config.seed = 1;
+  auto prep = PrepareFromCorpus(corpus.value(), prep_config);
+  ASSERT_TRUE(prep.ok()) << prep.status().ToString();
+
+  auto first = SerializePreparedDataset(prep.value(), corpus.value().vocab());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto loaded = ParsePreparedDataset(first.value());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto saved = SerializePreparedDataset(loaded.value().dataset,
+                                        loaded.value().vocab);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ(saved.value().size(), first.value().size());
+  auto reloaded = ParsePreparedDataset(saved.value());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  auto resaved = SerializePreparedDataset(reloaded.value().dataset,
+                                          reloaded.value().vocab);
+  ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+  EXPECT_TRUE(resaved.value() == saved.value());
 }
 
 TEST_F(DatasetIoTest, FileRoundTrip) {
@@ -135,6 +168,31 @@ TEST(DatasetIoParseTest, RejectsBadCountsAndFields) {
                                     "resource a 10 5 1.0 0\n"
                                     "reference 2 physics 1.0\n")  // count lies
                    .ok());
+}
+
+// The writer never writes a weight that is not positive, nor a tag twice
+// in one reference; the loader refuses both rather than drop or merge them.
+TEST(DatasetIoParseTest, RejectsBadReferenceWeights) {
+  for (const char* reference :
+       {"reference 2 physics 0 maps 1.0\n",
+        "reference 2 physics 1.0 maps -0.5\n",
+        "reference 1 physics nan\n",
+        "reference 1 physics inf\n",
+        "reference 2 physics 0.8 physics 0.6\n"}) {
+    const std::string text = std::string(
+                                 "incentag-dataset v1\n"
+                                 "resources 1\n"
+                                 "resource a.example 2 1 1.0 0\n") +
+                             reference +
+                             "initial 1\n"
+                             "physics\n"
+                             "future 1\n"
+                             "physics\n";
+    auto loaded = ParsePreparedDataset(text);
+    ASSERT_FALSE(loaded.ok()) << reference;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kCorruption)
+        << reference;
+  }
 }
 
 TEST(DatasetIoParseTest, RejectsEmptyPostLine) {
