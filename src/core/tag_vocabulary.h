@@ -10,9 +10,8 @@
 // previous name's end). The string -> id direction is an open-addressing
 // table of TagIds over the arena (linear probing, sized like src/core's
 // other flat hashes by FlatHashCapacityFor), so a name costs its bytes,
-// 4 bytes of offset and under 8 bytes of index, and no allocation of its
-// own. A corpus's vocabulary is held by every program that generates one,
-// so its size is paid per process, not per campaign.
+// 4 bytes of offset and 6-12 bytes of index, and no allocation of its
+// own.
 #ifndef INCENTAG_CORE_TAG_VOCABULARY_H_
 #define INCENTAG_CORE_TAG_VOCABULARY_H_
 

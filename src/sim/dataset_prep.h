@@ -58,7 +58,9 @@ struct PrepConfig {
 // Footprint. The posts are two flat stores (core::PostStore): 4 bytes per
 // tag, 4 per post and 4 per resource each, with no allocation per post.
 // At n=2000 (seed 1) the 100,782 kept posts carry 155,671 tags, ~1.0 MB
-// in all.
+// in all. The sim::Corpus a dataset is prepared from holds ~2.1 MB more at
+// that size (see the footprint note in generator.h); the dataset keeps no
+// pointer into it, so a caller may free the corpus once it is prepared.
 struct PreparedDataset {
   core::PostStore initial_posts;  // the "January" prefixes
   core::PostStore future_posts;   // the rest of the year

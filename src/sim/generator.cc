@@ -8,6 +8,7 @@
 #include <span>
 
 #include "src/util/discrete_distribution.h"
+#include "src/util/logging.h"
 
 namespace incentag {
 namespace sim {
@@ -230,7 +231,7 @@ void Corpus::BuildResource(CategoryId primary, CategoryId secondary,
 }
 
 Corpus::SamplingSpan Corpus::AddSpan(const TagDistribution& dist) {
-  assert(tags_.size() + dist.size() <= UINT32_MAX);
+  INCENTAG_CHECK(dist.size() <= UINT32_MAX - tags_.size());
   SamplingSpan span;
   span.begin = static_cast<uint32_t>(tags_.size());
   span.size = static_cast<uint32_t>(dist.size());

@@ -264,10 +264,9 @@ size_t HeapInUse() {
 
 // The fleet benchmark's corpus (2000 resources, seed 1, no jitter) holds
 // its distributions in one flat sampling table and its names in one
-// arena: destroying it gives back ~2.07 MB (it was ~8.1 MB with a
-// vector per distribution and two strings per name). The bound leaves
-// ~15% headroom; the floor is the table's 12 bytes per entry, so the
-// probe does see the corpus.
+// arena, measured as the heap it gives back when destroyed: 2.07 MB, and
+// the bound leaves ~15% headroom. The floor is the table's 12 bytes an
+// entry, so the probe does see the corpus.
 TEST(CorpusTest, FootprintIsFlat) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "the sanitizer's allocator is not glibc's heap";
