@@ -14,10 +14,6 @@ namespace {
 
 constexpr TagId kEmptySlot = std::numeric_limits<TagId>::max();
 
-size_t HashName(std::string_view name) {
-  return std::hash<std::string_view>{}(name);
-}
-
 }  // namespace
 
 TagId TagVocabulary::Intern(std::string_view tag) {
@@ -56,7 +52,8 @@ std::string_view TagVocabulary::Name(TagId id) const {
 
 size_t TagVocabulary::Slot(std::string_view tag) const {
   const size_t mask = index_.size() - 1;
-  for (size_t i = HashName(tag) & mask;; i = (i + 1) & mask) {
+  for (size_t i = std::hash<std::string_view>{}(tag) & mask;;
+       i = (i + 1) & mask) {
     if (index_[i] == kEmptySlot || Name(index_[i]) == tag) return i;
   }
 }
