@@ -227,6 +227,36 @@ TEST(DatasetIoParseTest, AcceptsCommentsAnywhere) {
   EXPECT_EQ(loaded.value().dataset.initial_posts[0][0].size(), 2u);
 }
 
+// A url longer than any fixed line buffer saves whole, with the fields
+// after it, and loads back.
+TEST(DatasetIoSaveTest, LongUrlRoundTrips) {
+  const std::string url = "http://" + std::string(293, 'u');
+  ASSERT_EQ(url.size(), 300u);
+  const std::string text = "incentag-dataset v1\n"
+                           "resources 1\n"
+                           "resource " + url + " 2 1 0.25 7\n"
+                           "reference 1 physics 1\n"
+                           "initial 1\n"
+                           "physics\n"
+                           "future 1\n"
+                           "maps\n";
+  auto parsed = ParsePreparedDataset(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto saved = SerializePreparedDataset(parsed.value().dataset,
+                                        parsed.value().vocab);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  auto loaded = ParsePreparedDataset(saved.value());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const PreparedDataset& got = loaded.value().dataset;
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got.urls[0], url);
+  EXPECT_EQ(got.year_length[0], 2);
+  EXPECT_EQ(got.references[0].stable_point, 1);
+  EXPECT_EQ(got.popularity[0], 0.25);
+  EXPECT_EQ(got.source_ids[0], 7u);
+  EXPECT_EQ(saved.value(), text);
+}
+
 TEST(DatasetIoParseTest, ZeroResourcesIsValid) {
   auto loaded = ParsePreparedDataset("incentag-dataset v1\nresources 0\n");
   ASSERT_TRUE(loaded.ok());
