@@ -1,7 +1,6 @@
 #include "src/sim/dataset_io.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +20,13 @@ bool HasWhitespace(std::string_view s) {
     if (c == ' ' || c == '\t' || c == '\n' || c == '\r') return true;
   }
   return s.empty();
+}
+
+// `value` as printf's %.17g, which round-trips every double.
+void AppendDouble(double value, std::string* out) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  *out += buf;
 }
 
 util::Status AppendPosts(core::PostSequence posts,
@@ -83,24 +89,21 @@ util::Result<std::string> SerializePreparedDataset(
     const PreparedDataset& dataset, const core::TagVocabulary& vocab) {
   std::string out;
   out += kMagic;
-  out += '\n';
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "resources %zu\n", dataset.size());
-  out += buf;
+  out += "\nresources " + std::to_string(dataset.size()) + '\n';
   for (size_t i = 0; i < dataset.size(); ++i) {
-    if (HasWhitespace(dataset.urls[i])) {
-      return util::Status::InvalidArgument("url not serialisable: '" +
-                                           dataset.urls[i] + "'");
+    const std::string& url = dataset.urls[i];
+    if (HasWhitespace(url)) {
+      return util::Status::InvalidArgument("url not serialisable: '" + url +
+                                           "'");
     }
-    std::snprintf(buf, sizeof(buf), "resource %s %" PRId64 " %" PRId64
-                  " %.17g %u\n",
-                  dataset.urls[i].c_str(), dataset.year_length[i],
-                  dataset.references[i].stable_point, dataset.popularity[i],
-                  dataset.source_ids[i]);
-    out += buf;
+    out += "resource ";
+    out += url;
+    out += ' ' + std::to_string(dataset.year_length[i]) + ' ' +
+           std::to_string(dataset.references[i].stable_point) + ' ';
+    AppendDouble(dataset.popularity[i], &out);
+    out += ' ' + std::to_string(dataset.source_ids[i]) + '\n';
     const core::RfdVector& rfd = dataset.references[i].stable_rfd;
-    std::snprintf(buf, sizeof(buf), "reference %zu", rfd.size());
-    out += buf;
+    out += "reference " + std::to_string(rfd.size());
     for (const auto& [tag, weight] : rfd.entries()) {
       const std::string_view name = vocab.Name(tag);
       if (HasWhitespace(name)) {
@@ -109,18 +112,14 @@ util::Result<std::string> SerializePreparedDataset(
       }
       out += ' ';
       out += name;
-      std::snprintf(buf, sizeof(buf), " %.17g", weight);
-      out += buf;
+      out += ' ';
+      AppendDouble(weight, &out);
     }
-    out += '\n';
-    std::snprintf(buf, sizeof(buf), "initial %zu\n",
-                  dataset.initial_posts[i].size());
-    out += buf;
+    out += "\ninitial " + std::to_string(dataset.initial_posts[i].size()) +
+           '\n';
     INCENTAG_RETURN_IF_ERROR(
         AppendPosts(dataset.initial_posts[i], vocab, &out));
-    std::snprintf(buf, sizeof(buf), "future %zu\n",
-                  dataset.future_posts[i].size());
-    out += buf;
+    out += "future " + std::to_string(dataset.future_posts[i].size()) + '\n';
     INCENTAG_RETURN_IF_ERROR(
         AppendPosts(dataset.future_posts[i], vocab, &out));
   }
