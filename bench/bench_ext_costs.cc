@@ -3,17 +3,17 @@
 //
 // Reward amounts come from the preference crowd: a task on a niche-area
 // resource reaches fewer willing taggers and must pay more. Under such
-// costs, plain FP overpays for expensive resources at each level, the
-// cost-aware FP-$ fills each level cheapest-first, and the cost-aware DP
-// (PlanWithCosts) is the upper bound. With uniform costs, FP and FP-$
-// coincide — the paper's base model is recovered exactly.
+// costs, plain FP overpays for expensive resources at each level, FP-$
+// (FewestPostsStrategy given the costs) fills each level cheapest-first,
+// and the cost-aware DP (PlanWithCosts) is the upper bound. With uniform
+// costs, FP and FP-$ coincide — the paper's base model is recovered
+// exactly.
 #include <cstdio>
 #include <memory>
 
 #include "bench/common/bench_common.h"
 #include "src/core/dp_planner.h"
 #include "src/core/strategy_fp.h"
-#include "src/core/strategy_fp_cost.h"
 #include "src/sim/preference_crowd.h"
 #include "src/util/flags.h"
 #include "src/util/logging.h"
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
               "spent");
   core::FewestPostsStrategy fp;
   core::RunReport fp_report = run(&fp);
-  core::CostAwareFpStrategy fp_cost(&costs);
+  core::FewestPostsStrategy fp_cost(&costs);
   core::RunReport fp_cost_report = run(&fp_cost);
 
   auto plan = core::DpPlanner::PlanWithCosts(ds.initial_posts, ds.references,

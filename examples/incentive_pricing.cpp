@@ -5,8 +5,9 @@
 // preference as future work. This example combines both: tagger
 // communities (PreferenceCrowd) imply that niche resources reach fewer
 // willing workers, which prices their post tasks higher (MakeCostModel);
-// the campaign is then run with cost-aware allocation (CostAwareFpStrategy
-// and DpPlanner::PlanWithCosts) against the plain FP baseline.
+// the campaign is then run with cost-aware allocation (FP-$, which is
+// FewestPostsStrategy given the cost model, and DpPlanner::PlanWithCosts)
+// against the plain FP baseline.
 //
 //   ./build/examples/incentive_pricing --budget=2500 --focus=0.9
 #include <cstdio>
@@ -15,7 +16,6 @@
 #include "src/core/allocation.h"
 #include "src/core/dp_planner.h"
 #include "src/core/strategy_fp.h"
-#include "src/core/strategy_fp_cost.h"
 #include "src/sim/dataset_prep.h"
 #include "src/sim/generator.h"
 #include "src/sim/preference_crowd.h"
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   };
 
   core::FewestPostsStrategy fp;
-  core::CostAwareFpStrategy fp_cost(&costs);
+  core::FewestPostsStrategy fp_cost(&costs);
   core::RunReport fp_report = run(&fp);
   core::RunReport fp_cost_report = run(&fp_cost);
 

@@ -9,14 +9,25 @@
 // a 64-bit field and refuse one outside int32).
 //
 // Ties break toward the smaller resource id, making runs deterministic.
+//
+// Given a CostModel, it is FP-$, the greedy companion to the Section
+// III-C variable-reward extension. With heterogeneous task costs, plain FP
+// can spend the budget on resources that are expensive to reward. FP-$
+// keeps FP's primary ordering (Figure 5's argument is unchanged: the
+// marginal quality gain is largest at the fewest posts) and breaks ties
+// toward the cheaper resource, so a level of equally-tagged resources is
+// filled in ascending cost order. With uniform costs it chooses exactly
+// as FP does. The snapshot format is the same with or without costs.
 #ifndef INCENTAG_CORE_STRATEGY_FP_H_
 #define INCENTAG_CORE_STRATEGY_FP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
 
+#include "src/core/cost_model.h"
 #include "src/core/strategy.h"
 #include "src/util/indexed_heap.h"
 
@@ -25,14 +36,20 @@ namespace core {
 
 class FewestPostsStrategy : public Strategy {
  public:
-  std::string_view name() const override { return "FP"; }
+  // A cost model, when given, must outlive the strategy.
+  explicit FewestPostsStrategy(const CostModel* costs = nullptr)
+      : costs_(costs) {}
+
+  std::string_view name() const override {
+    return costs_ == nullptr ? "FP" : "FP-$";
+  }
 
   void Init(const StrategyContext& ctx) override {
     ctx_ = &ctx;
     pending_.assign(ctx.num_resources(), 0);
     heap_ = std::make_unique<util::IndexedHeap>(ctx.num_resources());
     for (ResourceId i = 0; i < ctx.num_resources(); ++i) {
-      heap_->Push(i, static_cast<double>(ctx.state(i).posts()));
+      heap_->Push(i, Priority(i));
     }
   }
 
@@ -58,9 +75,10 @@ class FewestPostsStrategy : public Strategy {
     if (heap_->Contains(i)) heap_->Remove(i);
   }
 
-  // Heap membership + pending counts suffice: the heap key is always
-  // posts + pending, and IndexedHeap's (priority, id) order makes the
-  // rebuilt heap pick identically to the serialized one.
+  // Heap membership + pending counts suffice: the heap key is a pure
+  // function of posts, pending and the cost model, and IndexedHeap's
+  // (priority, id) order makes the rebuilt heap pick identically to the
+  // serialized one.
   void SerializeState(std::string* out) const override {
     const size_t n = pending_.size();
     util::wire::PutU64(out, static_cast<uint64_t>(n));
@@ -90,10 +108,7 @@ class FewestPostsStrategy : public Strategy {
         return util::Status::Corruption("FP pending count out of range");
       }
       pending_[i] = static_cast<int32_t>(pending);
-      if (in_heap) {
-        heap_->Push(i, static_cast<double>(ctx.state(i).posts() +
-                                           pending_[i]));
-      }
+      if (in_heap) heap_->Push(i, Priority(i));
     }
     if (!in.exhausted()) {
       return util::Status::Corruption("trailing bytes in FP strategy state");
@@ -102,13 +117,25 @@ class FewestPostsStrategy : public Strategy {
   }
 
  private:
-  void Rekey(ResourceId i) {
-    if (heap_->Contains(i)) {
-      heap_->Update(i, static_cast<double>(ctx_->state(i).posts() +
-                                           pending_[i]));
-    }
+  // Without costs the key is posts + pending. With costs it is the
+  // lexicographic (posts + pending, cost) packed into one double: costs
+  // are clamped into [0, kCostRange), and posts * kCostRange stays well
+  // under 2^53 for any realistic run, so the encoding is exact.
+  static constexpr int64_t kCostRange = int64_t{1} << 20;
+
+  double Priority(ResourceId i) const {
+    const double posts =
+        static_cast<double>(ctx_->state(i).posts() + pending_[i]);
+    if (costs_ == nullptr) return posts;
+    return posts * kCostRange +
+           static_cast<double>(std::min(costs_->cost(i), kCostRange - 1));
   }
 
+  void Rekey(ResourceId i) {
+    if (heap_->Contains(i)) heap_->Update(i, Priority(i));
+  }
+
+  const CostModel* costs_;
   const StrategyContext* ctx_ = nullptr;
   // Tasks assigned to each resource and not yet completed.
   std::vector<int32_t> pending_;

@@ -19,7 +19,6 @@
 #include "src/core/strategy.h"
 #include "src/core/strategy_fc.h"
 #include "src/core/strategy_fp.h"
-#include "src/core/strategy_fp_cost.h"
 #include "src/core/strategy_fpmu.h"
 #include "src/core/strategy_mu.h"
 #include "src/core/strategy_rr.h"

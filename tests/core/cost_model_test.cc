@@ -9,9 +9,11 @@
 #include "src/core/allocation.h"
 #include "src/core/dp_planner.h"
 #include "src/core/post_stream.h"
-#include "src/core/strategy_fp_cost.h"
+#include "src/core/strategy_fp.h"
 #include "src/core/strategy_rr.h"
 #include "src/core/types.h"
+#include "src/sim/dataset_prep.h"
+#include "src/sim/generator.h"
 #include "src/util/wire.h"
 
 namespace incentag {
@@ -149,7 +151,7 @@ TEST(CostModelEngineTest, UnitCostsMatchDefaultEngine) {
 
 TEST(CostAwareFpTest, TieBreaksTowardCheaperResource) {
   CostModel costs({5, 2, 3});
-  CostAwareFpStrategy strategy(&costs);
+  FewestPostsStrategy strategy(&costs);
   std::vector<ResourceState> states;
   for (int i = 0; i < 3; ++i) states.emplace_back(2);  // all at 0 posts
   ResourceStateViews views(&states);
@@ -164,7 +166,7 @@ TEST(CostAwareFpTest, TieBreaksTowardCheaperResource) {
 
 TEST(CostAwareFpTest, PostCountStillDominatesCost) {
   CostModel costs({1, 9});
-  CostAwareFpStrategy strategy(&costs);
+  FewestPostsStrategy strategy(&costs);
   std::vector<ResourceState> states;
   states.emplace_back(2);
   states.emplace_back(2);
@@ -179,7 +181,7 @@ TEST(CostAwareFpTest, PostCountStillDominatesCost) {
 
 TEST(CostAwareFpTest, MatchesFpUnderUniformCosts) {
   CostModel costs = CostModel::Uniform(4);
-  CostAwareFpStrategy strategy(&costs);
+  FewestPostsStrategy strategy(&costs);
   std::vector<ResourceState> states;
   for (int i = 0; i < 4; ++i) {
     states.emplace_back(2);
@@ -194,6 +196,61 @@ TEST(CostAwareFpTest, MatchesFpUnderUniformCosts) {
   EXPECT_EQ(strategy.Choose(), 3u);  // fewest posts
   strategy.OnExhausted(3);
   EXPECT_EQ(strategy.Choose(), 2u);
+}
+
+// Over a whole run on a prepared dataset, FP given uniform unit costs
+// (charged by the engine too) allocates and checkpoints exactly as FP
+// without costs, with one task in flight or a batch of them.
+TEST(CostAwareFpTest, RunMatchesFpUnderUniformCosts) {
+  sim::CorpusConfig config;
+  config.num_resources = 160;
+  config.seed = 9;
+  config.year_posts_max = 300;
+  auto corpus = sim::Corpus::Generate(config);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  sim::PrepConfig prep;
+  prep.seed = 9;
+  auto dataset = sim::PrepareFromCorpus(corpus.value(), prep);
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  const sim::PreparedDataset& ds = dataset.value();
+  ASSERT_GT(ds.size(), 20u);
+  const CostModel costs = CostModel::Uniform(ds.size());
+
+  for (int64_t batch_size : {1, 8}) {
+    EngineOptions options;
+    options.budget = 1500;
+    options.checkpoints = {100, 500, 1000};
+    options.batch_size = batch_size;
+    const auto run = [&](FewestPostsStrategy* strategy,
+                         const CostModel* model) {
+      EngineOptions with_model = options;
+      with_model.costs = model;
+      AllocationEngine engine(with_model, &ds.initial_posts, &ds.references);
+      VectorPostStream stream = ds.MakeStream();
+      auto report = engine.Run(strategy, &stream);
+      EXPECT_TRUE(report.ok()) << report.status().ToString();
+      return std::move(report).value();
+    };
+    FewestPostsStrategy fp;
+    FewestPostsStrategy fp_cost(&costs);
+    const RunReport want = run(&fp, nullptr);
+    const RunReport got = run(&fp_cost, &costs);
+    EXPECT_EQ(want.strategy_name, "FP");
+    EXPECT_EQ(got.strategy_name, "FP-$");
+    EXPECT_EQ(got.allocation, want.allocation) << batch_size;
+    EXPECT_EQ(got.budget_spent, want.budget_spent) << batch_size;
+    EXPECT_EQ(got.stopped_early, want.stopped_early) << batch_size;
+    ASSERT_EQ(got.checkpoints.size(), want.checkpoints.size());
+    for (size_t k = 0; k < want.checkpoints.size(); ++k) {
+      const AllocationMetrics& a = got.checkpoints[k];
+      const AllocationMetrics& b = want.checkpoints[k];
+      EXPECT_EQ(a.budget_used, b.budget_used) << batch_size << " " << k;
+      EXPECT_EQ(a.avg_quality, b.avg_quality) << batch_size << " " << k;
+      EXPECT_EQ(a.over_tagged, b.over_tagged) << batch_size << " " << k;
+      EXPECT_EQ(a.wasted_posts, b.wasted_posts) << batch_size << " " << k;
+      EXPECT_EQ(a.under_tagged, b.under_tagged) << batch_size << " " << k;
+    }
+  }
 }
 
 // A snapshot's pending count outside [0, INT32_MAX] is corruption, as
@@ -217,12 +274,12 @@ TEST(CostAwareFpTest, PendingCountOutsideInt32IsRejected) {
     return out;
   };
   for (int64_t pending : {int64_t{-1}, int64_t{1} << 40}) {
-    CostAwareFpStrategy strategy(&costs);
+    FewestPostsStrategy strategy(&costs);
     EXPECT_EQ(strategy.RestoreState(ctx, blob(pending)).code(),
               util::StatusCode::kCorruption)
         << pending;
   }
-  CostAwareFpStrategy strategy(&costs);
+  FewestPostsStrategy strategy(&costs);
   const std::string largest = blob(INT32_MAX);
   ASSERT_TRUE(strategy.RestoreState(ctx, largest).ok());
   std::string again;

@@ -26,7 +26,6 @@
 #include "src/core/rfd.h"
 #include "src/core/strategy_fc.h"
 #include "src/core/strategy_fp.h"
-#include "src/core/strategy_fp_cost.h"
 #include "src/core/strategy_fpmu.h"
 #include "src/core/strategy_mu.h"
 #include "src/core/strategy_rr.h"
@@ -179,7 +178,7 @@ class InitialStateTest : public ::testing::Test {
            });
          }},
         {"FP-$", MakeOptions(200, 8, 5, &costs_),
-         [this] { return std::make_unique<CostAwareFpStrategy>(&costs_); }},
+         [this] { return std::make_unique<FewestPostsStrategy>(&costs_); }},
         {"DP plan", MakeOptions(plan_budget, 4),
          [plan] { return std::make_unique<PlanStrategy>(plan); }},
     };

@@ -21,7 +21,6 @@
 #include "src/core/rfd.h"
 #include "src/core/strategy_fc.h"
 #include "src/core/strategy_fp.h"
-#include "src/core/strategy_fp_cost.h"
 #include "src/core/strategy_fpmu.h"
 #include "src/core/strategy_mu.h"
 #include "src/core/strategy_rr.h"
@@ -282,7 +281,7 @@ TEST_F(RuntimeSnapshotTest, CostAwareFpRoundTrips) {
   CostModel model(std::move(costs));
   CheckRoundTrip(fixture_, MakeOptions(200, 8, &model),
                  [&model] {
-                   return std::make_unique<CostAwareFpStrategy>(&model);
+                   return std::make_unique<FewestPostsStrategy>(&model);
                  },
                  "FP-$");
 }
@@ -585,7 +584,7 @@ TEST(RuntimeGoldenTest, ReportsArePinned) {
   const CostModel model(std::move(costs));
   EXPECT_EQ(GoldenDigest(f, &model,
                          [&model] {
-                           return std::make_unique<CostAwareFpStrategy>(&model);
+                           return std::make_unique<FewestPostsStrategy>(&model);
                          }),
             "1aa4d7d39502165d");
 }
