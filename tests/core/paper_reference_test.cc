@@ -186,9 +186,13 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{40, 5, 300, 300, 2}, Case{30, 17, 450, 200, 2},
                       Case{60, 7, 500, 300, 10}),
     [](const ::testing::TestParamInfo<Case>& info) {
-      return "n" + std::to_string(info.param.num_resources) + "_seed" +
-             std::to_string(info.param.seed) + "_budget" +
-             std::to_string(info.param.budget);
+      std::string name = "n";
+      name.append(std::to_string(info.param.num_resources))
+          .append("_seed")
+          .append(std::to_string(info.param.seed))
+          .append("_budget")
+          .append(std::to_string(info.param.budget));
+      return name;
     });
 
 }  // namespace
