@@ -10,8 +10,7 @@
 //   BM_AppendCompletionBatch/N     AppendCompletionBatch over N-record
 //                                  quanta: one arena encode + one lock
 //   BM_Crc32/N                     checksum throughput at N bytes
-//                                  (slicing-by-8 unless the build set
-//                                  INCENTAG_CRC32_ONE_TABLE)
+//                                  (slicing-by-8)
 //
 // items_per_second is completion records (bytes for BM_Crc32), so the
 // single/batch pairs read directly as records/sec. The CI perf gate

@@ -26,10 +26,6 @@ Histogram::Histogram(std::string name, std::string labels, std::string help,
 }
 
 void Histogram::Observe(double value) {
-  if constexpr (!kMetricsEnabled) {
-    (void)value;
-    return;
-  }
   // First bound >= value; everything past the last bound is overflow.
   const size_t bucket = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -

@@ -19,11 +19,6 @@
 // Metric objects live as long as their Registry (the Default() registry
 // leaks deliberately — instrumented code may run during static
 // teardown). Naming conventions and cardinality rules: src/obs/README.md.
-//
-// Compile-time kill switch: building with INCENTAG_OBS_DISABLED turns
-// every Add/Observe/Set into a no-op (registration still works, values
-// stay 0) for embedders that want the instrumented code paths without
-// the atomics. bench_micro_obs measures both variants.
 #ifndef INCENTAG_OBS_METRICS_H_
 #define INCENTAG_OBS_METRICS_H_
 
@@ -41,12 +36,6 @@
 
 namespace incentag {
 namespace obs {
-
-#ifdef INCENTAG_OBS_DISABLED
-inline constexpr bool kMetricsEnabled = false;
-#else
-inline constexpr bool kMetricsEnabled = true;
-#endif
 
 // Stripes per metric. A power of two so the pin is a mask, sized to keep
 // same-stripe collisions rare at the worker counts the service runs
@@ -95,12 +84,7 @@ inline void AtomicAddDouble(std::atomic<double>* target, double delta) {
 class Counter {
  public:
   void Add(int64_t delta) {
-    if constexpr (kMetricsEnabled) {
-      cells_[ThreadStripe()].value.fetch_add(delta,
-                                             std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    cells_[ThreadStripe()].value.fetch_add(delta, std::memory_order_relaxed);
   }
   void Increment() { Add(1); }
 
@@ -133,19 +117,9 @@ class Counter {
 // far fewer writes than the hot-path counters.
 class Gauge {
  public:
-  void Set(int64_t value) {
-    if constexpr (kMetricsEnabled) {
-      value_.store(value, std::memory_order_relaxed);
-    } else {
-      (void)value;
-    }
-  }
+  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
   void Add(int64_t delta) {
-    if constexpr (kMetricsEnabled) {
-      value_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 

@@ -11,13 +11,7 @@ namespace {
 // Reflected IEEE polynomial 0xEDB88320, the crc32 of zlib/gzip/PNG.
 constexpr uint32_t kPolynomial = 0xEDB88320u;
 
-// One-table builds keep only the classic byte-at-a-time table — that is
-// the flag's whole point (1 KiB instead of 8 KiB of tables).
-#if defined(INCENTAG_CRC32_ONE_TABLE)
-constexpr size_t kNumTables = 1;
-#else
 constexpr size_t kNumTables = 8;
-#endif
 
 // table[0] is the classic one-byte-at-a-time table; table[k] advances a
 // byte that sits k positions further from the end of the message, so
@@ -63,7 +57,6 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
   const auto& tables = Tables();
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
-#if !defined(INCENTAG_CRC32_ONE_TABLE)
   // Slicing-by-8: fold eight bytes per iteration through the eight
   // shifted tables. Journal encode runs a CRC pass per record, so this
   // shows up directly in the batched append path's profile.
@@ -77,7 +70,6 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
     bytes += 8;
     size -= 8;
   }
-#endif
   for (size_t i = 0; i < size; ++i) {
     crc = tables[0][(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
   }

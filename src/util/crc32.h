@@ -4,11 +4,7 @@
 // [length | crc | payload] and verifies the checksum on read, so a torn
 // write at the tail of a campaign journal — the expected failure mode of
 // a crash mid-append — is detected and the journal recovered up to the
-// last intact record. Table-driven slicing-by-8 (eight bytes per step);
-// compile with -DINCENTAG_CRC32_ONE_TABLE (CMake option
-// INCENTAG_CRC32_SLICING=OFF) to fall back to the classic one-table,
-// one-byte-per-step loop — same checksums, ~4x slower on long buffers,
-// 7 KiB less table.
+// last intact record. Table-driven slicing-by-8 (eight bytes per step).
 #ifndef INCENTAG_UTIL_CRC32_H_
 #define INCENTAG_UTIL_CRC32_H_
 

@@ -1,7 +1,5 @@
 #include "src/util/fail_point.h"
 
-#if INCENTAG_FAILPOINTS
-
 #include <map>
 #include <string>
 
@@ -138,5 +136,3 @@ void FailPoint::DisarmAll() {
 
 }  // namespace util
 }  // namespace incentag
-
-#endif  // INCENTAG_FAILPOINTS

@@ -13,10 +13,7 @@
 //   1. Disarmed cost is one relaxed atomic load. Every pwritev and every
 //      fdatasync in the fleet passes a fail point; the hot path must not
 //      notice. `bench_micro_obs` hard-gates the disarmed overhead <= 1%.
-//   2. Compiled out entirely under -DINCENTAG_FAILPOINTS=OFF: the macros
-//      expand to nothing and release builds carry no registry, no
-//      atomics, no strings.
-//   3. Deterministic. Triggers are counted (nth hit, every Nth) or drawn
+//   2. Deterministic. Triggers are counted (nth hit, every Nth) or drawn
 //      from a seeded per-point PRNG; a torture test that records its
 //      seed replays the exact same fault schedule.
 //
@@ -50,18 +47,11 @@
 #ifndef INCENTAG_UTIL_FAIL_POINT_H_
 #define INCENTAG_UTIL_FAIL_POINT_H_
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#if !defined(INCENTAG_FAILPOINTS)
-#define INCENTAG_FAILPOINTS 0
-#endif
-
-#if INCENTAG_FAILPOINTS
-
-#include <atomic>
 
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
@@ -162,33 +152,5 @@ class FailPoint {
 // `fault_ptr`) only when armed.
 #define INCENTAG_FAIL_POINT_FIRED(var, fault_ptr) \
   (__builtin_expect((var).armed(), 0) && (var).Fire(fault_ptr))
-
-#else  // !INCENTAG_FAILPOINTS
-
-namespace incentag {
-namespace util {
-
-// Compiled-out stub: sites still define a point object and name a Fault
-// to fill, but the macros evaluate to constant false and the optimizer
-// deletes the dead branches — no registry, no atomics, no strings.
-class FailPoint {
- public:
-  enum class Shape { kErrno, kShortWrite, kTornSync };
-  struct Fault {
-    Shape shape = Shape::kErrno;
-    int err = EIO;
-    int64_t max_bytes = 0;
-  };
-};
-
-}  // namespace util
-}  // namespace incentag
-
-#define INCENTAG_FAIL_POINT_DEFINE(var, name) \
-  [[maybe_unused]] ::incentag::util::FailPoint var {}
-#define INCENTAG_FAIL_POINT_FIRED(var, fault_ptr) \
-  ((void)(var), (void)(fault_ptr), false)
-
-#endif  // INCENTAG_FAILPOINTS
 
 #endif  // INCENTAG_UTIL_FAIL_POINT_H_

@@ -23,14 +23,6 @@ namespace incentag {
 namespace persist {
 namespace {
 
-#if !INCENTAG_FAILPOINTS
-
-TEST(FaultRecoveryTest, CompiledOut) {
-  GTEST_SKIP() << "built with INCENTAG_FAILPOINTS=OFF";
-}
-
-#else
-
 using util::FailPoint;
 
 // Arms a registered fail point for the enclosing scope.
@@ -428,8 +420,6 @@ TEST_F(FaultRecoveryTest, FailedDirSyncAfterCompactionLosesNoRecord) {
     EXPECT_EQ(contents.value().completions[i].seq, 10 + i);
   }
 }
-
-#endif  // INCENTAG_FAILPOINTS
 
 }  // namespace
 }  // namespace persist

@@ -32,14 +32,6 @@ namespace {
 
 using std::chrono::milliseconds;
 
-#if !INCENTAG_FAILPOINTS
-
-TEST(FaultTortureTest, CompiledOut) {
-  GTEST_SKIP() << "built with INCENTAG_FAILPOINTS=OFF";
-}
-
-#else
-
 using util::FailPoint;
 
 class FaultTortureTest : public testing::CampaignTest<60, 20260808> {
@@ -283,8 +275,6 @@ TEST_F(FaultTortureTest, FailedTerminalSyncIsRetriedOnTheSink) {
   EXPECT_EQ(fsync->fires(), 1u);
   EXPECT_GE(fdatasync->hits(), 1u);
 }
-
-#endif  // INCENTAG_FAILPOINTS
 
 }  // namespace
 }  // namespace service

@@ -14,14 +14,6 @@ namespace incentag {
 namespace util {
 namespace {
 
-#if !INCENTAG_FAILPOINTS
-
-TEST(FailPointTest, CompiledOut) {
-  GTEST_SKIP() << "built with INCENTAG_FAILPOINTS=OFF";
-}
-
-#else
-
 INCENTAG_FAIL_POINT_DEFINE(g_test_point, "fail_point_test/site");
 INCENTAG_FAIL_POINT_DEFINE(g_other_point, "fail_point_test/other");
 
@@ -137,8 +129,6 @@ TEST(FailPointTest, DisarmAllCoversEveryRegisteredPoint) {
   const std::vector<FailPoint*> all = FailPoint::All();
   EXPECT_GE(all.size(), 2u);
 }
-
-#endif  // INCENTAG_FAILPOINTS
 
 }  // namespace
 }  // namespace util

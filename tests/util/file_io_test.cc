@@ -25,7 +25,6 @@ namespace incentag {
 namespace util {
 namespace {
 
-#if INCENTAG_FAILPOINTS
 // Arms a fail point for the scope of one test body and disarms it on
 // every exit path, so a failing assertion cannot leak faults into the
 // next test.
@@ -55,7 +54,6 @@ class ScopedFailPoint {
  private:
   FailPoint* point_;
 };
-#endif  // INCENTAG_FAILPOINTS
 
 class FileIoTest : public ::testing::Test {
  protected:
@@ -131,9 +129,6 @@ TEST_F(FileIoTest, AppendGatherDrainsDirtyBufferFirst) {
 }
 
 TEST_F(FileIoTest, AppendGatherSurvivesInjectedShortWrites) {
-#if !INCENTAG_FAILPOINTS
-  GTEST_SKIP() << "built with INCENTAG_FAILPOINTS=OFF";
-#else
   // Cap every pwritev at 3 bytes: each gather must resume mid-piece,
   // exercising the same arithmetic a real short write takes.
   AppendFile file;
@@ -149,13 +144,9 @@ TEST_F(FileIoTest, AppendGatherSurvivesInjectedShortWrites) {
   // Every write was capped, so the gather took several syscalls — each
   // one a recorded fire.
   EXPECT_GT(cap.point()->fires(), 1u);
-#endif
 }
 
 TEST_F(FileIoTest, ShortWriteCapStressAcrossManyGathers) {
-#if !INCENTAG_FAILPOINTS
-  GTEST_SKIP() << "built with INCENTAG_FAILPOINTS=OFF";
-#else
   // Byte-identity against an uncapped writer across many gathers with
   // pieces straddling every cap boundary.
   std::string expect;
@@ -174,13 +165,9 @@ TEST_F(FileIoTest, ShortWriteCapStressAcrossManyGathers) {
   EXPECT_EQ(file.size(), static_cast<int64_t>(expect.size()));
   ASSERT_TRUE(file.Close().ok());
   EXPECT_EQ(Contents(Path("f")), expect);
-#endif
 }
 
 TEST_F(FileIoTest, InjectedWriteErrorRetainsRemainderForExactRetry) {
-#if !INCENTAG_FAILPOINTS
-  GTEST_SKIP() << "built with INCENTAG_FAILPOINTS=OFF";
-#else
   AppendFile file;
   ASSERT_TRUE(file.Open(Path("f"), 0).ok());
   {
@@ -199,13 +186,9 @@ TEST_F(FileIoTest, InjectedWriteErrorRetainsRemainderForExactRetry) {
   ASSERT_TRUE(file.Flush().ok());  // disk healthy again
   ASSERT_TRUE(file.Close().ok());
   EXPECT_EQ(Contents(Path("f")), "hello world");
-#endif
 }
 
 TEST_F(FileIoTest, ReopenAndRestoreRewritesUntrustedRangeAfterTornSync) {
-#if !INCENTAG_FAILPOINTS
-  GTEST_SKIP() << "built with INCENTAG_FAILPOINTS=OFF";
-#else
   AppendFile file;
   ASSERT_TRUE(file.Open(Path("f"), 0).ok());
   ASSERT_TRUE(file.Append("durable|").ok());
@@ -231,7 +214,6 @@ TEST_F(FileIoTest, ReopenAndRestoreRewritesUntrustedRangeAfterTornSync) {
   ASSERT_TRUE(file.SyncData().ok());
   ASSERT_TRUE(file.Close().ok());
   EXPECT_EQ(Contents(Path("f")), "durable|flushed|buffered");
-#endif
 }
 
 TEST_F(FileIoTest, AppendGatherManyPiecesSpillsPastInlineIovArray) {
