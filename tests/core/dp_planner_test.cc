@@ -1,10 +1,12 @@
 #include "src/core/dp_planner.h"
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/cost_model.h"
 #include "src/core/quality.h"
 #include "src/core/types.h"
 #include "src/util/random.h"
@@ -185,6 +187,72 @@ TEST(DpPlannerTest, PreferObviouslyBetterResource) {
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan.value().allocation[0], 5);
   EXPECT_EQ(plan.value().allocation[1], 0);
+}
+
+// Pins the planner bit for bit: a 64-bit FNV-1a digest over every
+// allocation, the bit pattern of every objective and the status code of
+// every failed plan, with unit costs (exact spend) and under two cost
+// models (spend <= budget), on seeded random instances.
+class DpGoldenTest : public ::testing::Test {
+ protected:
+  static util::Result<DpPlan> PlanUnderCosts(const TinyProblem& p,
+                                             int64_t budget,
+                                             const CostModel& costs) {
+    return DpPlanner::PlanWithCosts(p.initial, p.references, p.future, budget,
+                                    costs);
+  }
+
+  void Absorb(const util::Result<DpPlan>& plan) {
+    if (!plan.ok()) {
+      ++failed_;
+      AbsorbWord(static_cast<uint64_t>(plan.status().code()));
+      return;
+    }
+    for (int64_t x : plan.value().allocation) {
+      AbsorbWord(static_cast<uint64_t>(x));
+    }
+    uint64_t bits = 0;
+    const double objective = plan.value().optimal_total_quality;
+    std::memcpy(&bits, &objective, sizeof(bits));
+    AbsorbWord(bits);
+  }
+
+  void AbsorbWord(uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      digest_ ^= (word >> (8 * i)) & 0xffu;
+      digest_ *= 0x100000001b3ull;
+    }
+  }
+
+  uint64_t digest_ = 0xcbf29ce484222325ull;
+  int failed_ = 0;
+};
+
+TEST_F(DpGoldenTest, PlansArePinned) {
+  int plans = 0;
+  for (uint64_t seed = 101; seed <= 106; ++seed) {
+    util::Rng rng(seed);
+    const size_t n = static_cast<size_t>(rng.NextInt(2, 6));
+    const int init_posts = static_cast<int>(rng.NextInt(1, 5));
+    const int future_posts = static_cast<int>(rng.NextInt(3, 8));
+    const TinyProblem p = MakeRandomProblem(seed, n, init_posts, future_posts);
+    std::vector<int64_t> random_costs(n);
+    for (int64_t& c : random_costs) c = rng.NextInt(1, 4);
+    const CostModel random(random_costs);
+    const CostModel uniform = CostModel::Uniform(n, 2);
+    // Two past the total supply, so the last budgets are infeasible for
+    // the exact-spend plan.
+    const int64_t supply = static_cast<int64_t>(n) * future_posts;
+    for (int64_t budget = 0; budget <= supply + 2; ++budget) {
+      Absorb(DpPlanner::Plan(p.initial, p.references, p.future, budget));
+      Absorb(PlanUnderCosts(p, budget, random));
+      Absorb(PlanUnderCosts(p, budget, uniform));
+      plans += 3;
+    }
+  }
+  EXPECT_EQ(plans, 318);
+  EXPECT_EQ(failed_, 12);
+  EXPECT_EQ(digest_, 0x6c45046fdc82de99ull);
 }
 
 TEST(PlanStrategyTest, DispensesAllocationInIdOrder) {
