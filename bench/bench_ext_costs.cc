@@ -5,7 +5,7 @@
 // resource reaches fewer willing taggers and must pay more. Under such
 // costs, plain FP overpays for expensive resources at each level, FP-$
 // (FewestPostsStrategy given the costs) fills each level cheapest-first,
-// and the cost-aware DP (PlanWithCosts) is the upper bound. With uniform
+// and the cost-aware DP (Plan given the costs) is the upper bound. With uniform
 // costs, FP and FP-$ coincide — the paper's base model is recovered
 // exactly.
 #include <cstdio>
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
   core::FewestPostsStrategy fp_cost(&costs);
   core::RunReport fp_cost_report = run(&fp_cost);
 
-  auto plan = core::DpPlanner::PlanWithCosts(ds.initial_posts, ds.references,
-                                             ds.future_posts, budget, costs);
+  auto plan = core::DpPlanner::Plan(ds.initial_posts, ds.references,
+                                    ds.future_posts, budget, &costs);
   INCENTAG_CHECK(plan.ok());
   core::PlanStrategy dp(plan.value().allocation);
   core::RunReport dp_report = run(&dp);

@@ -50,9 +50,8 @@ int main(int argc, char** argv) {
     }
   }
   if (dp) {
-    for (int64_t budget : budgets) {
-      core::RunReport report =
-          bench::RunDpAtBudget(*bench_ds, budget, static_cast<int>(omega));
+    for (const core::RunReport& report :
+         bench::RunDpSweep(*bench_ds, budgets, static_cast<int>(omega))) {
       tau["DP"].push_back(evaluator.RankingAccuracy(report.allocation));
     }
   }

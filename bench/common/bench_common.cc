@@ -76,6 +76,21 @@ core::RunReport RunDpAtBudget(const BenchDataset& bench_ds, int64_t budget,
   return RunAtBudget(bench_ds, &dp, budget, omega);
 }
 
+std::vector<core::RunReport> RunDpSweep(const BenchDataset& bench_ds,
+                                       const std::vector<int64_t>& budgets,
+                                       int omega) {
+  const sim::PreparedDataset& ds = bench_ds.dataset;
+  auto plans = core::DpPlanner::PlanSweep(ds.initial_posts, ds.references,
+                                          ds.future_posts, budgets);
+  INCENTAG_CHECK(plans.ok());
+  std::vector<core::RunReport> reports;
+  for (size_t i = 0; i < budgets.size(); ++i) {
+    core::PlanStrategy dp(std::move(plans.value()[i].allocation));
+    reports.push_back(RunAtBudget(bench_ds, &dp, budgets[i], omega));
+  }
+  return reports;
+}
+
 MetricSeries RunBudgetSweep(const BenchDataset& bench_ds,
                             const std::vector<int64_t>& budgets, int omega,
                             bool include_dp, uint64_t crowd_seed) {
@@ -95,9 +110,8 @@ MetricSeries RunBudgetSweep(const BenchDataset& bench_ds,
   }
   if (include_dp) {
     std::vector<core::AllocationMetrics>& dp_series = series["DP"];
-    for (int64_t budget : budgets) {
-      dp_series.push_back(
-          RunDpAtBudget(bench_ds, budget, omega).final_metrics);
+    for (core::RunReport& report : RunDpSweep(bench_ds, budgets, omega)) {
+      dp_series.push_back(std::move(report.final_metrics));
     }
   }
   return series;

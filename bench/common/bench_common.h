@@ -56,9 +56,16 @@ core::RunReport RunAtBudget(const BenchDataset& bench_ds,
 core::RunReport RunDpAtBudget(const BenchDataset& bench_ds, int64_t budget,
                               int omega, double* plan_seconds = nullptr);
 
+// Plans DP for every budget from one table (core::DpPlanner::PlanSweep)
+// and executes each plan through the engine; reports[i] is budgets[i]'s.
+std::vector<core::RunReport> RunDpSweep(const BenchDataset& bench_ds,
+                                        const std::vector<int64_t>& budgets,
+                                        int omega);
+
 // Metrics per strategy per budget: series[strategy][i] corresponds to
-// budgets[i]. Practical strategies run once with checkpoints; DP replans
-// per budget (it is an offline algorithm optimising for a specific B).
+// budgets[i]. Practical strategies run once with checkpoints; DP is an
+// offline algorithm optimising for a specific B, so each budget gets its
+// own plan, all from one sweep (RunDpSweep).
 using MetricSeries = std::map<std::string, std::vector<core::AllocationMetrics>>;
 MetricSeries RunBudgetSweep(const BenchDataset& bench_ds,
                             const std::vector<int64_t>& budgets, int omega,

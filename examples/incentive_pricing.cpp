@@ -6,8 +6,8 @@
 // communities (PreferenceCrowd) imply that niche resources reach fewer
 // willing workers, which prices their post tasks higher (MakeCostModel);
 // the campaign is then run with cost-aware allocation (FP-$, which is
-// FewestPostsStrategy given the cost model, and DpPlanner::PlanWithCosts)
-// against the plain FP baseline.
+// FewestPostsStrategy given the cost model, and DpPlanner::Plan given it
+// too) against the plain FP baseline.
 //
 //   ./build/examples/incentive_pricing --budget=2500 --focus=0.9
 #include <cstdio>
@@ -96,8 +96,8 @@ int main(int argc, char** argv) {
   core::RunReport fp_report = run(&fp);
   core::RunReport fp_cost_report = run(&fp_cost);
 
-  auto plan = core::DpPlanner::PlanWithCosts(ds.initial_posts, ds.references,
-                                             ds.future_posts, budget, costs);
+  auto plan = core::DpPlanner::Plan(ds.initial_posts, ds.references,
+                                    ds.future_posts, budget, &costs);
   if (!plan.ok()) {
     std::fprintf(stderr, "dp: %s\n", plan.status().ToString().c_str());
     return 1;

@@ -6,8 +6,8 @@
 // A CostModel assigns each resource a positive integer reward amount per
 // post task (e.g., unpopular resources must offer more to attract a
 // tagger). The allocation engine charges the chosen resource's cost per
-// completed task, and the DP planner has a cost-aware variant
-// (DpPlanner::PlanWithCosts).
+// completed task, and the DP planner given the model plans with stride
+// cost(i) and spend <= budget (DpPlanner::Plan's `costs`).
 #ifndef INCENTAG_CORE_COST_MODEL_H_
 #define INCENTAG_CORE_COST_MODEL_H_
 

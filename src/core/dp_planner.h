@@ -1,14 +1,22 @@
 // The theoretically-optimal offline allocator (paper Section III-D,
-// Appendix B, Algorithm 6).
+// Appendix B, Algorithm 6), with the Section III-C variable rewards.
 //
 // DP assumes two things no practical strategy may use: the reference stable
 // rfds phi_hat_i (to evaluate q_i) and the full future post sequences (to
 // know what each additional post task yields). Given those, it maximises
 //
-//   sum_i q_i(c_i + x_i)   subject to   sum_i x_i = B, x_i >= 0
+//   sum_i q_i(c_i + x_i)   subject to   sum_i cost_i x_i (== or <=) B
 //
-// with the recurrence of Eq. 14/17 and reconstructs the argmax assignment
-// via the y-table of Eq. 18/19.
+// with one recurrence (Eq. 14/17), Q(b, l) = max_x Q(b - cost_l x, l-1) +
+// q_l(c_l + x), and reconstructs the argmax assignment via the y-table of
+// Eq. 18/19. Without a cost model every task costs 1 and the row before
+// resource 0 is Q(0) = 0, Q(b > 0) = -infinity, so a plan spends exactly B
+// (the paper's ==). With a cost model that row is 0 everywhere and a plan
+// spends at most B (<=: with heterogeneous costs an exact spend may be
+// infeasible).
+//
+// The y-table's cell for budget b does not depend on the largest budget,
+// so PlanSweep plans a list of budgets from one table.
 //
 // Complexity: the per-resource quality tables q_l(c_l + x) are built
 // incrementally in O(posts consumed); the DP itself is O(n B^2) time and
@@ -17,6 +25,7 @@
 #define INCENTAG_CORE_DP_PLANNER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/core/allocation.h"
@@ -30,7 +39,8 @@ namespace incentag {
 namespace core {
 
 struct DpPlan {
-  // x: optimal number of post tasks per resource; sums to the budget.
+  // x: optimal number of post tasks per resource; costs exactly the budget
+  // without a cost model, at most the budget with one.
   std::vector<int64_t> allocation;
   // The optimal objective value sum_i q_i(c_i + x_i) (not averaged).
   double optimal_total_quality = 0.0;
@@ -38,23 +48,25 @@ struct DpPlan {
 
 class DpPlanner {
  public:
-  // Computes the optimal plan. `future[i]` holds resource i's known future
-  // posts, in the order it would receive them; a resource cannot be
-  // allocated more tasks than it holds.
+  // Computes the optimal plan for each of `budgets`, in the order given,
+  // from one table as wide as the largest. `future[i]` holds resource i's
+  // known future posts, in the order it would receive them; a resource
+  // cannot be allocated more tasks than it holds. With `costs`, task x on
+  // resource i costs `costs->cost(i)` reward units and a plan spends at
+  // most its budget; without, it spends exactly its budget, and a budget
+  // beyond the total supply fails the whole sweep with FailedPrecondition.
+  static util::Result<std::vector<DpPlan>> PlanSweep(
+      const PostStore& initial_posts,
+      const std::vector<ResourceReference>& references,
+      const PostStore& future, std::span<const int64_t> budgets,
+      const CostModel* costs = nullptr);
+
+  // PlanSweep of the one budget.
   static util::Result<DpPlan> Plan(
       const PostStore& initial_posts,
       const std::vector<ResourceReference>& references,
-      const PostStore& future, int64_t budget);
-
-  // Cost-aware variant (the Section III-C extension): task x on resource i
-  // costs `costs.cost(i)` reward units and the plan's total cost must not
-  // exceed `budget` (<=, not ==: with heterogeneous costs an exact spend
-  // may be infeasible). Reduces to Plan's objective when all costs are 1,
-  // except that leftover budget is allowed.
-  static util::Result<DpPlan> PlanWithCosts(
-      const PostStore& initial_posts,
-      const std::vector<ResourceReference>& references,
-      const PostStore& future, int64_t budget, const CostModel& costs);
+      const PostStore& future, int64_t budget,
+      const CostModel* costs = nullptr);
 
   // Builds one resource's quality table: q_l(c_l + x) for x = 0..max_x.
   // Exposed for tests and for the ablation bench.

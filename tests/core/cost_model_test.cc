@@ -295,8 +295,7 @@ TEST(DpWithCostsTest, PrefersCheaperEquivalentResource) {
   // should flow to resource 0 first.
   CostFixture f(/*initial_tag=*/9);
   CostModel costs({1, 2});
-  auto plan = DpPlanner::PlanWithCosts(f.initial, f.references, f.future, 4,
-                                       costs);
+  auto plan = DpPlanner::Plan(f.initial, f.references, f.future, 4, &costs);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   // 4 units buy 4 tasks on resource 0 vs 2 on resource 1; quality is
   // concave-ish here so the split favours 0 heavily.
@@ -316,8 +315,8 @@ TEST(DpWithCostsTest, MatchesBruteForceOnSmallInstance) {
   CostModel costs({2, 3});
   const int64_t budget = 11;
 
-  auto plan = DpPlanner::PlanWithCosts(f.initial, f.references, f.future,
-                                       budget, costs);
+  auto plan =
+      DpPlanner::Plan(f.initial, f.references, f.future, budget, &costs);
   ASSERT_TRUE(plan.ok());
 
   // Brute force over (x0, x1) with 2*x0 + 3*x1 <= 11.
@@ -345,7 +344,7 @@ TEST(DpWithCostsTest, UnitCostsAllowFullSpend) {
   CostFixture f;
   CostModel costs = CostModel::Uniform(2, 1);
   auto with_costs =
-      DpPlanner::PlanWithCosts(f.initial, f.references, f.future, 6, costs);
+      DpPlanner::Plan(f.initial, f.references, f.future, 6, &costs);
   ASSERT_TRUE(with_costs.ok());
   auto exact = DpPlanner::Plan(f.initial, f.references, f.future, 6);
   ASSERT_TRUE(exact.ok());
@@ -358,8 +357,7 @@ TEST(DpWithCostsTest, RejectsMismatchedCosts) {
   CostFixture f;
   CostModel costs = CostModel::Uniform(7);
   EXPECT_FALSE(
-      DpPlanner::PlanWithCosts(f.initial, f.references, f.future, 3, costs)
-          .ok());
+      DpPlanner::Plan(f.initial, f.references, f.future, 3, &costs).ok());
 }
 
 }  // namespace

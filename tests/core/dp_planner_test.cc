@@ -1,5 +1,6 @@
 #include "src/core/dp_planner.h"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -198,8 +199,7 @@ class DpGoldenTest : public ::testing::Test {
   static util::Result<DpPlan> PlanUnderCosts(const TinyProblem& p,
                                              int64_t budget,
                                              const CostModel& costs) {
-    return DpPlanner::PlanWithCosts(p.initial, p.references, p.future, budget,
-                                    costs);
+    return DpPlanner::Plan(p.initial, p.references, p.future, budget, &costs);
   }
 
   void Absorb(const util::Result<DpPlan>& plan) {
@@ -253,6 +253,56 @@ TEST_F(DpGoldenTest, PlansArePinned) {
   EXPECT_EQ(plans, 318);
   EXPECT_EQ(failed_, 12);
   EXPECT_EQ(digest_, 0x6c45046fdc82de99ull);
+}
+
+// Each plan of a sweep equals its own Plan call bit for bit, although the
+// sweep's table is as wide as its largest budget.
+void ExpectSweepMatchesPlans(const TinyProblem& p,
+                             const std::vector<int64_t>& budgets,
+                             const CostModel* costs) {
+  auto sweep =
+      DpPlanner::PlanSweep(p.initial, p.references, p.future, budgets, costs);
+  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+  ASSERT_EQ(sweep.value().size(), budgets.size());
+  for (size_t i = 0; i < budgets.size(); ++i) {
+    auto plan =
+        DpPlanner::Plan(p.initial, p.references, p.future, budgets[i], costs);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(sweep.value()[i].allocation, plan.value().allocation)
+        << "budget=" << budgets[i];
+    EXPECT_EQ(std::bit_cast<uint64_t>(sweep.value()[i].optimal_total_quality),
+              std::bit_cast<uint64_t>(plan.value().optimal_total_quality))
+        << "budget=" << budgets[i];
+  }
+}
+
+TEST(PlanSweepTest, MatchesPlanPerBudget) {
+  const TinyProblem p = MakeRandomProblem(12, /*n=*/4, /*init_posts=*/3,
+                                          /*future_posts=*/5);  // supply 20
+  const CostModel costs({2, 1, 3, 1});
+  // Unsorted, repeated, zero and the whole supply.
+  const std::vector<int64_t> budgets = {7, 0, 20, 3, 7, 12, 0};
+  ExpectSweepMatchesPlans(p, budgets, nullptr);
+  ExpectSweepMatchesPlans(p, budgets, &costs);
+  // Given costs a plan spends at most its budget, so any budget is
+  // reachable, also one beyond what the whole supply costs (35).
+  ExpectSweepMatchesPlans(p, {45, 21, 0, 21}, &costs);
+  ExpectSweepMatchesPlans(p, {}, nullptr);
+
+  // Without costs a budget beyond the supply fails the sweep as it fails
+  // its own Plan.
+  auto unreachable =
+      DpPlanner::PlanSweep(p.initial, p.references, p.future,
+                           std::vector<int64_t>{5, 21, 0}, nullptr);
+  EXPECT_EQ(unreachable.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(DpPlanner::Plan(p.initial, p.references, p.future, 21)
+                .status()
+                .code(),
+            util::StatusCode::kFailedPrecondition);
+  auto negative =
+      DpPlanner::PlanSweep(p.initial, p.references, p.future,
+                           std::vector<int64_t>{5, -1}, &costs);
+  EXPECT_EQ(negative.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(PlanStrategyTest, DispensesAllocationInIdOrder) {

@@ -119,14 +119,14 @@ TEST_F(NumericConsistencyTest, DpObjectiveEqualsEngineEvaluation) {
 }
 
 TEST_F(NumericConsistencyTest, CostAwareDpIsMonotoneInBudget) {
-  // PlanWithCosts uses <= semantics, so a larger budget can never yield a
-  // worse optimum.
+  // Given costs, DP plans with <= semantics, so a larger budget can never
+  // yield a worse optimum.
   core::CostModel costs = core::CostModel::Uniform(dataset_->size(), 2);
   double prev = -1.0;
   for (int64_t budget : {0, 20, 60, 120}) {
-    auto plan = core::DpPlanner::PlanWithCosts(
+    auto plan = core::DpPlanner::Plan(
         dataset_->initial_posts, dataset_->references,
-        dataset_->future_posts, budget, costs);
+        dataset_->future_posts, budget, &costs);
     ASSERT_TRUE(plan.ok());
     EXPECT_GE(plan.value().optimal_total_quality + 1e-12, prev)
         << "budget=" << budget;
