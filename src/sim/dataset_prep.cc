@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -31,8 +30,8 @@ constexpr size_t kScanChunk = 8;
 struct SampledYear {
   std::vector<core::TagId> tags;
   std::vector<uint32_t> bounds;
-  // Set when the sampling fed a stability detector that reached stability;
-  // 0 otherwise (a stable point is at least omega >= 2).
+  // Where the year's posts reached stability (at least omega >= 2); 0 for
+  // a dropped year.
   int64_t stable_point = 0;
   core::RfdVector stable_rfd;
 
@@ -43,30 +42,27 @@ struct SampledYear {
   }
 };
 
-// Samples posts [begin, end) of resource i straight into the year's tag
-// buffer. With `stability`, a detector reads the posts until it reports
-// stable.
+// Samples resource i's year straight into the year's tag buffer, while a
+// detector reads the posts until it reports stable.
 SampledYear SampleFlat(const Corpus& corpus, core::ResourceId i,
-                       int64_t begin, int64_t end,
-                       const core::StabilityParams* stability) {
+                       const core::StabilityParams& stability) {
+  const int64_t year_length = corpus.resource(i).year_length;
   SampledYear year;
-  year.bounds.reserve(static_cast<size_t>(end - begin) + 1);
+  year.bounds.reserve(static_cast<size_t>(year_length) + 1);
   year.bounds.push_back(0);
-  std::optional<core::StabilityDetector> detector;
-  if (stability != nullptr) detector.emplace(*stability);
-  for (int64_t k = begin; k < end; ++k) {
+  core::StabilityDetector detector(stability);
+  for (int64_t k = 0; k < year_length; ++k) {
     const size_t first = year.tags.size();
     corpus.AppendPostTags(i, k, &year.tags);
     year.bounds.push_back(static_cast<uint32_t>(year.tags.size()));
-    if (detector && !detector->IsStable()) {
-      detector->AddPost(std::span<const core::TagId>(year.tags).subspan(first));
+    if (!detector.IsStable()) {
+      detector.AddPost(std::span<const core::TagId>(year.tags).subspan(first));
     }
   }
-  if (!detector) return year;
   // An unstable year is dropped: keep none of its posts.
-  if (!detector->IsStable()) return {};
-  year.stable_point = detector->stable_point();
-  year.stable_rfd = std::move(*detector).stable_rfd();
+  if (!detector.IsStable()) return {};
+  year.stable_point = detector.stable_point();
+  year.stable_rfd = std::move(detector).stable_rfd();
   return year;
 }
 
@@ -222,9 +218,8 @@ util::Result<PreparedDataset> PrepareFromCorpus(const Corpus& corpus,
   ScanThenKeep(
       years.size(),
       [&](size_t i) {
-        const core::ResourceId id = static_cast<core::ResourceId>(i);
-        years[i] = SampleFlat(corpus, id, 0, corpus.resource(id).year_length,
-                              &config.stability);
+        years[i] = SampleFlat(corpus, static_cast<core::ResourceId>(i),
+                              config.stability);
       },
       [&](size_t i) {
         SampledYear year = std::exchange(years[i], {});
@@ -280,41 +275,6 @@ util::Result<PreparedDataset> PrepareFromSequences(
   }
   return Finish(std::move(out), std::move(posts),
                 "no resource reached stability; relax (omega_s, tau_s)");
-}
-
-util::Status ExtendFuture(const Corpus& corpus, double multiplier,
-                          PreparedDataset* dataset) {
-  if (!std::isfinite(multiplier) || multiplier < 1.0) {
-    return util::Status::InvalidArgument(
-        "multiplier must be finite and >= 1");
-  }
-  for (core::ResourceId source : dataset->source_ids) {
-    if (source >= corpus.num_resources()) {
-      return util::Status::InvalidArgument(
-          "dataset was not prepared from this corpus");
-    }
-  }
-  std::vector<SampledYear> extended(dataset->size());
-  core::PostStore::Builder future;
-  ScanThenKeep(
-      extended.size(),
-      [&](size_t i) {
-        const int64_t total = static_cast<int64_t>(
-            std::llround(static_cast<double>(dataset->year_length[i]) *
-                         multiplier));
-        extended[i] = SampleFlat(
-            corpus, dataset->source_ids[i],
-            static_cast<int64_t>(dataset->initial_posts[i].size()), total,
-            /*stability=*/nullptr);
-      },
-      [&](size_t i) {
-        const SampledYear year = std::exchange(extended[i], {});
-        future.AddPosts(year.Posts());
-        future.EndResource();
-        return true;
-      });
-  dataset->future_posts = std::move(future).Build();
-  return util::Status::OK();
 }
 
 }  // namespace sim

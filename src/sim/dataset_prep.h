@@ -110,17 +110,6 @@ util::Result<PreparedDataset> PrepareFromSequences(
     const core::PostStore& year_posts, const std::vector<std::string>& urls,
     const PrepConfig& config);
 
-// Replaces `dataset->future_posts` with extended streams drawn from the
-// corpus: each resource's future grows to multiplier * year_length posts
-// (total, including the January prefix). Used by the Section V-B.1
-// "budget until everything is stable" experiment, which needs more posts
-// than one year supplies. Samples in parallel like PrepareFromCorpus and
-// builds the new store on the calling thread. Returns InvalidArgument
-// unless the multiplier is finite and >= 1. Must not run while a stream
-// from MakeStream() is alive: the stream reads the store this replaces.
-util::Status ExtendFuture(const Corpus& corpus, double multiplier,
-                          PreparedDataset* dataset);
-
 }  // namespace sim
 }  // namespace incentag
 

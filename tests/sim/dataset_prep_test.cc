@@ -193,39 +193,6 @@ TEST_F(DatasetPrepTest, MakeStreamReplaysFuturePosts) {
   EXPECT_GT(checked, 0u);
 }
 
-TEST_F(DatasetPrepTest, ExtendFutureGrowsSupply) {
-  auto prep = PrepareFromCorpus(*corpus_, TestPrepConfig());
-  ASSERT_TRUE(prep.ok());
-  PreparedDataset ds = std::move(prep).value();
-  const size_t before = ds.future_posts[0].size();
-  ASSERT_TRUE(ExtendFuture(*corpus_, 2.0, &ds).ok());
-  EXPECT_GT(ds.future_posts[0].size(), before);
-  // Extended stream still agrees with the corpus sampler.
-  const core::ResourceId src = ds.source_ids[0];
-  const int64_t init = static_cast<int64_t>(ds.initial_posts[0].size());
-  EXPECT_EQ(ds.future_posts[0][0], corpus_->SamplePost(src, init));
-}
-
-TEST_F(DatasetPrepTest, ExtendFutureRejectsBadMultiplier) {
-  auto prep = PrepareFromCorpus(*corpus_, TestPrepConfig());
-  ASSERT_TRUE(prep.ok());
-  PreparedDataset ds = std::move(prep).value();
-  const core::PostStore before = ds.future_posts;
-  for (double multiplier : {0.5, std::numeric_limits<double>::quiet_NaN(),
-                            std::numeric_limits<double>::infinity()}) {
-    EXPECT_EQ(ExtendFuture(*corpus_, multiplier, &ds).code(),
-              util::StatusCode::kInvalidArgument)
-        << multiplier;
-  }
-  EXPECT_EQ(ds.future_posts, before);
-}
-
-TEST_F(DatasetPrepTest, ExtendFutureOfEmptyDatasetIsNoOp) {
-  PreparedDataset empty;
-  EXPECT_TRUE(ExtendFuture(*corpus_, 2.0, &empty).ok());
-  EXPECT_EQ(empty.size(), 0u);
-}
-
 // 64-bit FNV-1a over every field of a prepared dataset, in a fixed order.
 class DatasetDigest {
  public:
@@ -336,16 +303,6 @@ TEST(DatasetPrepGoldenTest, LateCapIsPinned) {
   PrepConfig capped = E2ePrepConfig();
   capped.max_keep = 1000;
   EXPECT_EQ(PreparedDigest(E2eCorpusConfig(), capped), "376accc526d94488");
-}
-
-TEST(DatasetPrepGoldenTest, ExtendedFutureIsPinned) {
-  auto corpus = Corpus::Generate(E2eCorpusConfig());
-  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-  auto prep = PrepareFromCorpus(corpus.value(), E2ePrepConfig());
-  ASSERT_TRUE(prep.ok()) << prep.status().ToString();
-  PreparedDataset ds = std::move(prep).value();
-  ASSERT_TRUE(ExtendFuture(corpus.value(), 2.0, &ds).ok());
-  EXPECT_EQ(DatasetDigest(ds).Hex(), "60ba38a5c85b12eb");
 }
 
 TEST(DatasetPrepGoldenTest, PreparedSequencesArePinned) {
