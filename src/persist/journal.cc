@@ -30,7 +30,7 @@ static_assert(kFramedCompletionBytes == kFrameHeaderBytes + 1 + 8 + 4);
 // coalesces in the writer buffer for the sink's next window flush; at
 // or past it the append flushes inline (one gathered pwritev). Sized
 // well above a window's worth of records at any realistic rate, so the
-// inline path only triggers when no sink is draining the buffer.
+// inline path only triggers when the sink falls behind the appends.
 constexpr int64_t kGatherFlushBytes = 32 << 10;
 
 // Fault-injection sites for the compaction rewrite (ISSUE 10): the

@@ -638,20 +638,14 @@ void CampaignManager::OnCompletionBatch(Campaign* c,
 
 void CampaignManager::FlushJournal(Campaign* c) {
   if (c->journal == nullptr) return;
-  // With a sink, the quantum path costs no syscall: records sit in the
-  // writer buffer until the sink's window commit flushes them as part
-  // of the fdatasync it already pays for (SyncData flushes first).
-  // Durability is unchanged — buffered or flushed, a record is durable
-  // only once the sink pass covering its Schedule returns, and a crash
-  // in between loses a replayable tail either way.
-  // Without a sink the buffer has no draining thread, so push to the
-  // kernel here; errors are not fatal — the terminal Sync in Finalize
-  // retries.
-  if (sink_ != nullptr) {
-    sink_->Schedule(c->journal.get());
-    return;
-  }
-  c->journal->Flush();
+  // A journaled campaign always has the sink (EnsureJournalWorkers runs
+  // before its journal opens), so the quantum path costs no syscall:
+  // records sit in the writer buffer until the sink's window commit
+  // flushes them as part of the fdatasync it already pays for (SyncData
+  // flushes first). Durability is unchanged — buffered or flushed, a
+  // record is durable only once the sink pass covering its Schedule
+  // returns, and a crash in between loses a replayable tail either way.
+  sink_->Schedule(c->journal.get());
 }
 
 // Runs on the stepper (token held), so the runtime, strategy, stream and
@@ -913,16 +907,16 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
   const bool quarantine = state == CampaignState::kQuarantined;
   if (c->journal != nullptr) {
     if (quarantine) {
-      if (sink_ != nullptr) sink_->Untrack(c->journal.get());
+      sink_->Untrack(c->journal.get());
     } else {
       // No new job can start: compactions are enqueued only by this
       // campaign's steps. Waiting before the sync also lets it retry a
       // directory fsync the rewrite left owing.
       c->compact_in_flight.wait(true);
       if (c->journal->Sync().ok()) {
-        if (sink_ != nullptr) sink_->Untrack(c->journal.get());
+        sink_->Untrack(c->journal.get());
         c->journal->Close();
-      } else if (sink_ != nullptr) {
+      } else {
         // A journal whose sync failed stays open: its bytes may still be
         // in the page cache only, and the fd is the one handle on them.
         // The sink's retry ladder syncs it again (with any directory
