@@ -2,10 +2,12 @@
 // equal from-scratch recomputation over the very same allocation, and the
 // DP objectives must satisfy their structural properties on real corpora.
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/allocation.h"
+#include "src/core/cost_model.h"
 #include "src/core/dp_planner.h"
 #include "src/core/quality.h"
 #include "src/core/strategy_fp.h"
@@ -135,24 +137,43 @@ TEST_F(NumericConsistencyTest, CostAwareDpIsMonotoneInBudget) {
 }
 
 TEST_F(NumericConsistencyTest, DpDominatesEveryPracticalStrategy) {
+  // Under a cost model FP and FP-$ (FP given the costs) spend at most the
+  // budget, so DP given the same costs bounds both; nothing orders FP-$
+  // against FP.
+  std::vector<int64_t> varied(dataset_->size());
+  for (size_t i = 0; i < varied.size(); ++i) {
+    varied[i] = 1 + static_cast<int64_t>(i % 3);
+  }
+  const core::CostModel costs(varied);
   const int64_t budget = 120;
-  auto plan = core::DpPlanner::Plan(dataset_->initial_posts,
-                                    dataset_->references,
-                                    dataset_->future_posts, budget);
-  ASSERT_TRUE(plan.ok());
-  const double dp_avg = plan.value().optimal_total_quality /
-                        static_cast<double>(dataset_->size());
+  for (const core::CostModel* model : {static_cast<const core::CostModel*>(
+                                           nullptr),
+                                       &costs}) {
+    auto plan = core::DpPlanner::Plan(dataset_->initial_posts,
+                                      dataset_->references,
+                                      dataset_->future_posts, budget, model);
+    ASSERT_TRUE(plan.ok());
+    const double dp_avg = plan.value().optimal_total_quality /
+                          static_cast<double>(dataset_->size());
 
-  core::EngineOptions options;
-  options.budget = budget;
-  options.omega = 5;
-  core::AllocationEngine engine(options, &dataset_->initial_posts,
-                                &dataset_->references);
-  core::FewestPostsStrategy fp;
-  core::VectorPostStream stream = dataset_->MakeStream();
-  auto report = engine.Run(&fp, &stream);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GE(dp_avg + 1e-9, report.value().final_metrics.avg_quality);
+    core::EngineOptions options;
+    options.budget = budget;
+    options.omega = 5;
+    options.costs = model;
+    core::AllocationEngine engine(options, &dataset_->initial_posts,
+                                  &dataset_->references);
+    core::FewestPostsStrategy fp;
+    core::FewestPostsStrategy fp_cost(model);
+    for (core::Strategy* strategy : {static_cast<core::Strategy*>(&fp),
+                                     static_cast<core::Strategy*>(&fp_cost)}) {
+      core::VectorPostStream stream = dataset_->MakeStream();
+      auto report = engine.Run(strategy, &stream);
+      ASSERT_TRUE(report.ok());
+      EXPECT_GE(dp_avg + 1e-9, report.value().final_metrics.avg_quality)
+          << "costs=" << (model != nullptr) << " FP given costs="
+          << (strategy == &fp_cost);
+    }
+  }
 }
 
 }  // namespace
