@@ -70,12 +70,13 @@ util::Result<std::vector<DpPlan>> DpPlanner::PlanSweep(
   std::vector<std::vector<int32_t>> choice(n, std::vector<int32_t>(width));
 
   for (size_t l = 0; l < n; ++l) {
-    const size_t stride = static_cast<size_t>(cost(l));
+    const int64_t unit = cost(l);
+    const size_t stride = static_cast<size_t>(unit);
     // q_l(c_l + x), up to what the largest budget affords and the future
     // supply holds.
     const std::vector<double> ql =
         QualityTable(initial_posts[l], references[l], future,
-                     static_cast<ResourceId>(l), b_max / cost(l));
+                     static_cast<ResourceId>(l), b_max / unit);
     for (size_t b = 0; b < width; ++b) {
       double best = kNegInf;
       int32_t best_x = -1;

@@ -145,10 +145,9 @@ TEST_F(NumericConsistencyTest, DpDominatesEveryPracticalStrategy) {
     varied[i] = 1 + static_cast<int64_t>(i % 3);
   }
   const core::CostModel costs(varied);
+  const core::CostModel* const models[] = {nullptr, &costs};
   const int64_t budget = 120;
-  for (const core::CostModel* model : {static_cast<const core::CostModel*>(
-                                           nullptr),
-                                       &costs}) {
+  for (const core::CostModel* model : models) {
     auto plan = core::DpPlanner::Plan(dataset_->initial_posts,
                                       dataset_->references,
                                       dataset_->future_posts, budget, model);
@@ -164,8 +163,7 @@ TEST_F(NumericConsistencyTest, DpDominatesEveryPracticalStrategy) {
                                   &dataset_->references);
     core::FewestPostsStrategy fp;
     core::FewestPostsStrategy fp_cost(model);
-    for (core::Strategy* strategy : {static_cast<core::Strategy*>(&fp),
-                                     static_cast<core::Strategy*>(&fp_cost)}) {
+    for (core::FewestPostsStrategy* strategy : {&fp, &fp_cost}) {
       core::VectorPostStream stream = dataset_->MakeStream();
       auto report = engine.Run(strategy, &stream);
       ASSERT_TRUE(report.ok());
