@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/core/cost_model.h"
@@ -74,6 +75,13 @@ class FewestPostsStrategy : public Strategy {
   void OnExhausted(ResourceId i) override {
     if (heap_->Contains(i)) heap_->Remove(i);
   }
+
+  // For FP-MU, which runs FP as its warm-up stage: whether `i` is still
+  // a candidate, its tasks in flight, and dropping those once they are
+  // known to go unfilled (returns how many were dropped).
+  bool Contains(ResourceId i) const { return heap_->Contains(i); }
+  int32_t pending(ResourceId i) const { return pending_[i]; }
+  int32_t DropPending(ResourceId i) { return std::exchange(pending_[i], 0); }
 
   // Heap membership + pending counts suffice: the heap key is a pure
   // function of posts, pending and the cost model, and IndexedHeap's

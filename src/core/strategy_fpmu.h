@@ -41,8 +41,9 @@ class HybridFpMuStrategy : public Strategy {
   ResourceId Choose() override {
     if (InWarmup()) return fp_.Choose();
     if (!mu_initialized_) {
-      // All resources now have >= omega posts; MU sees them all.
-      mu_.Init(*ctx_);
+      // MU starts from FP's live members, never from one FP has seen
+      // exhausted.
+      mu_.InitOver(*ctx_, [this](ResourceId i) { return fp_.Contains(i); });
       mu_initialized_ = true;
     }
     return mu_.Choose();
@@ -61,32 +62,42 @@ class HybridFpMuStrategy : public Strategy {
     }
   }
 
+  // Completions arrive in assignment order, and every FP task was
+  // assigned before the first MU task, so a resource with FP tasks in
+  // flight completes those first. MU, once started, rekeys a member an
+  // FP task lands on, so its keys stay the members' MA scores.
   void Update(ResourceId chosen) override {
-    // Completions arrive in assignment order; route them to the stage
-    // that issued the assignment.
-    if (fp_tasks_in_flight_ > 0) {
+    if (fp_.pending(chosen) > 0) {
       fp_.Update(chosen);
       --fp_tasks_in_flight_;
+      if (mu_initialized_) mu_.Update(chosen);
     } else {
       mu_.Update(chosen);
     }
   }
 
+  // Both stages drop the resource while they are live. Its FP tasks in
+  // flight go unfilled, and the runtime reports no completion for them.
   void OnExhausted(ResourceId i) override {
-    if (InWarmup()) {
+    if (FpLive()) {
+      const int32_t unfilled = fp_.DropPending(i);
+      fp_tasks_in_flight_ -= unfilled;
       fp_.OnExhausted(i);
-      // The resource can no longer be warmed up; don't wait for it.
-      const int64_t deficit =
-          std::max<int64_t>(0, ctx_->omega - ctx_->state(i).posts());
-      warmup_remaining_ -= std::min(warmup_remaining_, deficit);
-    } else {
-      mu_.OnExhausted(i);
+      if (InWarmup()) {
+        // The resource can no longer be warmed up; don't wait for it.
+        const int64_t deficit = std::max<int64_t>(
+            0, ctx_->omega - ctx_->state(i).posts() - unfilled);
+        warmup_remaining_ -= std::min(warmup_remaining_, deficit);
+      }
     }
+    if (mu_initialized_) mu_.OnExhausted(i);
   }
 
   // Remaining warm-up post tasks (exposed for tests).
   int64_t warmup_remaining() const { return warmup_remaining_; }
   bool InWarmup() const { return warmup_remaining_ > 0; }
+  // FP still has a say: warm-up remains or one of its tasks is in flight.
+  bool FpLive() const { return InWarmup() || fp_tasks_in_flight_ > 0; }
 
   // Stage counters plus the nested FP/MU blobs, each length-prefixed so
   // the sub-strategy encodings stay opaque here.

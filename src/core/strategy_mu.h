@@ -21,11 +21,18 @@ class MostUnstableStrategy : public Strategy {
   std::string_view name() const override { return "MU"; }
 
   void Init(const StrategyContext& ctx) override {
+    InitOver(ctx, [](ResourceId) { return true; });
+  }
+
+  // Init over the resources `member(i)` accepts only: FP-MU starts MU
+  // from the resources its warm-up stage has not seen exhausted.
+  template <typename Member>
+  void InitOver(const StrategyContext& ctx, Member member) {
     ctx_ = &ctx;
     heap_ = std::make_unique<util::IndexedHeap>(ctx.num_resources());
     for (ResourceId i = 0; i < ctx.num_resources(); ++i) {
       // Algorithm 4 INIT: only resources with at least omega posts.
-      if (ctx.state(i).has_ma_score()) {
+      if (member(i) && ctx.state(i).has_ma_score()) {
         heap_->Push(i, ctx.state(i).ma_score());
       }
     }

@@ -155,6 +155,30 @@ TEST(BatchTest, FpmuWarmupCommitsAtAssignment) {
   }
 }
 
+// Resource 0 has one future post but gets three of FP-MU's six warm-up
+// tasks (omega = 3), and the warm-up ends on the batch's last assignment.
+// The two unfilled tasks are FP's: FP hears the exhaustion, and every
+// later completion is MU's. MU starts from FP's live members, so the rest
+// of the budget goes to resource 1.
+TEST(BatchTest, FpmuRoutesUnfilledWarmupTasksToFp) {
+  BatchFixture f(2, 0, 10);
+  f.future[0].resize(1);
+  EngineOptions options;
+  options.budget = 8;
+  options.omega = 3;
+  options.batch_size = 6;
+  const PostStore initial = PostStore::FromPosts(f.initial);
+  const PostStore future = PostStore::FromPosts(f.future);
+  AllocationEngine engine(options, &initial, &f.references);
+  HybridFpMuStrategy fpmu;
+  VectorPostStream stream(&future);
+  auto report = engine.Run(&fpmu, &stream);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().allocation, (std::vector<int64_t>{1, 7}));
+  EXPECT_EQ(report.value().budget_spent, 8);
+  EXPECT_FALSE(report.value().stopped_early);
+}
+
 TEST(BatchTest, LargerBatchesCannotImproveFp) {
   // Staleness is never helpful: FP at batch 16 must not beat FP at
   // batch 1 on the same problem (equal is fine; the fixture is symmetric).
