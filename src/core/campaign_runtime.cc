@@ -298,7 +298,7 @@ struct Seed {
 // is built at a resource's allocation the bytes must equal its rebuild;
 // the other resources are decoded into *seeds, in index order.
 util::Status ReadResources(const InitialState& initial,
-                           const std::vector<int64_t>& allocation, int omega,
+                           const std::vector<uint32_t>& allocation, int omega,
                            util::wire::Reader* in, std::vector<Seed>* seeds) {
   const size_t n = allocation.size();
   std::string expected;
@@ -377,7 +377,7 @@ util::Status CampaignRuntime::SerializeResumableState(
   util::wire::PutI64(out, tasks_completed_);
   util::wire::PutU8(out, stopped_early_ ? 1 : 0);
   util::wire::PutU64(out, static_cast<uint64_t>(next_checkpoint_));
-  for (int64_t x : allocation_) util::wire::PutI64(out, x);
+  for (uint32_t x : allocation_) util::wire::PutI64(out, x);
   for (size_t i = 0; i < n; ++i) {
     util::wire::PutU8(out, exhausted_[i] ? 1 : 0);
   }
@@ -396,7 +396,7 @@ util::Status CampaignRuntime::SerializeResumableState(
   }
   eval_->Serialize(out);
   // Format v1's stream cursors: a campaign's cursor is its allocation.
-  for (int64_t x : allocation_) util::wire::PutI64(out, x);
+  for (uint32_t x : allocation_) util::wire::PutI64(out, x);
   std::string strategy_state;
   strategy_->SerializeState(&strategy_state);
   util::wire::PutString(out, strategy_state);
@@ -434,15 +434,19 @@ util::Status CampaignRuntime::RestoreResumableState(
   }
   next_checkpoint_ = static_cast<size_t>(next_checkpoint);
 
+  // Written as i64; checked against the future length (a uint32 store
+  // offset) before it narrows.
   allocation_.assign(n, 0);
   for (size_t i = 0; i < n; ++i) {
-    if (!in.GetI64(&allocation_[i])) {
+    int64_t x = 0;
+    if (!in.GetI64(&x)) {
       return util::Status::Corruption("short runtime state allocation");
     }
-    if (allocation_[i] < 0 || allocation_[i] > initial_->future_length(i)) {
+    if (x < 0 || x > initial_->future_length(i)) {
       return util::Status::Corruption(
           "runtime state allocation exceeds the resource's future posts");
     }
+    allocation_[i] = static_cast<uint32_t>(x);
   }
   exhausted_.assign(n, false);
   for (size_t i = 0; i < n; ++i) {
@@ -523,7 +527,7 @@ RunReport CampaignRuntime::Finish() {
   RunReport report;
   report.strategy_name = std::string(strategy_->name());
   report.elapsed_seconds = timer_.ElapsedSeconds();
-  report.allocation = std::move(allocation_);
+  report.allocation.assign(allocation_.begin(), allocation_.end());
   report.checkpoints = std::move(checkpoints_);
   report.budget_spent = spent_;
   report.stopped_early = stopped_early_;
@@ -535,6 +539,7 @@ RunReport CampaignRuntime::Finish() {
   // The campaign is over: free its per-resource state (swapping with an
   // empty container releases the storage; clear() would keep it).
   std::vector<bool>().swap(exhausted_);
+  std::vector<uint32_t>().swap(allocation_);
   eval_.reset();
   initial_.reset();
   return report;

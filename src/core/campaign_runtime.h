@@ -24,17 +24,20 @@
 // CampaignManager keeps one per dataset, post store and omega), or builds
 // a private one when the caller passes none. A resource's state after j
 // applied posts is the table's row(i, j), the same in every campaign, so
-// the allocation x_i = j is the runtime's only per-resource state (8
-// bytes, plus one exhausted bit). It is the campaign's cursor into the
-// shared post store, which the runtime only reads: a completion moves
+// the allocation x_i = j is the runtime's only per-resource state (4
+// bytes, plus one exhausted bit; x_i never passes the resource's future
+// length, a uint32 PostStore offset). It is the campaign's cursor into
+// the shared post store, which the runtime only reads: a completion moves
 // x_i, and a resource is exhausted once x_i reaches its future length.
 // It is also the strategy's view:
 // StrategyContext::state(i) computes ResourceView(c_i + x_i,
 // row(i, x_i).ma_score) on each call.
 // Begin has the table replay every trajectory from January; a restore
 // needs each resource only from its allocation on (InitialState::Attach).
-// Finish moves the allocation into the report and frees the evaluation
-// and the table reference; only the report survives.
+// Finish widens the allocation into the report and frees the rest of the
+// per-resource state, the evaluation and the table reference; only the
+// report survives. Per-resource, a running campaign holds these 4 bytes
+// and a bit, plus what its strategy keeps (strategy_*.h).
 //
 // Driving the protocol straight through (as AllocationEngine::Run now
 // does, and as CampaignManager's deterministic mode does) reproduces the
@@ -193,7 +196,8 @@ class CampaignRuntime : private ViewSource {
   std::vector<bool> exhausted_;
 
   // x_i: the posts applied to each resource, its row in initial_.
-  std::vector<int64_t> allocation_;
+  // Snapshots write each as an i64.
+  std::vector<uint32_t> allocation_;
   std::vector<AllocationMetrics> checkpoints_;
   size_t next_checkpoint_ = 0;
   int64_t spent_ = 0;

@@ -82,6 +82,17 @@ class FewestPostsStrategy : public Strategy {
   bool Contains(ResourceId i) const { return heap_->Contains(i); }
   int32_t pending(ResourceId i) const { return pending_[i]; }
   int32_t DropPending(ResourceId i) { return std::exchange(pending_[i], 0); }
+  bool HasPending() const {
+    return std::any_of(pending_.begin(), pending_.end(),
+                       [](int32_t p) { return p != 0; });
+  }
+  // Heap membership, one bit per resource: all FP-MU keeps of FP once
+  // its warm-up is over.
+  std::vector<bool> Members() const {
+    std::vector<bool> members(pending_.size());
+    for (size_t i = 0; i < members.size(); ++i) members[i] = heap_->Contains(i);
+    return members;
+  }
 
   // Heap membership + pending counts suffice: the heap key is a pure
   // function of posts, pending and the cost model, and IndexedHeap's
@@ -93,6 +104,17 @@ class FewestPostsStrategy : public Strategy {
     for (size_t i = 0; i < n; ++i) {
       util::wire::PutU8(out, heap_->Contains(i) ? 1 : 0);
       util::wire::PutI64(out, pending_[i]);
+    }
+  }
+
+  // The blob SerializeState writes for heap membership `members` and no
+  // task pending.
+  static void SerializeMembers(const std::vector<bool>& members,
+                               std::string* out) {
+    util::wire::PutU64(out, static_cast<uint64_t>(members.size()));
+    for (bool member : members) {
+      util::wire::PutU8(out, member ? 1 : 0);
+      util::wire::PutI64(out, 0);
     }
   }
 

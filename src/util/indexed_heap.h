@@ -11,7 +11,10 @@
 // Space: 16 bytes per id of capacity, all reserved at construction — the
 // heap's priorities (8 B) and ids (4 B) in heap order, and each id's
 // position (4 B). Ids and positions are 32-bit, so the capacity must be
-// below UINT32_MAX (a CHECK, made before anything is allocated).
+// below UINT32_MAX (a CHECK, made before anything is allocated). It is
+// the largest per-resource cost of a running FP or MU campaign (4 more
+// bytes for the runtime's allocation), so a campaign keeps a heap only
+// while it reads it: FP-MU frees FP's once its warm-up has landed.
 //
 // Keys are ordered by (priority, id): ties break toward the smaller id so
 // that strategy behaviour is deterministic and unit-testable.

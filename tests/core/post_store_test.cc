@@ -1,7 +1,5 @@
 #include "src/core/post_store.h"
 
-#include <malloc.h>
-
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -243,11 +241,6 @@ class E2eDatasetTest : public ::testing::Test {
 sim::Corpus* E2eDatasetTest::corpus_ = nullptr;
 sim::PreparedDataset* E2eDatasetTest::dataset_ = nullptr;
 
-size_t HeapInUse() {
-  const struct mallinfo2 info = ::mallinfo2();
-  return info.uordblks + info.hblkhd;
-}
-
 // Posts cost 4 bytes per tag, 4 per post and 4 per resource (the bound
 // allows 16) plus a constant; no post owns an allocation. Measured as the
 // heap the two stores give back when they are destroyed.
@@ -265,12 +258,12 @@ TEST_F(E2eDatasetTest, StoresHoldNoAllocationPerPost) {
   EXPECT_EQ(ds.future_posts.num_posts(), 77623u);
   EXPECT_EQ(tags, 155671u);
 
-  const size_t before = HeapInUse();
+  const size_t before = testing::HeapInUse();
   {
     const PostStore initial = std::move(ds.initial_posts);
     const PostStore future = std::move(ds.future_posts);
   }
-  const size_t freed = before - HeapInUse();
+  const size_t freed = before - testing::HeapInUse();
   const size_t bound = 4 * tags + 4 * posts + 16 * resources + 16 * 1024;
   std::printf("stores freed %zu bytes; bound %zu\n", freed, bound);
   EXPECT_LE(freed, bound);

@@ -205,6 +205,66 @@ TEST_F(RuntimeSnapshotTest, HybridFpMuRoundTrips) {
   }
 }
 
+// Once its warm-up has landed FP-MU frees FP and writes FP's blob from
+// the membership it keeps. A snapshot of that state restores with FP
+// freed, writes itself back, and finishes as the uninterrupted run does:
+// with MU running (the 24-resource fixture at 100 of 200 tasks), and
+// right after a batched warm-up whose unfilled tasks freed FP before MU
+// started (resource 0 has one future post and gets three warm-up tasks).
+TEST_F(RuntimeSnapshotTest, HybridFpMuRoundTripsAfterFreeingFp) {
+  Fixture builder;
+  builder.AddResource({Post::FromTags({1})}, 0, 1000);
+  builder.AddResource(std::vector<Post>(11, Post::FromTags({1})), 0, 1000);
+  const Fixture dry = std::move(builder).Finish();
+  struct Case {
+    const Fixture* f;
+    EngineOptions options;
+    int64_t split;
+  };
+  EngineOptions batched = MakeOptions(8, 6);
+  batched.omega = 3;
+  for (const Case& c : {Case{&fixture_, MakeOptions(200, 4), 100},
+                        Case{&dry, batched, 4}}) {
+    const std::string label = "split at " + std::to_string(c.split);
+    RunReport want;
+    {
+      HybridFpMuStrategy strategy;
+      VectorPostStream stream(&c.f->future);
+      CampaignRuntime rt(c.options, &c.f->initial, &c.f->references);
+      ASSERT_TRUE(rt.Begin(&strategy, &stream).ok()) << label;
+      std::deque<ResourceId> pending;
+      want = DriveToCompletion(&rt, &pending);
+    }
+    std::string state;
+    {
+      HybridFpMuStrategy strategy;
+      VectorPostStream stream(&c.f->future);
+      CampaignRuntime rt(c.options, &c.f->initial, &c.f->references);
+      ASSERT_TRUE(rt.Begin(&strategy, &stream).ok()) << label;
+      std::vector<ResourceId> batch;
+      while (rt.spent() < c.split) {
+        ASSERT_TRUE(rt.DrawBatch(&batch).ok()) << label;
+        ASSERT_FALSE(batch.empty()) << label;
+        rt.ApplyCompletionBatch(batch.data(), batch.size());
+      }
+      ASSERT_TRUE(strategy.fp_freed()) << label;
+      ASSERT_TRUE(rt.SerializeResumableState(&state).ok()) << label;
+    }
+    HybridFpMuStrategy strategy;
+    VectorPostStream stream(&c.f->future);
+    CampaignRuntime rt(c.options, &c.f->initial, &c.f->references);
+    ASSERT_TRUE(rt.RestoreResumableState(state, &strategy, &stream).ok())
+        << label;
+    EXPECT_TRUE(strategy.fp_freed()) << label;
+    std::string again;
+    ASSERT_TRUE(rt.SerializeResumableState(&again).ok()) << label;
+    EXPECT_EQ(again, state) << label;
+    std::deque<ResourceId> pending;
+    EXPECT_TRUE(testing::SameReport(want, DriveToCompletion(&rt, &pending)))
+        << label;
+  }
+}
+
 TEST_F(RuntimeSnapshotTest, FreeChoiceRoundTripsWithDeterministicPicker) {
   // A seeded picker stands in for the crowd model; restore fast-forwards
   // a fresh instance by the serialized number of draws.

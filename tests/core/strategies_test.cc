@@ -375,6 +375,62 @@ TEST(HybridTest, LargePendingCountRoundTrips) {
   EXPECT_EQ(again, blob);
 }
 
+// An FP-MU blob as SerializeState lays it out, over one resource that FP
+// still holds with `fp_pending` tasks pending, and MU's blob when MU runs.
+std::string HybridBlob(int64_t warmup, int64_t in_flight, bool mu_running,
+                       int64_t fp_pending) {
+  std::string fp_blob;
+  util::wire::PutU64(&fp_blob, 1);
+  util::wire::PutU8(&fp_blob, 1);
+  util::wire::PutI64(&fp_blob, fp_pending);
+  std::string mu_blob;
+  if (mu_running) {
+    util::wire::PutU64(&mu_blob, 1);
+    util::wire::PutU8(&mu_blob, 0);
+  }
+  std::string blob;
+  util::wire::PutI64(&blob, warmup);
+  util::wire::PutI64(&blob, in_flight);
+  util::wire::PutU8(&blob, mu_running ? 1 : 0);
+  util::wire::PutString(&blob, fp_blob);
+  util::wire::PutString(&blob, mu_blob);
+  return blob;
+}
+
+// Once the warm-up is handed out and has landed, FP-MU keeps only FP's
+// membership; a blob of that state restores with FP freed and writes
+// itself back.
+TEST(HybridTest, RestoreAfterTheWarmupFreesFp) {
+  StrategyHarness h(2);
+  h.AddResource(3, 1);
+  for (bool mu_running : {false, true}) {
+    const std::string blob = HybridBlob(0, 0, mu_running, 0);
+    HybridFpMuStrategy hybrid;
+    ASSERT_TRUE(hybrid.RestoreState(h.ctx(), blob).ok());
+    EXPECT_TRUE(hybrid.fp_freed());
+    std::string again;
+    hybrid.SerializeState(&again);
+    EXPECT_EQ(again, blob);
+  }
+}
+
+// No run has MU started while warm-up remains, or FP tasks pending when
+// none is in flight (each FP completion or unfilled task takes one off
+// both counts).
+TEST(HybridTest, RestoreRefusesStatesNoRunReaches) {
+  StrategyHarness h(2);
+  h.AddResource(0, 1);
+  for (const std::string& blob :
+       {HybridBlob(1, 0, /*mu_running=*/true, 0),
+        HybridBlob(0, 0, /*mu_running=*/false, 2),
+        HybridBlob(0, 0, /*mu_running=*/true, 1)}) {
+    HybridFpMuStrategy hybrid;
+    const util::Status status = hybrid.RestoreState(h.ctx(), blob);
+    EXPECT_EQ(status.code(), util::StatusCode::kCorruption)
+        << status.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace incentag

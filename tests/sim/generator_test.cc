@@ -1,7 +1,5 @@
 #include "src/sim/generator.h"
 
-#include <malloc.h>
-
 #include <cstdio>
 #include <memory>
 #include <set>
@@ -10,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/stability.h"
+#include "tests/testing/test_util.h"
 
 namespace incentag {
 namespace sim {
@@ -257,11 +256,6 @@ TEST(CorpusTest, FindUrlMissing) {
   EXPECT_FALSE(corpus.value().FindUrl("not-a-real-url.example").ok());
 }
 
-size_t HeapInUse() {
-  const struct mallinfo2 info = ::mallinfo2();
-  return info.uordblks + info.hblkhd;
-}
-
 // The fleet benchmark's corpus (2000 resources, seed 1, no jitter) holds
 // its distributions in one flat sampling table and its names in one
 // arena, measured as the heap it gives back when destroyed: 2.07 MB, and
@@ -286,9 +280,9 @@ TEST(CorpusTest, FootprintIsFlat) {
     }
   }
 
-  const size_t before = HeapInUse();
+  const size_t before = testing::HeapInUse();
   corpus.reset();
-  const size_t freed = before - HeapInUse();
+  const size_t freed = before - testing::HeapInUse();
   const size_t bound = 2400 * 1024;
   std::printf("corpus freed %zu bytes; bound %zu\n", freed, bound);
   EXPECT_LE(freed, bound);

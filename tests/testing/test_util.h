@@ -4,6 +4,7 @@
 #ifndef INCENTAG_TESTS_TESTING_TEST_UTIL_H_
 #define INCENTAG_TESTS_TESTING_TEST_UTIL_H_
 
+#include <malloc.h>
 #include <unistd.h>
 
 #include <cmath>
@@ -20,6 +21,14 @@
 
 namespace incentag {
 namespace testing {
+
+// Bytes in use on glibc's heap, for tests that pin a structure's
+// footprint as the heap it holds or gives back. The sanitizers bring
+// their own allocators, so such tests skip under them.
+inline size_t HeapInUse() {
+  const struct mallinfo2 info = ::mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
 
 // A random non-empty post over tags [0, universe).
 inline core::Post RandomPost(util::Rng* rng, uint32_t universe,
