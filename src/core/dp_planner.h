@@ -20,7 +20,8 @@
 //
 // Complexity: the per-resource quality tables q_l(c_l + x) are built
 // incrementally in O(posts consumed); the DP itself is O(n B^2) time and
-// O(n B) space (for the reconstruction table), matching Table V.
+// O(n B) space (for the reconstruction table), matching Table V. A cell
+// is 2 bytes when every resource's cap fits int16_t, else 4.
 #ifndef INCENTAG_CORE_DP_PLANNER_H_
 #define INCENTAG_CORE_DP_PLANNER_H_
 

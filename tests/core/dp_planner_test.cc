@@ -305,6 +305,32 @@ TEST(PlanSweepTest, MatchesPlanPerBudget) {
   EXPECT_EQ(negative.status().code(), util::StatusCode::kInvalidArgument);
 }
 
+// A cap past int16_t takes the int32_t choice table: resource 0 holds
+// 32,768 future posts and the budget takes all of them and resource 1's
+// one, so its cell must hold 32,768.
+TEST(PlanSweepTest, CapPastInt16UsesWideCells) {
+  constexpr int64_t kWide = int64_t{1} << 15;
+  PostStore::Builder initial;
+  PostStore::Builder future;
+  for (int64_t supply : {kWide, int64_t{1}}) {
+    initial.AddPost(Post::FromTags({1, 2}));
+    for (int64_t k = 0; k < supply; ++k) {
+      future.AddPost(Post::FromTags({static_cast<TagId>(1 + k % 3)}));
+    }
+    initial.EndResource();
+    future.EndResource();
+  }
+  const std::vector<ResourceReference> references(
+      2, ResourceReference{RfdVector::FromWeights({{1, 1.0}, {2, 1.0}}),
+                           /*stable_point=*/10});
+  const PostStore initial_posts = std::move(initial).Build();
+  const PostStore future_posts = std::move(future).Build();
+  auto plan = DpPlanner::Plan(initial_posts, references, future_posts,
+                              kWide + 1);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan.value().allocation, (std::vector<int64_t>{kWide, 1}));
+}
+
 TEST(PlanStrategyTest, DispensesAllocationInIdOrder) {
   PlanStrategy strategy({2, 0, 1});
   StrategyContext ctx;  // PlanStrategy ignores the context
