@@ -202,7 +202,9 @@ AppendFile& AppendFile::operator=(AppendFile&& other) noexcept {
     path_ = std::move(other.path_);
     buffer_ = std::move(other.buffer_);
     size_ = other.size_;
+    lost_ = std::move(other.lost_);
     other.fd_ = -1;
+    other.lost_ = Status::OK();
     other.path_.clear();
     other.buffer_.clear();
     other.size_ = 0;
@@ -256,14 +258,14 @@ Status AppendFile::Open(const std::string& path, int64_t truncate_to) {
 }
 
 Status AppendFile::Append(std::string_view data) {
-  if (!is_open()) return Status::FailedPrecondition("AppendFile not open");
+  if (!is_open()) return NotOpen();
   buffer_.append(data.data(), data.size());
   size_ += static_cast<int64_t>(data.size());
   return Status::OK();
 }
 
 Status AppendFile::AppendGather(std::span<const std::string_view> pieces) {
-  if (!is_open()) return Status::FailedPrecondition("AppendFile not open");
+  if (!is_open()) return NotOpen();
   // The pieces are logically accepted up front, like Append: size()
   // counts them even if the write below fails part-way, because the
   // unwritten remainder is retained in the buffer and the next
@@ -391,7 +393,7 @@ Status AppendFile::SyncData() {
 }
 
 Status AppendFile::ReopenAndRestore(int64_t durable_offset) {
-  if (!is_open()) return Status::FailedPrecondition("AppendFile not open");
+  if (!is_open()) return NotOpen();
   if (durable_offset < 0 || durable_offset > write_offset()) {
     return Status::InvalidArgument(
         "durable offset " + std::to_string(durable_offset) +
@@ -415,15 +417,21 @@ Status AppendFile::ReopenAndRestore(int64_t durable_offset) {
   const int64_t logical_size = size_;
   buffer_.clear();
   size_ = 0;
-  INCENTAG_RETURN_IF_ERROR(Open(path, durable_offset));
+  lost_ = Open(path, durable_offset);
+  if (!lost_.ok()) return lost_;
   buffer_ = std::move(tail);
   size_ = logical_size;
   return Status::OK();
 }
 
+Status AppendFile::NotOpen() const {
+  return lost_.ok() ? Status::FailedPrecondition("AppendFile not open")
+                    : lost_;
+}
+
 Status AppendFile::ReadAt(int64_t offset, int64_t length,
                           std::string* out) const {
-  if (!is_open()) return Status::FailedPrecondition("AppendFile not open");
+  if (!is_open()) return NotOpen();
   if (offset < 0 || length < 0) {
     return Status::InvalidArgument("negative file range");
   }

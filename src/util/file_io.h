@@ -155,6 +155,9 @@ class AppendFile {
   // buffer as the new dirty buffer. size() is unchanged; the next
   // Flush/Sync rewrites exactly the untrusted range. On failure the
   // file is closed and the writer is unusable — the caller escalates.
+  // A failure to open the new descriptor is kept: every later call
+  // returns that I/O error, not "not open", so a caller that classifies
+  // it sees a storage fault.
   Status ReopenAndRestore(int64_t durable_offset);
 
   // Flushes (best effort: on error the unwritten bytes are lost with the
@@ -186,7 +189,14 @@ class AppendFile {
     return size_ - static_cast<int64_t>(buffer_.size());
   }
 
+  // What a call on a closed file returns: the I/O error that left it
+  // closed (lost_), else FailedPrecondition.
+  Status NotOpen() const;
+
   int fd_ = -1;
+  // Set when ReopenAndRestore closed the old descriptor and could not
+  // open a new one.
+  Status lost_;
   std::string path_;
   std::string buffer_;
   int64_t size_ = 0;

@@ -220,6 +220,45 @@ TEST_F(FaultRecoveryTest, ExhaustedLadderEscalatesWithoutDataLoss) {
   ExpectIntact("exhausted.journal", 32);
 }
 
+// A failed fdatasync whose reopen also fails leaves the writer with no
+// descriptor. Every later call returns the reopen's I/O error, so the
+// campaign layer sees a storage fault and quarantines, where "not open"
+// would be a precondition failure that fails the campaign.
+TEST_F(FaultRecoveryTest, LostDescriptorKeepsTheReopenError) {
+  JournalSinkOptions options;
+  options.batch_interval_us = 0;
+  options.retry = FastRetry();
+  std::atomic<int> sick{0};
+  util::Status sick_status;
+  options.on_writer_sick = [&](JournalWriter*, const util::Status& status) {
+    ++sick;
+    sick_status = status;
+  };
+  JournalSink sink(options);
+  auto writer = MakeWriter("lost.journal");
+  AppendBatch(writer.get(), 0, 8);
+  {
+    ScopedFailPoint sync("file_io/fdatasync", ScopedFailPoint::Fires(1),
+                         ScopedFailPoint::Enospc());
+    ScopedFailPoint open("file_io/open", ScopedFailPoint::Fires(1),
+                         ScopedFailPoint::Enospc());
+    SyncThroughSink(&sink, writer.get());
+  }
+  ASSERT_EQ(sick.load(), 1);
+  ASSERT_EQ(sick_status.code(), util::StatusCode::kIoError)
+      << sick_status.ToString();
+
+  const CompletionRecord record{8, 0};
+  for (const util::Status& status :
+       {writer->AppendCompletionBatch(&record, 1), writer->AppendCancel(),
+        writer->Flush(), writer->SyncData(), writer->Sync(),
+        writer->RecoverAfterSyncFailure()}) {
+    EXPECT_EQ(status.ToString(), sick_status.ToString());
+    EXPECT_NE(util::ClassifyIoError(status), util::IoErrorClass::kNotIoError);
+  }
+  sink.Stop();
+}
+
 // A torn fdatasync (bytes durable, completion lost — the fsyncgate
 // shape) must not double-apply on retry: the reopen-and-restore rebuild
 // re-appends from the durable offset and the journal decodes cleanly.

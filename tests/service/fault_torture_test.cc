@@ -91,6 +91,17 @@ TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
   options.compact_journal_bytes = 64 * persist::kFramedCompletionBytes;
   options.health = &health;
   auto manager = std::make_unique<CampaignManager>(options);
+  // The teardown contract on every exit path, a failed ASSERT's return
+  // included: the crowd's tagger threads call back into the manager, so
+  // the crowd stops first.
+  struct StopFleet {
+    sim::CrowdLoadGenerator* crowd;
+    std::unique_ptr<CampaignManager>* manager;
+    ~StopFleet() {
+      crowd->Stop();
+      if (*manager != nullptr) (*manager)->Shutdown();
+    }
+  } stop_fleet{&crowd, &manager};
 
   const int64_t injected_before = InjectionsTotal();
 
@@ -207,9 +218,7 @@ TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
   EXPECT_EQ(done + quarantined, kCampaigns);
   EXPECT_GE(InjectionsTotal(), injected_before + 2);  // opener at minimum
 
-  // The kill: drop the fleet, journals stay behind. Teardown contract:
-  // the crowd's tagger threads call back into the manager, so the crowd
-  // stops first.
+  // The kill: drop the fleet, journals stay behind.
   crowd.Stop();
   manager->Shutdown();
   manager.reset();
